@@ -52,6 +52,9 @@ __all__ = [
     "link_option_format",
     "betti_after_link",
     "LinkageRule",
+    "STATE_TAGS",
+    "state_tag",
+    "parse_state_label",
     "RULES",
     "RULE_ORDER",
     "apply_rule",
@@ -132,34 +135,53 @@ class Transition:
     cite: str
 
 
-def _is_h(label: StateLabel) -> bool:
-    return isinstance(label, ClassLabel) and label.tag == "H"
+OPAQUE_TAG = "*"
+STATE_TAGS = frozenset({"B", "C3", "G", "H", "T", OPAQUE_TAG})
+
+
+def state_tag(label: StateLabel) -> str:
+    """The class tag of a state label; opaque labels have the tag ``"*"``."""
+    return label.tag if isinstance(label, ClassLabel) else OPAQUE_TAG
 
 
 @dataclass(frozen=True)
 class LinkageRule:
     """A named linkage rule.
 
-    ``check`` returns a human-readable reason when the input violates the
-    rule's hypotheses (None when applicable); ``out_class`` and
-    ``out_format`` compute the two halves of the output state; ``profile``
-    is the rank-profile row the rule realizes (None for the one rule whose
-    format map falls outside the supported table).
+    ``in_tags`` are the class tags the rule accepts and ``out_tag`` the tag
+    of every class it outputs; ``check`` returns a human-readable reason
+    when the input violates the rule's hypotheses (None when applicable),
+    and always rejects labels whose tag is outside ``in_tags``;
+    ``out_class`` and ``out_format`` compute the two halves of the output
+    state; ``profile`` is the rank-profile row the rule realizes (None for
+    the one rule whose format map falls outside the supported table).
     """
 
     rule_id: str
     cite: str
     profile: RankProfile | None
+    in_tags: frozenset[str]
+    out_tag: str
     check: Callable[[StateLabel, Format], str | None]
     out_class: Callable[[StateLabel], ClassLabel]
     out_format: Callable[[Format], Format]
     format_domain: Callable[[Format], bool] = lambda fmt: True
 
 
-def _tag_check(tag: str, extra: Callable[[ClassLabel, Format], str | None] | None = None):
+_TAG_TEXT = {"C3": "C(3)"}
+
+
+def _tag_check(in_tags: frozenset[str], extra: Callable[[ClassLabel, Format], str | None] | None = None):
+    if len(in_tags) == 1:
+        (tag,) = in_tags
+        accepted = f"class {tag} inputs"
+    else:
+        excluded = ", ".join(_TAG_TEXT.get(tag, tag) for tag in sorted(STATE_TAGS - in_tags))
+        accepted = f"inputs of any class except {excluded}"
+
     def check(label: StateLabel, fmt: Format) -> str | None:
-        if not isinstance(label, ClassLabel) or label.tag != tag:
-            return f"rule applies to class {tag} inputs, not {label}"
+        if state_tag(label) not in in_tags:
+            return f"rule applies to {accepted}, not {label}"
         if extra is not None:
             return extra(label, fmt)
         return None
@@ -167,10 +189,22 @@ def _tag_check(tag: str, extra: Callable[[ClassLabel, Format], str | None] | Non
     return check
 
 
-def _check_linktoT(label: StateLabel, fmt: Format) -> str | None:
-    if isinstance(label, ClassLabel) and label.tag == "C3":
-        return "rule applies to any class except the complete intersection C(3)"
-    return None
+def _rule(
+    rule_id: str,
+    cite: str,
+    profile: RankProfile | None,
+    in_tags: str | frozenset[str],
+    out_tag: str,
+    out_class: Callable[[StateLabel], ClassLabel],
+    out_format: Callable[[Format], Format],
+    extra: Callable[[ClassLabel, Format], str | None] | None = None,
+    format_domain: Callable[[Format], bool] = lambda fmt: True,
+) -> LinkageRule:
+    """Build a rule whose ``check`` is derived from its declared input tags."""
+    tags = frozenset({in_tags}) if isinstance(in_tags, str) else in_tags
+    return LinkageRule(
+        rule_id, cite, profile, tags, out_tag, _tag_check(tags, extra), out_class, out_format, format_domain
+    )
 
 
 def _check_h_i(label: ClassLabel, fmt: Format) -> str | None:
@@ -199,13 +233,13 @@ def _check_h_v(label: ClassLabel, fmt: Format) -> str | None:
     return None
 
 
-def _check_cvw31(label: StateLabel, fmt: Format) -> str | None:
+def _check_cvw31(label: ClassLabel, fmt: Format) -> str | None:
     if label != class_G(5) or (fmt.m, fmt.n) != (5, 1):
         return f"rule applies only to G(5) at (5,1); input is {label} at {fmt}"
     return None
 
 
-def _check_cvw33(label: StateLabel, fmt: Format) -> str | None:
+def _check_cvw33(label: ClassLabel, fmt: Format) -> str | None:
     if label != class_H(2, 0):
         return f"rule applies only to H(2,0); input is {label}"
     if fmt.n != 3 or fmt.m < 6 or fmt.m % 2 != 0:
@@ -216,118 +250,138 @@ def _check_cvw33(label: StateLabel, fmt: Format) -> str | None:
 def _rules() -> dict[str, LinkageRule]:
     rp = {t: RankProfile(*t) for t in ((0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (3, 0, 0))}
     rules = [
-        LinkageRule(
+        _rule(
             "linktoT",
             _VERIFIED,
             rp[(0, 0, 0)],
-            _check_linktoT,
+            STATE_TAGS - {"C3"},
+            "T",
             lambda c: CLASS_T,
             lambda f: make_format(f.n + 3, f.m),
         ),
-        LinkageRule(
+        _rule(
             "linkT-i",
             _VERIFIED,
             rp[(1, 0, 0)],
-            _tag_check("T"),
+            "T",
+            "H",
             lambda c: class_H(2, 0),
             lambda f: make_format(f.n + 3, f.m - 1),
         ),
-        LinkageRule(
+        _rule(
             "linkT-ii",
             _VERIFIED,
             rp[(1, 0, 0)],
-            _tag_check("T"),
+            "T",
+            "H",
             lambda c: class_H(2, 2),
             lambda f: make_format(f.n + 3, f.m - 1),
         ),
-        LinkageRule(
+        _rule(
             "linkT-iii",
             _VERIFIED,
             rp[(2, 0, 0)],
-            _tag_check("T"),
+            "T",
+            "H",
             lambda c: class_H(1, 2),
             lambda f: make_format(f.n + 3, f.m - 2),
         ),
-        LinkageRule(
+        _rule(
             "linkT-iv",
             _VERIFIED,
             rp[(2, 1, 0)],
-            _tag_check("T"),
+            "T",
+            "B",
             lambda c: CLASS_B,
             lambda f: make_format(f.n + 2, f.m - 2),
         ),
-        LinkageRule(
+        _rule(
             "linkG-i",
             _VERIFIED,
             rp[(1, 0, 0)],
-            _tag_check("G"),
+            "G",
+            "H",
             lambda c: class_H(3, 0),
             lambda f: make_format(f.n + 3, f.m - 1),
         ),
-        LinkageRule(
+        _rule(
             "linkG-ii",
             _VERIFIED,
             rp[(2, 0, 0)],
-            _tag_check("G"),
+            "G",
+            "T",
             lambda c: CLASS_T,
             lambda f: make_format(f.n + 3, f.m - 2),
         ),
-        LinkageRule(
+        _rule(
             "linkH-i",
             _VERIFIED,
             rp[(1, 0, 0)],
-            _tag_check("H", _check_h_i),
+            "H",
+            "H",
             lambda c: class_H(2, 1),
             lambda f: make_format(f.n + 3, f.m - 1),
+            _check_h_i,
         ),
-        LinkageRule(
+        _rule(
             "linkH-ii",
             _VERIFIED,
             rp[(1, 0, 0)],
-            _tag_check("H"),
+            "H",
+            "H",
             lambda c: class_H(c.q + 2, c.p),
             lambda f: make_format(f.n + 3, f.m - 1),
         ),
-        LinkageRule(
+        _rule(
             "linkH-iii",
             _VERIFIED,
             rp[(2, 0, 0)],
-            _tag_check("H", _check_h_iii),
+            "H",
+            "H",
             lambda c: class_H(1, 1),
             lambda f: make_format(f.n + 3, f.m - 2),
+            _check_h_iii,
         ),
-        LinkageRule(
+        _rule(
             "linkH-iv",
             _VERIFIED,
             rp[(2, 0, 0)],
-            _tag_check("H", _check_h_iv),
+            "H",
+            "H",
             lambda c: class_H(c.q + 1, c.p),
             lambda f: make_format(f.n + 3, f.m - 2),
+            _check_h_iv,
         ),
-        LinkageRule(
+        _rule(
             "linkH-v",
             _VERIFIED,
             rp[(3, 0, 0)],
-            _tag_check("H", _check_h_v),
+            "H",
+            "H",
             lambda c: class_H(0, c.p),
             lambda f: make_format(f.n + 3, f.m - 3),
+            _check_h_v,
         ),
-        LinkageRule(
+        _rule(
             "ext-CVW31",
             f"{_CITE_CVW20}, Prop. 3.1",
             rp[(3, 0, 0)],
-            _check_cvw31,
+            "G",
+            "H",
             lambda c: class_H(3, 2),
             lambda f: make_format(4, 2),
+            _check_cvw31,
             format_domain=lambda f: (f.m, f.n) == (5, 1),
         ),
-        LinkageRule(
+        _rule(
             "ext-CVW33",
             f"{_CITE_CVW20}, Prop. 3.3",
             None,
-            _check_cvw33,
+            "H",
+            "H",
             lambda c: class_H(0, 1),
             lambda f: make_format(5, f.m - 3),
+            _check_cvw33,
             format_domain=lambda f: f.n == 3 and f.m >= 6 and f.m % 2 == 0,
         ),
     ]
@@ -403,18 +457,22 @@ def _render_state(state: State) -> list[str]:
     return [str(label), str(fmt)]
 
 
+def parse_state_label(text: object, what: str) -> StateLabel:
+    """Parse a state label's text form: a class label, or ``*`` for opaque."""
+    if not isinstance(text, str):
+        raise DocumentError(f"{what} must be a string, got {text!r}")
+    if text == "*":
+        return OPAQUE
+    return parse_label(text)
+
+
 def _parse_state(value: object, what: str) -> State:
     if not isinstance(value, list) or len(value) != 2:
         raise DocumentError(f"{what} must be a [class, format] pair, got {value!r}")
     text_label, text_fmt = value
     if not isinstance(text_label, str) or not isinstance(text_fmt, str):
         raise DocumentError(f"{what} entries must be strings, got {value!r}")
-    label: StateLabel
-    if text_label == "*":
-        label = OPAQUE
-    else:
-        label = parse_label(text_label)
-    return (label, parse_format(text_fmt))
+    return (parse_state_label(text_label, what), parse_format(text_fmt))
 
 
 def transition_to_document(t: Transition) -> dict:

@@ -13,6 +13,18 @@ capped by the ``GRADE3_MAX_SEARCH`` environment variable, default 64), every
 intermediate state must not be NOT_PERMISSIBLE, and both the axiom seeding
 order and the rule expansion order are fixed, so the certificate returned
 for a target is identical across runs and call orders.
+
+Every bound's search walks one successor graph shared by the whole process.
+Its states are interned to integer ids, and each state's rule outputs are
+computed once, in ``RULE_ORDER``, the first time any search expands it.
+A rule is tried only on states whose class tag it declares as an input.
+Each bound's search drops the outputs beyond its own bound and the ones it
+has already discovered, and checks permissibility once per newly discovered
+state.  Sharing does not change certificates: a state's outputs do not
+depend on the bound, and each bound expands its states, and each
+state's outputs, in one fixed order.  A target whose class no rule
+outputs (C(3), G(r)) can only be an axiom, so unless it is an axiom instance
+of its bound it is NOT_FOUND without a search.
 """
 
 from __future__ import annotations
@@ -35,15 +47,17 @@ from .labels import (
     class_H,
     make_format,
     parse_format,
-    parse_label,
 )
 from .linkrules import (
     RULES,
     RULE_ORDER,
+    STATE_TAGS,
     State,
     StateLabel,
     Transition,
     apply_rule,
+    parse_state_label,
+    state_tag,
     transition_from_document,
     transition_to_document,
 )
@@ -230,54 +244,133 @@ _SEED_ORDER = tuple(
 )
 
 
-class _Search:
-    """Resumable breadth-first search over (class, format) states.
+# Rule indices (into RULE_ORDER) whose declared input tags admit each state tag.
+_RULES_BY_TAG: dict[str, tuple[int, ...]] = {
+    tag: tuple(i for i, rule_id in enumerate(RULE_ORDER) if tag in RULES[rule_id].in_tags)
+    for tag in STATE_TAGS
+}
+# Tags of the classes some rule outputs; other classes occur only as axioms.
+_OUTPUT_TAGS = frozenset(rule.out_tag for rule in RULES.values())
 
-    The expansion sequence for a given bound is a pure function of the bound,
-    so resuming a search later (for a different target) assigns the same
-    parents as a fresh exhaustive run would.
+
+class _Graph:
+    """Interned states and their rule outputs, shared by every search bound.
+
+    States are numbered in order of first sight, and equal labels and
+    formats share one object.  A state's outputs do not depend on the
+    bound, so they are computed once per process, in ``RULE_ORDER``: the
+    output ids in ``edges[sid]`` and the rules that produce them, by index
+    into ``RULE_ORDER``, in ``edge_rules[sid]``.  ``reach[sid]`` is the
+    larger coordinate of the state's format, which each bound's search
+    compares with its own bound.  Whether a state is NOT_PERMISSIBLE is
+    looked up once, when a search first discovers it within its bound.
     """
 
-    def __init__(self, bound: int) -> None:
-        self.bound = bound
-        self.parent: dict[State, tuple[State, str] | None] = {}
-        self.axiom_family: dict[State, str] = {}
-        self.queue: deque[State] = deque()
-        for family in _SEED_ORDER:
-            for state in family.instances(bound):
-                if state not in self.parent:
-                    self.parent[state] = None
-                    self.axiom_family[state] = family.family_id
-                    self.queue.append(state)
+    def __init__(self) -> None:
+        self.states: list[State] = []
+        self.ids: dict[State, int] = {}
+        self.parts: dict[StateLabel | Format, StateLabel | Format] = {}
+        self.reach: list[int] = []
+        self.edges: list[tuple[int, ...] | None] = []
+        self.edge_rules: list[bytes | None] = []
+        self.allowed: list[bool | None] = []
 
-    def _expand(self, state: State) -> None:
-        label, fmt = state
-        for rule_id in RULE_ORDER:
-            rule = RULES[rule_id]
+    def intern(self, state: State) -> int:
+        sid = self.ids.get(state)
+        if sid is None:
+            sid = len(self.states)
+            label, fmt = state
+            state = (self.parts.setdefault(label, label), self.parts.setdefault(fmt, fmt))
+            self.ids[state] = sid
+            self.states.append(state)
+            self.reach.append(max(fmt.m, fmt.n))
+            self.edges.append(None)
+            self.edge_rules.append(None)
+            self.allowed.append(None)
+        return sid
+
+    def successors(self, sid: int) -> tuple[int, ...]:
+        edges = self.edges[sid]
+        if edges is None:
+            edges = self._expand(sid)
+        return edges
+
+    def _expand(self, sid: int) -> tuple[int, ...]:
+        label, fmt = self.states[sid]
+        out_ids: list[int] = []
+        rule_indices: list[int] = []
+        for rule_index in _RULES_BY_TAG[state_tag(label)]:
+            # Looked up per call, not captured at import: RULES entries may be replaced.
+            rule = RULES[RULE_ORDER[rule_index]]
             if rule.check(label, fmt) is not None:
                 continue
             try:
                 out_fmt = rule.out_format(fmt)
             except Grade3Error:
                 continue
-            if out_fmt.m > self.bound or out_fmt.n > self.bound:
-                continue
-            out_state: State = (rule.out_class(label), out_fmt)
-            if out_state in self.parent:
-                continue
-            if is_permissible(out_state[0], out_state[1]).status is Status.NOT_PERMISSIBLE:
-                continue
-            self.parent[out_state] = (state, rule_id)
-            self.queue.append(out_state)
+            out_ids.append(self.intern((rule.out_class(label), out_fmt)))
+            rule_indices.append(rule_index)
+        edges = self.edges[sid] = tuple(out_ids)
+        self.edge_rules[sid] = bytes(rule_indices)
+        return edges
 
-    def find(self, state: State) -> bool:
-        if state in self.parent:
+    def rule_between(self, sid: int, out_id: int) -> str:
+        """The first rule, in RULE_ORDER, that takes state ``sid`` to ``out_id``."""
+        return RULE_ORDER[self.edge_rules[sid][self.successors(sid).index(out_id)]]
+
+    def is_allowed(self, sid: int) -> bool:
+        allowed = self.allowed[sid]
+        if allowed is None:
+            label, fmt = self.states[sid]
+            allowed = is_permissible(label, fmt).status is not Status.NOT_PERMISSIBLE
+            self.allowed[sid] = allowed
+        return allowed
+
+
+_GRAPH = _Graph()
+
+
+class _Search:
+    """Resumable breadth-first search over the shared graph, within one bound.
+
+    ``parent`` maps each discovered state id to the id of the state it was
+    first reached from (None for axioms), by the first rule in RULE_ORDER
+    that reaches it.  The expansion sequence for a given bound is a pure
+    function of the bound, so resuming a search later (for a different
+    target) assigns the same parents as a fresh exhaustive run would.
+    """
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self.parent: dict[int, int | None] = {}
+        self.axiom_family: dict[int, str] = {}
+        self.queue: deque[int] = deque()
+        for family in _SEED_ORDER:
+            for state in family.instances(bound):
+                sid = _GRAPH.intern(state)
+                if sid not in self.parent:
+                    self.parent[sid] = None
+                    self.axiom_family[sid] = family.family_id
+                    self.queue.append(sid)
+
+    def find(self, target: int) -> bool:
+        parent, queue, bound, graph = self.parent, self.queue, self.bound, _GRAPH
+        reach = graph.reach
+        if target in parent:
             return True
-        while self.queue:
-            self._expand(self.queue.popleft())
-            if state in self.parent:
+        while queue:
+            sid = queue.popleft()
+            for out_id in graph.successors(sid):
+                if reach[out_id] <= bound and out_id not in parent and graph.is_allowed(out_id):
+                    parent[out_id] = sid
+                    queue.append(out_id)
+            if target in parent:
                 return True
         return False
+
+
+def _is_axiom(state: State, bound: int) -> bool:
+    return any(state in family.instances(bound) for family in _SEED_ORDER)
 
 
 _SEARCHES: dict[int, _Search] = {}
@@ -353,19 +446,19 @@ def _not_found_detail(label: ClassLabel) -> str:
     return "no derivation reaches this target from the axiom registry within the search bound"
 
 
-def _certificate_from(search: _Search, state: State) -> DerivationCertificate:
+def _certificate_from(search: _Search, target: int) -> DerivationCertificate:
     steps_reversed: list[Transition] = []
-    cursor = state
-    while True:
-        parent = search.parent[cursor]
-        if parent is None:
-            break
-        prev_state, rule_id = parent
-        steps_reversed.append(apply_rule(rule_id, prev_state[0], prev_state[1]))
-        cursor = prev_state
+    cursor = target
+    while (prev := search.parent[cursor]) is not None:
+        label, fmt = _GRAPH.states[prev]
+        steps_reversed.append(apply_rule(_GRAPH.rule_between(prev, cursor), label, fmt))
+        cursor = prev
     family = _FAMILY_BY_ID[search.axiom_family[cursor]]
-    axiom = Axiom(family.family_id, cursor[0], cursor[1], family.cite)
-    return DerivationCertificate(axiom=axiom, steps=tuple(reversed(steps_reversed)), target=state)
+    label, fmt = _GRAPH.states[cursor]
+    axiom = Axiom(family.family_id, label, fmt, family.cite)
+    return DerivationCertificate(
+        axiom=axiom, steps=tuple(reversed(steps_reversed)), target=_GRAPH.states[target]
+    )
 
 
 def realize(
@@ -393,11 +486,15 @@ def realize(
             RealizeStatus.NOT_FOUND,
             detail=f"target format {fmt} exceeds the search cap {cap} ({SEARCH_ENV_VAR})",
         )
-    search = _search_for(bound)
     state: State = (label, fmt)
-    if not search.find(state):
+    if label.tag not in _OUTPUT_TAGS and not _is_axiom(state, bound):
+        # Only an axiom can be a state of a class that no rule outputs.
         return RealizationResult(RealizeStatus.NOT_FOUND, detail=_not_found_detail(label))
-    return RealizationResult(RealizeStatus.REALIZED, certificate=_certificate_from(search, state))
+    search = _search_for(bound)
+    target = _GRAPH.intern(state)
+    if not search.find(target):
+        return RealizationResult(RealizeStatus.NOT_FOUND, detail=_not_found_detail(label))
+    return RealizationResult(RealizeStatus.REALIZED, certificate=_certificate_from(search, target))
 
 
 def verify_certificate(cert: DerivationCertificate) -> bool:
@@ -446,14 +543,6 @@ def certificate_to_document(cert: DerivationCertificate) -> dict:
     }
 
 
-def _parse_state_label(text: object, what: str) -> StateLabel:
-    if not isinstance(text, str):
-        raise DocumentError(f"{what} must be a string, got {text!r}")
-    if text == "*":
-        return OPAQUE
-    return parse_label(text)
-
-
 def certificate_from_document(doc: object) -> DerivationCertificate:
     """Parse the document form; rejects anything outside the schema."""
     if not isinstance(doc, dict):
@@ -472,7 +561,7 @@ def certificate_from_document(doc: object) -> DerivationCertificate:
         raise DocumentError("axiom format must be a string")
     axiom = Axiom(
         family=axiom_doc["family"],
-        label=_parse_state_label(axiom_doc["class"], "axiom class"),
+        label=parse_state_label(axiom_doc["class"], "axiom class"),
         fmt=parse_format(axiom_doc["format"]),
         cite=axiom_doc["cite"],
     )
@@ -485,7 +574,7 @@ def certificate_from_document(doc: object) -> DerivationCertificate:
     if not isinstance(target_doc["format"], str):
         raise DocumentError("target format must be a string")
     target: State = (
-        _parse_state_label(target_doc["class"], "target class"),
+        parse_state_label(target_doc["class"], "target class"),
         parse_format(target_doc["format"]),
     )
     return DerivationCertificate(axiom=axiom, steps=steps, target=target)

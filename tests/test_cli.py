@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import grade3
 from grade3 import (
     CLASS_B,
     CLASS_T,
@@ -239,3 +243,20 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------ python -m
+
+
+@pytest.mark.parametrize("module", ["grade3", "grade3.cli"])
+def test_python_dash_m_matches_main(module, capsys):
+    argv = ["permissible", "T", "(4,3)"]
+    code = main(argv)
+    expected = capsys.readouterr().out
+    src = os.path.dirname(os.path.dirname(grade3.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, env=env, timeout=60
+    )
+    assert proc.stdout == expected.encode("utf-8")
+    assert proc.returncode == code

@@ -31,6 +31,7 @@ from grade3 import (
     transition_to_document,
 )
 from grade3.errors import DocumentError
+from grade3.linkrules import STATE_TAGS, state_tag
 
 
 # ------------------------------------------------------------- format maps
@@ -161,6 +162,31 @@ def test_linktoT_accepts_opaque_and_rejects_c3():
 def test_apply_rule_precondition_failures(rule_id, label, fmt):
     with pytest.raises(PreconditionViolated):
         apply_rule(rule_id, label, make_format(*fmt))
+
+
+_ALL_LABELS = (
+    [OPAQUE, CLASS_T, CLASS_B, CLASS_C3]
+    + [class_G(r) for r in range(2, 15)]
+    + [class_H(p, q) for p in range(15) for q in range(15)]
+)
+
+
+@pytest.mark.parametrize("rule_id", RULE_ORDER)
+def test_rule_tag_declarations_match_behaviour(rule_id):
+    rule = RULES[rule_id]
+    assert rule.in_tags <= STATE_TAGS
+    accepted = 0
+    for m in range(4, 15):
+        for n in range(1, 13):
+            fmt = make_format(m, n)
+            for label in _ALL_LABELS:
+                reason = rule.check(label, fmt)
+                if state_tag(label) not in rule.in_tags:
+                    assert reason is not None, (str(label), str(fmt))
+                elif reason is None:
+                    assert rule.out_class(label).tag == rule.out_tag, (str(label), str(fmt))
+                    accepted += 1
+    assert accepted > 0
 
 
 def test_apply_rule_unknown_id():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -188,6 +190,66 @@ def test_realize_is_deterministic_and_order_independent():
         certificate_to_document(realize(l, f).certificate) for l, f in reversed(targets)
     ]
     assert first == list(reversed(second))
+
+
+def test_rigid_targets_are_not_found_without_a_search():
+    result = realize(class_G(4), make_format(12, 12))
+    assert result.status is RealizeStatus.NOT_FOUND
+    assert result.detail == (
+        "class G(r) outside Gorenstein formats (r,1) has no known construction "
+        "(Christensen-Veliche-Weyman 2020)"
+    )
+    result = realize(CLASS_C3, make_format(3, 1))
+    assert result.status is RealizeStatus.NOT_FOUND
+    assert result.detail == (
+        "class C(3) is the complete intersection; it forms its own linkage class "
+        "and no rulebook row produces it (Weyman 1989; Avramov-Kustin-Miller 1988)"
+    )
+    assert planner._SEARCHES == {}
+
+
+def test_rigid_axiom_targets_are_still_searched():
+    result = realize(class_G(5), make_format(5, 1))
+    assert result.status is RealizeStatus.REALIZED
+    assert result.certificate.axiom.family == "GOR"
+    assert result.certificate.steps == ()
+    assert verify_certificate(result.certificate)
+
+
+def test_coverage_sweep_certificates_are_pinned():
+    # Digest of every certificate of the (20,20) sweep, recorded before the
+    # searches shared one successor graph; it must not move.
+    report = realize_all(20, 20)
+    assert len(report.entries) == 2272
+    assert report.gaps == ()
+    digest = hashlib.sha256()
+    for entry in report.entries:
+        doc = certificate_to_document(realize(entry.label, entry.fmt).certificate)
+        digest.update((json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
+    assert digest.hexdigest() == "9679392c9a99759d4fc0958acf449637b3dda4c8fef57e2b4ff26dfbfaf53974"
+
+
+def test_realize_grid_is_pinned():
+    # Status, detail and certificate of every label below at every format up
+    # to (12,12), recorded before the searches shared one successor graph.
+    labels = (
+        [CLASS_T, CLASS_B, CLASS_C3]
+        + [class_G(r) for r in range(2, 10)]
+        + [class_H(p, q) for p in range(9) for q in range(9)]
+    )
+    digest = hashlib.sha256()
+    count = 0
+    for m in range(1, 13):
+        for k in range(1, 13):
+            fmt = make_format(m, k)
+            for label in labels:
+                result = realize(label, fmt)
+                doc = None if result.certificate is None else certificate_to_document(result.certificate)
+                row = [str(label), str(fmt), result.status.value, result.detail, doc]
+                digest.update(json.dumps(row, sort_keys=True).encode("utf-8"))
+                count += 1
+    assert count == 13248
+    assert digest.hexdigest() == "c7006a3a23c68919c01372bb13eb36640a8cd3dcd19eab2e5e17052940876439"
 
 
 def test_certificates_chain_states_consecutively():
