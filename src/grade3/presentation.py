@@ -26,10 +26,11 @@ simulations downstream need.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, DocumentError, UnknownArrangement
-from .exact import rational_rank, sparse_rank
+from .exact import sparse_rank
 from .labels import (
     CLASS_B,
     CLASS_C3,
@@ -54,9 +55,15 @@ __all__ = [
     "presentation_to_document",
     "presentation_from_document",
     "PRESENTATION_VERSION",
+    "MAX_DOCUMENT_CELLS",
 ]
 
 PRESENTATION_VERSION = 1
+# Largest table a document may describe, counted as the coefficients its dense
+# vectors hold: distinct products times vector length.  The largest table the
+# tests, demos and benchmark build holds about 33 k (H(82,42) at (160,160));
+# at the limit the vectors take about 40 MB.
+MAX_DOCUMENT_CELLS = 5_000_000
 
 Vector = tuple[int, ...]
 PairKey = tuple[int, int]
@@ -293,28 +300,33 @@ class ClassifierReport:
 
 
 def compute_pqrs(a: TorPresentation) -> ClassifierReport:
-    """Exact invariants (p, q, r, s1) of a valid presentation."""
-    p = rational_rank(a.ee.values())
-    q = rational_rank(a.ef.values())
+    """Exact invariants (p, q, r, s1) of a valid presentation.
+
+    All four matrices are built as sparse rows from the table's nonzero
+    coefficients, so their size follows the number of products, not the
+    format.
+    """
+    ee = {key: dict(compress(enumerate(vec, start=1), vec)) for key, vec in a.ee.items()}
+    ef = {key: dict(compress(enumerate(vec, start=1), vec)) for key, vec in a.ef.items()}
+    p = sparse_rank(ee.values())
+    q = sparse_rank(ef.values())
 
     # r: one sparse row per f-basis vector, coordinates (i, t) of Hom(A1, A3).
     delta_rows: dict[int, dict[tuple[int, int], int]] = {}
-    for (i, l), vec in a.ef.items():
+    for (i, l), coeffs in ef.items():
         row = delta_rows.setdefault(l, {})
-        for t, coeff in enumerate(vec, start=1):
-            if coeff:
-                row[(i, t)] = row.get((i, t), 0) + coeff
+        for t, coeff in coeffs.items():
+            row[(i, t)] = row.get((i, t), 0) + coeff
     r = sparse_rank(delta_rows.values())
 
     # s1: one sparse row per e-basis vector, coordinates (j, c) of Hom(A1, A2).
     mult_rows: dict[int, dict[tuple[int, int], int]] = {}
-    for (i, j), vec in a.ee.items():
+    for (i, j), coeffs in ee.items():
         row_i = mult_rows.setdefault(i, {})
         row_j = mult_rows.setdefault(j, {})
-        for c, coeff in enumerate(vec, start=1):
-            if coeff:
-                row_i[(j, c)] = row_i.get((j, c), 0) + coeff
-                row_j[(i, c)] = row_j.get((i, c), 0) - coeff
+        for c, coeff in coeffs.items():
+            row_i[(j, c)] = row_i.get((j, c), 0) + coeff
+            row_j[(i, c)] = row_j.get((i, c), 0) - coeff
     s1 = sparse_rank(mult_rows.values())
 
     return ClassifierReport(p=p, q=q, r=r, s1=s1)
@@ -415,8 +427,10 @@ def presentation_from_document(doc: object) -> TorPresentation:
     """Parse the document form; rejects anything outside the schema.
 
     Unknown fields, wrong versions, non-integer entries, and out-of-range
-    indices all raise :class:`DocumentError`.  Repeated quadruples for the
-    same coordinate accumulate.
+    indices all raise :class:`DocumentError`, and so does a table whose dense
+    vectors would hold more than :data:`MAX_DOCUMENT_CELLS` coefficients;
+    that check runs before any vector is allocated.  Repeated quadruples for
+    the same coordinate accumulate.
     """
     if not isinstance(doc, dict):
         raise DocumentError(f"presentation document must be an object, got {type(doc).__name__}")
@@ -440,7 +454,7 @@ def presentation_from_document(doc: object) -> TorPresentation:
     for field in ("ee", "ef"):
         if not isinstance(doc[field], list):
             raise DocumentError(f"{field} must be a list of quadruples")
-    ee: dict[PairKey, list[int]] = {}
+    ee_entries = []
     for row in doc["ee"]:
         if not isinstance(row, list) or len(row) != 4:
             raise DocumentError(f"ee entry {row!r} is not a quadruple")
@@ -449,9 +463,8 @@ def presentation_from_document(doc: object) -> TorPresentation:
             raise DocumentError(f"ee entry ({i},{j}) out of range: need 1 <= i < j <= m = {m}")
         if not (1 <= l <= d2):
             raise DocumentError(f"ee entry f-index {l} out of range: need 1 <= l <= {d2}")
-        vec = ee.setdefault((i, j), [0] * d2)
-        vec[l - 1] += coeff
-    ef: dict[PairKey, list[int]] = {}
+        ee_entries.append(((i, j), l, coeff))
+    ef_entries = []
     for row in doc["ef"]:
         if not isinstance(row, list) or len(row) != 4:
             raise DocumentError(f"ef entry {row!r} is not a quadruple")
@@ -462,6 +475,21 @@ def presentation_from_document(doc: object) -> TorPresentation:
             raise DocumentError(f"ef entry f-index {l} out of range: need 1 <= l <= {d2}")
         if not (1 <= t <= n):
             raise DocumentError(f"ef entry g-index {t} out of range: need 1 <= t <= n = {n}")
-        vec = ef.setdefault((i, l), [0] * n)
-        vec[t - 1] += coeff
-    return make_presentation(m, n, ee, ef)
+        ef_entries.append(((i, l), t, coeff))
+    cells = len({key for key, _, _ in ee_entries}) * d2 + len({key for key, _, _ in ef_entries}) * n
+    if cells > MAX_DOCUMENT_CELLS:
+        raise DocumentError(
+            f"table would hold {cells} coefficients as dense vectors; the limit is {MAX_DOCUMENT_CELLS}"
+        )
+    return make_presentation(m, n, _dense_vectors(ee_entries, d2), _dense_vectors(ef_entries, n))
+
+
+def _dense_vectors(entries: list[tuple[PairKey, int, int]], length: int) -> dict[PairKey, list[int]]:
+    """Accumulate (key, 1-based coordinate, coefficient) entries into vectors."""
+    vectors: dict[PairKey, list[int]] = {}
+    for key, index, coeff in entries:
+        vec = vectors.get(key)
+        if vec is None:
+            vec = vectors[key] = [0] * length
+        vec[index - 1] += coeff
+    return vectors

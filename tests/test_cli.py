@@ -239,6 +239,14 @@ def test_rejected_document_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_oversized_document_exits_three(tmp_path, capsys):
+    # Dense vectors of length m + n - 1 = 10**9 would take about 8 GB.
+    doc = {"version": 1, "m": 10**9, "n": 1, "ee": [[1, 2, 1, 1]], "ef": []}
+    path = _write_doc(tmp_path, "huge.json", doc)
+    assert main(["classify", path]) == 3
+    assert "limit" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

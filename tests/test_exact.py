@@ -1,7 +1,14 @@
-"""Exact rank computation against an independent rational-arithmetic oracle."""
+"""Exact rank computation against two independent reference eliminations.
+
+``_reference_rank`` eliminates over ``Fraction``; ``_dense_bareiss_rank`` is
+the dense fraction-free elimination grade3 used before its sparse one.  Both
+entry points, ``rational_rank`` and ``sparse_rank``, share one engine, so
+each is checked against these oracles rather than against the other.
+"""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -34,6 +41,39 @@ def _reference_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def _dense_bareiss_rank(rows: list[list[int]]) -> int:
+    """Dense Bareiss elimination with first-nonzero pivoting, all integer."""
+    mat = [list(row) for row in rows if any(row)]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    nrows = len(mat)
+    rank = 0
+    prev_pivot = 1
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        pivot_row = next((r for r in range(rank, nrows) if mat[r][col]), None)
+        if pivot_row is None:
+            continue
+        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
+        pivot = mat[rank][col]
+        top = mat[rank]
+        for r in range(rank + 1, nrows):
+            row = mat[r]
+            factor = row[col]
+            for c in range(col + 1, ncols):
+                row[c] = (pivot * row[c] - factor * top[c]) // prev_pivot
+            row[col] = 0
+        prev_pivot = pivot
+        rank += 1
+    return rank
+
+
+def _sparse(rows: list[list[int]]) -> list[dict[int, int]]:
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
 def test_empty_and_zero_matrices():
     assert rational_rank([]) == 0
     assert rational_rank([[0, 0, 0]]) == 0
@@ -60,6 +100,8 @@ def test_rank_needs_exact_arithmetic():
 def test_rejects_ragged_rows():
     with pytest.raises(ValueError):
         rational_rank([[1, 2], [1, 2, 3]])
+    # Zero rows take no part in the length check.
+    assert rational_rank([[1, 2], [0, 0, 0], []]) == 1
 
 
 _matrix = st.integers(min_value=1, max_value=6).flatmap(
@@ -75,6 +117,52 @@ _matrix = st.integers(min_value=1, max_value=6).flatmap(
 @given(_matrix)
 def test_matches_fraction_oracle(rows):
     assert rational_rank(rows) == _reference_rank(rows)
+    assert _dense_bareiss_rank(rows) == _reference_rank(rows)
+
+
+@st.composite
+def _structured_sparse(draw) -> list[list[int]]:
+    """Tables-like matrices: 1-3 nonzeros per row, huge entries, shuffled.
+
+    Integer combinations of the rows are appended so that some matrices lose
+    rank; rows and columns are then shuffled so no pivot order is favoured.
+    """
+    nrows = draw(st.integers(min_value=1, max_value=40))
+    ncols = draw(st.integers(min_value=1, max_value=60))
+    entry = st.integers(min_value=-(10**20), max_value=10**20).filter(bool)
+    rows = []
+    for _ in range(nrows):
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=3, unique=True))
+        rows.append({c: draw(entry) for c in cols})
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        terms = draw(
+            st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(-3, 3)), min_size=1, max_size=3)
+        )
+        combo: dict[int, int] = {}
+        for i, weight in terms:
+            for c, v in rows[i].items():
+                combo[c] = combo.get(c, 0) + weight * v
+        rows.append(combo)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rng.shuffle(rows)
+    col_perm = list(range(ncols))
+    rng.shuffle(col_perm)
+    dense = []
+    for row in rows:
+        vec = [0] * ncols
+        for c, v in row.items():
+            vec[col_perm[c]] = v
+        dense.append(vec)
+    return dense
+
+
+@settings(max_examples=60, deadline=None)
+@given(_structured_sparse())
+def test_structured_sparse_matrices_match_both_oracles(rows):
+    expected = _reference_rank(rows)
+    assert _dense_bareiss_rank(rows) == expected
+    assert rational_rank(rows) == expected
+    assert sparse_rank(_sparse(rows)) == expected
 
 
 @settings(max_examples=100)
@@ -100,13 +188,38 @@ def test_sparse_rank_over_hashable_keys():
     assert sparse_rank(rows) == 2
 
 
+def test_sparse_rank_over_mixed_key_types():
+    # Columns of different types cannot be ordered against each other.
+    assert sparse_rank([{"x": 1, 3: 2, (1, 2): 1}]) == 1
+    assert sparse_rank([{"x": 1, 3: 2, (1, 2): 1}, {3: 4, "x": 2, (1, 2): 2}]) == 1
+    assert sparse_rank([{"x": 1, 3: 2, (1, 2): 1}, {3: 4, None: 1}, {"x": 3}]) == 3
+
+
 def test_sparse_rank_ignores_explicit_zeros():
     assert sparse_rank([{"x": 0, "y": 0}]) == 0
     assert sparse_rank([{"x": 0, "y": 1}, {"y": 1}]) == 1
 
 
+def test_sparse_rank_leaves_its_input_alone():
+    rows = [{0: 2, 1: 1}, {0: 1, 1: 1}, {2: 1}, {0: 3, 1: 2, 2: 1}]
+    copies = [dict(row) for row in rows]
+    assert sparse_rank(rows) == 3
+    assert rows == copies
+
+
+def test_rows_off_the_pivot_column_are_rescaled_exactly():
+    # Both full rank.  The first loses a pivot if rows without an entry in the
+    # pivot column are left unscaled; the second if they are scaled by the
+    # integer part of pivot / prev instead of by pivot, then divided by prev.
+    unscaled = [[0, 0, 3, 1], [0, 5, 0, 0], [0, 0, 0, -1], [-1, 0, 2, 0]]
+    truncated = [[0, 7, 3, 2], [0, 5, 2, 0], [2, 0, 0, 3], [7, 1, 3, 0]]
+    for rows in (unscaled, truncated):
+        assert _reference_rank(rows) == 4
+        assert rational_rank(rows) == 4
+        assert sparse_rank(_sparse(rows)) == 4
+
+
 @settings(max_examples=100)
 @given(_matrix)
 def test_sparse_rank_matches_dense(rows):
-    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    assert sparse_rank(sparse) == rational_rank(rows)
+    assert sparse_rank(_sparse(rows)) == _dense_bareiss_rank(rows)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from grade3 import (
     presentation_to_document,
     validate_presentation,
 )
+from grade3.presentation import MAX_DOCUMENT_CELLS
 
 
 def _unit(length, index, sign=1):
@@ -198,6 +201,40 @@ def test_classify_needs_c3_format():
 # ------------------------------------------------- basis-invariance property
 
 
+def _signed_relabel(pres, rng):
+    """Change of basis by seeded signed permutations of the e, f and g bases.
+
+    Old ``e_i`` is ``e_sign[i] * e'_{e_new[i]}`` (likewise for f and g); only
+    stored products are visited, so this stays cheap at large formats.
+    """
+
+    def signed_perm(size):
+        new = list(range(1, size + 1))
+        rng.shuffle(new)
+        return [0] + new, [0] + [rng.choice((-1, 1)) for _ in range(size)]
+
+    m, n, d2 = pres.m, pres.n, pres.dim2
+    e_new, e_sign = signed_perm(m)
+    f_new, f_sign = signed_perm(d2)
+    g_new, g_sign = signed_perm(n)
+    ee = {}
+    for (i, j), vec in pres.ee.items():
+        a, b, sign = e_new[i], e_new[j], e_sign[i] * e_sign[j]
+        if a > b:
+            a, b, sign = b, a, -sign
+        out = [0] * d2
+        for l, c in enumerate(vec, start=1):
+            out[f_new[l] - 1] = sign * f_sign[l] * c
+        ee[(a, b)] = out
+    ef = {}
+    for (i, l), vec in pres.ef.items():
+        out = [0] * n
+        for t, c in enumerate(vec, start=1):
+            out[g_new[t] - 1] = e_sign[i] * f_sign[l] * g_sign[t] * c
+        ef[(e_new[i], f_new[l])] = out
+    return make_presentation(m, n, ee, ef)
+
+
 @settings(max_examples=60)
 @given(
     label_fmt=st.sampled_from(
@@ -213,45 +250,25 @@ def test_classify_needs_c3_format():
 )
 def test_classify_is_invariant_under_basis_permutation(label_fmt, seed):
     """Permuting the e, f, g bases (with signs) never changes the label."""
-    import random
-
     label, (m, n) = label_fmt
-    rng = random.Random(seed)
     base = canonical_presentation(label, make_format(m, n))
-    d2 = m + n - 1
-
-    e_perm = list(range(1, m + 1))
-    rng.shuffle(e_perm)
-    e_sign = [rng.choice((-1, 1)) for _ in range(m + 1)]
-    f_perm = list(range(1, d2 + 1))
-    rng.shuffle(f_perm)
-    f_sign = [rng.choice((-1, 1)) for _ in range(d2 + 1)]
-    g_perm = list(range(1, n + 1))
-    rng.shuffle(g_perm)
-    g_sign = [rng.choice((-1, 1)) for _ in range(n + 1)]
-
-    ee = {}
-    for a in range(1, m + 1):
-        for b in range(a + 1, m + 1):
-            vec = base.ee_product(e_perm[a - 1], e_perm[b - 1])
-            sign = e_sign[a] * e_sign[b]
-            out = [0] * d2
-            for l in range(1, d2 + 1):
-                out[l - 1] = sign * f_sign[f_perm[l - 1]] * vec[f_perm[l - 1] - 1]
-            ee[(a, b)] = tuple(out)
-    ef = {}
-    for a in range(1, m + 1):
-        for l in range(1, d2 + 1):
-            vec = base.ef_product(e_perm[a - 1], f_perm[l - 1])
-            sign = e_sign[a] * f_sign[f_perm[l - 1]]
-            out = [0] * n
-            for t in range(1, n + 1):
-                out[t - 1] = sign * g_sign[g_perm[t - 1]] * vec[g_perm[t - 1] - 1]
-            ef[(a, l)] = tuple(out)
-
-    permuted = make_presentation(m, n, ee, ef)
+    permuted = _signed_relabel(base, random.Random(seed))
     assert validate_presentation(permuted) == ()
     assert classify(permuted).label == label
+
+
+# ------------------------------------------------------------ large formats
+
+
+@pytest.mark.parametrize("k", [50, 200])
+def test_classify_large_canonical_h(k):
+    table = canonical_presentation(class_H(k, k), make_format(2 * k, 2 * k))
+    moved = _signed_relabel(table, random.Random(k))
+    assert moved.ee != table.ee
+    for pres in (table, moved):
+        rep = classify(pres)
+        assert rep.label == class_H(k, k)
+        assert (rep.p, rep.q, rep.r, rep.s1) == (k, k, k, k + 1)
 
 
 # ------------------------------------------------------------------ validate
@@ -352,3 +369,25 @@ def test_document_parser_accumulates_repeats():
     pres = presentation_from_document(doc)
     assert pres.ee == {(1, 2): (3, 0, 0, 0)}
     assert pres.ef == {}
+
+
+def test_document_size_limit_fires_before_allocation():
+    import tracemalloc
+
+    # One product whose dense vector would be just over the limit.
+    m = MAX_DOCUMENT_CELLS + 1
+    doc = {"version": 1, "m": m, "n": 1, "ee": [[1, 2, 1, 1]], "ef": []}
+    tracemalloc.start()
+    try:
+        with pytest.raises(DocumentError, match="limit"):
+            presentation_from_document(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # The size is distinct products times vector length, across ee and ef.
+    many = {"version": 1, "m": 2000, "n": 2000, "ee": [[1, j, 1, 1] for j in range(2, 1300)], "ef": []}
+    with pytest.raises(DocumentError, match="limit"):
+        presentation_from_document(many)
+    repeated = {**many, "ee": [[1, 2, l, 1] for l in range(1, 1300)]}
+    assert presentation_from_document(repeated).ee[(1, 2)][:3] == (1, 1, 1)
