@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DimensionMismatch, OutOfDomain, Phi2Mismatch, UnsupportedSpec
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
@@ -50,7 +50,6 @@ from .presentation import (
     arranged_presentation,
     canonical_presentation,
     classify,
-    make_presentation,
     presentation_to_document,
     validate_presentation,
 )
@@ -97,9 +96,9 @@ def link_profile(spec: LinkSpec) -> RankProfile:
 class LinkedPresentation:
     """Result of one mapping-cone simulation.
 
-    ``presentation`` holds the determinate products re-indexed to dense
+    ``presentation`` holds the determinate products re-indexed to consecutive
     bases; ``splits`` lists the removed raw basis vectors; ``index_map``
-    sends surviving raw indices to dense ones per degree; and
+    sends surviving raw indices to consecutive ones per degree; and
     ``symbolic_products`` lists the (raw-indexed) product slots that the
     input does not determine (nonempty only for ``t1 = 3``).
     """
@@ -108,12 +107,6 @@ class LinkedPresentation:
     splits: tuple[str, ...]
     index_map: Mapping[str, Mapping[int, int]]
     symbolic_products: tuple[tuple[str, int, int], ...]
-
-
-def _nonzero(vec: Iterable[int]):
-    for idx, coeff in enumerate(vec, start=1):
-        if coeff:
-            yield idx, coeff
 
 
 def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPresentation:
@@ -127,13 +120,11 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
     if spec not in SUPPORTED_SPECS:
         raise UnsupportedSpec(f"link spec (t1={spec.t1}, phi2_unit={spec.phi2_unit}) is not supported")
     t1, phi2 = spec.t1, spec.phi2_unit
-    m, n, d2 = a.m, a.n, a.dim2
+    m, n = a.m, a.n
     if t1 > m:
         raise UnsupportedSpec(f"spec designates {t1} generators but the table has only m = {m}")
-    if phi2:
-        unit_f1 = tuple(1 if i == 0 else 0 for i in range(d2))
-        if a.ee.get((1, 2)) != unit_f1:
-            raise Phi2Mismatch("unit-product case needs e_1 e_2 = f_1 exactly")
+    if phi2 and a.ee.get((1, 2)) != {1: 1}:
+        raise Phi2Mismatch("unit-product case needs e_1 e_2 = f_1 exactly")
 
     ne, nf, ng = n + 3, m + n + 2, m
 
@@ -166,7 +157,7 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
     b_lo = 2 if phi2 else 1
     for (ei, fl), vec in a.ef.items():
         if ei <= t1 and fl >= b_lo:
-            for gi, coeff in _nonzero(vec):
+            for gi, coeff in vec.items():
                 acc_ee[(gi, n + ei)][fl] -= coeff
 
     # Products of a designated generator with a degree-2 vector:
@@ -174,7 +165,7 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
     f_lo = 2 if phi2 else 1
     for (x, y), vec in a.ee.items():
         if x <= t1 < y:
-            for fl, coeff in _nonzero(vec):
+            for fl, coeff in vec.items():
                 if fl >= f_lo:
                     acc_ef[(n + x, fl)][y] += coeff
 
@@ -182,7 +173,7 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
     if phi2:
         for (ek, fl), vec in a.ef.items():
             if fl == 1 and ek >= 3:
-                for gi, coeff in _nonzero(vec):
+                for gi, coeff in vec.items():
                     acc_ef[(gi, m + n + 2)][ek] += coeff
 
     symbolic: list[tuple[str, int, int]] = []
@@ -205,31 +196,31 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
     if len(f_keep) != m_out + n_out - 1:
         raise AssertionError("split bookkeeping lost the middle-rank identity")
 
-    out_ee: dict[tuple[int, int], tuple[int, ...]] = {}
+    out_ee: dict[tuple[int, int], dict[int, int]] = {}
     for (i, j), coeffs in acc_ee.items():
         if i in e_split or j in e_split:
             raise AssertionError("determinate product touches a split degree-1 vector")
-        vec = [0] * len(f_keep)
+        coords = {}
         for k, coeff in coeffs.items():
             if coeff:
                 if k in f_split:
                     raise AssertionError("determinate product targets a split degree-2 vector")
-                vec[f_map[k] - 1] = coeff
-        if any(vec):
-            out_ee[(e_map[i], e_map[j])] = tuple(vec)
+                coords[f_map[k]] = coeff
+        if coords:
+            out_ee[(e_map[i], e_map[j])] = coords
 
-    out_ef: dict[tuple[int, int], tuple[int, ...]] = {}
+    out_ef: dict[tuple[int, int], dict[int, int]] = {}
     for (i, l), coeffs in acc_ef.items():
         if i in e_split or l in f_split:
             raise AssertionError("determinate product touches a split vector")
-        vec = [0] * len(g_keep)
+        coords = {}
         for k, coeff in coeffs.items():
             if coeff:
                 if k in g_split:
                     raise AssertionError("determinate product targets a split degree-3 vector")
-                vec[g_map[k] - 1] = coeff
-        if any(vec):
-            out_ef[(e_map[i], f_map[l])] = tuple(vec)
+                coords[g_map[k]] = coeff
+        if coords:
+            out_ef[(e_map[i], f_map[l])] = coords
 
     splits = tuple(
         [f"G{i}" for i in sorted(g_split)]
@@ -237,7 +228,7 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
         + [f"E{i}" for i in sorted(e_split)]
     )
     return LinkedPresentation(
-        presentation=make_presentation(m_out, n_out, out_ee, out_ef),
+        presentation=TorPresentation(m_out, n_out, out_ee, out_ef),
         splits=splits,
         index_map={"E": e_map, "F": f_map, "G": g_map},
         symbolic_products=tuple(symbolic),
@@ -383,11 +374,8 @@ def _check_linkH_v(lp: LinkedPresentation, label: ClassLabel, fmt: Format) -> li
     out = lp.presentation
     if out.ee:
         problems.append("determinate ee products should be empty")
-    expected_ef = {}
-    for i in range(1, p + 1):
-        vec = [0] * out.n
-        vec[(i + 3) - 3 - 1] = 1  # raw G_{i+3} lands at dense index i
-        expected_ef[(n + 1, i)] = tuple(vec)
+    # Raw G_{i+3} lands at dense index i.
+    expected_ef = {(n + 1, i): {i: 1} for i in range(1, p + 1)}
     if dict(out.ef) != expected_ef:
         problems.append(f"determinate ef products differ: {dict(out.ef)} != {expected_ef}")
     want_symbolic = {("EE", i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}

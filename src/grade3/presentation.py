@@ -4,11 +4,18 @@ A :class:`TorPresentation` stores the graded multiplication of a Tor algebra
 ``A = A0 + A1 + A2 + A3`` in fixed bases ``e_1..e_m`` of ``A1``,
 ``f_1..f_{m+n-1}`` of ``A2`` and ``g_1..g_n`` of ``A3``:
 
-* ``ee[(i, j)]`` with ``i < j`` is the coefficient vector of ``e_i e_j`` over
+* ``ee[(i, j)]`` with ``i < j`` holds the coefficients of ``e_i e_j`` over
   the ``f`` basis (products ``e_j e_i`` follow by graded commutativity, and
   ``e_i e_i = 0``);
-* ``ef[(i, l)]`` is the coefficient vector of ``e_i f_l`` over the ``g``
-  basis.
+* ``ef[(i, l)]`` holds the coefficients of ``e_i f_l`` over the ``g`` basis.
+
+Every product is stored sparsely, as a coordinate map ``{k: c}`` from a
+1-based basis index to its nonzero integer coefficient; zero coefficients and
+zero products are never stored.  Tables have a few nonzeros per product
+whatever the format, so storage, validation, classification and the mapping
+cone all scale with the number of nonzeros, not with ``m + n``.  The
+accessors :meth:`TorPresentation.ee_product` and
+:meth:`TorPresentation.ef_product` expand one product into a dense tuple.
 
 All structure constants are integers.  The classifier computes the invariants
 
@@ -25,8 +32,7 @@ simulations downstream need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import compress
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, DocumentError, UnknownArrangement
@@ -59,24 +65,40 @@ __all__ = [
 ]
 
 PRESENTATION_VERSION = 1
-# Largest table a document may describe, counted as the coefficients its dense
-# vectors hold: distinct products times vector length.  The largest table the
-# tests, demos and benchmark build holds about 33 k (H(82,42) at (160,160));
-# at the limit the vectors take about 40 MB.
+# Largest table a document may describe, counted as distinct products times
+# the length of their basis (m+n-1 for ee, n for ef).  Products are stored
+# sparsely, so this sizes no stored vector; it bounds the work downstream
+# that grows with m+n per table, such as the mapping cone's basis lists and
+# its symbolic slots.  The largest table the tests, demos and
+# benchmark build counts about 33 k (H(82,42) at (160,160)).
 MAX_DOCUMENT_CELLS = 5_000_000
 
-Vector = tuple[int, ...]
+Coords = dict[int, int]
 PairKey = tuple[int, int]
+
+
+def _dense(coords: Mapping[int, int] | None, length: int, sign: int = 1) -> tuple[int, ...]:
+    vec = [0] * length
+    for k, c in (coords or {}).items():
+        if not 1 <= k <= length:
+            raise DimensionMismatch(f"coordinate {k} is outside a basis of {length} vectors")
+        vec[k - 1] = sign * c
+    return tuple(vec)
 
 
 @dataclass(frozen=True)
 class TorPresentation:
-    """Integer multiplication table of a graded algebra in format (m, n)."""
+    """Integer multiplication table of a graded algebra in format (m, n).
+
+    ``ee`` and ``ef`` map a product's key to its coordinate map (1-based
+    basis index -> nonzero coefficient); products that vanish are absent.
+    Use :func:`make_presentation` to build one from caller-supplied data.
+    """
 
     m: int
     n: int
-    ee: Mapping[PairKey, Vector]
-    ef: Mapping[PairKey, Vector]
+    ee: Mapping[PairKey, Coords]
+    ef: Mapping[PairKey, Coords]
 
     @property
     def dim2(self) -> int:
@@ -87,50 +109,63 @@ class TorPresentation:
     def fmt(self) -> Format:
         return make_format(self.m, self.n)
 
-    def ee_product(self, i: int, j: int) -> Vector:
-        """Coefficients of ``e_i e_j`` over the f basis, any order of i, j."""
+    def ee_product(self, i: int, j: int) -> tuple[int, ...]:
+        """Dense coefficients of ``e_i e_j`` over the f basis, any order of i, j."""
         if i == j:
             return (0,) * self.dim2
         if i < j:
-            return self.ee.get((i, j), (0,) * self.dim2)
-        vec = self.ee.get((j, i))
-        if vec is None:
-            return (0,) * self.dim2
-        return tuple(-c for c in vec)
+            return _dense(self.ee.get((i, j)), self.dim2)
+        return _dense(self.ee.get((j, i)), self.dim2, -1)
 
-    def ef_product(self, i: int, l: int) -> Vector:
-        """Coefficients of ``e_i f_l`` over the g basis."""
-        return self.ef.get((i, l), (0,) * self.n)
+    def ef_product(self, i: int, l: int) -> tuple[int, ...]:
+        """Dense coefficients of ``e_i f_l`` over the g basis."""
+        return _dense(self.ef.get((i, l)), self.n)
 
 
-def _clean_table(table: Mapping[PairKey, Iterable[int]] | None) -> dict[PairKey, Vector]:
-    out: dict[PairKey, Vector] = {}
-    if table:
-        for key, vec in table.items():
-            tup = tuple(int(c) for c in vec)
-            if any(tup):
-                out[(int(key[0]), int(key[1]))] = tup
+def _clean_table(
+    table: Mapping[PairKey, Mapping[int, int] | Iterable[int]] | None, field: str, m: int, n: int
+) -> dict[PairKey, Coords]:
+    out: dict[PairKey, Coords] = {}
+    for key, vec in (table or {}).items():
+        if isinstance(vec, Mapping):
+            items = vec.items()
+        else:
+            vec = tuple(vec)
+            basis, length = ("f", m + n - 1) if field == "ee" else ("g", n)
+            if len(vec) != length:
+                raise DimensionMismatch(
+                    f"{field}[({key[0]},{key[1]})] has {len(vec)} entries; the {basis} basis has {length}"
+                )
+            items = enumerate(vec, start=1)
+        coords = {int(k): int(c) for k, c in items}
+        coords = {k: c for k, c in coords.items() if c}
+        if coords:
+            out[(int(key[0]), int(key[1]))] = coords
     return out
 
 
 def make_presentation(
     m: int,
     n: int,
-    ee: Mapping[PairKey, Iterable[int]] | None = None,
-    ef: Mapping[PairKey, Iterable[int]] | None = None,
+    ee: Mapping[PairKey, Mapping[int, int] | Iterable[int]] | None = None,
+    ef: Mapping[PairKey, Mapping[int, int] | Iterable[int]] | None = None,
 ) -> TorPresentation:
-    """Build a presentation, normalizing vectors to tuples and dropping zeros.
+    """Build a presentation from caller-supplied products.
 
-    No structural validation happens here; use :func:`validate_presentation`
-    to collect diagnostics for hand-built tables.
+    Each product is either a dense sequence over its basis (``m+n-1``
+    entries for ``ee``, ``n`` for ``ef``) or a coordinate map ``{k: c}``
+    with 1-based ``k``.  Both are normalized with ``int()`` into coordinate
+    maps, and zero coefficients and zero products are dropped.  A dense
+    sequence of the wrong length raises :class:`DimensionMismatch`; no other
+    structural validation happens here (use :func:`validate_presentation` to
+    collect diagnostics for hand-built tables).
     """
-    return TorPresentation(m=m, n=n, ee=_clean_table(ee), ef=_clean_table(ef))
-
-
-def _unit(length: int, index: int, sign: int = 1) -> Vector:
-    vec = [0] * length
-    vec[index - 1] = sign
-    return tuple(vec)
+    return TorPresentation(
+        m=m,
+        n=n,
+        ee=_clean_table(ee, "ee", m, n),
+        ef=_clean_table(ef, "ef", m, n),
+    )
 
 
 def _require(cond: bool, label: ClassLabel, fmt: Format, need: str) -> None:
@@ -148,47 +183,40 @@ def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
     m, n, d2 = fmt.m, fmt.n, fmt.dim2
     if label.tag == "C3":
         _require((m, n) == (3, 1), label, fmt, "format exactly (3,1)")
-        ee = {(1, 2): _unit(d2, 3), (2, 3): _unit(d2, 1), (1, 3): _unit(d2, 2, -1)}
-        ef = {(i, i): _unit(n, 1) for i in (1, 2, 3)}
-        return make_presentation(m, n, ee, ef)
+        ee = {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}
+        ef = {(i, i): {1: 1} for i in (1, 2, 3)}
+        return TorPresentation(m, n, ee, ef)
     if label.tag == "T":
         _require(m >= 3 and d2 >= 3, label, fmt, "m >= 3 and m+n-1 >= 3")
-        ee = {(1, 2): _unit(d2, 3), (2, 3): _unit(d2, 1), (1, 3): _unit(d2, 2, -1)}
-        return make_presentation(m, n, ee, {})
+        ee = {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}
+        return TorPresentation(m, n, ee, {})
     if label.tag == "B":
         _require(m >= 2 and d2 >= 3, label, fmt, "m >= 2 and m+n-1 >= 3")
-        ee = {(1, 2): _unit(d2, 3)}
-        ef = {(1, 1): _unit(n, 1), (2, 2): _unit(n, 1)}
-        return make_presentation(m, n, ee, ef)
+        return TorPresentation(m, n, {(1, 2): {3: 1}}, {(1, 1): {1: 1}, (2, 2): {1: 1}})
     if label.tag == "G":
         r = label.r
         _require(m >= r and d2 >= r, label, fmt, f"m >= {r} and m+n-1 >= {r}")
-        ef = {(i, i): _unit(n, 1) for i in range(1, r + 1)}
-        return make_presentation(m, n, {}, ef)
+        return TorPresentation(m, n, {}, {(i, i): {1: 1} for i in range(1, r + 1)})
     if label.tag == "H":
         p, q = label.p, label.q
         if p or q:
             _require(m >= p + 1, label, fmt, f"m >= {p + 1}")
         _require(d2 >= p + q, label, fmt, f"m+n-1 >= {p + q}")
         _require(n >= q, label, fmt, f"n >= {q}")
-        ee = {(i, p + 1): _unit(d2, i) for i in range(1, p + 1)}
-        ef = {(p + 1, p + i): _unit(n, i) for i in range(1, q + 1)}
-        return make_presentation(m, n, ee, ef)
+        ee = {(i, p + 1): {i: 1} for i in range(1, p + 1)}
+        ef = {(p + 1, p + i): {i: 1} for i in range(1, q + 1)}
+        return TorPresentation(m, n, ee, ef)
     raise UnknownArrangement(f"no canonical table for label {label}")
 
 
 def _arr_T_A(label: ClassLabel, fmt: Format) -> TorPresentation:
     _require(fmt.m >= 4 and fmt.dim2 >= 3, label, fmt, "m >= 4 and m+n-1 >= 3")
-    d2 = fmt.dim2
-    ee = {(1, 2): _unit(d2, 1), (1, 4): _unit(d2, 2), (2, 4): _unit(d2, 3)}
-    return make_presentation(fmt.m, fmt.n, ee, {})
+    return TorPresentation(fmt.m, fmt.n, {(1, 2): {1: 1}, (1, 4): {2: 1}, (2, 4): {3: 1}}, {})
 
 
 def _arr_T_B(label: ClassLabel, fmt: Format) -> TorPresentation:
     _require(fmt.m >= 4 and fmt.dim2 >= 3, label, fmt, "m >= 4 and m+n-1 >= 3")
-    d2 = fmt.dim2
-    ee = {(2, 3): _unit(d2, 1), (2, 4): _unit(d2, 2), (3, 4): _unit(d2, 3)}
-    return make_presentation(fmt.m, fmt.n, ee, {})
+    return TorPresentation(fmt.m, fmt.n, {(2, 3): {1: 1}, (2, 4): {2: 1}, (3, 4): {3: 1}}, {})
 
 
 def _arr_G_std(label: ClassLabel, fmt: Format) -> TorPresentation:
@@ -213,9 +241,9 @@ def _arr_H_shift(shift: int):
     def build(label: ClassLabel, fmt: Format) -> TorPresentation:
         p, q = label.p, label.q
         _h_bounds(label, fmt, m_min=(p + shift) if p else 1)
-        ee = {(1, i + shift): _unit(fmt.dim2, i) for i in range(1, p + 1)}
-        ef = {(1, p + i): _unit(fmt.n, i) for i in range(1, q + 1)}
-        return make_presentation(fmt.m, fmt.n, ee, ef)
+        ee = {(1, i + shift): {i: 1} for i in range(1, p + 1)}
+        ef = {(1, p + i): {i: 1} for i in range(1, q + 1)}
+        return TorPresentation(fmt.m, fmt.n, ee, ef)
 
     return build
 
@@ -224,26 +252,24 @@ def _arr_H_i(label: ClassLabel, fmt: Format) -> TorPresentation:
     p, q = label.p, label.q
     _require(p >= 1, label, fmt, "p >= 1")
     _h_bounds(label, fmt, m_min=max(2, p + 1))
-    d2 = fmt.dim2
     # e_2 e_1 = f_1, hence the stored (1,2) entry carries the minus sign.
-    ee = {(1, 2): _unit(d2, 1, -1)}
+    ee = {(1, 2): {1: -1}}
     for i in range(2, p + 1):
-        ee[(2, i + 1)] = _unit(d2, i)
-    ef = {(2, p + i): _unit(fmt.n, i) for i in range(1, q + 1)}
-    return make_presentation(fmt.m, fmt.n, ee, ef)
+        ee[(2, i + 1)] = {i: 1}
+    ef = {(2, p + i): {i: 1} for i in range(1, q + 1)}
+    return TorPresentation(fmt.m, fmt.n, ee, ef)
 
 
 def _arr_H_iii(label: ClassLabel, fmt: Format) -> TorPresentation:
     p, q = label.p, label.q
     _require(p >= 1, label, fmt, "p >= 1")
     _h_bounds(label, fmt, m_min=max(3, p + 2))
-    d2 = fmt.dim2
     # e_3 e_1 = f_1, hence the stored (1,3) entry carries the minus sign.
-    ee = {(1, 3): _unit(d2, 1, -1)}
+    ee = {(1, 3): {1: -1}}
     for i in range(2, p + 1):
-        ee[(3, i + 2)] = _unit(d2, i)
-    ef = {(3, p + i): _unit(fmt.n, i) for i in range(1, q + 1)}
-    return make_presentation(fmt.m, fmt.n, ee, ef)
+        ee[(3, i + 2)] = {i: 1}
+    ef = {(3, p + i): {i: 1} for i in range(1, q + 1)}
+    return TorPresentation(fmt.m, fmt.n, ee, ef)
 
 
 _ARRANGEMENTS = {
@@ -302,18 +328,16 @@ class ClassifierReport:
 def compute_pqrs(a: TorPresentation) -> ClassifierReport:
     """Exact invariants (p, q, r, s1) of a valid presentation.
 
-    All four matrices are built as sparse rows from the table's nonzero
-    coefficients, so their size follows the number of products, not the
-    format.
+    The stored coordinate maps are the rows of p and q as they are, and the
+    rows of r and s1 are built from the same nonzeros, so the size of all
+    four matrices follows the number of products, not the format.
     """
-    ee = {key: dict(compress(enumerate(vec, start=1), vec)) for key, vec in a.ee.items()}
-    ef = {key: dict(compress(enumerate(vec, start=1), vec)) for key, vec in a.ef.items()}
-    p = sparse_rank(ee.values())
-    q = sparse_rank(ef.values())
+    p = sparse_rank(a.ee.values())
+    q = sparse_rank(a.ef.values())
 
     # r: one sparse row per f-basis vector, coordinates (i, t) of Hom(A1, A3).
     delta_rows: dict[int, dict[tuple[int, int], int]] = {}
-    for (i, l), coeffs in ef.items():
+    for (i, l), coeffs in a.ef.items():
         row = delta_rows.setdefault(l, {})
         for t, coeff in coeffs.items():
             row[(i, t)] = row.get((i, t), 0) + coeff
@@ -321,7 +345,7 @@ def compute_pqrs(a: TorPresentation) -> ClassifierReport:
 
     # s1: one sparse row per e-basis vector, coordinates (j, c) of Hom(A1, A2).
     mult_rows: dict[int, dict[tuple[int, int], int]] = {}
-    for (i, j), coeffs in ee.items():
+    for (i, j), coeffs in a.ee.items():
         row_i = mult_rows.setdefault(i, {})
         row_j = mult_rows.setdefault(j, {})
         for c, coeff in coeffs.items():
@@ -356,13 +380,30 @@ def classify(a: TorPresentation) -> ClassifierReport:
         label = class_G(r)
     elif r == q:
         label = class_H(p, q)
-    if label is None:
-        return replace(rep, unclassifiable=True)
-    return replace(rep, label=label)
+    return ClassifierReport(p=p, q=q, r=r, s1=s1, label=label, unclassifiable=label is None)
+
+
+def _coordinate_problems(where: str, coords: Mapping[int, int], bound: str, size: int) -> list[str]:
+    for k, c in coords.items():  # one pass for the usual, valid product
+        if not (isinstance(k, int) and isinstance(c, int) and 1 <= k <= size):
+            break
+    else:
+        return []
+    if not all(isinstance(k, int) and isinstance(c, int) for k, c in coords.items()):
+        return [f"{where} has non-integer entries"]
+    return [
+        f"{where} coordinate {k} out of range: need 1 <= k <= {bound} = {size}"
+        for k in sorted(coords)
+        if not 1 <= k <= size
+    ]
 
 
 def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
-    """Structural diagnostics for a hand-built table; empty means valid."""
+    """Structural diagnostics for a hand-built table; empty means valid.
+
+    Checks the range of every product key, and the range and integrality of
+    every stored coordinate and coefficient.
+    """
     diags: list[str] = []
     if not isinstance(a.m, int) or a.m < 1:
         diags.append(f"m must be a positive integer, got {a.m!r}")
@@ -371,22 +412,16 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
     if diags:
         return tuple(diags)
     d2 = a.dim2
-    for (i, j), vec in sorted(a.ee.items()):
+    for (i, j), coords in sorted(a.ee.items()):
         if not (1 <= i < j <= a.m):
             diags.append(f"ee key ({i},{j}) out of range: need 1 <= i < j <= m = {a.m}")
-        if len(vec) != d2:
-            diags.append(f"ee[({i},{j})] has {len(vec)} entries; the f basis has {d2}")
-        if not all(isinstance(c, int) for c in vec):
-            diags.append(f"ee[({i},{j})] has non-integer entries")
-    for (i, l), vec in sorted(a.ef.items()):
+        diags += _coordinate_problems(f"ee[({i},{j})]", coords, "m+n-1", d2)
+    for (i, l), coords in sorted(a.ef.items()):
         if not (1 <= i <= a.m):
             diags.append(f"ef key ({i},{l}) out of range: need 1 <= i <= m = {a.m}")
         if not (1 <= l <= d2):
             diags.append(f"ef key ({i},{l}) out of range: need 1 <= l <= m+n-1 = {d2}")
-        if len(vec) != a.n:
-            diags.append(f"ef[({i},{l})] has {len(vec)} entries; the g basis has {a.n}")
-        if not all(isinstance(c, int) for c in vec):
-            diags.append(f"ef[({i},{l})] has non-integer entries")
+        diags += _coordinate_problems(f"ef[({i},{l})]", coords, "n", a.n)
     return tuple(diags)
 
 
@@ -398,22 +433,12 @@ def presentation_to_document(a: TorPresentation) -> dict:
     ``e_i f_l``, g-coordinate ``t``), one per nonzero coefficient, so equal
     presentations serialize identically and round-trips are bit-exact.
     """
-    ee_rows = []
-    for (i, j), vec in a.ee.items():
-        for l, coeff in enumerate(vec, start=1):
-            if coeff:
-                ee_rows.append([i, j, l, coeff])
-    ef_rows = []
-    for (i, l), vec in a.ef.items():
-        for t, coeff in enumerate(vec, start=1):
-            if coeff:
-                ef_rows.append([i, l, t, coeff])
     return {
         "version": PRESENTATION_VERSION,
         "m": a.m,
         "n": a.n,
-        "ee": sorted(ee_rows),
-        "ef": sorted(ef_rows),
+        "ee": sorted([i, j, l, c] for (i, j), coords in a.ee.items() for l, c in coords.items()),
+        "ef": sorted([i, l, t, c] for (i, l), coords in a.ef.items() for t, c in coords.items()),
     }
 
 
@@ -427,10 +452,11 @@ def presentation_from_document(doc: object) -> TorPresentation:
     """Parse the document form; rejects anything outside the schema.
 
     Unknown fields, wrong versions, non-integer entries, and out-of-range
-    indices all raise :class:`DocumentError`, and so does a table whose dense
-    vectors would hold more than :data:`MAX_DOCUMENT_CELLS` coefficients;
-    that check runs before any vector is allocated.  Repeated quadruples for
-    the same coordinate accumulate.
+    indices all raise :class:`DocumentError`, and so does a table of more
+    than :data:`MAX_DOCUMENT_CELLS` cells (distinct products times basis
+    length); that check runs before anything is built.  Quadruples go
+    straight into coordinate maps: repeated quadruples for the same
+    coordinate accumulate, and coefficients that sum to zero are dropped.
     """
     if not isinstance(doc, dict):
         raise DocumentError(f"presentation document must be an object, got {type(doc).__name__}")
@@ -481,15 +507,13 @@ def presentation_from_document(doc: object) -> TorPresentation:
         raise DocumentError(
             f"table would hold {cells} coefficients as dense vectors; the limit is {MAX_DOCUMENT_CELLS}"
         )
-    return make_presentation(m, n, _dense_vectors(ee_entries, d2), _dense_vectors(ef_entries, n))
+    return make_presentation(m, n, _coordinate_maps(ee_entries), _coordinate_maps(ef_entries))
 
 
-def _dense_vectors(entries: list[tuple[PairKey, int, int]], length: int) -> dict[PairKey, list[int]]:
-    """Accumulate (key, 1-based coordinate, coefficient) entries into vectors."""
-    vectors: dict[PairKey, list[int]] = {}
+def _coordinate_maps(entries: list[tuple[PairKey, int, int]]) -> dict[PairKey, Coords]:
+    """Accumulate (key, 1-based coordinate, coefficient) entries into coordinate maps."""
+    maps: dict[PairKey, Coords] = {}
     for key, index, coeff in entries:
-        vec = vectors.get(key)
-        if vec is None:
-            vec = vectors[key] = [0] * length
-        vec[index - 1] += coeff
-    return vectors
+        coords = maps.setdefault(key, {})
+        coords[index] = coords.get(index, 0) + coeff
+    return maps

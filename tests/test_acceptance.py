@@ -198,7 +198,7 @@ def test_c05_sign_regression():
     table = arranged_presentation(class_H(2, 1), make_format(6, 3), "H-i")
     lp = mapping_cone_presentation(table, LinkSpec(1))
     e_map, f_map, g_map = lp.index_map["E"], lp.index_map["F"], lp.index_map["G"]
-    vec = lp.presentation.ef[(e_map[4], f_map[1])]
+    vec = lp.presentation.ef_product(e_map[4], f_map[1])
     coeff = vec[g_map[2] - 1]
     ok = coeff == -1 and all(c == 0 for i, c in enumerate(vec, 1) if i != g_map[2])
     _verdict(5, ok, f"product pairs against the second survivor with coefficient {coeff}")

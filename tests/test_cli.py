@@ -92,6 +92,18 @@ def test_canonical_stdout_is_sorted_json(capsys):
     assert doc["m"] == 5 and doc["n"] == 2
 
 
+def test_canonical_huge_format(capsys):
+    assert main(["canonical", "T", "(1000000000,1)"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "version": 1,
+        "m": 10**9,
+        "n": 1,
+        "ee": [[1, 2, 3, 1], [1, 3, 2, -1], [2, 3, 1, 1]],
+        "ef": [],
+    }
+
+
 # --------------------------------------------------------------- permissible
 
 
@@ -240,7 +252,7 @@ def test_rejected_document_exits_three(tmp_path, capsys):
 
 
 def test_oversized_document_exits_three(tmp_path, capsys):
-    # Dense vectors of length m + n - 1 = 10**9 would take about 8 GB.
+    # One product over an f basis of 10**9 vectors counts 10**9 cells.
     doc = {"version": 1, "m": 10**9, "n": 1, "ee": [[1, 2, 1, 1]], "ef": []}
     path = _write_doc(tmp_path, "huge.json", doc)
     assert main(["classify", path]) == 3

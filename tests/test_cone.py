@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from grade3 import (
     CLASS_B,
     CLASS_T,
+    DimensionMismatch,
     LinkSpec,
     OutOfDomain,
     Phi2Mismatch,
@@ -22,9 +26,11 @@ from grade3 import (
     linked_to_document,
     make_format,
     mapping_cone_presentation,
+    presentation_to_document,
     validate_presentation,
     verify_linkage_theorems,
 )
+from grade3.cone import THEOREM_SCENARIOS, _scenario_inputs
 
 
 def _unit(length, index, sign=1):
@@ -44,9 +50,9 @@ def test_t1_zero_yields_exactly_the_koszul_products():
     assert (out.m, out.n) == (5, 5)
     assert lp.splits == ()
     assert out.ee == {
-        (3, 4): _unit(9, 9),  # E_{n+1} E_{n+2} = F_{m+n+2}
-        (3, 5): _unit(9, 8),  # E_{n+1} E_{n+3} = F_{m+n+1}
-        (4, 5): _unit(9, 7),  # E_{n+2} E_{n+3} = F_{m+n}
+        (3, 4): {9: 1},  # E_{n+1} E_{n+2} = F_{m+n+2}
+        (3, 5): {8: 1},  # E_{n+1} E_{n+3} = F_{m+n+1}
+        (4, 5): {7: 1},  # E_{n+2} E_{n+3} = F_{m+n}
     }
     assert out.ef == {}
     assert classify(out).label == CLASS_T
@@ -63,13 +69,13 @@ def test_t1_one_on_rearranged_t_table():
     e_map, f_map, g_map = lp.index_map["E"], lp.index_map["F"], lp.index_map["G"]
     # Koszul survivors, re-indexed.
     assert out.ee == {
-        (e_map[4], e_map[5]): _unit(8, f_map[9]),
-        (e_map[4], e_map[6]): _unit(8, f_map[8]),
+        (e_map[4], e_map[5]): {f_map[9]: 1},
+        (e_map[4], e_map[6]): {f_map[8]: 1},
     }
     # E_4 F_1 = G_2 and E_4 F_2 = G_4 in raw indices.
     assert out.ef == {
-        (e_map[4], f_map[1]): _unit(3, g_map[2]),
-        (e_map[4], f_map[2]): _unit(3, g_map[4]),
+        (e_map[4], f_map[1]): {g_map[2]: 1},
+        (e_map[4], f_map[2]): {g_map[4]: 1},
     }
     assert classify(out).label == class_H(2, 2)
 
@@ -82,7 +88,7 @@ def test_t1_one_on_gorenstein_table():
     assert (out.m, out.n) == (4, 4)
     e_map, f_map = lp.index_map["E"], lp.index_map["F"]
     # E_{n+1} E_1 = F_1 enters with the sign of the stored (1, n+1) slot.
-    assert out.ee[(e_map[1], e_map[2])] == _unit(7, f_map[1], -1)
+    assert out.ee_product(e_map[1], e_map[2]) == _unit(7, f_map[1], -1)
     assert classify(out).label == class_H(3, 0)
 
 
@@ -111,7 +117,7 @@ def test_sign_regression_on_swapped_pair_arrangement():
     lp = mapping_cone_presentation(table, LinkSpec(1))
     out = lp.presentation
     e_map, f_map, g_map = lp.index_map["E"], lp.index_map["F"], lp.index_map["G"]
-    vec = out.ef[(e_map[3 + 1], f_map[1])]
+    vec = out.ef_product(e_map[3 + 1], f_map[1])
     assert vec[g_map[2] - 1] == -1
     assert vec == _unit(out.n, g_map[2], -1)
     assert classify(out).label == class_H(2, 1)
@@ -127,8 +133,8 @@ def test_t1_three_symbolic_slots():
     assert out.ee == {}
     e_map, f_map = lp.index_map["E"], lp.index_map["F"]
     assert out.ef == {
-        (e_map[4], f_map[1]): (1, 0, 0),
-        (e_map[4], f_map[2]): (0, 1, 0),
+        (e_map[4], f_map[1]): {1: 1},
+        (e_map[4], f_map[2]): {2: 1},
     }
     # Symbolic slots: all EE pairs among E_1..E_n and EF pairs up to F_{m+n-1}.
     want = {("EE", i, j) for i in range(1, 4) for j in range(i + 1, 4)}
@@ -241,3 +247,29 @@ def test_theorem_replay_domain_guard():
         verify_linkage_theorems(4, 8)
     with pytest.raises(OutOfDomain):
         verify_linkage_theorems(10, 0)
+
+
+def test_theorem_sweep_tables_and_links_are_pinned():
+    # Every input table of the verify_linkage_theorems(10, 8) sweep and its
+    # mapping cone (products, splits, index maps, symbolic slots), recorded
+    # while products were still stored as dense vectors; it must not move.
+    digest = hashlib.sha256()
+    count = 0
+    for rule_id, arrangement, spec in THEOREM_SCENARIOS:
+        for m in range(4, 11):
+            for n in range(1, 9):
+                fmt = make_format(m, n)
+                for label in _scenario_inputs(rule_id, arrangement, fmt):
+                    try:
+                        if arrangement is None:
+                            table = canonical_presentation(label, fmt)
+                        else:
+                            table = arranged_presentation(label, fmt, arrangement)
+                    except DimensionMismatch:
+                        continue
+                    lp = mapping_cone_presentation(table, spec)
+                    row = [rule_id, str(label), str(fmt), presentation_to_document(table), linked_to_document(lp)]
+                    digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
+                    count += 1
+    assert count == 11060
+    assert digest.hexdigest() == "e91a37abf21c6bfb691bf63f4be0e43909bf9bd5c267413a769f3a14c6c609fe"

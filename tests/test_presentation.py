@@ -28,7 +28,7 @@ from grade3 import (
     presentation_to_document,
     validate_presentation,
 )
-from grade3.presentation import MAX_DOCUMENT_CELLS
+from grade3.presentation import MAX_DOCUMENT_CELLS, TorPresentation
 
 
 def _unit(length, index, sign=1):
@@ -54,13 +54,75 @@ def test_make_presentation_drops_zero_vectors():
     assert pres.ef == {}
 
 
+# ------------------------------------------------------------- input forms
+
+
+@st.composite
+def _dense_tables(draw):
+    """(m, n, ee, ef) with dense vectors, about half their coefficients zero."""
+    m = draw(st.integers(min_value=2, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=4))
+    d2 = m + n - 1
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 10**12])
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    ee_keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6))
+    ef_keys = draw(
+        st.lists(st.tuples(st.integers(1, m), st.integers(1, d2)), unique=True, max_size=6)
+    )
+    ee = {key: draw(st.lists(coeff, min_size=d2, max_size=d2)) for key in ee_keys}
+    ef = {key: draw(st.lists(coeff, min_size=n, max_size=n)) for key in ef_keys}
+    return m, n, ee, ef
+
+
+@settings(max_examples=150)
+@given(_dense_tables(), st.booleans(), st.booleans())
+def test_dense_and_coordinate_inputs_agree(table, keep_zeros, as_floats):
+    m, n, ee, ef = table
+
+    def coords(vec):
+        return {k: c for k, c in enumerate(vec, start=1) if c or keep_zeros}
+
+    def spelled(vec):  # entries int() turns back into the same integers
+        return [float(c) if as_floats and abs(c) < 2**53 else c for c in vec]
+
+    def build(form):
+        return make_presentation(
+            m, n, {k: form(spelled(v)) for k, v in ee.items()}, {k: form(spelled(v)) for k, v in ef.items()}
+        )
+
+    dense, sparse = build(list), build(coords)
+    assert dense == sparse
+    assert classify(dense) == classify(sparse)
+    assert validate_presentation(dense) == ()
+    # Zero coefficients and zero products are dropped; what is stored is int.
+    assert dense.ee == {k: {i: c for i, c in enumerate(v, 1) if c} for k, v in ee.items() if any(v)}
+    assert dense.ef == {k: {t: c for t, c in enumerate(v, 1) if c} for k, v in ef.items() if any(v)}
+    for table_part in (dense.ee, dense.ef):
+        for stored in table_part.values():
+            assert all(type(k) is int and type(c) is int and c for k, c in stored.items())
+    # The accessors give back the dense vectors.
+    for (i, j), vec in ee.items():
+        assert dense.ee_product(i, j) == tuple(vec)
+        assert dense.ee_product(j, i) == tuple(-c for c in vec)
+    for (i, l), vec in ef.items():
+        assert dense.ef_product(i, l) == tuple(vec)
+    # A dense vector one entry too long or too short is refused.
+    for key, vec in ee.items():
+        for bad in (vec + [0], vec[:-1]):
+            with pytest.raises(DimensionMismatch, match="entries; the f basis has"):
+                make_presentation(m, n, {key: bad}, {})
+    for key, vec in ef.items():
+        with pytest.raises(DimensionMismatch, match="entries; the g basis has"):
+            make_presentation(m, n, {}, {key: vec + [1]})
+
+
 # ---------------------------------------------------------- canonical tables
 
 
 def test_canonical_c3_table():
     pres = canonical_presentation(CLASS_C3, make_format(3, 1))
-    assert pres.ee == {(1, 2): _unit(3, 3), (2, 3): _unit(3, 1), (1, 3): _unit(3, 2, -1)}
-    assert pres.ef == {(1, 1): (1,), (2, 2): (1,), (3, 3): (1,)}
+    assert pres.ee == {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}
+    assert pres.ef == {(1, 1): {1: 1}, (2, 2): {1: 1}, (3, 3): {1: 1}}
 
 
 def test_canonical_c3_requires_format_31():
@@ -70,24 +132,45 @@ def test_canonical_c3_requires_format_31():
 
 def test_canonical_b_table():
     pres = canonical_presentation(CLASS_B, make_format(5, 2))
-    assert pres.ee == {(1, 2): _unit(6, 3)}
-    assert pres.ef == {(1, 1): _unit(2, 1), (2, 2): _unit(2, 1)}
+    assert pres.ee == {(1, 2): {3: 1}}
+    assert pres.ef == {(1, 1): {1: 1}, (2, 2): {1: 1}}
 
 
 def test_canonical_g_table():
     pres = canonical_presentation(class_G(4), make_format(6, 3))
     assert pres.ee == {}
-    assert pres.ef == {(i, i): _unit(3, 1) for i in range(1, 5)}
+    assert pres.ef == {(i, i): {1: 1} for i in range(1, 5)}
     with pytest.raises(DimensionMismatch):
         canonical_presentation(class_G(7), make_format(6, 3))
 
 
 def test_canonical_h_table():
     pres = canonical_presentation(class_H(2, 1), make_format(6, 3))
-    assert pres.ee == {(1, 3): _unit(8, 1), (2, 3): _unit(8, 2)}
-    assert pres.ef == {(3, 3): _unit(3, 1)}
+    assert pres.ee == {(1, 3): {1: 1}, (2, 3): {2: 1}}
+    assert pres.ef == {(3, 3): {1: 1}}
     with pytest.raises(DimensionMismatch):
         canonical_presentation(class_H(6, 0), make_format(6, 3))
+
+
+def test_huge_formats_build_without_dense_vectors():
+    import tracemalloc
+
+    # A dense vector of length m + n - 1 = 10**9 would take about 8 GB.
+    fmt = make_format(10**9, 1)
+    tracemalloc.start()
+    try:
+        t = canonical_presentation(CLASS_T, fmt)
+        h = arranged_presentation(class_H(2, 1), fmt, "H-ii")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert t.ee == {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}
+    assert t.ef == {}
+    assert h.ee == {(1, 2): {1: 1}, (1, 3): {2: 1}}
+    assert h.ef == {(1, 3): {1: 1}}
+    assert classify(t).label == CLASS_T
+    assert classify(h).label == class_H(2, 1)
 
 
 # -------------------------------------------------------------- arrangements
@@ -119,7 +202,8 @@ def test_arrangements_preserve_class():
 def test_h_i_stores_the_sign_on_the_swapped_pair():
     pres = arranged_presentation(class_H(2, 1), make_format(6, 3), "H-i")
     # e_2 e_1 = f_1 means the stored (1,2) vector is -f_1.
-    assert pres.ee[(1, 2)] == _unit(8, 1, -1)
+    assert pres.ee[(1, 2)] == {1: -1}
+    assert pres.ee_product(1, 2) == _unit(8, 1, -1)
     assert pres.ee_product(2, 1) == _unit(8, 1)
 
 
@@ -218,20 +302,15 @@ def _signed_relabel(pres, rng):
     f_new, f_sign = signed_perm(d2)
     g_new, g_sign = signed_perm(n)
     ee = {}
-    for (i, j), vec in pres.ee.items():
+    for (i, j), coords in pres.ee.items():
         a, b, sign = e_new[i], e_new[j], e_sign[i] * e_sign[j]
         if a > b:
             a, b, sign = b, a, -sign
-        out = [0] * d2
-        for l, c in enumerate(vec, start=1):
-            out[f_new[l] - 1] = sign * f_sign[l] * c
-        ee[(a, b)] = out
+        ee[(a, b)] = {f_new[l]: sign * f_sign[l] * c for l, c in coords.items()}
     ef = {}
-    for (i, l), vec in pres.ef.items():
-        out = [0] * n
-        for t, c in enumerate(vec, start=1):
-            out[g_new[t] - 1] = e_sign[i] * f_sign[l] * g_sign[t] * c
-        ef[(e_new[i], f_new[l])] = out
+    for (i, l), coords in pres.ef.items():
+        sign = e_sign[i] * f_sign[l]
+        ef[(e_new[i], f_new[l])] = {g_new[t]: sign * g_sign[t] * c for t, c in coords.items()}
     return make_presentation(m, n, ee, ef)
 
 
@@ -285,10 +364,23 @@ def test_validate_reports_range_and_length_problems():
     diags = validate_presentation(pres)
     assert any("ee key (2,1)" in d for d in diags)
     assert any("ef key (4,1)" in d for d in diags)
-    pres = make_presentation(3, 2, {(1, 2): (1, 0)}, {(1, 9): (1, 0)})
+    # A dense vector of the wrong length cannot be stored at all.
+    with pytest.raises(DimensionMismatch, match="entries"):
+        make_presentation(3, 2, {(1, 2): (1, 0)})
+    with pytest.raises(DimensionMismatch, match="entries"):
+        make_presentation(3, 2, {}, {(1, 1): (1, 0, 0)})
+    pres = make_presentation(3, 2, {(1, 2): {5: 1}}, {(1, 9): {1: 1}, (1, 1): {3: 1}})
     diags = validate_presentation(pres)
-    assert any("entries" in d for d in diags)
-    assert any("out of range" in d for d in diags)
+    assert any("ee[(1,2)] coordinate 5 out of range" in d for d in diags)
+    assert any("ef[(1,1)] coordinate 3 out of range" in d for d in diags)
+    assert any("ef key (1,9) out of range" in d for d in diags)
+    with pytest.raises(DimensionMismatch, match="outside a basis of 4"):
+        pres.ee_product(2, 1)
+    odd = TorPresentation(3, 2, {(1, 2): {1: 0.5}}, {(1, 1): {3: 1, 1: 2}})
+    assert validate_presentation(odd) == (
+        "ee[(1,2)] has non-integer entries",
+        "ef[(1,1)] coordinate 3 out of range: need 1 <= k <= n = 2",
+    )
 
 
 # ------------------------------------------------------------- serialization
@@ -367,7 +459,7 @@ def test_document_parser_accumulates_repeats():
         "ef": [[1, 1, 1, 1], [1, 1, 1, -1]],
     }
     pres = presentation_from_document(doc)
-    assert pres.ee == {(1, 2): (3, 0, 0, 0)}
+    assert pres.ee == {(1, 2): {1: 3}}
     assert pres.ef == {}
 
 
@@ -390,4 +482,4 @@ def test_document_size_limit_fires_before_allocation():
     with pytest.raises(DocumentError, match="limit"):
         presentation_from_document(many)
     repeated = {**many, "ee": [[1, 2, l, 1] for l in range(1, 1300)]}
-    assert presentation_from_document(repeated).ee[(1, 2)][:3] == (1, 1, 1)
+    assert presentation_from_document(repeated).ee_product(1, 2)[:3] == (1, 1, 1)
