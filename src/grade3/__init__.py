@@ -86,7 +86,6 @@ from .linkrules import (
     Transition,
     apply_rule,
     betti_after_link,
-    consistency_check,
     link_option_format,
     transition_from_document,
     transition_to_document,
@@ -187,7 +186,6 @@ __all__ = [
     "RULES",
     "RULE_ORDER",
     "apply_rule",
-    "consistency_check",
     "transition_to_document",
     "transition_from_document",
     # linkage engine

@@ -31,21 +31,26 @@ For ``t1 = 3`` the products ``E_i E_j`` and ``E_i F_l`` among the surviving
 low-index vectors are not determined by the input table; they are returned
 as *symbolic* slots and excluded from the determinate products.
 
-:func:`verify_linkage_theorems` replays every row of the linkage rulebook
-on canonical and rearranged inputs across a sweep of formats and checks the
-simulated class and format against the rule's claim.
+:func:`verify_linkage_theorems` replays the rulebook itself: for every rule
+of :data:`grade3.linkrules.RULES` that declares a witness, it links the
+witness tables (canonical or rearranged) of every input the rule accepts
+across a sweep of formats, with the spec whose profile is the rule's, and
+checks the simulated class and format against the rule's own ``out_class``
+and ``out_format``, the callables the planner searches with.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import DimensionMismatch, OutOfDomain, Phi2Mismatch, UnsupportedSpec
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
-from .linkrules import RankProfile
+from .linkrules import RULE_ORDER, RULES, LinkageRule, RankProfile
 from .presentation import (
+    MAX_DOCUMENT_CELLS,
     TorPresentation,
     arranged_presentation,
     canonical_presentation,
@@ -64,7 +69,6 @@ __all__ = [
     "ScenarioResult",
     "TheoremReport",
     "verify_linkage_theorems",
-    "THEOREM_SCENARIOS",
 ]
 
 LINKED_VERSION = 1
@@ -113,14 +117,26 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
     """Simulate one link of a (valid) multiplication table.
 
     Raises :class:`UnsupportedSpec` for specs outside the supported table or
-    when the input has fewer than ``t1`` degree-1 generators, and
+    when the input has fewer than ``t1`` degree-1 generators,
     :class:`Phi2Mismatch` when the unit-product case is requested but
-    ``e_1 e_2`` is not exactly ``f_1``.
+    ``e_1 e_2`` is not exactly ``f_1``, and :class:`OutOfDomain`, before
+    anything is built, when the raw bases plus the symbolic slots would
+    exceed :data:`grade3.presentation.MAX_DOCUMENT_CELLS`.
     """
     if spec not in SUPPORTED_SPECS:
         raise UnsupportedSpec(f"link spec (t1={spec.t1}, phi2_unit={spec.phi2_unit}) is not supported")
     t1, phi2 = spec.t1, spec.phi2_unit
     m, n = a.m, a.n
+    # Bound the work that grows with m+n whatever the products: the raw bases
+    # and, for t1 = 3, the symbolic slots.
+    size = (n + 3) + (m + n + 2) + m
+    if t1 == 3:
+        size += n * (n - 1) // 2 + n * (m + n - 1)
+    if size > MAX_DOCUMENT_CELLS:
+        raise OutOfDomain(
+            f"linking a table in format ({m},{n}) at t1 = {t1} would build {size} basis vectors "
+            f"and symbolic slots; the limit is {MAX_DOCUMENT_CELLS}"
+        )
     if t1 > m:
         raise UnsupportedSpec(f"spec designates {t1} generators but the table has only m = {m}")
     if phi2 and a.ee.get((1, 2)) != {1: 1}:
@@ -275,22 +291,11 @@ class TheoremReport:
         return all(res.passed for res in self.results)
 
 
-# Rulebook rows replayed by verify_linkage_theorems: rule id, arrangement id
-# (None = canonical of every class), link spec, and the expected class map.
-THEOREM_SCENARIOS: tuple[tuple[str, str | None, LinkSpec], ...] = (
-    ("linktoT", None, LinkSpec(0)),
-    ("linkT-i", "T-B", LinkSpec(1)),
-    ("linkT-ii", "T-A", LinkSpec(1)),
-    ("linkT-iii", "T-B", LinkSpec(2)),
-    ("linkT-iv", "T-A", LinkSpec(2, phi2_unit=True)),
-    ("linkG-i", "G-std", LinkSpec(1)),
-    ("linkG-ii", "G-std", LinkSpec(2)),
-    ("linkH-i", "H-i", LinkSpec(1)),
-    ("linkH-ii", "H-ii", LinkSpec(1)),
-    ("linkH-iii", "H-iii", LinkSpec(2)),
-    ("linkH-iv", "H-iv", LinkSpec(2)),
-    ("linkH-v", "H-v", LinkSpec(3)),
-)
+# The same G(r) and H(p,q) recur in every format of a sweep, which holds the
+# label lists of all its formats at once: one shared object per label keeps
+# that at a pointer per entry.
+_shared_G = functools.cache(class_G)
+_shared_H = functools.cache(class_H)
 
 
 def _canonical_labels(fmt: Format) -> list[ClassLabel]:
@@ -301,74 +306,59 @@ def _canonical_labels(fmt: Format) -> list[ClassLabel]:
     if fmt.m >= 2 and fmt.dim2 >= 3:
         labels.append(CLASS_B)
     for r in range(2, min(fmt.m, fmt.dim2) + 1):
-        labels.append(class_G(r))
+        labels.append(_shared_G(r))
     for p in range(0, fmt.m):
         for q in range(0, fmt.n + 1):
             if fmt.dim2 >= p + q:
-                labels.append(class_H(p, q))
+                labels.append(_shared_H(p, q))
     return labels
 
 
-def _expected_class(rule_id: str, label: ClassLabel) -> ClassLabel:
-    if rule_id == "linktoT":
-        return CLASS_T
-    if rule_id == "linkT-i":
-        return class_H(2, 0)
-    if rule_id == "linkT-ii":
-        return class_H(2, 2)
-    if rule_id == "linkT-iii":
-        return class_H(1, 2)
-    if rule_id == "linkT-iv":
-        return CLASS_B
-    if rule_id == "linkG-i":
-        return class_H(3, 0)
-    if rule_id == "linkG-ii":
-        return CLASS_T
-    if rule_id == "linkH-i":
-        return class_H(2, 1)
-    if rule_id == "linkH-ii":
-        return class_H(label.q + 2, label.p)
-    if rule_id == "linkH-iii":
-        return class_H(1, 1)
-    if rule_id == "linkH-iv":
-        return class_H(label.q + 1, label.p)
-    raise ValueError(rule_id)
+# The spec whose profile is a rule's profile; link_profile maps SUPPORTED_SPECS
+# one-to-one onto SUPPORTED_PROFILES.
+_SPEC_FOR_PROFILE = {link_profile(spec): spec for spec in SUPPORTED_SPECS}
 
 
-def _expected_format(spec: LinkSpec, fmt: Format) -> Format:
-    m, n = fmt.m, fmt.n
-    if spec.phi2_unit:
-        return make_format(n + 2, m - 2)
-    return make_format(n + 3, m - spec.t1)
+def _sweep(
+    m_max: int, n_max: int
+) -> Iterator[tuple[LinkageRule, LinkSpec, Iterator[tuple[ClassLabel, Format, TorPresentation]]]]:
+    """The replay plan of :func:`verify_linkage_theorems`, one entry per rule.
+
+    Yields every rule that declares a witness, in ``RULE_ORDER``, with the
+    spec of its profile and a lazy stream of ``(label, fmt, table)``: for
+    each format with ``4 <= m <= m_max`` and ``1 <= n <= n_max``, every
+    canonical label the rule accepts there, as its witness table.  Labels
+    whose witness arrangement does not fit the format are skipped.
+    """
+    formats = [
+        (fmt, _canonical_labels(fmt))
+        for fmt in (make_format(m, n) for m in range(4, m_max + 1) for n in range(1, n_max + 1))
+    ]
+
+    def tables(rule: LinkageRule) -> Iterator[tuple[ClassLabel, Format, TorPresentation]]:
+        for fmt, labels in formats:
+            for label in labels:
+                if label.tag not in rule.in_tags or rule.check(label, fmt) is not None:
+                    continue
+                try:
+                    if rule.witness == "canonical":
+                        table = canonical_presentation(label, fmt)
+                    else:
+                        table = arranged_presentation(label, fmt, rule.witness)
+                except DimensionMismatch:  # format too small for this arrangement
+                    continue
+                yield label, fmt, table
+
+    for rule_id in RULE_ORDER:
+        rule = RULES[rule_id]
+        if rule.witness is not None:
+            yield rule, _SPEC_FOR_PROFILE[rule.profile], tables(rule)
 
 
-def _scenario_inputs(rule_id: str, arrangement: str | None, fmt: Format) -> list[ClassLabel]:
-    m, n, d2 = fmt.m, fmt.n, fmt.dim2
-    if arrangement is None:
-        return _canonical_labels(fmt)
-    if arrangement in ("T-A", "T-B"):
-        return [CLASS_T] if m >= 4 and d2 >= 3 else []
-    if arrangement == "G-std":
-        return [class_G(r) for r in range(2, min(m, d2) + 1)]
-    # H arrangements: sweep all H(p,q) the arrangement and the rule allow.
-    shift = {"H-i": 1, "H-ii": 1, "H-iii": 2, "H-iv": 2, "H-v": 3}[arrangement]
-    p_lo = {"linkH-i": 1, "linkH-ii": 0, "linkH-iii": 1, "linkH-iv": 0, "linkH-v": 2}[rule_id]
-    labels = []
-    for p in range(p_lo, max(m - shift, 0) + 1):
-        if p == 0:
-            q_range = range(0, min(n, d2) + 1)
-        else:
-            q_range = range(0, min(n, d2 - p) + 1)
-        for q in q_range:
-            if rule_id == "linkH-v" and q != 0:
-                continue
-            labels.append(class_H(p, q))
-    return labels
-
-
-def _check_linkH_v(lp: LinkedPresentation, label: ClassLabel, fmt: Format) -> list[str]:
-    """Special checks for the three-generator row: determinate products are
-    exactly E_{n+1} F_i = G_{i+3} for i <= p, everything else is symbolic."""
+def _check_linkH_v(lp: LinkedPresentation, label: ClassLabel, fmt: Format, expected: ClassLabel) -> list[str]:
+    """Special checks for the three-generator row on its H-v witness:
+    determinate products are exactly E_{n+1} F_i = G_{i+3} for i <= p,
+    everything else is symbolic, and the determinate part is ``expected``."""
     problems: list[str] = []
     m, n, p = fmt.m, fmt.n, label.p
     out = lp.presentation
@@ -383,60 +373,50 @@ def _check_linkH_v(lp: LinkedPresentation, label: ClassLabel, fmt: Format) -> li
     if set(lp.symbolic_products) != want_symbolic:
         problems.append("symbolic product slots differ from the expected X/Y families")
     rep = classify(out)
-    if rep.label != class_H(0, p):
-        problems.append(f"determinate part classifies as {rep.label}, expected H(0,{p})")
+    if rep.label != expected:
+        problems.append(f"determinate part classifies as {rep.label}, expected {expected}")
     return problems
 
 
 def verify_linkage_theorems(m_max: int = 10, n_max: int = 8) -> TheoremReport:
-    """Replay every rulebook row on all fitting inputs with m <= m_max, n <= n_max.
+    """Replay every rule of :data:`grade3.linkrules.RULES` that has a witness.
 
-    Inputs range over ``4 <= m <= m_max`` and ``1 <= n <= n_max`` subject to
-    each row's hypotheses.  Every simulated output is structurally validated
-    and its classified label and format compared with the row's claim; the
-    three-generator row additionally checks its determinate products and
-    symbolic slots.
+    For each such rule, in ``RULE_ORDER``, the witness tables of every input
+    the rule accepts with ``4 <= m <= m_max`` and ``1 <= n <= n_max`` are
+    linked with the spec of the rule's profile.  Every simulated output is
+    structurally validated, and its format and classified label are
+    compared with the rule's own ``out_format`` and ``out_class``, the
+    callables the planner uses; the three-generator row on its H-v witness
+    additionally checks its determinate products and symbolic slots.
     """
     if m_max < 5 or n_max < 1:
         raise OutOfDomain(f"need m_max >= 5 and n_max >= 1, got ({m_max}, {n_max})")
     results: list[ScenarioResult] = []
-    for rule_id, arrangement, spec in THEOREM_SCENARIOS:
+    for rule, spec, tables in _sweep(m_max, n_max):
         checked = 0
         failures: list[str] = []
         note = ""
-        for m in range(4, m_max + 1):
-            for n in range(1, n_max + 1):
-                fmt = make_format(m, n)
-                for label in _scenario_inputs(rule_id, arrangement, fmt):
-                    try:
-                        if arrangement is None:
-                            table = canonical_presentation(label, fmt)
-                        else:
-                            table = arranged_presentation(label, fmt, arrangement)
-                    except DimensionMismatch:  # format too small for this arrangement
-                        continue
-                    lp = mapping_cone_presentation(table, spec)
-                    checked += 1
-                    where = f"{label} at {fmt}"
-                    diags = validate_presentation(lp.presentation)
-                    if diags:
-                        failures.append(f"{where}: invalid output table: {diags[0]}")
-                        continue
-                    expected_fmt = _expected_format(spec, fmt)
-                    if lp.presentation.fmt != expected_fmt:
-                        failures.append(
-                            f"{where}: output format {lp.presentation.fmt} != {expected_fmt}"
-                        )
-                        continue
-                    if rule_id == "linkH-v":
-                        failures.extend(f"{where}: {p}" for p in _check_linkH_v(lp, label, fmt))
-                        note = "determinate products, X/Y slots, and H(0,p) class checked"
-                        continue
-                    rep = classify(lp.presentation)
-                    expected = _expected_class(rule_id, label)
-                    if rep.label != expected:
-                        failures.append(f"{where}: classified {rep.label}, expected {expected}")
+        for label, fmt, table in tables:
+            lp = mapping_cone_presentation(table, spec)
+            checked += 1
+            where = f"{label} at {fmt}"
+            diags = validate_presentation(lp.presentation)
+            if diags:
+                failures.append(f"{where}: invalid output table: {diags[0]}")
+                continue
+            expected_fmt = rule.out_format(fmt)
+            if lp.presentation.fmt != expected_fmt:
+                failures.append(f"{where}: output format {lp.presentation.fmt} != {expected_fmt}")
+                continue
+            expected = rule.out_class(label)
+            if rule.witness == "H-v":
+                failures.extend(f"{where}: {p}" for p in _check_linkH_v(lp, label, fmt, expected))
+                note = "determinate products, X/Y slots, and H(0,p) class checked"
+                continue
+            rep = classify(lp.presentation)
+            if rep.label != expected:
+                failures.append(f"{where}: classified {rep.label}, expected {expected}")
         results.append(
-            ScenarioResult(scenario=rule_id, checked=checked, failures=tuple(failures), note=note)
+            ScenarioResult(scenario=rule.rule_id, checked=checked, failures=tuple(failures), note=note)
         )
     return TheoremReport(results=tuple(results))

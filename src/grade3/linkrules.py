@@ -17,12 +17,16 @@ profile    new format
 
 and the total Betti number changes by ``6 - 2*t1 - 2*t2 - t3``.
 
-Each named rule pairs a class precondition with an output class and format.
-The rule ids are stable wire vocabulary: they appear in derivation
-certificates and on the command line.  Every rule's class claim can be
-re-derived from structure constants with ``verify-theorems`` (the
-:mod:`grade3.cone` simulator); the two ``ext-`` rules import published
-constructions instead.
+Each named rule in :data:`RULES` pairs a class precondition with an output
+class and names its profile row; its output format is that row's map, taken
+from the table above (only ``ext-CVW33``, whose format change needs the
+unsupported row (3,1,0), states its own map).  The rule ids are stable wire
+vocabulary: they appear in derivation certificates and on the command line.
+Every rule with a ``witness`` is re-derived from structure constants by
+``verify-theorems`` (the :mod:`grade3.cone` simulator), which links the
+witness tables and compares the result with the rule's own ``out_class``
+and ``out_format``; the two ``ext-`` rules import published constructions
+instead.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .labels import (
     Format,
     OpaqueLabel,
     OPAQUE,
-    betti_total,
     class_G,
     class_H,
     make_format,
@@ -58,7 +61,6 @@ __all__ = [
     "RULES",
     "RULE_ORDER",
     "apply_rule",
-    "consistency_check",
     "Transition",
     "transition_to_document",
     "transition_from_document",
@@ -153,8 +155,14 @@ class LinkageRule:
     when the input violates the rule's hypotheses (None when applicable),
     and always rejects labels whose tag is outside ``in_tags``;
     ``out_class`` and ``out_format`` compute the two halves of the output
-    state; ``profile`` is the rank-profile row the rule realizes (None for
-    the one rule whose format map falls outside the supported table).
+    state.  ``profile`` is the rank-profile row the rule realizes, and
+    ``out_format`` is that row's map from the profile table (an explicit
+    map only for the one rule whose profile is None, because its format
+    change falls outside the table).  ``witness`` names the tables
+    ``verify-theorems`` links to re-derive the rule: an arrangement id from
+    :func:`grade3.presentation.arrangement_ids`, ``"canonical"`` for the
+    canonical table of every input class, or None for the rules that
+    import a published construction instead.
     """
 
     rule_id: str
@@ -165,7 +173,7 @@ class LinkageRule:
     check: Callable[[StateLabel, Format], str | None]
     out_class: Callable[[StateLabel], ClassLabel]
     out_format: Callable[[Format], Format]
-    format_domain: Callable[[Format], bool] = lambda fmt: True
+    witness: str | None = None
 
 
 _TAG_TEXT = {"C3": "C(3)"}
@@ -189,21 +197,28 @@ def _tag_check(in_tags: frozenset[str], extra: Callable[[ClassLabel, Format], st
     return check
 
 
+_PROFILES = {profile.as_tuple(): profile for profile in SUPPORTED_PROFILES}
+
+
 def _rule(
     rule_id: str,
-    cite: str,
-    profile: RankProfile | None,
+    row: tuple[int, int, int] | None,
     in_tags: str | frozenset[str],
     out_tag: str,
     out_class: Callable[[StateLabel], ClassLabel],
-    out_format: Callable[[Format], Format],
     extra: Callable[[ClassLabel, Format], str | None] | None = None,
-    format_domain: Callable[[Format], bool] = lambda fmt: True,
+    *,
+    witness: str | None = None,
+    cite: str = _VERIFIED,
+    out_format: Callable[[Format], Format] | None = None,
 ) -> LinkageRule:
-    """Build a rule whose ``check`` is derived from its declared input tags."""
+    """Build a rule whose ``check`` comes from its input tags and whose
+    profile and ``out_format`` come from its ``row`` of the profile table."""
     tags = frozenset({in_tags}) if isinstance(in_tags, str) else in_tags
+    if row is not None:
+        out_format = _FORMAT_MAPS[row]
     return LinkageRule(
-        rule_id, cite, profile, tags, out_tag, _tag_check(tags, extra), out_class, out_format, format_domain
+        rule_id, cite, _PROFILES.get(row), tags, out_tag, _tag_check(tags, extra), out_class, out_format, witness
     )
 
 
@@ -248,141 +263,37 @@ def _check_cvw33(label: ClassLabel, fmt: Format) -> str | None:
 
 
 def _rules() -> dict[str, LinkageRule]:
-    rp = {t: RankProfile(*t) for t in ((0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (3, 0, 0))}
     rules = [
-        _rule(
-            "linktoT",
-            _VERIFIED,
-            rp[(0, 0, 0)],
-            STATE_TAGS - {"C3"},
-            "T",
-            lambda c: CLASS_T,
-            lambda f: make_format(f.n + 3, f.m),
-        ),
-        _rule(
-            "linkT-i",
-            _VERIFIED,
-            rp[(1, 0, 0)],
-            "T",
-            "H",
-            lambda c: class_H(2, 0),
-            lambda f: make_format(f.n + 3, f.m - 1),
-        ),
-        _rule(
-            "linkT-ii",
-            _VERIFIED,
-            rp[(1, 0, 0)],
-            "T",
-            "H",
-            lambda c: class_H(2, 2),
-            lambda f: make_format(f.n + 3, f.m - 1),
-        ),
-        _rule(
-            "linkT-iii",
-            _VERIFIED,
-            rp[(2, 0, 0)],
-            "T",
-            "H",
-            lambda c: class_H(1, 2),
-            lambda f: make_format(f.n + 3, f.m - 2),
-        ),
-        _rule(
-            "linkT-iv",
-            _VERIFIED,
-            rp[(2, 1, 0)],
-            "T",
-            "B",
-            lambda c: CLASS_B,
-            lambda f: make_format(f.n + 2, f.m - 2),
-        ),
-        _rule(
-            "linkG-i",
-            _VERIFIED,
-            rp[(1, 0, 0)],
-            "G",
-            "H",
-            lambda c: class_H(3, 0),
-            lambda f: make_format(f.n + 3, f.m - 1),
-        ),
-        _rule(
-            "linkG-ii",
-            _VERIFIED,
-            rp[(2, 0, 0)],
-            "G",
-            "T",
-            lambda c: CLASS_T,
-            lambda f: make_format(f.n + 3, f.m - 2),
-        ),
-        _rule(
-            "linkH-i",
-            _VERIFIED,
-            rp[(1, 0, 0)],
-            "H",
-            "H",
-            lambda c: class_H(2, 1),
-            lambda f: make_format(f.n + 3, f.m - 1),
-            _check_h_i,
-        ),
-        _rule(
-            "linkH-ii",
-            _VERIFIED,
-            rp[(1, 0, 0)],
-            "H",
-            "H",
-            lambda c: class_H(c.q + 2, c.p),
-            lambda f: make_format(f.n + 3, f.m - 1),
-        ),
-        _rule(
-            "linkH-iii",
-            _VERIFIED,
-            rp[(2, 0, 0)],
-            "H",
-            "H",
-            lambda c: class_H(1, 1),
-            lambda f: make_format(f.n + 3, f.m - 2),
-            _check_h_iii,
-        ),
-        _rule(
-            "linkH-iv",
-            _VERIFIED,
-            rp[(2, 0, 0)],
-            "H",
-            "H",
-            lambda c: class_H(c.q + 1, c.p),
-            lambda f: make_format(f.n + 3, f.m - 2),
-            _check_h_iv,
-        ),
-        _rule(
-            "linkH-v",
-            _VERIFIED,
-            rp[(3, 0, 0)],
-            "H",
-            "H",
-            lambda c: class_H(0, c.p),
-            lambda f: make_format(f.n + 3, f.m - 3),
-            _check_h_v,
-        ),
+        _rule("linktoT", (0, 0, 0), STATE_TAGS - {"C3"}, "T", lambda c: CLASS_T, witness="canonical"),
+        _rule("linkT-i", (1, 0, 0), "T", "H", lambda c: class_H(2, 0), witness="T-B"),
+        _rule("linkT-ii", (1, 0, 0), "T", "H", lambda c: class_H(2, 2), witness="T-A"),
+        _rule("linkT-iii", (2, 0, 0), "T", "H", lambda c: class_H(1, 2), witness="T-B"),
+        _rule("linkT-iv", (2, 1, 0), "T", "B", lambda c: CLASS_B, witness="T-A"),
+        _rule("linkG-i", (1, 0, 0), "G", "H", lambda c: class_H(3, 0), witness="G-std"),
+        _rule("linkG-ii", (2, 0, 0), "G", "T", lambda c: CLASS_T, witness="G-std"),
+        _rule("linkH-i", (1, 0, 0), "H", "H", lambda c: class_H(2, 1), _check_h_i, witness="H-i"),
+        _rule("linkH-ii", (1, 0, 0), "H", "H", lambda c: class_H(c.q + 2, c.p), witness="H-ii"),
+        _rule("linkH-iii", (2, 0, 0), "H", "H", lambda c: class_H(1, 1), _check_h_iii, witness="H-iii"),
+        _rule("linkH-iv", (2, 0, 0), "H", "H", lambda c: class_H(c.q + 1, c.p), _check_h_iv, witness="H-iv"),
+        _rule("linkH-v", (3, 0, 0), "H", "H", lambda c: class_H(0, c.p), _check_h_v, witness="H-v"),
         _rule(
             "ext-CVW31",
-            f"{_CITE_CVW20}, Prop. 3.1",
-            rp[(3, 0, 0)],
+            (3, 0, 0),
             "G",
             "H",
             lambda c: class_H(3, 2),
-            lambda f: make_format(4, 2),
             _check_cvw31,
-            format_domain=lambda f: (f.m, f.n) == (5, 1),
+            cite=f"{_CITE_CVW20}, Prop. 3.1",
         ),
         _rule(
             "ext-CVW33",
-            f"{_CITE_CVW20}, Prop. 3.3",
             None,
             "H",
             "H",
             lambda c: class_H(0, 1),
-            lambda f: make_format(5, f.m - 3),
             _check_cvw33,
-            format_domain=lambda f: f.n == 3 and f.m >= 6 and f.m % 2 == 0,
+            cite=f"{_CITE_CVW20}, Prop. 3.3",
+            out_format=lambda f: make_format(5, f.m - 3),  # would need the unsupported row (3,1,0)
         ),
     ]
     return {rule.rule_id: rule for rule in rules}
@@ -414,42 +325,6 @@ def apply_rule(rule_id: str, label: StateLabel, fmt: Format) -> Transition:
         output_state=(rule.out_class(label), out_fmt),
         cite=rule.cite,
     )
-
-
-def consistency_check(rule_id: str) -> bool:
-    """Does the rule's format map agree with its rank-profile row?
-
-    Compares ``out_format`` against :func:`link_option_format` at the rule's
-    profile over a sweep of formats.  Returns False for a rule whose profile
-    falls outside the supported table (``ext-CVW33``: its map
-    ``(m,3) -> (5, m-3)`` would need the unsupported row (3,1,0)).
-    """
-    rule = RULES.get(rule_id)
-    if rule is None:
-        raise PreconditionViolated(f"unknown linkage rule {rule_id!r}")
-    if rule.profile is None:
-        return False
-    checked = 0
-    for m in range(1, 25):
-        for n in range(1, 21):
-            fmt = make_format(m, n)
-            if not rule.format_domain(fmt):
-                continue
-            try:
-                expected = link_option_format(fmt, rule.profile)
-            except InvalidFormat:
-                expected = None
-            try:
-                actual = rule.out_format(fmt)
-            except InvalidFormat:
-                actual = None
-            if expected != actual:
-                return False
-            if expected is not None:
-                if betti_total(expected) != betti_after_link(betti_total(fmt), rule.profile):
-                    return False
-                checked += 1
-    return checked > 0
 
 
 def _render_state(state: State) -> list[str]:

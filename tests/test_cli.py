@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -19,6 +20,7 @@ from grade3 import (
     presentation_to_document,
 )
 from grade3.cli import main
+from grade3.presentation import MAX_DOCUMENT_CELLS
 
 
 def _write_doc(tmp_path, name, doc):
@@ -157,6 +159,29 @@ def test_link_precondition_failure_exits_three(tmp_path, capsys):
     path = _write_doc(tmp_path, "t.json", _canonical_doc(CLASS_T, 4, 3))
     assert main(["link", path, "--t1", "2", "--phi2-unit"]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_link_on_huge_formats_exits_three_in_bounded_memory(tmp_path, capsys):
+    # Ingress counts stored products only, but the cone's bases (and, for
+    # t1 = 3, its symbolic slots) grow with m+n, so the cone refuses such a
+    # table before building anything.
+    empty = {"version": 1, "m": 10**9, "n": 1, "ee": [], "ef": []}
+    # At n = 1 and t1 = 3 the cone needs 2m+7 basis vectors and m slots:
+    # this m is the first for which 3m+7 exceeds the cap.
+    m = (MAX_DOCUMENT_CELLS - 7) // 3 + 1
+    assert 3 * (m - 1) + 7 <= MAX_DOCUMENT_CELLS < 3 * m + 7
+    one_product = {"version": 1, "m": m, "n": 1, "ee": [], "ef": [[1, 1, 1, 1]]}
+    for doc, t1 in ((empty, "0"), (one_product, "3")):
+        path = _write_doc(tmp_path, "huge.json", doc)
+        tracemalloc.start()
+        try:
+            code = main(["link", path, "--t1", t1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert peak < 1_000_000
+        assert "limit" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- realize

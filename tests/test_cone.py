@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -10,7 +11,6 @@ import pytest
 from grade3 import (
     CLASS_B,
     CLASS_T,
-    DimensionMismatch,
     LinkSpec,
     OutOfDomain,
     Phi2Mismatch,
@@ -30,7 +30,8 @@ from grade3 import (
     validate_presentation,
     verify_linkage_theorems,
 )
-from grade3.cone import THEOREM_SCENARIOS, _scenario_inputs
+from grade3.cone import _sweep
+from grade3.linkrules import RULES, _FORMAT_MAPS
 
 
 def _unit(length, index, sign=1):
@@ -249,27 +250,35 @@ def test_theorem_replay_domain_guard():
         verify_linkage_theorems(10, 0)
 
 
+def test_theorem_replay_checks_the_planner_rules(monkeypatch):
+    # verify-theorems replays the RULES entries the planner searches with,
+    # so a wrong class or format claim there fails exactly its own scenario.
+    monkeypatch.setitem(
+        RULES, "linkH-iii", dataclasses.replace(RULES["linkH-iii"], out_class=lambda c: class_H(1, 2))
+    )
+    monkeypatch.setitem(
+        RULES, "linkT-i", dataclasses.replace(RULES["linkT-i"], out_format=_FORMAT_MAPS[(2, 0, 0)])
+    )
+    report = verify_linkage_theorems(6, 4)
+    failed = {res.scenario for res in report.results if not res.passed}
+    assert failed == {"linkH-iii", "linkT-i"}
+    by_name = {res.scenario: res for res in report.results}
+    assert all("expected H(1,2)" in f for f in by_name["linkH-iii"].failures)
+    assert all("output format" in f for f in by_name["linkT-i"].failures)
+
+
 def test_theorem_sweep_tables_and_links_are_pinned():
     # Every input table of the verify_linkage_theorems(10, 8) sweep and its
     # mapping cone (products, splits, index maps, symbolic slots), recorded
     # while products were still stored as dense vectors; it must not move.
+    # The tables come from the sweep's own generator.
     digest = hashlib.sha256()
     count = 0
-    for rule_id, arrangement, spec in THEOREM_SCENARIOS:
-        for m in range(4, 11):
-            for n in range(1, 9):
-                fmt = make_format(m, n)
-                for label in _scenario_inputs(rule_id, arrangement, fmt):
-                    try:
-                        if arrangement is None:
-                            table = canonical_presentation(label, fmt)
-                        else:
-                            table = arranged_presentation(label, fmt, arrangement)
-                    except DimensionMismatch:
-                        continue
-                    lp = mapping_cone_presentation(table, spec)
-                    row = [rule_id, str(label), str(fmt), presentation_to_document(table), linked_to_document(lp)]
-                    digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
-                    count += 1
+    for rule, spec, tables in _sweep(10, 8):
+        for label, fmt, table in tables:
+            lp = mapping_cone_presentation(table, spec)
+            row = [rule.rule_id, str(label), str(fmt), presentation_to_document(table), linked_to_document(lp)]
+            digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
+            count += 1
     assert count == 11060
     assert digest.hexdigest() == "e91a37abf21c6bfb691bf63f4be0e43909bf9bd5c267413a769f3a14c6c609fe"

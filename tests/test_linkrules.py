@@ -20,11 +20,11 @@ from grade3 import (
     Transition,
     UnsupportedProfile,
     apply_rule,
+    arrangement_ids,
     betti_after_link,
     betti_total,
     class_G,
     class_H,
-    consistency_check,
     link_option_format,
     make_format,
     transition_from_document,
@@ -32,6 +32,7 @@ from grade3 import (
 )
 from grade3.errors import DocumentError
 from grade3.linkrules import STATE_TAGS, state_tag
+from grade3.presentation import _ARRANGEMENTS
 
 
 # ------------------------------------------------------------- format maps
@@ -202,11 +203,47 @@ def test_apply_rule_degenerate_output():
 
 
 def test_rulebook_consistency_against_profile_table():
+    # Every rule with a profile moves formats as its profile row says, on
+    # every state it accepts, and the total Betti number follows the row.
     for rule_id in RULE_ORDER:
-        expected = rule_id != "ext-CVW33"
-        assert consistency_check(rule_id) is expected, rule_id
-    with pytest.raises(PreconditionViolated):
-        consistency_check("linkX")
+        rule = RULES[rule_id]
+        if rule.profile is None:
+            continue
+        accepted = 0
+        for m in range(4, 15):
+            for n in range(1, 13):
+                fmt = make_format(m, n)
+                for label in _ALL_LABELS:
+                    if rule.check(label, fmt) is not None:
+                        continue
+                    out_fmt = apply_rule(rule_id, label, fmt).output_state[1]
+                    assert out_fmt == link_option_format(fmt, rule.profile), (rule_id, str(label), str(fmt))
+                    assert betti_total(out_fmt) == betti_after_link(betti_total(fmt), rule.profile)
+                    accepted += 1
+        assert accepted > 0, rule_id
+    # ext-CVW33 maps (m,3) to (5, m-3), which no supported profile gives.
+    assert RULES["ext-CVW33"].profile is None
+    for m in range(6, 40, 2):
+        fmt = make_format(m, 3)
+        out_fmt = apply_rule("ext-CVW33", class_H(2, 0), fmt).output_state[1]
+        assert out_fmt == make_format(5, m - 3)
+        assert all(link_option_format(fmt, profile) != out_fmt for profile in SUPPORTED_PROFILES)
+
+
+def test_rule_witness_declarations():
+    # A rule is re-derived by verify-theorems exactly when it names a
+    # witness; the witness is the canonical table or an arrangement of a
+    # class the rule accepts.
+    verified = "verified from structure constants (grade3 verify-theorems)"
+    for rule_id in RULE_ORDER:
+        rule = RULES[rule_id]
+        assert (rule.witness is not None) == (rule.cite == verified), rule_id
+        if rule.witness is None or rule.witness == "canonical":
+            continue
+        assert rule.witness in arrangement_ids(), rule_id
+        class_tag, _ = _ARRANGEMENTS[rule.witness]
+        assert class_tag in rule.in_tags, rule_id
+    assert RULES["linktoT"].witness == "canonical"
 
 
 @given(
