@@ -22,7 +22,7 @@ import sys
 from typing import Sequence
 
 from .cone import LinkSpec, linked_to_document, mapping_cone_presentation, verify_linkage_theorems
-from .errors import Grade3Error
+from .errors import DocumentError, Grade3Error
 from .labels import parse_format, parse_label
 from .permissible import (
     Status,
@@ -56,7 +56,10 @@ def _read_json(path: str) -> object:
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed JSON, or an integer with too many digits
+        raise DocumentError(f"invalid JSON: {exc}") from exc
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -249,9 +252,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except Grade3Error as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -314,6 +314,18 @@ def _canonical_labels(fmt: Format) -> list[ClassLabel]:
     return labels
 
 
+def _sweep_label_count(m_max: int, n_max: int) -> int:
+    """How many canonical labels the sweep over ``4 <= m <= m_max``,
+    ``1 <= n <= n_max`` holds, without listing them.
+
+    With ``m >= 4`` every format holds T, B, G(2..m) and H(p,q) for
+    ``p < m``, ``q <= n``: ``m(n+2) + 1`` labels.
+    """
+    m_sum = m_max * (m_max + 1) // 2 - 6  # 4 + ... + m_max
+    n_sum = n_max * (n_max + 1) // 2 + 2 * n_max  # (1+2) + ... + (n_max+2)
+    return m_sum * n_sum + (m_max - 3) * n_max
+
+
 # The spec whose profile is a rule's profile; link_profile maps SUPPORTED_SPECS
 # one-to-one onto SUPPORTED_PROFILES.
 _SPEC_FOR_PROFILE = {link_profile(spec): spec for spec in SUPPORTED_SPECS}
@@ -388,9 +400,16 @@ def verify_linkage_theorems(m_max: int = 10, n_max: int = 8) -> TheoremReport:
     compared with the rule's own ``out_format`` and ``out_class``, the
     callables the planner uses; the three-generator row on its H-v witness
     additionally checks its determinate products and symbolic slots.
+    A sweep of more than :data:`~grade3.presentation.MAX_DOCUMENT_CELLS`
+    canonical labels raises :class:`OutOfDomain` before any is listed.
     """
     if m_max < 5 or n_max < 1:
         raise OutOfDomain(f"need m_max >= 5 and n_max >= 1, got ({m_max}, {n_max})")
+    if _sweep_label_count(m_max, n_max) > MAX_DOCUMENT_CELLS:
+        raise OutOfDomain(
+            f"a sweep up to ({m_max}, {n_max}) would hold more canonical labels than the limit, "
+            f"{MAX_DOCUMENT_CELLS}"
+        )
     results: list[ScenarioResult] = []
     for rule, spec, tables in _sweep(m_max, n_max):
         checked = 0

@@ -8,6 +8,8 @@ internal failures.
 
 from __future__ import annotations
 
+from typing import Any
+
 __all__ = [
     "Grade3Error",
     "InvalidFormat",
@@ -20,6 +22,7 @@ __all__ = [
     "Phi2Mismatch",
     "OutOfDomain",
     "DocumentError",
+    "document_fields",
 ]
 
 
@@ -65,3 +68,26 @@ class OutOfDomain(Grade3Error):
 
 class DocumentError(Grade3Error):
     """A JSON document does not match the expected schema."""
+
+
+def document_fields(doc: object, what: str, fields: tuple[tuple[str, type], ...]) -> tuple[Any, ...]:
+    """The values of a JSON object with exactly the named fields, in order.
+
+    ``fields`` pairs each field name with the type its value must have.
+    Raises :class:`DocumentError` when ``doc`` is not an object, when it has
+    unknown or missing fields, or when a value has the wrong type; a
+    ``bool`` never counts as an ``int`` (nor as anything else).
+    """
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{what} must be an object, got {type(doc).__name__}")
+    names = [name for name, _ in fields]
+    if set(doc) != set(names):
+        unknown = sorted(str(key) for key in doc if key not in names)
+        missing = [name for name in names if name not in doc]
+        parts = [f"{kind} fields {keys}" for kind, keys in (("unknown", unknown), ("missing", missing)) if keys]
+        raise DocumentError(f"{what} has " + " and ".join(parts))
+    values = tuple(doc[name] for name in names)
+    for (name, kind), value in zip(fields, values):
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise DocumentError(f"{what} field {name!r} must be {kind.__name__}, got {type(value).__name__}")
+    return values

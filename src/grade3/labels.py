@@ -70,7 +70,11 @@ def parse_format(text: str) -> Format:
     match = _FORMAT_RE.match(text.strip())
     if match is None:
         raise InvalidFormat(f"cannot parse format from {text!r}; expected \"(m,n)\"")
-    return make_format(int(match.group(1)), int(match.group(2)))
+    try:
+        m, n = int(match.group(1)), int(match.group(2))
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise InvalidFormat(f"cannot parse format: {exc}") from exc
+    return make_format(m, n)
 
 
 def betti_total(fmt: Format) -> int:
@@ -170,9 +174,11 @@ def parse_label(text: str) -> ClassLabel:
         return CLASS_B if bt == "B" else CLASS_T
     if c3 is not None:
         return CLASS_C3
-    if g is not None:
-        return class_G(int(g))
-    return class_H(int(hp), int(hq))
+    try:
+        params = [int(x) for x in (g, hp, hq) if x is not None]
+    except ValueError as exc:  # more digits than the interpreter converts
+        raise InvalidLabel(f"cannot parse class label: {exc}") from exc
+    return class_G(*params) if g is not None else class_H(*params)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import InvalidFormat, PreconditionViolated, UnsupportedProfile, DocumentError
+from .errors import DocumentError, InvalidFormat, PreconditionViolated, UnsupportedProfile, document_fields
 from .labels import (
     CLASS_B,
     CLASS_T,
@@ -332,10 +332,8 @@ def _render_state(state: State) -> list[str]:
     return [str(label), str(fmt)]
 
 
-def parse_state_label(text: object, what: str) -> StateLabel:
+def parse_state_label(text: str) -> StateLabel:
     """Parse a state label's text form: a class label, or ``*`` for opaque."""
-    if not isinstance(text, str):
-        raise DocumentError(f"{what} must be a string, got {text!r}")
     if text == "*":
         return OPAQUE
     return parse_label(text)
@@ -347,7 +345,7 @@ def _parse_state(value: object, what: str) -> State:
     text_label, text_fmt = value
     if not isinstance(text_label, str) or not isinstance(text_fmt, str):
         raise DocumentError(f"{what} entries must be strings, got {value!r}")
-    return (parse_state_label(text_label, what), parse_format(text_fmt))
+    return (parse_state_label(text_label), parse_format(text_fmt))
 
 
 def transition_to_document(t: Transition) -> dict:
@@ -362,20 +360,12 @@ def transition_to_document(t: Transition) -> dict:
 
 def transition_from_document(doc: object) -> Transition:
     """Parse the wire form; rejects unknown or missing fields."""
-    if not isinstance(doc, dict):
-        raise DocumentError(f"transition must be an object, got {type(doc).__name__}")
-    expected = {"rule", "in", "out", "cite"}
-    if set(doc) != expected:
-        raise DocumentError(
-            f"transition fields must be exactly {sorted(expected)}, got {sorted(doc)}"
-        )
-    rule = doc["rule"]
-    cite = doc["cite"]
-    if not isinstance(rule, str) or not isinstance(cite, str):
-        raise DocumentError("transition rule and cite must be strings")
+    rule, state_in, state_out, cite = document_fields(
+        doc, "transition", (("rule", str), ("in", list), ("out", list), ("cite", str))
+    )
     return Transition(
         rule=rule,
-        input_state=_parse_state(doc["in"], "transition input"),
-        output_state=_parse_state(doc["out"], "transition output"),
+        input_state=_parse_state(state_in, "transition input"),
+        output_state=_parse_state(state_out, "transition output"),
         cite=cite,
     )

@@ -35,14 +35,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
-from .errors import DocumentError, Grade3Error, OutOfDomain
+from .errors import DocumentError, Grade3Error, OutOfDomain, document_fields
 from .labels import (
     CLASS_B,
     CLASS_T,
     ClassLabel,
     Format,
     OPAQUE,
-    OpaqueLabel,
     class_G,
     class_H,
     make_format,
@@ -97,75 +96,38 @@ _CITE_EXT = "Christensen-Veliche 2014; Vandebogert 2020"
 
 @dataclass(frozen=True)
 class BaseFamily:
-    """A published family of realized (class, format) instances."""
+    """A published family of realized (class, format) instances.
+
+    The members are ``member(k)`` for ``k = start, start + step, ...``
+    (only ``member(start)`` when ``step`` is 0), where ``k`` is the format
+    coordinate named by ``axis``, ``"m"`` or ``"n"``.
+    """
 
     family_id: str
     description: str
     cite: str
-    instances: Callable[[int], Iterator[State]]
-    contains: Callable[[StateLabel, Format], bool]
+    member: Callable[[int], State]
+    start: int
+    step: int
+    axis: str
 
+    def _parameters(self, stop: int) -> range:
+        """The member parameters ``k <= stop``."""
+        if self.step:
+            return range(self.start, stop + 1, self.step)
+        return range(self.start, min(self.start, stop) + 1)
 
-def _gor_instances(bound: int) -> Iterator[State]:
-    for r in range(5, bound + 1, 2):
-        yield (class_G(r), make_format(r, 1))
+    def instances(self, bound: int) -> Iterator[State]:
+        """The members whose format coordinates are both at most ``bound``."""
+        for k in self._parameters(bound):
+            state = self.member(k)
+            if max(state[1].m, state[1].n) <= bound:
+                yield state
 
-
-def _gor_contains(label: StateLabel, fmt: Format) -> bool:
-    return (
-        isinstance(label, ClassLabel)
-        and label.tag == "G"
-        and label.r >= 5
-        and label.r % 2 == 1
-        and (fmt.m, fmt.n) == (label.r, 1)
-    )
-
-
-def _hs_instances(bound: int) -> Iterator[State]:
-    for p in range(3, bound):
-        yield (class_H(p, p - 1), make_format(p + 1, p - 1))
-
-
-def _hs_contains(label: StateLabel, fmt: Format) -> bool:
-    return (
-        isinstance(label, ClassLabel)
-        and label.tag == "H"
-        and label.p >= 3
-        and label.q == label.p - 1
-        and (fmt.m, fmt.n) == (label.p + 1, label.p - 1)
-    )
-
-
-def _aci_a_instances(bound: int) -> Iterator[State]:
-    if bound >= 4:
-        yield (class_H(3, 2), make_format(4, 2))
-
-
-def _aci_b_instances(bound: int) -> Iterator[State]:
-    if bound >= 4:
-        for n in range(4, bound + 1, 2):
-            yield (class_H(3, 0), make_format(4, n))
-
-
-def _aci_c_instances(bound: int) -> Iterator[State]:
-    if bound >= 4:
-        for n in range(3, bound + 1, 2):
-            yield (CLASS_T, make_format(4, n))
-
-
-def _t2_d_instances(bound: int) -> Iterator[State]:
-    for m in range(6, bound + 1, 2):
-        yield (class_H(1, 2), make_format(m, 2))
-
-
-def _t2_e_instances(bound: int) -> Iterator[State]:
-    for m in range(5, bound + 1, 2):
-        yield (CLASS_B, make_format(m, 2))
-
-
-def _ext_m3_instances(bound: int) -> Iterator[State]:
-    for m in range(6, bound + 1):
-        yield (OPAQUE, make_format(m, 3))
+    def contains(self, label: StateLabel, fmt: Format) -> bool:
+        """Whether ``(label, fmt)`` is a member; constant time in the format."""
+        k = fmt.m if self.axis == "m" else fmt.n
+        return k in self._parameters(k) and self.member(k) == (label, fmt)
 
 
 BASE_FAMILIES: tuple[BaseFamily, ...] = (
@@ -173,63 +135,57 @@ BASE_FAMILIES: tuple[BaseFamily, ...] = (
         "GOR",
         "Gorenstein ideals: class G(m) in format (m,1) for odd m >= 5",
         _CITE_GOR,
-        _gor_instances,
-        _gor_contains,
+        lambda m: (class_G(m), make_format(m, 1)),
+        5, 2, "m",
     ),
     BaseFamily(
         "HS",
-        "hypersurface sections: class H(p,p-1) in format (p+1,p-1) for p >= 3",
+        "hypersurface sections: class H(m-1,m-2) in format (m,m-2) for m >= 4",
         _CITE_HS,
-        _hs_instances,
-        _hs_contains,
+        lambda m: (class_H(m - 1, m - 2), make_format(m, m - 2)),
+        4, 1, "m",
     ),
     BaseFamily(
         "ACI-a",
         "almost complete intersection H(3,2) in format (4,2)",
         _CITE_ACI,
-        _aci_a_instances,
-        lambda label, fmt: label == class_H(3, 2) and (fmt.m, fmt.n) == (4, 2),
+        lambda m: (class_H(3, 2), make_format(m, 2)),
+        4, 0, "m",
     ),
     BaseFamily(
         "ACI-b",
         "almost complete intersections H(3,0) in formats (4,n) for even n >= 4",
         _CITE_ACI,
-        _aci_b_instances,
-        lambda label, fmt: label == class_H(3, 0)
-        and fmt.m == 4
-        and fmt.n >= 4
-        and fmt.n % 2 == 0,
+        lambda n: (class_H(3, 0), make_format(4, n)),
+        4, 2, "n",
     ),
     BaseFamily(
         "ACI-c",
         "almost complete intersections of class T in formats (4,n) for odd n >= 3",
         _CITE_ACI,
-        _aci_c_instances,
-        lambda label, fmt: label == CLASS_T and fmt.m == 4 and fmt.n >= 3 and fmt.n % 2 == 1,
+        lambda n: (CLASS_T, make_format(4, n)),
+        3, 2, "n",
     ),
     BaseFamily(
         "T2-d",
         "two-type ideals H(1,2) in formats (m,2) for even m >= 6",
         _CITE_T2,
-        _t2_d_instances,
-        lambda label, fmt: label == class_H(1, 2)
-        and fmt.n == 2
-        and fmt.m >= 6
-        and fmt.m % 2 == 0,
+        lambda m: (class_H(1, 2), make_format(m, 2)),
+        6, 2, "m",
     ),
     BaseFamily(
         "T2-e",
         "two-type ideals of class B in formats (m,2) for odd m >= 5",
         _CITE_T2,
-        _t2_e_instances,
-        lambda label, fmt: label == CLASS_B and fmt.n == 2 and fmt.m >= 5 and fmt.m % 2 == 1,
+        lambda m: (CLASS_B, make_format(m, 2)),
+        5, 2, "m",
     ),
     BaseFamily(
         "EXT-m3",
         "perfect ideals with n = 3 and m >= 6 of unrecorded class",
         _CITE_EXT,
-        _ext_m3_instances,
-        lambda label, fmt: isinstance(label, OpaqueLabel) and fmt.n == 3 and fmt.m >= 6,
+        lambda m: (OPAQUE, make_format(m, 3)),
+        6, 1, "m",
     ),
 )
 
@@ -370,7 +326,8 @@ class _Search:
 
 
 def _is_axiom(state: State, bound: int) -> bool:
-    return any(state in family.instances(bound) for family in _SEED_ORDER)
+    label, fmt = state
+    return max(fmt.m, fmt.n) <= bound and any(family.contains(label, fmt) for family in _SEED_ORDER)
 
 
 _SEARCHES: dict[int, _Search] = {}
@@ -500,26 +457,28 @@ def realize(
 def verify_certificate(cert: DerivationCertificate) -> bool:
     """Strictly replay a certificate; True only if every step checks out.
 
-    Checks that the axiom instance belongs to its claimed family, that each
-    step's input matches the previous state, that each rule application
-    reproduces the recorded output, that no intermediate state is
-    NOT_PERMISSIBLE, and that the final state equals the target.
+    Checks that the axiom instance belongs to its claimed family and cites
+    it, that each recorded step equals the replay of its rule on the
+    previous state (input, output and citation), that no intermediate
+    state is NOT_PERMISSIBLE, and that the final state equals the target.
     """
     family = _FAMILY_BY_ID.get(cert.axiom.family)
-    if family is None or not family.contains(cert.axiom.label, cert.axiom.fmt):
+    if (
+        family is None
+        or cert.axiom.cite != family.cite
+        or not family.contains(cert.axiom.label, cert.axiom.fmt)
+    ):
         return False
     state: State = (cert.axiom.label, cert.axiom.fmt)
     if isinstance(state[0], ClassLabel):
         if is_permissible(state[0], state[1]).status is Status.NOT_PERMISSIBLE:
             return False
     for step in cert.steps:
-        if step.input_state != state:
-            return False
         try:
             replay = apply_rule(step.rule, state[0], state[1])
         except Grade3Error:
             return False
-        if replay.output_state != step.output_state:
+        if replay != step:
             return False
         state = replay.output_state
         if isinstance(state[0], ClassLabel):
@@ -545,39 +504,21 @@ def certificate_to_document(cert: DerivationCertificate) -> dict:
 
 def certificate_from_document(doc: object) -> DerivationCertificate:
     """Parse the document form; rejects anything outside the schema."""
-    if not isinstance(doc, dict):
-        raise DocumentError(f"certificate must be an object, got {type(doc).__name__}")
-    expected = {"version", "axiom", "steps", "target"}
-    if set(doc) != expected:
-        raise DocumentError(f"certificate fields must be exactly {sorted(expected)}, got {sorted(doc)}")
-    if doc["version"] != CERTIFICATE_VERSION:
-        raise DocumentError(f"unsupported certificate version {doc['version']!r}")
-    axiom_doc = doc["axiom"]
-    if not isinstance(axiom_doc, dict) or set(axiom_doc) != {"family", "class", "format", "cite"}:
-        raise DocumentError("certificate axiom must have fields family, class, format, cite")
-    if not isinstance(axiom_doc["family"], str) or not isinstance(axiom_doc["cite"], str):
-        raise DocumentError("axiom family and cite must be strings")
-    if not isinstance(axiom_doc["format"], str):
-        raise DocumentError("axiom format must be a string")
-    axiom = Axiom(
-        family=axiom_doc["family"],
-        label=parse_state_label(axiom_doc["class"], "axiom class"),
-        fmt=parse_format(axiom_doc["format"]),
-        cite=axiom_doc["cite"],
+    version, axiom_doc, steps, target_doc = document_fields(
+        doc, "certificate", (("version", int), ("axiom", dict), ("steps", list), ("target", dict))
     )
-    if not isinstance(doc["steps"], list):
-        raise DocumentError("certificate steps must be a list")
-    steps = tuple(transition_from_document(step) for step in doc["steps"])
-    target_doc = doc["target"]
-    if not isinstance(target_doc, dict) or set(target_doc) != {"class", "format"}:
-        raise DocumentError("certificate target must have fields class, format")
-    if not isinstance(target_doc["format"], str):
-        raise DocumentError("target format must be a string")
-    target: State = (
-        parse_state_label(target_doc["class"], "target class"),
-        parse_format(target_doc["format"]),
+    if version != CERTIFICATE_VERSION:
+        raise DocumentError(f"unsupported certificate version {version!r}")
+    family, label, fmt, cite = document_fields(
+        axiom_doc, "certificate axiom", (("family", str), ("class", str), ("format", str), ("cite", str))
     )
-    return DerivationCertificate(axiom=axiom, steps=steps, target=target)
+    axiom = Axiom(family, parse_state_label(label), parse_format(fmt), cite)
+    label, fmt = document_fields(target_doc, "certificate target", (("class", str), ("format", str)))
+    return DerivationCertificate(
+        axiom=axiom,
+        steps=tuple(transition_from_document(step) for step in steps),
+        target=(parse_state_label(label), parse_format(fmt)),
+    )
 
 
 @dataclass(frozen=True)

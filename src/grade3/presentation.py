@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import DimensionMismatch, DocumentError, UnknownArrangement
+from .errors import DimensionMismatch, DocumentError, UnknownArrangement, document_fields
 from .exact import sparse_rank
 from .labels import (
     CLASS_B,
@@ -442,78 +442,42 @@ def presentation_to_document(a: TorPresentation) -> dict:
     }
 
 
-def _doc_int(value: object, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DocumentError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def presentation_from_document(doc: object) -> TorPresentation:
     """Parse the document form; rejects anything outside the schema.
 
-    Unknown fields, wrong versions, non-integer entries, and out-of-range
-    indices all raise :class:`DocumentError`, and so does a table of more
-    than :data:`MAX_DOCUMENT_CELLS` cells (distinct products times basis
-    length); that check runs before anything is built.  Quadruples go
-    straight into coordinate maps: repeated quadruples for the same
-    coordinate accumulate, and coefficients that sum to zero are dropped.
+    Unknown fields, wrong versions, non-integer entries, and every problem
+    :func:`validate_presentation` reports (such as out-of-range indices)
+    raise :class:`DocumentError`, and so does a table of more than
+    :data:`MAX_DOCUMENT_CELLS` cells (distinct products times basis
+    length); those checks run on the quadruples' coordinate maps, before
+    anything is built.  Repeated quadruples for the same coordinate
+    accumulate, and coefficients that sum to zero are dropped.
     """
-    if not isinstance(doc, dict):
-        raise DocumentError(f"presentation document must be an object, got {type(doc).__name__}")
-    expected = {"version", "m", "n", "ee", "ef"}
-    if set(doc) != expected:
-        unknown = sorted(set(doc) - expected)
-        missing = sorted(expected - set(doc))
-        parts = []
-        if unknown:
-            parts.append(f"unknown fields {unknown}")
-        if missing:
-            parts.append(f"missing fields {missing}")
-        raise DocumentError("presentation document has " + " and ".join(parts))
-    if doc["version"] != PRESENTATION_VERSION:
-        raise DocumentError(f"unsupported presentation version {doc['version']!r}")
-    m = _doc_int(doc["m"], "m")
-    n = _doc_int(doc["n"], "n")
-    if m < 1 or n < 1:
-        raise DocumentError(f"format coordinates must be positive, got ({m},{n})")
-    d2 = m + n - 1
-    for field in ("ee", "ef"):
-        if not isinstance(doc[field], list):
-            raise DocumentError(f"{field} must be a list of quadruples")
-    ee_entries = []
-    for row in doc["ee"]:
-        if not isinstance(row, list) or len(row) != 4:
-            raise DocumentError(f"ee entry {row!r} is not a quadruple")
-        i, j, l, coeff = (_doc_int(x, "ee entry") for x in row)
-        if not (1 <= i < j <= m):
-            raise DocumentError(f"ee entry ({i},{j}) out of range: need 1 <= i < j <= m = {m}")
-        if not (1 <= l <= d2):
-            raise DocumentError(f"ee entry f-index {l} out of range: need 1 <= l <= {d2}")
-        ee_entries.append(((i, j), l, coeff))
-    ef_entries = []
-    for row in doc["ef"]:
-        if not isinstance(row, list) or len(row) != 4:
-            raise DocumentError(f"ef entry {row!r} is not a quadruple")
-        i, l, t, coeff = (_doc_int(x, "ef entry") for x in row)
-        if not (1 <= i <= m):
-            raise DocumentError(f"ef entry e-index {i} out of range: need 1 <= i <= m = {m}")
-        if not (1 <= l <= d2):
-            raise DocumentError(f"ef entry f-index {l} out of range: need 1 <= l <= {d2}")
-        if not (1 <= t <= n):
-            raise DocumentError(f"ef entry g-index {t} out of range: need 1 <= t <= n = {n}")
-        ef_entries.append(((i, l), t, coeff))
-    cells = len({key for key, _, _ in ee_entries}) * d2 + len({key for key, _, _ in ef_entries}) * n
+    version, m, n, ee, ef = document_fields(
+        doc, "presentation document", (("version", int), ("m", int), ("n", int), ("ee", list), ("ef", list))
+    )
+    if version != PRESENTATION_VERSION:
+        raise DocumentError(f"unsupported presentation version {version!r}")
+    # Zero sums are still stored here, so their coordinates are range-checked too.
+    raw = TorPresentation(m, n, _coordinate_maps(ee, "ee"), _coordinate_maps(ef, "ef"))
+    diags = validate_presentation(raw)
+    if diags:
+        raise DocumentError(diags[0])
+    cells = len(raw.ee) * raw.dim2 + len(raw.ef) * n
     if cells > MAX_DOCUMENT_CELLS:
         raise DocumentError(
             f"table would hold {cells} coefficients as dense vectors; the limit is {MAX_DOCUMENT_CELLS}"
         )
-    return make_presentation(m, n, _coordinate_maps(ee_entries), _coordinate_maps(ef_entries))
+    return make_presentation(m, n, raw.ee, raw.ef)
 
 
-def _coordinate_maps(entries: list[tuple[PairKey, int, int]]) -> dict[PairKey, Coords]:
-    """Accumulate (key, 1-based coordinate, coefficient) entries into coordinate maps."""
+def _coordinate_maps(rows: list, field: str) -> dict[PairKey, Coords]:
+    """Accumulate ``[a, b, k, c]`` quadruples into coordinate maps ``{(a, b): {k: c}}``."""
     maps: dict[PairKey, Coords] = {}
-    for key, index, coeff in entries:
-        coords = maps.setdefault(key, {})
-        coords[index] = coords.get(index, 0) + coeff
+    for row in rows:
+        a, b, k, c = row if isinstance(row, list) and len(row) == 4 else (None,) * 4
+        if not type(a) is type(b) is type(k) is type(c) is int:  # exactly int, so no bool
+            raise DocumentError(f"{field} entry {row!r} is not a quadruple of integers")
+        coords = maps.setdefault((a, b), {})
+        coords[k] = coords.get(k, 0) + c
     return maps

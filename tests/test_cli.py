@@ -248,6 +248,21 @@ def test_verify_theorems_domain_guard(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_verify_theorems_on_a_huge_sweep_exits_three_in_bounded_memory(capsys):
+    # About 2*10**9 canonical labels: refused before any label list is built.
+    tracemalloc.start()
+    try:
+        code = main(["verify-theorems", "--m-max", "300", "--n-max", "300"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 1_000_000
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "limit" in captured.err
+
+
 # ------------------------------------------------------------ error handling
 
 
@@ -282,6 +297,34 @@ def test_oversized_document_exits_three(tmp_path, capsys):
     path = _write_doc(tmp_path, "huge.json", doc)
     assert main(["classify", path]) == 3
     assert "limit" in capsys.readouterr().err
+
+
+# Integers beyond the interpreter's digit limit for int() (4300 by default).
+_HUGE = "1" + "0" * 5000
+
+
+def test_huge_format_on_the_command_line_exits_three(capsys):
+    assert main(["permissible", "T", f"({_HUGE},3)"]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["permissible", f"H({_HUGE},0)", "(5,3)"]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_huge_integer_in_a_document_exits_three(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"version": 1, "m": {_HUGE}, "n": 1, "ee": [], "ef": []}}', encoding="utf-8")
+    assert main(["classify", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_huge_format_in_a_certificate_exits_three(tmp_path, capsys):
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["realize", "H(2,0)", "(6,3)", "-o", cert_path]) == 0
+    doc = json.loads((tmp_path / "cert.json").read_text(encoding="utf-8"))
+    doc["axiom"]["format"] = f"({_HUGE},3)"
+    path = _write_doc(tmp_path, "huge.json", doc)
+    assert main(["verify-cert", path]) == 3
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -30,7 +30,7 @@ from grade3 import (
     validate_presentation,
     verify_linkage_theorems,
 )
-from grade3.cone import _sweep
+from grade3.cone import _canonical_labels, _sweep, _sweep_label_count
 from grade3.linkrules import RULES, _FORMAT_MAPS
 
 
@@ -248,6 +248,19 @@ def test_theorem_replay_domain_guard():
         verify_linkage_theorems(4, 8)
     with pytest.raises(OutOfDomain):
         verify_linkage_theorems(10, 0)
+    with pytest.raises(OutOfDomain, match="limit"):
+        verify_linkage_theorems(300, 300)
+
+
+def test_theorem_sweep_label_count_matches_the_label_lists():
+    for m_max in range(5, 13):
+        for n_max in range(1, 11):
+            listed = sum(
+                len(_canonical_labels(make_format(m, n)))
+                for m in range(4, m_max + 1)
+                for n in range(1, n_max + 1)
+            )
+            assert _sweep_label_count(m_max, n_max) == listed, (m_max, n_max)
 
 
 def test_theorem_replay_checks_the_planner_rules(monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -57,12 +58,24 @@ def test_family_registry_ids_and_order():
 
 
 def test_family_instances_satisfy_contains():
+    bound = 16
+    # Every state of reach <= bound, on a grid wide enough for HS's H(m-1,m-2).
+    labels = [CLASS_T, CLASS_B, CLASS_C3, OPAQUE]
+    labels += [class_G(r) for r in range(2, bound + 1)]
+    labels += [class_H(p, q) for p in range(bound) for q in range(bound)]
+    formats = [make_format(m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)]
     for family in BASE_FAMILIES:
-        instances = list(family.instances(16))
+        instances = list(family.instances(bound))
         assert instances, family.family_id
         for label, fmt in instances:
             assert family.contains(label, fmt), (family.family_id, str(label), str(fmt))
-            assert fmt.m <= 16 and fmt.n <= 16
+            assert fmt.m <= bound and fmt.n <= bound
+        for smaller in range(bound):  # a smaller bound keeps the instances within it, in order
+            within = [(label, fmt) for label, fmt in instances if max(fmt.m, fmt.n) <= smaller]
+            assert list(family.instances(smaller)) == within, (family.family_id, smaller)
+        # The converse: within the bound, every state the family contains is an instance.
+        contained = {(label, fmt) for label in labels for fmt in formats if family.contains(label, fmt)}
+        assert contained == set(instances), family.family_id
 
 
 def test_family_instances_are_permissible_or_opaque():
@@ -85,6 +98,13 @@ def test_family_contains_rejects_near_misses():
     assert not by_id["T2-e"].contains(CLASS_B, make_format(6, 2))  # even m
     assert not by_id["EXT-m3"].contains(CLASS_T, make_format(6, 3))  # not opaque
     assert by_id["EXT-m3"].contains(OPAQUE, make_format(6, 3))
+    # Membership is decided from the format, without walking the family.
+    r = 10**3999 + 1  # 4000 digits, odd
+    start = time.perf_counter()
+    assert by_id["GOR"].contains(class_G(r), make_format(r, 1))
+    assert not by_id["GOR"].contains(class_G(r + 1), make_format(r + 1, 1))
+    assert not by_id["HS"].contains(class_G(r), make_format(r, 1))
+    assert time.perf_counter() - start < 1.0
 
 
 # ------------------------------------------------------------------- realize
@@ -295,6 +315,18 @@ def test_verify_rejects_tampered_certificates():
     )
     assert not verify_certificate(wrong_axiom_fmt)
 
+    # Citations are replayed too, on the axiom and on every step.
+    cert = realize(class_H(5, 0), make_format(8, 6)).certificate
+    assert verify_certificate(cert)
+    forged_axiom_cite = dataclasses.replace(
+        cert, axiom=dataclasses.replace(cert.axiom, cite="Anonymous 2099")
+    )
+    assert not verify_certificate(forged_axiom_cite)
+    forged_step_cite = dataclasses.replace(
+        cert, steps=(dataclasses.replace(cert.steps[0], cite="Anonymous 2099"), *cert.steps[1:])
+    )
+    assert not verify_certificate(forged_step_cite)
+
 
 def test_verify_rejects_rule_precondition_breaks():
     cert = realize(class_H(0, 1), make_format(5, 3)).certificate
@@ -343,6 +375,9 @@ def test_certificate_document_strictness():
         certificate_from_document({**doc, "extra": 1})
     with pytest.raises(DocumentError):
         certificate_from_document({**doc, "version": 9})
+    for version in (True, 1.0, "1"):
+        with pytest.raises(DocumentError):
+            certificate_from_document({**doc, "version": version})
     with pytest.raises(DocumentError):
         certificate_from_document({**doc, "axiom": {"family": "T2-e"}})
     with pytest.raises(DocumentError):

@@ -438,6 +438,9 @@ def test_document_parser_is_strict():
         presentation_from_document({k: v for k, v in good.items() if k != "m"})
     with pytest.raises(DocumentError):
         presentation_from_document({**good, "version": 2})
+    for version in (True, 1.0, "1"):
+        with pytest.raises(DocumentError):
+            presentation_from_document({**good, "version": version})
     with pytest.raises(DocumentError):
         presentation_from_document({**good, "m": "5"})
     with pytest.raises(DocumentError):
@@ -446,6 +449,8 @@ def test_document_parser_is_strict():
         presentation_from_document({**good, "ee": [[0, 2, 3, 1]]})
     with pytest.raises(DocumentError):
         presentation_from_document({**good, "ee": [[1, 2, 99, 1]]})
+    with pytest.raises(DocumentError):
+        presentation_from_document({**good, "ee": [[1, 2, 99, 0]]})
     with pytest.raises(DocumentError):
         presentation_from_document({**good, "ef": [[1, 2, 3, True]]})
 
