@@ -17,200 +17,33 @@ for a *format* ``(m, n)``).  It provides:
 
 All linear algebra is exact (fraction-free elimination over the integers);
 no floating point is involved anywhere.
+
+The package namespace is the union of the modules' ``__all__`` lists; each
+public name is declared once, in the module that defines it.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    DimensionMismatch,
-    DocumentError,
-    Grade3Error,
-    InvalidFormat,
-    InvalidLabel,
-    OutOfDomain,
-    Phi2Mismatch,
-    PreconditionViolated,
-    UnknownArrangement,
-    UnsupportedProfile,
-    UnsupportedSpec,
-)
-from .exact import rational_rank, sparse_rank
-from .labels import (
-    CLASS_B,
-    CLASS_C3,
-    CLASS_T,
-    ClassInvariants,
-    ClassLabel,
-    Format,
-    OPAQUE,
-    OpaqueLabel,
-    betti_total,
-    class_G,
-    class_H,
-    class_invariants,
-    make_format,
-    parse_format,
-    parse_label,
-)
-from .presentation import (
-    ClassifierReport,
-    TorPresentation,
-    arranged_presentation,
-    arrangement_ids,
-    canonical_presentation,
-    classify,
-    compute_pqrs,
-    make_presentation,
-    presentation_from_document,
-    presentation_to_document,
-    validate_presentation,
-)
-from .permissible import (
-    AtlasGrid,
-    CellStatus,
-    PermissibilityVerdict,
-    RuleViolation,
-    Status,
-    atlas_grid,
-    boundary_classes,
-    is_permissible,
-    render_atlas_csv,
-    render_atlas_text,
-)
-from .linkrules import (
-    RULE_ORDER,
-    RULES,
-    LinkageRule,
-    RankProfile,
-    SUPPORTED_PROFILES,
-    Transition,
-    apply_rule,
-    betti_after_link,
-    link_option_format,
-    transition_from_document,
-    transition_to_document,
-)
-from .cone import (
-    LinkSpec,
-    LinkedPresentation,
-    SUPPORTED_SPECS,
-    ScenarioResult,
-    TheoremReport,
-    link_profile,
-    linked_to_document,
-    mapping_cone_presentation,
-    verify_linkage_theorems,
-)
-from .planner import (
-    Axiom,
-    BASE_FAMILIES,
-    BaseFamily,
-    CoverageEntry,
-    CoverageReport,
-    DerivationCertificate,
-    RealizationResult,
-    RealizeStatus,
-    certificate_from_document,
-    certificate_to_document,
-    family_assignment,
-    realize,
-    realize_all,
-    verify_certificate,
-)
+from .errors import *
+from .exact import *
+from .labels import *
+from .presentation import *
+from .permissible import *
+from .linkrules import *
+from .cone import *
+from .planner import *
+from . import cone, errors, exact, labels, linkrules, permissible, planner, presentation
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "Grade3Error",
-    "InvalidFormat",
-    "InvalidLabel",
-    "DimensionMismatch",
-    "UnknownArrangement",
-    "UnsupportedProfile",
-    "PreconditionViolated",
-    "UnsupportedSpec",
-    "Phi2Mismatch",
-    "OutOfDomain",
-    "DocumentError",
-    # exact linear algebra
-    "rational_rank",
-    "sparse_rank",
-    # labels and formats
-    "Format",
-    "make_format",
-    "parse_format",
-    "betti_total",
-    "ClassLabel",
-    "CLASS_B",
-    "CLASS_C3",
-    "CLASS_T",
-    "class_G",
-    "class_H",
-    "parse_label",
-    "ClassInvariants",
-    "class_invariants",
-    "OpaqueLabel",
-    "OPAQUE",
-    # presentations and classification
-    "TorPresentation",
-    "make_presentation",
-    "canonical_presentation",
-    "arranged_presentation",
-    "arrangement_ids",
-    "ClassifierReport",
-    "compute_pqrs",
-    "classify",
-    "validate_presentation",
-    "presentation_to_document",
-    "presentation_from_document",
-    # permissibility
-    "Status",
-    "RuleViolation",
-    "PermissibilityVerdict",
-    "is_permissible",
-    "boundary_classes",
-    "CellStatus",
-    "AtlasGrid",
-    "atlas_grid",
-    "render_atlas_text",
-    "render_atlas_csv",
-    # linkage rules
-    "RankProfile",
-    "SUPPORTED_PROFILES",
-    "link_option_format",
-    "betti_after_link",
-    "Transition",
-    "LinkageRule",
-    "RULES",
-    "RULE_ORDER",
-    "apply_rule",
-    "transition_to_document",
-    "transition_from_document",
-    # linkage engine
-    "LinkSpec",
-    "SUPPORTED_SPECS",
-    "link_profile",
-    "LinkedPresentation",
-    "mapping_cone_presentation",
-    "linked_to_document",
-    "ScenarioResult",
-    "TheoremReport",
-    "verify_linkage_theorems",
-    # planner
-    "BaseFamily",
-    "BASE_FAMILIES",
-    "Axiom",
-    "DerivationCertificate",
-    "RealizeStatus",
-    "RealizationResult",
-    "realize",
-    "verify_certificate",
-    "certificate_to_document",
-    "certificate_from_document",
-    "CoverageEntry",
-    "CoverageReport",
-    "realize_all",
-    "family_assignment",
+    *errors.__all__,
+    *exact.__all__,
+    *labels.__all__,
+    *presentation.__all__,
+    *permissible.__all__,
+    *linkrules.__all__,
+    *cone.__all__,
+    *planner.__all__,
 ]

@@ -32,6 +32,7 @@ from .permissible import (
     render_atlas_text,
 )
 from .planner import (
+    DEFAULT_MAX_SEARCH,
     RealizeStatus,
     certificate_from_document,
     certificate_to_document,
@@ -226,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-coordinate",
         type=int,
-        help="cap on intermediate format coordinates (default: GRADE3_MAX_SEARCH or 64)",
+        default=DEFAULT_MAX_SEARCH,
+        help=f"cap on intermediate format coordinates, at least 1 (default {DEFAULT_MAX_SEARCH})",
     )
     p.add_argument("-o", "--output", help="write certificate JSON to file instead of stdout")
     p.set_defaults(func=_cmd_realize)

@@ -52,6 +52,7 @@ from .linkrules import RULE_ORDER, RULES, LinkageRule, RankProfile
 from .presentation import (
     MAX_DOCUMENT_CELLS,
     TorPresentation,
+    _decimal,
     arranged_presentation,
     canonical_presentation,
     classify,
@@ -134,7 +135,7 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
         size += n * (n - 1) // 2 + n * (m + n - 1)
     if size > MAX_DOCUMENT_CELLS:
         raise OutOfDomain(
-            f"linking a table in format ({m},{n}) at t1 = {t1} would build {size} basis vectors "
+            f"linking a table in format ({m},{n}) at t1 = {t1} would build {_decimal(size)} basis vectors "
             f"and symbolic slots; the limit is {MAX_DOCUMENT_CELLS}"
         )
     if t1 > m:

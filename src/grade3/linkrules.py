@@ -48,6 +48,7 @@ from .labels import (
     parse_format,
     parse_label,
 )
+from .permissible import CITE_CVW20
 
 __all__ = [
     "RankProfile",
@@ -70,7 +71,6 @@ StateLabel = ClassLabel | OpaqueLabel
 State = tuple[StateLabel, Format]
 
 _VERIFIED = "verified from structure constants (grade3 verify-theorems)"
-_CITE_CVW20 = "Christensen-Veliche-Weyman 2020"
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ def _rules() -> dict[str, LinkageRule]:
             "H",
             lambda c: class_H(3, 2),
             _check_cvw31,
-            cite=f"{_CITE_CVW20}, Prop. 3.1",
+            cite=f"{CITE_CVW20}, Prop. 3.1",
         ),
         _rule(
             "ext-CVW33",
@@ -292,7 +292,7 @@ def _rules() -> dict[str, LinkageRule]:
             "H",
             lambda c: class_H(0, 1),
             _check_cvw33,
-            cite=f"{_CITE_CVW20}, Prop. 3.3",
+            cite=f"{CITE_CVW20}, Prop. 3.3",
             out_format=lambda f: make_format(5, f.m - 3),  # would need the unsupported row (3,1,0)
         ),
     ]

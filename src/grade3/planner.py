@@ -9,7 +9,7 @@ for the target.
 
 :func:`realize` searches for a shortest certificate breadth-first inside a
 bounded state space: formats are capped at ``max(target) + 6`` (further
-capped by the ``GRADE3_MAX_SEARCH`` environment variable, default 64), every
+capped by its ``max_coordinate`` argument, default 64), every
 intermediate state must not be NOT_PERMISSIBLE, and both the axiom seeding
 order and the rule expansion order are fixed, so the certificate returned
 for a target is identical across runs and call orders.
@@ -29,7 +29,6 @@ of its bound it is NOT_FOUND without a search.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -60,7 +59,17 @@ from .linkrules import (
     transition_from_document,
     transition_to_document,
 )
-from .permissible import PermissibilityVerdict, Status, boundary_classes, is_permissible
+from .permissible import (
+    CITE_AV12,
+    CITE_B84,
+    CITE_BE77,
+    CITE_CVW20,
+    CITE_W89,
+    PermissibilityVerdict,
+    Status,
+    boundary_classes,
+    is_permissible,
+)
 
 __all__ = [
     "BaseFamily",
@@ -79,18 +88,13 @@ __all__ = [
     "family_assignment",
     "FAMILY_ASSIGNMENT_IDS",
     "DEFAULT_MAX_SEARCH",
-    "SEARCH_ENV_VAR",
     "CERTIFICATE_VERSION",
 ]
 
 DEFAULT_MAX_SEARCH = 64
-SEARCH_ENV_VAR = "GRADE3_MAX_SEARCH"
 CERTIFICATE_VERSION = 1
 
-_CITE_GOR = "Buchsbaum-Eisenbud 1977; Avramov 2012"
-_CITE_HS = "Avramov 2012"
-_CITE_ACI = "Avramov 1981; Avramov 2012"
-_CITE_T2 = "Brown 1984"
+_CITE_ACI = f"Avramov 1981; {CITE_AV12}"
 _CITE_EXT = "Christensen-Veliche 2014; Vandebogert 2020"
 
 
@@ -134,14 +138,14 @@ BASE_FAMILIES: tuple[BaseFamily, ...] = (
     BaseFamily(
         "GOR",
         "Gorenstein ideals: class G(m) in format (m,1) for odd m >= 5",
-        _CITE_GOR,
+        f"{CITE_BE77}; {CITE_AV12}",
         lambda m: (class_G(m), make_format(m, 1)),
         5, 2, "m",
     ),
     BaseFamily(
         "HS",
         "hypersurface sections: class H(m-1,m-2) in format (m,m-2) for m >= 4",
-        _CITE_HS,
+        CITE_AV12,
         lambda m: (class_H(m - 1, m - 2), make_format(m, m - 2)),
         4, 1, "m",
     ),
@@ -169,14 +173,14 @@ BASE_FAMILIES: tuple[BaseFamily, ...] = (
     BaseFamily(
         "T2-d",
         "two-type ideals H(1,2) in formats (m,2) for even m >= 6",
-        _CITE_T2,
+        CITE_B84,
         lambda m: (class_H(1, 2), make_format(m, 2)),
         6, 2, "m",
     ),
     BaseFamily(
         "T2-e",
         "two-type ideals of class B in formats (m,2) for odd m >= 5",
-        _CITE_T2,
+        CITE_B84,
         lambda m: (CLASS_B, make_format(m, 2)),
         5, 2, "m",
     ),
@@ -341,19 +345,6 @@ def _search_for(bound: int) -> _Search:
     return search
 
 
-def _max_search() -> int:
-    raw = os.environ.get(SEARCH_ENV_VAR)
-    if raw is None:
-        return DEFAULT_MAX_SEARCH
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise OutOfDomain(f"{SEARCH_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise OutOfDomain(f"{SEARCH_ENV_VAR} must be >= 1, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class Axiom:
     """The starting instance of a certificate."""
@@ -393,12 +384,12 @@ def _not_found_detail(label: ClassLabel) -> str:
     if label.tag == "C3":
         return (
             "class C(3) is the complete intersection; it forms its own linkage class "
-            "and no rulebook row produces it (Weyman 1989; Avramov-Kustin-Miller 1988)"
+            f"and no rulebook row produces it ({CITE_W89})"
         )
     if label.tag == "G":
         return (
             "class G(r) outside Gorenstein formats (r,1) has no known construction "
-            "(Christensen-Veliche-Weyman 2020)"
+            f"({CITE_CVW20})"
         )
     return "no derivation reaches this target from the axiom registry within the search bound"
 
@@ -419,7 +410,7 @@ def _certificate_from(search: _Search, target: int) -> DerivationCertificate:
 
 
 def realize(
-    label: ClassLabel, fmt: Format, *, max_coordinate: int | None = None
+    label: ClassLabel, fmt: Format, *, max_coordinate: int = DEFAULT_MAX_SEARCH
 ) -> RealizationResult:
     """Find a shortest derivation certificate for ``(label, fmt)``.
 
@@ -427,8 +418,12 @@ def realize(
     excluded, a certificate when one exists within the bounded search space,
     and NOT_FOUND (with an explanatory citation) otherwise — e.g. for C(3),
     for class G outside Gorenstein formats, or for interior H cells whose
-    existence is open.
+    existence is open.  No searched format has a coordinate above
+    ``max_coordinate``, which must be at least 1 (:class:`OutOfDomain`
+    otherwise).
     """
+    if max_coordinate < 1:
+        raise OutOfDomain(f"max_coordinate must be >= 1, got {max_coordinate}")
     verdict = is_permissible(label, fmt)
     if verdict.status is Status.NOT_PERMISSIBLE:
         return RealizationResult(
@@ -436,12 +431,11 @@ def realize(
             verdict=verdict,
             detail="; ".join(v.detail for v in verdict.violations),
         )
-    cap = max_coordinate if max_coordinate is not None else _max_search()
-    bound = min(max(fmt.m, fmt.n) + 6, cap)
+    bound = min(max(fmt.m, fmt.n) + 6, max_coordinate)
     if fmt.m > bound or fmt.n > bound:
         return RealizationResult(
             RealizeStatus.NOT_FOUND,
-            detail=f"target format {fmt} exceeds the search cap {cap} ({SEARCH_ENV_VAR})",
+            detail=f"target format {fmt} exceeds the search cap {max_coordinate}",
         )
     state: State = (label, fmt)
     if label.tag not in _OUTPUT_TAGS and not _is_axiom(state, bound):

@@ -383,6 +383,14 @@ def classify(a: TorPresentation) -> ClassifierReport:
     return ClassifierReport(p=p, q=q, r=r, s1=s1, label=label, unclassifiable=label is None)
 
 
+def _decimal(size: int) -> str:
+    """A positive integer in decimal, or a lower bound if it has too many digits to print."""
+    try:
+        return str(size)
+    except ValueError:  # beyond the interpreter's limit on printed digits
+        return f"2**{size.bit_length() - 1} or more"
+
+
 def _coordinate_problems(where: str, coords: Mapping[int, int], bound: str, size: int) -> list[str]:
     for k, c in coords.items():  # one pass for the usual, valid product
         if not (isinstance(k, int) and isinstance(c, int) and 1 <= k <= size):
@@ -392,7 +400,7 @@ def _coordinate_problems(where: str, coords: Mapping[int, int], bound: str, size
     if not all(isinstance(k, int) and isinstance(c, int) for k, c in coords.items()):
         return [f"{where} has non-integer entries"]
     return [
-        f"{where} coordinate {k} out of range: need 1 <= k <= {bound} = {size}"
+        f"{where} coordinate {k} out of range: need 1 <= k <= {bound} = {_decimal(size)}"
         for k in sorted(coords)
         if not 1 <= k <= size
     ]
@@ -414,13 +422,13 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
     d2 = a.dim2
     for (i, j), coords in sorted(a.ee.items()):
         if not (1 <= i < j <= a.m):
-            diags.append(f"ee key ({i},{j}) out of range: need 1 <= i < j <= m = {a.m}")
+            diags.append(f"ee key ({i},{j}) out of range: need 1 <= i < j <= m = {_decimal(a.m)}")
         diags += _coordinate_problems(f"ee[({i},{j})]", coords, "m+n-1", d2)
     for (i, l), coords in sorted(a.ef.items()):
         if not (1 <= i <= a.m):
-            diags.append(f"ef key ({i},{l}) out of range: need 1 <= i <= m = {a.m}")
+            diags.append(f"ef key ({i},{l}) out of range: need 1 <= i <= m = {_decimal(a.m)}")
         if not (1 <= l <= d2):
-            diags.append(f"ef key ({i},{l}) out of range: need 1 <= l <= m+n-1 = {d2}")
+            diags.append(f"ef key ({i},{l}) out of range: need 1 <= l <= m+n-1 = {_decimal(d2)}")
         diags += _coordinate_problems(f"ef[({i},{l})]", coords, "n", a.n)
     return tuple(diags)
 
@@ -466,7 +474,7 @@ def presentation_from_document(doc: object) -> TorPresentation:
     cells = len(raw.ee) * raw.dim2 + len(raw.ef) * n
     if cells > MAX_DOCUMENT_CELLS:
         raise DocumentError(
-            f"table would hold {cells} coefficients as dense vectors; the limit is {MAX_DOCUMENT_CELLS}"
+            f"table would hold {_decimal(cells)} coefficients as dense vectors; the limit is {MAX_DOCUMENT_CELLS}"
         )
     return make_presentation(m, n, raw.ee, raw.ef)
 

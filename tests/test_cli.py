@@ -224,13 +224,26 @@ def test_realize_max_coordinate_flag(capsys):
     assert "search cap" in capsys.readouterr().out
 
 
-def test_realize_reads_search_env(monkeypatch, capsys):
-    monkeypatch.setenv("GRADE3_MAX_SEARCH", "8")
-    assert main(["realize", "T", "(10,8)"]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("GRADE3_MAX_SEARCH", "zero")
-    assert main(["realize", "T", "(10,8)"]) == 3
-    assert "GRADE3_MAX_SEARCH" in capsys.readouterr().err
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_realize_cap_below_one_exits_three(cap, capsys):
+    assert main(["realize", "T", "(4,3)", "--max-coordinate", cap]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max_coordinate must be >= 1, got {cap}\n"
+
+
+def test_realize_ignores_the_environment():
+    # The search cap comes from --max-coordinate only: a stray
+    # GRADE3_MAX_SEARCH in the environment must change nothing.
+    argv = [sys.executable, "-m", "grade3", "realize", "T", "(8,6)"]
+    src = os.path.dirname(os.path.dirname(grade3.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("GRADE3_MAX_SEARCH", None)
+    plain = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    capped = subprocess.run(argv, capture_output=True, env=dict(env, GRADE3_MAX_SEARCH="5"), timeout=60)
+    assert plain.returncode == 0
+    assert json.loads(plain.stdout)["target"] == {"class": "T", "format": "(8,6)"}
+    assert (capped.stdout, capped.returncode) == (plain.stdout, plain.returncode)
 
 
 # ----------------------------------------------------------------- theorems
@@ -301,6 +314,28 @@ def test_oversized_document_exits_three(tmp_path, capsys):
 
 # Integers beyond the interpreter's digit limit for int() (4300 by default).
 _HUGE = "1" + "0" * 5000
+
+
+def test_sizes_beyond_the_digit_limit_are_reported_not_crashed_on(tmp_path, capsys):
+    # m has 4300 digits, within the JSON reader's limit, but m+n-1 and the
+    # cell count have more, too many for str(); each diagnostic must still print.
+    big, nines = "1" + "0" * 4299, "9" * 4300
+    ee = ",".join(f"[1,{j},1,1]" for j in range(2, 12))
+    documents = {
+        "cells.json": f'{{"version":1,"m":{big},"n":1,"ee":[{ee}],"ef":[]}}',
+        "ef-key.json": f'{{"version":1,"m":{nines},"n":2,"ee":[],"ef":[[1,0,1,1]]}}',
+        "ee-coordinate.json": f'{{"version":1,"m":{nines},"n":2,"ee":[[1,2,0,1]],"ef":[]}}',
+    }
+    for name, text in documents.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert main(["classify", str(path)]) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "2**14284 or more" in err, name
+    path = tmp_path / "empty.json"
+    path.write_text(f'{{"version":1,"m":{nines},"n":1,"ee":[],"ef":[]}}', encoding="utf-8")
+    assert main(["link", str(path), "--t1", "1"]) == 3
+    assert "would build 2**14285 or more basis vectors" in capsys.readouterr().err
 
 
 def test_huge_format_on_the_command_line_exits_three(capsys):

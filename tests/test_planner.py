@@ -186,16 +186,13 @@ def test_realize_respects_max_coordinate_cap():
     assert "search cap" in result.detail
 
 
-def test_realize_reads_search_env(monkeypatch):
-    monkeypatch.setenv(planner.SEARCH_ENV_VAR, "8")
-    result = realize(CLASS_T, make_format(10, 8))
-    assert result.status is RealizeStatus.NOT_FOUND
-    monkeypatch.setenv(planner.SEARCH_ENV_VAR, "not-a-number")
-    with pytest.raises(OutOfDomain):
-        realize(CLASS_T, make_format(10, 8))
-    monkeypatch.setenv(planner.SEARCH_ENV_VAR, "0")
-    with pytest.raises(OutOfDomain):
-        realize(CLASS_T, make_format(10, 8))
+def test_realize_rejects_a_cap_below_one():
+    for cap in (0, -3):
+        with pytest.raises(OutOfDomain):
+            realize(CLASS_T, make_format(10, 8), max_coordinate=cap)
+        with pytest.raises(OutOfDomain):
+            realize(CLASS_T, make_format(4, 3), max_coordinate=cap)
+    assert realize(CLASS_T, make_format(4, 3), max_coordinate=1).status is RealizeStatus.NOT_FOUND
 
 
 def test_realize_is_deterministic_and_order_independent():
