@@ -42,7 +42,6 @@ and ``out_format``, the callables the planner searches with.
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -145,8 +144,8 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
 
     ne, nf, ng = n + 3, m + n + 2, m
 
-    acc_ee: dict[tuple[int, int], dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    acc_ef: dict[tuple[int, int], dict[int, int]] = defaultdict(lambda: defaultdict(int))
+    acc_ee: dict[tuple[int, int], dict[int, int]] = {}
+    acc_ef: dict[tuple[int, int], dict[int, int]] = {}
 
     e_split: set[int] = {ne} if phi2 else set()
     if t1 == 0:
@@ -166,7 +165,7 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
         ((n + 2, n + 3), m + n),
     ):
         if x not in e_split and y not in e_split and target not in f_split:
-            acc_ee[(x, y)][target] += 1
+            acc_ee[(x, y)] = {target: 1}
 
     # Products of a designated generator with a degree-1 vector:
     # E_{n+a} E_i = sum_k <e_a f_k, g_i*> F_k, stored at (i, n+a) with the
@@ -175,7 +174,8 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
     for (ei, fl), vec in a.ef.items():
         if ei <= t1 and fl >= b_lo:
             for gi, coeff in vec.items():
-                acc_ee[(gi, n + ei)][fl] -= coeff
+                row = acc_ee.setdefault((gi, n + ei), {})
+                row[fl] = row.get(fl, 0) - coeff
 
     # Products of a designated generator with a degree-2 vector:
     # E_{n+a} F_l = sum_{k > t1} <e_a e_k, f_l*> G_k.
@@ -184,14 +184,16 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
         if x <= t1 < y:
             for fl, coeff in vec.items():
                 if fl >= f_lo:
-                    acc_ef[(n + x, fl)][y] += coeff
+                    row = acc_ef.setdefault((n + x, fl), {})
+                    row[y] = row.get(y, 0) + coeff
 
     # Unit-product case only: E_i F_{m+n+2} = sum_{k > 2} <f_1 e_k, g_i*> G_k.
     if phi2:
         for (ek, fl), vec in a.ef.items():
             if fl == 1 and ek >= 3:
                 for gi, coeff in vec.items():
-                    acc_ef[(gi, m + n + 2)][ek] += coeff
+                    row = acc_ef.setdefault((gi, m + n + 2), {})
+                    row[ek] = row.get(ek, 0) + coeff
 
     symbolic: list[tuple[str, int, int]] = []
     if t1 == 3:

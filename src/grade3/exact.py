@@ -14,15 +14,28 @@ on the columns is ever needed.  :func:`sparse_rank` is the one elimination
 routine; :func:`rational_rank` only turns the nonzeros of dense rows into
 sparse rows and calls it.
 
-Exact division under any pivot order.  Each step takes a pivot from the
-shortest remaining row and replaces every other remaining row ``R`` by
-``(pivot * R - R[col] * top) / prev``, where ``top`` is the pivot row and
-``prev`` the previous pivot.  After k steps, entry ``(R, j)`` is the
-(k+1)-by-(k+1) minor of the original matrix on the k pivot rows plus ``R``
-and the k pivot columns plus ``j`` (Sylvester's identity), up to a sign that
-is the same for every entry.  A minor is an integer whichever rows and
-columns were chosen, so the division is exact for any pivot order, and the
-entries stay bounded by Hadamard's bound even on dense or hostile input.
+Peeling singleton rows.  Most rows the classifier builds have a single
+nonzero entry.  Such a row is a pivot whose column clears every other row,
+so before any elimination the routine counts the distinct columns of the
+single-entry rows, strips those columns from the other rows, and repeats
+while the stripping leaves new single-entry rows.  The peel only deletes
+entries and never combines rows, so it does no arithmetic.  It must run
+before the first division: what it leaves is a plain integer submatrix,
+whose rank is the rest of the answer, and Bareiss elimination on it starts
+afresh from ``prev = 1``.  Peeling a singleton later, between divisions,
+would have to rescale the rows it leaves to keep them minors of the same
+order, which is exactly the work the peel saves.
+
+Exact division under any pivot order.  On the rows the peel leaves, each
+step takes a pivot from the shortest remaining row and replaces every other
+remaining row ``R`` by ``(pivot * R - R[col] * top) / prev``, where ``top``
+is the pivot row and ``prev`` the previous pivot.  After k steps, entry
+``(R, j)`` is the (k+1)-by-(k+1) minor of the peeled matrix on the k pivot
+rows plus ``R`` and the k pivot columns plus ``j`` (Sylvester's identity),
+up to a sign that is the same for every entry.  A minor is an integer
+whichever rows and columns were chosen, so the division is exact for any
+pivot order, and the entries stay bounded by Hadamard's bound even on dense
+or hostile input.
 The pivot is used by its absolute value (the pivot row's sign folds into the
 update), which flips that common sign and keeps ``prev`` positive.
 
@@ -72,8 +85,36 @@ def sparse_rank(rows: Iterable[Mapping[object, int]]) -> int:
     occurs in no row is a zero column.  Explicit zero entries are ignored.
     The rows passed in are not modified.
     """
-    remaining = [entries for entries in ({c: v for c, v in row.items() if v} for row in rows) if entries]
-    rank = 0
+    # Peel: the columns of single-entry rows, then of the rows that stripping
+    # those columns leaves with a single entry, and so on.
+    fresh: set = set()
+    remaining = []
+    for row in rows:
+        if len(row) == 1:
+            for col, value in row.items():
+                if value:
+                    fresh.add(col)
+            continue
+        entries = {c: v for c, v in row.items() if v}
+        if len(entries) > 1:
+            remaining.append(entries)
+        else:
+            fresh.update(entries)
+    rank = len(fresh)
+    while fresh and remaining:
+        peeled, fresh, survivors = fresh, set(), []
+        for row in remaining:
+            if not peeled.isdisjoint(row):
+                for col in peeled.intersection(row):
+                    del row[col]
+                if len(row) < 2:
+                    fresh.update(row)
+                    continue
+            survivors.append(row)
+        remaining = survivors
+        rank += len(fresh)
+
+    # Bareiss on what is left, every row a copy with at least two entries.
     prev = 1
     while remaining:
         lengths = list(map(len, remaining))

@@ -25,6 +25,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Mapping
 
+from .errors import OutOfDomain
 from .labels import ClassLabel, Format, class_H
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "boundary_classes",
     "CellStatus",
     "AtlasGrid",
+    "MAX_ATLAS_CELLS",
     "atlas_grid",
     "render_atlas_text",
     "render_atlas_csv",
@@ -356,6 +358,10 @@ class CellStatus(str, Enum):
 
 _GLYPHS = {CellStatus.WHITE: "o", CellStatus.DOTTED: ".", CellStatus.BLACK: "#"}
 
+# The largest atlas grid drawn, (n+2)(m-1) cells: about a (100,100) format,
+# against 418 cells at (20,20), the largest chart in the examples.
+MAX_ATLAS_CELLS = 10_000
+
 
 @dataclass(frozen=True)
 class AtlasGrid:
@@ -375,8 +381,12 @@ def atlas_grid(fmt: Format) -> AtlasGrid:
 
     Dotted cells are NOT_PERMISSIBLE, black cells are the realizable boundary
     labels from :func:`boundary_classes`, white cells are everything else
-    (including the unknown interior and the permissible corners).
+    (including the unknown interior and the permissible corners).  A grid of
+    more than :data:`MAX_ATLAS_CELLS` cells raises :class:`OutOfDomain`
+    before any cell is built.
     """
+    if (fmt.n + 2) * (fmt.m - 1) > MAX_ATLAS_CELLS:
+        raise OutOfDomain(f"the atlas of this format has (n+2)(m-1) cells, more than the limit of {MAX_ATLAS_CELLS}")
     boundary = boundary_classes(fmt)
     cells: dict[tuple[int, int], CellStatus] = {}
     violations: dict[tuple[int, int], tuple[str, ...]] = {}

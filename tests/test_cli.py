@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -20,6 +21,7 @@ from grade3 import (
     presentation_to_document,
 )
 from grade3.cli import main
+from grade3.permissible import MAX_ATLAS_CELLS
 from grade3.presentation import MAX_DOCUMENT_CELLS
 
 
@@ -141,6 +143,30 @@ def test_atlas_csv_render(tmp_path):
     cells = {tuple(line.split(",")[:2]): line.split(",")[2] for line in lines[1:]}
     assert cells[("2", "0")] == "black"
     assert cells[("0", "3")] == "dotted"
+
+
+def test_huge_atlas_exits_three_before_building(capsys):
+    # 10**12 cells; the bound refuses it before a single verdict is taken.
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["atlas", "(1000000,1000000)", "--csv"])
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert elapsed < 1.0
+    assert peak < 1_000_000
+    assert f"limit of {MAX_ATLAS_CELLS}" in capsys.readouterr().err
+
+
+def test_largest_atlas_within_the_bound_is_drawn(capsys):
+    # (100,99) has (99+2)(100-1) = 9999 cells; one more column is over the bound.
+    assert (99 + 2) * (100 - 1) <= MAX_ATLAS_CELLS < (100 + 2) * (100 - 1)
+    assert main(["atlas", "(100,99)"]) == 0
+    assert capsys.readouterr().out.startswith("H(p,q) atlas for format (100,99)")
+    assert main(["atlas", "(100,100)"]) == 3
 
 
 # ---------------------------------------------------------------------- link

@@ -223,3 +223,41 @@ def test_rows_off_the_pivot_column_are_rescaled_exactly():
 @given(_matrix)
 def test_sparse_rank_matches_dense(rows):
     assert sparse_rank(_sparse(rows)) == _dense_bareiss_rank(rows)
+
+
+def _dense(rows: list[dict[int, int]]) -> list[list[int]]:
+    ncols = 1 + max((c for row in rows for c in row), default=-1)
+    return [[row.get(c, 0) for c in range(ncols)] for row in rows]
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        # A row holding only an explicit zero is no pivot.
+        ([{0: 0}, {0: 1, 1: 1}], 1),
+        ([{0: 0}, {1: 0, 2: 3}, {2: 6}], 1),
+        # Two singleton rows on one column count once.
+        ([{0: 1}, {0: -2}, {1: 5}], 2),
+        # Stripping column 0 leaves two singletons on column 1, and the row
+        # {1: 3, 2: 1} only becomes a singleton in the round after that.
+        ([{0: 1}, {0: 1, 1: 1}, {0: 2, 1: 2}, {1: 3, 2: 1}, {0: 4, 1: 6, 2: 2}], 3),
+        # A multi-entry row that shares a peeled column keeps its other
+        # entries, which still depend on each other.
+        ([{0: 7}, {0: 1, 1: 1, 2: 1}, {1: 2, 2: 2}], 2),
+        ([{0: 7}, {0: 1, 1: 1, 2: 1}, {1: 2, 2: 3}], 3),
+    ],
+)
+def test_singleton_peel_matches_both_oracles(rows, rank):
+    dense = _dense(rows)
+    assert _reference_rank(dense) == rank
+    assert _dense_bareiss_rank(dense) == rank
+    assert sparse_rank(rows) == rank
+
+
+def test_singleton_peel_leaves_its_input_alone():
+    # Singleton rows, a row with an explicit zero, and multi-entry rows that
+    # the peel strips down to singletons or to nothing.
+    rows = [{0: 1}, {0: 0}, {0: 2, 1: 3}, {0: 1, 1: 1, 2: 0}, {1: 4, 2: 5}, {0: -1, 2: 1}]
+    copies = [dict(row) for row in rows]
+    assert sparse_rank(rows) == _reference_rank(_dense(rows)) == 3
+    assert rows == copies
