@@ -9,12 +9,14 @@ one of three verdicts:
 * ``UNKNOWN_NECESSARY_ONLY`` — all known necessary conditions hold but no
   construction is known.
 
-Classes B, C(3), T, and G-in-Gorenstein-formats are fully decided.  For
-class H the obstruction list combines format bounds, corner identities, and
-parity windows; the cells that remain clean are provably realizable exactly
-on the two boundary strips ``p = n - 1`` and ``q = m - 4`` (plus corners and
-the ``m = 4`` / ``n = 2`` families), which is what :func:`boundary_classes`
-enumerates and the atlas renders.
+Every verdict comes from one table of obstructions keyed by class tag and
+one predicate per class that says whether a cell breaking no rule is
+realized.  Classes B, C(3), T, and G-in-Gorenstein-formats are fully
+decided.  For class H the obstructions combine format bounds, corner
+identities, and parity windows; the cells that remain clean are provably
+realizable exactly on the two boundary strips ``p = n - 1`` and
+``q = m - 4`` (plus corners and the ``m = 4`` / ``n = 2`` families), which is
+what :func:`boundary_classes` enumerates and the atlas renders.
 """
 
 from __future__ import annotations
@@ -75,18 +77,63 @@ _PERMISSIBLE = PermissibilityVerdict(Status.PERMISSIBLE)
 _UNKNOWN = PermissibilityVerdict(Status.UNKNOWN_NECESSARY_ONLY)
 
 
-def _not_permissible(*violations: RuleViolation) -> PermissibilityVerdict:
-    return PermissibilityVerdict(Status.NOT_PERMISSIBLE, violations)
+# --- the obstruction table ---------------------------------------------------
+
+# Every check reads the label's two parameter slots and the format,
+# ``(a, b, m, n)`` with ``a = r`` for G, ``(a, b) = (p, q)`` for H and both zero
+# otherwise, and returns the detail of a violation, or None when the rule holds.
+_Check = Callable[[int, int, int, int], str | None]
 
 
-# --- class H obstruction list -------------------------------------------------
+def _obstructions() -> dict[str, tuple[tuple[str, _Check, str], ...]]:
+    """Per class tag: (rule id, check, citation) in fixed order."""
 
-_HCheck = Callable[[int, int, int, int], str | None]
+    def b_m_min(a: int, b: int, m: int, n: int) -> str | None:
+        return f"class B needs m >= 5; m = {m}" if m < 5 else None
 
+    def b_gorenstein(a: int, b: int, m: int, n: int) -> str | None:
+        return "Gorenstein formats (n = 1) carry only classes C(3) and G(r)" if n < 2 else None
 
-def _h_rules() -> tuple[tuple[str, _HCheck, str], ...]:
-    """(rule id, check(p, q, m, n) -> detail | None, citation) in fixed order."""
+    def b_type_two_parity(a: int, b: int, m: int, n: int) -> str | None:
+        return f"formats (m,2) carry class B only for odd m; m = {m}" if n == 2 and m % 2 == 0 else None
 
+    def b_m5(a: int, b: int, m: int, n: int) -> str | None:
+        return f"class B at m = 5 occurs only for n = 2; n = {n}" if m == 5 and n >= 3 else None
+
+    def c3_format(a: int, b: int, m: int, n: int) -> str | None:
+        if (m, n) != (3, 1):
+            return f"class C(3) is the complete intersection and occurs only in format (3,1); format is ({m},{n})"
+        return None
+
+    def t_m_min(a: int, b: int, m: int, n: int) -> str | None:
+        return f"class T needs m >= 4; m = {m}" if m < 4 else None
+
+    def t_n_min(a: int, b: int, m: int, n: int) -> str | None:
+        return f"class T needs n >= 3; n = {n}" if n < 3 else None
+
+    def t_aci_parity(a: int, b: int, m: int, n: int) -> str | None:
+        if m == 4 and n >= 3 and n % 2 == 0:
+            return f"formats (4,n) carry class T only for odd n; n = {n}"
+        return None
+
+    def t_n3(a: int, b: int, m: int, n: int) -> str | None:
+        return f"class T at n = 3 occurs only for m = 4; m = {m}" if m >= 5 and n == 3 else None
+
+    # Outside Gorenstein formats (n = 1) no obstruction to G(r) is known.
+    def g_duality(r: int, b: int, m: int, n: int) -> str | None:
+        if n == 1 and m != r:
+            return f"Gorenstein formats force r = m by Poincare duality; r = {r}, m = {m}"
+        return None
+
+    def g_parity(r: int, b: int, m: int, n: int) -> str | None:
+        if n == 1 and r % 2 == 0:
+            return f"Gorenstein ideals of grade 3 have odd minimal generation; r = {r}"
+        return None
+
+    def g_min(r: int, b: int, m: int, n: int) -> str | None:
+        return f"format ({m},1) with m < 5 carries only class C(3); r = {r}" if n == 1 and r < 5 else None
+
+    # Class H: format bounds, corner identities, parity windows, families.
     def format_min(p: int, q: int, m: int, n: int) -> str | None:
         if m < 4 or n < 2:
             return f"class H needs m >= 4 and n >= 2; format is ({m},{n})"
@@ -169,159 +216,76 @@ def _h_rules() -> tuple[tuple[str, _HCheck, str], ...]:
             return None
         return f"formats (m,2) only carry H(3,2) at (4,2) and H(1,2) at even m >= 6; label is H({p},{q})"
 
-    return (
-        ("H-format-min", format_min, f"{CITE_AV12}; {CITE_CVW17}"),
-        ("H-n-equals-p", n_equals_p, f"{CITE_AV12}; {CITE_CVW20}"),
-        ("H-m-equals-q-plus-3", m_equals_q3, f"{CITE_AV12}; {CITE_CVW20}"),
-        ("H-p-exceeds-bound", p_bound, CITE_AV12),
-        ("H-q-exceeds-bound", q_bound, CITE_AV12),
-        ("H-m-below-p-or-q", m_lower, CITE_AV12),
-        ("H-n-below-p-or-q", n_lower, CITE_AV12),
-        ("H-row-p-minus-1-corner", row_p_minus_1, CITE_AV12),
-        ("H-col-q-plus-2-corner", col_q_plus_2, CITE_AV12),
-        ("H-q-equals-m-minus-2", q_m_minus_2, CITE_AV12),
-        ("H-row-p-plus-1-parity", row_p_plus_1_parity, CITE_CVW20),
-        ("H-col-q-plus-4-parity", col_q_plus_4_parity, CITE_CVW20),
-        ("H-boundary-p-window", boundary_p_window, f"{CITE_CVW20}; {CITE_AV12}"),
-        ("H-boundary-q-window", boundary_q_window, f"{CITE_CVW20}; {CITE_AV12}"),
-        ("H-aci-format-classes", aci_formats, CITE_AV12),
-        ("H-type-two-format-classes", type_two_formats, CITE_B84),
-    )
+    return {
+        "B": (
+            ("B-m-min", b_m_min, f"{CITE_AV12}; {CITE_B84}"),
+            ("B-gorenstein-excluded", b_gorenstein, f"{CITE_BE77}; {CITE_AV12}"),
+            ("B-type-two-parity", b_type_two_parity, CITE_B84),
+            ("B-m5-needs-n2", b_m5, CITE_CVW20),
+        ),
+        "C3": (("C3-format", c3_format, CITE_W89),),
+        "T": (
+            ("T-m-min", t_m_min, CITE_AV12),
+            ("T-n-min", t_n_min, CITE_B84),
+            ("T-aci-parity", t_aci_parity, CITE_AV12),
+            ("T-n3-needs-m4", t_n3, CITE_CVW20),
+        ),
+        "G": (
+            ("G-gorenstein-duality", g_duality, f"{CITE_BE77}; {CITE_AV12}"),
+            ("G-gorenstein-parity", g_parity, CITE_BE77),
+            ("G-gorenstein-min", g_min, CITE_AV12),
+        ),
+        "H": (
+            ("H-format-min", format_min, f"{CITE_AV12}; {CITE_CVW17}"),
+            ("H-n-equals-p", n_equals_p, f"{CITE_AV12}; {CITE_CVW20}"),
+            ("H-m-equals-q-plus-3", m_equals_q3, f"{CITE_AV12}; {CITE_CVW20}"),
+            ("H-p-exceeds-bound", p_bound, CITE_AV12),
+            ("H-q-exceeds-bound", q_bound, CITE_AV12),
+            ("H-m-below-p-or-q", m_lower, CITE_AV12),
+            ("H-n-below-p-or-q", n_lower, CITE_AV12),
+            ("H-row-p-minus-1-corner", row_p_minus_1, CITE_AV12),
+            ("H-col-q-plus-2-corner", col_q_plus_2, CITE_AV12),
+            ("H-q-equals-m-minus-2", q_m_minus_2, CITE_AV12),
+            ("H-row-p-plus-1-parity", row_p_plus_1_parity, CITE_CVW20),
+            ("H-col-q-plus-4-parity", col_q_plus_4_parity, CITE_CVW20),
+            ("H-boundary-p-window", boundary_p_window, f"{CITE_CVW20}; {CITE_AV12}"),
+            ("H-boundary-q-window", boundary_q_window, f"{CITE_CVW20}; {CITE_AV12}"),
+            ("H-aci-format-classes", aci_formats, CITE_AV12),
+            ("H-type-two-format-classes", type_two_formats, CITE_B84),
+        ),
+    }
 
 
-_H_RULES = _h_rules()
+_OBSTRUCTIONS = _obstructions()
 
-
-def _h_verdict(p: int, q: int, m: int, n: int) -> PermissibilityVerdict:
-    violations = []
-    for rule_id, check, cite in _H_RULES:
-        detail = check(p, q, m, n)
-        if detail is not None:
-            violations.append(RuleViolation(rule_id, detail, cite))
-    if violations:
-        return _not_permissible(*violations)
-    # Clean cells are realized on the two boundary strips, at the corner
-    # rows they force, and in the decided m = 4 / n = 2 families; everything
-    # else only satisfies necessary conditions.
-    if p == n - 1 or q == m - 4 or n == p - 1 or q == m - 2 or m == 4 or n == 2:
-        return _PERMISSIBLE
-    return _UNKNOWN
-
-
-def _t_verdict(m: int, n: int) -> PermissibilityVerdict:
-    violations = []
-    if m < 4:
-        violations.append(RuleViolation("T-m-min", f"class T needs m >= 4; m = {m}", CITE_AV12))
-    if n < 3:
-        violations.append(RuleViolation("T-n-min", f"class T needs n >= 3; n = {n}", CITE_B84))
-    if m == 4 and n >= 3 and n % 2 == 0:
-        violations.append(
-            RuleViolation(
-                "T-aci-parity", f"formats (4,n) carry class T only for odd n; n = {n}", CITE_AV12
-            )
-        )
-    if m >= 5 and n == 3:
-        violations.append(
-            RuleViolation(
-                "T-n3-needs-m4", f"class T at n = 3 occurs only for m = 4; m = {m}", CITE_CVW20
-            )
-        )
-    if violations:
-        return _not_permissible(*violations)
-    return _PERMISSIBLE
-
-
-def _b_verdict(m: int, n: int) -> PermissibilityVerdict:
-    violations = []
-    if m < 5:
-        violations.append(
-            RuleViolation("B-m-min", f"class B needs m >= 5; m = {m}", f"{CITE_AV12}; {CITE_B84}")
-        )
-    if n < 2:
-        violations.append(
-            RuleViolation(
-                "B-gorenstein-excluded",
-                "Gorenstein formats (n = 1) carry only classes C(3) and G(r)",
-                f"{CITE_BE77}; {CITE_AV12}",
-            )
-        )
-    if n == 2 and m % 2 == 0:
-        violations.append(
-            RuleViolation(
-                "B-type-two-parity", f"formats (m,2) carry class B only for odd m; m = {m}", CITE_B84
-            )
-        )
-    if m == 5 and n >= 3:
-        violations.append(
-            RuleViolation(
-                "B-m5-needs-n2", f"class B at m = 5 occurs only for n = 2; n = {n}", CITE_CVW20
-            )
-        )
-    if violations:
-        return _not_permissible(*violations)
-    return _PERMISSIBLE
-
-
-def _c3_verdict(m: int, n: int) -> PermissibilityVerdict:
-    if (m, n) == (3, 1):
-        return _PERMISSIBLE
-    return _not_permissible(
-        RuleViolation(
-            "C3-format",
-            f"class C(3) is the complete intersection and occurs only in format (3,1); format is ({m},{n})",
-            CITE_W89,
-        )
-    )
-
-
-def _g_verdict(r: int, m: int, n: int) -> PermissibilityVerdict:
-    if n == 1:
-        violations = []
-        if m != r:
-            violations.append(
-                RuleViolation(
-                    "G-gorenstein-duality",
-                    f"Gorenstein formats force r = m by Poincare duality; r = {r}, m = {m}",
-                    f"{CITE_BE77}; {CITE_AV12}",
-                )
-            )
-        if r % 2 == 0:
-            violations.append(
-                RuleViolation(
-                    "G-gorenstein-parity",
-                    f"Gorenstein ideals of grade 3 have odd minimal generation; r = {r}",
-                    CITE_BE77,
-                )
-            )
-        if r < 5:
-            violations.append(
-                RuleViolation(
-                    "G-gorenstein-min",
-                    f"format ({m},1) with m < 5 carries only class C(3); r = {r}",
-                    CITE_AV12,
-                )
-            )
-        if violations:
-            return _not_permissible(*violations)
-        return _PERMISSIBLE
-    # Outside Gorenstein formats no construction and no obstruction is known.
-    return _UNKNOWN
+# Whether a cell that breaks no rule is realized (PERMISSIBLE) rather than only
+# consistent with the known necessary conditions (UNKNOWN_NECESSARY_ONLY).
+# Clean H cells are realized on the two boundary strips, at the corner rows
+# they force, and in the decided m = 4 / n = 2 families; G(r) only in
+# Gorenstein formats.
+_REALIZED_WHEN_CLEAN: dict[str, Callable[[int, int, int, int], bool]] = {
+    "B": lambda a, b, m, n: True,
+    "C3": lambda a, b, m, n: True,
+    "T": lambda a, b, m, n: True,
+    "G": lambda r, b, m, n: n == 1,
+    "H": lambda p, q, m, n: p == n - 1 or q == m - 4 or n == p - 1 or q == m - 2 or m == 4 or n == 2,
+}
 
 
 @lru_cache(maxsize=None)
 def _verdict_cached(label: ClassLabel, fmt: Format) -> PermissibilityVerdict:
-    m, n = fmt.m, fmt.n
-    if label.tag == "H":
-        return _h_verdict(label.p, label.q, m, n)
-    if label.tag == "T":
-        return _t_verdict(m, n)
-    if label.tag == "B":
-        return _b_verdict(m, n)
-    if label.tag == "C3":
-        return _c3_verdict(m, n)
-    if label.tag == "G":
-        return _g_verdict(label.r, m, n)
-    raise ValueError(f"unknown class tag {label.tag!r}")
+    rules = _OBSTRUCTIONS.get(label.tag)
+    if rules is None:
+        raise ValueError(f"unknown class tag {label.tag!r}")
+    a, b, m, n = label.a, label.b, fmt.m, fmt.n
+    violations = []
+    for rule_id, check, cite in rules:
+        detail = check(a, b, m, n)
+        if detail is not None:
+            violations.append(RuleViolation(rule_id, detail, cite))
+    if violations:
+        return PermissibilityVerdict(Status.NOT_PERMISSIBLE, tuple(violations))
+    return _PERMISSIBLE if _REALIZED_WHEN_CLEAN[label.tag](a, b, m, n) else _UNKNOWN
 
 
 def is_permissible(label: ClassLabel, fmt: Format) -> PermissibilityVerdict:
@@ -332,22 +296,15 @@ def is_permissible(label: ClassLabel, fmt: Format) -> PermissibilityVerdict:
 def boundary_classes(fmt: Format) -> frozenset[ClassLabel]:
     """All permissible H labels on the boundary strips of ``fmt``.
 
-    These are the labels with ``p = n - 1`` (and ``q <= m - 4`` of matching
-    parity) or ``q = m - 4`` (and ``p <= n - 1`` of matching parity) whose
-    verdict is PERMISSIBLE.
+    These are the labels with ``p = n - 1`` and ``q <= m - 4``, or with
+    ``q = m - 4`` and ``p <= n - 1``, whose verdict is PERMISSIBLE; the
+    boundary window rules keep only the cells of matching parity.
     """
     m, n = fmt.m, fmt.n
-    candidates: set[ClassLabel] = set()
-    if n >= 1 and m >= 4:
-        start = (m - 4) % 2
-        for q in range(start, m - 3, 2):
-            candidates.add(class_H(n - 1, q))
-        start = (n - 1) % 2
-        for p in range(start, n, 2):
-            candidates.add(class_H(p, m - 4))
-    return frozenset(
-        c for c in candidates if is_permissible(c, fmt).status is Status.PERMISSIBLE
-    )
+    if m < 4:
+        return frozenset()
+    candidates = {class_H(n - 1, q) for q in range(m - 3)} | {class_H(p, m - 4) for p in range(n)}
+    return frozenset(c for c in candidates if is_permissible(c, fmt).status is Status.PERMISSIBLE)
 
 
 class CellStatus(str, Enum):

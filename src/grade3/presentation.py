@@ -219,10 +219,6 @@ def _arr_T_B(label: ClassLabel, fmt: Format) -> TorPresentation:
     return TorPresentation(fmt.m, fmt.n, {(2, 3): {1: 1}, (2, 4): {2: 1}, (3, 4): {3: 1}}, {})
 
 
-def _arr_G_std(label: ClassLabel, fmt: Format) -> TorPresentation:
-    return canonical_presentation(label, fmt)
-
-
 def _h_bounds(label: ClassLabel, fmt: Format, m_min: int) -> None:
     p, q = label.p, label.q
     _require(fmt.m >= m_min, label, fmt, f"m >= {m_min}")
@@ -248,37 +244,34 @@ def _arr_H_shift(shift: int):
     return build
 
 
-def _arr_H_i(label: ClassLabel, fmt: Format) -> TorPresentation:
-    p, q = label.p, label.q
-    _require(p >= 1, label, fmt, "p >= 1")
-    _h_bounds(label, fmt, m_min=max(2, p + 1))
-    # e_2 e_1 = f_1, hence the stored (1,2) entry carries the minus sign.
-    ee = {(1, 2): {1: -1}}
-    for i in range(2, p + 1):
-        ee[(2, i + 1)] = {i: 1}
-    ef = {(2, p + i): {i: 1} for i in range(1, q + 1)}
-    return TorPresentation(fmt.m, fmt.n, ee, ef)
+def _arr_H_pivot(u: int):
+    """H arrangement with all products on e_u.
 
+    Products are ``e_u e_1 = f_1`` (stored as ``(1,u) -> -f_1``),
+    ``e_u e_{i+u-1} = f_i`` for ``2 <= i <= p`` and ``e_u f_{p+i} = g_i`` for
+    ``i <= q``.
+    """
 
-def _arr_H_iii(label: ClassLabel, fmt: Format) -> TorPresentation:
-    p, q = label.p, label.q
-    _require(p >= 1, label, fmt, "p >= 1")
-    _h_bounds(label, fmt, m_min=max(3, p + 2))
-    # e_3 e_1 = f_1, hence the stored (1,3) entry carries the minus sign.
-    ee = {(1, 3): {1: -1}}
-    for i in range(2, p + 1):
-        ee[(3, i + 2)] = {i: 1}
-    ef = {(3, p + i): {i: 1} for i in range(1, q + 1)}
-    return TorPresentation(fmt.m, fmt.n, ee, ef)
+    def build(label: ClassLabel, fmt: Format) -> TorPresentation:
+        p, q = label.p, label.q
+        _require(p >= 1, label, fmt, "p >= 1")
+        _h_bounds(label, fmt, m_min=max(u, p + u - 1))
+        ee = {(1, u): {1: -1}}
+        for i in range(2, p + 1):
+            ee[(u, i + u - 1)] = {i: 1}
+        ef = {(u, p + i): {i: 1} for i in range(1, q + 1)}
+        return TorPresentation(fmt.m, fmt.n, ee, ef)
+
+    return build
 
 
 _ARRANGEMENTS = {
     "T-A": ("T", _arr_T_A),
     "T-B": ("T", _arr_T_B),
-    "G-std": ("G", _arr_G_std),
-    "H-i": ("H", _arr_H_i),
+    "G-std": ("G", canonical_presentation),
+    "H-i": ("H", _arr_H_pivot(2)),
     "H-ii": ("H", _arr_H_shift(1)),
-    "H-iii": ("H", _arr_H_iii),
+    "H-iii": ("H", _arr_H_pivot(3)),
     "H-iv": ("H", _arr_H_shift(2)),
     "H-v": ("H", _arr_H_shift(3)),
 }
@@ -433,14 +426,26 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
     return tuple(diags)
 
 
+def _require_document_size(a: TorPresentation) -> None:
+    """Refuse a table of more than :data:`MAX_DOCUMENT_CELLS` cells (products times basis length)."""
+    cells = len(a.ee) * a.dim2 + len(a.ef) * a.n
+    if cells > MAX_DOCUMENT_CELLS:
+        raise DocumentError(
+            f"table would hold {_decimal(cells)} coefficients as dense vectors; the limit is {MAX_DOCUMENT_CELLS}"
+        )
+
+
 def presentation_to_document(a: TorPresentation) -> dict:
     """Serialize to the versioned JSON document form.
 
     Entries are emitted as sorted quadruples ``[i, j, l, coeff]`` (product
     ``e_i e_j``, f-coordinate ``l``) and ``[i, l, t, coeff]`` (product
     ``e_i f_l``, g-coordinate ``t``), one per nonzero coefficient, so equal
-    presentations serialize identically and round-trips are bit-exact.
+    presentations serialize identically and round-trips are bit-exact.  A
+    table that :func:`presentation_from_document` would refuse for its size
+    raises :class:`DocumentError` instead.
     """
+    _require_document_size(a)
     return {
         "version": PRESENTATION_VERSION,
         "m": a.m,
@@ -471,11 +476,7 @@ def presentation_from_document(doc: object) -> TorPresentation:
     diags = validate_presentation(raw)
     if diags:
         raise DocumentError(diags[0])
-    cells = len(raw.ee) * raw.dim2 + len(raw.ef) * n
-    if cells > MAX_DOCUMENT_CELLS:
-        raise DocumentError(
-            f"table would hold {_decimal(cells)} coefficients as dense vectors; the limit is {MAX_DOCUMENT_CELLS}"
-        )
+    _require_document_size(raw)
     return make_presentation(m, n, raw.ee, raw.ef)
 
 
