@@ -52,14 +52,14 @@ __all__ = ["main", "run"]
 
 
 def _read_json(path: str) -> object:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
     try:
-        return json.loads(text)
-    except ValueError as exc:  # malformed JSON, or an integer with too many digits
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.loads(handle.read())
+    # ValueError: a non-UTF-8 byte, malformed JSON, or an integer with too
+    # many digits; RecursionError: arrays or objects nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
 
 

@@ -47,7 +47,7 @@ from typing import Iterator, Mapping
 
 from .errors import DimensionMismatch, OutOfDomain, Phi2Mismatch, UnsupportedSpec
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
-from .linkrules import RULE_ORDER, RULES, LinkageRule, RankProfile
+from .linkrules import RULE_ORDER, RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile
 from .presentation import (
     MAX_DOCUMENT_CELLS,
     TorPresentation,
@@ -82,13 +82,8 @@ class LinkSpec:
     phi2_unit: bool = False
 
 
-SUPPORTED_SPECS = (
-    LinkSpec(0),
-    LinkSpec(1),
-    LinkSpec(2),
-    LinkSpec(2, phi2_unit=True),
-    LinkSpec(3),
-)
+# One spec per row of the profile table; t2 = 1 is the unit-product case.
+SUPPORTED_SPECS = tuple(LinkSpec(profile.t1, profile.t2 == 1) for profile in SUPPORTED_PROFILES)
 
 
 def link_profile(spec: LinkSpec) -> RankProfile:
@@ -142,21 +137,29 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
     if phi2 and a.ee.get((1, 2)) != {1: 1}:
         raise Phi2Mismatch("unit-product case needs e_1 e_2 = f_1 exactly")
 
-    ne, nf, ng = n + 3, m + n + 2, m
-
-    acc_ee: dict[tuple[int, int], dict[int, int]] = {}
-    acc_ef: dict[tuple[int, int], dict[int, int]] = {}
-
-    e_split: set[int] = {ne} if phi2 else set()
-    if t1 == 0:
-        f_split: set[int] = set()
-    elif t1 == 1:
-        f_split = {m + n}
-    elif t1 == 2:
-        f_split = {m + n, m + n + 1} | ({1} if phi2 else set())
-    else:
-        f_split = {m + n, m + n + 1, m + n + 2}
+    e_split: set[int] = {n + 3} if phi2 else set()
+    f_split = {m + n + k for k in range(t1)} | ({1} if phi2 else set())
     g_split = set(range(1, t1 + 1))
+    e_keep = [i for i in range(1, n + 4) if i not in e_split]
+    f_keep = [i for i in range(1, m + n + 3) if i not in f_split]
+    g_keep = [i for i in range(1, m + 1) if i not in g_split]
+    e_map = {raw: new for new, raw in enumerate(e_keep, start=1)}
+    f_map = {raw: new for new, raw in enumerate(f_keep, start=1)}
+    g_map = {raw: new for new, raw in enumerate(g_keep, start=1)}
+    m_out, n_out = len(e_keep), len(g_keep)
+    if len(f_keep) != m_out + n_out - 1:
+        raise AssertionError("split bookkeeping lost the middle-rank identity")
+
+    # Every term is written once, straight to its output index.  No two terms
+    # land on the same coefficient, so nothing accumulates or cancels: an E.E
+    # key (g_i, n+a) has g_i <= n while both Koszul indices exceed n, an E.F
+    # key (n+x, l) starts above n while a unit-case key (g_i, m+n+2) does not,
+    # and within each family every (key, coordinate) comes from a distinct
+    # input coefficient.  A term landing on a split vector has no entry in
+    # the maps, so its lookup raises KeyError.  Zero coefficients (a
+    # hand-built table may hold them) are skipped, so none is stored.
+    out_ee: dict[tuple[int, int], dict[int, int]] = {}
+    out_ef: dict[tuple[int, int], dict[int, int]] = {}
 
     # Koszul products among the designated generators, minus split targets.
     for (x, y), target in (
@@ -164,36 +167,34 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
         ((n + 1, n + 3), m + n + 1),
         ((n + 2, n + 3), m + n),
     ):
-        if x not in e_split and y not in e_split and target not in f_split:
-            acc_ee[(x, y)] = {target: 1}
+        if x in e_map and y in e_map and target in f_map:
+            out_ee[(e_map[x], e_map[y])] = {f_map[target]: 1}
 
     # Products of a designated generator with a degree-1 vector:
     # E_{n+a} E_i = sum_k <e_a f_k, g_i*> F_k, stored at (i, n+a) with the
     # graded-commutativity sign.
-    b_lo = 2 if phi2 else 1
+    lo = 2 if phi2 else 1
     for (ei, fl), vec in a.ef.items():
-        if ei <= t1 and fl >= b_lo:
+        if ei <= t1 and fl >= lo:
             for gi, coeff in vec.items():
-                row = acc_ee.setdefault((gi, n + ei), {})
-                row[fl] = row.get(fl, 0) - coeff
+                if coeff:
+                    out_ee.setdefault((e_map[gi], e_map[n + ei]), {})[f_map[fl]] = -coeff
 
     # Products of a designated generator with a degree-2 vector:
     # E_{n+a} F_l = sum_{k > t1} <e_a e_k, f_l*> G_k.
-    f_lo = 2 if phi2 else 1
     for (x, y), vec in a.ee.items():
         if x <= t1 < y:
             for fl, coeff in vec.items():
-                if fl >= f_lo:
-                    row = acc_ef.setdefault((n + x, fl), {})
-                    row[y] = row.get(y, 0) + coeff
+                if coeff and fl >= lo:
+                    out_ef.setdefault((e_map[n + x], f_map[fl]), {})[g_map[y]] = coeff
 
     # Unit-product case only: E_i F_{m+n+2} = sum_{k > 2} <f_1 e_k, g_i*> G_k.
     if phi2:
         for (ek, fl), vec in a.ef.items():
             if fl == 1 and ek >= 3:
                 for gi, coeff in vec.items():
-                    row = acc_ef.setdefault((gi, m + n + 2), {})
-                    row[ek] = row.get(ek, 0) + coeff
+                    if coeff:
+                        out_ef.setdefault((e_map[gi], f_map[m + n + 2]), {})[g_map[ek]] = coeff
 
     symbolic: list[tuple[str, int, int]] = []
     if t1 == 3:
@@ -203,43 +204,6 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
         for i in range(1, n + 1):
             for l in range(1, m + n):
                 symbolic.append(("EF", i, l))
-
-    e_keep = [i for i in range(1, ne + 1) if i not in e_split]
-    f_keep = [i for i in range(1, nf + 1) if i not in f_split]
-    g_keep = [i for i in range(1, ng + 1) if i not in g_split]
-    e_map = {raw: new for new, raw in enumerate(e_keep, start=1)}
-    f_map = {raw: new for new, raw in enumerate(f_keep, start=1)}
-    g_map = {raw: new for new, raw in enumerate(g_keep, start=1)}
-
-    m_out, n_out = len(e_keep), len(g_keep)
-    if len(f_keep) != m_out + n_out - 1:
-        raise AssertionError("split bookkeeping lost the middle-rank identity")
-
-    out_ee: dict[tuple[int, int], dict[int, int]] = {}
-    for (i, j), coeffs in acc_ee.items():
-        if i in e_split or j in e_split:
-            raise AssertionError("determinate product touches a split degree-1 vector")
-        coords = {}
-        for k, coeff in coeffs.items():
-            if coeff:
-                if k in f_split:
-                    raise AssertionError("determinate product targets a split degree-2 vector")
-                coords[f_map[k]] = coeff
-        if coords:
-            out_ee[(e_map[i], e_map[j])] = coords
-
-    out_ef: dict[tuple[int, int], dict[int, int]] = {}
-    for (i, l), coeffs in acc_ef.items():
-        if i in e_split or l in f_split:
-            raise AssertionError("determinate product touches a split vector")
-        coords = {}
-        for k, coeff in coeffs.items():
-            if coeff:
-                if k in g_split:
-                    raise AssertionError("determinate product targets a split degree-3 vector")
-                coords[g_map[k]] = coeff
-        if coords:
-            out_ef[(e_map[i], f_map[l])] = coords
 
     splits = tuple(
         [f"G{i}" for i in sorted(g_split)]

@@ -90,14 +90,8 @@ class RankProfile:
         return (self.t1, self.t2, self.t3)
 
 
-SUPPORTED_PROFILES = (
-    RankProfile(0, 0, 0),
-    RankProfile(1, 0, 0),
-    RankProfile(2, 0, 0),
-    RankProfile(2, 1, 0),
-    RankProfile(3, 0, 0),
-)
-
+# The only statement of the supported rows (t1, t2, t3): SUPPORTED_PROFILES,
+# each rule's profile and out_format, and the cone's specs all come from here.
 _FORMAT_MAPS: dict[tuple[int, int, int], Callable[[Format], Format]] = {
     (0, 0, 0): lambda f: make_format(f.n + 3, f.m),
     (1, 0, 0): lambda f: make_format(f.n + 3, f.m - 1),
@@ -105,6 +99,8 @@ _FORMAT_MAPS: dict[tuple[int, int, int], Callable[[Format], Format]] = {
     (2, 1, 0): lambda f: make_format(f.n + 2, f.m - 2),
     (3, 0, 0): lambda f: make_format(f.n + 3, f.m - 3),
 }
+
+SUPPORTED_PROFILES = tuple(RankProfile(*row) for row in _FORMAT_MAPS)
 
 
 def link_option_format(fmt: Format, profile: RankProfile) -> Format:
@@ -197,9 +193,6 @@ def _tag_check(in_tags: frozenset[str], extra: Callable[[ClassLabel, Format], st
     return check
 
 
-_PROFILES = {profile.as_tuple(): profile for profile in SUPPORTED_PROFILES}
-
-
 def _rule(
     rule_id: str,
     row: tuple[int, int, int] | None,
@@ -215,10 +208,11 @@ def _rule(
     """Build a rule whose ``check`` comes from its input tags and whose
     profile and ``out_format`` come from its ``row`` of the profile table."""
     tags = frozenset({in_tags}) if isinstance(in_tags, str) else in_tags
+    profile = None
     if row is not None:
-        out_format = _FORMAT_MAPS[row]
+        profile, out_format = RankProfile(*row), _FORMAT_MAPS[row]
     return LinkageRule(
-        rule_id, cite, _PROFILES.get(row), tags, out_tag, _tag_check(tags, extra), out_class, out_format, witness
+        rule_id, cite, profile, tags, out_tag, _tag_check(tags, extra), out_class, out_format, witness
     )
 
 

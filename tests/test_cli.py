@@ -311,6 +311,32 @@ def test_invalid_json_exits_three(tmp_path, capsys):
     assert "error: invalid JSON" in capsys.readouterr().err
 
 
+# A non-UTF-8 byte, and arrays and objects nested deeper than the decoder recurses.
+_MALFORMED_BYTES = {
+    "non-utf8": b'{"version": 1, "m": 4\xff}',
+    "deep-array": b"[" * 100_000 + b"]" * 100_000,
+    "deep-object": b'{"a":' * 100_000 + b"1" + b"}" * 100_000,
+}
+_FILE_COMMANDS = (["classify"], ["link", "--t1", "1"], ["verify-cert"])
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_BYTES))
+@pytest.mark.parametrize("command", _FILE_COMMANDS, ids=lambda c: c[0])
+def test_malformed_bytes_exit_three(name, command, tmp_path, monkeypatch, capsys):
+    data = _MALFORMED_BYTES[name]
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    assert main([*command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict"))
+    assert main([*command, "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 def test_missing_file_exits_three(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "absent.json")]) == 3
     assert capsys.readouterr().err.startswith("error:")

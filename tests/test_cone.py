@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -14,7 +15,10 @@ from grade3 import (
     LinkSpec,
     OutOfDomain,
     Phi2Mismatch,
+    RankProfile,
+    SUPPORTED_PROFILES,
     SUPPORTED_SPECS,
+    TorPresentation,
     UnsupportedSpec,
     arranged_presentation,
     canonical_presentation,
@@ -25,6 +29,7 @@ from grade3 import (
     link_profile,
     linked_to_document,
     make_format,
+    make_presentation,
     mapping_cone_presentation,
     presentation_to_document,
     validate_presentation,
@@ -148,6 +153,20 @@ def test_symbolic_slots_only_for_t1_three():
     table = arranged_presentation(CLASS_T, make_format(5, 3), "T-A")
     for spec in (LinkSpec(0), LinkSpec(1), LinkSpec(2)):
         assert mapping_cone_presentation(table, spec).symbolic_products == ()
+
+
+def test_supported_rows_are_pinned():
+    # The five rows of the profile table, the specs derived from them, and
+    # link_profile mapping the specs back onto the rows, in order.
+    assert SUPPORTED_PROFILES == (
+        RankProfile(0, 0, 0),
+        RankProfile(1, 0, 0),
+        RankProfile(2, 0, 0),
+        RankProfile(2, 1, 0),
+        RankProfile(3, 0, 0),
+    )
+    assert SUPPORTED_SPECS == (LinkSpec(0), LinkSpec(1), LinkSpec(2), LinkSpec(2, True), LinkSpec(3))
+    assert tuple(map(link_profile, SUPPORTED_SPECS)) == SUPPORTED_PROFILES
 
 
 # ------------------------------------------------------------------- guards
@@ -295,3 +314,81 @@ def test_theorem_sweep_tables_and_links_are_pinned():
             count += 1
     assert count == 11060
     assert digest.hexdigest() == "e91a37abf21c6bfb691bf63f4be0e43909bf9bd5c267413a769f3a14c6c609fe"
+
+
+_COEFFS = (-3, -1, 1, 2, 5)
+
+
+def _random_coords(rng, size):
+    picked = rng.sample(range(1, size + 1), rng.randint(1, min(3, size)))
+    return {k: rng.choice(_COEFFS) for k in picked}
+
+
+def _random_table(rng):
+    """A valid table with m <= 8, n <= 6, multi-coordinate products and
+    non-unit coefficients; about a third force e_1 e_2 = f_1."""
+    m, n = rng.randint(1, 8), rng.randint(1, 6)
+    d2 = m + n - 1
+    ee = {
+        (i, j): _random_coords(rng, d2)
+        for i in range(1, m + 1)
+        for j in range(i + 1, m + 1)
+        if rng.random() < 0.4
+    }
+    ef = {(i, l): _random_coords(rng, n) for i in range(1, m + 1) for l in range(1, d2 + 1) if rng.random() < 0.3}
+    if m >= 2 and rng.random() < 0.35:
+        ee[(1, 2)] = {1: 1}
+    return make_presentation(m, n, ee, ef)
+
+
+def _with_explicit_zeros(rng, table):
+    """The same table built directly, with an explicit zero on a drawn
+    coordinate of every stored product (e_1 e_2 aside, so the unit case
+    still applies) and a few all-zero products."""
+    m, n, d2 = table.m, table.n, table.dim2
+    ee = {key: dict(coords) for key, coords in table.ee.items()}
+    ef = {key: dict(coords) for key, coords in table.ef.items()}
+    for key, coords in ee.items():
+        if key != (1, 2):
+            coords.setdefault(rng.randint(1, d2), 0)
+    for coords in ef.values():
+        coords.setdefault(rng.randint(1, n), 0)
+    for _ in range(3):
+        if m >= 2:
+            i = rng.randint(1, m - 1)
+            ee.setdefault((i, rng.randint(i + 1, m)), {rng.randint(1, d2): 0})
+        ef.setdefault((rng.randint(1, m), rng.randint(1, d2)), {rng.randint(1, n): 0})
+    return TorPresentation(m, n, ee, ef)
+
+
+def test_random_tables_and_links_are_pinned():
+    # Seeded random valid tables that are not witnesses (multi-coordinate
+    # products, coefficients other than +-1), every supported spec on each,
+    # pinned by the linked document or the exception raised.  Every tenth
+    # table is also linked as a directly built copy holding explicit zero
+    # coefficients; no output may store a zero or an empty product.
+    rng = random.Random(20240611)
+    digest = hashlib.sha256()
+    zero_copies = 0
+    for index in range(2000):
+        table = _random_table(rng)
+        assert validate_presentation(table) == ()
+        tables = [table]
+        if index % 10 == 0:
+            tables.append(_with_explicit_zeros(rng, table))
+            zero_copies += 1
+        for variant in tables:
+            for spec in SUPPORTED_SPECS:
+                try:
+                    lp = mapping_cone_presentation(variant, spec)
+                except Exception as exc:  # pinned as type and text
+                    outcome = [type(exc).__name__, str(exc)]
+                else:
+                    out = lp.presentation
+                    for coords in (*out.ee.values(), *out.ef.values()):
+                        assert coords and all(coords.values())
+                    outcome = linked_to_document(lp)
+                row = [index, presentation_to_document(variant), spec.t1, spec.phi2_unit, outcome]
+                digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
+    assert zero_copies == 200
+    assert digest.hexdigest() == "b790368b3ba4edab62de223a8aeda3cd435726f66ef09b1657e7d8eb7a0960cb"
