@@ -9,7 +9,9 @@ level of multiplication tables this is fully mechanical:
 3. read off the new products (Koszul relations + comparison coefficients).
 
 The split rank t1 (how many designated degree-1 generators survive in the
-ideal) drives the format change: (m, n) -> (n+3, m-t1).
+ideal) and the rank t2 of the products among those generators drive the
+format change: (m, n) -> (n+3-t2, m-t1).  Here t2 is 0, or 1 in the
+unit-pivot case e1*e2 = f1.
 
 Run:  python3 demos/linkage_walkthrough.py
 """

@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .cone import LinkSpec, linked_to_document, mapping_cone_presentation, verify_linkage_theorems
 from .errors import DocumentError, Grade3Error
-from .labels import parse_format, parse_label
+from .labels import class_invariants, parse_format, parse_label
 from .permissible import (
     Status,
     atlas_grid,
@@ -40,6 +40,7 @@ from .planner import (
     verify_certificate,
 )
 from .presentation import (
+    _require_document_size,
     arrangement_ids,
     arranged_presentation,
     canonical_presentation,
@@ -101,6 +102,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_canonical(args: argparse.Namespace) -> int:
     label = parse_label(args.label)
     fmt = parse_format(args.format)
+    # Canonical and arranged tables hold p products e.e and r products e.f,
+    # (p, q, r) the class invariants: refuse an oversized one before building.
+    invariants = class_invariants(label)
+    _require_document_size(fmt.m, fmt.n, invariants.p, invariants.r)
     if args.arrangement is None:
         pres = canonical_presentation(label, fmt)
     else:

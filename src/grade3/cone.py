@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import DimensionMismatch, OutOfDomain, Phi2Mismatch, UnsupportedSpec
+from .exact import sparse_rank
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
 from .linkrules import RULE_ORDER, RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile
 from .presentation import (
@@ -111,10 +112,12 @@ class LinkedPresentation:
 def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPresentation:
     """Simulate one link of a (valid) multiplication table.
 
-    Raises :class:`UnsupportedSpec` for specs outside the supported table or
-    when the input has fewer than ``t1`` degree-1 generators,
-    :class:`Phi2Mismatch` when the unit-product case is requested but
-    ``e_1 e_2`` is not exactly ``f_1``, and :class:`OutOfDomain`, before
+    Raises :class:`UnsupportedSpec` for specs outside the supported table,
+    when the input has fewer than ``t1`` degree-1 generators, and, outside
+    the unit-product case, when the products among ``e_1 .. e_t1`` have a
+    rank ``t2 > 0`` (the message names the row ``(t1,t2,0)`` the table
+    needs); :class:`Phi2Mismatch` when the unit-product case is requested
+    but ``e_1 e_2`` is not exactly ``f_1``; and :class:`OutOfDomain`, before
     anything is built, when the raw bases plus the symbolic slots would
     exceed :data:`grade3.presentation.MAX_DOCUMENT_CELLS`.
     """
@@ -136,6 +139,12 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
         raise UnsupportedSpec(f"spec designates {t1} generators but the table has only m = {m}")
     if phi2 and a.ee.get((1, 2)) != {1: 1}:
         raise Phi2Mismatch("unit-product case needs e_1 e_2 = f_1 exactly")
+    # Outside the unit case t2 must be 0.  It is the rank of the products among
+    # e_1..e_t1, not their count: a hand-built table may store e_1 e_2 = {1: 0}.
+    designated = [a.ee[k] for k in ((1, 2), (1, 3), (2, 3)) if not phi2 and k[1] <= t1 and k in a.ee]
+    t2 = sparse_rank(designated) if designated else 0
+    if t2:
+        raise UnsupportedSpec(f"the products among e_1..e_{t1} have rank {t2}: the table needs row ({t1},{t2},0)")
 
     e_split: set[int] = {n + 3} if phi2 else set()
     f_split = {m + n + k for k in range(t1)} | ({1} if phi2 else set())

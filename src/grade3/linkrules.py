@@ -3,30 +3,21 @@
 Linking a perfect ideal replaces its resolution format ``(m, n)`` by a new
 format determined by how many of the three designated degree-1 generators
 act nontrivially.  A :class:`RankProfile` ``(t1, t2, t3)`` records those
-rank contributions; the supported profiles and their format maps are
-
-=========  ==================
-profile    new format
-=========  ==================
-(0, 0, 0)  (n + 3, m)
-(1, 0, 0)  (n + 3, m - 1)
-(2, 0, 0)  (n + 3, m - 2)
-(2, 1, 0)  (n + 2, m - 2)
-(3, 0, 0)  (n + 3, m - 3)
-=========  ==================
-
-and the total Betti number changes by ``6 - 2*t1 - 2*t2 - t3``.
+rank contributions.  Every row in use has ``t3 = 0`` and sends ``(m, n)`` to
+``(n + 3 - t2, m - t1)``; the supported rows are (0,0,0), (1,0,0), (2,0,0),
+(2,1,0) and (3,0,0), and the total Betti number changes by
+``6 - 2*t1 - 2*t2 - t3``.
 
 Each named rule in :data:`RULES` pairs a class precondition with an output
-class and names its profile row; its output format is that row's map, taken
-from the table above (only ``ext-CVW33``, whose format change needs the
-unsupported row (3,1,0), states its own map).  The rule ids are stable wire
-vocabulary: they appear in derivation certificates and on the command line.
-Every rule with a ``witness`` is re-derived from structure constants by
-``verify-theorems`` (the :mod:`grade3.cone` simulator), which links the
-witness tables and compares the result with the rule's own ``out_class``
-and ``out_format``; the two ``ext-`` rules import published constructions
-instead.
+class and names its profile row, and its output format is that row's
+formula.  ``ext-CVW33``'s row (3,1,0) is outside the supported rows: the
+mapping cone does not model it, and the rule imports a published
+construction instead.  The rule ids are stable wire vocabulary: they appear
+in derivation certificates and on the command line.  Every rule with a
+``witness`` is re-derived from structure constants by ``verify-theorems``
+(the :mod:`grade3.cone` simulator), which links the witness tables and
+compares the result with the rule's own ``out_class`` and ``out_format``;
+the two ``ext-`` rules import published constructions instead.
 """
 
 from __future__ import annotations
@@ -90,30 +81,29 @@ class RankProfile:
         return (self.t1, self.t2, self.t3)
 
 
-# The only statement of the supported rows (t1, t2, t3): SUPPORTED_PROFILES,
-# each rule's profile and out_format, and the cone's specs all come from here.
-_FORMAT_MAPS: dict[tuple[int, int, int], Callable[[Format], Format]] = {
-    (0, 0, 0): lambda f: make_format(f.n + 3, f.m),
-    (1, 0, 0): lambda f: make_format(f.n + 3, f.m - 1),
-    (2, 0, 0): lambda f: make_format(f.n + 3, f.m - 2),
-    (2, 1, 0): lambda f: make_format(f.n + 2, f.m - 2),
-    (3, 0, 0): lambda f: make_format(f.n + 3, f.m - 3),
-}
+# The supported rows; the cone's specs come from here.
+SUPPORTED_PROFILES = tuple(RankProfile(*row) for row in ((0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (3, 0, 0)))
 
-SUPPORTED_PROFILES = tuple(RankProfile(*row) for row in _FORMAT_MAPS)
+
+# The format map of every row (t1, t2, 0).  Evidence, not a theorem: on 11 936
+# explicit links of artinian monomial ideals by pure-power regular sequences,
+# every table computed from Koszul homology, the linked format was this one on
+# each of the rows (0,0,0), (1,0,0), (2,0,0), (2,1,0), (3,0,0), (3,1,0),
+# (3,2,0) and (3,3,0).  Those links did not measure t3.
+def _format_map(t1: int, t2: int) -> Callable[[Format], Format]:
+    return lambda f: make_format(f.n + 3 - t2, f.m - t1)
 
 
 def link_option_format(fmt: Format, profile: RankProfile) -> Format:
     """Format of the linked resolution for a supported rank profile.
 
-    Raises :class:`UnsupportedProfile` outside the five-row table, and
+    Raises :class:`UnsupportedProfile` outside the supported rows, and
     :class:`InvalidFormat` when the input is too small for the profile
     (for example (3,0,0) needs ``m >= 4``).
     """
-    mapper = _FORMAT_MAPS.get(profile.as_tuple())
-    if mapper is None:
+    if profile not in SUPPORTED_PROFILES:
         raise UnsupportedProfile(f"rank profile {profile.as_tuple()} is outside the supported table")
-    return mapper(fmt)
+    return _format_map(profile.t1, profile.t2)(fmt)
 
 
 def betti_after_link(b: int, profile: RankProfile) -> int:
@@ -152,18 +142,16 @@ class LinkageRule:
     and always rejects labels whose tag is outside ``in_tags``;
     ``out_class`` and ``out_format`` compute the two halves of the output
     state.  ``profile`` is the rank-profile row the rule realizes, and
-    ``out_format`` is that row's map from the profile table (an explicit
-    map only for the one rule whose profile is None, because its format
-    change falls outside the table).  ``witness`` names the tables
-    ``verify-theorems`` links to re-derive the rule: an arrangement id from
-    :func:`grade3.presentation.arrangement_ids`, ``"canonical"`` for the
-    canonical table of every input class, or None for the rules that
-    import a published construction instead.
+    ``out_format`` is that row's map ``(m, n) -> (n + 3 - t2, m - t1)``.
+    ``witness`` names the tables ``verify-theorems`` links to re-derive the
+    rule: an arrangement id from :func:`grade3.presentation.arrangement_ids`,
+    ``"canonical"`` for the canonical table of every input class, or None
+    for the rules that import a published construction instead.
     """
 
     rule_id: str
     cite: str
-    profile: RankProfile | None
+    profile: RankProfile
     in_tags: frozenset[str]
     out_tag: str
     check: Callable[[StateLabel, Format], str | None]
@@ -195,7 +183,7 @@ def _tag_check(in_tags: frozenset[str], extra: Callable[[ClassLabel, Format], st
 
 def _rule(
     rule_id: str,
-    row: tuple[int, int, int] | None,
+    row: tuple[int, int, int],
     in_tags: str | frozenset[str],
     out_tag: str,
     out_class: Callable[[StateLabel], ClassLabel],
@@ -203,16 +191,13 @@ def _rule(
     *,
     witness: str | None = None,
     cite: str = _VERIFIED,
-    out_format: Callable[[Format], Format] | None = None,
 ) -> LinkageRule:
     """Build a rule whose ``check`` comes from its input tags and whose
-    profile and ``out_format`` come from its ``row`` of the profile table."""
+    profile and ``out_format`` come from its ``row``."""
     tags = frozenset({in_tags}) if isinstance(in_tags, str) else in_tags
-    profile = None
-    if row is not None:
-        profile, out_format = RankProfile(*row), _FORMAT_MAPS[row]
+    out_format = _format_map(row[0], row[1])
     return LinkageRule(
-        rule_id, cite, profile, tags, out_tag, _tag_check(tags, extra), out_class, out_format, witness
+        rule_id, cite, RankProfile(*row), tags, out_tag, _tag_check(tags, extra), out_class, out_format, witness
     )
 
 
@@ -281,13 +266,12 @@ def _rules() -> dict[str, LinkageRule]:
         ),
         _rule(
             "ext-CVW33",
-            None,
+            (3, 1, 0),
             "H",
             "H",
             lambda c: class_H(0, 1),
             _check_cvw33,
             cite=f"{CITE_CVW20}, Prop. 3.3",
-            out_format=lambda f: make_format(5, f.m - 3),  # would need the unsupported row (3,1,0)
         ),
     ]
     return {rule.rule_id: rule for rule in rules}

@@ -426,9 +426,10 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
     return tuple(diags)
 
 
-def _require_document_size(a: TorPresentation) -> None:
-    """Refuse a table of more than :data:`MAX_DOCUMENT_CELLS` cells (products times basis length)."""
-    cells = len(a.ee) * a.dim2 + len(a.ef) * a.n
+def _require_document_size(m: int, n: int, ee_count: int, ef_count: int) -> None:
+    """Refuse a table in format ``(m, n)`` with ``ee_count`` products e.e and ``ef_count``
+    products e.f if it has more than :data:`MAX_DOCUMENT_CELLS` cells (products times basis length)."""
+    cells = ee_count * (m + n - 1) + ef_count * n
     if cells > MAX_DOCUMENT_CELLS:
         raise DocumentError(
             f"table would hold {_decimal(cells)} coefficients as dense vectors; the limit is {MAX_DOCUMENT_CELLS}"
@@ -445,7 +446,7 @@ def presentation_to_document(a: TorPresentation) -> dict:
     table that :func:`presentation_from_document` would refuse for its size
     raises :class:`DocumentError` instead.
     """
-    _require_document_size(a)
+    _require_document_size(a.m, a.n, len(a.ee), len(a.ef))
     return {
         "version": PRESENTATION_VERSION,
         "m": a.m,
@@ -476,7 +477,7 @@ def presentation_from_document(doc: object) -> TorPresentation:
     diags = validate_presentation(raw)
     if diags:
         raise DocumentError(diags[0])
-    _require_document_size(raw)
+    _require_document_size(m, n, len(raw.ee), len(raw.ef))
     return make_presentation(m, n, raw.ee, raw.ef)
 
 

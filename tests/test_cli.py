@@ -107,6 +107,31 @@ def test_canonical_huge_format(capsys):
         assert "limit" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["H(1000000,0)", "(1000001,1)"],
+        ["H(1000000,0)", "(1000001,1)", "--arrangement", "H-ii"],
+        ["G(1000000)", "(1000000,6)"],
+    ],
+    ids=["H", "H-ii", "G"],
+)
+def test_canonical_refuses_oversized_tables_before_building(argv, capsys):
+    # Each table would hold about 10**6 products; the writer's size check
+    # runs on the class invariants, so nothing is built.
+    tracemalloc.start()
+    try:
+        code = main(["canonical", *argv])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: table would hold") and "limit" in captured.err
+    assert peak < 1_000_000
+
+
 # --------------------------------------------------------------- permissible
 
 
@@ -184,6 +209,19 @@ def test_link_precondition_failure_exits_three(tmp_path, capsys):
     path = _write_doc(tmp_path, "t.json", _canonical_doc(CLASS_T, 4, 3))
     assert main(["link", path, "--t1", "2", "--phi2-unit"]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("t1, row", [("3", "(3,3,0)"), ("2", "(2,1,0)")])
+def test_link_refuses_a_table_outside_the_spec_row(t1, row, monkeypatch, capsys):
+    # canonical T has e_1 e_2, e_1 e_3 and e_2 e_3 independent, so no plain
+    # spec at t1 = 2 or 3 models it: the cone names the row it would need.
+    assert main(["canonical", "T", "(4,3)"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["link", "-", "--t1", t1]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert f"needs row {row}" in captured.err
 
 
 def test_link_on_huge_formats_exits_three_in_bounded_memory(tmp_path, capsys):

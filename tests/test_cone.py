@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -36,7 +37,7 @@ from grade3 import (
     verify_linkage_theorems,
 )
 from grade3.cone import _canonical_labels, _sweep, _sweep_label_count
-from grade3.linkrules import RULES, _FORMAT_MAPS
+from grade3.linkrules import RULES
 
 
 def _unit(length, index, sign=1):
@@ -151,8 +152,20 @@ def test_t1_three_symbolic_slots():
 
 def test_symbolic_slots_only_for_t1_three():
     table = arranged_presentation(CLASS_T, make_format(5, 3), "T-A")
-    for spec in (LinkSpec(0), LinkSpec(1), LinkSpec(2)):
+    for spec in (LinkSpec(0), LinkSpec(1), LinkSpec(2, phi2_unit=True)):
         assert mapping_cone_presentation(table, spec).symbolic_products == ()
+    plain = arranged_presentation(CLASS_T, make_format(5, 3), "T-B")
+    assert mapping_cone_presentation(plain, LinkSpec(2)).symbolic_products == ()
+
+
+def test_zero_designated_product_is_no_product():
+    # A stored e_1 e_2 = {1: 0} has rank 0: the table links at t1 = 2 exactly
+    # like the same table without it.
+    base = arranged_presentation(CLASS_T, make_format(5, 3), "T-B")
+    with_zero = TorPresentation(base.m, base.n, {**base.ee, (1, 2): {1: 0}}, base.ef)
+    linked = mapping_cone_presentation(with_zero, LinkSpec(2))
+    assert linked == mapping_cone_presentation(base, LinkSpec(2))
+    assert classify(linked.presentation).label == class_H(1, 2)
 
 
 def test_supported_rows_are_pinned():
@@ -191,24 +204,36 @@ def test_phi2_needs_unit_product():
 
 
 def test_output_format_follows_the_profile_table():
-    for label, fmt_pair, arrangement in [
-        (CLASS_T, (5, 4), "T-A"),
-        (class_H(3, 1), (7, 4), "H-ii"),
-        (class_G(4), (6, 3), "G-std"),
+    # T-A and H-ii store e_1 e_2 = f_1, so at t1 = 2 they are in the unit row
+    # (2,1,0): the plain spec refuses them and the unit spec links them.
+    for label, fmt_pair, arrangement, unit in [
+        (CLASS_T, (5, 4), "T-A", True),
+        (class_H(3, 1), (7, 4), "H-ii", True),
+        (class_G(4), (6, 3), "G-std", False),
     ]:
         fmt = make_format(*fmt_pair)
         table = arranged_presentation(label, fmt, arrangement)
-        for spec in (LinkSpec(0), LinkSpec(1), LinkSpec(2)):
+        specs = (LinkSpec(0), LinkSpec(1), LinkSpec(2, phi2_unit=unit))
+        if unit:
+            with pytest.raises(UnsupportedSpec, match=re.escape("needs row (2,1,0)")):
+                mapping_cone_presentation(table, LinkSpec(2))
+        for spec in specs:
             lp = mapping_cone_presentation(table, spec)
             assert lp.presentation.fmt == link_option_format(fmt, link_profile(spec))
             assert validate_presentation(lp.presentation) == ()
 
 
 def test_middle_rank_identity_on_outputs():
+    # H-iv stores e_1 e_3 = f_1, which puts it in row (3,1,0) at t1 = 3; the
+    # H-v arrangement of the same class keeps e_1..e_3 free of products.
     table = arranged_presentation(class_H(2, 2), make_format(8, 5), "H-iv")
     for spec in SUPPORTED_SPECS:
         if spec.phi2_unit:
             continue
+        if spec.t1 == 3:
+            with pytest.raises(UnsupportedSpec, match=re.escape("needs row (3,1,0)")):
+                mapping_cone_presentation(table, spec)
+            table = arranged_presentation(class_H(2, 2), make_format(8, 5), "H-v")
         out = mapping_cone_presentation(table, spec).presentation
         assert out.dim2 == out.m + out.n - 1
 
@@ -288,9 +313,10 @@ def test_theorem_replay_checks_the_planner_rules(monkeypatch):
     monkeypatch.setitem(
         RULES, "linkH-iii", dataclasses.replace(RULES["linkH-iii"], out_class=lambda c: class_H(1, 2))
     )
-    monkeypatch.setitem(
-        RULES, "linkT-i", dataclasses.replace(RULES["linkT-i"], out_format=_FORMAT_MAPS[(2, 0, 0)])
+    wrong_row = dataclasses.replace(
+        RULES["linkT-i"], out_format=lambda f: link_option_format(f, RankProfile(2, 0, 0))
     )
+    monkeypatch.setitem(RULES, "linkT-i", wrong_row)
     report = verify_linkage_theorems(6, 4)
     failed = {res.scenario for res in report.results if not res.passed}
     assert failed == {"linkH-iii", "linkT-i"}
@@ -366,10 +392,12 @@ def test_random_tables_and_links_are_pinned():
     # products, coefficients other than +-1), every supported spec on each,
     # pinned by the linked document or the exception raised.  Every tenth
     # table is also linked as a directly built copy holding explicit zero
-    # coefficients; no output may store a zero or an empty product.
+    # coefficients; no output may store a zero or an empty product.  The
+    # pairs whose designated products have nonzero rank are refused with the
+    # row they need (2 552 of the 11 000; each was linked wrongly before).
     rng = random.Random(20240611)
     digest = hashlib.sha256()
-    zero_copies = 0
+    zero_copies = refused = 0
     for index in range(2000):
         table = _random_table(rng)
         assert validate_presentation(table) == ()
@@ -383,6 +411,7 @@ def test_random_tables_and_links_are_pinned():
                     lp = mapping_cone_presentation(variant, spec)
                 except Exception as exc:  # pinned as type and text
                     outcome = [type(exc).__name__, str(exc)]
+                    refused += "needs row" in str(exc)
                 else:
                     out = lp.presentation
                     for coords in (*out.ee.values(), *out.ef.values()):
@@ -391,4 +420,5 @@ def test_random_tables_and_links_are_pinned():
                 row = [index, presentation_to_document(variant), spec.t1, spec.phi2_unit, outcome]
                 digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
     assert zero_copies == 200
-    assert digest.hexdigest() == "b790368b3ba4edab62de223a8aeda3cd435726f66ef09b1657e7d8eb7a0960cb"
+    assert refused == 2552
+    assert digest.hexdigest() == "bf0cca9d5b8ef68730c8fe2884fec0d165544461cd20997d6bc40d097257dcf6"

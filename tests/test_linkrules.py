@@ -203,12 +203,13 @@ def test_apply_rule_degenerate_output():
 
 
 def test_rulebook_consistency_against_profile_table():
-    # Every rule with a profile moves formats as its profile row says, on
-    # every state it accepts, and the total Betti number follows the row.
+    # Every rule moves formats by its row's formula (m, n) -> (n+3-t2, m-t1),
+    # which is link_option_format's on the supported rows, on every state it
+    # accepts, and the total Betti number follows the row.
     for rule_id in RULE_ORDER:
         rule = RULES[rule_id]
-        if rule.profile is None:
-            continue
+        t1, t2, t3 = rule.profile.as_tuple()
+        assert t3 == 0, rule_id
         accepted = 0
         for m in range(4, 15):
             for n in range(1, 13):
@@ -217,17 +218,29 @@ def test_rulebook_consistency_against_profile_table():
                     if rule.check(label, fmt) is not None:
                         continue
                     out_fmt = apply_rule(rule_id, label, fmt).output_state[1]
-                    assert out_fmt == link_option_format(fmt, rule.profile), (rule_id, str(label), str(fmt))
+                    assert out_fmt == make_format(n + 3 - t2, m - t1), (rule_id, str(label), str(fmt))
+                    if rule.profile in SUPPORTED_PROFILES:
+                        assert out_fmt == link_option_format(fmt, rule.profile), (rule_id, str(label), str(fmt))
                     assert betti_total(out_fmt) == betti_after_link(betti_total(fmt), rule.profile)
                     accepted += 1
         assert accepted > 0, rule_id
-    # ext-CVW33 maps (m,3) to (5, m-3), which no supported profile gives.
-    assert RULES["ext-CVW33"].profile is None
+
+
+def test_rule_rows_are_pinned():
+    # ext-CVW33 maps (m,3) to (5, m-3): the row (3,1,0), which the cone does
+    # not model, so link_option_format refuses it and no supported row gives
+    # that map.  Every other rule's row is supported.
+    cvw33 = RULES["ext-CVW33"].profile
+    assert cvw33 == RankProfile(3, 1, 0)
+    assert cvw33 not in SUPPORTED_PROFILES
+    with pytest.raises(UnsupportedProfile):
+        link_option_format(make_format(6, 3), cvw33)
     for m in range(6, 40, 2):
         fmt = make_format(m, 3)
         out_fmt = apply_rule("ext-CVW33", class_H(2, 0), fmt).output_state[1]
         assert out_fmt == make_format(5, m - 3)
         assert all(link_option_format(fmt, profile) != out_fmt for profile in SUPPORTED_PROFILES)
+    assert all(RULES[rule_id].profile in SUPPORTED_PROFILES for rule_id in RULE_ORDER if rule_id != "ext-CVW33")
 
 
 def test_rule_witness_declarations():
