@@ -65,15 +65,13 @@ def _read_json(path: str) -> object:
 
 
 def _write_text(text: str, path: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
 
 
 def _dump(doc: object, path: str | None) -> None:
@@ -257,10 +255,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except Grade3Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (Grade3Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

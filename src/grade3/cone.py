@@ -41,11 +41,10 @@ and ``out_format``, the callables the planner searches with.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import DimensionMismatch, OutOfDomain, Phi2Mismatch, UnsupportedSpec
+from .errors import OutOfDomain, Phi2Mismatch, UnsupportedSpec
 from .exact import sparse_rank
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
 from .linkrules import RULE_ORDER, RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile
@@ -267,13 +266,6 @@ class TheoremReport:
         return all(res.passed for res in self.results)
 
 
-# The same G(r) and H(p,q) recur in every format of a sweep, which holds the
-# label lists of all its formats at once: one shared object per label keeps
-# that at a pointer per entry.
-_shared_G = functools.cache(class_G)
-_shared_H = functools.cache(class_H)
-
-
 def _canonical_labels(fmt: Format) -> list[ClassLabel]:
     """Every class label whose canonical table fits the format, except C(3)."""
     labels: list[ClassLabel] = []
@@ -282,11 +274,11 @@ def _canonical_labels(fmt: Format) -> list[ClassLabel]:
     if fmt.m >= 2 and fmt.dim2 >= 3:
         labels.append(CLASS_B)
     for r in range(2, min(fmt.m, fmt.dim2) + 1):
-        labels.append(_shared_G(r))
+        labels.append(class_G(r))
     for p in range(0, fmt.m):
         for q in range(0, fmt.n + 1):
             if fmt.dim2 >= p + q:
-                labels.append(_shared_H(p, q))
+                labels.append(class_H(p, q))
     return labels
 
 
@@ -315,8 +307,7 @@ def _sweep(
     Yields every rule that declares a witness, in ``RULE_ORDER``, with the
     spec of its profile and a lazy stream of ``(label, fmt, table)``: for
     each format with ``4 <= m <= m_max`` and ``1 <= n <= n_max``, every
-    canonical label the rule accepts there, as its witness table.  Labels
-    whose witness arrangement does not fit the format are skipped.
+    canonical label the rule accepts there, as its witness table.
     """
     formats = [
         (fmt, _canonical_labels(fmt))
@@ -326,16 +317,13 @@ def _sweep(
     def tables(rule: LinkageRule) -> Iterator[tuple[ClassLabel, Format, TorPresentation]]:
         for fmt, labels in formats:
             for label in labels:
+                # The tag test is a fast path: rule.check builds a message for every label it rejects.
                 if label.tag not in rule.in_tags or rule.check(label, fmt) is not None:
                     continue
-                try:
-                    if rule.witness == "canonical":
-                        table = canonical_presentation(label, fmt)
-                    else:
-                        table = arranged_presentation(label, fmt, rule.witness)
-                except DimensionMismatch:  # format too small for this arrangement
-                    continue
-                yield label, fmt, table
+                if rule.witness == "canonical":
+                    yield label, fmt, canonical_presentation(label, fmt)
+                else:
+                    yield label, fmt, arranged_presentation(label, fmt, rule.witness)
 
     for rule_id in RULE_ORDER:
         rule = RULES[rule_id]

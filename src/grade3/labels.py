@@ -8,12 +8,16 @@ A *class label* names the multiplicative structure of the associated
 Tor algebra: ``B``, ``C(3)``, ``T``, ``G(r)`` with ``r >= 2``, or ``H(p, q)``
 with ``p, q >= 0``.  Labels are immutable values with total ordering, text
 round-tripping, and a fixed table of multiplication invariants ``(p, q, r)``.
+
+The constructors and parsers return one shared object per distinct value:
+equal formats, and equal labels, are the same object.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InvalidFormat, InvalidLabel
 
@@ -52,6 +56,11 @@ class Format:
         return f"({self.m},{self.n})"
 
 
+# One shared object per value.  Called only with validated ints: a bool
+# would hash like 0 or 1 and an unhashable argument would raise TypeError.
+_shared_format = lru_cache(maxsize=None)(Format)
+
+
 def make_format(m: int, n: int) -> Format:
     """Validated constructor: both coordinates must be positive integers."""
     for name, value in (("m", m), ("n", n)):
@@ -59,7 +68,7 @@ def make_format(m: int, n: int) -> Format:
             raise InvalidFormat(f"format coordinate {name} must be an integer, got {value!r}")
         if value < 1:
             raise InvalidFormat(f"format coordinate {name} must be >= 1, got {value}")
-    return Format(m, n)
+    return _shared_format(m, n)
 
 
 _FORMAT_RE = re.compile(r"^\((\d+),(\d+)\)$")
@@ -127,6 +136,8 @@ class ClassLabel:
 CLASS_B = ClassLabel("B")
 CLASS_C3 = ClassLabel("C3")
 CLASS_T = ClassLabel("T")
+# Like _shared_format: one object per G or H label, built from validated ints.
+_shared_label = lru_cache(maxsize=None)(ClassLabel)
 
 
 def class_H(p: int, q: int) -> ClassLabel:
@@ -134,7 +145,7 @@ def class_H(p: int, q: int) -> ClassLabel:
     for name, value in (("p", p), ("q", q)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise InvalidLabel(f"H parameter {name} must be a non-negative integer, got {value!r}")
-    return ClassLabel("H", p, q)
+    return _shared_label("H", p, q)
 
 
 def class_G(r: int) -> ClassLabel:
@@ -150,7 +161,7 @@ def class_G(r: int) -> ClassLabel:
         return class_H(0, 0)
     if r == 1:
         return class_H(0, 1)
-    return ClassLabel("G", r)
+    return _shared_label("G", r)
 
 
 _LABEL_RE = re.compile(r"^(?:(B|T)|C\((3)\)|G\((\d+)\)|H\((\d+),(\d+)\))$")

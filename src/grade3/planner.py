@@ -216,37 +216,31 @@ _OUTPUT_TAGS = frozenset(rule.out_tag for rule in RULES.values())
 class _Graph:
     """Interned states and their rule outputs, shared by every search bound.
 
-    States are numbered in order of first sight, and equal labels and
-    formats share one object.  A state's outputs do not depend on the
-    bound, so they are computed once per process, in ``RULE_ORDER``: the
-    output ids in ``edges[sid]`` and the rules that produce them, by index
-    into ``RULE_ORDER``, in ``edge_rules[sid]``.  ``reach[sid]`` is the
-    larger coordinate of the state's format, which each bound's search
-    compares with its own bound.  Whether a state is NOT_PERMISSIBLE is
-    looked up once, when a search first discovers it within its bound.
+    States are numbered in order of first sight.  A state's outputs do not
+    depend on the bound, so they are computed once per process, in
+    ``RULE_ORDER``: the output ids in ``edges[sid]`` and the rules that
+    produce them, by index into ``RULE_ORDER``, in ``edge_rules[sid]``.
+    ``reach[sid]`` is the larger coordinate of the state's format, which
+    each bound's search compares with its own bound.
     """
 
     def __init__(self) -> None:
         self.states: list[State] = []
         self.ids: dict[State, int] = {}
-        self.parts: dict[StateLabel | Format, StateLabel | Format] = {}
         self.reach: list[int] = []
         self.edges: list[tuple[int, ...] | None] = []
         self.edge_rules: list[bytes | None] = []
-        self.allowed: list[bool | None] = []
 
     def intern(self, state: State) -> int:
         sid = self.ids.get(state)
         if sid is None:
             sid = len(self.states)
-            label, fmt = state
-            state = (self.parts.setdefault(label, label), self.parts.setdefault(fmt, fmt))
+            fmt = state[1]
             self.ids[state] = sid
             self.states.append(state)
             self.reach.append(max(fmt.m, fmt.n))
             self.edges.append(None)
             self.edge_rules.append(None)
-            self.allowed.append(None)
         return sid
 
     def successors(self, sid: int) -> tuple[int, ...]:
@@ -278,14 +272,6 @@ class _Graph:
         """The first rule, in RULE_ORDER, that takes state ``sid`` to ``out_id``."""
         return RULE_ORDER[self.edge_rules[sid][self.successors(sid).index(out_id)]]
 
-    def is_allowed(self, sid: int) -> bool:
-        allowed = self.allowed[sid]
-        if allowed is None:
-            label, fmt = self.states[sid]
-            allowed = is_permissible(label, fmt).status is not Status.NOT_PERMISSIBLE
-            self.allowed[sid] = allowed
-        return allowed
-
 
 _GRAPH = _Graph()
 
@@ -315,13 +301,17 @@ class _Search:
 
     def find(self, target: int) -> bool:
         parent, queue, bound, graph = self.parent, self.queue, self.bound, _GRAPH
-        reach = graph.reach
+        reach, states = graph.reach, graph.states
         if target in parent:
             return True
         while queue:
             sid = queue.popleft()
             for out_id in graph.successors(sid):
-                if reach[out_id] <= bound and out_id not in parent and graph.is_allowed(out_id):
+                if (
+                    reach[out_id] <= bound
+                    and out_id not in parent
+                    and is_permissible(*states[out_id]).status is not Status.NOT_PERMISSIBLE
+                ):
                     parent[out_id] = sid
                     queue.append(out_id)
             if target in parent:
@@ -464,21 +454,19 @@ def verify_certificate(cert: DerivationCertificate) -> bool:
     ):
         return False
     state: State = (cert.axiom.label, cert.axiom.fmt)
-    if isinstance(state[0], ClassLabel):
-        if is_permissible(state[0], state[1]).status is Status.NOT_PERMISSIBLE:
+    # Each state, the axiom's first, is checked once; None ends the walk.
+    for step in (*cert.steps, None):
+        if isinstance(state[0], ClassLabel) and is_permissible(*state).status is Status.NOT_PERMISSIBLE:
             return False
-    for step in cert.steps:
+        if step is None:
+            return state == cert.target
         try:
-            replay = apply_rule(step.rule, state[0], state[1])
+            replay = apply_rule(step.rule, *state)
         except Grade3Error:
             return False
         if replay != step:
             return False
         state = replay.output_state
-        if isinstance(state[0], ClassLabel):
-            if is_permissible(state[0], state[1]).status is Status.NOT_PERMISSIBLE:
-                return False
-    return state == cert.target
 
 
 def certificate_to_document(cert: DerivationCertificate) -> dict:
@@ -565,21 +553,15 @@ def realize_all(m_max: int, n_max: int) -> CoverageReport:
         )
         entries.append(CoverageEntry(kind, label, fmt, result.status, verified))
 
-    for m in range(4, m_max + 1):
-        for n in range(3, n_max + 1):
-            fmt = make_format(m, n)
-            if is_permissible(CLASS_T, fmt).status is Status.PERMISSIBLE:
-                attempt("T", CLASS_T, fmt)
-    for m in range(5, m_max + 1):
-        for n in range(2, n_max + 1):
-            fmt = make_format(m, n)
-            if is_permissible(CLASS_B, fmt).status is Status.PERMISSIBLE:
-                attempt("B", CLASS_B, fmt)
-    for m in range(4, m_max + 1):
-        for n in range(2, n_max + 1):
-            fmt = make_format(m, n)
-            for label in sorted(boundary_classes(fmt)):
-                attempt("H-boundary", label, fmt)
+    # The verdicts, not the loop ranges, say where T and B start.
+    formats = [make_format(m, n) for m in range(4, m_max + 1) for n in range(2, n_max + 1)]
+    for kind, label in (("T", CLASS_T), ("B", CLASS_B)):
+        for fmt in formats:
+            if is_permissible(label, fmt).status is Status.PERMISSIBLE:
+                attempt(kind, label, fmt)
+    for fmt in formats:
+        for label in sorted(boundary_classes(fmt)):
+            attempt("H-boundary", label, fmt)
     return CoverageReport(m_max=m_max, n_max=n_max, entries=tuple(entries))
 
 

@@ -122,6 +122,19 @@ class TorPresentation:
         return _dense(self.ef.get((i, l)), self.n)
 
 
+def _exact_int(value: object, field: str, key: PairKey, what: str) -> int:
+    """``int(value)``, refused with :class:`DimensionMismatch` unless it equals ``value``."""
+    if type(value) is int:
+        return value
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or number != value:
+        raise DimensionMismatch(f"{field}[({key[0]},{key[1]})] {what} {value!r} is not an integer")
+    return number
+
+
 def _clean_table(
     table: Mapping[PairKey, Mapping[int, int] | Iterable[int]] | None, field: str, m: int, n: int
 ) -> dict[PairKey, Coords]:
@@ -137,10 +150,14 @@ def _clean_table(
                     f"{field}[({key[0]},{key[1]})] has {len(vec)} entries; the {basis} basis has {length}"
                 )
             items = enumerate(vec, start=1)
-        coords = {int(k): int(c) for k, c in items}
-        coords = {k: c for k, c in coords.items() if c}
+        pair = (_exact_int(key[0], field, key, "index"), _exact_int(key[1], field, key, "index"))
+        coords: Coords = {}
+        for k, c in items:
+            k, c = _exact_int(k, field, key, "coordinate"), _exact_int(c, field, key, "coefficient")
+            if c:
+                coords[k] = c
         if coords:
-            out[(int(key[0]), int(key[1]))] = coords
+            out[pair] = coords
     return out
 
 
@@ -154,10 +171,12 @@ def make_presentation(
 
     Each product is either a dense sequence over its basis (``m+n-1``
     entries for ``ee``, ``n`` for ``ef``) or a coordinate map ``{k: c}``
-    with 1-based ``k``.  Both are normalized with ``int()`` into coordinate
-    maps, and zero coefficients and zero products are dropped.  A dense
-    sequence of the wrong length raises :class:`DimensionMismatch`; no other
-    structural validation happens here (use :func:`validate_presentation` to
+    with 1-based ``k``.  Both become coordinate maps of ints, and zero
+    coefficients and zero products are dropped.  A dense sequence of the
+    wrong length, or a key, coordinate or coefficient ``x`` with
+    ``int(x) != x`` (such as 2.5), raises :class:`DimensionMismatch`; an
+    integral float such as 2.0 is stored as 2.  No other structural
+    validation happens here (use :func:`validate_presentation` to
     collect diagnostics for hand-built tables).
     """
     return TorPresentation(

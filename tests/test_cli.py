@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -17,10 +18,12 @@ from grade3 import (
     CLASS_B,
     CLASS_T,
     canonical_presentation,
+    class_H,
     make_format,
     presentation_to_document,
 )
 from grade3.cli import main
+from grade3.linkrules import RULES
 from grade3.permissible import MAX_ATLAS_CELLS
 from grade3.presentation import MAX_DOCUMENT_CELLS
 
@@ -319,6 +322,18 @@ def test_verify_theorems_small_sweep(capsys):
     assert out.rstrip().endswith("all scenarios passed")
 
 
+def test_verify_theorems_reports_a_failing_rule(monkeypatch, capsys):
+    monkeypatch.setitem(
+        RULES, "linkH-iii", dataclasses.replace(RULES["linkH-iii"], out_class=lambda c: class_H(1, 2))
+    )
+    assert main(["verify-theorems", "--m-max", "6", "--n-max", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fail = next(i for i, line in enumerate(lines) if line.startswith("linkH-iii: FAIL (checked="))
+    assert lines[fail + 1].startswith("  ") and "expected H(1,2)" in lines[fail + 1]
+    assert any(line.startswith("linkT-i: ok (checked=") for line in lines)
+    assert lines[-1] == "FAILED"
+
+
 def test_verify_theorems_domain_guard(capsys):
     assert main(["verify-theorems", "--m-max", "4", "--n-max", "8"]) == 3
     assert capsys.readouterr().err.startswith("error:")
@@ -391,6 +406,16 @@ def test_rejected_document_exits_three(tmp_path, capsys):
     path = _write_doc(tmp_path, "bad.json", {"version": 1, "m": 4})
     assert main(["classify", path]) == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("m, n, name", [(0, 1, "m"), (1, 0, "n")])
+def test_empty_format_document_exits_three(m, n, name, monkeypatch, capsys):
+    doc = {"version": 1, "m": m, "n": n, "ee": [], "ef": []}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["classify", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must be a positive integer, got 0\n"
 
 
 def test_oversized_document_exits_three(tmp_path, capsys):

@@ -84,6 +84,28 @@ def test_class_g_normalizes_small_ranks():
     assert parse_label("G(1)") == class_H(0, 1)
 
 
+def test_constructors_share_one_object_per_value_and_still_validate():
+    # Equal values from any constructor or parser are one object.
+    assert make_format(4, 3) is parse_format("(4,3)")
+    assert class_H(2, 1) is parse_label("H(2,1)")
+    assert class_G(1) is class_H(0, 1)
+    assert class_G(7) is parse_label("G(7)")
+    # Once (1,1), H(1,0) and H(0,0) are shared, inputs that hash or compare
+    # like them are still refused, and what is shared holds plain ints.
+    assert type(make_format(1, 1).m) is int and type(class_H(1, 0).p) is int
+    with pytest.raises(InvalidFormat):
+        make_format(True, 1)
+    with pytest.raises(InvalidFormat):
+        make_format([1], 2)
+    for bad in (-1, True, False, 1.0):
+        with pytest.raises(InvalidLabel):
+            class_H(bad, 0)
+        with pytest.raises(InvalidLabel):
+            class_H(0, bad)
+        with pytest.raises(InvalidLabel):
+            class_G(bad)
+
+
 def test_label_accessor_guards():
     with pytest.raises(InvalidLabel):
         CLASS_T.p  # noqa: B018 - the property raise is the point

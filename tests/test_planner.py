@@ -338,6 +338,27 @@ def test_verify_rejects_rule_precondition_breaks():
         step1, input_state=(class_H(2, 2), step1.input_state[1])
     )
     assert not verify_certificate(dataclasses.replace(cert, steps=(step0, patched)))
+    # A step naming a rule that refuses its input state: linkG-i on class T.
+    assert cert.axiom.label == CLASS_T
+    patched = dataclasses.replace(step0, rule="linkG-i")
+    assert not verify_certificate(dataclasses.replace(cert, steps=(patched, step1)))
+
+
+def test_verify_rejects_a_not_permissible_state(monkeypatch):
+    # No axiom or rule output is NOT_PERMISSIBLE under the real rulebook, so
+    # each state of one certificate is made so in turn.
+    cert = realize(class_H(0, 1), make_format(5, 3)).certificate
+    states = [(cert.axiom.label, cert.axiom.fmt)] + [step.output_state for step in cert.steps]
+    assert len(states) == 3 and verify_certificate(cert)
+    excluded = is_permissible(CLASS_T, make_format(4, 4))
+    assert excluded.status is Status.NOT_PERMISSIBLE
+    for state in states:
+        monkeypatch.setattr(
+            planner,
+            "is_permissible",
+            lambda label, fmt, state=state: excluded if (label, fmt) == state else is_permissible(label, fmt),
+        )
+        assert not verify_certificate(cert), state
 
 
 # ------------------------------------------------------------- serialization

@@ -54,6 +54,20 @@ def test_make_presentation_drops_zero_vectors():
     assert pres.ef == {}
 
 
+@pytest.mark.parametrize(
+    "ee, entry",
+    [
+        ({(1, 2): {3: 2.5}}, r"ee\[\(1,2\)\] coefficient 2.5"),
+        ({(1, 2): [0, 0, 0.4]}, r"ee\[\(1,2\)\] coefficient 0.4"),
+        ({(1.7, 2): {1: 1}}, r"ee\[\(1.7,2\)\] index 1.7"),
+    ],
+)
+def test_make_presentation_refuses_non_integers(ee, entry):
+    # int() would store 2, drop the product, or move it to key (1,2).
+    with pytest.raises(DimensionMismatch, match=entry + " is not an integer"):
+        make_presentation(3, 1, ee)
+
+
 # ------------------------------------------------------------- input forms
 
 
