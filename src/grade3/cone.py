@@ -36,7 +36,8 @@ of :data:`grade3.linkrules.RULES` that declares a witness, it links the
 witness tables (canonical or rearranged) of every input the rule accepts
 across a sweep of formats, with the spec whose profile is the rule's, and
 checks the simulated class and format against the rule's own ``out_class``
-and ``out_format``, the callables the planner searches with.
+and ``out_format``, built from the statement of the rule that the planner
+compiles its search from.
 """
 
 from __future__ import annotations
@@ -361,8 +362,8 @@ def verify_linkage_theorems(m_max: int = 10, n_max: int = 8) -> TheoremReport:
     the rule accepts with ``4 <= m <= m_max`` and ``1 <= n <= n_max`` are
     linked with the spec of the rule's profile.  Every simulated output is
     structurally validated, and its format and classified label are
-    compared with the rule's own ``out_format`` and ``out_class``, the
-    callables the planner uses; the three-generator row on its H-v witness
+    compared with the rule's own ``out_format`` and ``out_class``, built
+    from the data the planner compiles; the three-generator row on its H-v witness
     additionally checks its determinate products and symbolic slots.
     A sweep of more than :data:`~grade3.presentation.MAX_DOCUMENT_CELLS`
     canonical labels raises :class:`OutOfDomain` before any is listed.

@@ -8,16 +8,23 @@ rank contributions.  Every row in use has ``t3 = 0`` and sends ``(m, n)`` to
 (2,1,0) and (3,0,0), and the total Betti number changes by
 ``6 - 2*t1 - 2*t2 - t3``.
 
-Each named rule in :data:`RULES` pairs a class precondition with an output
-class and names its profile row, and its output format is that row's
-formula.  ``ext-CVW33``'s row (3,1,0) is outside the supported rows: the
-mapping cone does not model it, and the rule imports a published
-construction instead.  The rule ids are stable wire vocabulary: they appear
-in derivation certificates and on the command line.  Every rule with a
-``witness`` is re-derived from structure constants by ``verify-theorems``
-(the :mod:`grade3.cone` simulator), which links the witness tables and
-compares the result with the rule's own ``out_class`` and ``out_format``;
-the two ``ext-`` rules import published constructions instead.
+Each named rule in :data:`RULES` is stated once, over integers: a state
+is a class tag, the label's two parameter slots ``(a, b)`` (``r`` for G,
+``(p, q)`` for H, zero otherwise) and a format ``(m, n)``.  A rule names
+the tags it accepts, its guards (predicates on ``(a, b, m, n)``, each with
+the text of its rejection), its output tag with an output-slot map
+``(a, b) -> (a', b')``, and its profile row, whose formula is its output
+format.  The rule's ``check``, ``out_class`` and ``out_format`` callables
+are built from that statement, and the planner compiles its search from the
+same statement without building labels.  ``ext-CVW33``'s row (3,1,0) is
+outside the supported rows: the mapping cone does not model it, and the
+rule imports a published construction instead.  The rule ids are stable
+wire vocabulary: they appear in derivation certificates and on the command
+line.  Every rule with a ``witness`` is re-derived from structure constants
+by ``verify-theorems`` (the :mod:`grade3.cone` simulator), which links the
+witness tables and compares the result with the rule's own ``out_class``
+and ``out_format``; the two ``ext-`` rules import published constructions
+instead.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from typing import Callable
 from .errors import DocumentError, InvalidFormat, PreconditionViolated, UnsupportedProfile, document_fields
 from .labels import (
     CLASS_B,
+    CLASS_C3,
     CLASS_T,
     ClassLabel,
     Format,
@@ -132,21 +140,33 @@ def state_tag(label: StateLabel) -> str:
     return label.tag if isinstance(label, ClassLabel) else OPAQUE_TAG
 
 
+# A guard's predicate reads the label's two slots and the format, ``(a, b, m,
+# n)`` with ``a = r`` for G, ``(a, b) = (p, q)`` for H and both zero otherwise,
+# and holds when the hypothesis does; the template, formatted with ``label``
+# and ``fmt``, says why an input that breaks it is rejected.
+_Guard = tuple[Callable[[int, int, int, int], bool], str]
+_Slots = Callable[[int, int], tuple[int, int]]
+_StateKey = tuple[str, int, int, int, int]
+
+
 @dataclass(frozen=True)
 class LinkageRule:
     """A named linkage rule.
 
-    ``in_tags`` are the class tags the rule accepts and ``out_tag`` the tag
-    of every class it outputs; ``check`` returns a human-readable reason
-    when the input violates the rule's hypotheses (None when applicable),
-    and always rejects labels whose tag is outside ``in_tags``;
-    ``out_class`` and ``out_format`` compute the two halves of the output
-    state.  ``profile`` is the rank-profile row the rule realizes, and
-    ``out_format`` is that row's map ``(m, n) -> (n + 3 - t2, m - t1)``.
-    ``witness`` names the tables ``verify-theorems`` links to re-derive the
-    rule: an arrangement id from :func:`grade3.presentation.arrangement_ids`,
-    ``"canonical"`` for the canonical table of every input class, or None
-    for the rules that import a published construction instead.
+    ``in_tags`` are the class tags the rule accepts.  Its hypotheses on an
+    accepted input are ``guards``, in order; its output class has the tag
+    ``out_tag`` and the slots ``out_slots(a, b)`` of the input's slots.
+    ``profile`` is the rank-profile row the rule realizes.  ``check``,
+    ``out_class`` and ``out_format`` are built from those fields: ``check``
+    returns a human-readable reason when the input violates the rule's
+    hypotheses (None when applicable), and always rejects labels whose tag is
+    outside ``in_tags``; ``out_class`` and ``out_format`` compute the two
+    halves of the output state, and ``out_format`` is the row's map
+    ``(m, n) -> (n + 3 - t2, m - t1)``.  ``witness`` names the tables
+    ``verify-theorems`` links to re-derive the rule: an arrangement id from
+    :func:`grade3.presentation.arrangement_ids`, ``"canonical"`` for the
+    canonical table of every input class, or None for the rules that import
+    a published construction instead.
     """
 
     rule_id: str
@@ -154,6 +174,8 @@ class LinkageRule:
     profile: RankProfile
     in_tags: frozenset[str]
     out_tag: str
+    guards: tuple[_Guard, ...]
+    out_slots: _Slots
     check: Callable[[StateLabel, Format], str | None]
     out_class: Callable[[StateLabel], ClassLabel]
     out_format: Callable[[Format], Format]
@@ -161,9 +183,35 @@ class LinkageRule:
 
 
 _TAG_TEXT = {"C3": "C(3)"}
+_FIXED_CLASSES = {"B": CLASS_B, "C3": CLASS_C3, "T": CLASS_T}
 
 
-def _tag_check(in_tags: frozenset[str], extra: Callable[[ClassLabel, Format], str | None] | None = None):
+def _slots(label: StateLabel) -> tuple[int, int]:
+    """A state label's two slots; an opaque label's are zero."""
+    return (label.a, label.b) if isinstance(label, ClassLabel) else (0, 0)
+
+
+def _class_of(tag: str, a: int, b: int) -> ClassLabel:
+    """The class label with this tag and these slots."""
+    if tag == "H":
+        return class_H(a, b)
+    if tag == "G":
+        return class_G(a)
+    return _FIXED_CLASSES[tag]
+
+
+def _state_key(label: StateLabel, fmt: Format) -> _StateKey:
+    """A state as integers: ``(tag, a, b, m, n)``; an opaque label is ``("*", 0, 0)``."""
+    return (state_tag(label), *_slots(label), fmt.m, fmt.n)
+
+
+def _state_of(key: _StateKey) -> State:
+    """The state whose :func:`_state_key` is ``key``."""
+    tag, a, b, m, n = key
+    return (OPAQUE if tag == OPAQUE_TAG else _class_of(tag, a, b), make_format(m, n))
+
+
+def _check(in_tags: frozenset[str], guards: tuple[_Guard, ...]) -> Callable[[StateLabel, Format], str | None]:
     if len(in_tags) == 1:
         (tag,) = in_tags
         accepted = f"class {tag} inputs"
@@ -174,8 +222,11 @@ def _tag_check(in_tags: frozenset[str], extra: Callable[[ClassLabel, Format], st
     def check(label: StateLabel, fmt: Format) -> str | None:
         if state_tag(label) not in in_tags:
             return f"rule applies to {accepted}, not {label}"
-        if extra is not None:
-            return extra(label, fmt)
+        if guards:
+            a, b = _slots(label)
+            for holds, reason in guards:
+                if not holds(a, b, fmt.m, fmt.n):
+                    return reason.format(label=label, fmt=fmt)
         return None
 
     return check
@@ -186,82 +237,97 @@ def _rule(
     row: tuple[int, int, int],
     in_tags: str | frozenset[str],
     out_tag: str,
-    out_class: Callable[[StateLabel], ClassLabel],
-    extra: Callable[[ClassLabel, Format], str | None] | None = None,
-    *,
+    out_slots: _Slots,
+    *guards: _Guard,
     witness: str | None = None,
     cite: str = _VERIFIED,
 ) -> LinkageRule:
-    """Build a rule whose ``check`` comes from its input tags and whose
-    profile and ``out_format`` come from its ``row``."""
+    """Build a rule whose ``check`` comes from its input tags and guards, whose
+    ``out_class`` comes from its output tag and slots, and whose profile and
+    ``out_format`` come from its ``row``."""
     tags = frozenset({in_tags}) if isinstance(in_tags, str) else in_tags
-    out_format = _format_map(row[0], row[1])
+
+    def out_class(label: StateLabel) -> ClassLabel:
+        return _class_of(out_tag, *out_slots(*_slots(label)))
+
     return LinkageRule(
-        rule_id, cite, RankProfile(*row), tags, out_tag, _tag_check(tags, extra), out_class, out_format, witness
+        rule_id,
+        cite,
+        RankProfile(*row),
+        tags,
+        out_tag,
+        guards,
+        out_slots,
+        _check(tags, guards),
+        out_class,
+        _format_map(row[0], row[1]),
+        witness,
     )
 
 
-def _check_h_i(label: ClassLabel, fmt: Format) -> str | None:
-    if label.p < 1:
-        return f"rule needs p >= 1; input is {label}"
-    return None
-
-
-def _check_h_iii(label: ClassLabel, fmt: Format) -> str | None:
-    if not (1 <= label.p <= fmt.m - 2):
-        return f"rule needs 1 <= p <= m - 2; input is {label} at {fmt}"
-    return None
-
-
-def _check_h_iv(label: ClassLabel, fmt: Format) -> str | None:
-    if label.p > fmt.m - 2:
-        return f"rule needs p <= m - 2; input is {label} at {fmt}"
-    return None
-
-
-def _check_h_v(label: ClassLabel, fmt: Format) -> str | None:
-    if label.q != 0:
-        return f"rule needs q = 0; input is {label}"
-    if not (2 <= label.p <= fmt.m - 3):
-        return f"rule needs 2 <= p <= m - 3; input is {label} at {fmt}"
-    return None
-
-
-def _check_cvw31(label: ClassLabel, fmt: Format) -> str | None:
-    if label != class_G(5) or (fmt.m, fmt.n) != (5, 1):
-        return f"rule applies only to G(5) at (5,1); input is {label} at {fmt}"
-    return None
-
-
-def _check_cvw33(label: ClassLabel, fmt: Format) -> str | None:
-    if label != class_H(2, 0):
-        return f"rule applies only to H(2,0); input is {label}"
-    if fmt.n != 3 or fmt.m < 6 or fmt.m % 2 != 0:
-        return f"rule applies only at formats (m,3) with even m >= 6; input is at {fmt}"
-    return None
+def _fixed(a: int, b: int) -> _Slots:
+    """The slots of an output class that does not depend on the input."""
+    return lambda p, q: (a, b)
 
 
 def _rules() -> dict[str, LinkageRule]:
+    no_slots = _fixed(0, 0)
     rules = [
-        _rule("linktoT", (0, 0, 0), STATE_TAGS - {"C3"}, "T", lambda c: CLASS_T, witness="canonical"),
-        _rule("linkT-i", (1, 0, 0), "T", "H", lambda c: class_H(2, 0), witness="T-B"),
-        _rule("linkT-ii", (1, 0, 0), "T", "H", lambda c: class_H(2, 2), witness="T-A"),
-        _rule("linkT-iii", (2, 0, 0), "T", "H", lambda c: class_H(1, 2), witness="T-B"),
-        _rule("linkT-iv", (2, 1, 0), "T", "B", lambda c: CLASS_B, witness="T-A"),
-        _rule("linkG-i", (1, 0, 0), "G", "H", lambda c: class_H(3, 0), witness="G-std"),
-        _rule("linkG-ii", (2, 0, 0), "G", "T", lambda c: CLASS_T, witness="G-std"),
-        _rule("linkH-i", (1, 0, 0), "H", "H", lambda c: class_H(2, 1), _check_h_i, witness="H-i"),
-        _rule("linkH-ii", (1, 0, 0), "H", "H", lambda c: class_H(c.q + 2, c.p), witness="H-ii"),
-        _rule("linkH-iii", (2, 0, 0), "H", "H", lambda c: class_H(1, 1), _check_h_iii, witness="H-iii"),
-        _rule("linkH-iv", (2, 0, 0), "H", "H", lambda c: class_H(c.q + 1, c.p), _check_h_iv, witness="H-iv"),
-        _rule("linkH-v", (3, 0, 0), "H", "H", lambda c: class_H(0, c.p), _check_h_v, witness="H-v"),
+        _rule("linktoT", (0, 0, 0), STATE_TAGS - {"C3"}, "T", no_slots, witness="canonical"),
+        _rule("linkT-i", (1, 0, 0), "T", "H", _fixed(2, 0), witness="T-B"),
+        _rule("linkT-ii", (1, 0, 0), "T", "H", _fixed(2, 2), witness="T-A"),
+        _rule("linkT-iii", (2, 0, 0), "T", "H", _fixed(1, 2), witness="T-B"),
+        _rule("linkT-iv", (2, 1, 0), "T", "B", no_slots, witness="T-A"),
+        _rule("linkG-i", (1, 0, 0), "G", "H", _fixed(3, 0), witness="G-std"),
+        _rule("linkG-ii", (2, 0, 0), "G", "T", no_slots, witness="G-std"),
+        _rule(
+            "linkH-i",
+            (1, 0, 0),
+            "H",
+            "H",
+            _fixed(2, 1),
+            (lambda p, q, m, n: p >= 1, "rule needs p >= 1; input is {label}"),
+            witness="H-i",
+        ),
+        _rule("linkH-ii", (1, 0, 0), "H", "H", lambda p, q: (q + 2, p), witness="H-ii"),
+        _rule(
+            "linkH-iii",
+            (2, 0, 0),
+            "H",
+            "H",
+            _fixed(1, 1),
+            (lambda p, q, m, n: 1 <= p <= m - 2, "rule needs 1 <= p <= m - 2; input is {label} at {fmt}"),
+            witness="H-iii",
+        ),
+        _rule(
+            "linkH-iv",
+            (2, 0, 0),
+            "H",
+            "H",
+            lambda p, q: (q + 1, p),
+            (lambda p, q, m, n: p <= m - 2, "rule needs p <= m - 2; input is {label} at {fmt}"),
+            witness="H-iv",
+        ),
+        _rule(
+            "linkH-v",
+            (3, 0, 0),
+            "H",
+            "H",
+            lambda p, q: (0, p),
+            (lambda p, q, m, n: q == 0, "rule needs q = 0; input is {label}"),
+            (lambda p, q, m, n: 2 <= p <= m - 3, "rule needs 2 <= p <= m - 3; input is {label} at {fmt}"),
+            witness="H-v",
+        ),
         _rule(
             "ext-CVW31",
             (3, 0, 0),
             "G",
             "H",
-            lambda c: class_H(3, 2),
-            _check_cvw31,
+            _fixed(3, 2),
+            (
+                lambda r, b, m, n: r == 5 and m == 5 and n == 1,
+                "rule applies only to G(5) at (5,1); input is {label} at {fmt}",
+            ),
             cite=f"{CITE_CVW20}, Prop. 3.1",
         ),
         _rule(
@@ -269,8 +335,12 @@ def _rules() -> dict[str, LinkageRule]:
             (3, 1, 0),
             "H",
             "H",
-            lambda c: class_H(0, 1),
-            _check_cvw33,
+            _fixed(0, 1),
+            (lambda p, q, m, n: p == 2 and q == 0, "rule applies only to H(2,0); input is {label}"),
+            (
+                lambda p, q, m, n: n == 3 and m >= 6 and m % 2 == 0,
+                "rule applies only at formats (m,3) with even m >= 6; input is at {fmt}",
+            ),
             cite=f"{CITE_CVW20}, Prop. 3.3",
         ),
     ]

@@ -272,12 +272,15 @@ _REALIZED_WHEN_CLEAN: dict[str, Callable[[int, int, int, int], bool]] = {
 }
 
 
-@lru_cache(maxsize=None)
-def _verdict_cached(label: ClassLabel, fmt: Format) -> PermissibilityVerdict:
-    rules = _OBSTRUCTIONS.get(label.tag)
+def _verdict(tag: str, a: int, b: int, m: int, n: int) -> PermissibilityVerdict:
+    """The verdict of the label with this tag and slots in format ``(m, n)``.
+
+    Reads integers, so the planner asks it about a state without building the
+    label and format; the planner keeps each state's answer itself.
+    """
+    rules = _OBSTRUCTIONS.get(tag)
     if rules is None:
-        raise ValueError(f"unknown class tag {label.tag!r}")
-    a, b, m, n = label.a, label.b, fmt.m, fmt.n
+        raise ValueError(f"unknown class tag {tag!r}")
     violations = []
     for rule_id, check, cite in rules:
         detail = check(a, b, m, n)
@@ -285,12 +288,15 @@ def _verdict_cached(label: ClassLabel, fmt: Format) -> PermissibilityVerdict:
             violations.append(RuleViolation(rule_id, detail, cite))
     if violations:
         return PermissibilityVerdict(Status.NOT_PERMISSIBLE, tuple(violations))
-    return _PERMISSIBLE if _REALIZED_WHEN_CLEAN[label.tag](a, b, m, n) else _UNKNOWN
+    return _PERMISSIBLE if _REALIZED_WHEN_CLEAN[tag](a, b, m, n) else _UNKNOWN
+
+
+_verdict_cached = lru_cache(maxsize=None)(_verdict)
 
 
 def is_permissible(label: ClassLabel, fmt: Format) -> PermissibilityVerdict:
     """Verdict for ``label`` in ``fmt`` with all violated rules cited."""
-    return _verdict_cached(label, fmt)
+    return _verdict_cached(label.tag, label.a, label.b, fmt.m, fmt.n)
 
 
 def boundary_classes(fmt: Format) -> frozenset[ClassLabel]:

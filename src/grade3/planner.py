@@ -15,16 +15,19 @@ order and the rule expansion order are fixed, so the certificate returned
 for a target is identical across runs and call orders.
 
 Every bound's search walks one successor graph shared by the whole process.
-Its states are interned to integer ids, and each state's rule outputs are
-computed once, in ``RULE_ORDER``, the first time any search expands it.
-A rule is tried only on states whose class tag it declares as an input.
-Each bound's search drops the outputs beyond its own bound and the ones it
-has already discovered, and checks permissibility once per newly discovered
-state.  Sharing does not change certificates: a state's outputs do not
-depend on the bound, and each bound expands its states, and each
-state's outputs, in one fixed order.  A target whose class no rule
-outputs (C(3), G(r)) can only be an axiom, so unless it is an axiom instance
-of its bound it is NOT_FOUND without a search.
+Its states are integer keys ``(tag, a, b, m, n)``, interned to integer ids;
+the rulebook is compiled at import into, per class tag, the rules that
+accept it with their guard predicates and affine output maps, so a search
+builds labels and formats only for the states of a certificate.  Each
+state's verdict is taken once, when the graph first sees it, and its rule
+outputs are computed once, in ``RULE_ORDER``, the first time any search
+expands it, leaving out the NOT_PERMISSIBLE ones.  Each bound's search drops
+the outputs beyond its own bound and the ones it has already discovered.
+Sharing does not change certificates: a state's outputs and verdict do not
+depend on the bound, and each bound expands its states, and each state's
+outputs, in one fixed order.  A target whose class no rule outputs (C(3),
+G(r)) can only be an axiom, so unless it is an axiom instance of its bound
+it is NOT_FOUND without a search.
 """
 
 from __future__ import annotations
@@ -47,15 +50,19 @@ from .labels import (
     parse_format,
 )
 from .linkrules import (
+    OPAQUE_TAG,
     RULES,
     RULE_ORDER,
     STATE_TAGS,
     State,
     StateLabel,
     Transition,
+    _Slots,
+    _StateKey,
+    _state_key,
+    _state_of,
     apply_rule,
     parse_state_label,
-    state_tag,
     transition_from_document,
     transition_to_document,
 )
@@ -67,6 +74,7 @@ from .permissible import (
     CITE_W89,
     PermissibilityVerdict,
     Status,
+    _verdict,
     boundary_classes,
     is_permissible,
 )
@@ -204,9 +212,17 @@ _SEED_ORDER = tuple(
 )
 
 
-# Rule indices (into RULE_ORDER) whose declared input tags admit each state tag.
-_RULES_BY_TAG: dict[str, tuple[int, ...]] = {
-    tag: tuple(i for i, rule_id in enumerate(RULE_ORDER) if tag in RULES[rule_id].in_tags)
+# The rulebook compiled for the search: per state tag, in RULE_ORDER, each rule
+# that accepts the tag as (rule index, t1, t2, guard predicates, output tag,
+# output slots).  Read from RULES once, at import: an entry replaced later
+# (with wrapped or altered callables) changes apply_rule, not the search.
+_Step = tuple[int, int, int, tuple[Callable[[int, int, int, int], bool], ...], str, _Slots]
+_STEPS: dict[str, tuple[_Step, ...]] = {
+    tag: tuple(
+        (i, rule.profile.t1, rule.profile.t2, tuple(holds for holds, _ in rule.guards), rule.out_tag, rule.out_slots)
+        for i, rule in enumerate(RULES[rule_id] for rule_id in RULE_ORDER)
+        if tag in rule.in_tags
+    )
     for tag in STATE_TAGS
 }
 # Tags of the classes some rule outputs; other classes occur only as axioms.
@@ -216,29 +232,39 @@ _OUTPUT_TAGS = frozenset(rule.out_tag for rule in RULES.values())
 class _Graph:
     """Interned states and their rule outputs, shared by every search bound.
 
-    States are numbered in order of first sight.  A state's outputs do not
-    depend on the bound, so they are computed once per process, in
-    ``RULE_ORDER``: the output ids in ``edges[sid]`` and the rules that
-    produce them, by index into ``RULE_ORDER``, in ``edge_rules[sid]``.
-    ``reach[sid]`` is the larger coordinate of the state's format, which
-    each bound's search compares with its own bound.
+    A state is its integer key ``(tag, a, b, m, n)`` (see
+    :func:`grade3.linkrules._state_key`); labels and formats are built only
+    for the states of a certificate.  States are numbered in order of first
+    sight, and each one's verdict is taken then: ``excluded[sid]`` says it is
+    NOT_PERMISSIBLE.  Opaque states are axioms that no rule outputs, and are
+    never asked.  A state's outputs do not depend on the bound, so they are
+    computed once per process, in ``RULE_ORDER``, leaving out the excluded
+    ones: the output ids in ``edges[sid]`` and the rules that produce them,
+    by index into ``RULE_ORDER``, in ``edge_rules[sid]``.  Every edge into a
+    state shares that state's verdict, so no bound loses an edge that
+    another keeps.  ``reach[sid]`` is the larger coordinate of the state's
+    format, which each bound's search compares with its own bound.
     """
 
     def __init__(self) -> None:
-        self.states: list[State] = []
-        self.ids: dict[State, int] = {}
+        self.keys: list[_StateKey] = []
+        self.ids: dict[_StateKey, int] = {}
         self.reach: list[int] = []
+        self.excluded = bytearray()
         self.edges: list[tuple[int, ...] | None] = []
         self.edge_rules: list[bytes | None] = []
 
-    def intern(self, state: State) -> int:
-        sid = self.ids.get(state)
+    def intern(self, key: _StateKey) -> int:
+        sid = self.ids.get(key)
         if sid is None:
-            sid = len(self.states)
-            fmt = state[1]
-            self.ids[state] = sid
-            self.states.append(state)
-            self.reach.append(max(fmt.m, fmt.n))
+            sid = len(self.keys)
+            tag, a, b, m, n = key
+            self.ids[key] = sid
+            self.keys.append(key)
+            self.reach.append(max(m, n))
+            self.excluded.append(
+                tag != OPAQUE_TAG and _verdict(tag, a, b, m, n).status is Status.NOT_PERMISSIBLE
+            )
             self.edges.append(None)
             self.edge_rules.append(None)
         return sid
@@ -250,20 +276,26 @@ class _Graph:
         return edges
 
     def _expand(self, sid: int) -> tuple[int, ...]:
-        label, fmt = self.states[sid]
+        tag, a, b, m, n = self.keys[sid]
+        ids, excluded = self.ids, self.excluded
         out_ids: list[int] = []
         rule_indices: list[int] = []
-        for rule_index in _RULES_BY_TAG[state_tag(label)]:
-            # Looked up per call, not captured at import: RULES entries may be replaced.
-            rule = RULES[RULE_ORDER[rule_index]]
-            if rule.check(label, fmt) is not None:
+        for rule_index, t1, t2, guards, out_tag, out_slots in _STEPS[tag]:
+            out_m, out_n = n + 3 - t2, m - t1
+            if out_m < 1 or out_n < 1:
                 continue
-            try:
-                out_fmt = rule.out_format(fmt)
-            except Grade3Error:
-                continue
-            out_ids.append(self.intern((rule.out_class(label), out_fmt)))
-            rule_indices.append(rule_index)
+            for holds in guards:
+                if not holds(a, b, m, n):
+                    break
+            else:
+                out_a, out_b = out_slots(a, b)
+                key = (out_tag, out_a, out_b, out_m, out_n)
+                out_id = ids.get(key)
+                if out_id is None:
+                    out_id = self.intern(key)
+                if not excluded[out_id]:
+                    out_ids.append(out_id)
+                    rule_indices.append(rule_index)
         edges = self.edges[sid] = tuple(out_ids)
         self.edge_rules[sid] = bytes(rule_indices)
         return edges
@@ -293,7 +325,7 @@ class _Search:
         self.queue: deque[int] = deque()
         for family in _SEED_ORDER:
             for state in family.instances(bound):
-                sid = _GRAPH.intern(state)
+                sid = _GRAPH.intern(_state_key(*state))
                 if sid not in self.parent:
                     self.parent[sid] = None
                     self.axiom_family[sid] = family.family_id
@@ -301,17 +333,13 @@ class _Search:
 
     def find(self, target: int) -> bool:
         parent, queue, bound, graph = self.parent, self.queue, self.bound, _GRAPH
-        reach, states = graph.reach, graph.states
+        reach = graph.reach
         if target in parent:
             return True
         while queue:
             sid = queue.popleft()
             for out_id in graph.successors(sid):
-                if (
-                    reach[out_id] <= bound
-                    and out_id not in parent
-                    and is_permissible(*states[out_id]).status is not Status.NOT_PERMISSIBLE
-                ):
+                if reach[out_id] <= bound and out_id not in parent:
                     parent[out_id] = sid
                     queue.append(out_id)
             if target in parent:
@@ -388,14 +416,14 @@ def _certificate_from(search: _Search, target: int) -> DerivationCertificate:
     steps_reversed: list[Transition] = []
     cursor = target
     while (prev := search.parent[cursor]) is not None:
-        label, fmt = _GRAPH.states[prev]
+        label, fmt = _state_of(_GRAPH.keys[prev])
         steps_reversed.append(apply_rule(_GRAPH.rule_between(prev, cursor), label, fmt))
         cursor = prev
     family = _FAMILY_BY_ID[search.axiom_family[cursor]]
-    label, fmt = _GRAPH.states[cursor]
+    label, fmt = _state_of(_GRAPH.keys[cursor])
     axiom = Axiom(family.family_id, label, fmt, family.cite)
     return DerivationCertificate(
-        axiom=axiom, steps=tuple(reversed(steps_reversed)), target=_GRAPH.states[target]
+        axiom=axiom, steps=tuple(reversed(steps_reversed)), target=_state_of(_GRAPH.keys[target])
     )
 
 
@@ -405,12 +433,13 @@ def realize(
     """Find a shortest derivation certificate for ``(label, fmt)``.
 
     Returns a NOT_PERMISSIBLE result (with the verdict) when the target is
-    excluded, a certificate when one exists within the bounded search space,
-    and NOT_FOUND (with an explanatory citation) otherwise — e.g. for C(3),
-    for class G outside Gorenstein formats, or for interior H cells whose
-    existence is open.  No searched format has a coordinate above
-    ``max_coordinate``, which must be at least 1 (:class:`OutOfDomain`
-    otherwise).
+    excluded, a certificate when the search reaches the target from an axiom
+    instance within the bounded search space, and NOT_FOUND otherwise, with
+    a citation for C(3) and for class G outside Gorenstein formats.  A
+    certificate may exist where the permissibility verdict is
+    UNKNOWN_NECESSARY_ONLY, and NOT_FOUND says only that this search found
+    none.  No searched format has a coordinate above ``max_coordinate``,
+    which must be at least 1 (:class:`OutOfDomain` otherwise).
     """
     if max_coordinate < 1:
         raise OutOfDomain(f"max_coordinate must be >= 1, got {max_coordinate}")
@@ -432,7 +461,7 @@ def realize(
         # Only an axiom can be a state of a class that no rule outputs.
         return RealizationResult(RealizeStatus.NOT_FOUND, detail=_not_found_detail(label))
     search = _search_for(bound)
-    target = _GRAPH.intern(state)
+    target = _GRAPH.intern(_state_key(label, fmt))
     if not search.find(target):
         return RealizationResult(RealizeStatus.NOT_FOUND, detail=_not_found_detail(label))
     return RealizationResult(RealizeStatus.REALIZED, certificate=_certificate_from(search, target))

@@ -140,17 +140,23 @@ def _clean_table(
 ) -> dict[PairKey, Coords]:
     out: dict[PairKey, Coords] = {}
     for key, vec in (table or {}).items():
+        try:
+            i, j = key
+        except (TypeError, ValueError):
+            raise DimensionMismatch(f"{field} key {key!r} is not a pair of indices") from None
         if isinstance(vec, Mapping):
             items = vec.items()
+        elif not isinstance(vec, Iterable):
+            raise DimensionMismatch(f"{field}[({i},{j})] product {vec!r} is neither a coordinate map nor a sequence")
         else:
             vec = tuple(vec)
             basis, length = ("f", m + n - 1) if field == "ee" else ("g", n)
             if len(vec) != length:
                 raise DimensionMismatch(
-                    f"{field}[({key[0]},{key[1]})] has {len(vec)} entries; the {basis} basis has {length}"
+                    f"{field}[({i},{j})] has {len(vec)} entries; the {basis} basis has {length}"
                 )
             items = enumerate(vec, start=1)
-        pair = (_exact_int(key[0], field, key, "index"), _exact_int(key[1], field, key, "index"))
+        pair = (_exact_int(i, field, key, "index"), _exact_int(j, field, key, "index"))
         coords: Coords = {}
         for k, c in items:
             k, c = _exact_int(k, field, key, "coordinate"), _exact_int(c, field, key, "coefficient")
@@ -174,10 +180,11 @@ def make_presentation(
     with 1-based ``k``.  Both become coordinate maps of ints, and zero
     coefficients and zero products are dropped.  A dense sequence of the
     wrong length, or a key, coordinate or coefficient ``x`` with
-    ``int(x) != x`` (such as 2.5), raises :class:`DimensionMismatch`; an
-    integral float such as 2.0 is stored as 2.  No other structural
-    validation happens here (use :func:`validate_presentation` to
-    collect diagnostics for hand-built tables).
+    ``int(x) != x`` (such as 2.5), raises :class:`DimensionMismatch`, as
+    do a key that is not a pair and a product that is neither a map nor a
+    sequence; an integral float such as 2.0 is stored as 2.  No other
+    structural validation happens here (use :func:`validate_presentation`
+    to collect diagnostics for hand-built tables).
     """
     return TorPresentation(
         m=m,

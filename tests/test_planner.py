@@ -31,14 +31,18 @@ from grade3 import (
     verify_certificate,
 )
 from grade3 import planner
-from grade3.errors import DocumentError
+from grade3.errors import DocumentError, PreconditionViolated
+from grade3.linkrules import apply_rule
 
 
 @pytest.fixture(autouse=True)
 def _fresh_search_cache():
+    # The shared graph holds verdicts, which a test may have forced.
     planner._SEARCHES.clear()
+    planner._GRAPH = planner._Graph()
     yield
     planner._SEARCHES.clear()
+    planner._GRAPH = planner._Graph()
 
 
 # ------------------------------------------------------------- base families
@@ -276,6 +280,63 @@ def test_certificates_chain_states_consecutively():
         assert step.input_state == state
         state = step.output_state
     assert state == cert.target
+
+
+def test_compiled_steps_equal_apply_rule(monkeypatch):
+    # Every state up to slots 12 and format (16,16), opaque ones too: the
+    # graph's outputs are apply_rule's, rule by rule, in RULE_ORDER.  No
+    # state is excluded here, so every accepted step shows as an edge.
+    monkeypatch.setattr(planner, "_verdict", lambda *key: is_permissible(CLASS_T, make_format(4, 3)))
+    labels = (
+        [OPAQUE, CLASS_T, CLASS_B, CLASS_C3]
+        + [class_G(r) for r in range(2, 13)]
+        + [class_H(p, q) for p in range(13) for q in range(13)]
+    )
+    graph = planner._Graph()
+    accepted = 0
+    for m in range(1, 17):
+        for n in range(1, 17):
+            fmt = make_format(m, n)
+            for label in labels:
+                expected = []
+                for rule_index, rule_id in enumerate(planner.RULE_ORDER):
+                    try:
+                        out = apply_rule(rule_id, label, fmt).output_state
+                    except PreconditionViolated:
+                        continue
+                    expected.append((rule_index, planner._state_key(*out)))
+                sid = graph.intern(planner._state_key(label, fmt))
+                outputs = graph.successors(sid)
+                got = [(rule_index, graph.keys[out_id]) for rule_index, out_id in zip(graph.edge_rules[sid], outputs)]
+                assert got == expected, (str(label), str(fmt))
+                accepted += len(got)
+    assert accepted > 0
+
+
+@pytest.mark.parametrize("index, rerouted", [(1, True), (0, False)])
+def test_search_routes_around_a_not_permissible_state(monkeypatch, index, rerouted):
+    # No real rule output is NOT_PERMISSIBLE, so one state of a known
+    # certificate is made so where the search takes its verdicts.  The
+    # search then finds another route of the same length, or none when every
+    # route runs through H(2,0) at (8,3).
+    label, fmt = class_H(5, 0), make_format(8, 6)
+    cert = realize(label, fmt).certificate
+    blocked = cert.steps[index].output_state
+    excluded = is_permissible(CLASS_T, make_format(4, 4))
+    assert excluded.status is Status.NOT_PERMISSIBLE
+    blocked_key = planner._state_key(*blocked)
+    verdict = planner._verdict
+    monkeypatch.setattr(planner, "_verdict", lambda *key: excluded if key == blocked_key else verdict(*key))
+    planner._SEARCHES.clear()
+    planner._GRAPH = planner._Graph()
+    result = realize(label, fmt)
+    if rerouted:
+        assert result.status is RealizeStatus.REALIZED
+        assert verify_certificate(result.certificate)
+        assert len(result.certificate.steps) == len(cert.steps)
+        assert blocked not in [step.output_state for step in result.certificate.steps]
+    else:
+        assert result.status is RealizeStatus.NOT_FOUND
 
 
 # -------------------------------------------------------------- verification

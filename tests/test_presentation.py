@@ -68,6 +68,20 @@ def test_make_presentation_refuses_non_integers(ee, entry):
         make_presentation(3, 1, ee)
 
 
+@pytest.mark.parametrize(
+    "ee, entry",
+    [
+        ({(1,): {1: 1}}, r"ee key \(1,\) is not a pair of indices"),
+        ({(1, 2, 3): {1: 1}}, r"ee key \(1, 2, 3\) is not a pair of indices"),
+        ({(1, 2): 5}, r"ee\[\(1,2\)\] product 5 is neither a coordinate map nor a sequence"),
+    ],
+)
+def test_make_presentation_refuses_malformed_entries(ee, entry):
+    # Once an IndexError, a TypeError, and a key silently cut to (1, 2).
+    with pytest.raises(DimensionMismatch, match=entry):
+        make_presentation(3, 1, ee)
+
+
 # ------------------------------------------------------------- input forms
 
 
