@@ -17,6 +17,10 @@ cone all scale with the number of nonzeros, not with ``m + n``.  The
 accessors :meth:`TorPresentation.ee_product` and
 :meth:`TorPresentation.ef_product` expand one product into a dense tuple.
 
+A document is read in one pass: its quadruples are checked and summed into
+coordinate maps, which :func:`validate_presentation` range-checks without
+sorting and the table then holds, less the zero sums.
+
 All structure constants are integers.  The classifier computes the invariants
 
 * ``p = dim A1*A1``, ``q = dim A1*A2``,
@@ -33,7 +37,7 @@ simulations downstream need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import DimensionMismatch, DocumentError, UnknownArrangement, document_fields
 from .exact import sparse_rank
@@ -349,27 +353,34 @@ def compute_pqrs(a: TorPresentation) -> ClassifierReport:
 
     The stored coordinate maps are the rows of p and q as they are, and the
     rows of r and s1 are built from the same nonzeros, so the size of all
-    four matrices follows the number of products, not the format.
+    four matrices follows the number of products, not the format.  Column
+    ``(e_i, g_t)`` of r is numbered ``i*(n+1)+t`` and column ``(e_j, f_c)``
+    of s1 ``j*(m+n)+c``: one-to-one on a valid presentation (one that
+    :func:`validate_presentation` accepts), whose keys and coordinates are
+    ints with ``1 <= t <= n`` and ``1 <= c <= m+n-1``, and whose distinct
+    ``ee`` keys ``i < j`` give each coefficient its own row and column.
     """
     p = sparse_rank(a.ee.values())
     q = sparse_rank(a.ef.values())
 
-    # r: one sparse row per f-basis vector, coordinates (i, t) of Hom(A1, A3).
-    delta_rows: dict[int, dict[tuple[int, int], int]] = {}
+    # r: one sparse row per f-basis vector, over Hom(A1, A3).
+    width = a.n + 1
+    delta_rows: dict[int, dict[int, int]] = {}
     for (i, l), coeffs in a.ef.items():
         row = delta_rows.setdefault(l, {})
         for t, coeff in coeffs.items():
-            row[(i, t)] = row.get((i, t), 0) + coeff
+            row[i * width + t] = coeff
     r = sparse_rank(delta_rows.values())
 
-    # s1: one sparse row per e-basis vector, coordinates (j, c) of Hom(A1, A2).
-    mult_rows: dict[int, dict[tuple[int, int], int]] = {}
+    # s1: one sparse row per e-basis vector, over Hom(A1, A2).
+    width = a.m + a.n
+    mult_rows: dict[int, dict[int, int]] = {}
     for (i, j), coeffs in a.ee.items():
         row_i = mult_rows.setdefault(i, {})
         row_j = mult_rows.setdefault(j, {})
         for c, coeff in coeffs.items():
-            row_i[(j, c)] = row_i.get((j, c), 0) + coeff
-            row_j[(i, c)] = row_j.get((i, c), 0) - coeff
+            row_i[j * width + c] = coeff
+            row_j[i * width + c] = -coeff
     s1 = sparse_rank(mult_rows.values())
 
     return ClassifierReport(p=p, q=q, r=r, s1=s1)
@@ -411,11 +422,6 @@ def _decimal(size: int) -> str:
 
 
 def _coordinate_problems(where: str, coords: Mapping[int, int], bound: str, size: int) -> list[str]:
-    for k, c in coords.items():  # one pass for the usual, valid product
-        if not (isinstance(k, int) and isinstance(c, int) and 1 <= k <= size):
-            break
-    else:
-        return []
     if not all(isinstance(k, int) and isinstance(c, int) for k, c in coords.items()):
         return [f"{where} has non-integer entries"]
     return [
@@ -425,31 +431,79 @@ def _coordinate_problems(where: str, coords: Mapping[int, int], bound: str, size
     ]
 
 
-def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
-    """Structural diagnostics for a hand-built table; empty means valid.
+def _well_formed(a: TorPresentation) -> bool:
+    """Whether :func:`_diagnostics` would find nothing, decided in one unsorted pass."""
+    m, n = a.m, a.n
+    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
+        return False
+    d2 = m + n - 1
+    try:
+        for (i, j), coords in a.ee.items():
+            if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= m):
+                return False
+            for k, c in coords.items():
+                if not (isinstance(k, int) and isinstance(c, int) and 1 <= k <= d2):
+                    return False
+        for (i, l), coords in a.ef.items():
+            if not (isinstance(i, int) and isinstance(l, int) and 1 <= i <= m and 1 <= l <= d2):
+                return False
+            for k, c in coords.items():
+                if not (isinstance(k, int) and isinstance(c, int) and 1 <= k <= n):
+                    return False
+    except (TypeError, ValueError):  # a key that is not two values
+        return False
+    return True
 
-    Checks the range of every product key, and the range and integrality of
-    every stored coordinate and coefficient.
-    """
+
+def _index_pair(key: object) -> PairKey | None:
+    """``key`` unpacked into two ints, as every reader of a table unpacks it, or None."""
+    try:
+        i, j = key
+    except (TypeError, ValueError):
+        return None
+    return (i, j) if isinstance(i, int) and isinstance(j, int) else None
+
+
+def _diagnostics(a: TorPresentation) -> list[str]:
+    """Every problem of ``a`` worded, products in sorted key order after malformed keys."""
     diags: list[str] = []
     if not isinstance(a.m, int) or a.m < 1:
         diags.append(f"m must be a positive integer, got {a.m!r}")
     if not isinstance(a.n, int) or a.n < 1:
         diags.append(f"n must be a positive integer, got {a.n!r}")
     if diags:
-        return tuple(diags)
+        return diags
     d2 = a.dim2
-    for (i, j), coords in sorted(a.ee.items()):
+    for key, coords in sorted(a.ee.items(), key=lambda item: _index_pair(item[0]) or ()):
+        if (pair := _index_pair(key)) is None:
+            diags.append(f"ee key {key!r} is not a pair of integers")
+            continue
+        i, j = pair
         if not (1 <= i < j <= a.m):
             diags.append(f"ee key ({i},{j}) out of range: need 1 <= i < j <= m = {_decimal(a.m)}")
         diags += _coordinate_problems(f"ee[({i},{j})]", coords, "m+n-1", d2)
-    for (i, l), coords in sorted(a.ef.items()):
+    for key, coords in sorted(a.ef.items(), key=lambda item: _index_pair(item[0]) or ()):
+        if (pair := _index_pair(key)) is None:
+            diags.append(f"ef key {key!r} is not a pair of integers")
+            continue
+        i, l = pair
         if not (1 <= i <= a.m):
             diags.append(f"ef key ({i},{l}) out of range: need 1 <= i <= m = {_decimal(a.m)}")
         if not (1 <= l <= d2):
             diags.append(f"ef key ({i},{l}) out of range: need 1 <= l <= m+n-1 = {_decimal(d2)}")
         diags += _coordinate_problems(f"ef[({i},{l})]", coords, "n", a.n)
-    return tuple(diags)
+    return diags
+
+
+def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
+    """Structural diagnostics for a hand-built table; empty means valid.
+
+    Checks that every product key is a pair of integers in range, and the
+    range and integrality of every stored coordinate and coefficient.  A
+    valid table costs one unsorted pass; only a table with problems is
+    scanned again, in sorted order, to word them.
+    """
+    return () if _well_formed(a) else tuple(_diagnostics(a))
 
 
 def _require_document_size(m: int, n: int, ee_count: int, ef_count: int) -> None:
@@ -485,26 +539,32 @@ def presentation_to_document(a: TorPresentation) -> dict:
 def presentation_from_document(doc: object) -> TorPresentation:
     """Parse the document form; rejects anything outside the schema.
 
-    Unknown fields, wrong versions, non-integer entries, and every problem
-    :func:`validate_presentation` reports (such as out-of-range indices)
-    raise :class:`DocumentError`, and so does a table of more than
-    :data:`MAX_DOCUMENT_CELLS` cells (distinct products times basis
-    length); those checks run on the quadruples' coordinate maps, before
-    anything is built.  Repeated quadruples for the same coordinate
-    accumulate, and coefficients that sum to zero are dropped.
+    One pass sums the quadruples, each four exact ints, into coordinate
+    maps; :func:`validate_presentation` range-checks those maps, zero sums
+    included, and the table is built from them with the zero sums dropped,
+    not through :func:`make_presentation`.  Unknown fields, wrong versions,
+    non-integer entries, the first problem the validation reports, and a
+    table of more than :data:`MAX_DOCUMENT_CELLS` cells (distinct products
+    times basis length) raise :class:`DocumentError` before anything is built.
     """
     version, m, n, ee, ef = document_fields(
         doc, "presentation document", (("version", int), ("m", int), ("n", int), ("ee", list), ("ef", list))
     )
     if version != PRESENTATION_VERSION:
         raise DocumentError(f"unsupported presentation version {version!r}")
-    # Zero sums are still stored here, so their coordinates are range-checked too.
-    raw = TorPresentation(m, n, _coordinate_maps(ee, "ee"), _coordinate_maps(ef, "ef"))
-    diags = validate_presentation(raw)
+    ee_maps, ef_maps = _coordinate_maps(ee, "ee"), _coordinate_maps(ef, "ef")
+    diags = validate_presentation(TorPresentation(m, n, ee_maps, ef_maps))
     if diags:
         raise DocumentError(diags[0])
-    _require_document_size(m, n, len(raw.ee), len(raw.ef))
-    return make_presentation(m, n, raw.ee, raw.ef)
+    _require_document_size(m, n, len(ee_maps), len(ef_maps))
+    return TorPresentation(m, n, _nonzero(ee_maps), _nonzero(ef_maps))
+
+
+def _nonzero(maps: dict[PairKey, Coords]) -> dict[PairKey, Coords]:
+    """``maps`` without zero coefficients and the products they leave empty."""
+    if all(map(all, map(dict.values, maps.values()))):  # the usual document has no zero sum
+        return maps
+    return {key: kept for key, coords in maps.items() if (kept := {k: c for k, c in coords.items() if c})}
 
 
 def _coordinate_maps(rows: list, field: str) -> dict[PairKey, Coords]:

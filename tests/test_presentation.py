@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from grade3 import (
     presentation_to_document,
     validate_presentation,
 )
+from grade3 import presentation
 from grade3.presentation import MAX_DOCUMENT_CELLS, TorPresentation
 
 
@@ -286,6 +288,60 @@ def test_classify_round_trip_spot_checks():
         assert not report.unclassifiable
 
 
+def _fraction_rank(rows):
+    """Rank by Gaussian elimination over Fraction on dense rows."""
+    matrix = [[Fraction(x) for x in row] for row in rows if any(row)]
+    rank = 0
+    for col in range(len(matrix[0]) if matrix else 0):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        for r in range(rank + 1, len(matrix)):
+            factor = matrix[r][col] / matrix[rank][col]
+            matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _valid_tables(draw):
+    """Valid tables with coefficients in -3..3, often with n small against m.
+
+    Most products are alone in their row of the r or s1 matrix (ee on a
+    matching of the e basis, ef on distinct f's), so a column numbering that
+    merged two columns would lower a rank; a few denser products ride along.
+    """
+    m = draw(st.integers(min_value=2, max_value=14))
+    n = draw(st.sampled_from([1, 1, 2, 3, 6, 16]))
+    d2 = m + n - 1
+    coeff = st.integers(-3, 3)
+    e = draw(st.permutations(range(1, m + 1)))
+    ee = {tuple(sorted(e[k : k + 2])): {draw(st.integers(1, d2)): draw(coeff)} for k in range(0, m - 1, 2)}
+    distinct_l = draw(st.sets(st.integers(1, d2)))
+    ef = {(draw(st.integers(1, m)), l): {draw(st.integers(1, n)): draw(coeff)} for l in distinct_l}
+    ee_key = st.lists(st.integers(1, m), min_size=2, max_size=2, unique=True).map(lambda ij: tuple(sorted(ij)))
+    ee.update(draw(st.dictionaries(ee_key, st.dictionaries(st.integers(1, d2), coeff, max_size=3), max_size=3)))
+    ef_key = st.tuples(st.integers(1, m), st.integers(1, d2))
+    ef.update(draw(st.dictionaries(ef_key, st.dictionaries(st.integers(1, n), coeff, max_size=3), max_size=3)))
+    return make_presentation(m, n, ee, ef)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_tables())
+def test_compute_pqrs_matches_dense_fraction_ranks(table):
+    m, d2 = table.m, table.dim2
+    assert validate_presentation(table) == ()
+    e, f = range(1, m + 1), range(1, d2 + 1)
+    p = _fraction_rank([table.ee_product(i, j) for i in e for j in e if i < j])
+    q = _fraction_rank([table.ef_product(i, l) for i in e for l in f])
+    # r: f_l -> (e_i -> e_i f_l) in Hom(A1, A3); s1: e_i -> (e_j -> e_i e_j) in Hom(A1, A2).
+    r = _fraction_rank([[c for i in e for c in table.ef_product(i, l)] for l in f])
+    s1 = _fraction_rank([[c for j in e for c in table.ee_product(i, j)] for i in e])
+    rep = compute_pqrs(table)
+    assert (rep.p, rep.q, rep.r, rep.s1) == (p, q, r, s1)
+
+
 def test_classify_flags_unclassifiable_tables():
     # Two ef products on distinct e's hit the same g, so q = 1 while the
     # Hom-rank r is 2; with p = 2 no row of the invariant table matches.
@@ -411,6 +467,57 @@ def test_validate_reports_range_and_length_problems():
     )
 
 
+def test_validate_reports_keys_that_are_not_integer_pairs():
+    # Once (), with the table classified H(1,0); then a TypeError from the range
+    # comparison; then a TypeError from sorting int keys against str keys.
+    assert validate_presentation(TorPresentation(3, 1, {(1.5, 2): {1: 1}}, {})) == (
+        "ee key (1.5, 2) is not a pair of integers",
+    )
+    assert validate_presentation(TorPresentation(3, 1, {}, {("a", 2): {1: 1}})) == (
+        "ef key ('a', 2) is not a pair of integers",
+    )
+    mixed = TorPresentation(3, 1, {(2, 3): {9: 1}, ("a", "b"): {1: 1}, (1, 2): {1: 1}, 7: {1: 1}}, {})
+    assert validate_presentation(mixed) == (
+        "ee key ('a', 'b') is not a pair of integers",
+        "ee key 7 is not a pair of integers",
+        "ee[(2,3)] coordinate 9 out of range: need 1 <= k <= m+n-1 = 3",
+    )
+
+
+def _seeded_table(rng):
+    """A small table whose keys, coordinates and coefficients stray now and then."""
+    m, n = rng.randint(1, 5), rng.randint(1, 4)
+    d2 = m + n - 1
+
+    def entry(hi):
+        return rng.choice([rng.randint(1, hi)] * 12 + [0, hi + 1, 1.5, 2.0, "1", None, True])
+
+    def product(hi):
+        return {entry(hi): entry(3) for _ in range(rng.randint(1, 3))}
+
+    ee = {}
+    for _ in range(rng.randint(0, 4)):
+        i, j = entry(m), entry(m)
+        if type(i) is type(j) is int and i > j and rng.random() < 0.8:
+            i, j = j, i
+        ee[rng.choice([(i, j)] * 20 + [(i,), (i, j, 1), i])] = product(d2)
+    ef = {(entry(m), entry(d2)): product(n) for _ in range(rng.randint(0, 4))}
+    return TorPresentation(m, n, ee, ef)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fast_pass_agrees_with_diagnostic_scan(seed):
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(2000):
+        table = _seeded_table(rng)
+        diags = presentation._diagnostics(table)
+        assert presentation._well_formed(table) == (diags == [])
+        assert validate_presentation(table) == tuple(diags)
+        outcomes.add(bool(diags))
+    assert outcomes == {True, False}
+
+
 # ------------------------------------------------------------- serialization
 
 
@@ -494,6 +601,57 @@ def test_document_parser_accumulates_repeats():
     pres = presentation_from_document(doc)
     assert pres.ee == {(1, 2): {1: 3}}
     assert pres.ef == {}
+
+
+@st.composite
+def _documents(draw):
+    """Documents whose quadruples repeat and cancel, now and then with one out of range."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    d2 = m + n - 1
+    ee_rows = st.tuples(st.integers(1, m), st.integers(1, m), st.integers(1, d2), st.integers(-3, 3))
+    ee = [[min(i, j), max(i, j), k, c] for i, j, k, c in draw(st.lists(ee_rows, max_size=8)) if i != j]
+    ef_rows = st.tuples(st.integers(1, m), st.integers(1, d2), st.integers(1, n), st.integers(-3, 3))
+    rows = {"ee": ee, "ef": [list(row) for row in draw(st.lists(ef_rows, max_size=8))]}
+    for field in rows:
+        base = rows[field]
+        again = draw(st.lists(st.tuples(st.sampled_from(base), st.sampled_from([1, -1])), max_size=6)) if base else []
+        base += [[a, b, k, sign * c] for (a, b, k, c), sign in again]
+        if base and draw(st.integers(0, 5)) == 0:  # one entry moved just out of range
+            row = draw(st.sampled_from(base))
+            row[draw(st.integers(0, 2))] = draw(st.sampled_from([0, m + 1, d2 + 1, n + 1]))
+    return {"version": 1, "m": m, "n": n, **rows}
+
+
+@settings(max_examples=300)
+@given(_documents())
+def test_document_reader_equals_make_presentation(doc):
+    m, n = doc["m"], doc["n"]
+    maps: tuple[dict, dict] = ({}, {})
+    for table, rows in zip(maps, (doc["ee"], doc["ef"])):
+        for a, b, k, c in rows:
+            coords = table.setdefault((a, b), {})
+            coords[k] = coords.get(k, 0) + c
+    diags = validate_presentation(TorPresentation(m, n, *maps))
+    if diags:
+        with pytest.raises(DocumentError) as refused:
+            presentation_from_document(doc)
+        assert str(refused.value) == diags[0]
+    else:
+        assert presentation_from_document(doc) == make_presentation(m, n, *maps)
+
+
+def test_document_refusals_name_the_first_problem():
+    good = presentation_to_document(canonical_presentation(CLASS_B, make_format(5, 2)))
+    cases = [
+        ({"ee": [[1, 2, 99, 0]]}, "ee[(1,2)] coordinate 99 out of range: need 1 <= k <= m+n-1 = 6"),
+        ({"ee": [[2, 2, 1, 1], [0, 2, 1, 1]]}, "ee key (0,2) out of range: need 1 <= i < j <= m = 5"),
+        ({"ef": [[1, 7, 1, 1]]}, "ef key (1,7) out of range: need 1 <= l <= m+n-1 = 6"),
+        ({"m": 0}, "m must be a positive integer, got 0"),
+    ]
+    for change, text in cases:
+        with pytest.raises(DocumentError) as refused:
+            presentation_from_document({**good, **change})
+        assert str(refused.value) == text
 
 
 def test_document_size_limit_fires_before_allocation():
