@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Sequence
 
-from .cone import LinkSpec, linked_to_document, mapping_cone_presentation, verify_linkage_theorems
+from .cone import SUPPORTED_SPECS, LinkSpec, linked_to_document, mapping_cone_presentation, verify_linkage_theorems
 from .errors import DocumentError, Grade3Error
 from .labels import class_invariants, parse_format, parse_label
 from .permissible import (
@@ -215,7 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("link", help="apply the linkage engine to a table and emit the linked table")
     p.add_argument("file", help="presentation JSON file, or - for stdin")
-    p.add_argument("--t1", type=int, required=True, choices=(0, 1, 2, 3), help="split rank")
+    t1_values = sorted({spec.t1 for spec in SUPPORTED_SPECS})
+    p.add_argument("--t1", type=int, required=True, choices=t1_values, help="split rank")
     p.add_argument(
         "--phi2-unit",
         action="store_true",

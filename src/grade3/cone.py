@@ -268,27 +268,17 @@ class TheoremReport:
 
 
 def _canonical_labels(fmt: Format) -> list[ClassLabel]:
-    """Every class label whose canonical table fits the format, except C(3)."""
-    labels: list[ClassLabel] = []
-    if fmt.m >= 3 and fmt.dim2 >= 3:
-        labels.append(CLASS_T)
-    if fmt.m >= 2 and fmt.dim2 >= 3:
-        labels.append(CLASS_B)
-    for r in range(2, min(fmt.m, fmt.dim2) + 1):
-        labels.append(class_G(r))
-    for p in range(0, fmt.m):
-        for q in range(0, fmt.n + 1):
-            if fmt.dim2 >= p + q:
-                labels.append(class_H(p, q))
-    return labels
+    """Every class label except C(3) whose canonical table fits a format with
+    ``m >= 4``: T, B, G(2..m) and H(p,q) for ``p < m``, ``q <= n``."""
+    m, n = fmt.m, fmt.n
+    h_labels = [class_H(p, q) for p in range(m) for q in range(n + 1)]
+    return [CLASS_T, CLASS_B, *map(class_G, range(2, m + 1)), *h_labels]
 
 
 def _sweep_label_count(m_max: int, n_max: int) -> int:
     """How many canonical labels the sweep over ``4 <= m <= m_max``,
-    ``1 <= n <= n_max`` holds, without listing them.
-
-    With ``m >= 4`` every format holds T, B, G(2..m) and H(p,q) for
-    ``p < m``, ``q <= n``: ``m(n+2) + 1`` labels.
+    ``1 <= n <= n_max`` holds, without listing them: ``m(n+2) + 1`` per
+    format (see :func:`_canonical_labels`).
     """
     m_sum = m_max * (m_max + 1) // 2 - 6  # 4 + ... + m_max
     n_sum = n_max * (n_max + 1) // 2 + 2 * n_max  # (1+2) + ... + (n_max+2)

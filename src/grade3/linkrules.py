@@ -166,7 +166,9 @@ class LinkageRule:
     ``verify-theorems`` links to re-derive the rule: an arrangement id from
     :func:`grade3.presentation.arrangement_ids`, ``"canonical"`` for the
     canonical table of every input class, or None for the rules that import
-    a published construction instead.
+    a published construction instead.  ``check``, ``out_class`` and
+    ``out_format`` stay fields because ``perfbench/tracer.py`` wraps them
+    with :func:`dataclasses.replace`.
     """
 
     rule_id: str

@@ -291,6 +291,7 @@ def _verdict(tag: str, a: int, b: int, m: int, n: int) -> PermissibilityVerdict:
     return _PERMISSIBLE if _REALIZED_WHEN_CLEAN[tag](a, b, m, n) else _UNKNOWN
 
 
+# An lru_cache because perfbench/tracer.py reads its cache_info().
 _verdict_cached = lru_cache(maxsize=None)(_verdict)
 
 

@@ -312,23 +312,22 @@ class _Search:
     """Resumable breadth-first search over the shared graph, within one bound.
 
     ``parent`` maps each discovered state id to the id of the state it was
-    first reached from (None for axioms), by the first rule in RULE_ORDER
-    that reaches it.  The expansion sequence for a given bound is a pure
-    function of the bound, so resuming a search later (for a different
-    target) assigns the same parents as a fresh exhaustive run would.
+    first reached from, by the first rule in RULE_ORDER that reaches it, and
+    each axiom to the id of the family that seeded it.  The expansion
+    sequence for a given bound is a pure function of the bound, so resuming
+    a search later (for a different target) assigns the same parents as a
+    fresh exhaustive run would.
     """
 
     def __init__(self, bound: int) -> None:
         self.bound = bound
-        self.parent: dict[int, int | None] = {}
-        self.axiom_family: dict[int, str] = {}
+        self.parent: dict[int, int | str] = {}
         self.queue: deque[int] = deque()
         for family in _SEED_ORDER:
             for state in family.instances(bound):
                 sid = _GRAPH.intern(_state_key(*state))
                 if sid not in self.parent:
-                    self.parent[sid] = None
-                    self.axiom_family[sid] = family.family_id
+                    self.parent[sid] = family.family_id
                     self.queue.append(sid)
 
     def find(self, target: int) -> bool:
@@ -352,6 +351,7 @@ def _is_axiom(state: State, bound: int) -> bool:
     return max(fmt.m, fmt.n) <= bound and any(family.contains(label, fmt) for family in _SEED_ORDER)
 
 
+# perfbench/tracer.py counts these searches and the states in each one's ``parent``.
 _SEARCHES: dict[int, _Search] = {}
 
 
@@ -415,11 +415,11 @@ def _not_found_detail(label: ClassLabel) -> str:
 def _certificate_from(search: _Search, target: int) -> DerivationCertificate:
     steps_reversed: list[Transition] = []
     cursor = target
-    while (prev := search.parent[cursor]) is not None:
+    while isinstance(prev := search.parent[cursor], int):
         label, fmt = _state_of(_GRAPH.keys[prev])
         steps_reversed.append(apply_rule(_GRAPH.rule_between(prev, cursor), label, fmt))
         cursor = prev
-    family = _FAMILY_BY_ID[search.axiom_family[cursor]]
+    family = _FAMILY_BY_ID[prev]
     label, fmt = _state_of(_GRAPH.keys[cursor])
     axiom = Axiom(family.family_id, label, fmt, family.cite)
     return DerivationCertificate(
@@ -594,15 +594,16 @@ def realize_all(m_max: int, n_max: int) -> CoverageReport:
     return CoverageReport(m_max=m_max, n_max=n_max, entries=tuple(entries))
 
 
-FAMILY_ASSIGNMENT_IDS = (
-    "column-m2",
-    "column-m0",
-    "column-m1",
-    "row-n2",
-    "row-n0",
-    "row-n1",
-    "hs-diagonal",
+# The strips of the family chart, as (id, predicate on (m, n)), in precedence order.
+_FAMILY_STRIPS: tuple[tuple[str, Callable[[int, int], bool]], ...] = (
+    ("column-m2", lambda m, n: m % 3 == 2 and n >= m),
+    ("column-m0", lambda m, n: m % 3 == 0 and n >= m),
+    ("column-m1", lambda m, n: m % 3 == 1 and n >= m - 1),
+    ("row-n2", lambda m, n: n % 3 == 2 and m >= n + 3),
+    ("row-n0", lambda m, n: n % 3 == 0 and m >= n + 3),
+    ("row-n1", lambda m, n: n % 3 == 1 and m >= n + 2),
 )
+FAMILY_ASSIGNMENT_IDS = (*(family_id for family_id, _ in _FAMILY_STRIPS), "hs-diagonal")
 
 
 def family_assignment(fmt: Format) -> str:
@@ -617,17 +618,4 @@ def family_assignment(fmt: Format) -> str:
         raise OutOfDomain(
             f"family assignment covers T-permissible formats with m >= 5 and n >= 4; got {fmt}"
         )
-    m, n = fmt.m, fmt.n
-    if m % 3 == 2 and n >= m:
-        return "column-m2"
-    if m % 3 == 0 and n >= m:
-        return "column-m0"
-    if m % 3 == 1 and n >= m - 1:
-        return "column-m1"
-    if n % 3 == 2 and m >= n + 3:
-        return "row-n2"
-    if n % 3 == 0 and m >= n + 3:
-        return "row-n0"
-    if n % 3 == 1 and m >= n + 2:
-        return "row-n1"
-    return "hs-diagonal"
+    return next((family_id for family_id, holds in _FAMILY_STRIPS if holds(fmt.m, fmt.n)), "hs-diagonal")

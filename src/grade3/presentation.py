@@ -73,8 +73,9 @@ PRESENTATION_VERSION = 1
 # the length of their basis (m+n-1 for ee, n for ef).  Products are stored
 # sparsely, so this sizes no stored vector; it bounds the work downstream
 # that grows with m+n per table, such as the mapping cone's basis lists and
-# its symbolic slots.  The largest table the tests, demos and
-# benchmark build counts about 33 k (H(82,42) at (160,160)).
+# its symbolic slots.  The largest tables built elsewhere count 239 800
+# (H(200,200) at (400,400), in the tests), 112 350 (H(150,75) at (300,300),
+# in CI) and about 33 k (H(82,42) at (160,160), in the benchmark).
 MAX_DOCUMENT_CELLS = 5_000_000
 
 Coords = dict[int, int]
@@ -229,24 +230,21 @@ def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
         return TorPresentation(m, n, {}, {(i, i): {1: 1} for i in range(1, r + 1)})
     if label.tag == "H":
         p, q = label.p, label.q
-        if p or q:
-            _require(m >= p + 1, label, fmt, f"m >= {p + 1}")
-        _require(d2 >= p + q, label, fmt, f"m+n-1 >= {p + q}")
-        _require(n >= q, label, fmt, f"n >= {q}")
+        _h_bounds(label, fmt, m_min=p + 1)
         ee = {(i, p + 1): {i: 1} for i in range(1, p + 1)}
         ef = {(p + 1, p + i): {i: 1} for i in range(1, q + 1)}
         return TorPresentation(m, n, ee, ef)
     raise UnknownArrangement(f"no canonical table for label {label}")
 
 
-def _arr_T_A(label: ClassLabel, fmt: Format) -> TorPresentation:
-    _require(fmt.m >= 4 and fmt.dim2 >= 3, label, fmt, "m >= 4 and m+n-1 >= 3")
-    return TorPresentation(fmt.m, fmt.n, {(1, 2): {1: 1}, (1, 4): {2: 1}, (2, 4): {3: 1}}, {})
+def _arr_T(*pairs: PairKey):
+    """T arrangement with the products ``e_i e_j = f_k`` for the k-th pair ``(i, j)``."""
 
+    def build(label: ClassLabel, fmt: Format) -> TorPresentation:
+        _require(fmt.m >= 4 and fmt.dim2 >= 3, label, fmt, "m >= 4 and m+n-1 >= 3")
+        return TorPresentation(fmt.m, fmt.n, {pair: {k: 1} for k, pair in enumerate(pairs, 1)}, {})
 
-def _arr_T_B(label: ClassLabel, fmt: Format) -> TorPresentation:
-    _require(fmt.m >= 4 and fmt.dim2 >= 3, label, fmt, "m >= 4 and m+n-1 >= 3")
-    return TorPresentation(fmt.m, fmt.n, {(2, 3): {1: 1}, (2, 4): {2: 1}, (3, 4): {3: 1}}, {})
+    return build
 
 
 def _h_bounds(label: ClassLabel, fmt: Format, m_min: int) -> None:
@@ -296,8 +294,8 @@ def _arr_H_pivot(u: int):
 
 
 _ARRANGEMENTS = {
-    "T-A": ("T", _arr_T_A),
-    "T-B": ("T", _arr_T_B),
+    "T-A": ("T", _arr_T((1, 2), (1, 4), (2, 4))),
+    "T-B": ("T", _arr_T((2, 3), (2, 4), (3, 4))),
     "G-std": ("G", canonical_presentation),
     "H-i": ("H", _arr_H_pivot(2)),
     "H-ii": ("H", _arr_H_shift(1)),
@@ -394,6 +392,11 @@ def classify(a: TorPresentation) -> ClassifierReport:
     (3,0,0) and are separated by ``s1`` (3 versus 4), then B and G — and
     falls back to H(p,q) whenever ``r = q``.  Anything else is flagged
     unclassifiable.
+
+    Like :func:`compute_pqrs`, it needs a table that :func:`validate_presentation`
+    accepts, and does not check: an invalid table can get a wrong label or none.
+    ``TorPresentation(2, 1, {}, {(1, 1): {3: 1}, (2, 2): {1: 1}})`` (coordinate
+    3 with n = 1) is called unclassifiable with r = 1 instead of refused.
     """
     rep = compute_pqrs(a)
     p, q, r, s1 = rep.p, rep.q, rep.r, rep.s1

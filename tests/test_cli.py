@@ -482,6 +482,14 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_link_t1_choices_are_the_supported_rows(capsys):
+    # The choices are the t1 values of cone.SUPPORTED_SPECS.
+    with pytest.raises(SystemExit) as exc:
+        main(["link", "-", "--t1", "5"])
+    assert exc.value.code == 2
+    assert "argument --t1: invalid choice: 5 (choose from 0, 1, 2, 3)" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------ python -m
 
 

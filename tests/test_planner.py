@@ -11,6 +11,7 @@ import pytest
 
 from grade3 import (
     BASE_FAMILIES,
+    FAMILY_ASSIGNMENT_IDS,
     CLASS_B,
     CLASS_C3,
     CLASS_T,
@@ -500,6 +501,7 @@ def test_realize_all_domain_guard():
 
 
 def test_family_assignment_precedence_and_fallback():
+    assert FAMILY_ASSIGNMENT_IDS == ("column-m2", "column-m0", "column-m1", "row-n2", "row-n0", "row-n1", "hs-diagonal")
     assert family_assignment(make_format(8, 8)) == "column-m2"
     assert family_assignment(make_format(6, 6)) == "column-m0"
     assert family_assignment(make_format(7, 6)) == "column-m1"

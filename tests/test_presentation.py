@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -249,6 +251,43 @@ def test_arrangement_dimension_guards():
         arranged_presentation(CLASS_T, make_format(3, 3), "T-A")  # needs m >= 4
     with pytest.raises(DimensionMismatch):
         arranged_presentation(class_H(3, 0), make_format(4, 4), "H-v")  # needs m >= p+3
+
+
+def test_witness_builders_are_pinned():
+    # Every witness builder (the canonical table and each arrangement) on
+    # every label up to G(8) and H(8,8) in every format up to (9,9): the
+    # table's document, or the refusal's type and message.  `grade3
+    # canonical` prints these refusals on stderr.
+    labels = [CLASS_C3, CLASS_T, CLASS_B]
+    labels += [class_G(r) for r in range(2, 9)]
+    labels += [class_H(p, q) for p in range(9) for q in range(9)]
+    builders = [("canonical", canonical_presentation)] + [
+        (arrangement, lambda label, fmt, arrangement=arrangement: arranged_presentation(label, fmt, arrangement))
+        for arrangement in arrangement_ids()
+    ]
+    digest = hashlib.sha256()
+    for name, build in builders:
+        for label in labels:
+            for m in range(1, 10):
+                for n in range(1, 10):
+                    try:
+                        row = presentation_to_document(build(label, make_format(m, n)))
+                    except (DimensionMismatch, UnknownArrangement) as exc:
+                        row = [type(exc).__name__, str(exc)]
+                    digest.update(f"{name}|{label}|({m},{n})|{json.dumps(row, sort_keys=True)}\n".encode("utf-8"))
+    assert digest.hexdigest() == "d26b1312f3cd641dae1c94ece8935461e6d0e84d597223ea44e2b83755a0b66d"
+
+
+def test_witness_builders_return_fresh_tables():
+    # Callers may mutate a built table; no two calls share a product dict.
+    fmt = make_format(6, 4)
+    for label, build in [(CLASS_T, "T-A"), (CLASS_T, "T-B"), (class_H(2, 1), "H-i"), (class_H(2, 1), "H-ii")]:
+        first, second = arranged_presentation(label, fmt, build), arranged_presentation(label, fmt, build)
+        assert first == second
+        assert first.ee is not second.ee and first.ef is not second.ef
+        assert all(first.ee[key] is not second.ee[key] for key in first.ee)
+    first, second = canonical_presentation(CLASS_T, fmt), canonical_presentation(CLASS_T, fmt)
+    assert first.ee is not second.ee and all(first.ee[key] is not second.ee[key] for key in first.ee)
 
 
 # ---------------------------------------------------------------- classifier
