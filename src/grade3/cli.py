@@ -12,6 +12,11 @@ Exit codes are uniform across subcommands:
 * 1 — a definite negative (not permissible, verification failed)
 * 2 — no answer (unclassifiable, unknown permissibility, nothing found)
 * 3 — invalid input, reported as a one-line ``error:`` diagnostic on stderr
+
+A command line the parser refuses (an unknown subcommand, a missing or
+invalid option such as ``link t.json`` without ``--t1`` or with ``--t1 5``)
+also exits 2, as argparse does: stderr holds the usage text and a
+``grade3 ...: error:`` line, and no subcommand runs.
 """
 
 from __future__ import annotations

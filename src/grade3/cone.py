@@ -146,15 +146,15 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
     if t2:
         raise UnsupportedSpec(f"the products among e_1..e_{t1} have rank {t2}: the table needs row ({t1},{t2},0)")
 
-    e_split: set[int] = {n + 3} if phi2 else set()
-    f_split = {m + n + k for k in range(t1)} | ({1} if phi2 else set())
-    g_split = set(range(1, t1 + 1))
-    e_keep = [i for i in range(1, n + 4) if i not in e_split]
-    f_keep = [i for i in range(1, m + n + 3) if i not in f_split]
-    g_keep = [i for i in range(1, m + 1) if i not in g_split]
-    e_map = {raw: new for new, raw in enumerate(e_keep, start=1)}
-    f_map = {raw: new for new, raw in enumerate(f_keep, start=1)}
-    g_map = {raw: new for new, raw in enumerate(g_keep, start=1)}
+    # The split vectors are runs at known ends: G_1..G_t1, F_{m+n}..F_{m+n+t1-1}
+    # and, in the unit case, F_1 and E_{n+3}.  So each kept basis is a range,
+    # or the concatenation of two.
+    e_keep = range(1, n + 3) if phi2 else range(1, n + 4)
+    f_keep = [*range(2 if phi2 else 1, m + n), *range(m + n + t1, m + n + 3)]
+    g_keep = range(t1 + 1, m + 1)
+    e_map = dict(zip(e_keep, range(1, len(e_keep) + 1)))
+    f_map = dict(zip(f_keep, range(1, len(f_keep) + 1)))
+    g_map = dict(zip(g_keep, range(1, len(g_keep) + 1)))
     m_out, n_out = len(e_keep), len(g_keep)
     if len(f_keep) != m_out + n_out - 1:
         raise AssertionError("split bookkeeping lost the middle-rank identity")
@@ -214,10 +214,11 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
             for l in range(1, m + n):
                 symbolic.append(("EF", i, l))
 
-    splits = tuple(
-        [f"G{i}" for i in sorted(g_split)]
-        + [f"F{i}" for i in sorted(f_split)]
-        + [f"E{i}" for i in sorted(e_split)]
+    splits = (
+        *[f"G{i}" for i in range(1, t1 + 1)],
+        *(["F1"] if phi2 else []),
+        *[f"F{m + n + k}" for k in range(t1)],
+        *([f"E{n + 3}"] if phi2 else []),
     )
     return LinkedPresentation(
         presentation=TorPresentation(m_out, n_out, out_ee, out_ef),
@@ -373,23 +374,23 @@ def verify_linkage_theorems(m_max: int = 10, n_max: int = 8) -> TheoremReport:
         for label, fmt, table in tables:
             lp = mapping_cone_presentation(table, spec)
             checked += 1
-            where = f"{label} at {fmt}"
+            # Failure lines open with "{label} at {fmt}: ", worded only when a check fails.
             diags = validate_presentation(lp.presentation)
             if diags:
-                failures.append(f"{where}: invalid output table: {diags[0]}")
+                failures.append(f"{label} at {fmt}: invalid output table: {diags[0]}")
                 continue
             expected_fmt = rule.out_format(fmt)
             if lp.presentation.fmt != expected_fmt:
-                failures.append(f"{where}: output format {lp.presentation.fmt} != {expected_fmt}")
+                failures.append(f"{label} at {fmt}: output format {lp.presentation.fmt} != {expected_fmt}")
                 continue
             expected = rule.out_class(label)
             if rule.witness == "H-v":
-                failures.extend(f"{where}: {p}" for p in _check_linkH_v(lp, label, fmt, expected))
+                failures.extend(f"{label} at {fmt}: {p}" for p in _check_linkH_v(lp, label, fmt, expected))
                 note = "determinate products, X/Y slots, and H(0,p) class checked"
                 continue
             rep = classify(lp.presentation)
             if rep.label != expected:
-                failures.append(f"{where}: classified {rep.label}, expected {expected}")
+                failures.append(f"{label} at {fmt}: classified {rep.label}, expected {expected}")
         results.append(
             ScenarioResult(scenario=rule.rule_id, checked=checked, failures=tuple(failures), note=note)
         )

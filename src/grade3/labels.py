@@ -63,6 +63,8 @@ _shared_format = lru_cache(maxsize=None)(Format)
 
 def make_format(m: int, n: int) -> Format:
     """Validated constructor: both coordinates must be positive integers."""
+    if type(m) is int and type(n) is int and m >= 1 and n >= 1:  # the usual call, checked at once
+        return _shared_format(m, n)
     for name, value in (("m", m), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidFormat(f"format coordinate {name} must be an integer, got {value!r}")
@@ -142,6 +144,8 @@ _shared_label = lru_cache(maxsize=None)(ClassLabel)
 
 def class_H(p: int, q: int) -> ClassLabel:
     """Label H(p, q); both parameters must be non-negative integers."""
+    if type(p) is int and type(q) is int and p >= 0 and q >= 0:  # the usual call, checked at once
+        return _shared_label("H", p, q)
     for name, value in (("p", p), ("q", q)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise InvalidLabel(f"H parameter {name} must be a non-negative integer, got {value!r}")

@@ -199,9 +199,15 @@ def make_presentation(
     )
 
 
+def _misfit(label: ClassLabel, fmt: Format, need: str) -> DimensionMismatch:
+    return DimensionMismatch(f"class {label} does not fit format {fmt}: needs {need}")
+
+
 def _require(cond: bool, label: ClassLabel, fmt: Format, need: str) -> None:
+    """Refuse ``label`` in ``fmt`` unless ``cond``.  For a constant ``need`` only: a need
+    worded from parameters is raised with :func:`_misfit`, so it is formatted only on refusal."""
     if not cond:
-        raise DimensionMismatch(f"class {label} does not fit format {fmt}: needs {need}")
+        raise _misfit(label, fmt, need)
 
 
 def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
@@ -226,7 +232,8 @@ def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
         return TorPresentation(m, n, {(1, 2): {3: 1}}, {(1, 1): {1: 1}, (2, 2): {1: 1}})
     if label.tag == "G":
         r = label.r
-        _require(m >= r and d2 >= r, label, fmt, f"m >= {r} and m+n-1 >= {r}")
+        if m < r or d2 < r:
+            raise _misfit(label, fmt, f"m >= {r} and m+n-1 >= {r}")
         return TorPresentation(m, n, {}, {(i, i): {1: 1} for i in range(1, r + 1)})
     if label.tag == "H":
         p, q = label.p, label.q
@@ -249,9 +256,12 @@ def _arr_T(*pairs: PairKey):
 
 def _h_bounds(label: ClassLabel, fmt: Format, m_min: int) -> None:
     p, q = label.p, label.q
-    _require(fmt.m >= m_min, label, fmt, f"m >= {m_min}")
-    _require(fmt.dim2 >= p + q, label, fmt, f"m+n-1 >= {p + q}")
-    _require(fmt.n >= q, label, fmt, f"n >= {q}")
+    if fmt.m < m_min:
+        raise _misfit(label, fmt, f"m >= {m_min}")
+    if fmt.dim2 < p + q:
+        raise _misfit(label, fmt, f"m+n-1 >= {p + q}")
+    if fmt.n < q:
+        raise _misfit(label, fmt, f"n >= {q}")
 
 
 def _arr_H_shift(shift: int):
@@ -346,8 +356,8 @@ class ClassifierReport:
     unclassifiable: bool = False
 
 
-def compute_pqrs(a: TorPresentation) -> ClassifierReport:
-    """Exact invariants (p, q, r, s1) of a valid presentation.
+def _pqrs(a: TorPresentation) -> tuple[int, int, int, int]:
+    """The exact invariants ``(p, q, r, s1)`` of a valid presentation.
 
     The stored coordinate maps are the rows of p and q as they are, and the
     rows of r and s1 are built from the same nonzeros, so the size of all
@@ -381,6 +391,16 @@ def compute_pqrs(a: TorPresentation) -> ClassifierReport:
             row_j[i * width + c] = -coeff
     s1 = sparse_rank(mult_rows.values())
 
+    return p, q, r, s1
+
+
+def compute_pqrs(a: TorPresentation) -> ClassifierReport:
+    """Exact invariants (p, q, r, s1) of a valid presentation, without a label.
+
+    The four ranks are those :func:`classify` decides from; the report has
+    ``label=None`` and ``unclassifiable=False``.
+    """
+    p, q, r, s1 = _pqrs(a)
     return ClassifierReport(p=p, q=q, r=r, s1=s1)
 
 
@@ -398,8 +418,7 @@ def classify(a: TorPresentation) -> ClassifierReport:
     ``TorPresentation(2, 1, {}, {(1, 1): {3: 1}, (2, 2): {1: 1}})`` (coordinate
     3 with n = 1) is called unclassifiable with r = 1 instead of refused.
     """
-    rep = compute_pqrs(a)
-    p, q, r, s1 = rep.p, rep.q, rep.r, rep.s1
+    p, q, r, s1 = _pqrs(a)
     label: ClassLabel | None = None
     if (p, q, r) == (3, 1, 3) and (a.m, a.n) == (3, 1):
         label = CLASS_C3

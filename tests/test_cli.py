@@ -490,6 +490,16 @@ def test_link_t1_choices_are_the_supported_rows(capsys):
     assert "argument --t1: invalid choice: 5 (choose from 0, 1, 2, 3)" in capsys.readouterr().err
 
 
+def test_link_without_t1_is_a_usage_error(capsys):
+    # Usage errors share exit code 2 with "no answer"; the parser refuses before any file is read.
+    with pytest.raises(SystemExit) as exc:
+        main(["link", "t.json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "the following arguments are required: --t1" in captured.err
+
+
 # ------------------------------------------------------------ python -m
 
 

@@ -322,9 +322,19 @@ def test_theorem_replay_checks_the_planner_rules(monkeypatch):
     report = verify_linkage_theorems(6, 4)
     failed = {res.scenario for res in report.results if not res.passed}
     assert failed == {"linkH-iii", "linkT-i"}
-    by_name = {res.scenario: res for res in report.results}
-    assert all("expected H(1,2)" in f for f in by_name["linkH-iii"].failures)
-    assert all("output format" in f for f in by_name["linkT-i"].failures)
+    # Each failure line is worded in full: "{label} at {fmt}: {what differs}".
+    by_name = {res.scenario: res.failures for res in report.results}
+    class_lines, format_lines = by_name["linkH-iii"], by_name["linkT-i"]
+    assert len(class_lines) == 126
+    assert class_lines[0] == "H(1,0) at (4,1): classified H(1,1), expected H(1,2)"
+    assert class_lines[-1] == "H(4,4) at (6,4): classified H(1,1), expected H(1,2)"
+    class_line = r"H\(\d+,\d+\) at \(\d+,\d+\): classified H\(1,1\), expected H\(1,2\)"
+    assert all(re.fullmatch(class_line, f) for f in class_lines)
+    assert len(format_lines) == 12
+    assert format_lines[0] == "T at (4,1): output format (4,3) != (4,2)"
+    assert format_lines[-1] == "T at (6,4): output format (7,5) != (7,4)"
+    format_line = r"T at \(\d+,\d+\): output format \(\d+,\d+\) != \(\d+,\d+\)"
+    assert all(re.fullmatch(format_line, f) for f in format_lines)
 
 
 def test_theorem_sweep_tables_and_links_are_pinned():

@@ -106,6 +106,31 @@ def test_constructors_share_one_object_per_value_and_still_validate():
             class_G(bad)
 
 
+def test_constructor_refusals_are_worded_per_coordinate():
+    # Plain ints in range are shared at once; everything else is checked
+    # coordinate by coordinate, and an int subclass is accepted as its value.
+    class Int(int):
+        pass
+
+    # The plain value is made first, so the shared object keeps plain ints.
+    assert make_format(4, 3) is make_format(Int(4), Int(3))
+    assert class_H(2, 1) is class_H(Int(2), Int(1))
+    refused = [
+        (lambda: make_format(True, 2), "format coordinate m must be an integer, got True"),
+        (lambda: make_format(4, 2.0), "format coordinate n must be an integer, got 2.0"),
+        (lambda: make_format([1], 2), "format coordinate m must be an integer, got [1]"),
+        (lambda: make_format(0, -1), "format coordinate m must be >= 1, got 0"),
+        (lambda: make_format(4, -1), "format coordinate n must be >= 1, got -1"),
+        (lambda: class_H(-1, 0), "H parameter p must be a non-negative integer, got -1"),
+        (lambda: class_H(0, False), "H parameter q must be a non-negative integer, got False"),
+        (lambda: class_H(1.0, 0), "H parameter p must be a non-negative integer, got 1.0"),
+    ]
+    for build, message in refused:
+        with pytest.raises((InvalidFormat, InvalidLabel)) as exc:
+            build()
+        assert str(exc.value) == message
+
+
 def test_label_accessor_guards():
     with pytest.raises(InvalidLabel):
         CLASS_T.p  # noqa: B018 - the property raise is the point

@@ -381,6 +381,16 @@ def test_compute_pqrs_matches_dense_fraction_ranks(table):
     assert (rep.p, rep.q, rep.r, rep.s1) == (p, q, r, s1)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_valid_tables())
+def test_compute_pqrs_agrees_with_classify(table):
+    # Both read the same four ranks; only classify decides a label.
+    invariants, decided = compute_pqrs(table), classify(table)
+    assert (invariants.p, invariants.q, invariants.r, invariants.s1) == (decided.p, decided.q, decided.r, decided.s1)
+    assert invariants.label is None
+    assert invariants.unclassifiable is False
+
+
 def test_classify_flags_unclassifiable_tables():
     # Two ef products on distinct e's hit the same g, so q = 1 while the
     # Hom-rank r is 2; with p = 2 no row of the invariant table matches.
