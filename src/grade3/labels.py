@@ -56,8 +56,8 @@ class Format:
         return f"({self.m},{self.n})"
 
 
-# One shared object per value.  Called only with validated ints: a bool
-# would hash like 0 or 1 and an unhashable argument would raise TypeError.
+# One shared object per value.  Called only with validated plain ints: a bool would hash like 0 or 1,
+# an unhashable argument would raise TypeError and an int subclass would be handed to later plain calls.
 _shared_format = lru_cache(maxsize=None)(Format)
 
 
@@ -70,7 +70,7 @@ def make_format(m: int, n: int) -> Format:
             raise InvalidFormat(f"format coordinate {name} must be an integer, got {value!r}")
         if value < 1:
             raise InvalidFormat(f"format coordinate {name} must be >= 1, got {value}")
-    return _shared_format(m, n)
+    return _shared_format(int(m), int(n))
 
 
 _FORMAT_RE = re.compile(r"^\((\d+),(\d+)\)$")
@@ -149,7 +149,7 @@ def class_H(p: int, q: int) -> ClassLabel:
     for name, value in (("p", p), ("q", q)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise InvalidLabel(f"H parameter {name} must be a non-negative integer, got {value!r}")
-    return _shared_label("H", p, q)
+    return _shared_label("H", int(p), int(q))
 
 
 def class_G(r: int) -> ClassLabel:
@@ -165,7 +165,7 @@ def class_G(r: int) -> ClassLabel:
         return class_H(0, 0)
     if r == 1:
         return class_H(0, 1)
-    return _shared_label("G", r)
+    return _shared_label("G", int(r))
 
 
 _LABEL_RE = re.compile(r"^(?:(B|T)|C\((3)\)|G\((\d+)\)|H\((\d+),(\d+)\))$")

@@ -443,89 +443,86 @@ def _decimal(size: int) -> str:
         return f"2**{size.bit_length() - 1} or more"
 
 
-def _coordinate_problems(where: str, coords: Mapping[int, int], bound: str, size: int) -> list[str]:
-    if not all(isinstance(k, int) and isinstance(c, int) for k, c in coords.items()):
-        return [f"{where} has non-integer entries"]
-    return [
-        f"{where} coordinate {k} out of range: need 1 <= k <= {bound} = {_decimal(size)}"
-        for k in sorted(coords)
-        if not 1 <= k <= size
-    ]
-
-
-def _well_formed(a: TorPresentation) -> bool:
-    """Whether :func:`_diagnostics` would find nothing, decided in one unsorted pass."""
-    m, n = a.m, a.n
-    if not (isinstance(m, int) and isinstance(n, int) and m >= 1 and n >= 1):
-        return False
-    d2 = m + n - 1
-    try:
-        for (i, j), coords in a.ee.items():
-            if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= m):
-                return False
-            for k, c in coords.items():
-                if not (isinstance(k, int) and isinstance(c, int) and 1 <= k <= d2):
-                    return False
-        for (i, l), coords in a.ef.items():
-            if not (isinstance(i, int) and isinstance(l, int) and 1 <= i <= m and 1 <= l <= d2):
-                return False
-            for k, c in coords.items():
-                if not (isinstance(k, int) and isinstance(c, int) and 1 <= k <= n):
-                    return False
-    except (TypeError, ValueError):  # a key that is not two values
-        return False
-    return True
-
-
-def _index_pair(key: object) -> PairKey | None:
-    """``key`` unpacked into two ints, as every reader of a table unpacks it, or None."""
-    try:
-        i, j = key
-    except (TypeError, ValueError):
-        return None
-    return (i, j) if isinstance(i, int) and isinstance(j, int) else None
-
-
-def _diagnostics(a: TorPresentation) -> list[str]:
-    """Every problem of ``a`` worded, products in sorted key order after malformed keys."""
-    diags: list[str] = []
-    if not isinstance(a.m, int) or a.m < 1:
-        diags.append(f"m must be a positive integer, got {a.m!r}")
-    if not isinstance(a.n, int) or a.n < 1:
-        diags.append(f"n must be a positive integer, got {a.n!r}")
-    if diags:
-        return diags
-    d2 = a.dim2
-    for key, coords in sorted(a.ee.items(), key=lambda item: _index_pair(item[0]) or ()):
-        if (pair := _index_pair(key)) is None:
-            diags.append(f"ee key {key!r} is not a pair of integers")
-            continue
-        i, j = pair
-        if not (1 <= i < j <= a.m):
-            diags.append(f"ee key ({i},{j}) out of range: need 1 <= i < j <= m = {_decimal(a.m)}")
-        diags += _coordinate_problems(f"ee[({i},{j})]", coords, "m+n-1", d2)
-    for key, coords in sorted(a.ef.items(), key=lambda item: _index_pair(item[0]) or ()):
-        if (pair := _index_pair(key)) is None:
-            diags.append(f"ef key {key!r} is not a pair of integers")
-            continue
-        i, l = pair
-        if not (1 <= i <= a.m):
-            diags.append(f"ef key ({i},{l}) out of range: need 1 <= i <= m = {_decimal(a.m)}")
-        if not (1 <= l <= d2):
-            diags.append(f"ef key ({i},{l}) out of range: need 1 <= l <= m+n-1 = {_decimal(d2)}")
-        diags += _coordinate_problems(f"ef[({i},{l})]", coords, "n", a.n)
-    return diags
+def _noted(found: list | None, field: str, pair: tuple, position: object, text: str) -> list:
+    """``found``, or a new list if it is None, with one more problem appended."""
+    if found is None:
+        found = []
+    found.append((field, pair, position, text))
+    return found
 
 
 def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
-    """Structural diagnostics for a hand-built table; empty means valid.
+    """Every structural problem of a hand-built table, worded; empty means valid.
 
-    Checks that every product key is a pair of integers in range, and the
-    range and integrality of every stored coordinate and coefficient.  A
-    valid table costs one unsorted pass; only a table with problems is
-    scanned again, in sorted order, to word them.
+    Checks that ``m`` and ``n`` are positive integers (if not, that alone is
+    reported), that every product key is a pair of integers in range, and the
+    range and integrality of every stored coordinate and coefficient, in one
+    unsorted pass that words each problem where it finds it; only a table with
+    problems is sorted.  Problems come ``ee`` before ``ef``: keys that are not
+    integer pairs first, in insertion order, then products in key order, each
+    with its key's range problems, then either its out-of-range coordinates by
+    coordinate or one line for non-integer entries.
     """
-    return () if _well_formed(a) else tuple(_diagnostics(a))
+    m, n = a.m, a.n
+    m_bad, n_bad = not isinstance(m, int) or m < 1, not isinstance(n, int) or n < 1
+    if m_bad or n_bad:
+        named = (("m", m, m_bad), ("n", n, n_bad))
+        return tuple(f"{name} must be a positive integer, got {value!r}" for name, value, bad in named if bad)
+    d2 = m + n - 1
+    # Problems as (field, pair or (), position, text), made into a list at the first and
+    # sorted once at the end.  Keys that are not integer pairs share the pair () and are
+    # placed by the order found; within a pair, the key's range lines come at (0, 0) and
+    # (0, 1), then coordinate k's line at (1, k) or the one non-integer line at (1, 0).
+    found: list | None = None
+    for key, coords in a.ee.items():
+        try:
+            i, j = key
+        except (TypeError, ValueError):
+            i = j = None
+        if not (isinstance(i, int) and isinstance(j, int)):
+            found = _noted(found, "ee", (), len(found or ()), f"ee key {key!r} is not a pair of integers")
+            continue
+        if not 1 <= i < j <= m:
+            text = f"ee key ({i},{j}) out of range: need 1 <= i < j <= m = {_decimal(m)}"
+            found = _noted(found, "ee", (i, j), (0, 0), text)
+        mark = len(found) if found else 0
+        for k, c in coords.items():
+            if not (isinstance(k, int) and isinstance(c, int)):
+                if found:
+                    del found[mark:]  # the coordinates already worded out of range
+                found = _noted(found, "ee", (i, j), (1, 0), f"ee[({i},{j})] has non-integer entries")
+                break
+            if not 1 <= k <= d2:
+                text = f"ee[({i},{j})] coordinate {k} out of range: need 1 <= k <= m+n-1 = {_decimal(d2)}"
+                found = _noted(found, "ee", (i, j), (1, k), text)
+    for key, coords in a.ef.items():
+        try:
+            i, l = key
+        except (TypeError, ValueError):
+            i = l = None
+        if not (isinstance(i, int) and isinstance(l, int)):
+            found = _noted(found, "ef", (), len(found or ()), f"ef key {key!r} is not a pair of integers")
+            continue
+        if not 1 <= i <= m:
+            text = f"ef key ({i},{l}) out of range: need 1 <= i <= m = {_decimal(m)}"
+            found = _noted(found, "ef", (i, l), (0, 0), text)
+        if not 1 <= l <= d2:
+            text = f"ef key ({i},{l}) out of range: need 1 <= l <= m+n-1 = {_decimal(d2)}"
+            found = _noted(found, "ef", (i, l), (0, 1), text)
+        mark = len(found) if found else 0
+        for k, c in coords.items():
+            if not (isinstance(k, int) and isinstance(c, int)):
+                if found:
+                    del found[mark:]  # the coordinates already worded out of range
+                found = _noted(found, "ef", (i, l), (1, 0), f"ef[({i},{l})] has non-integer entries")
+                break
+            if not 1 <= k <= n:
+                text = f"ef[({i},{l})] coordinate {k} out of range: need 1 <= k <= n = {_decimal(n)}"
+                found = _noted(found, "ef", (i, l), (1, k), text)
+    if found is None:
+        return ()
+    found.sort()
+    return tuple(text for *_, text in found)
 
 
 def _require_document_size(m: int, n: int, ee_count: int, ef_count: int) -> None:

@@ -131,6 +131,23 @@ def test_constructor_refusals_are_worded_per_coordinate():
         assert str(exc.value) == message
 
 
+def test_int_subclass_arguments_share_plain_ints():
+    # Values no other test builds, so each first call here is the one whose
+    # arguments the shared object keeps.
+    class Int(int):
+        def __str__(self):
+            return f"Int({int(self)})"
+
+    assert str(make_format(Int(7001), 7003)) == "(7001,7003)"
+    assert str(make_format(7001, 7003)) == "(7001,7003)"
+    assert str(class_H(Int(7001), 1)) == "H(7001,1)"
+    assert str(class_H(7001, 1)) == "H(7001,1)"
+    assert str(class_G(Int(7001))) == "G(7001)"
+    assert str(class_G(7001)) == "G(7001)"
+    for obj in (make_format(7001, 7003), class_H(7001, 1), class_G(7001)):
+        assert {type(value) for value in vars(obj).values() if not isinstance(value, str)} == {int}
+
+
 def test_label_accessor_guards():
     with pytest.raises(InvalidLabel):
         CLASS_T.p  # noqa: B018 - the property raise is the point

@@ -31,7 +31,6 @@ from grade3 import (
     presentation_to_document,
     validate_presentation,
 )
-from grade3 import presentation
 from grade3.presentation import MAX_DOCUMENT_CELLS, TorPresentation
 
 
@@ -554,17 +553,20 @@ def _seeded_table(rng):
     return TorPresentation(m, n, ee, ef)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_fast_pass_agrees_with_diagnostic_scan(seed):
-    rng = random.Random(seed)
-    outcomes = set()
-    for _ in range(2000):
-        table = _seeded_table(rng)
-        diags = presentation._diagnostics(table)
-        assert presentation._well_formed(table) == (diags == [])
-        assert validate_presentation(table) == tuple(diags)
-        outcomes.add(bool(diags))
-    assert outcomes == {True, False}
+def test_validation_of_seeded_tables_is_pinned():
+    # 8 000 seeded tables, 7 601 of them with problems: the digest pins the wording and
+    # the order of every line validate_presentation gives for them.
+    lines, flagged = [], 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            diags = validate_presentation(_seeded_table(rng))
+            flagged += bool(diags)
+            lines.append("|".join(diags))
+    assert flagged == 7601
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "dc3d5c20c42d1594e7f94f85a79873b637f61ecb7f8b0ed83638e180cd7445a3"
+    )
 
 
 # ------------------------------------------------------------- serialization
