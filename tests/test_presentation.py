@@ -553,6 +553,62 @@ def _seeded_table(rng):
     return TorPresentation(m, n, ee, ef)
 
 
+def _index_pair(key):
+    try:
+        i, j = key
+    except (TypeError, ValueError):
+        return None
+    return (i, j) if isinstance(i, int) and isinstance(j, int) else None
+
+
+def _coordinate_problems(where, coords, bound, size):
+    if not all(isinstance(k, int) and isinstance(c, int) for k, c in coords.items()):
+        return [f"{where} has non-integer entries"]
+    return [
+        f"{where} coordinate {k} out of range: need 1 <= k <= {bound} = {size}"
+        for k in sorted(coords)
+        if not 1 <= k <= size
+    ]
+
+
+def _diagnostic_scan(a):
+    """The problems of a table with positive integer m and n, found by rescanning it in
+    sorted key order (malformed keys first): the order validate_presentation promises."""
+    diags, d2 = [], a.m + a.n - 1
+    for key, coords in sorted(a.ee.items(), key=lambda item: _index_pair(item[0]) or ()):
+        if (pair := _index_pair(key)) is None:
+            diags.append(f"ee key {key!r} is not a pair of integers")
+            continue
+        i, j = pair
+        if not 1 <= i < j <= a.m:
+            diags.append(f"ee key ({i},{j}) out of range: need 1 <= i < j <= m = {a.m}")
+        diags += _coordinate_problems(f"ee[({i},{j})]", coords, "m+n-1", d2)
+    for key, coords in sorted(a.ef.items(), key=lambda item: _index_pair(item[0]) or ()):
+        if (pair := _index_pair(key)) is None:
+            diags.append(f"ef key {key!r} is not a pair of integers")
+            continue
+        i, l = pair
+        if not 1 <= i <= a.m:
+            diags.append(f"ef key ({i},{l}) out of range: need 1 <= i <= m = {a.m}")
+        if not 1 <= l <= d2:
+            diags.append(f"ef key ({i},{l}) out of range: need 1 <= l <= m+n-1 = {d2}")
+        diags += _coordinate_problems(f"ef[({i},{l})]", coords, "n", a.n)
+    return diags
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fast_pass_agrees_with_diagnostic_scan(seed):
+    # The one unsorted pass of validate_presentation against a plain sorted rescan.
+    rng = random.Random(seed)
+    outcomes = set()
+    for _ in range(2000):
+        table = _seeded_table(rng)
+        diags = _diagnostic_scan(table)
+        assert validate_presentation(table) == tuple(diags)
+        outcomes.add(bool(diags))
+    assert outcomes == {True, False}
+
+
 def test_validation_of_seeded_tables_is_pinned():
     # 8 000 seeded tables, 7 601 of them with problems: the digest pins the wording and
     # the order of every line validate_presentation gives for them.
