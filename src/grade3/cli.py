@@ -26,9 +26,10 @@ import json
 import sys
 from typing import Sequence
 
-from .cone import SUPPORTED_SPECS, LinkSpec, linked_to_document, mapping_cone_presentation, verify_linkage_theorems
+from .cone import LinkSpec, linked_to_document, mapping_cone_presentation, verify_linkage_theorems
 from .errors import DocumentError, Grade3Error
 from .labels import class_invariants, parse_format, parse_label
+from .linkrules import SUPPORTED_PROFILES
 from .permissible import (
     Status,
     atlas_grid,
@@ -140,8 +141,7 @@ def _cmd_atlas(args: argparse.Namespace) -> int:
 def _cmd_link(args: argparse.Namespace) -> int:
     doc = _read_json(args.file)
     pres = presentation_from_document(doc)
-    spec = LinkSpec(t1=args.t1, phi2_unit=args.phi2_unit)
-    linked = mapping_cone_presentation(pres, spec)
+    linked = mapping_cone_presentation(pres, LinkSpec(args.t1, phi2_unit=args.phi2_unit))
     _dump(linked_to_document(linked), args.output)
     return 0
 
@@ -220,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("link", help="apply the linkage engine to a table and emit the linked table")
     p.add_argument("file", help="presentation JSON file, or - for stdin")
-    t1_values = sorted({spec.t1 for spec in SUPPORTED_SPECS})
+    t1_values = sorted({row.t1 for row in SUPPORTED_PROFILES})
     p.add_argument("--t1", type=int, required=True, choices=t1_values, help="split rank")
     p.add_argument(
         "--phi2-unit",

@@ -12,20 +12,22 @@ cone has raw bases
 * ``G_1 .. G_m`` in degree 3,
 
 and the products of the linked algebra are read off from the structure
-constants of the input.  A :class:`LinkSpec` fixes how many designated
-generators act with full rank (``t1``) and whether the unit-product case
-(``phi2_unit``, which additionally splits ``F_1`` and ``E_{n+3}``) applies.
-The supported specs and the basis vectors they split are
+constants of the input.  A link is a row :class:`~grade3.linkrules.RankProfile`
+``(t1, t2, 0)`` of :data:`~grade3.linkrules.SUPPORTED_PROFILES`: ``t1``
+designated generators act with full rank, and ``t2 = 1`` is the unit-product
+case (``e_1 e_2 = f_1``, which additionally splits ``F_1`` and ``E_{n+3}``).
+:func:`LinkSpec` builds the row from ``t1`` and that case.  The supported rows
+and the basis vectors they split are
 
-===========  =====================================================
-spec         split (removed) basis vectors
-===========  =====================================================
-t1 = 0       none
-t1 = 1       G1, F_{m+n}
-t1 = 2       G1, G2, F_{m+n}, F_{m+n+1}
-t1 = 2 unit  G1, G2, F_{m+n}, F_{m+n+1}, F_1, E_{n+3}
-t1 = 3       G1, G2, G3, F_{m+n}, F_{m+n+1}, F_{m+n+2}
-===========  =====================================================
+=========  =====================================================
+row        split (removed) basis vectors
+=========  =====================================================
+(0,0,0)    none
+(1,0,0)    G1, F_{m+n}
+(2,0,0)    G1, G2, F_{m+n}, F_{m+n+1}
+(2,1,0)    G1, G2, F_{m+n}, F_{m+n+1}, F_1, E_{n+3}
+(3,0,0)    G1, G2, G3, F_{m+n}, F_{m+n+1}, F_{m+n+2}
+=========  =====================================================
 
 For ``t1 = 3`` the products ``E_i E_j`` and ``E_i F_l`` among the surviving
 low-index vectors are not determined by the input table; they are returned
@@ -34,7 +36,7 @@ as *symbolic* slots and excluded from the determinate products.
 :func:`verify_linkage_theorems` replays the rulebook itself: for every rule
 of :data:`grade3.linkrules.RULES` that declares a witness, it links the
 witness tables (canonical or rearranged) of every input the rule accepts
-across a sweep of formats, with the spec whose profile is the rule's, and
+across a sweep of formats, with the rule's own profile row, and
 checks the simulated class and format against the rule's own ``out_class``
 and ``out_format``, built from the statement of the rule that the planner
 compiles its search from.
@@ -45,14 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import OutOfDomain, Phi2Mismatch, UnsupportedSpec
+from .errors import OutOfDomain, Phi2Mismatch, UnsupportedSpec, _decimal
 from .exact import sparse_rank
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
 from .linkrules import RULE_ORDER, RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile
 from .presentation import (
     MAX_DOCUMENT_CELLS,
     TorPresentation,
-    _decimal,
     arranged_presentation,
     canonical_presentation,
     classify,
@@ -62,8 +63,6 @@ from .presentation import (
 
 __all__ = [
     "LinkSpec",
-    "SUPPORTED_SPECS",
-    "link_profile",
     "LinkedPresentation",
     "mapping_cone_presentation",
     "linked_to_document",
@@ -75,21 +74,9 @@ __all__ = [
 LINKED_VERSION = 1
 
 
-@dataclass(frozen=True)
-class LinkSpec:
-    """Rank behaviour of the designated generators in one link."""
-
-    t1: int
-    phi2_unit: bool = False
-
-
-# One spec per row of the profile table; t2 = 1 is the unit-product case.
-SUPPORTED_SPECS = tuple(LinkSpec(profile.t1, profile.t2 == 1) for profile in SUPPORTED_PROFILES)
-
-
-def link_profile(spec: LinkSpec) -> RankProfile:
-    """The rank profile a spec realizes: (t1, phi2 as t2, 0)."""
-    return RankProfile(spec.t1, 1 if spec.phi2_unit else 0, 0)
+def LinkSpec(t1: int, phi2_unit: bool = False) -> RankProfile:
+    """The row ``(t1, t2, 0)`` of a link, with ``t2 = 1`` in the unit-product case."""
+    return RankProfile(t1, 1 if phi2_unit else 0, 0)
 
 
 @dataclass(frozen=True)
@@ -109,10 +96,11 @@ class LinkedPresentation:
     symbolic_products: tuple[tuple[str, int, int], ...]
 
 
-def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPresentation:
-    """Simulate one link of a (valid) multiplication table.
+def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPresentation:
+    """Simulate one link of a (valid) multiplication table along a profile row.
 
-    Raises :class:`UnsupportedSpec` for specs outside the supported table,
+    Raises :class:`UnsupportedSpec` for rows outside
+    :data:`~grade3.linkrules.SUPPORTED_PROFILES`,
     when the input has fewer than ``t1`` degree-1 generators, and, outside
     the unit-product case, when the products among ``e_1 .. e_t1`` have a
     rank ``t2 > 0`` (the message names the row ``(t1,t2,0)`` the table
@@ -121,9 +109,9 @@ def mapping_cone_presentation(a: TorPresentation, spec: LinkSpec) -> LinkedPrese
     anything is built, when the raw bases plus the symbolic slots would
     exceed :data:`grade3.presentation.MAX_DOCUMENT_CELLS`.
     """
-    if spec not in SUPPORTED_SPECS:
-        raise UnsupportedSpec(f"link spec (t1={spec.t1}, phi2_unit={spec.phi2_unit}) is not supported")
-    t1, phi2 = spec.t1, spec.phi2_unit
+    t1, phi2 = row.t1, row.t2 == 1
+    if row not in SUPPORTED_PROFILES:
+        raise UnsupportedSpec(f"link spec (t1={t1}, phi2_unit={phi2}) is not supported")
     m, n = a.m, a.n
     # Bound the work that grows with m+n whatever the products: the raw bases
     # and, for t1 = 3, the symbolic slots.
@@ -286,20 +274,15 @@ def _sweep_label_count(m_max: int, n_max: int) -> int:
     return m_sum * n_sum + (m_max - 3) * n_max
 
 
-# The spec whose profile is a rule's profile; link_profile maps SUPPORTED_SPECS
-# one-to-one onto SUPPORTED_PROFILES.
-_SPEC_FOR_PROFILE = {link_profile(spec): spec for spec in SUPPORTED_SPECS}
-
-
 def _sweep(
     m_max: int, n_max: int
-) -> Iterator[tuple[LinkageRule, LinkSpec, Iterator[tuple[ClassLabel, Format, TorPresentation]]]]:
+) -> Iterator[tuple[LinkageRule, Iterator[tuple[ClassLabel, Format, TorPresentation]]]]:
     """The replay plan of :func:`verify_linkage_theorems`, one entry per rule.
 
-    Yields every rule that declares a witness, in ``RULE_ORDER``, with the
-    spec of its profile and a lazy stream of ``(label, fmt, table)``: for
-    each format with ``4 <= m <= m_max`` and ``1 <= n <= n_max``, every
-    canonical label the rule accepts there, as its witness table.
+    Yields every rule that declares a witness, in ``RULE_ORDER``, with a lazy
+    stream of ``(label, fmt, table)``: for each format with ``4 <= m <= m_max``
+    and ``1 <= n <= n_max``, every canonical label the rule accepts there, as
+    its witness table.
     """
     formats = [
         (fmt, _canonical_labels(fmt))
@@ -320,7 +303,7 @@ def _sweep(
     for rule_id in RULE_ORDER:
         rule = RULES[rule_id]
         if rule.witness is not None:
-            yield rule, _SPEC_FOR_PROFILE[rule.profile], tables(rule)
+            yield rule, tables(rule)
 
 
 def _check_linkH_v(lp: LinkedPresentation, label: ClassLabel, fmt: Format, expected: ClassLabel) -> list[str]:
@@ -351,7 +334,7 @@ def verify_linkage_theorems(m_max: int = 10, n_max: int = 8) -> TheoremReport:
 
     For each such rule, in ``RULE_ORDER``, the witness tables of every input
     the rule accepts with ``4 <= m <= m_max`` and ``1 <= n <= n_max`` are
-    linked with the spec of the rule's profile.  Every simulated output is
+    linked along the rule's profile row.  Every simulated output is
     structurally validated, and its format and classified label are
     compared with the rule's own ``out_format`` and ``out_class``, built
     from the data the planner compiles; the three-generator row on its H-v witness
@@ -367,12 +350,12 @@ def verify_linkage_theorems(m_max: int = 10, n_max: int = 8) -> TheoremReport:
             f"{MAX_DOCUMENT_CELLS}"
         )
     results: list[ScenarioResult] = []
-    for rule, spec, tables in _sweep(m_max, n_max):
+    for rule, tables in _sweep(m_max, n_max):
         checked = 0
         failures: list[str] = []
         note = ""
         for label, fmt, table in tables:
-            lp = mapping_cone_presentation(table, spec)
+            lp = mapping_cone_presentation(table, rule.profile)
             checked += 1
             # Failure lines open with "{label} at {fmt}: ", worded only when a check fails.
             diags = validate_presentation(lp.presentation)

@@ -70,6 +70,14 @@ class DocumentError(Grade3Error):
     """A JSON document does not match the expected schema."""
 
 
+def _decimal(value: int) -> str:
+    """An integer in decimal, or ``2**N or more`` (``-2**N or less``) if it has too many digits to print."""
+    try:
+        return str(value)
+    except ValueError:  # beyond the interpreter's limit on printed digits
+        return f"-2**{value.bit_length() - 1} or less" if value < 0 else f"2**{value.bit_length() - 1} or more"
+
+
 def document_fields(doc: object, what: str, fields: tuple[tuple[str, type], ...]) -> tuple[Any, ...]:
     """The values of a JSON object with exactly the named fields, in order.
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 from .errors import InvalidFormat, InvalidLabel
 
@@ -228,9 +229,14 @@ def class_invariants(label: ClassLabel) -> ClassInvariants:
 class OpaqueLabel:
     """Placeholder for an axiom whose class is not pinned by its source.
 
-    Renders as ``"*"`` in certificate documents.  Only the rule that works
-    for every class (``linktoT``) accepts an opaque input.
+    Renders as ``"*"`` in certificate documents, which is also its ``tag``;
+    like a class label's, its slots ``a`` and ``b`` are integers, both zero.
+    Only the rule that works for every class (``linktoT``) accepts it.
     """
+
+    tag: ClassVar[str] = "*"
+    a: ClassVar[int] = 0
+    b: ClassVar[int] = 0
 
     def __str__(self) -> str:
         return "*"

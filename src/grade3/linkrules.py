@@ -89,7 +89,7 @@ class RankProfile:
         return (self.t1, self.t2, self.t3)
 
 
-# The supported rows; the cone's specs come from here.
+# The supported rows; the cone links along exactly these.
 SUPPORTED_PROFILES = tuple(RankProfile(*row) for row in ((0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (3, 0, 0)))
 
 
@@ -131,13 +131,12 @@ class Transition:
     cite: str
 
 
-OPAQUE_TAG = "*"
-STATE_TAGS = frozenset({"B", "C3", "G", "H", "T", OPAQUE_TAG})
+STATE_TAGS = frozenset({"B", "C3", "G", "H", "T", OPAQUE.tag})
 
 
 def state_tag(label: StateLabel) -> str:
     """The class tag of a state label; opaque labels have the tag ``"*"``."""
-    return label.tag if isinstance(label, ClassLabel) else OPAQUE_TAG
+    return label.tag
 
 
 # A guard's predicate reads the label's two slots and the format, ``(a, b, m,
@@ -184,33 +183,28 @@ class LinkageRule:
     witness: str | None = None
 
 
-_TAG_TEXT = {"C3": "C(3)"}
-_FIXED_CLASSES = {"B": CLASS_B, "C3": CLASS_C3, "T": CLASS_T}
+# The state labels without parameters, by tag.
+_FIXED_LABELS: dict[str, StateLabel] = {label.tag: label for label in (CLASS_B, CLASS_C3, CLASS_T, OPAQUE)}
 
 
-def _slots(label: StateLabel) -> tuple[int, int]:
-    """A state label's two slots; an opaque label's are zero."""
-    return (label.a, label.b) if isinstance(label, ClassLabel) else (0, 0)
-
-
-def _class_of(tag: str, a: int, b: int) -> ClassLabel:
-    """The class label with this tag and these slots."""
+def _label_of(tag: str, a: int, b: int) -> StateLabel:
+    """The state label with this tag and these slots."""
     if tag == "H":
         return class_H(a, b)
     if tag == "G":
         return class_G(a)
-    return _FIXED_CLASSES[tag]
+    return _FIXED_LABELS[tag]
 
 
 def _state_key(label: StateLabel, fmt: Format) -> _StateKey:
     """A state as integers: ``(tag, a, b, m, n)``; an opaque label is ``("*", 0, 0)``."""
-    return (state_tag(label), *_slots(label), fmt.m, fmt.n)
+    return (label.tag, label.a, label.b, fmt.m, fmt.n)
 
 
 def _state_of(key: _StateKey) -> State:
     """The state whose :func:`_state_key` is ``key``."""
     tag, a, b, m, n = key
-    return (OPAQUE if tag == OPAQUE_TAG else _class_of(tag, a, b), make_format(m, n))
+    return (_label_of(tag, a, b), make_format(m, n))
 
 
 def _check(in_tags: frozenset[str], guards: tuple[_Guard, ...]) -> Callable[[StateLabel, Format], str | None]:
@@ -218,17 +212,15 @@ def _check(in_tags: frozenset[str], guards: tuple[_Guard, ...]) -> Callable[[Sta
         (tag,) = in_tags
         accepted = f"class {tag} inputs"
     else:
-        excluded = ", ".join(_TAG_TEXT.get(tag, tag) for tag in sorted(STATE_TAGS - in_tags))
+        excluded = ", ".join(str(_FIXED_LABELS.get(tag, tag)) for tag in sorted(STATE_TAGS - in_tags))
         accepted = f"inputs of any class except {excluded}"
 
     def check(label: StateLabel, fmt: Format) -> str | None:
-        if state_tag(label) not in in_tags:
+        if label.tag not in in_tags:
             return f"rule applies to {accepted}, not {label}"
-        if guards:
-            a, b = _slots(label)
-            for holds, reason in guards:
-                if not holds(a, b, fmt.m, fmt.n):
-                    return reason.format(label=label, fmt=fmt)
+        for holds, reason in guards:
+            if not holds(label.a, label.b, fmt.m, fmt.n):
+                return reason.format(label=label, fmt=fmt)
         return None
 
     return check
@@ -250,7 +242,7 @@ def _rule(
     tags = frozenset({in_tags}) if isinstance(in_tags, str) else in_tags
 
     def out_class(label: StateLabel) -> ClassLabel:
-        return _class_of(out_tag, *out_slots(*_slots(label)))
+        return _label_of(out_tag, *out_slots(label.a, label.b))
 
     return LinkageRule(
         rule_id,

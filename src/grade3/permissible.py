@@ -27,7 +27,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .errors import OutOfDomain
+from .errors import OutOfDomain, _decimal
 from .labels import ClassLabel, Format, class_H
 
 __all__ = [
@@ -155,7 +155,7 @@ def _obstructions() -> dict[str, tuple[tuple[str, _Check, str], ...]]:
 
     def m_lower(p: int, q: int, m: int, n: int) -> str | None:
         if m < p + 1 or m < q + 2:
-            return f"m = {m} is below max(p+1, q+2) = {max(p + 1, q + 2)}"
+            return f"m = {m} is below max(p+1, q+2) = {_decimal(max(p + 1, q + 2))}"
         return None
 
     def n_lower(p: int, q: int, m: int, n: int) -> str | None:
@@ -175,7 +175,7 @@ def _obstructions() -> dict[str, tuple[tuple[str, _Check, str], ...]]:
 
     def q_m_minus_2(p: int, q: int, m: int, n: int) -> str | None:
         if q == m - 2 and p != n + 1:
-            return f"q = m - 2 requires p = n + 1 = {n + 1}; p = {p}"
+            return f"q = m - 2 requires p = n + 1 = {_decimal(n + 1)}; p = {p}"
         return None
 
     def row_p_plus_1_parity(p: int, q: int, m: int, n: int) -> str | None:

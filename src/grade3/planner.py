@@ -50,7 +50,6 @@ from .labels import (
     parse_format,
 )
 from .linkrules import (
-    OPAQUE_TAG,
     RULES,
     RULE_ORDER,
     STATE_TAGS,
@@ -263,7 +262,7 @@ class _Graph:
             self.keys.append(key)
             self.reach.append(max(m, n))
             self.excluded.append(
-                tag != OPAQUE_TAG and _verdict(tag, a, b, m, n).status is Status.NOT_PERMISSIBLE
+                tag != OPAQUE.tag and _verdict(tag, a, b, m, n).status is Status.NOT_PERMISSIBLE
             )
             self.edges.append(None)
             self.edge_rules.append(None)

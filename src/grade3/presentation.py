@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 
-from .errors import DimensionMismatch, DocumentError, UnknownArrangement, document_fields
+from .errors import DimensionMismatch, DocumentError, UnknownArrangement, _decimal, document_fields
 from .exact import sparse_rank
 from .labels import (
     CLASS_B,
@@ -435,12 +435,19 @@ def classify(a: TorPresentation) -> ClassifierReport:
     return ClassifierReport(p=p, q=q, r=r, s1=s1, label=label, unclassifiable=label is None)
 
 
-def _decimal(size: int) -> str:
-    """A positive integer in decimal, or a lower bound if it has too many digits to print."""
-    try:
-        return str(size)
-    except ValueError:  # beyond the interpreter's limit on printed digits
-        return f"2**{size.bit_length() - 1} or more"
+def _pair(i: int, j: int) -> str:
+    """The text ``(i,j)`` of an integer key, each index worded by :func:`_decimal`."""
+    return f"({_decimal(i)},{_decimal(j)})"
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, with an int, also one inside a tuple, worded by :func:`_decimal`."""
+    if type(value) is int:
+        return _decimal(value)
+    if type(value) is tuple:
+        items = [_shown(item) for item in value]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    return repr(value)
 
 
 def _noted(found: list | None, field: str, pair: tuple, position: object, text: str) -> list:
@@ -480,20 +487,20 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
         except (TypeError, ValueError):
             i = j = None
         if not (isinstance(i, int) and isinstance(j, int)):
-            found = _noted(found, "ee", (), len(found or ()), f"ee key {key!r} is not a pair of integers")
+            found = _noted(found, "ee", (), len(found or ()), f"ee key {_shown(key)} is not a pair of integers")
             continue
         if not 1 <= i < j <= m:
-            text = f"ee key ({i},{j}) out of range: need 1 <= i < j <= m = {_decimal(m)}"
+            text = f"ee key {_pair(i, j)} out of range: need 1 <= i < j <= m = {_decimal(m)}"
             found = _noted(found, "ee", (i, j), (0, 0), text)
         mark = len(found) if found else 0
         for k, c in coords.items():
             if not (isinstance(k, int) and isinstance(c, int)):
                 if found:
                     del found[mark:]  # the coordinates already worded out of range
-                found = _noted(found, "ee", (i, j), (1, 0), f"ee[({i},{j})] has non-integer entries")
+                found = _noted(found, "ee", (i, j), (1, 0), f"ee[{_pair(i, j)}] has non-integer entries")
                 break
             if not 1 <= k <= d2:
-                text = f"ee[({i},{j})] coordinate {k} out of range: need 1 <= k <= m+n-1 = {_decimal(d2)}"
+                text = f"ee[{_pair(i, j)}] coordinate {_decimal(k)} out of range: need 1 <= k <= m+n-1 = {_decimal(d2)}"
                 found = _noted(found, "ee", (i, j), (1, k), text)
     for key, coords in a.ef.items():
         try:
@@ -501,23 +508,23 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
         except (TypeError, ValueError):
             i = l = None
         if not (isinstance(i, int) and isinstance(l, int)):
-            found = _noted(found, "ef", (), len(found or ()), f"ef key {key!r} is not a pair of integers")
+            found = _noted(found, "ef", (), len(found or ()), f"ef key {_shown(key)} is not a pair of integers")
             continue
         if not 1 <= i <= m:
-            text = f"ef key ({i},{l}) out of range: need 1 <= i <= m = {_decimal(m)}"
+            text = f"ef key {_pair(i, l)} out of range: need 1 <= i <= m = {_decimal(m)}"
             found = _noted(found, "ef", (i, l), (0, 0), text)
         if not 1 <= l <= d2:
-            text = f"ef key ({i},{l}) out of range: need 1 <= l <= m+n-1 = {_decimal(d2)}"
+            text = f"ef key {_pair(i, l)} out of range: need 1 <= l <= m+n-1 = {_decimal(d2)}"
             found = _noted(found, "ef", (i, l), (0, 1), text)
         mark = len(found) if found else 0
         for k, c in coords.items():
             if not (isinstance(k, int) and isinstance(c, int)):
                 if found:
                     del found[mark:]  # the coordinates already worded out of range
-                found = _noted(found, "ef", (i, l), (1, 0), f"ef[({i},{l})] has non-integer entries")
+                found = _noted(found, "ef", (i, l), (1, 0), f"ef[{_pair(i, l)}] has non-integer entries")
                 break
             if not 1 <= k <= n:
-                text = f"ef[({i},{l})] coordinate {k} out of range: need 1 <= k <= n = {_decimal(n)}"
+                text = f"ef[{_pair(i, l)}] coordinate {_decimal(k)} out of range: need 1 <= k <= n = {_decimal(n)}"
                 found = _noted(found, "ef", (i, l), (1, k), text)
     if found is None:
         return ()

@@ -459,6 +459,25 @@ def test_huge_format_on_the_command_line_exits_three(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_derived_bounds_beyond_the_digit_limit_are_worded(capsys):
+    # A label or format of 4300 digits parses, but a bound derived from it,
+    # max(p+1, q+2) or n + 1, has 4301: the verdict is still a definite
+    # negative, with the bound worded, and nothing on stderr.
+    nines = "9" * 4300
+    m_lower = "rule H-m-below-p-or-q: m = 5 is below max(p+1, q+2) = 2**14284 or more [Avramov 2012]"
+    q_corner = "rule H-q-equals-m-minus-2: q = m - 2 requires p = n + 1 = 2**14284 or more; p = 0 [Avramov 2012]"
+    for argv, line in [
+        (["permissible", f"H({nines},0)", "(5,2)"], m_lower),
+        (["realize", f"H({nines},0)", "(5,2)"], m_lower),
+        (["permissible", "H(0,3)", f"(5,{nines})"], q_corner),
+    ]:
+        assert main(argv) == 1, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0] == "status: not-permissible"
+        assert line in captured.out.splitlines()
+        assert captured.err == ""
+
+
 def test_huge_integer_in_a_document_exits_three(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(f'{{"version": 1, "m": {_HUGE}, "n": 1, "ee": [], "ef": []}}', encoding="utf-8")
@@ -483,7 +502,7 @@ def test_unknown_subcommand_is_a_usage_error(capsys):
 
 
 def test_link_t1_choices_are_the_supported_rows(capsys):
-    # The choices are the t1 values of cone.SUPPORTED_SPECS.
+    # The choices are the t1 values of linkrules.SUPPORTED_PROFILES.
     with pytest.raises(SystemExit) as exc:
         main(["link", "-", "--t1", "5"])
     assert exc.value.code == 2

@@ -18,7 +18,6 @@ from grade3 import (
     Phi2Mismatch,
     RankProfile,
     SUPPORTED_PROFILES,
-    SUPPORTED_SPECS,
     TorPresentation,
     UnsupportedSpec,
     arranged_presentation,
@@ -27,7 +26,6 @@ from grade3 import (
     class_H,
     classify,
     link_option_format,
-    link_profile,
     linked_to_document,
     make_format,
     make_presentation,
@@ -36,6 +34,7 @@ from grade3 import (
     validate_presentation,
     verify_linkage_theorems,
 )
+from grade3 import cone
 from grade3.cone import _canonical_labels, _sweep, _sweep_label_count
 from grade3.linkrules import RULES
 
@@ -169,8 +168,8 @@ def test_zero_designated_product_is_no_product():
 
 
 def test_supported_rows_are_pinned():
-    # The five rows of the profile table, the specs derived from them, and
-    # link_profile mapping the specs back onto the rows, in order.
+    # The five rows of the profile table, and the LinkSpec calls that build
+    # them, in order.
     assert SUPPORTED_PROFILES == (
         RankProfile(0, 0, 0),
         RankProfile(1, 0, 0),
@@ -178,8 +177,7 @@ def test_supported_rows_are_pinned():
         RankProfile(2, 1, 0),
         RankProfile(3, 0, 0),
     )
-    assert SUPPORTED_SPECS == (LinkSpec(0), LinkSpec(1), LinkSpec(2), LinkSpec(2, True), LinkSpec(3))
-    assert tuple(map(link_profile, SUPPORTED_SPECS)) == SUPPORTED_PROFILES
+    assert (LinkSpec(0), LinkSpec(1), LinkSpec(2), LinkSpec(2, True), LinkSpec(3)) == SUPPORTED_PROFILES
 
 
 # ------------------------------------------------------------------- guards
@@ -219,7 +217,7 @@ def test_output_format_follows_the_profile_table():
                 mapping_cone_presentation(table, LinkSpec(2))
         for spec in specs:
             lp = mapping_cone_presentation(table, spec)
-            assert lp.presentation.fmt == link_option_format(fmt, link_profile(spec))
+            assert lp.presentation.fmt == link_option_format(fmt, spec)
             assert validate_presentation(lp.presentation) == ()
 
 
@@ -227,8 +225,8 @@ def test_middle_rank_identity_on_outputs():
     # H-iv stores e_1 e_3 = f_1, which puts it in row (3,1,0) at t1 = 3; the
     # H-v arrangement of the same class keeps e_1..e_3 free of products.
     table = arranged_presentation(class_H(2, 2), make_format(8, 5), "H-iv")
-    for spec in SUPPORTED_SPECS:
-        if spec.phi2_unit:
+    for spec in SUPPORTED_PROFILES:
+        if spec.t2 == 1:
             continue
         if spec.t1 == 3:
             with pytest.raises(UnsupportedSpec, match=re.escape("needs row (3,1,0)")):
@@ -337,6 +335,53 @@ def test_theorem_replay_checks_the_planner_rules(monkeypatch):
     assert all(re.fullmatch(format_line, f) for f in format_lines)
 
 
+def test_theorem_replay_words_h_v_and_validation_failures(monkeypatch):
+    # The failure lines a correct cone never produces.  First the t1 = 3
+    # outputs gain an ee and an ef product and lose a symbolic slot, which
+    # fails all four checks of the three-generator row on its H-v witness.
+    link = cone.mapping_cone_presentation
+
+    def perturbed(table, row):
+        lp = link(table, row)
+        if row.t1 != 3:
+            return lp
+        out = lp.presentation
+        wrong = TorPresentation(out.m, out.n, {**out.ee, (1, 2): {1: 1}}, {**out.ef, (1, 1): {1: 1}})
+        return dataclasses.replace(lp, presentation=wrong, symbolic_products=lp.symbolic_products[1:])
+
+    monkeypatch.setattr(cone, "mapping_cone_presentation", perturbed)
+    report = verify_linkage_theorems(6, 4)
+    assert [res.scenario for res in report.results if not res.passed] == ["linkH-v"]
+    (lines,) = [res.failures for res in report.results if res.scenario == "linkH-v"]
+    assert len(lines) == 4 * 12
+    assert lines[:4] == (
+        "H(2,0) at (5,1): determinate ee products should be empty",
+        "H(2,0) at (5,1): determinate ef products differ: "
+        "{(2, 1): {1: 1}, (2, 2): {2: 1}, (1, 1): {1: 1}} != {(2, 1): {1: 1}, (2, 2): {2: 1}}",
+        "H(2,0) at (5,1): symbolic product slots differ from the expected X/Y families",
+        "H(2,0) at (5,1): determinate part classifies as H(1,2), expected H(0,2)",
+    )
+    label_at = r"H\(\d+,0\) at \(\d+,\d+\): "
+    for index, pattern in enumerate(
+        [
+            "determinate ee products should be empty",
+            r"determinate ef products differ: \{.*\} != \{.*\}",
+            "symbolic product slots differ from the expected X/Y families",
+            r"determinate part classifies as .+, expected H\(0,\d+\)",
+        ]
+    ):
+        assert all(re.fullmatch(label_at + pattern, line) for line in lines[index::4]), pattern
+    monkeypatch.undo()
+
+    # Then every output is reported invalid: one line per linked table.
+    monkeypatch.setattr(cone, "validate_presentation", lambda out: ("planted problem",))
+    report = verify_linkage_theorems(6, 4)
+    for res in report.results:
+        assert len(res.failures) == res.checked > 0, res.scenario
+        invalid = r".+ at \(\d+,\d+\): invalid output table: planted problem"
+        assert all(re.fullmatch(invalid, line) for line in res.failures), res.scenario
+
+
 def test_theorem_sweep_tables_and_links_are_pinned():
     # Every input table of the verify_linkage_theorems(10, 8) sweep and its
     # mapping cone (products, splits, index maps, symbolic slots), recorded
@@ -344,9 +389,9 @@ def test_theorem_sweep_tables_and_links_are_pinned():
     # The tables come from the sweep's own generator.
     digest = hashlib.sha256()
     count = 0
-    for rule, spec, tables in _sweep(10, 8):
+    for rule, tables in _sweep(10, 8):
         for label, fmt, table in tables:
-            lp = mapping_cone_presentation(table, spec)
+            lp = mapping_cone_presentation(table, rule.profile)
             row = [rule.rule_id, str(label), str(fmt), presentation_to_document(table), linked_to_document(lp)]
             digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
             count += 1
@@ -418,7 +463,7 @@ def test_random_tables_and_links_are_pinned():
             tables.append(_with_explicit_zeros(rng, table))
             zero_copies += 1
         for variant in tables:
-            for spec in SUPPORTED_SPECS:
+            for spec in SUPPORTED_PROFILES:
                 try:
                     lp = mapping_cone_presentation(variant, spec)
                 except Exception as exc:  # pinned as type and text
@@ -429,7 +474,7 @@ def test_random_tables_and_links_are_pinned():
                     for coords in (*out.ee.values(), *out.ef.values()):
                         assert coords and all(coords.values())
                     outcome = linked_to_document(lp)
-                row = [index, presentation_to_document(variant), spec.t1, spec.phi2_unit, outcome]
+                row = [index, presentation_to_document(variant), spec.t1, spec.t2 == 1, outcome]
                 digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
     assert zero_copies == 200
     assert refused == 2552

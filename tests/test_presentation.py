@@ -23,6 +23,7 @@ from grade3 import (
     canonical_presentation,
     class_G,
     class_H,
+    class_invariants,
     classify,
     compute_pqrs,
     make_format,
@@ -252,21 +253,23 @@ def test_arrangement_dimension_guards():
         arranged_presentation(class_H(3, 0), make_format(4, 4), "H-v")  # needs m >= p+3
 
 
+# Every witness builder (the canonical table and each arrangement), and
+# every label up to G(8) and H(8,8); the grid below crosses them with every
+# format up to (9,9).
+_WITNESS_BUILDERS = [("canonical", canonical_presentation)] + [
+    (arrangement, lambda label, fmt, arrangement=arrangement: arranged_presentation(label, fmt, arrangement))
+    for arrangement in arrangement_ids()
+]
+_WITNESS_LABELS = [CLASS_C3, CLASS_T, CLASS_B, *map(class_G, range(2, 9))]
+_WITNESS_LABELS += [class_H(p, q) for p in range(9) for q in range(9)]
+
+
 def test_witness_builders_are_pinned():
-    # Every witness builder (the canonical table and each arrangement) on
-    # every label up to G(8) and H(8,8) in every format up to (9,9): the
-    # table's document, or the refusal's type and message.  `grade3
-    # canonical` prints these refusals on stderr.
-    labels = [CLASS_C3, CLASS_T, CLASS_B]
-    labels += [class_G(r) for r in range(2, 9)]
-    labels += [class_H(p, q) for p in range(9) for q in range(9)]
-    builders = [("canonical", canonical_presentation)] + [
-        (arrangement, lambda label, fmt, arrangement=arrangement: arranged_presentation(label, fmt, arrangement))
-        for arrangement in arrangement_ids()
-    ]
+    # On the witness grid: the table's document, or the refusal's type and
+    # message.  `grade3 canonical` prints these refusals on stderr.
     digest = hashlib.sha256()
-    for name, build in builders:
-        for label in labels:
+    for name, build in _WITNESS_BUILDERS:
+        for label in _WITNESS_LABELS:
             for m in range(1, 10):
                 for n in range(1, 10):
                     try:
@@ -275,6 +278,25 @@ def test_witness_builders_are_pinned():
                         row = [type(exc).__name__, str(exc)]
                     digest.update(f"{name}|{label}|({m},{n})|{json.dumps(row, sort_keys=True)}\n".encode("utf-8"))
     assert digest.hexdigest() == "d26b1312f3cd641dae1c94ece8935461e6d0e84d597223ea44e2b83755a0b66d"
+
+
+def test_witness_tables_hold_p_products_ee_and_r_products_ef():
+    # `grade3 canonical` refuses an oversized table before building it, from
+    # the class invariants (p, q, r) alone: it counts on every witness table
+    # holding exactly p products e.e and r products e.f.
+    built = 0
+    for name, build in _WITNESS_BUILDERS:
+        for label in _WITNESS_LABELS:
+            invariants = class_invariants(label)
+            for m in range(1, 10):
+                for n in range(1, 10):
+                    try:
+                        table = build(label, make_format(m, n))
+                    except (DimensionMismatch, UnknownArrangement):
+                        continue
+                    assert (len(table.ee), len(table.ef)) == (invariants.p, invariants.r), (name, str(label), m, n)
+                    built += 1
+    assert built == 12586
 
 
 def test_witness_builders_return_fresh_tables():
@@ -530,6 +552,24 @@ def test_validate_reports_keys_that_are_not_integer_pairs():
         "ee key 7 is not a pair of integers",
         "ee[(2,3)] coordinate 9 out of range: need 1 <= k <= m+n-1 = 3",
     )
+
+
+def test_validate_words_indices_too_long_to_print():
+    # An index or coordinate with more digits than str() prints is worded as
+    # a bound, in a key that is a pair and in one that is not.
+    huge = 10**5000
+    more, less = "2**16609 or more", "-2**16609 or less"
+    cases = [
+        ({(huge, 1): {1: 1}}, {}, f"ee key ({more},1) out of range: need 1 <= i < j <= m = 3"),
+        ({(1, 2): {huge: 1}}, {}, f"ee[(1,2)] coordinate {more} out of range: need 1 <= k <= m+n-1 = 3"),
+        ({}, {(huge, 1): {1: 1}}, f"ef key ({more},1) out of range: need 1 <= i <= m = 3"),
+        ({}, {(1, 1): {huge: 1}}, f"ef[(1,1)] coordinate {more} out of range: need 1 <= k <= n = 1"),
+        ({(-huge, 2): {1: 1}}, {}, f"ee key ({less},2) out of range: need 1 <= i < j <= m = 3"),
+        ({(huge,): {1: 1}}, {}, f"ee key ({more},) is not a pair of integers"),
+        ({}, {(1, huge, 2.5): {1: 1}}, f"ef key (1, {more}, 2.5) is not a pair of integers"),
+    ]
+    for ee, ef, text in cases:
+        assert validate_presentation(TorPresentation(3, 1, ee, ef)) == (text,)
 
 
 def _seeded_table(rng):
