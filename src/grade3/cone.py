@@ -44,8 +44,7 @@ compiles its search from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import OutOfDomain, Phi2Mismatch, UnsupportedSpec, _decimal
 from .exact import sparse_rank
@@ -79,8 +78,7 @@ def LinkSpec(t1: int, phi2_unit: bool = False) -> RankProfile:
     return RankProfile(t1, 1 if phi2_unit else 0, 0)
 
 
-@dataclass(frozen=True)
-class LinkedPresentation:
+class LinkedPresentation(NamedTuple):
     """Result of one mapping-cone simulation.
 
     ``presentation`` holds the determinate products re-indexed to consecutive
@@ -100,7 +98,8 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
     """Simulate one link of a (valid) multiplication table along a profile row.
 
     Raises :class:`UnsupportedSpec` for rows outside
-    :data:`~grade3.linkrules.SUPPORTED_PROFILES`,
+    :data:`~grade3.linkrules.SUPPORTED_PROFILES` (worded as the
+    :func:`LinkSpec` arguments when it builds the row, else naming the row),
     when the input has fewer than ``t1`` degree-1 generators, and, outside
     the unit-product case, when the products among ``e_1 .. e_t1`` have a
     rank ``t2 > 0`` (the message names the row ``(t1,t2,0)`` the table
@@ -111,7 +110,10 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
     """
     t1, phi2 = row.t1, row.t2 == 1
     if row not in SUPPORTED_PROFILES:
-        raise UnsupportedSpec(f"link spec (t1={t1}, phi2_unit={phi2}) is not supported")
+        if row.t2 > 1 or row.t3:  # no LinkSpec builds this row: name it
+            components = ", ".join(map(_decimal, row.as_tuple()))
+            raise UnsupportedSpec(f"rank profile ({components}) is outside the supported table")
+        raise UnsupportedSpec(f"link spec (t1={_decimal(t1)}, phi2_unit={phi2}) is not supported")
     m, n = a.m, a.n
     # Bound the work that grows with m+n whatever the products: the raw bases
     # and, for t1 = 3, the symbolic slots.
@@ -233,8 +235,7 @@ def linked_to_document(lp: LinkedPresentation) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """Outcome of replaying one rulebook row across its input sweep."""
 
     scenario: str
@@ -247,8 +248,7 @@ class ScenarioResult:
         return not self.failures and self.checked > 0
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     results: tuple[ScenarioResult, ...]
 
     @property

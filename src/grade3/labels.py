@@ -8,6 +8,8 @@ A *class label* names the multiplicative structure of the associated
 Tor algebra: ``B``, ``C(3)``, ``T``, ``G(r)`` with ``r >= 2``, or ``H(p, q)``
 with ``p, q >= 0``.  Labels are immutable values with total ordering, text
 round-tripping, and a fixed table of multiplication invariants ``(p, q, r)``.
+Formats, labels and invariants are ``NamedTuple`` types: they order field-wise
+and compare equal to the plain tuples of their fields.
 
 The constructors and parsers return one shared object per distinct value:
 equal formats, and equal labels, are the same object.
@@ -16,11 +18,10 @@ equal formats, and equal labels, are the same object.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
+from typing import NamedTuple
 
-from .errors import InvalidFormat, InvalidLabel
+from .errors import InvalidFormat, InvalidLabel, _decimal
 
 __all__ = [
     "Format",
@@ -41,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Format:
+class Format(NamedTuple):
     """Ranks ``(m, n)`` of the outer modules of a length-3 resolution."""
 
     m: int
@@ -94,8 +94,7 @@ def betti_total(fmt: Format) -> int:
     return 2 * (fmt.m + fmt.n)
 
 
-@dataclass(frozen=True, order=True)
-class ClassLabel:
+class ClassLabel(NamedTuple):
     """One of the labels B, C(3), T, G(r), H(p,q).
 
     ``tag`` is one of ``"B"``, ``"C3"``, ``"G"``, ``"H"``, ``"T"``; the two
@@ -143,30 +142,46 @@ CLASS_T = ClassLabel("T")
 _shared_label = lru_cache(maxsize=None)(ClassLabel)
 
 
+# The interpreter prints every integer below this, whatever its limit on printed digits (at least 640).
+_ALWAYS_PRINTED = 10**640
+
+
+def _parameter(tag: str, name: str, value: object) -> int:
+    """A label parameter as a plain int: a non-negative integer that the
+    interpreter can print, or :class:`InvalidLabel`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidLabel(f"{tag} parameter {name} must be a non-negative integer, got {value!r}")
+    value = int(value)
+    if value < 0:
+        raise InvalidLabel(f"{tag} parameter {name} must be a non-negative integer, got {_decimal(value)}")
+    try:
+        str(value)
+    except ValueError:  # beyond the interpreter's limit on printed digits
+        raise InvalidLabel(f"{tag} parameter {name} is {_decimal(value)}, too many digits to print") from None
+    return value
+
+
 def class_H(p: int, q: int) -> ClassLabel:
-    """Label H(p, q); both parameters must be non-negative integers."""
-    if type(p) is int and type(q) is int and p >= 0 and q >= 0:  # the usual call, checked at once
+    """Label H(p, q); both parameters must be non-negative integers that print."""
+    # The usual call, checked at once: p | q is negative when either is, and at least as large as both.
+    if type(p) is int and type(q) is int and 0 <= p | q < _ALWAYS_PRINTED:
         return _shared_label("H", p, q)
-    for name, value in (("p", p), ("q", q)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise InvalidLabel(f"H parameter {name} must be a non-negative integer, got {value!r}")
-    return _shared_label("H", int(p), int(q))
+    return _shared_label("H", _parameter("H", "p", p), _parameter("H", "q", q))
 
 
 def class_G(r: int) -> ClassLabel:
     """Label G(r).
 
-    Requires ``r >= 0``; the degenerate multiplication patterns G(0) and G(1)
-    coincide with H(0,0) and H(0,1) and are normalized to those labels, so a
-    G label always has ``r >= 2``.
+    Requires ``r >= 0``, an integer that prints; the degenerate
+    multiplication patterns G(0) and G(1) coincide with H(0,0) and H(0,1)
+    and are normalized to those labels, so a G label always has ``r >= 2``.
     """
-    if not isinstance(r, int) or isinstance(r, bool) or r < 0:
-        raise InvalidLabel(f"G parameter r must be a non-negative integer, got {r!r}")
+    r = _parameter("G", "r", r)
     if r == 0:
         return class_H(0, 0)
     if r == 1:
         return class_H(0, 1)
-    return _shared_label("G", int(r))
+    return _shared_label("G", r)
 
 
 _LABEL_RE = re.compile(r"^(?:(B|T)|C\((3)\)|G\((\d+)\)|H\((\d+),(\d+)\))$")
@@ -197,8 +212,7 @@ def parse_label(text: str) -> ClassLabel:
     return class_G(*params) if g is not None else class_H(*params)
 
 
-@dataclass(frozen=True)
-class ClassInvariants:
+class ClassInvariants(NamedTuple):
     """Multiplication invariants (p, q, r) attached to a class label.
 
     ``p = dim A1*A1``, ``q = dim A1*A2``, and ``r`` is the rank of the map
@@ -225,8 +239,7 @@ def class_invariants(label: ClassLabel) -> ClassInvariants:
     raise InvalidLabel(f"unknown class tag {label.tag!r}")
 
 
-@dataclass(frozen=True, order=True)
-class OpaqueLabel:
+class OpaqueLabel(NamedTuple):
     """Placeholder for an axiom whose class is not pinned by its source.
 
     Renders as ``"*"`` in certificate documents, which is also its ``tag``;
@@ -234,9 +247,12 @@ class OpaqueLabel:
     Only the rule that works for every class (``linktoT``) accepts it.
     """
 
-    tag: ClassVar[str] = "*"
-    a: ClassVar[int] = 0
-    b: ClassVar[int] = 0
+    tag: str = "*"
+    a: int = 0
+    b: int = 0
+
+    def __repr__(self) -> str:
+        return "OpaqueLabel()"
 
     def __str__(self) -> str:
         return "*"

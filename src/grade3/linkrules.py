@@ -30,7 +30,7 @@ instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DocumentError, InvalidFormat, PreconditionViolated, UnsupportedProfile, document_fields
 from .labels import (
@@ -74,7 +74,11 @@ _VERIFIED = "verified from structure constants (grade3 verify-theorems)"
 
 @dataclass(frozen=True)
 class RankProfile:
-    """Rank contributions (t1, t2, t3) of the three designated generators."""
+    """Rank contributions (t1, t2, t3) of the three designated generators.
+
+    A dataclass, not a ``NamedTuple``, so that construction can refuse a
+    negative or non-integer component.
+    """
 
     t1: int
     t2: int
@@ -121,8 +125,7 @@ def betti_after_link(b: int, profile: RankProfile) -> int:
     return b + 6 - 2 * profile.t1 - 2 * profile.t2 - profile.t3
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One applied rule: input state, output state, and citation."""
 
     rule: str

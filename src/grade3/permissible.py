@@ -22,10 +22,9 @@ what :func:`boundary_classes` enumerates and the atlas renders.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import OutOfDomain, _decimal
 from .labels import ClassLabel, Format, class_H
@@ -58,8 +57,7 @@ class Status(str, Enum):
     UNKNOWN_NECESSARY_ONLY = "unknown-necessary-only"
 
 
-@dataclass(frozen=True)
-class RuleViolation:
+class RuleViolation(NamedTuple):
     """One violated obstruction: stable rule id, human detail, citation."""
 
     rule: str
@@ -67,8 +65,7 @@ class RuleViolation:
     cite: str
 
 
-@dataclass(frozen=True)
-class PermissibilityVerdict:
+class PermissibilityVerdict(NamedTuple):
     status: Status
     violations: tuple[RuleViolation, ...] = ()
 
@@ -327,8 +324,7 @@ _GLYPHS = {CellStatus.WHITE: "o", CellStatus.DOTTED: ".", CellStatus.BLACK: "#"}
 MAX_ATLAS_CELLS = 10_000
 
 
-@dataclass(frozen=True)
-class AtlasGrid:
+class AtlasGrid(NamedTuple):
     """Status of every H(p,q) cell for one format.
 
     Cells range over ``0 <= p <= n + 1`` and ``0 <= q <= m - 2``; ``violations``

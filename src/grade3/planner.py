@@ -33,9 +33,8 @@ it is NOT_FOUND without a search.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DocumentError, Grade3Error, OutOfDomain, document_fields
 from .labels import (
@@ -105,8 +104,7 @@ _CITE_ACI = f"Avramov 1981; {CITE_AV12}"
 _CITE_EXT = "Christensen-Veliche 2014; Vandebogert 2020"
 
 
-@dataclass(frozen=True)
-class BaseFamily:
+class BaseFamily(NamedTuple):
     """A published family of realized (class, format) instances.
 
     The members are ``member(k)`` for ``k = start, start + step, ...``
@@ -362,8 +360,7 @@ def _search_for(bound: int) -> _Search:
     return search
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     """The starting instance of a certificate."""
 
     family: str
@@ -372,8 +369,7 @@ class Axiom:
     cite: str
 
 
-@dataclass(frozen=True)
-class DerivationCertificate:
+class DerivationCertificate(NamedTuple):
     """A replayable existence proof: axiom instance, rule steps, target."""
 
     axiom: Axiom
@@ -387,8 +383,7 @@ class RealizeStatus(str, Enum):
     NOT_FOUND = "not-found"
 
 
-@dataclass(frozen=True)
-class RealizationResult:
+class RealizationResult(NamedTuple):
     """Outcome of :func:`realize` — a sum of certificate / verdict / reason."""
 
     status: RealizeStatus
@@ -531,8 +526,7 @@ def certificate_from_document(doc: object) -> DerivationCertificate:
     )
 
 
-@dataclass(frozen=True)
-class CoverageEntry:
+class CoverageEntry(NamedTuple):
     """One realization attempt in a coverage sweep."""
 
     kind: str
@@ -546,8 +540,7 @@ class CoverageEntry:
         return self.status is RealizeStatus.REALIZED and self.verified
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Result of sweeping realize over every provably-permissible target."""
 
     m_max: int

@@ -36,8 +36,8 @@ simulations downstream need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
+from typing import NamedTuple
 
 from .errors import DimensionMismatch, DocumentError, UnknownArrangement, _decimal, document_fields
 from .exact import sparse_rank
@@ -91,8 +91,7 @@ def _dense(coords: Mapping[int, int] | None, length: int, sign: int = 1) -> tupl
     return tuple(vec)
 
 
-@dataclass(frozen=True)
-class TorPresentation:
+class TorPresentation(NamedTuple):
     """Integer multiplication table of a graded algebra in format (m, n).
 
     ``ee`` and ``ef`` map a product's key to its coordinate map (1-based
@@ -339,8 +338,7 @@ def arranged_presentation(label: ClassLabel, fmt: Format, arrangement: str) -> T
     return builder(label, fmt)
 
 
-@dataclass(frozen=True)
-class ClassifierReport:
+class ClassifierReport(NamedTuple):
     """Invariants of a multiplication table, plus the decided label.
 
     ``label`` is ``None`` either when only the invariants were requested

@@ -6,7 +6,6 @@ Each test prints ``criterion NN: PASS/FAIL — detail`` before asserting, so a
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 import pytest
@@ -312,12 +311,8 @@ def test_c11_certificate_replay(coverage_run):
             survivors.append(("unverified", str(entry.label), str(entry.fmt)))
         for k, step in enumerate(cert.steps):
             out_label, out_fmt = step.output_state
-            bad_step = dataclasses.replace(
-                step, output_state=(out_label, make_format(out_fmt.m + 1, out_fmt.n))
-            )
-            mutated = dataclasses.replace(
-                cert, steps=cert.steps[:k] + (bad_step,) + cert.steps[k + 1 :]
-            )
+            bad_step = step._replace(output_state=(out_label, make_format(out_fmt.m + 1, out_fmt.n)))
+            mutated = cert._replace(steps=cert.steps[:k] + (bad_step,) + cert.steps[k + 1 :])
             steps_mutated += 1
             if verify_certificate(mutated):
                 survivors.append(("mutation passed", str(entry.label), str(entry.fmt), k))

@@ -194,6 +194,24 @@ def test_unsupported_specs_rejected():
         mapping_cone_presentation(small, LinkSpec(3))
 
 
+def test_refused_rows_say_what_was_refused():
+    # A row LinkSpec builds is worded by its arguments, as the CLI's --t1 and
+    # --phi2-unit pin it; any other row is named, since its t2 or t3 has no
+    # LinkSpec argument.
+    table = canonical_presentation(CLASS_T, make_format(4, 3))
+    refused = [
+        (LinkSpec(1, phi2_unit=True), "link spec (t1=1, phi2_unit=True) is not supported"),
+        (LinkSpec(4), "link spec (t1=4, phi2_unit=False) is not supported"),
+        (RankProfile(2, 2, 0), "rank profile (2, 2, 0) is outside the supported table"),
+        (RankProfile(2, 0, 1), "rank profile (2, 0, 1) is outside the supported table"),
+        (RankProfile(0, 10**5000, 0), "rank profile (0, 2**16609 or more, 0) is outside the supported table"),
+    ]
+    for row, message in refused:
+        with pytest.raises(UnsupportedSpec) as exc:
+            mapping_cone_presentation(table, row)
+        assert str(exc.value) == message
+
+
 def test_phi2_needs_unit_product():
     # Canonical T has e_1 e_2 = f_3, not f_1.
     table = canonical_presentation(CLASS_T, make_format(4, 3))
@@ -347,7 +365,7 @@ def test_theorem_replay_words_h_v_and_validation_failures(monkeypatch):
             return lp
         out = lp.presentation
         wrong = TorPresentation(out.m, out.n, {**out.ee, (1, 2): {1: 1}}, {**out.ef, (1, 1): {1: 1}})
-        return dataclasses.replace(lp, presentation=wrong, symbolic_products=lp.symbolic_products[1:])
+        return lp._replace(presentation=wrong, symbolic_products=lp.symbolic_products[1:])
 
     monkeypatch.setattr(cone, "mapping_cone_presentation", perturbed)
     report = verify_linkage_theorems(6, 4)

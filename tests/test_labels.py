@@ -145,7 +145,7 @@ def test_int_subclass_arguments_share_plain_ints():
     assert str(class_G(Int(7001))) == "G(7001)"
     assert str(class_G(7001)) == "G(7001)"
     for obj in (make_format(7001, 7003), class_H(7001, 1), class_G(7001)):
-        assert {type(value) for value in vars(obj).values() if not isinstance(value, str)} == {int}
+        assert {type(value) for value in obj if not isinstance(value, str)} == {int}
 
 
 def test_label_accessor_guards():
@@ -182,3 +182,25 @@ def test_labels_are_ordered_and_hashable():
     labels = [CLASS_T, CLASS_B, class_H(2, 1), class_G(5)]
     assert len(set(labels)) == 4
     assert sorted(labels) == sorted(labels, key=lambda l: (l.tag, l.a, l.b))
+
+
+def test_parameters_too_long_to_print_are_refused():
+    # A label prints its parameters, so one the interpreter cannot print is
+    # refused where it is made: the permissibility, rulebook and planner
+    # wordings that print it never see it.
+    huge = 10**5000
+    refused = [
+        (lambda: class_H(huge, 0), "H parameter p is 2**16609 or more, too many digits to print"),
+        (lambda: class_H(1, huge), "H parameter q is 2**16609 or more, too many digits to print"),
+        (lambda: class_G(huge), "G parameter r is 2**16609 or more, too many digits to print"),
+        (lambda: class_H(-huge, 0), "H parameter p must be a non-negative integer, got -2**16609 or less"),
+        (lambda: class_G(-huge), "G parameter r must be a non-negative integer, got -2**16609 or less"),
+    ]
+    for build, message in refused:
+        with pytest.raises(InvalidLabel) as exc:
+            build()
+        assert str(exc.value) == message
+    # 4300 digits print under the interpreter's default limit.
+    nines = int("9" * 4300)
+    assert str(class_H(nines, 0)) == f"H({'9' * 4300},0)"
+    assert class_G(nines).r == nines

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import time
@@ -348,42 +347,30 @@ def test_verify_rejects_tampered_certificates():
     assert verify_certificate(cert)
 
     step = cert.steps[0]
-    wrong_out = dataclasses.replace(
-        step, output_state=(class_H(2, 2), step.output_state[1])
-    )
-    assert not verify_certificate(dataclasses.replace(cert, steps=(wrong_out,)))
+    wrong_out = step._replace(output_state=(class_H(2, 2), step.output_state[1]))
+    assert not verify_certificate(cert._replace(steps=(wrong_out,)))
 
-    wrong_rule = dataclasses.replace(step, rule="linkT-ii")
-    assert not verify_certificate(dataclasses.replace(cert, steps=(wrong_rule,)))
+    wrong_rule = step._replace(rule="linkT-ii")
+    assert not verify_certificate(cert._replace(steps=(wrong_rule,)))
 
-    wrong_target = dataclasses.replace(cert, target=(class_H(2, 2), cert.target[1]))
+    wrong_target = cert._replace(target=(class_H(2, 2), cert.target[1]))
     assert not verify_certificate(wrong_target)
 
-    wrong_family = dataclasses.replace(
-        cert, axiom=dataclasses.replace(cert.axiom, family="GOR")
-    )
+    wrong_family = cert._replace(axiom=cert.axiom._replace(family="GOR"))
     assert not verify_certificate(wrong_family)
 
-    unknown_family = dataclasses.replace(
-        cert, axiom=dataclasses.replace(cert.axiom, family="XYZ")
-    )
+    unknown_family = cert._replace(axiom=cert.axiom._replace(family="XYZ"))
     assert not verify_certificate(unknown_family)
 
-    wrong_axiom_fmt = dataclasses.replace(
-        cert, axiom=dataclasses.replace(cert.axiom, fmt=make_format(4, 5))
-    )
+    wrong_axiom_fmt = cert._replace(axiom=cert.axiom._replace(fmt=make_format(4, 5)))
     assert not verify_certificate(wrong_axiom_fmt)
 
     # Citations are replayed too, on the axiom and on every step.
     cert = realize(class_H(5, 0), make_format(8, 6)).certificate
     assert verify_certificate(cert)
-    forged_axiom_cite = dataclasses.replace(
-        cert, axiom=dataclasses.replace(cert.axiom, cite="Anonymous 2099")
-    )
+    forged_axiom_cite = cert._replace(axiom=cert.axiom._replace(cite="Anonymous 2099"))
     assert not verify_certificate(forged_axiom_cite)
-    forged_step_cite = dataclasses.replace(
-        cert, steps=(dataclasses.replace(cert.steps[0], cite="Anonymous 2099"), *cert.steps[1:])
-    )
+    forged_step_cite = cert._replace(steps=(cert.steps[0]._replace(cite="Anonymous 2099"), *cert.steps[1:]))
     assert not verify_certificate(forged_step_cite)
 
 
@@ -391,19 +378,15 @@ def test_verify_rejects_rule_precondition_breaks():
     cert = realize(class_H(0, 1), make_format(5, 3)).certificate
     step0, step1 = cert.steps
     # A step whose recorded output disagrees with the rule replay.
-    patched = dataclasses.replace(
-        step0, output_state=(step0.output_state[0], make_format(8, 3))
-    )
-    assert not verify_certificate(dataclasses.replace(cert, steps=(patched, step1)))
+    patched = step0._replace(output_state=(step0.output_state[0], make_format(8, 3)))
+    assert not verify_certificate(cert._replace(steps=(patched, step1)))
     # A step whose recorded input does not match the preceding state.
-    patched = dataclasses.replace(
-        step1, input_state=(class_H(2, 2), step1.input_state[1])
-    )
-    assert not verify_certificate(dataclasses.replace(cert, steps=(step0, patched)))
+    patched = step1._replace(input_state=(class_H(2, 2), step1.input_state[1]))
+    assert not verify_certificate(cert._replace(steps=(step0, patched)))
     # A step naming a rule that refuses its input state: linkG-i on class T.
     assert cert.axiom.label == CLASS_T
-    patched = dataclasses.replace(step0, rule="linkG-i")
-    assert not verify_certificate(dataclasses.replace(cert, steps=(patched, step1)))
+    patched = step0._replace(rule="linkG-i")
+    assert not verify_certificate(cert._replace(steps=(patched, step1)))
 
 
 def test_verify_rejects_a_not_permissible_state(monkeypatch):

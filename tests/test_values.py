@@ -1,0 +1,121 @@
+"""The record types: ``NamedTuple`` values, and the two dataclasses that stay."""
+
+from __future__ import annotations
+
+import dataclasses
+import importlib
+
+import pytest
+
+from grade3 import (
+    BASE_FAMILIES,
+    CLASS_B,
+    CLASS_T,
+    OPAQUE,
+    LinkSpec,
+    OpaqueLabel,
+    apply_rule,
+    atlas_grid,
+    canonical_presentation,
+    class_G,
+    class_H,
+    class_invariants,
+    classify,
+    is_permissible,
+    make_format,
+    mapping_cone_presentation,
+    realize,
+    realize_all,
+    verify_linkage_theorems,
+)
+
+MODULES = ("errors", "exact", "labels", "presentation", "permissible", "linkrules", "cone", "planner", "cli")
+
+# Each dataclass left in grade3, and why it is not a NamedTuple.  Every other
+# record type is one: a frozen dataclass generates and compiles its methods
+# at import, which a command-line process pays on every start.
+DATACLASSES = {
+    "LinkageRule": "perfbench/tracer.py rebuilds each rule with dataclasses.replace",
+    "RankProfile": "its construction refuses a negative or non-integer component",
+}
+
+
+def _samples() -> list[object]:
+    """One value of every NamedTuple record type, made through the public API."""
+    table = canonical_presentation(CLASS_T, make_format(4, 3))
+    verdict = is_permissible(CLASS_B, make_format(4, 2))
+    result = realize(class_H(2, 0), make_format(6, 3))
+    coverage = realize_all(6, 3)
+    theorems = verify_linkage_theorems(5, 1)
+    return [
+        make_format(4, 3),
+        class_H(2, 1),
+        class_invariants(class_G(5)),
+        OPAQUE,
+        apply_rule("linkT-i", CLASS_T, make_format(4, 3)),
+        verdict.violations[0],
+        verdict,
+        atlas_grid(make_format(4, 2)),
+        table,
+        classify(table),
+        mapping_cone_presentation(table, LinkSpec(1)),
+        theorems.results[0],
+        theorems,
+        BASE_FAMILIES[0],
+        result.certificate.axiom,
+        result.certificate,
+        result,
+        coverage.entries[0],
+        coverage,
+    ]
+
+
+SAMPLES = _samples()
+
+
+def test_every_record_type_has_a_sample():
+    names = {type(value).__name__ for value in SAMPLES}
+    assert len(names) == len(SAMPLES) == 19
+
+
+@pytest.mark.parametrize("value", SAMPLES, ids=lambda value: type(value).__name__)
+def test_record_values_are_immutable_and_equal_by_value(value):
+    kind = type(value)
+    assert issubclass(kind, tuple) and kind._fields
+    with pytest.raises(AttributeError):
+        setattr(value, kind._fields[0], getattr(value, kind._fields[-1]))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    copy = kind(*value)
+    assert copy == value and copy is not value
+    assert copy != value._replace(**{kind._fields[0]: object()})
+    try:
+        hash(value)
+    except TypeError:  # a field holds a dict (a table's products, an atlas's cells)
+        return
+    assert hash(copy) == hash(value) and len({copy, value}) == 1
+
+
+def test_formats_and_labels_sort_field_wise():
+    formats = [make_format(5, 1), make_format(4, 3), make_format(4, 2)]
+    assert sorted(formats) == [make_format(4, 2), make_format(4, 3), make_format(5, 1)]
+    labels = [CLASS_T, class_H(2, 1), class_H(1, 5), CLASS_B, class_G(7)]
+    assert sorted(labels) == [CLASS_B, class_G(7), class_H(1, 5), class_H(2, 1), CLASS_T]
+    assert make_format(4, 3) == (4, 3) and class_H(2, 1) == ("H", 2, 1)
+
+
+def test_the_opaque_label_is_a_truthy_star():
+    assert bool(OPAQUE)
+    assert str(OPAQUE) == "*" and repr(OPAQUE) == "OpaqueLabel()"
+    assert OPAQUE == OpaqueLabel() and (OPAQUE.tag, OPAQUE.a, OPAQUE.b) == ("*", 0, 0)
+
+
+def test_only_the_listed_dataclasses_remain():
+    found = {}
+    for module_name in MODULES:
+        module = importlib.import_module(f"grade3.{module_name}")
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__ and dataclasses.is_dataclass(value):
+                found[name] = value
+    assert set(found) == set(DATACLASSES)
+    assert all(found[name].__dataclass_params__.frozen for name in found)
