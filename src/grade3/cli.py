@@ -12,6 +12,8 @@ Exit codes are uniform across subcommands:
 * 1 — a definite negative (not permissible, verification failed)
 * 2 — no answer (unclassifiable, unknown permissibility, nothing found)
 * 3 — invalid input, reported as a one-line ``error:`` diagnostic on stderr
+* 141 — stdout was closed before the output was written (as by ``| head``),
+  with nothing on stderr: the status a shell reports for a tool that SIGPIPE stops
 
 A command line the parser refuses (an unknown subcommand, a missing or
 invalid option such as ``link t.json`` without ``--t1`` or with ``--t1 5``)
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -56,6 +59,9 @@ from .presentation import (
 )
 
 __all__ = ["main", "run"]
+
+# 128 + SIGPIPE: the exit status of a command whose stdout was closed.
+_CLOSED_STDOUT = 141
 
 
 def _read_json(path: str) -> object:
@@ -260,14 +266,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the output lost its reader, as `| head` does
+        return _CLOSED_STDOUT
     except (Grade3Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return code
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    if code == _CLOSED_STDOUT:
+        # Output may be left in stdout's buffer; the interpreter's last flush
+        # would fail on the closed pipe and report it, so send it nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ from typing import Iterator, Mapping, NamedTuple
 from .errors import OutOfDomain, Phi2Mismatch, UnsupportedSpec, _decimal
 from .exact import sparse_rank
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
-from .linkrules import RULE_ORDER, RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile
+from .linkrules import RULE_ORDER, RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile, _unsupported_row
 from .presentation import (
     MAX_DOCUMENT_CELLS,
     TorPresentation,
@@ -98,22 +98,19 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
     """Simulate one link of a (valid) multiplication table along a profile row.
 
     Raises :class:`UnsupportedSpec` for rows outside
-    :data:`~grade3.linkrules.SUPPORTED_PROFILES` (worded as the
-    :func:`LinkSpec` arguments when it builds the row, else naming the row),
-    when the input has fewer than ``t1`` degree-1 generators, and, outside
-    the unit-product case, when the products among ``e_1 .. e_t1`` have a
-    rank ``t2 > 0`` (the message names the row ``(t1,t2,0)`` the table
-    needs); :class:`Phi2Mismatch` when the unit-product case is requested
-    but ``e_1 e_2`` is not exactly ``f_1``; and :class:`OutOfDomain`, before
-    anything is built, when the raw bases plus the symbolic slots would
-    exceed :data:`grade3.presentation.MAX_DOCUMENT_CELLS`.
+    :data:`~grade3.linkrules.SUPPORTED_PROFILES`, worded by
+    :mod:`grade3.linkrules`, when the input has fewer than ``t1`` degree-1
+    generators, and, outside the unit-product case, when the products among
+    ``e_1 .. e_t1`` have a rank ``t2 > 0`` (the message names the row
+    ``(t1,t2,0)`` the table needs); :class:`Phi2Mismatch` when the
+    unit-product case is requested but ``e_1 e_2`` is not exactly ``f_1``;
+    and :class:`OutOfDomain`, before anything is built, when the raw bases
+    plus the symbolic slots would exceed
+    :data:`grade3.presentation.MAX_DOCUMENT_CELLS`.
     """
     t1, phi2 = row.t1, row.t2 == 1
     if row not in SUPPORTED_PROFILES:
-        if row.t2 > 1 or row.t3:  # no LinkSpec builds this row: name it
-            components = ", ".join(map(_decimal, row.as_tuple()))
-            raise UnsupportedSpec(f"rank profile ({components}) is outside the supported table")
-        raise UnsupportedSpec(f"link spec (t1={_decimal(t1)}, phi2_unit={phi2}) is not supported")
+        raise UnsupportedSpec(_unsupported_row(row))
     m, n = a.m, a.n
     # Bound the work that grows with m+n whatever the products: the raw bases
     # and, for t1 = 3, the symbolic slots.
@@ -122,11 +119,11 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
         size += n * (n - 1) // 2 + n * (m + n - 1)
     if size > MAX_DOCUMENT_CELLS:
         raise OutOfDomain(
-            f"linking a table in format ({m},{n}) at t1 = {t1} would build {_decimal(size)} basis vectors "
-            f"and symbolic slots; the limit is {MAX_DOCUMENT_CELLS}"
+            f"linking a table in format ({_decimal(m)},{_decimal(n)}) at t1 = {t1} would build "
+            f"{_decimal(size)} basis vectors and symbolic slots; the limit is {MAX_DOCUMENT_CELLS}"
         )
     if t1 > m:
-        raise UnsupportedSpec(f"spec designates {t1} generators but the table has only m = {m}")
+        raise UnsupportedSpec(f"spec designates {t1} generators but the table has only m = {_decimal(m)}")
     if phi2 and a.ee.get((1, 2)) != {1: 1}:
         raise Phi2Mismatch("unit-product case needs e_1 e_2 = f_1 exactly")
     # Outside the unit case t2 must be 0.  It is the rank of the products among
@@ -343,11 +340,11 @@ def verify_linkage_theorems(m_max: int = 10, n_max: int = 8) -> TheoremReport:
     canonical labels raises :class:`OutOfDomain` before any is listed.
     """
     if m_max < 5 or n_max < 1:
-        raise OutOfDomain(f"need m_max >= 5 and n_max >= 1, got ({m_max}, {n_max})")
+        raise OutOfDomain(f"need m_max >= 5 and n_max >= 1, got ({_decimal(m_max)}, {_decimal(n_max)})")
     if _sweep_label_count(m_max, n_max) > MAX_DOCUMENT_CELLS:
         raise OutOfDomain(
-            f"a sweep up to ({m_max}, {n_max}) would hold more canonical labels than the limit, "
-            f"{MAX_DOCUMENT_CELLS}"
+            f"a sweep up to ({_decimal(m_max)}, {_decimal(n_max)}) would hold more canonical labels "
+            f"than the limit, {MAX_DOCUMENT_CELLS}"
         )
     results: list[ScenarioResult] = []
     for rule, tables in _sweep(m_max, n_max):

@@ -78,6 +78,16 @@ def _decimal(value: int) -> str:
         return f"-2**{value.bit_length() - 1} or less" if value < 0 else f"2**{value.bit_length() - 1} or more"
 
 
+def _shown(value: object) -> str:
+    """``repr(value)``, with an int, also one inside a tuple, worded by :func:`_decimal`."""
+    if type(value) is int:
+        return _decimal(value)
+    if type(value) is tuple:
+        items = [_shown(item) for item in value]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    return repr(value)
+
+
 def document_fields(doc: object, what: str, fields: tuple[tuple[str, type], ...]) -> tuple[Any, ...]:
     """The values of a JSON object with exactly the named fields, in order.
 

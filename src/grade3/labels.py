@@ -57,20 +57,36 @@ class Format(NamedTuple):
         return f"({self.m},{self.n})"
 
 
+# The interpreter prints every integer below this, whatever its limit on printed digits (at least 640).
+_ALWAYS_PRINTED = 10**640
+
+
+def _prints(value: int) -> bool:
+    """Whether ``str(value)`` works: false beyond the interpreter's limit on printed digits."""
+    try:
+        str(value)
+    except ValueError:
+        return False
+    return True
+
+
 # One shared object per value.  Called only with validated plain ints: a bool would hash like 0 or 1,
 # an unhashable argument would raise TypeError and an int subclass would be handed to later plain calls.
 _shared_format = lru_cache(maxsize=None)(Format)
 
 
 def make_format(m: int, n: int) -> Format:
-    """Validated constructor: both coordinates must be positive integers."""
-    if type(m) is int and type(n) is int and m >= 1 and n >= 1:  # the usual call, checked at once
+    """Validated constructor: both coordinates must be positive integers that print."""
+    # The usual call, checked at once: m | n is at least as large as both.
+    if type(m) is int and type(n) is int and m >= 1 and n >= 1 and m | n < _ALWAYS_PRINTED:
         return _shared_format(m, n)
     for name, value in (("m", m), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise InvalidFormat(f"format coordinate {name} must be an integer, got {value!r}")
         if value < 1:
-            raise InvalidFormat(f"format coordinate {name} must be >= 1, got {value}")
+            raise InvalidFormat(f"format coordinate {name} must be >= 1, got {_decimal(value)}")
+        if not _prints(value):
+            raise InvalidFormat(f"format coordinate {name} is {_decimal(value)}, too many digits to print")
     return _shared_format(int(m), int(n))
 
 
@@ -142,10 +158,6 @@ CLASS_T = ClassLabel("T")
 _shared_label = lru_cache(maxsize=None)(ClassLabel)
 
 
-# The interpreter prints every integer below this, whatever its limit on printed digits (at least 640).
-_ALWAYS_PRINTED = 10**640
-
-
 def _parameter(tag: str, name: str, value: object) -> int:
     """A label parameter as a plain int: a non-negative integer that the
     interpreter can print, or :class:`InvalidLabel`."""
@@ -154,10 +166,8 @@ def _parameter(tag: str, name: str, value: object) -> int:
     value = int(value)
     if value < 0:
         raise InvalidLabel(f"{tag} parameter {name} must be a non-negative integer, got {_decimal(value)}")
-    try:
-        str(value)
-    except ValueError:  # beyond the interpreter's limit on printed digits
-        raise InvalidLabel(f"{tag} parameter {name} is {_decimal(value)}, too many digits to print") from None
+    if not _prints(value):
+        raise InvalidLabel(f"{tag} parameter {name} is {_decimal(value)}, too many digits to print")
     return value
 
 

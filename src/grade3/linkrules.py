@@ -32,7 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import DocumentError, InvalidFormat, PreconditionViolated, UnsupportedProfile, document_fields
+from .errors import (
+    DocumentError,
+    InvalidFormat,
+    PreconditionViolated,
+    UnsupportedProfile,
+    _decimal,
+    _shown,
+    document_fields,
+)
 from .labels import (
     CLASS_B,
     CLASS_C3,
@@ -56,7 +64,6 @@ __all__ = [
     "betti_after_link",
     "LinkageRule",
     "STATE_TAGS",
-    "state_tag",
     "parse_state_label",
     "RULES",
     "RULE_ORDER",
@@ -97,6 +104,14 @@ class RankProfile:
 SUPPORTED_PROFILES = tuple(RankProfile(*row) for row in ((0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (3, 0, 0)))
 
 
+def _unsupported_row(row: RankProfile) -> str:
+    """Why a row outside :data:`SUPPORTED_PROFILES` is refused: worded as the
+    :func:`grade3.cone.LinkSpec` arguments when that builds the row, else naming it."""
+    if row.t2 <= 1 and not row.t3:
+        return f"link spec (t1={_decimal(row.t1)}, phi2_unit={row.t2 == 1}) is not supported"
+    return f"rank profile ({', '.join(map(_decimal, row.as_tuple()))}) is outside the supported table"
+
+
 # The format map of every row (t1, t2, 0).  Evidence, not a theorem: on 11 936
 # explicit links of artinian monomial ideals by pure-power regular sequences,
 # every table computed from Koszul homology, the linked format was this one on
@@ -114,14 +129,14 @@ def link_option_format(fmt: Format, profile: RankProfile) -> Format:
     (for example (3,0,0) needs ``m >= 4``).
     """
     if profile not in SUPPORTED_PROFILES:
-        raise UnsupportedProfile(f"rank profile {profile.as_tuple()} is outside the supported table")
+        raise UnsupportedProfile(_unsupported_row(profile))
     return _format_map(profile.t1, profile.t2)(fmt)
 
 
 def betti_after_link(b: int, profile: RankProfile) -> int:
     """Total Betti number after linking: ``b + 6 - 2*t1 - 2*t2 - t3``."""
     if not isinstance(b, int) or isinstance(b, bool) or b < 0:
-        raise InvalidFormat(f"betti number must be a non-negative integer, got {b!r}")
+        raise InvalidFormat(f"betti number must be a non-negative integer, got {_shown(b)}")
     return b + 6 - 2 * profile.t1 - 2 * profile.t2 - profile.t3
 
 
@@ -135,11 +150,6 @@ class Transition(NamedTuple):
 
 
 STATE_TAGS = frozenset({"B", "C3", "G", "H", "T", OPAQUE.tag})
-
-
-def state_tag(label: StateLabel) -> str:
-    """The class tag of a state label; opaque labels have the tag ``"*"``."""
-    return label.tag
 
 
 # A guard's predicate reads the label's two slots and the format, ``(a, b, m,

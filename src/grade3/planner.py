@@ -36,7 +36,7 @@ from collections import deque
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DocumentError, Grade3Error, OutOfDomain, document_fields
+from .errors import DocumentError, Grade3Error, OutOfDomain, _decimal, document_fields
 from .labels import (
     CLASS_B,
     CLASS_T,
@@ -436,7 +436,7 @@ def realize(
     which must be at least 1 (:class:`OutOfDomain` otherwise).
     """
     if max_coordinate < 1:
-        raise OutOfDomain(f"max_coordinate must be >= 1, got {max_coordinate}")
+        raise OutOfDomain(f"max_coordinate must be >= 1, got {_decimal(max_coordinate)}")
     verdict = is_permissible(label, fmt)
     if verdict.status is Status.NOT_PERMISSIBLE:
         return RealizationResult(
@@ -564,7 +564,7 @@ def realize_all(m_max: int, n_max: int) -> CoverageReport:
     certificate.
     """
     if m_max < 4 or n_max < 2:
-        raise OutOfDomain(f"coverage sweep needs m_max >= 4 and n_max >= 2, got ({m_max}, {n_max})")
+        raise OutOfDomain(f"coverage sweep needs m_max >= 4 and n_max >= 2, got ({_decimal(m_max)}, {_decimal(n_max)})")
     entries: list[CoverageEntry] = []
 
     def attempt(kind: str, label: ClassLabel, fmt: Format) -> None:

@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, DocumentError, UnknownArrangement, _decimal, document_fields
+from .errors import DimensionMismatch, DocumentError, UnknownArrangement, _decimal, _shown, document_fields
 from .exact import sparse_rank
 from .labels import (
     CLASS_B,
@@ -86,7 +86,7 @@ def _dense(coords: Mapping[int, int] | None, length: int, sign: int = 1) -> tupl
     vec = [0] * length
     for k, c in (coords or {}).items():
         if not 1 <= k <= length:
-            raise DimensionMismatch(f"coordinate {k} is outside a basis of {length} vectors")
+            raise DimensionMismatch(f"coordinate {_decimal(k)} is outside a basis of {length} vectors")
         vec[k - 1] = sign * c
     return tuple(vec)
 
@@ -202,13 +202,6 @@ def _misfit(label: ClassLabel, fmt: Format, need: str) -> DimensionMismatch:
     return DimensionMismatch(f"class {label} does not fit format {fmt}: needs {need}")
 
 
-def _require(cond: bool, label: ClassLabel, fmt: Format, need: str) -> None:
-    """Refuse ``label`` in ``fmt`` unless ``cond``.  For a constant ``need`` only: a need
-    worded from parameters is raised with :func:`_misfit`, so it is formatted only on refusal."""
-    if not cond:
-        raise _misfit(label, fmt, need)
-
-
 def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
     """The canonical multiplication table realizing ``label`` in ``fmt``.
 
@@ -218,16 +211,19 @@ def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
     """
     m, n, d2 = fmt.m, fmt.n, fmt.dim2
     if label.tag == "C3":
-        _require((m, n) == (3, 1), label, fmt, "format exactly (3,1)")
+        if (m, n) != (3, 1):
+            raise _misfit(label, fmt, "format exactly (3,1)")
         ee = {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}
         ef = {(i, i): {1: 1} for i in (1, 2, 3)}
         return TorPresentation(m, n, ee, ef)
     if label.tag == "T":
-        _require(m >= 3 and d2 >= 3, label, fmt, "m >= 3 and m+n-1 >= 3")
+        if m < 3 or d2 < 3:
+            raise _misfit(label, fmt, "m >= 3 and m+n-1 >= 3")
         ee = {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}
         return TorPresentation(m, n, ee, {})
     if label.tag == "B":
-        _require(m >= 2 and d2 >= 3, label, fmt, "m >= 2 and m+n-1 >= 3")
+        if m < 2 or d2 < 3:
+            raise _misfit(label, fmt, "m >= 2 and m+n-1 >= 3")
         return TorPresentation(m, n, {(1, 2): {3: 1}}, {(1, 1): {1: 1}, (2, 2): {1: 1}})
     if label.tag == "G":
         r = label.r
@@ -247,7 +243,8 @@ def _arr_T(*pairs: PairKey):
     """T arrangement with the products ``e_i e_j = f_k`` for the k-th pair ``(i, j)``."""
 
     def build(label: ClassLabel, fmt: Format) -> TorPresentation:
-        _require(fmt.m >= 4 and fmt.dim2 >= 3, label, fmt, "m >= 4 and m+n-1 >= 3")
+        if fmt.m < 4 or fmt.dim2 < 3:
+            raise _misfit(label, fmt, "m >= 4 and m+n-1 >= 3")
         return TorPresentation(fmt.m, fmt.n, {pair: {k: 1} for k, pair in enumerate(pairs, 1)}, {})
 
     return build
@@ -256,9 +253,9 @@ def _arr_T(*pairs: PairKey):
 def _h_bounds(label: ClassLabel, fmt: Format, m_min: int) -> None:
     p, q = label.p, label.q
     if fmt.m < m_min:
-        raise _misfit(label, fmt, f"m >= {m_min}")
+        raise _misfit(label, fmt, f"m >= {_decimal(m_min)}")
     if fmt.dim2 < p + q:
-        raise _misfit(label, fmt, f"m+n-1 >= {p + q}")
+        raise _misfit(label, fmt, f"m+n-1 >= {_decimal(p + q)}")
     if fmt.n < q:
         raise _misfit(label, fmt, f"n >= {q}")
 
@@ -291,7 +288,8 @@ def _arr_H_pivot(u: int):
 
     def build(label: ClassLabel, fmt: Format) -> TorPresentation:
         p, q = label.p, label.q
-        _require(p >= 1, label, fmt, "p >= 1")
+        if p < 1:
+            raise _misfit(label, fmt, "p >= 1")
         _h_bounds(label, fmt, m_min=max(u, p + u - 1))
         ee = {(1, u): {1: -1}}
         for i in range(2, p + 1):
@@ -438,16 +436,6 @@ def _pair(i: int, j: int) -> str:
     return f"({_decimal(i)},{_decimal(j)})"
 
 
-def _shown(value: object) -> str:
-    """``repr(value)``, with an int, also one inside a tuple, worded by :func:`_decimal`."""
-    if type(value) is int:
-        return _decimal(value)
-    if type(value) is tuple:
-        items = [_shown(item) for item in value]
-        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
-    return repr(value)
-
-
 def _noted(found: list | None, field: str, pair: tuple, position: object, text: str) -> list:
     """``found``, or a new list if it is None, with one more problem appended."""
     if found is None:
@@ -472,7 +460,7 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
     m_bad, n_bad = not isinstance(m, int) or m < 1, not isinstance(n, int) or n < 1
     if m_bad or n_bad:
         named = (("m", m, m_bad), ("n", n, n_bad))
-        return tuple(f"{name} must be a positive integer, got {value!r}" for name, value, bad in named if bad)
+        return tuple(f"{name} must be a positive integer, got {_shown(value)}" for name, value, bad in named if bad)
     d2 = m + n - 1
     # Problems as (field, pair or (), position, text), made into a list at the first and
     # sorted once at the end.  Keys that are not integer pairs share the pair () and are

@@ -151,6 +151,26 @@ def test_permissible_exit_codes(capsys):
     assert "status: unknown-necessary-only" in capsys.readouterr().out
 
 
+def test_hand_checked_type_two_table_against_its_rule(monkeypatch, capsys):
+    # The open disagreement of ROADMAP item 2, pinned as it stands.  Two
+    # independent computations from I = (xy, x^3, y^4, z^3, xz^2, x^2 z - 2yz^2)
+    # give this table, which classifies as H(0,1) at (6,2), a cell that
+    # H-type-two-format-classes refuses.  When the audit of that rule decides
+    # it, this test changes with it, and CHANGES.md says so.
+    doc = '{"version":1,"m":6,"n":2,"ee":[],"ef":[[1,5,1,-2]]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    assert main(["classify", "-"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "format: (6,2)",
+        "invariants: p=0 q=1 r=1 s1=0",
+        "class: H(0,1)",
+    ]
+    assert main(["permissible", "H(0,1)", "(6,2)"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "status: not-permissible"
+    assert [line.split(":")[0] for line in lines[1:]] == ["rule H-type-two-format-classes"]
+
+
 # --------------------------------------------------------------------- atlas
 
 
@@ -534,3 +554,22 @@ def test_python_dash_m_matches_main(module, capsys):
     )
     assert proc.stdout == expected.encode("utf-8")
     assert proc.returncode == code
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_141_silently(unbuffered):
+    # The reader closes the pipe before the command writes, as `| head -c 0`
+    # does: exit 128 + SIGPIPE, with nothing on stderr, buffered or not.
+    src = os.path.dirname(os.path.dirname(grade3.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        argv = [sys.executable, "-m", "grade3", "permissible", "H(1,1)", "(3,1)"]
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

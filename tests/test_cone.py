@@ -19,6 +19,7 @@ from grade3 import (
     RankProfile,
     SUPPORTED_PROFILES,
     TorPresentation,
+    UnsupportedProfile,
     UnsupportedSpec,
     arranged_presentation,
     canonical_presentation,
@@ -197,7 +198,7 @@ def test_unsupported_specs_rejected():
 def test_refused_rows_say_what_was_refused():
     # A row LinkSpec builds is worded by its arguments, as the CLI's --t1 and
     # --phi2-unit pin it; any other row is named, since its t2 or t3 has no
-    # LinkSpec argument.
+    # LinkSpec argument.  The cone and link_option_format word a row alike.
     table = canonical_presentation(CLASS_T, make_format(4, 3))
     refused = [
         (LinkSpec(1, phi2_unit=True), "link spec (t1=1, phi2_unit=True) is not supported"),
@@ -205,10 +206,14 @@ def test_refused_rows_say_what_was_refused():
         (RankProfile(2, 2, 0), "rank profile (2, 2, 0) is outside the supported table"),
         (RankProfile(2, 0, 1), "rank profile (2, 0, 1) is outside the supported table"),
         (RankProfile(0, 10**5000, 0), "rank profile (0, 2**16609 or more, 0) is outside the supported table"),
+        (RankProfile(10**5000, 0, 0), "link spec (t1=2**16609 or more, phi2_unit=False) is not supported"),
     ]
     for row, message in refused:
         with pytest.raises(UnsupportedSpec) as exc:
             mapping_cone_presentation(table, row)
+        assert str(exc.value) == message
+        with pytest.raises(UnsupportedProfile) as exc:
+            link_option_format(make_format(6, 3), row)
         assert str(exc.value) == message
 
 

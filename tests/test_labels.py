@@ -10,16 +10,30 @@ from grade3 import (
     CLASS_B,
     CLASS_C3,
     CLASS_T,
+    DimensionMismatch,
     InvalidFormat,
     InvalidLabel,
+    LinkSpec,
     OPAQUE,
+    OutOfDomain,
+    RankProfile,
+    TorPresentation,
+    UnsupportedSpec,
+    betti_after_link,
     betti_total,
+    canonical_presentation,
     class_G,
     class_H,
     class_invariants,
+    is_permissible,
     make_format,
+    mapping_cone_presentation,
     parse_format,
     parse_label,
+    realize,
+    realize_all,
+    validate_presentation,
+    verify_linkage_theorems,
 )
 
 
@@ -204,3 +218,53 @@ def test_parameters_too_long_to_print_are_refused():
     nines = int("9" * 4300)
     assert str(class_H(nines, 0)) == f"H({'9' * 4300},0)"
     assert class_G(nines).r == nines
+
+
+_HUGE = 10**5000
+_NINES = int("9" * 4300)  # prints, but one more is too many digits
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: make_format(-_HUGE, 1), InvalidFormat, id="make_format-negative"),
+        pytest.param(lambda: str(make_format(_HUGE, 1)), InvalidFormat, id="make_format-str"),
+        pytest.param(lambda: is_permissible(CLASS_B, make_format(_HUGE, 2)), InvalidFormat, id="is_permissible"),
+        pytest.param(
+            lambda: canonical_presentation(class_H(5, 0), make_format(3, _HUGE)), InvalidFormat, id="canonical-format"
+        ),
+        pytest.param(
+            lambda: canonical_presentation(class_H(_NINES, 0), make_format(5, 2)),
+            DimensionMismatch,
+            id="canonical-bound",
+        ),
+        pytest.param(lambda: betti_after_link(-_HUGE, RankProfile(0, 0, 0)), InvalidFormat, id="betti_after_link"),
+        pytest.param(
+            lambda: realize(CLASS_T, make_format(5, 4), max_coordinate=-_HUGE), OutOfDomain, id="realize"
+        ),
+        pytest.param(lambda: realize_all(-_HUGE, 2), OutOfDomain, id="realize_all"),
+        pytest.param(lambda: verify_linkage_theorems(_HUGE, 1), OutOfDomain, id="verify_linkage_theorems"),
+        # validate_presentation returns its problems instead of raising.
+        pytest.param(lambda: validate_presentation(TorPresentation(-_HUGE, 1, {}, {})), None, id="validate"),
+        pytest.param(
+            lambda: mapping_cone_presentation(TorPresentation(_HUGE, 1, {}, {}), LinkSpec(0)),
+            OutOfDomain,
+            id="cone-size",
+        ),
+        pytest.param(
+            lambda: mapping_cone_presentation(TorPresentation(-_HUGE, 1, {}, {}), LinkSpec(1)),
+            UnsupportedSpec,
+            id="cone-generators",
+        ),
+    ],
+)
+def test_refusals_word_integers_too_long_to_print(call, error):
+    # Each refusal is its documented error, never the interpreter's own
+    # ValueError about printing the integer, and words it as a power of two.
+    if error is None:
+        (text,) = call()
+    else:
+        with pytest.raises(error) as exc:
+            call()
+        text = str(exc.value)
+    assert "2**" in text

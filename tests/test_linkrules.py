@@ -31,7 +31,7 @@ from grade3 import (
     transition_to_document,
 )
 from grade3.errors import DocumentError
-from grade3.linkrules import STATE_TAGS, state_tag
+from grade3.linkrules import STATE_TAGS
 from grade3.presentation import _ARRANGEMENTS
 
 
@@ -182,7 +182,7 @@ def test_rule_tag_declarations_match_behaviour(rule_id):
             fmt = make_format(m, n)
             for label in _ALL_LABELS:
                 reason = rule.check(label, fmt)
-                if state_tag(label) not in rule.in_tags:
+                if label.tag not in rule.in_tags:
                     assert reason is not None, (str(label), str(fmt))
                 elif reason is None:
                     assert rule.out_class(label).tag == rule.out_tag, (str(label), str(fmt))
