@@ -12,8 +12,9 @@ Exit codes are uniform across subcommands:
 * 1 — a definite negative (not permissible, verification failed)
 * 2 — no answer (unclassifiable, unknown permissibility, nothing found)
 * 3 — invalid input, reported as a one-line ``error:`` diagnostic on stderr
-* 141 — stdout was closed before the output was written (as by ``| head``),
-  with nothing on stderr: the status a shell reports for a tool that SIGPIPE stops
+* 141 — stdout was closed before the output, ``--help`` text included, was
+  written (as by ``| head``), with nothing on stderr: the status a shell
+  reports for a tool that SIGPIPE stops
 
 A command line the parser refuses (an unknown subcommand, a missing or
 invalid option such as ``link t.json`` without ``--t1`` or with ``--t1 5``)
@@ -191,8 +192,15 @@ def _cmd_verify_cert(args: argparse.Namespace) -> int:
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that ``--help`` reports a write to a closed stdout instead of ignoring it."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grade3",
         description="Classify, constrain, link, and realize grade-3 multiplication tables.",
     )
@@ -264,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
     except BrokenPipeError:  # the output lost its reader, as `| head` does
@@ -277,7 +285,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    code = main()
+    try:
+        code = main()
+    except SystemExit as done:  # argparse after --help, whose text may still be buffered, or a refused command line
+        code = done.code
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            code = _CLOSED_STDOUT
     if code == _CLOSED_STDOUT:
         # Output may be left in stdout's buffer; the interpreter's last flush
         # would fail on the closed pipe and report it, so send it nowhere.

@@ -26,7 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
-from .errors import OutOfDomain, _decimal
+from .errors import InvalidLabel, OutOfDomain, _decimal
 from .labels import ClassLabel, Format, class_H
 
 __all__ = [
@@ -277,7 +277,7 @@ def _verdict(tag: str, a: int, b: int, m: int, n: int) -> PermissibilityVerdict:
     """
     rules = _OBSTRUCTIONS.get(tag)
     if rules is None:
-        raise ValueError(f"unknown class tag {tag!r}")
+        raise InvalidLabel(f"unknown class tag {tag!r}")
     violations = []
     for rule_id, check, cite in rules:
         detail = check(a, b, m, n)

@@ -31,12 +31,17 @@ as exact matrix ranks over the rationals and decides the class label
 (B, C(3), T, G(r), H(p,q)) from them.  Canonical tables realize each label in
 the sparsest arrangement; alternative *arrangements* realize the same label
 with products placed on different basis vectors, which is what the linkage
-simulations downstream need.
+simulations downstream need.  The T- and H-shaped tables follow two patterns,
+each stated once: the *T pattern* places three products ``e_i e_j = c f_k``,
+``k = 1, 2, 3``, and the *H pattern* places every product on one pivot
+``e_u``.  Canonical C(3), T and H(p,q) and all seven T and H arrangements are
+instances of them, and each reads the format it needs off its pattern.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from functools import partial
 from typing import NamedTuple
 
 from .errors import DimensionMismatch, DocumentError, UnknownArrangement, _decimal, _shown, document_fields
@@ -202,113 +207,98 @@ def _misfit(label: ClassLabel, fmt: Format, need: str) -> DimensionMismatch:
     return DimensionMismatch(f"class {label} does not fit format {fmt}: needs {need}")
 
 
+def _t_pattern(*products: tuple[PairKey, int]):
+    """Builder of the T pattern: ``e_i e_j = c f_k`` for the k-th product ``((i, j), c)``.
+
+    Its need is read off the products: ``m`` at least the largest index and
+    ``m+n-1`` at least the number of products.
+    """
+    m_min, d2_min = max(max(pair) for pair, _ in products), len(products)
+    need = f"m >= {m_min} and m+n-1 >= {d2_min}"
+
+    def build(label: ClassLabel, fmt: Format) -> TorPresentation:
+        m, n = fmt
+        if m < m_min or m + n - 1 < d2_min:
+            raise _misfit(label, fmt, need)
+        return TorPresentation(m, n, {pair: {k: c} for k, (pair, c) in enumerate(products, 1)}, {})
+
+    return build
+
+
+# The Koszul products e_2 e_3 = f_1, e_1 e_3 = -f_2, e_1 e_2 = f_3: canonical T and the degree-1 half of C(3).
+_koszul = _t_pattern(((2, 3), 1), ((1, 3), -1), ((1, 2), 1))
+
+
+def _h_pattern(u: int, low: int, start: int, s: int, label: ClassLabel, fmt: Format) -> TorPresentation:
+    """The H pattern: every product on the pivot ``e_u``.
+
+    The i-th partner ``x`` gives ``e_u e_x = s f_i``; the partners are
+    ``1..low``, all below ``u``, then ``start, start+1, ...``, all above
+    ``u``, p in all.  Besides, ``e_u f_{p+i} = g_i`` for ``i <= q``.  The
+    need is read off the pattern and checked before any product is built:
+    ``p >= low``, ``m`` at least the last partner and ``u``, ``m+n-1 >= p+q``
+    and ``n >= q``, in that order.
+    """
+    _, p, q = label
+    m, n = fmt
+    if p < low:
+        raise _misfit(label, fmt, f"p >= {low}")
+    above = range(start, start + p - low)
+    m_min = above[-1] if above else u
+    if m < m_min:
+        raise _misfit(label, fmt, f"m >= {_decimal(m_min)}")
+    if m + n - 1 < p + q:
+        raise _misfit(label, fmt, f"m+n-1 >= {_decimal(p + q)}")
+    if n < q:
+        raise _misfit(label, fmt, f"n >= {q}")
+    # Below the pivot the i-th partner is i itself, and e_i e_u = -s f_i is stored.
+    ee = {(i, u): {i: -s} for i in range(1, low + 1)} if low else {}
+    for i, x in enumerate(above, low + 1):
+        ee[u, x] = {i: s}
+    return TorPresentation(m, n, ee, {(u, p + i): {i: 1} for i in range(1, q + 1)})
+
+
 def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
     """The canonical multiplication table realizing ``label`` in ``fmt``.
 
-    Raises :class:`DimensionMismatch` when the format is too small to hold
-    the canonical products (for example T needs ``m >= 3``, G(r) needs
+    C(3) and T hold the Koszul products of the T pattern, and H(p,q) is the
+    H pattern on ``e_{p+1}`` with partners ``1..p`` and sign -1.  Raises
+    :class:`DimensionMismatch` when the format is too small to hold the
+    canonical products (for example T needs ``m >= 3``, G(r) needs
     ``m >= r``, H(p,q) needs ``m >= p+1`` whenever it has any products).
     """
+    tag, a, _ = label
+    if tag == "H":
+        return _h_pattern(a + 1, a, a + 2, -1, label, fmt)
     m, n, d2 = fmt.m, fmt.n, fmt.dim2
-    if label.tag == "C3":
+    if tag == "C3":
         if (m, n) != (3, 1):
             raise _misfit(label, fmt, "format exactly (3,1)")
-        ee = {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}
-        ef = {(i, i): {1: 1} for i in (1, 2, 3)}
-        return TorPresentation(m, n, ee, ef)
-    if label.tag == "T":
-        if m < 3 or d2 < 3:
-            raise _misfit(label, fmt, "m >= 3 and m+n-1 >= 3")
-        ee = {(1, 2): {3: 1}, (2, 3): {1: 1}, (1, 3): {2: -1}}
-        return TorPresentation(m, n, ee, {})
-    if label.tag == "B":
+        return _koszul(label, fmt)._replace(ef={(i, i): {1: 1} for i in (1, 2, 3)})
+    if tag == "T":
+        return _koszul(label, fmt)
+    if tag == "B":
         if m < 2 or d2 < 3:
             raise _misfit(label, fmt, "m >= 2 and m+n-1 >= 3")
         return TorPresentation(m, n, {(1, 2): {3: 1}}, {(1, 1): {1: 1}, (2, 2): {1: 1}})
-    if label.tag == "G":
-        r = label.r
-        if m < r or d2 < r:
-            raise _misfit(label, fmt, f"m >= {r} and m+n-1 >= {r}")
-        return TorPresentation(m, n, {}, {(i, i): {1: 1} for i in range(1, r + 1)})
-    if label.tag == "H":
-        p, q = label.p, label.q
-        _h_bounds(label, fmt, m_min=p + 1)
-        ee = {(i, p + 1): {i: 1} for i in range(1, p + 1)}
-        ef = {(p + 1, p + i): {i: 1} for i in range(1, q + 1)}
-        return TorPresentation(m, n, ee, ef)
+    if tag == "G":
+        if m < a or d2 < a:
+            raise _misfit(label, fmt, f"m >= {a} and m+n-1 >= {a}")
+        return TorPresentation(m, n, {}, {(i, i): {1: 1} for i in range(1, a + 1)})
     raise UnknownArrangement(f"no canonical table for label {label}")
 
 
-def _arr_T(*pairs: PairKey):
-    """T arrangement with the products ``e_i e_j = f_k`` for the k-th pair ``(i, j)``."""
-
-    def build(label: ClassLabel, fmt: Format) -> TorPresentation:
-        if fmt.m < 4 or fmt.dim2 < 3:
-            raise _misfit(label, fmt, "m >= 4 and m+n-1 >= 3")
-        return TorPresentation(fmt.m, fmt.n, {pair: {k: 1} for k, pair in enumerate(pairs, 1)}, {})
-
-    return build
-
-
-def _h_bounds(label: ClassLabel, fmt: Format, m_min: int) -> None:
-    p, q = label.p, label.q
-    if fmt.m < m_min:
-        raise _misfit(label, fmt, f"m >= {_decimal(m_min)}")
-    if fmt.dim2 < p + q:
-        raise _misfit(label, fmt, f"m+n-1 >= {_decimal(p + q)}")
-    if fmt.n < q:
-        raise _misfit(label, fmt, f"n >= {q}")
-
-
-def _arr_H_shift(shift: int):
-    """H arrangement with all products on the designated unit e_1.
-
-    Products are ``e_1 e_{i+shift} = f_i`` for ``i <= p`` and
-    ``e_1 f_{p+i} = g_i`` for ``i <= q``; larger shifts leave more leading
-    basis vectors untouched, which downstream link simulations consume.
-    """
-
-    def build(label: ClassLabel, fmt: Format) -> TorPresentation:
-        p, q = label.p, label.q
-        _h_bounds(label, fmt, m_min=(p + shift) if p else 1)
-        ee = {(1, i + shift): {i: 1} for i in range(1, p + 1)}
-        ef = {(1, p + i): {i: 1} for i in range(1, q + 1)}
-        return TorPresentation(fmt.m, fmt.n, ee, ef)
-
-    return build
-
-
-def _arr_H_pivot(u: int):
-    """H arrangement with all products on e_u.
-
-    Products are ``e_u e_1 = f_1`` (stored as ``(1,u) -> -f_1``),
-    ``e_u e_{i+u-1} = f_i`` for ``2 <= i <= p`` and ``e_u f_{p+i} = g_i`` for
-    ``i <= q``.
-    """
-
-    def build(label: ClassLabel, fmt: Format) -> TorPresentation:
-        p, q = label.p, label.q
-        if p < 1:
-            raise _misfit(label, fmt, "p >= 1")
-        _h_bounds(label, fmt, m_min=max(u, p + u - 1))
-        ee = {(1, u): {1: -1}}
-        for i in range(2, p + 1):
-            ee[(u, i + u - 1)] = {i: 1}
-        ef = {(u, p + i): {i: 1} for i in range(1, q + 1)}
-        return TorPresentation(fmt.m, fmt.n, ee, ef)
-
-    return build
-
-
 _ARRANGEMENTS = {
-    "T-A": ("T", _arr_T((1, 2), (1, 4), (2, 4))),
-    "T-B": ("T", _arr_T((2, 3), (2, 4), (3, 4))),
+    "T-A": ("T", _t_pattern(((1, 2), 1), ((1, 4), 1), ((2, 4), 1))),
+    "T-B": ("T", _t_pattern(((2, 3), 1), ((2, 4), 1), ((3, 4), 1))),
     "G-std": ("G", canonical_presentation),
-    "H-i": ("H", _arr_H_pivot(2)),
-    "H-ii": ("H", _arr_H_shift(1)),
-    "H-iii": ("H", _arr_H_pivot(3)),
-    "H-iv": ("H", _arr_H_shift(2)),
-    "H-v": ("H", _arr_H_shift(3)),
+    # H-i and H-iii: partners 1, u+1, ..., u+p-1 on e_u, so p >= 1.
+    "H-i": ("H", partial(_h_pattern, 2, 1, 3, 1)),
+    # H-ii, H-iv and H-v: partners shift+1..shift+p on e_1, leaving the first shift basis vectors free.
+    "H-ii": ("H", partial(_h_pattern, 1, 0, 2, 1)),
+    "H-iii": ("H", partial(_h_pattern, 3, 1, 4, 1)),
+    "H-iv": ("H", partial(_h_pattern, 1, 0, 3, 1)),
+    "H-v": ("H", partial(_h_pattern, 1, 0, 4, 1)),
 }
 
 
@@ -321,7 +311,9 @@ def arranged_presentation(label: ClassLabel, fmt: Format, arrangement: str) -> T
     """A table realizing ``label`` with products placed per ``arrangement``.
 
     Each arrangement id applies to one class tag (T-A/T-B to T, G-std to G,
-    H-i..H-v to H); an id that exists but targets a different class raises
+    H-i..H-v to H).  T-A and T-B are the T pattern on other pairs, H-i..H-v
+    the H pattern on other pivots and partners, and G-std is the canonical
+    G(r) table.  An id that exists but targets a different class raises
     :class:`UnknownArrangement`, and formats that cannot hold the products
     raise :class:`DimensionMismatch`.
     """

@@ -556,10 +556,25 @@ def test_python_dash_m_matches_main(module, capsys):
     assert proc.returncode == code
 
 
-@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-def test_closed_stdout_exits_141_silently(unbuffered):
+_PERMISSIBLE_ARGV = ["permissible", "H(1,1)", "(3,1)"]
+
+
+@pytest.mark.parametrize(
+    "command, unbuffered",
+    [
+        (_PERMISSIBLE_ARGV, True),
+        (_PERMISSIBLE_ARGV, False),
+        (["--help"], True),
+        (["--help"], False),
+        (["link", "--help"], True),
+        (["link", "--help"], False),
+    ],
+    ids=["unbuffered", "buffered", "help-unbuffered", "help-buffered", "link-help-unbuffered", "link-help-buffered"],
+)
+def test_closed_stdout_exits_141_silently(command, unbuffered):
     # The reader closes the pipe before the command writes, as `| head -c 0`
-    # does: exit 128 + SIGPIPE, with nothing on stderr, buffered or not.
+    # does: exit 128 + SIGPIPE, with nothing on stderr, buffered or not, for
+    # a subcommand's output and for argparse's help text alike.
     src = os.path.dirname(os.path.dirname(grade3.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONUNBUFFERED", None)
@@ -568,7 +583,7 @@ def test_closed_stdout_exits_141_silently(unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        argv = [sys.executable, "-m", "grade3", "permissible", "H(1,1)", "(3,1)"]
+        argv = [sys.executable, "-m", "grade3", *command]
         proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
     finally:
         os.close(write_end)

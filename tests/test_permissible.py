@@ -10,7 +10,10 @@ from grade3 import (
     CLASS_B,
     CLASS_C3,
     CLASS_T,
+    OPAQUE,
     CellStatus,
+    Grade3Error,
+    InvalidLabel,
     Status,
     atlas_grid,
     boundary_classes,
@@ -122,6 +125,13 @@ def test_g_verdicts():
     assert "G-gorenstein-parity" in _rules(class_G(6), 6, 1)
     assert "G-gorenstein-duality" in _rules(class_G(5), 6, 1)
     assert "G-gorenstein-min" in _rules(class_G(3), 3, 1)
+
+
+def test_opaque_label_is_refused_as_an_invalid_label():
+    # The placeholder of an axiom whose class is not pinned names no class, so it has no verdict.
+    with pytest.raises(InvalidLabel, match=r"^unknown class tag '\*'$") as exc:
+        is_permissible(OPAQUE, make_format(6, 3))
+    assert isinstance(exc.value, Grade3Error) and isinstance(exc.value, ValueError)
 
 
 # ------------------------------------------------------------------ boundary

@@ -283,7 +283,8 @@ def test_witness_builders_are_pinned():
 def test_witness_tables_hold_p_products_ee_and_r_products_ef():
     # `grade3 canonical` refuses an oversized table before building it, from
     # the class invariants (p, q, r) alone: it counts on every witness table
-    # holding exactly p products e.e and r products e.f.
+    # holding exactly p products e.e and r products e.f.  Every one is valid:
+    # the need each builder reads off its pattern covers every index it uses.
     built = 0
     for name, build in _WITNESS_BUILDERS:
         for label in _WITNESS_LABELS:
@@ -295,6 +296,7 @@ def test_witness_tables_hold_p_products_ee_and_r_products_ef():
                     except (DimensionMismatch, UnknownArrangement):
                         continue
                     assert (len(table.ee), len(table.ef)) == (invariants.p, invariants.r), (name, str(label), m, n)
+                    assert validate_presentation(table) == (), (name, str(label), m, n)
                     built += 1
     assert built == 12586
 
