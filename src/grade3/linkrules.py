@@ -12,11 +12,12 @@ Each named rule in :data:`RULES` is stated once, over integers: a state
 is a class tag, the label's two parameter slots ``(a, b)`` (``r`` for G,
 ``(p, q)`` for H, zero otherwise) and a format ``(m, n)``.  A rule names
 the tags it accepts, its guards (predicates on ``(a, b, m, n)``, each with
-the text of its rejection), its output tag with an output-slot map
-``(a, b) -> (a', b')``, and its profile row, whose formula is its output
-format.  The rule's ``check``, ``out_class`` and ``out_format`` callables
-are built from that statement, and the planner compiles its search from the
-same statement without building labels.  ``ext-CVW33``'s row (3,1,0) is
+the text of its rejection), its output tag with the output's slots (a pair
+``(a', b')``, or a map ``(a, b) -> (a', b')`` when they depend on the
+input), and its profile row, whose formula is its output format.  The
+rule's ``check``, ``out_class`` and ``out_format`` callables are built from
+that statement, and the planner compiles its search from the same statement
+without building labels.  ``ext-CVW33``'s row (3,1,0) is
 outside the supported rows: the mapping cone does not model it, and the
 rule imports a published construction instead.  The rule ids are stable
 wire vocabulary: they appear in derivation certificates and on the command
@@ -157,7 +158,8 @@ STATE_TAGS = frozenset({"B", "C3", "G", "H", "T", OPAQUE.tag})
 # and holds when the hypothesis does; the template, formatted with ``label``
 # and ``fmt``, says why an input that breaks it is rejected.
 _Guard = tuple[Callable[[int, int, int, int], bool], str]
-_Slots = Callable[[int, int], tuple[int, int]]
+# The output's slots: a pair when they are constant, else a map of the input's slots.
+_Slots = tuple[int, int] | Callable[[int, int], tuple[int, int]]
 _StateKey = tuple[str, int, int, int, int]
 
 
@@ -167,7 +169,9 @@ class LinkageRule:
 
     ``in_tags`` are the class tags the rule accepts.  Its hypotheses on an
     accepted input are ``guards``, in order; its output class has the tag
-    ``out_tag`` and the slots ``out_slots(a, b)`` of the input's slots.
+    ``out_tag`` and the slots ``out_slots``: a pair ``(a', b')`` when they
+    do not depend on the input, else a map ``(a, b) -> (a', b')`` of the
+    input's slots.
     ``profile`` is the rank-profile row the rule realizes.  ``check``,
     ``out_class`` and ``out_format`` are built from those fields: ``check``
     returns a human-readable reason when the input violates the rule's
@@ -255,7 +259,8 @@ def _rule(
     tags = frozenset({in_tags}) if isinstance(in_tags, str) else in_tags
 
     def out_class(label: StateLabel) -> ClassLabel:
-        return _label_of(out_tag, *out_slots(label.a, label.b))
+        slots = out_slots if isinstance(out_slots, tuple) else out_slots(label.a, label.b)
+        return _label_of(out_tag, *slots)
 
     return LinkageRule(
         rule_id,
@@ -272,27 +277,21 @@ def _rule(
     )
 
 
-def _fixed(a: int, b: int) -> _Slots:
-    """The slots of an output class that does not depend on the input."""
-    return lambda p, q: (a, b)
-
-
 def _rules() -> dict[str, LinkageRule]:
-    no_slots = _fixed(0, 0)
     rules = [
-        _rule("linktoT", (0, 0, 0), STATE_TAGS - {"C3"}, "T", no_slots, witness="canonical"),
-        _rule("linkT-i", (1, 0, 0), "T", "H", _fixed(2, 0), witness="T-B"),
-        _rule("linkT-ii", (1, 0, 0), "T", "H", _fixed(2, 2), witness="T-A"),
-        _rule("linkT-iii", (2, 0, 0), "T", "H", _fixed(1, 2), witness="T-B"),
-        _rule("linkT-iv", (2, 1, 0), "T", "B", no_slots, witness="T-A"),
-        _rule("linkG-i", (1, 0, 0), "G", "H", _fixed(3, 0), witness="G-std"),
-        _rule("linkG-ii", (2, 0, 0), "G", "T", no_slots, witness="G-std"),
+        _rule("linktoT", (0, 0, 0), STATE_TAGS - {"C3"}, "T", (0, 0), witness="canonical"),
+        _rule("linkT-i", (1, 0, 0), "T", "H", (2, 0), witness="T-B"),
+        _rule("linkT-ii", (1, 0, 0), "T", "H", (2, 2), witness="T-A"),
+        _rule("linkT-iii", (2, 0, 0), "T", "H", (1, 2), witness="T-B"),
+        _rule("linkT-iv", (2, 1, 0), "T", "B", (0, 0), witness="T-A"),
+        _rule("linkG-i", (1, 0, 0), "G", "H", (3, 0), witness="G-std"),
+        _rule("linkG-ii", (2, 0, 0), "G", "T", (0, 0), witness="G-std"),
         _rule(
             "linkH-i",
             (1, 0, 0),
             "H",
             "H",
-            _fixed(2, 1),
+            (2, 1),
             (lambda p, q, m, n: p >= 1, "rule needs p >= 1; input is {label}"),
             witness="H-i",
         ),
@@ -302,7 +301,7 @@ def _rules() -> dict[str, LinkageRule]:
             (2, 0, 0),
             "H",
             "H",
-            _fixed(1, 1),
+            (1, 1),
             (lambda p, q, m, n: 1 <= p <= m - 2, "rule needs 1 <= p <= m - 2; input is {label} at {fmt}"),
             witness="H-iii",
         ),
@@ -330,7 +329,7 @@ def _rules() -> dict[str, LinkageRule]:
             (3, 0, 0),
             "G",
             "H",
-            _fixed(3, 2),
+            (3, 2),
             (
                 lambda r, b, m, n: r == 5 and m == 5 and n == 1,
                 "rule applies only to G(5) at (5,1); input is {label} at {fmt}",
@@ -342,7 +341,7 @@ def _rules() -> dict[str, LinkageRule]:
             (3, 1, 0),
             "H",
             "H",
-            _fixed(0, 1),
+            (0, 1),
             (lambda p, q, m, n: p == 2 and q == 0, "rule applies only to H(2,0); input is {label}"),
             (
                 lambda p, q, m, n: n == 3 and m >= 6 and m % 2 == 0,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import io
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from .errors import InvalidLabel, OutOfDomain, _decimal
 from .labels import ClassLabel, Format, class_H
@@ -269,17 +269,30 @@ _REALIZED_WHEN_CLEAN: dict[str, Callable[[int, int, int, int], bool]] = {
 }
 
 
+def _unknown_tag(tag: str) -> NoReturn:
+    raise InvalidLabel(f"unknown class tag {tag!r}")
+
+
+def _excluded(tag: str, a: int, b: int, m: int, n: int) -> bool:
+    """Whether :func:`_verdict` is NOT_PERMISSIBLE, without building a verdict.
+
+    Reads the same obstruction table and stops at the first broken rule.  The
+    planner asks it about every state, without building the label and format,
+    and keeps each answer itself.
+    """
+    for _, check, _ in _OBSTRUCTIONS.get(tag) or _unknown_tag(tag):
+        if check(a, b, m, n) is not None:
+            return True
+    return False
+
+
 def _verdict(tag: str, a: int, b: int, m: int, n: int) -> PermissibilityVerdict:
     """The verdict of the label with this tag and slots in format ``(m, n)``.
 
-    Reads integers, so the planner asks it about a state without building the
-    label and format; the planner keeps each state's answer itself.
+    Reads integers, like :func:`_excluded`, the yes/no form the planner asks.
     """
-    rules = _OBSTRUCTIONS.get(tag)
-    if rules is None:
-        raise InvalidLabel(f"unknown class tag {tag!r}")
     violations = []
-    for rule_id, check, cite in rules:
+    for rule_id, check, cite in _OBSTRUCTIONS.get(tag) or _unknown_tag(tag):
         detail = check(a, b, m, n)
         if detail is not None:
             violations.append(RuleViolation(rule_id, detail, cite))

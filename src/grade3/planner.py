@@ -17,17 +17,21 @@ for a target is identical across runs and call orders.
 Every bound's search walks one successor graph shared by the whole process.
 Its states are integer keys ``(tag, a, b, m, n)``, interned to integer ids;
 the rulebook is compiled at import into, per class tag, the rules that
-accept it with their guard predicates and affine output maps, so a search
-builds labels and formats only for the states of a certificate.  Each
-state's verdict is taken once, when the graph first sees it, and its rule
-outputs are computed once, in ``RULE_ORDER``, the first time any search
-expands it, leaving out the NOT_PERMISSIBLE ones.  Each bound's search drops
-the outputs beyond its own bound and the ones it has already discovered.
-Sharing does not change certificates: a state's outputs and verdict do not
-depend on the bound, and each bound expands its states, and each state's
-outputs, in one fixed order.  A target whose class no rule outputs (C(3),
-G(r)) can only be an axiom, so unless it is an axiom instance of its bound
-it is NOT_FOUND without a search.
+accept it with their guard predicates and output slots (a constant pair, or
+an affine map of the input's), so a search builds labels and formats only
+for the states of a certificate.  Each state is tested once, when the graph
+first sees it, by a yes/no exclusion test that builds no verdict, and its
+rule outputs are computed once, in ``RULE_ORDER``, the first time any search
+expands it, leaving out the NOT_PERMISSIBLE ones.  The graph keeps only the
+output ids; the rule of a certificate step is recomputed from the same
+compiled rulebook, and each bound's search keeps the transitions its
+certificates have built, so certificates sharing a prefix build it once.
+Each bound's search drops the outputs beyond its own bound and the ones it
+has already discovered.  Sharing does not change certificates: a state's
+outputs and exclusion do not depend on the bound, and each bound expands its
+states, and each state's outputs, in one fixed order.  A target whose class
+no rule outputs (C(3), G(r)) can only be an axiom, so unless it is an axiom
+instance of its bound it is NOT_FOUND without a search.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from .permissible import (
     CITE_W89,
     PermissibilityVerdict,
     Status,
-    _verdict,
+    _excluded,
     boundary_classes,
     is_permissible,
 )
@@ -211,12 +215,21 @@ _SEED_ORDER = tuple(
 
 # The rulebook compiled for the search: per state tag, in RULE_ORDER, each rule
 # that accepts the tag as (rule index, t1, t2, guard predicates, output tag,
-# output slots).  Read from RULES once, at import: an entry replaced later
-# (with wrapped or altered callables) changes apply_rule, not the search.
-_Step = tuple[int, int, int, tuple[Callable[[int, int, int, int], bool], ...], str, _Slots]
+# output slots, whether those slots are a constant pair).  Read from RULES
+# once, at import: an entry replaced later (with wrapped or altered callables)
+# changes apply_rule, not the search.
+_Step = tuple[int, int, int, tuple[Callable[[int, int, int, int], bool], ...], str, _Slots, bool]
 _STEPS: dict[str, tuple[_Step, ...]] = {
     tag: tuple(
-        (i, rule.profile.t1, rule.profile.t2, tuple(holds for holds, _ in rule.guards), rule.out_tag, rule.out_slots)
+        (
+            i,
+            rule.profile.t1,
+            rule.profile.t2,
+            tuple(holds for holds, _ in rule.guards),
+            rule.out_tag,
+            rule.out_slots,
+            isinstance(rule.out_slots, tuple),
+        )
         for i, rule in enumerate(RULES[rule_id] for rule_id in RULE_ORDER)
         if tag in rule.in_tags
     )
@@ -232,15 +245,17 @@ class _Graph:
     A state is its integer key ``(tag, a, b, m, n)`` (see
     :func:`grade3.linkrules._state_key`); labels and formats are built only
     for the states of a certificate.  States are numbered in order of first
-    sight, and each one's verdict is taken then: ``excluded[sid]`` says it is
+    sight, and each one is tested then, with the yes/no
+    :func:`grade3.permissible._excluded`: ``excluded[sid]`` says it is
     NOT_PERMISSIBLE.  Opaque states are axioms that no rule outputs, and are
     never asked.  A state's outputs do not depend on the bound, so they are
     computed once per process, in ``RULE_ORDER``, leaving out the excluded
-    ones: the output ids in ``edges[sid]`` and the rules that produce them,
-    by index into ``RULE_ORDER``, in ``edge_rules[sid]``.  Every edge into a
-    state shares that state's verdict, so no bound loses an edge that
-    another keeps.  ``reach[sid]`` is the larger coordinate of the state's
-    format, which each bound's search compares with its own bound.
+    ones: ``edges[sid]`` holds their ids, and is None until some search
+    expands the state.  The rule of an edge is not kept; :meth:`rule_between`
+    recomputes it for the few edges a certificate takes.  Every edge into a
+    state shares that state's test, so no bound loses an edge that another
+    keeps.  ``reach[sid]`` is the larger coordinate of the state's format,
+    which each bound's search compares with its own bound.
     """
 
     def __init__(self) -> None:
@@ -249,7 +264,6 @@ class _Graph:
         self.reach: list[int] = []
         self.excluded = bytearray()
         self.edges: list[tuple[int, ...] | None] = []
-        self.edge_rules: list[bytes | None] = []
 
     def intern(self, key: _StateKey) -> int:
         sid = self.ids.get(key)
@@ -258,26 +272,17 @@ class _Graph:
             tag, a, b, m, n = key
             self.ids[key] = sid
             self.keys.append(key)
-            self.reach.append(max(m, n))
-            self.excluded.append(
-                tag != OPAQUE.tag and _verdict(tag, a, b, m, n).status is Status.NOT_PERMISSIBLE
-            )
+            self.reach.append(m if m > n else n)
+            self.excluded.append(tag != OPAQUE.tag and _excluded(tag, a, b, m, n))
             self.edges.append(None)
-            self.edge_rules.append(None)
         return sid
 
-    def successors(self, sid: int) -> tuple[int, ...]:
-        edges = self.edges[sid]
-        if edges is None:
-            edges = self._expand(sid)
-        return edges
-
-    def _expand(self, sid: int) -> tuple[int, ...]:
+    def expand(self, sid: int) -> tuple[int, ...]:
+        """The ids of the state's outputs that are not excluded, in RULE_ORDER."""
         tag, a, b, m, n = self.keys[sid]
-        ids, excluded = self.ids, self.excluded
+        ids, excluded, intern = self.ids, self.excluded, self.intern
         out_ids: list[int] = []
-        rule_indices: list[int] = []
-        for rule_index, t1, t2, guards, out_tag, out_slots in _STEPS[tag]:
+        for _, t1, t2, guards, out_tag, out_slots, fixed in _STEPS[tag]:
             out_m, out_n = n + 3 - t2, m - t1
             if out_m < 1 or out_n < 1:
                 continue
@@ -285,21 +290,25 @@ class _Graph:
                 if not holds(a, b, m, n):
                     break
             else:
-                out_a, out_b = out_slots(a, b)
+                out_a, out_b = out_slots if fixed else out_slots(a, b)
                 key = (out_tag, out_a, out_b, out_m, out_n)
                 out_id = ids.get(key)
                 if out_id is None:
-                    out_id = self.intern(key)
+                    out_id = intern(key)
                 if not excluded[out_id]:
                     out_ids.append(out_id)
-                    rule_indices.append(rule_index)
         edges = self.edges[sid] = tuple(out_ids)
-        self.edge_rules[sid] = bytes(rule_indices)
         return edges
 
     def rule_between(self, sid: int, out_id: int) -> str:
-        """The first rule, in RULE_ORDER, that takes state ``sid`` to ``out_id``."""
-        return RULE_ORDER[self.edge_rules[sid][self.successors(sid).index(out_id)]]
+        """The first rule, in RULE_ORDER, whose step takes state ``sid`` to ``out_id``."""
+        tag, a, b, m, n = self.keys[sid]
+        out_key = self.keys[out_id]
+        for rule_index, t1, t2, guards, out_tag, out_slots, fixed in _STEPS[tag]:
+            slots = out_slots if fixed else out_slots(a, b)
+            if (out_tag, *slots, n + 3 - t2, m - t1) == out_key and all(holds(a, b, m, n) for holds in guards):
+                return RULE_ORDER[rule_index]
+        raise ValueError(f"no rule takes state {self.keys[sid]} to {out_key}")
 
 
 _GRAPH = _Graph()
@@ -313,12 +322,15 @@ class _Search:
     each axiom to the id of the family that seeded it.  The expansion
     sequence for a given bound is a pure function of the bound, so resuming
     a search later (for a different target) assigns the same parents as a
-    fresh exhaustive run would.
+    fresh exhaustive run would.  ``steps`` maps each state a certificate
+    has passed through to the transition into it from its parent, so the
+    certificates of one bound build each shared prefix once.
     """
 
     def __init__(self, bound: int) -> None:
         self.bound = bound
         self.parent: dict[int, int | str] = {}
+        self.steps: dict[int, Transition] = {}
         self.queue: deque[int] = deque()
         for family in _SEED_ORDER:
             for state in family.instances(bound):
@@ -329,12 +341,15 @@ class _Search:
 
     def find(self, target: int) -> bool:
         parent, queue, bound, graph = self.parent, self.queue, self.bound, _GRAPH
-        reach = graph.reach
+        reach, edges = graph.reach, graph.edges
         if target in parent:
             return True
         while queue:
             sid = queue.popleft()
-            for out_id in graph.successors(sid):
+            out_ids = edges[sid]
+            if out_ids is None:
+                out_ids = graph.expand(sid)
+            for out_id in out_ids:
                 if reach[out_id] <= bound and out_id not in parent:
                     parent[out_id] = sid
                     queue.append(out_id)
@@ -407,17 +422,20 @@ def _not_found_detail(label: ClassLabel) -> str:
 
 
 def _certificate_from(search: _Search, target: int) -> DerivationCertificate:
+    parent, memo, keys = search.parent, search.steps, _GRAPH.keys
     steps_reversed: list[Transition] = []
     cursor = target
-    while isinstance(prev := search.parent[cursor], int):
-        label, fmt = _state_of(_GRAPH.keys[prev])
-        steps_reversed.append(apply_rule(_GRAPH.rule_between(prev, cursor), label, fmt))
+    while isinstance(prev := parent[cursor], int):
+        step = memo.get(cursor)
+        if step is None:
+            step = memo[cursor] = apply_rule(_GRAPH.rule_between(prev, cursor), *_state_of(keys[prev]))
+        steps_reversed.append(step)
         cursor = prev
     family = _FAMILY_BY_ID[prev]
-    label, fmt = _state_of(_GRAPH.keys[cursor])
+    label, fmt = _state_of(keys[cursor])
     axiom = Axiom(family.family_id, label, fmt, family.cite)
     return DerivationCertificate(
-        axiom=axiom, steps=tuple(reversed(steps_reversed)), target=_state_of(_GRAPH.keys[target])
+        axiom=axiom, steps=tuple(reversed(steps_reversed)), target=_state_of(keys[target])
     )
 
 

@@ -237,7 +237,9 @@ def _h_pattern(u: int, low: int, start: int, s: int, label: ClassLabel, fmt: For
     ``u``, p in all.  Besides, ``e_u f_{p+i} = g_i`` for ``i <= q``.  The
     need is read off the pattern and checked before any product is built:
     ``p >= low``, ``m`` at least the last partner and ``u``, ``m+n-1 >= p+q``
-    and ``n >= q``, in that order.
+    and ``n >= q``, in that order.  Then a table of more than
+    :data:`MAX_DOCUMENT_CELLS` products, which has more cells than that too,
+    is refused as :func:`_require_document_size` refuses it.
     """
     _, p, q = label
     m, n = fmt
@@ -251,6 +253,8 @@ def _h_pattern(u: int, low: int, start: int, s: int, label: ClassLabel, fmt: For
         raise _misfit(label, fmt, f"m+n-1 >= {_decimal(p + q)}")
     if n < q:
         raise _misfit(label, fmt, f"n >= {q}")
+    if p + q > MAX_DOCUMENT_CELLS:
+        _require_document_size(m, n, p, q)
     # Below the pivot the i-th partner is i itself, and e_i e_u = -s f_i is stored.
     ee = {(i, u): {i: -s} for i in range(1, low + 1)} if low else {}
     for i, x in enumerate(above, low + 1):
@@ -265,7 +269,9 @@ def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
     H pattern on ``e_{p+1}`` with partners ``1..p`` and sign -1.  Raises
     :class:`DimensionMismatch` when the format is too small to hold the
     canonical products (for example T needs ``m >= 3``, G(r) needs
-    ``m >= r``, H(p,q) needs ``m >= p+1`` whenever it has any products).
+    ``m >= r``, H(p,q) needs ``m >= p+1`` whenever it has any products), and
+    :class:`DocumentError` for a table that fits but holds more products than
+    :data:`MAX_DOCUMENT_CELLS`, before any is built.
     """
     tag, a, _ = label
     if tag == "H":
@@ -284,6 +290,8 @@ def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
     if tag == "G":
         if m < a or d2 < a:
             raise _misfit(label, fmt, f"m >= {a} and m+n-1 >= {a}")
+        if a > MAX_DOCUMENT_CELLS:
+            _require_document_size(m, n, 0, a)
         return TorPresentation(m, n, {}, {(i, i): {1: 1} for i in range(1, a + 1)})
     raise UnknownArrangement(f"no canonical table for label {label}")
 
@@ -314,8 +322,10 @@ def arranged_presentation(label: ClassLabel, fmt: Format, arrangement: str) -> T
     H-i..H-v to H).  T-A and T-B are the T pattern on other pairs, H-i..H-v
     the H pattern on other pivots and partners, and G-std is the canonical
     G(r) table.  An id that exists but targets a different class raises
-    :class:`UnknownArrangement`, and formats that cannot hold the products
-    raise :class:`DimensionMismatch`.
+    :class:`UnknownArrangement`, formats that cannot hold the products raise
+    :class:`DimensionMismatch`, and a table that fits but holds more products
+    than :data:`MAX_DOCUMENT_CELLS` raises :class:`DocumentError` before any
+    is built.
     """
     entry = _ARRANGEMENTS.get(arrangement)
     if entry is None:

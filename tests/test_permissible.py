@@ -24,6 +24,7 @@ from grade3 import (
     render_atlas_csv,
     render_atlas_text,
 )
+from grade3 import permissible
 
 
 def _status(label, m, n):
@@ -132,6 +133,34 @@ def test_opaque_label_is_refused_as_an_invalid_label():
     with pytest.raises(InvalidLabel, match=r"^unknown class tag '\*'$") as exc:
         is_permissible(OPAQUE, make_format(6, 3))
     assert isinstance(exc.value, Grade3Error) and isinstance(exc.value, ValueError)
+
+
+def test_exclusion_test_agrees_with_the_verdict():
+    # The planner's yes/no test reads the same table as the verdict: on every
+    # tag, on slots 0..17 and on every format up to (16,16), it holds exactly
+    # when the verdict is NOT_PERMISSIBLE.  Every rule of the table is broken
+    # somewhere on this grid.  The opaque tag is refused by both.
+    slots = {
+        "B": [(0, 0)],
+        "C3": [(0, 0)],
+        "T": [(0, 0)],
+        "G": [(r, 0) for r in range(18)],
+        "H": [(p, q) for p in range(18) for q in range(18)],
+    }
+    assert set(slots) == set(permissible._OBSTRUCTIONS)
+    broken = set()
+    for tag, pairs in slots.items():
+        for a, b in pairs:
+            for m in range(1, 17):
+                for n in range(1, 17):
+                    verdict = permissible._verdict(tag, a, b, m, n)
+                    want = verdict.status is Status.NOT_PERMISSIBLE
+                    assert permissible._excluded(tag, a, b, m, n) is want, (tag, a, b, m, n)
+                    broken.update(v.rule for v in verdict.violations)
+    assert broken == {rule for rules in permissible._OBSTRUCTIONS.values() for rule, _, _ in rules}
+    for ask in (permissible._verdict, permissible._excluded):
+        with pytest.raises(InvalidLabel, match=r"^unknown class tag '\*'$"):
+            ask(OPAQUE.tag, 0, 0, 6, 3)
 
 
 # ------------------------------------------------------------------ boundary

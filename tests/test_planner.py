@@ -273,6 +273,33 @@ def test_realize_grid_is_pinned():
     assert digest.hexdigest() == "c7006a3a23c68919c01372bb13eb36640a8cd3dcd19eab2e5e17052940876439"
 
 
+def test_certificates_sharing_a_prefix_build_it_once_in_either_order():
+    # All three targets have bound 13; the last two certificates share their
+    # first four steps, and all three their first two.  Each search keeps the
+    # transition into every state a certificate has passed through, so a
+    # later certificate reuses the earlier one's steps, whichever comes first.
+    targets = [
+        (class_H(0, 3), make_format(7, 3)),
+        (class_H(5, 1), make_format(7, 6)),
+        (class_H(6, 1), make_format(7, 7)),
+    ]
+    runs = []
+    for order in (targets, targets[::-1]):
+        planner._SEARCHES.clear()
+        certs = {target: realize(*target).certificate for target in order}
+        assert list(planner._SEARCHES) == [13]
+        for cert in certs.values():
+            assert verify_certificate(cert)
+        first, second, third = (certs[target] for target in targets)
+        assert second.steps[:4] == third.steps[:4] and second.steps[4] != third.steps[4]
+        assert first.steps[:2] == second.steps[:2] and first.steps[2] != second.steps[2]
+        # The shared steps are the same objects: each was built once.
+        assert all(a is b for a, b in zip(second.steps[:4], third.steps))
+        assert all(a is b for a, b in zip(first.steps[:2], second.steps))
+        runs.append([certificate_to_document(certs[target]) for target in targets])
+    assert runs[0] == runs[1]
+
+
 def test_certificates_chain_states_consecutively():
     cert = realize(class_H(5, 0), make_format(8, 6)).certificate
     state = (cert.axiom.label, cert.axiom.fmt)
@@ -284,49 +311,56 @@ def test_certificates_chain_states_consecutively():
 
 def test_compiled_steps_equal_apply_rule(monkeypatch):
     # Every state up to slots 12 and format (16,16), opaque ones too: the
-    # graph's outputs are apply_rule's, rule by rule, in RULE_ORDER.  No
-    # state is excluded here, so every accepted step shows as an edge.
-    monkeypatch.setattr(planner, "_verdict", lambda *key: is_permissible(CLASS_T, make_format(4, 3)))
+    # graph's outputs are apply_rule's, rule by rule, in RULE_ORDER, and the
+    # rule rule_between gives for each edge is the first one reaching its
+    # output.  No state is excluded here, so every accepted step shows as an
+    # edge.
+    monkeypatch.setattr(planner, "_excluded", lambda *key: False)
     labels = (
         [OPAQUE, CLASS_T, CLASS_B, CLASS_C3]
         + [class_G(r) for r in range(2, 13)]
         + [class_H(p, q) for p in range(13) for q in range(13)]
     )
     graph = planner._Graph()
-    accepted = 0
+    accepted = shared = 0
     for m in range(1, 17):
         for n in range(1, 17):
             fmt = make_format(m, n)
             for label in labels:
                 expected = []
+                first: dict[tuple, int] = {}
                 for rule_index, rule_id in enumerate(planner.RULE_ORDER):
                     try:
                         out = apply_rule(rule_id, label, fmt).output_state
                     except PreconditionViolated:
                         continue
-                    expected.append((rule_index, planner._state_key(*out)))
+                    key = planner._state_key(*out)
+                    expected.append((first.setdefault(key, rule_index), key))
                 sid = graph.intern(planner._state_key(label, fmt))
-                outputs = graph.successors(sid)
-                got = [(rule_index, graph.keys[out_id]) for rule_index, out_id in zip(graph.edge_rules[sid], outputs)]
+                outputs = graph.expand(sid)
+                got = [
+                    (planner.RULE_ORDER.index(graph.rule_between(sid, out_id)), graph.keys[out_id])
+                    for out_id in outputs
+                ]
                 assert got == expected, (str(label), str(fmt))
                 accepted += len(got)
+                shared += len(got) - len(first)
     assert accepted > 0
+    assert shared > 0  # some outputs are reached by two rules: linkH-i and linkH-ii on H(1,0)
 
 
 @pytest.mark.parametrize("index, rerouted", [(1, True), (0, False)])
 def test_search_routes_around_a_not_permissible_state(monkeypatch, index, rerouted):
     # No real rule output is NOT_PERMISSIBLE, so one state of a known
-    # certificate is made so where the search takes its verdicts.  The
-    # search then finds another route of the same length, or none when every
-    # route runs through H(2,0) at (8,3).
+    # certificate is made so where the search tests its states.  The search
+    # then finds another route of the same length, or none when every route
+    # runs through H(2,0) at (8,3).
     label, fmt = class_H(5, 0), make_format(8, 6)
     cert = realize(label, fmt).certificate
     blocked = cert.steps[index].output_state
-    excluded = is_permissible(CLASS_T, make_format(4, 4))
-    assert excluded.status is Status.NOT_PERMISSIBLE
     blocked_key = planner._state_key(*blocked)
-    verdict = planner._verdict
-    monkeypatch.setattr(planner, "_verdict", lambda *key: excluded if key == blocked_key else verdict(*key))
+    excluded = planner._excluded
+    monkeypatch.setattr(planner, "_excluded", lambda *key: key == blocked_key or excluded(*key))
     planner._SEARCHES.clear()
     planner._GRAPH = planner._Graph()
     result = realize(label, fmt)

@@ -803,6 +803,45 @@ def test_document_refusals_name_the_first_problem():
         assert str(refused.value) == text
 
 
+def test_builders_refuse_more_products_than_the_limit_before_building():
+    import tracemalloc
+
+    # H(0, 10**8) in format (1, 10**8) fits, with 10**8 products e.f, and
+    # G(10**8) in (10**8, 1) with as many; the builders refuse both before
+    # building one, as the document reader and writers would refuse them.
+    huge = 10**8
+    cases = [
+        (canonical_presentation, class_H(0, huge), make_format(1, huge)),
+        (lambda label, fmt: arranged_presentation(label, fmt, "H-ii"), class_H(0, huge), make_format(1, huge)),
+        (canonical_presentation, class_G(huge), make_format(huge, 1)),
+        (lambda label, fmt: arranged_presentation(label, fmt, "G-std"), class_G(huge), make_format(huge, 1)),
+    ]
+    tracemalloc.start()
+    try:
+        for build, label, fmt in cases:
+            with pytest.raises(DocumentError) as refused:
+                build(label, fmt)
+            p, _, r = class_invariants(label)
+            cells = p * (fmt.m + fmt.n - 1) + r * fmt.n
+            assert str(refused.value) == (
+                f"table would hold {cells} coefficients as dense vectors; the limit is {MAX_DOCUMENT_CELLS}"
+            )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # The first count over the limit, split over both kinds of product, on
+    # every H arrangement; a table that does not fit is refused for that first.
+    for name, build in _WITNESS_BUILDERS:
+        if name.startswith("T-") or name == "G-std":
+            continue
+        label = class_H(2, MAX_DOCUMENT_CELLS - 1)
+        with pytest.raises(DocumentError, match="limit"):
+            build(label, make_format(6, MAX_DOCUMENT_CELLS))
+        with pytest.raises(DimensionMismatch):
+            build(label, make_format(6, MAX_DOCUMENT_CELLS - 2))
+
+
 def test_document_size_limit_fires_before_allocation():
     import tracemalloc
 
