@@ -38,8 +38,8 @@ of :data:`grade3.linkrules.RULES` that declares a witness, it links the
 witness tables (canonical or rearranged) of every input the rule accepts
 across a sweep of formats, with the rule's own profile row, and
 checks the simulated class and format against the rule's own ``out_class``
-and ``out_format``, built from the statement of the rule that the planner
-compiles its search from.
+and ``out_format``, built from the statement, slots included, that the
+planner's step table is compiled from.
 """
 
 from __future__ import annotations

@@ -12,17 +12,19 @@ Each named rule in :data:`RULES` is stated once, over integers: a state
 is a class tag, the label's two parameter slots ``(a, b)`` (``r`` for G,
 ``(p, q)`` for H, zero otherwise) and a format ``(m, n)``.  A rule names
 the tags it accepts, its guards (predicates on ``(a, b, m, n)``, each with
-the text of its rejection), its output tag with the output's slots (a pair
-``(a', b')``, or a map ``(a, b) -> (a', b')`` when they depend on the
-input), and its profile row, whose formula is its output format.  The
-rule's ``check``, ``out_class`` and ``out_format`` callables are built from
-that statement, and the planner compiles its search from the same statement
-without building labels.  ``ext-CVW33``'s row (3,1,0) is
-outside the supported rows: the mapping cone does not model it, and the
-rule imports a published construction instead.  The rule ids are stable
-wire vocabulary: they appear in derivation certificates and on the command
-line.  Every rule with a ``witness`` is re-derived from structure constants
-by ``verify-theorems`` (the :mod:`grade3.cone` simulator), which links the
+the text of its rejection), its output tag and two output slots as data,
+and its profile row, whose formula is its output format.  The rule's
+``check``, ``out_class`` and ``out_format`` are built from that statement,
+and at import one integer step table, which :func:`_outputs` evaluates for
+the planner without building labels.  The table reads :data:`RULES` once:
+an entry replaced later (as ``perfbench/tracer.py`` does to wrap each
+rule's callables, or a test to plant a wrong rule) changes
+:func:`apply_rule`, certificate replay and ``verify-theorems``, not the
+search.  ``ext-CVW33``'s row (3,1,0) is outside the supported rows: the
+mapping cone does not model it.  The rule ids are stable wire vocabulary:
+they appear in derivation certificates and on the command line.  Every
+rule with a ``witness`` is re-derived from structure constants by
+``verify-theorems`` (the :mod:`grade3.cone` simulator), which links the
 witness tables and compares the result with the rule's own ``out_class``
 and ``out_format``; the two ``ext-`` rules import published constructions
 instead.
@@ -158,8 +160,9 @@ STATE_TAGS = frozenset({"B", "C3", "G", "H", "T", OPAQUE.tag})
 # and holds when the hypothesis does; the template, formatted with ``label``
 # and ``fmt``, says why an input that breaks it is rejected.
 _Guard = tuple[Callable[[int, int, int, int], bool], str]
-# The output's slots: a pair when they are constant, else a map of the input's slots.
-_Slots = tuple[int, int] | Callable[[int, int], tuple[int, int]]
+# An output slot: an int, or ``(slot, offset)``: the input's slot ``slot`` (0 is
+# ``a``, 1 is ``b``) plus ``offset``.
+_Term = int | tuple[int, int]
 _StateKey = tuple[str, int, int, int, int]
 
 
@@ -169,9 +172,7 @@ class LinkageRule:
 
     ``in_tags`` are the class tags the rule accepts.  Its hypotheses on an
     accepted input are ``guards``, in order; its output class has the tag
-    ``out_tag`` and the slots ``out_slots``: a pair ``(a', b')`` when they
-    do not depend on the input, else a map ``(a, b) -> (a', b')`` of the
-    input's slots.
+    ``out_tag`` and the slots ``out_slots``, two terms (see ``_Term``).
     ``profile`` is the rank-profile row the rule realizes.  ``check``,
     ``out_class`` and ``out_format`` are built from those fields: ``check``
     returns a human-readable reason when the input violates the rule's
@@ -193,7 +194,7 @@ class LinkageRule:
     in_tags: frozenset[str]
     out_tag: str
     guards: tuple[_Guard, ...]
-    out_slots: _Slots
+    out_slots: tuple[_Term, _Term]
     check: Callable[[StateLabel, Format], str | None]
     out_class: Callable[[StateLabel], ClassLabel]
     out_format: Callable[[Format], Format]
@@ -243,12 +244,17 @@ def _check(in_tags: frozenset[str], guards: tuple[_Guard, ...]) -> Callable[[Sta
     return check
 
 
+def _compiled(term: _Term) -> tuple[int, int]:
+    """A term as ``(index, offset)`` into the input's ``(a, b, 0)``."""
+    return (2, term) if isinstance(term, int) else term
+
+
 def _rule(
     rule_id: str,
     row: tuple[int, int, int],
     in_tags: str | frozenset[str],
     out_tag: str,
-    out_slots: _Slots,
+    out_slots: tuple[_Term, _Term],
     *guards: _Guard,
     witness: str | None = None,
     cite: str = _VERIFIED,
@@ -257,10 +263,11 @@ def _rule(
     ``out_class`` comes from its output tag and slots, and whose profile and
     ``out_format`` come from its ``row``."""
     tags = frozenset({in_tags}) if isinstance(in_tags, str) else in_tags
+    (ia, ka), (ib, kb) = map(_compiled, out_slots)
 
     def out_class(label: StateLabel) -> ClassLabel:
-        slots = out_slots if isinstance(out_slots, tuple) else out_slots(label.a, label.b)
-        return _label_of(out_tag, *slots)
+        slots = (label.a, label.b, 0)
+        return _label_of(out_tag, slots[ia] + ka, slots[ib] + kb)
 
     return LinkageRule(
         rule_id,
@@ -287,49 +294,29 @@ def _rules() -> dict[str, LinkageRule]:
         _rule("linkG-i", (1, 0, 0), "G", "H", (3, 0), witness="G-std"),
         _rule("linkG-ii", (2, 0, 0), "G", "T", (0, 0), witness="G-std"),
         _rule(
-            "linkH-i",
-            (1, 0, 0),
-            "H",
-            "H",
-            (2, 1),
+            "linkH-i", (1, 0, 0), "H", "H", (2, 1),
             (lambda p, q, m, n: p >= 1, "rule needs p >= 1; input is {label}"),
             witness="H-i",
         ),
-        _rule("linkH-ii", (1, 0, 0), "H", "H", lambda p, q: (q + 2, p), witness="H-ii"),
+        _rule("linkH-ii", (1, 0, 0), "H", "H", ((1, 2), (0, 0)), witness="H-ii"),
         _rule(
-            "linkH-iii",
-            (2, 0, 0),
-            "H",
-            "H",
-            (1, 1),
+            "linkH-iii", (2, 0, 0), "H", "H", (1, 1),
             (lambda p, q, m, n: 1 <= p <= m - 2, "rule needs 1 <= p <= m - 2; input is {label} at {fmt}"),
             witness="H-iii",
         ),
         _rule(
-            "linkH-iv",
-            (2, 0, 0),
-            "H",
-            "H",
-            lambda p, q: (q + 1, p),
+            "linkH-iv", (2, 0, 0), "H", "H", ((1, 1), (0, 0)),
             (lambda p, q, m, n: p <= m - 2, "rule needs p <= m - 2; input is {label} at {fmt}"),
             witness="H-iv",
         ),
         _rule(
-            "linkH-v",
-            (3, 0, 0),
-            "H",
-            "H",
-            lambda p, q: (0, p),
+            "linkH-v", (3, 0, 0), "H", "H", (0, (0, 0)),
             (lambda p, q, m, n: q == 0, "rule needs q = 0; input is {label}"),
             (lambda p, q, m, n: 2 <= p <= m - 3, "rule needs 2 <= p <= m - 3; input is {label} at {fmt}"),
             witness="H-v",
         ),
         _rule(
-            "ext-CVW31",
-            (3, 0, 0),
-            "G",
-            "H",
-            (3, 2),
+            "ext-CVW31", (3, 0, 0), "G", "H", (3, 2),
             (
                 lambda r, b, m, n: r == 5 and m == 5 and n == 1,
                 "rule applies only to G(5) at (5,1); input is {label} at {fmt}",
@@ -337,11 +324,7 @@ def _rules() -> dict[str, LinkageRule]:
             cite=f"{CITE_CVW20}, Prop. 3.1",
         ),
         _rule(
-            "ext-CVW33",
-            (3, 1, 0),
-            "H",
-            "H",
-            (0, 1),
+            "ext-CVW33", (3, 1, 0), "H", "H", (0, 1),
             (lambda p, q, m, n: p == 2 and q == 0, "rule applies only to H(2,0); input is {label}"),
             (
                 lambda p, q, m, n: n == 3 and m >= 6 and m % 2 == 0,
@@ -355,6 +338,46 @@ def _rules() -> dict[str, LinkageRule]:
 
 RULES: dict[str, LinkageRule] = _rules()
 RULE_ORDER: tuple[str, ...] = tuple(RULES)
+
+
+# The step table of the search: per state tag, in RULE_ORDER, each rule that
+# accepts the tag as (rule id, t1, t2, guard predicates, output tag, and its
+# two output slots compiled to index and offset).
+_STEPS = {
+    tag: tuple(
+        (rule.rule_id, rule.profile.t1, rule.profile.t2, tuple(holds for holds, _ in rule.guards), rule.out_tag)
+        + _compiled(rule.out_slots[0])
+        + _compiled(rule.out_slots[1])
+        for rule in RULES.values()
+        if tag in rule.in_tags
+    )
+    for tag in STATE_TAGS
+}
+
+
+def _outputs(tag: str, a: int, b: int, m: int, n: int) -> list[_StateKey | None]:
+    """The output key of each rule that accepts ``tag``, in RULE_ORDER, or None
+    where it refuses the state, as :func:`apply_rule` would."""
+    slots = (a, b, 0)
+    outputs: list[_StateKey | None] = []
+    append = outputs.append
+    for _, t1, t2, guards, out_tag, ia, ka, ib, kb in _STEPS[tag]:
+        out_m, out_n = n + 3 - t2, m - t1
+        if out_m < 1 or out_n < 1:
+            append(None)
+            continue
+        for holds in guards:
+            if not holds(a, b, m, n):
+                append(None)
+                break
+        else:
+            append((out_tag, slots[ia] + ka, slots[ib] + kb, out_m, out_n))
+    return outputs
+
+
+def _rule_between(key: _StateKey, out_key: _StateKey) -> str:
+    """The first rule, in RULE_ORDER, that takes the state ``key`` to ``out_key``."""
+    return _STEPS[key[0]][_outputs(*key).index(out_key)][0]
 
 
 def apply_rule(rule_id: str, label: StateLabel, fmt: Format) -> Transition:

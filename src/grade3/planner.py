@@ -15,17 +15,16 @@ order and the rule expansion order are fixed, so the certificate returned
 for a target is identical across runs and call orders.
 
 Every bound's search walks one successor graph shared by the whole process.
-Its states are integer keys ``(tag, a, b, m, n)``, interned to integer ids;
-the rulebook is compiled at import into, per class tag, the rules that
-accept it with their guard predicates and output slots (a constant pair, or
-an affine map of the input's), so a search builds labels and formats only
-for the states of a certificate.  Each state is tested once, when the graph
-first sees it, by a yes/no exclusion test that builds no verdict, and its
-rule outputs are computed once, in ``RULE_ORDER``, the first time any search
-expands it, leaving out the NOT_PERMISSIBLE ones.  The graph keeps only the
-output ids; the rule of a certificate step is recomputed from the same
-compiled rulebook, and each bound's search keeps the transitions its
-certificates have built, so certificates sharing a prefix build it once.
+Its states are integer keys ``(tag, a, b, m, n)``, interned to integer ids,
+and ``linkrules._outputs`` gives a state's rule outputs as keys, so a
+search builds labels and formats only for the states of a certificate.
+Each state is tested once, when the graph first sees it, by a yes/no
+exclusion test that builds no verdict, and its rule outputs are computed
+once, in ``RULE_ORDER``, the first time any search expands it, leaving out
+the NOT_PERMISSIBLE ones.  The graph keeps only the output ids; the rule of
+a certificate step is the first whose output is the step's target, and each
+bound's search keeps the transitions its certificates have built, so
+certificates sharing a prefix build it once.
 Each bound's search drops the outputs beyond its own bound and the ones it
 has already discovered.  Sharing does not change certificates: a state's
 outputs and exclusion do not depend on the bound, and each bound expands its
@@ -54,13 +53,12 @@ from .labels import (
 )
 from .linkrules import (
     RULES,
-    RULE_ORDER,
-    STATE_TAGS,
     State,
     StateLabel,
     Transition,
-    _Slots,
     _StateKey,
+    _outputs,
+    _rule_between,
     _state_key,
     _state_of,
     apply_rule,
@@ -213,28 +211,6 @@ _SEED_ORDER = tuple(
 )
 
 
-# The rulebook compiled for the search: per state tag, in RULE_ORDER, each rule
-# that accepts the tag as (rule index, t1, t2, guard predicates, output tag,
-# output slots, whether those slots are a constant pair).  Read from RULES
-# once, at import: an entry replaced later (with wrapped or altered callables)
-# changes apply_rule, not the search.
-_Step = tuple[int, int, int, tuple[Callable[[int, int, int, int], bool], ...], str, _Slots, bool]
-_STEPS: dict[str, tuple[_Step, ...]] = {
-    tag: tuple(
-        (
-            i,
-            rule.profile.t1,
-            rule.profile.t2,
-            tuple(holds for holds, _ in rule.guards),
-            rule.out_tag,
-            rule.out_slots,
-            isinstance(rule.out_slots, tuple),
-        )
-        for i, rule in enumerate(RULES[rule_id] for rule_id in RULE_ORDER)
-        if tag in rule.in_tags
-    )
-    for tag in STATE_TAGS
-}
 # Tags of the classes some rule outputs; other classes occur only as axioms.
 _OUTPUT_TAGS = frozenset(rule.out_tag for rule in RULES.values())
 
@@ -251,8 +227,8 @@ class _Graph:
     never asked.  A state's outputs do not depend on the bound, so they are
     computed once per process, in ``RULE_ORDER``, leaving out the excluded
     ones: ``edges[sid]`` holds their ids, and is None until some search
-    expands the state.  The rule of an edge is not kept; :meth:`rule_between`
-    recomputes it for the few edges a certificate takes.  Every edge into a
+    expands the state.  The rule of an edge is not kept; ``_rule_between``
+    finds it again for the few edges a certificate takes.  Every edge into a
     state shares that state's test, so no bound loses an edge that another
     keeps.  ``reach[sid]`` is the larger coordinate of the state's format,
     which each bound's search compares with its own bound.
@@ -279,19 +255,10 @@ class _Graph:
 
     def expand(self, sid: int) -> tuple[int, ...]:
         """The ids of the state's outputs that are not excluded, in RULE_ORDER."""
-        tag, a, b, m, n = self.keys[sid]
         ids, excluded, intern = self.ids, self.excluded, self.intern
         out_ids: list[int] = []
-        for _, t1, t2, guards, out_tag, out_slots, fixed in _STEPS[tag]:
-            out_m, out_n = n + 3 - t2, m - t1
-            if out_m < 1 or out_n < 1:
-                continue
-            for holds in guards:
-                if not holds(a, b, m, n):
-                    break
-            else:
-                out_a, out_b = out_slots if fixed else out_slots(a, b)
-                key = (out_tag, out_a, out_b, out_m, out_n)
+        for key in _outputs(*self.keys[sid]):
+            if key is not None:
                 out_id = ids.get(key)
                 if out_id is None:
                     out_id = intern(key)
@@ -299,16 +266,6 @@ class _Graph:
                     out_ids.append(out_id)
         edges = self.edges[sid] = tuple(out_ids)
         return edges
-
-    def rule_between(self, sid: int, out_id: int) -> str:
-        """The first rule, in RULE_ORDER, whose step takes state ``sid`` to ``out_id``."""
-        tag, a, b, m, n = self.keys[sid]
-        out_key = self.keys[out_id]
-        for rule_index, t1, t2, guards, out_tag, out_slots, fixed in _STEPS[tag]:
-            slots = out_slots if fixed else out_slots(a, b)
-            if (out_tag, *slots, n + 3 - t2, m - t1) == out_key and all(holds(a, b, m, n) for holds in guards):
-                return RULE_ORDER[rule_index]
-        raise ValueError(f"no rule takes state {self.keys[sid]} to {out_key}")
 
 
 _GRAPH = _Graph()
@@ -428,7 +385,7 @@ def _certificate_from(search: _Search, target: int) -> DerivationCertificate:
     while isinstance(prev := parent[cursor], int):
         step = memo.get(cursor)
         if step is None:
-            step = memo[cursor] = apply_rule(_GRAPH.rule_between(prev, cursor), *_state_of(keys[prev]))
+            step = memo[cursor] = apply_rule(_rule_between(keys[prev], keys[cursor]), *_state_of(keys[prev]))
         steps_reversed.append(step)
         cursor = prev
     family = _FAMILY_BY_ID[prev]
@@ -579,10 +536,14 @@ def realize_all(m_max: int, n_max: int) -> CoverageReport:
     Sweeps ``m <= m_max``, ``n <= n_max``, calls :func:`realize` on each
     target, replays each certificate with :func:`verify_certificate`, and
     reports per-target outcomes; ``gaps`` lists targets without a verified
-    certificate.
+    certificate.  A bound past :data:`DEFAULT_MAX_SEARCH`, where
+    :func:`realize` searches nothing, raises :class:`OutOfDomain`.
     """
-    if m_max < 4 or n_max < 2:
-        raise OutOfDomain(f"coverage sweep needs m_max >= 4 and n_max >= 2, got ({_decimal(m_max)}, {_decimal(n_max)})")
+    if not (4 <= m_max <= DEFAULT_MAX_SEARCH and 2 <= n_max <= DEFAULT_MAX_SEARCH):
+        raise OutOfDomain(
+            f"coverage sweep needs 4 <= m_max <= {DEFAULT_MAX_SEARCH} and 2 <= n_max <= {DEFAULT_MAX_SEARCH}, "
+            f"got ({_decimal(m_max)}, {_decimal(n_max)})"
+        )
     entries: list[CoverageEntry] = []
 
     def attempt(kind: str, label: ClassLabel, fmt: Format) -> None:

@@ -331,7 +331,7 @@ def test_theorem_sweep_label_count_matches_the_label_lists():
 def test_theorem_replay_checks_the_planner_rules(monkeypatch):
     # verify-theorems replays the RULES entries, so a wrong class or format
     # claim there fails exactly its own scenario.  The planner searches with
-    # planner._STEPS, compiled from RULES at import: a replaced entry changes
+    # linkrules._STEPS, compiled from RULES at import: a replaced entry changes
     # apply_rule and this sweep, not the search.
     monkeypatch.setitem(
         RULES, "linkH-iii", dataclasses.replace(RULES["linkH-iii"], out_class=lambda c: class_H(1, 2))

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -32,7 +37,7 @@ from grade3 import (
 )
 from grade3 import planner
 from grade3.errors import DocumentError, PreconditionViolated
-from grade3.linkrules import apply_rule
+from grade3.linkrules import RULE_ORDER, RULES, _rule_between, apply_rule
 
 
 @pytest.fixture(autouse=True)
@@ -312,9 +317,9 @@ def test_certificates_chain_states_consecutively():
 def test_compiled_steps_equal_apply_rule(monkeypatch):
     # Every state up to slots 12 and format (16,16), opaque ones too: the
     # graph's outputs are apply_rule's, rule by rule, in RULE_ORDER, and the
-    # rule rule_between gives for each edge is the first one reaching its
-    # output.  No state is excluded here, so every accepted step shows as an
-    # edge.
+    # rule linkrules._rule_between gives for each edge is the first one
+    # reaching its output.  No state is excluded here, so every accepted step
+    # shows as an edge.
     monkeypatch.setattr(planner, "_excluded", lambda *key: False)
     labels = (
         [OPAQUE, CLASS_T, CLASS_B, CLASS_C3]
@@ -329,7 +334,7 @@ def test_compiled_steps_equal_apply_rule(monkeypatch):
             for label in labels:
                 expected = []
                 first: dict[tuple, int] = {}
-                for rule_index, rule_id in enumerate(planner.RULE_ORDER):
+                for rule_index, rule_id in enumerate(RULE_ORDER):
                     try:
                         out = apply_rule(rule_id, label, fmt).output_state
                     except PreconditionViolated:
@@ -339,7 +344,7 @@ def test_compiled_steps_equal_apply_rule(monkeypatch):
                 sid = graph.intern(planner._state_key(label, fmt))
                 outputs = graph.expand(sid)
                 got = [
-                    (planner.RULE_ORDER.index(graph.rule_between(sid, out_id)), graph.keys[out_id])
+                    (RULE_ORDER.index(_rule_between(graph.keys[sid], graph.keys[out_id])), graph.keys[out_id])
                     for out_id in outputs
                 ]
                 assert got == expected, (str(label), str(fmt))
@@ -347,6 +352,40 @@ def test_compiled_steps_equal_apply_rule(monkeypatch):
                 shared += len(got) - len(first)
     assert accepted > 0
     assert shared > 0  # some outputs are reached by two rules: linkH-i and linkH-ii on H(1,0)
+
+
+def test_rules_rebuilt_with_wrapped_callables_keep_certificates(monkeypatch):
+    # perfbench/tracer.py rebuilds every RULES entry with dataclasses.replace,
+    # wrapping its check, out_format and out_class.  apply_rule, which builds
+    # and replays each certificate step, calls the wrappers; the search reads
+    # the step table compiled at import, and finds the same certificates.
+    def documents() -> list[dict]:
+        report = realize_all(8, 8)
+        assert report.gaps == ()
+        return [certificate_to_document(realize(e.label, e.fmt).certificate) for e in report.entries]
+
+    before = documents()
+    planner._SEARCHES.clear()
+    planner._GRAPH = planner._Graph()
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for rule_id, rule in list(RULES.items()):
+        wrapped = dataclasses.replace(
+            rule,
+            check=counting("check", rule.check),
+            out_format=counting("out_format", rule.out_format),
+            out_class=counting("out_class", rule.out_class),
+        )
+        monkeypatch.setitem(RULES, rule_id, wrapped)
+    assert documents() == before
+    assert calls["check"] == calls["out_format"] == calls["out_class"] > len(before)
 
 
 @pytest.mark.parametrize("index, rerouted", [(1, True), (0, False)])
@@ -508,10 +547,30 @@ def test_realize_all_small_sweep_has_no_gaps():
 
 
 def test_realize_all_domain_guard():
-    with pytest.raises(OutOfDomain):
-        realize_all(3, 6)
-    with pytest.raises(OutOfDomain):
-        realize_all(8, 1)
+    # Every target past DEFAULT_MAX_SEARCH is NOT_FOUND without a search, so a
+    # sweep past it is refused too, before it searches; a bound too long to
+    # print as an integer is worded through _decimal.
+    assert planner.DEFAULT_MAX_SEARCH == 64
+    for m_max, n_max in ((3, 6), (8, 1), (65, 14), (14, 65), (10**5000, 4)):
+        with pytest.raises(OutOfDomain) as info:
+            realize_all(m_max, n_max)
+        assert str(info.value).startswith("coverage sweep needs 4 <= m_max <= 64 and 2 <= n_max <= 64, got (")
+    assert planner._SEARCHES == {}
+    assert len(realize_all(64, 2).entries) == 60
+
+
+def test_realize_all_refuses_a_huge_bound_in_bounded_memory():
+    # realize_all(14, 10**8) once listed about 10**9 formats before any check
+    # and raised MemoryError under this 400 MB address-space cap.
+    code = (
+        "import resource; resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))\n"
+        "from grade3 import OutOfDomain, realize_all\n"
+        "try:\n    realize_all(14, 10**8)\nexcept OutOfDomain as exc:\n    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(planner.__file__)))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, env=env, timeout=60, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "coverage sweep needs 4 <= m_max <= 64 and 2 <= n_max <= 64, got (14, 100000000)\n"
 
 
 # ---------------------------------------------------------- family assignment
