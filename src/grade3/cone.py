@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, NamedTuple
 
-from .errors import OutOfDomain, Phi2Mismatch, UnsupportedSpec, _decimal
+from .errors import OutOfDomain, Phi2Mismatch, UnsupportedSpec, _decimal, _require_ints
 from .exact import sparse_rank
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
 from .linkrules import RULE_ORDER, RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile, _unsupported_row
@@ -336,9 +336,11 @@ def verify_linkage_theorems(m_max: int = 10, n_max: int = 8) -> TheoremReport:
     compared with the rule's own ``out_format`` and ``out_class``, built
     from the data the planner compiles; the three-generator row on its H-v witness
     additionally checks its determinate products and symbolic slots.
-    A sweep of more than :data:`~grade3.presentation.MAX_DOCUMENT_CELLS`
-    canonical labels raises :class:`OutOfDomain` before any is listed.
+    A bound that is not an integer, or a sweep of more than
+    :data:`~grade3.presentation.MAX_DOCUMENT_CELLS` canonical labels, raises
+    :class:`OutOfDomain` before any is listed.
     """
+    _require_ints(m_max=m_max, n_max=n_max)
     if m_max < 5 or n_max < 1:
         raise OutOfDomain(f"need m_max >= 5 and n_max >= 1, got ({_decimal(m_max)}, {_decimal(n_max)})")
     if _sweep_label_count(m_max, n_max) > MAX_DOCUMENT_CELLS:

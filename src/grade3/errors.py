@@ -88,6 +88,13 @@ def _shown(value: object) -> str:
     return repr(value)
 
 
+def _require_ints(**bounds: object) -> None:
+    """Refuse with :class:`OutOfDomain` a bound that is not exactly an ``int`` (a ``bool`` is not)."""
+    for name, value in bounds.items():
+        if type(value) is not int:
+            raise OutOfDomain(f"{name} must be an integer, got {_shown(value)}")
+
+
 def document_fields(doc: object, what: str, fields: tuple[tuple[str, type], ...]) -> tuple[Any, ...]:
     """The values of a JSON object with exactly the named fields, in order.
 

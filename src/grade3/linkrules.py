@@ -15,19 +15,20 @@ the tags it accepts, its guards (predicates on ``(a, b, m, n)``, each with
 the text of its rejection), its output tag and two output slots as data,
 and its profile row, whose formula is its output format.  The rule's
 ``check``, ``out_class`` and ``out_format`` are built from that statement,
-and at import one integer step table, which :func:`_outputs` evaluates for
-the planner without building labels.  The table reads :data:`RULES` once:
-an entry replaced later (as ``perfbench/tracer.py`` does to wrap each
-rule's callables, or a test to plant a wrong rule) changes
-:func:`apply_rule`, certificate replay and ``verify-theorems``, not the
-search.  ``ext-CVW33``'s row (3,1,0) is outside the supported rows: the
-mapping cone does not model it.  The rule ids are stable wire vocabulary:
-they appear in derivation certificates and on the command line.  Every
-rule with a ``witness`` is re-derived from structure constants by
-``verify-theorems`` (the :mod:`grade3.cone` simulator), which links the
-witness tables and compares the result with the rule's own ``out_class``
-and ``out_format``; the two ``ext-`` rules import published constructions
-instead.
+and at import one integer step table.  :func:`_outputs` evaluates any run of
+that table on a state without building labels: the planner passes a tag's
+run to expand a state, and one step to find a certificate step's rule.  The
+table reads :data:`RULES` once: an entry replaced later (as
+``perfbench/tracer.py`` does to wrap each rule's callables, or a test to
+plant a wrong rule) changes :func:`apply_rule`, certificate replay and
+``verify-theorems``, not the search.  ``ext-CVW33``'s row (3,1,0) is
+outside the supported rows: the mapping cone does not model it.  The rule
+ids are stable wire vocabulary: they appear in derivation certificates and
+on the command line.  Every rule with a ``witness`` is re-derived from
+structure constants by ``verify-theorems`` (the :mod:`grade3.cone`
+simulator), which links the witness tables and compares the result with
+the rule's own ``out_class`` and ``out_format``; the two ``ext-`` rules
+import published constructions instead.
 """
 
 from __future__ import annotations
@@ -343,7 +344,7 @@ RULE_ORDER: tuple[str, ...] = tuple(RULES)
 # The step table of the search: per state tag, in RULE_ORDER, each rule that
 # accepts the tag as (rule id, t1, t2, guard predicates, output tag, and its
 # two output slots compiled to index and offset).
-_STEPS = {
+_STEPS: dict[str, tuple[tuple, ...]] = {
     tag: tuple(
         (rule.rule_id, rule.profile.t1, rule.profile.t2, tuple(holds for holds, _ in rule.guards), rule.out_tag)
         + _compiled(rule.out_slots[0])
@@ -355,29 +356,27 @@ _STEPS = {
 }
 
 
-def _outputs(tag: str, a: int, b: int, m: int, n: int) -> list[_StateKey | None]:
-    """The output key of each rule that accepts ``tag``, in RULE_ORDER, or None
-    where it refuses the state, as :func:`apply_rule` would."""
+def _outputs(steps: tuple[tuple, ...], a: int, b: int, m: int, n: int) -> list[_StateKey]:
+    """The output keys of those ``steps`` that accept the state ``(a, b)`` at
+    ``(m, n)``, in order; a step refuses what :func:`apply_rule` refuses."""
     slots = (a, b, 0)
-    outputs: list[_StateKey | None] = []
-    append = outputs.append
-    for _, t1, t2, guards, out_tag, ia, ka, ib, kb in _STEPS[tag]:
+    outputs: list[_StateKey] = []
+    for _, t1, t2, guards, out_tag, ia, ka, ib, kb in steps:
         out_m, out_n = n + 3 - t2, m - t1
         if out_m < 1 or out_n < 1:
-            append(None)
             continue
         for holds in guards:
             if not holds(a, b, m, n):
-                append(None)
                 break
         else:
-            append((out_tag, slots[ia] + ka, slots[ib] + kb, out_m, out_n))
+            outputs.append((out_tag, slots[ia] + ka, slots[ib] + kb, out_m, out_n))
     return outputs
 
 
 def _rule_between(key: _StateKey, out_key: _StateKey) -> str:
     """The first rule, in RULE_ORDER, that takes the state ``key`` to ``out_key``."""
-    return _STEPS[key[0]][_outputs(*key).index(out_key)][0]
+    tag, a, b, m, n = key
+    return next(step[0] for step in _STEPS[tag] if _outputs((step,), a, b, m, n) == [out_key])
 
 
 def apply_rule(rule_id: str, label: StateLabel, fmt: Format) -> Transition:

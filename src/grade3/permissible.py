@@ -277,8 +277,8 @@ def _excluded(tag: str, a: int, b: int, m: int, n: int) -> bool:
     """Whether :func:`_verdict` is NOT_PERMISSIBLE, without building a verdict.
 
     Reads the same obstruction table and stops at the first broken rule.  The
-    planner asks it about every state, without building the label and format,
-    and keeps each answer itself.
+    planner asks it about each new rule output, without building the label
+    and format, and leaves a refused one out of its graph.
     """
     for _, check, _ in _OBSTRUCTIONS.get(tag) or _unknown_tag(tag):
         if check(a, b, m, n) is not None:

@@ -14,23 +14,14 @@ intermediate state must not be NOT_PERMISSIBLE, and both the axiom seeding
 order and the rule expansion order are fixed, so the certificate returned
 for a target is identical across runs and call orders.
 
-Every bound's search walks one successor graph shared by the whole process.
-Its states are integer keys ``(tag, a, b, m, n)``, interned to integer ids,
-and ``linkrules._outputs`` gives a state's rule outputs as keys, so a
-search builds labels and formats only for the states of a certificate.
-Each state is tested once, when the graph first sees it, by a yes/no
-exclusion test that builds no verdict, and its rule outputs are computed
-once, in ``RULE_ORDER``, the first time any search expands it, leaving out
-the NOT_PERMISSIBLE ones.  The graph keeps only the output ids; the rule of
-a certificate step is the first whose output is the step's target, and each
-bound's search keeps the transitions its certificates have built, so
-certificates sharing a prefix build it once.
-Each bound's search drops the outputs beyond its own bound and the ones it
-has already discovered.  Sharing does not change certificates: a state's
-outputs and exclusion do not depend on the bound, and each bound expands its
-states, and each state's outputs, in one fixed order.  A target whose class
-no rule outputs (C(3), G(r)) can only be an axiom, so unless it is an axiom
-instance of its bound it is NOT_FOUND without a search.
+Every bound's search walks one successor graph shared by the whole process,
+:class:`_Graph`, into which no NOT_PERMISSIBLE rule output enters.  Sharing
+does not change certificates: a state's outputs and exclusion do not depend
+on the bound, and each bound expands its states, and each state's outputs,
+in one fixed order.  Each bound's search keeps the transitions its
+certificates have built, so certificates sharing a prefix build it once.
+A target whose class no rule outputs (C(3), G(r)) can only be an axiom, so
+unless it is an axiom instance of its bound it is NOT_FOUND without a search.
 """
 
 from __future__ import annotations
@@ -39,7 +30,7 @@ from collections import deque
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DocumentError, Grade3Error, OutOfDomain, _decimal, document_fields
+from .errors import DocumentError, Grade3Error, OutOfDomain, _decimal, _require_ints, document_fields
 from .labels import (
     CLASS_B,
     CLASS_T,
@@ -56,6 +47,7 @@ from .linkrules import (
     State,
     StateLabel,
     Transition,
+    _STEPS,
     _StateKey,
     _outputs,
     _rule_between,
@@ -219,51 +211,49 @@ class _Graph:
     """Interned states and their rule outputs, shared by every search bound.
 
     A state is its integer key ``(tag, a, b, m, n)`` (see
-    :func:`grade3.linkrules._state_key`); labels and formats are built only
-    for the states of a certificate.  States are numbered in order of first
-    sight, and each one is tested then, with the yes/no
-    :func:`grade3.permissible._excluded`: ``excluded[sid]`` says it is
-    NOT_PERMISSIBLE.  Opaque states are axioms that no rule outputs, and are
-    never asked.  A state's outputs do not depend on the bound, so they are
-    computed once per process, in ``RULE_ORDER``, leaving out the excluded
-    ones: ``edges[sid]`` holds their ids, and is None until some search
-    expands the state.  The rule of an edge is not kept; ``_rule_between``
-    finds it again for the few edges a certificate takes.  Every edge into a
-    state shares that state's test, so no bound loses an edge that another
-    keeps.  ``reach[sid]`` is the larger coordinate of the state's format,
-    which each bound's search compares with its own bound.
+    :func:`grade3.linkrules._state_key`), numbered in order of first sight;
+    labels and formats are built only for the states of a certificate.  A
+    state's outputs do not depend on the bound, so they are computed once
+    per process, in ``RULE_ORDER``, by ``linkrules._outputs`` on the run of
+    ``linkrules._STEPS`` for the state's tag: ``edges[sid]`` holds their ids,
+    and is None until some search expands the state.  ``expand`` tests an
+    output with the yes/no :func:`grade3.permissible._excluded`, which builds
+    no verdict, when it first meets it, and never interns a refused one (it
+    asks again if it meets one again; the (20,20) sweep meets none).  Axioms
+    and targets are interned untested: no axiom within the default cap is
+    NOT_PERMISSIBLE, and :func:`realize` refuses such a target first.  The
+    rule of an edge is not kept; ``_rule_between`` finds it again for the
+    few edges a certificate takes.  ``reach[sid]`` is the larger coordinate
+    of the state's format, which each bound's search compares with its own
+    bound.
     """
 
     def __init__(self) -> None:
         self.keys: list[_StateKey] = []
         self.ids: dict[_StateKey, int] = {}
         self.reach: list[int] = []
-        self.excluded = bytearray()
         self.edges: list[tuple[int, ...] | None] = []
 
     def intern(self, key: _StateKey) -> int:
-        sid = self.ids.get(key)
-        if sid is None:
-            sid = len(self.keys)
-            tag, a, b, m, n = key
-            self.ids[key] = sid
+        sid = self.ids.setdefault(key, len(self.keys))
+        if sid == len(self.keys):
             self.keys.append(key)
-            self.reach.append(m if m > n else n)
-            self.excluded.append(tag != OPAQUE.tag and _excluded(tag, a, b, m, n))
+            self.reach.append(max(key[3], key[4]))
             self.edges.append(None)
         return sid
 
     def expand(self, sid: int) -> tuple[int, ...]:
-        """The ids of the state's outputs that are not excluded, in RULE_ORDER."""
-        ids, excluded, intern = self.ids, self.excluded, self.intern
+        """The ids of the state's outputs that are not NOT_PERMISSIBLE, in RULE_ORDER."""
+        ids, intern = self.ids, self.intern
+        tag, a, b, m, n = self.keys[sid]
         out_ids: list[int] = []
-        for key in _outputs(*self.keys[sid]):
-            if key is not None:
-                out_id = ids.get(key)
-                if out_id is None:
-                    out_id = intern(key)
-                if not excluded[out_id]:
-                    out_ids.append(out_id)
+        for key in _outputs(_STEPS[tag], a, b, m, n):
+            out_id = ids.get(key)
+            if out_id is None:
+                if _excluded(*key):
+                    continue
+                out_id = intern(key)
+            out_ids.append(out_id)
         edges = self.edges[sid] = tuple(out_ids)
         return edges
 
@@ -299,9 +289,7 @@ class _Search:
     def find(self, target: int) -> bool:
         parent, queue, bound, graph = self.parent, self.queue, self.bound, _GRAPH
         reach, edges = graph.reach, graph.edges
-        if target in parent:
-            return True
-        while queue:
+        while target not in parent and queue:
             sid = queue.popleft()
             out_ids = edges[sid]
             if out_ids is None:
@@ -310,9 +298,7 @@ class _Search:
                 if reach[out_id] <= bound and out_id not in parent:
                     parent[out_id] = sid
                     queue.append(out_id)
-            if target in parent:
-                return True
-        return False
+        return target in parent
 
 
 def _is_axiom(state: State, bound: int) -> bool:
@@ -408,8 +394,9 @@ def realize(
     certificate may exist where the permissibility verdict is
     UNKNOWN_NECESSARY_ONLY, and NOT_FOUND says only that this search found
     none.  No searched format has a coordinate above ``max_coordinate``,
-    which must be at least 1 (:class:`OutOfDomain` otherwise).
+    which must be an integer of at least 1 (:class:`OutOfDomain` otherwise).
     """
+    _require_ints(max_coordinate=max_coordinate)
     if max_coordinate < 1:
         raise OutOfDomain(f"max_coordinate must be >= 1, got {_decimal(max_coordinate)}")
     verdict = is_permissible(label, fmt)
@@ -537,8 +524,10 @@ def realize_all(m_max: int, n_max: int) -> CoverageReport:
     target, replays each certificate with :func:`verify_certificate`, and
     reports per-target outcomes; ``gaps`` lists targets without a verified
     certificate.  A bound past :data:`DEFAULT_MAX_SEARCH`, where
-    :func:`realize` searches nothing, raises :class:`OutOfDomain`.
+    :func:`realize` searches nothing, or one that is not an integer, raises
+    :class:`OutOfDomain`.
     """
+    _require_ints(m_max=m_max, n_max=n_max)
     if not (4 <= m_max <= DEFAULT_MAX_SEARCH and 2 <= n_max <= DEFAULT_MAX_SEARCH):
         raise OutOfDomain(
             f"coverage sweep needs 4 <= m_max <= {DEFAULT_MAX_SEARCH} and 2 <= n_max <= {DEFAULT_MAX_SEARCH}, "

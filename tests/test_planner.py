@@ -34,15 +34,16 @@ from grade3 import (
     realize,
     realize_all,
     verify_certificate,
+    verify_linkage_theorems,
 )
 from grade3 import planner
 from grade3.errors import DocumentError, PreconditionViolated
-from grade3.linkrules import RULE_ORDER, RULES, _rule_between, apply_rule
+from grade3.linkrules import RULE_ORDER, RULES, _STEPS, _outputs, _rule_between, apply_rule
 
 
 @pytest.fixture(autouse=True)
 def _fresh_search_cache():
-    # The shared graph holds verdicts, which a test may have forced.
+    # The shared graph leaves out NOT_PERMISSIBLE outputs, which a test may have forced.
     planner._SEARCHES.clear()
     planner._GRAPH = planner._Graph()
     yield
@@ -88,8 +89,10 @@ def test_family_instances_satisfy_contains():
 
 
 def test_family_instances_are_permissible_or_opaque():
+    # The search graph tests only rule outputs, never an axiom, so no axiom
+    # within the default search cap may be NOT_PERMISSIBLE.
     for family in BASE_FAMILIES:
-        for label, fmt in family.instances(12):
+        for label, fmt in family.instances(planner.DEFAULT_MAX_SEARCH):
             if label is OPAQUE:
                 continue
             assert is_permissible(label, fmt).status is Status.PERMISSIBLE, (
@@ -202,6 +205,26 @@ def test_realize_rejects_a_cap_below_one():
         with pytest.raises(OutOfDomain):
             realize(CLASS_T, make_format(4, 3), max_coordinate=cap)
     assert realize(CLASS_T, make_format(4, 3), max_coordinate=1).status is RealizeStatus.NOT_FOUND
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: realize(CLASS_T, make_format(4, 3), max_coordinate=6.0), "max_coordinate must be an integer, got 6.0"),
+        (lambda: realize(CLASS_T, make_format(4, 3), max_coordinate=2.5), "max_coordinate must be an integer, got 2.5"),
+        (lambda: realize(CLASS_T, make_format(4, 3), max_coordinate=True), "max_coordinate must be an integer, got True"),
+        (lambda: realize_all(4.5, 2), "m_max must be an integer, got 4.5"),
+        (lambda: realize_all(8, False), "n_max must be an integer, got False"),
+        (lambda: verify_linkage_theorems(5.5, 1), "m_max must be an integer, got 5.5"),
+        (lambda: verify_linkage_theorems(6, "4"), "n_max must be an integer, got '4'"),
+    ],
+)
+def test_public_bounds_refuse_non_integers(call, message):
+    # Refused before any search, with the error an out-of-range bound gets.
+    with pytest.raises(OutOfDomain) as info:
+        call()
+    assert str(info.value) == message
+    assert planner._SEARCHES == {}
 
 
 def test_realize_is_deterministic_and_order_independent():
@@ -334,6 +357,7 @@ def test_compiled_steps_equal_apply_rule(monkeypatch):
             for label in labels:
                 expected = []
                 first: dict[tuple, int] = {}
+                alone: dict[str, list] = {}
                 for rule_index, rule_id in enumerate(RULE_ORDER):
                     try:
                         out = apply_rule(rule_id, label, fmt).output_state
@@ -341,6 +365,10 @@ def test_compiled_steps_equal_apply_rule(monkeypatch):
                         continue
                     key = planner._state_key(*out)
                     expected.append((first.setdefault(key, rule_index), key))
+                    alone[rule_id] = [key]
+                # Each step evaluated alone gives apply_rule's output, or nothing where it refuses.
+                steps = _STEPS[label.tag]
+                assert {step[0]: out for step in steps if (out := _outputs((step,), label.a, label.b, m, n))} == alone
                 sid = graph.intern(planner._state_key(label, fmt))
                 outputs = graph.expand(sid)
                 got = [
@@ -386,6 +414,21 @@ def test_rules_rebuilt_with_wrapped_callables_keep_certificates(monkeypatch):
         monkeypatch.setitem(RULES, rule_id, wrapped)
     assert documents() == before
     assert calls["check"] == calls["out_format"] == calls["out_class"] > len(before)
+
+
+def test_no_rule_output_of_the_sweep_is_not_permissible():
+    # The graph interns only outputs that are not NOT_PERMISSIBLE.  On the
+    # (20,20) sweep none is, so every rule output of every expanded state is
+    # an edge.  An output that is NOT_PERMISSIBLE would be a rule contradicting
+    # an obstruction, which the search would otherwise route around silently.
+    realize_all(20, 20)
+    graph = planner._GRAPH
+    assert len(graph.keys) == 64523
+    for sid, edges in enumerate(graph.edges):
+        if edges is not None:
+            tag, a, b, m, n = graph.keys[sid]
+            assert [graph.ids.get(key) for key in _outputs(_STEPS[tag], a, b, m, n)] == list(edges), graph.keys[sid]
+    assert not any(planner._excluded(*key) for key in graph.keys if key[0] != OPAQUE.tag)
 
 
 @pytest.mark.parametrize("index, rerouted", [(1, True), (0, False)])
