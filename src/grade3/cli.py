@@ -30,7 +30,7 @@ import os
 import sys
 from typing import Sequence
 
-from .cone import LinkSpec, linked_to_document, mapping_cone_presentation, verify_linkage_theorems
+from .cone import _DEFAULT_SWEEP, LinkSpec, linked_to_document, mapping_cone_presentation, verify_linkage_theorems
 from .errors import DocumentError, Grade3Error
 from .labels import class_invariants, parse_format, parse_label
 from .linkrules import SUPPORTED_PROFILES
@@ -259,8 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify-theorems", help="replay every rulebook scenario against structure constants"
     )
-    p.add_argument("--m-max", type=int, default=10, help="largest m to sweep (default 10)")
-    p.add_argument("--n-max", type=int, default=8, help="largest n to sweep (default 8)")
+    m_max, n_max = _DEFAULT_SWEEP
+    p.add_argument("--m-max", type=int, default=m_max, help=f"largest m to sweep (default {m_max})")
+    p.add_argument("--n-max", type=int, default=n_max, help=f"largest n to sweep (default {n_max})")
     p.set_defaults(func=_cmd_verify_theorems)
 
     p = sub.add_parser("verify-cert", help="strictly replay a derivation certificate")

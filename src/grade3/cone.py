@@ -35,11 +35,10 @@ as *symbolic* slots and excluded from the determinate products.
 
 :func:`verify_linkage_theorems` replays the rulebook itself: for every rule
 of :data:`grade3.linkrules.RULES` that declares a witness, it links the
-witness tables (canonical or rearranged) of every input the rule accepts
-across a sweep of formats, with the rule's own profile row, and
-checks the simulated class and format against the rule's own ``out_class``
-and ``out_format``, built from the statement, slots included, that the
-planner's step table is compiled from.
+witness tables (canonical or rearranged) of every input the rule's step
+accepts across a sweep of formats, with the rule's own profile row, and
+checks the simulated class and format against the output of that step, in
+the step table the planner searches with.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from typing import Iterator, Mapping, NamedTuple
 from .errors import OutOfDomain, Phi2Mismatch, UnsupportedSpec, _decimal, _require_ints
 from .exact import sparse_rank
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
-from .linkrules import RULE_ORDER, RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile, _unsupported_row
+from .linkrules import RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile, State, _rule_outputs, _unsupported_row
 from .presentation import (
     MAX_DOCUMENT_CELLS,
     TorPresentation,
@@ -71,6 +70,7 @@ __all__ = [
 ]
 
 LINKED_VERSION = 1
+_DEFAULT_SWEEP = (10, 8)  # (m_max, n_max) of verify_linkage_theorems and of verify-theorems, by default
 
 
 def LinkSpec(t1: int, phi2_unit: bool = False) -> RankProfile:
@@ -273,32 +273,27 @@ def _sweep_label_count(m_max: int, n_max: int) -> int:
 
 def _sweep(
     m_max: int, n_max: int
-) -> Iterator[tuple[LinkageRule, Iterator[tuple[ClassLabel, Format, TorPresentation]]]]:
+) -> Iterator[tuple[LinkageRule, Iterator[tuple[ClassLabel, Format, TorPresentation, State]]]]:
     """The replay plan of :func:`verify_linkage_theorems`, one entry per rule.
 
     Yields every rule that declares a witness, in ``RULE_ORDER``, with a lazy
-    stream of ``(label, fmt, table)``: for each format with ``4 <= m <= m_max``
-    and ``1 <= n <= n_max``, every canonical label the rule accepts there, as
-    its witness table.
+    stream of ``(label, fmt, table, expected)``: for each format with
+    ``4 <= m <= m_max`` and ``1 <= n <= n_max``, every canonical label the
+    rule's step accepts there, its witness table, and the step's output state.
     """
     formats = [
         (fmt, _canonical_labels(fmt))
         for fmt in (make_format(m, n) for m in range(4, m_max + 1) for n in range(1, n_max + 1))
     ]
 
-    def tables(rule: LinkageRule) -> Iterator[tuple[ClassLabel, Format, TorPresentation]]:
-        for fmt, labels in formats:
-            for label in labels:
-                # The tag test is a fast path: rule.check builds a message for every label it rejects.
-                if label.tag not in rule.in_tags or rule.check(label, fmt) is not None:
-                    continue
-                if rule.witness == "canonical":
-                    yield label, fmt, canonical_presentation(label, fmt)
-                else:
-                    yield label, fmt, arranged_presentation(label, fmt, rule.witness)
+    def tables(rule: LinkageRule) -> Iterator[tuple[ClassLabel, Format, TorPresentation, State]]:
+        for (label, fmt), expected in _rule_outputs(rule.rule_id, formats):
+            if rule.witness == "canonical":
+                yield label, fmt, canonical_presentation(label, fmt), expected
+            else:
+                yield label, fmt, arranged_presentation(label, fmt, rule.witness), expected
 
-    for rule_id in RULE_ORDER:
-        rule = RULES[rule_id]
+    for rule in RULES.values():
         if rule.witness is not None:
             yield rule, tables(rule)
 
@@ -326,15 +321,15 @@ def _check_linkH_v(lp: LinkedPresentation, label: ClassLabel, fmt: Format, expec
     return problems
 
 
-def verify_linkage_theorems(m_max: int = 10, n_max: int = 8) -> TheoremReport:
+def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAULT_SWEEP[1]) -> TheoremReport:
     """Replay every rule of :data:`grade3.linkrules.RULES` that has a witness.
 
     For each such rule, in ``RULE_ORDER``, the witness tables of every input
-    the rule accepts with ``4 <= m <= m_max`` and ``1 <= n <= n_max`` are
+    its step accepts with ``4 <= m <= m_max`` and ``1 <= n <= n_max`` are
     linked along the rule's profile row.  Every simulated output is
     structurally validated, and its format and classified label are
-    compared with the rule's own ``out_format`` and ``out_class``, built
-    from the data the planner compiles; the three-generator row on its H-v witness
+    compared with the output state of the rule's step in the table the
+    planner searches with; the three-generator row on its H-v witness
     additionally checks its determinate products and symbolic slots.
     A bound that is not an integer, or a sweep of more than
     :data:`~grade3.presentation.MAX_DOCUMENT_CELLS` canonical labels, raises
@@ -353,7 +348,7 @@ def verify_linkage_theorems(m_max: int = 10, n_max: int = 8) -> TheoremReport:
         checked = 0
         failures: list[str] = []
         note = ""
-        for label, fmt, table in tables:
+        for label, fmt, table, (expected, expected_fmt) in tables:
             lp = mapping_cone_presentation(table, rule.profile)
             checked += 1
             # Failure lines open with "{label} at {fmt}: ", worded only when a check fails.
@@ -361,11 +356,9 @@ def verify_linkage_theorems(m_max: int = 10, n_max: int = 8) -> TheoremReport:
             if diags:
                 failures.append(f"{label} at {fmt}: invalid output table: {diags[0]}")
                 continue
-            expected_fmt = rule.out_format(fmt)
             if lp.presentation.fmt != expected_fmt:
                 failures.append(f"{label} at {fmt}: output format {lp.presentation.fmt} != {expected_fmt}")
                 continue
-            expected = rule.out_class(label)
             if rule.witness == "H-v":
                 failures.extend(f"{label} at {fmt}: {p}" for p in _check_linkH_v(lp, label, fmt, expected))
                 note = "determinate products, X/Y slots, and H(0,p) class checked"

@@ -21,7 +21,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InvalidFormat, InvalidLabel, _decimal
+from .errors import InvalidFormat, InvalidLabel, _decimal, _shown
 
 __all__ = [
     "Format",
@@ -269,3 +269,19 @@ class OpaqueLabel(NamedTuple):
 
 
 OPAQUE = OpaqueLabel()
+_LABEL_TYPES = (ClassLabel, OpaqueLabel)
+
+
+def _require_types(fmt: object, label: object = OPAQUE) -> None:
+    """The argument check of the public functions that take a label or a format.
+
+    Refuses a ``label`` that is neither a :class:`ClassLabel` nor an
+    :class:`OpaqueLabel` with :class:`InvalidLabel` (a function that takes no
+    opaque label refuses it itself, and the default checks only ``fmt``),
+    then a ``fmt`` that is not a :class:`Format`, a plain tuple included,
+    with :class:`InvalidFormat`.
+    """
+    if not isinstance(label, _LABEL_TYPES):
+        raise InvalidLabel(f"expected a class label (see parse_label), got {_shown(label)}")
+    if not isinstance(fmt, Format):
+        raise InvalidFormat(f"expected a format (see make_format), got {_shown(fmt)}")

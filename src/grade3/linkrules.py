@@ -17,24 +17,25 @@ and its profile row, whose formula is its output format.  The rule's
 ``check``, ``out_class`` and ``out_format`` are built from that statement,
 and at import one integer step table.  :func:`_outputs` evaluates any run of
 that table on a state without building labels: the planner passes a tag's
-run to expand a state, and one step to find a certificate step's rule.  The
-table reads :data:`RULES` once: an entry replaced later (as
-``perfbench/tracer.py`` does to wrap each rule's callables, or a test to
-plant a wrong rule) changes :func:`apply_rule`, certificate replay and
-``verify-theorems``, not the search.  ``ext-CVW33``'s row (3,1,0) is
-outside the supported rows: the mapping cone does not model it.  The rule
-ids are stable wire vocabulary: they appear in derivation certificates and
-on the command line.  Every rule with a ``witness`` is re-derived from
-structure constants by ``verify-theorems`` (the :mod:`grade3.cone`
-simulator), which links the witness tables and compares the result with
-the rule's own ``out_class`` and ``out_format``; the two ``ext-`` rules
-import published constructions instead.
+run to expand a state, :func:`_transition` one step at a time to build a
+certificate step, and ``verify-theorems`` one rule's step through
+:func:`_rule_outputs`.  The table reads :data:`RULES` once: an entry replaced
+later (as ``perfbench/tracer.py`` does to wrap each rule's callables, or a
+test to plant a wrong rule) changes certificate replay and
+:func:`apply_rule` only, the one reader of the closures and so an
+independent reading of each rule.  ``ext-CVW33``'s row (3,1,0) is outside
+the supported rows: the mapping cone does not model it.  The rule ids are
+stable wire vocabulary: they appear in derivation certificates and on the
+command line.  Every rule with a ``witness`` is re-derived from structure
+constants by ``verify-theorems`` (the :mod:`grade3.cone` simulator), which
+links the witness tables and compares the result with the output of the
+rule's step; the two ``ext-`` rules import published constructions instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DocumentError,
@@ -53,6 +54,7 @@ from .labels import (
     Format,
     OpaqueLabel,
     OPAQUE,
+    _require_types,
     class_G,
     class_H,
     make_format,
@@ -132,6 +134,7 @@ def link_option_format(fmt: Format, profile: RankProfile) -> Format:
     :class:`InvalidFormat` when the input is too small for the profile
     (for example (3,0,0) needs ``m >= 4``).
     """
+    _require_types(fmt)
     if profile not in SUPPORTED_PROFILES:
         raise UnsupportedProfile(_unsupported_row(profile))
     return _format_map(profile.t1, profile.t2)(fmt)
@@ -184,9 +187,9 @@ class LinkageRule:
     ``verify-theorems`` links to re-derive the rule: an arrangement id from
     :func:`grade3.presentation.arrangement_ids`, ``"canonical"`` for the
     canonical table of every input class, or None for the rules that import
-    a published construction instead.  ``check``, ``out_class`` and
-    ``out_format`` stay fields because ``perfbench/tracer.py`` wraps them
-    with :func:`dataclasses.replace`.
+    a published construction instead.  Only :func:`apply_rule` calls
+    ``check``, ``out_class`` and ``out_format``; they stay fields because
+    ``perfbench/tracer.py`` wraps them with :func:`dataclasses.replace`.
     """
 
     rule_id: str
@@ -341,14 +344,13 @@ RULES: dict[str, LinkageRule] = _rules()
 RULE_ORDER: tuple[str, ...] = tuple(RULES)
 
 
-# The step table of the search: per state tag, in RULE_ORDER, each rule that
-# accepts the tag as (rule id, t1, t2, guard predicates, output tag, and its
-# two output slots compiled to index and offset).
+# The step table: per state tag, in RULE_ORDER, each rule that accepts the tag
+# as (rule id, citation, t1, t2, guard predicates, output tag, and its two
+# output slots compiled to index and offset).
 _STEPS: dict[str, tuple[tuple, ...]] = {
     tag: tuple(
-        (rule.rule_id, rule.profile.t1, rule.profile.t2, tuple(holds for holds, _ in rule.guards), rule.out_tag)
-        + _compiled(rule.out_slots[0])
-        + _compiled(rule.out_slots[1])
+        (rule.rule_id, rule.cite, rule.profile.t1, rule.profile.t2, tuple(holds for holds, _ in rule.guards))
+        + (rule.out_tag, *_compiled(rule.out_slots[0]), *_compiled(rule.out_slots[1]))
         for rule in RULES.values()
         if tag in rule.in_tags
     )
@@ -361,7 +363,7 @@ def _outputs(steps: tuple[tuple, ...], a: int, b: int, m: int, n: int) -> list[_
     ``(m, n)``, in order; a step refuses what :func:`apply_rule` refuses."""
     slots = (a, b, 0)
     outputs: list[_StateKey] = []
-    for _, t1, t2, guards, out_tag, ia, ka, ib, kb in steps:
+    for _, _, t1, t2, guards, out_tag, ia, ka, ib, kb in steps:
         out_m, out_n = n + 3 - t2, m - t1
         if out_m < 1 or out_n < 1:
             continue
@@ -373,10 +375,20 @@ def _outputs(steps: tuple[tuple, ...], a: int, b: int, m: int, n: int) -> list[_
     return outputs
 
 
-def _rule_between(key: _StateKey, out_key: _StateKey) -> str:
-    """The first rule, in RULE_ORDER, that takes the state ``key`` to ``out_key``."""
-    tag, a, b, m, n = key
-    return next(step[0] for step in _STEPS[tag] if _outputs((step,), a, b, m, n) == [out_key])
+def _transition(key: _StateKey, out_key: _StateKey) -> Transition:
+    """The step from the state ``key`` to ``out_key`` by the first rule, in RULE_ORDER, that takes it there."""
+    step = next(step for step in _STEPS[key[0]] if _outputs((step,), *key[1:]) == [out_key])
+    return Transition(step[0], _state_of(key), _state_of(out_key), step[1])
+
+
+def _rule_outputs(rule_id: str, formats: Iterable[tuple[Format, list[StateLabel]]]) -> Iterator[tuple[State, State]]:
+    """Each state ``(label, fmt)`` of ``formats``, in order, that the rule's step accepts, with its output state."""
+    runs = {tag: tuple(step for step in steps if step[0] == rule_id) for tag, steps in _STEPS.items()}
+    for fmt, labels in formats:
+        for label in labels:
+            if run := runs[label.tag]:  # most labels have a tag the rule does not accept
+                for key in _outputs(run, label.a, label.b, fmt.m, fmt.n):
+                    yield (label, fmt), _state_of(key)
 
 
 def apply_rule(rule_id: str, label: StateLabel, fmt: Format) -> Transition:
@@ -385,6 +397,7 @@ def apply_rule(rule_id: str, label: StateLabel, fmt: Format) -> Transition:
     The output records the rule id and its citation, ready for inclusion in
     a derivation certificate.
     """
+    _require_types(fmt, label)
     rule = RULES.get(rule_id)
     if rule is None:
         raise PreconditionViolated(f"unknown linkage rule {rule_id!r}")
@@ -395,12 +408,7 @@ def apply_rule(rule_id: str, label: StateLabel, fmt: Format) -> Transition:
         out_fmt = rule.out_format(fmt)
     except InvalidFormat as exc:
         raise PreconditionViolated(f"{rule_id}: output format degenerate for input {fmt}: {exc}") from exc
-    return Transition(
-        rule=rule_id,
-        input_state=(label, fmt),
-        output_state=(rule.out_class(label), out_fmt),
-        cite=rule.cite,
-    )
+    return Transition(rule_id, (label, fmt), (rule.out_class(label), out_fmt), rule.cite)
 
 
 def _render_state(state: State) -> list[str]:

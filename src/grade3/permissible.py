@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from .errors import InvalidLabel, OutOfDomain, _decimal
-from .labels import ClassLabel, Format, class_H
+from .labels import ClassLabel, Format, _require_types, class_H
 
 __all__ = [
     "Status",
@@ -307,6 +307,7 @@ _verdict_cached = lru_cache(maxsize=None)(_verdict)
 
 def is_permissible(label: ClassLabel, fmt: Format) -> PermissibilityVerdict:
     """Verdict for ``label`` in ``fmt`` with all violated rules cited."""
+    _require_types(fmt, label)
     return _verdict_cached(label.tag, label.a, label.b, fmt.m, fmt.n)
 
 
@@ -317,6 +318,7 @@ def boundary_classes(fmt: Format) -> frozenset[ClassLabel]:
     ``q = m - 4`` and ``p <= n - 1``, whose verdict is PERMISSIBLE; the
     boundary window rules keep only the cells of matching parity.
     """
+    _require_types(fmt)
     m, n = fmt.m, fmt.n
     if m < 4:
         return frozenset()
@@ -358,6 +360,7 @@ def atlas_grid(fmt: Format) -> AtlasGrid:
     more than :data:`MAX_ATLAS_CELLS` cells raises :class:`OutOfDomain`
     before any cell is built.
     """
+    _require_types(fmt)
     if (fmt.n + 2) * (fmt.m - 1) > MAX_ATLAS_CELLS:
         raise OutOfDomain(f"the atlas of this format has (n+2)(m-1) cells, more than the limit of {MAX_ATLAS_CELLS}")
     boundary = boundary_classes(fmt)

@@ -18,8 +18,8 @@ Every bound's search walks one successor graph shared by the whole process,
 :class:`_Graph`, into which no NOT_PERMISSIBLE rule output enters.  Sharing
 does not change certificates: a state's outputs and exclusion do not depend
 on the bound, and each bound expands its states, and each state's outputs,
-in one fixed order.  Each bound's search keeps the transitions its
-certificates have built, so certificates sharing a prefix build it once.
+in one fixed order.  Each bound's search builds its certificates' steps
+from the same step table and keeps them, so a shared prefix is built once.
 A target whose class no rule outputs (C(3), G(r)) can only be an axiom, so
 unless it is an axiom instance of its bound it is NOT_FOUND without a search.
 """
@@ -50,9 +50,9 @@ from .linkrules import (
     _STEPS,
     _StateKey,
     _outputs,
-    _rule_between,
     _state_key,
     _state_of,
+    _transition,
     apply_rule,
     parse_state_label,
     transition_from_document,
@@ -222,10 +222,10 @@ class _Graph:
     asks again if it meets one again; the (20,20) sweep meets none).  Axioms
     and targets are interned untested: no axiom within the default cap is
     NOT_PERMISSIBLE, and :func:`realize` refuses such a target first.  The
-    rule of an edge is not kept; ``_rule_between`` finds it again for the
-    few edges a certificate takes.  ``reach[sid]`` is the larger coordinate
-    of the state's format, which each bound's search compares with its own
-    bound.
+    rule of an edge is not kept; ``linkrules._transition`` finds it again,
+    from the same steps, for the few edges a certificate takes.
+    ``reach[sid]`` is the larger coordinate of the state's format, which
+    each bound's search compares with its own bound.
     """
 
     def __init__(self) -> None:
@@ -369,17 +369,12 @@ def _certificate_from(search: _Search, target: int) -> DerivationCertificate:
     steps_reversed: list[Transition] = []
     cursor = target
     while isinstance(prev := parent[cursor], int):
-        step = memo.get(cursor)
-        if step is None:
-            step = memo[cursor] = apply_rule(_rule_between(keys[prev], keys[cursor]), *_state_of(keys[prev]))
-        steps_reversed.append(step)
+        if cursor not in memo:
+            memo[cursor] = _transition(keys[prev], keys[cursor])
+        steps_reversed.append(memo[cursor])
         cursor = prev
-    family = _FAMILY_BY_ID[prev]
-    label, fmt = _state_of(keys[cursor])
-    axiom = Axiom(family.family_id, label, fmt, family.cite)
-    return DerivationCertificate(
-        axiom=axiom, steps=tuple(reversed(steps_reversed)), target=_state_of(keys[target])
-    )
+    axiom = Axiom(prev, *_state_of(keys[cursor]), _FAMILY_BY_ID[prev].cite)
+    return DerivationCertificate(axiom, tuple(reversed(steps_reversed)), _state_of(keys[target]))
 
 
 def realize(
@@ -428,8 +423,10 @@ def verify_certificate(cert: DerivationCertificate) -> bool:
 
     Checks that the axiom instance belongs to its claimed family and cites
     it, that each recorded step equals the replay of its rule on the
-    previous state (input, output and citation), that no intermediate
-    state is NOT_PERMISSIBLE, and that the final state equals the target.
+    previous state (input, output and citation) by :func:`apply_rule`, which
+    reads the rule's own callables, not the step table the search used,
+    that no intermediate state is NOT_PERMISSIBLE, and that the final state
+    equals the target.
     """
     family = _FAMILY_BY_ID.get(cert.axiom.family)
     if (
@@ -574,7 +571,8 @@ def family_assignment(fmt: Format) -> str:
     (fixed n mod 3, wide m), and a diagonal band settled by hypersurface
     sections; the strips are tried in a fixed precedence order.
     """
-    if fmt.m < 5 or fmt.n < 4 or is_permissible(CLASS_T, fmt).status is not Status.PERMISSIBLE:
+    # is_permissible comes first: it refuses an argument that is not a Format.
+    if is_permissible(CLASS_T, fmt).status is not Status.PERMISSIBLE or fmt.m < 5 or fmt.n < 4:
         raise OutOfDomain(
             f"family assignment covers T-permissible formats with m >= 5 and n >= 4; got {fmt}"
         )

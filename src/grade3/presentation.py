@@ -52,6 +52,7 @@ from .labels import (
     CLASS_T,
     ClassLabel,
     Format,
+    _require_types,
     class_G,
     class_H,
     make_format,
@@ -273,6 +274,7 @@ def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
     :class:`DocumentError` for a table that fits but holds more products than
     :data:`MAX_DOCUMENT_CELLS`, before any is built.
     """
+    _require_types(fmt, label)
     tag, a, _ = label
     if tag == "H":
         return _h_pattern(a + 1, a, a + 2, -1, label, fmt)
@@ -327,6 +329,7 @@ def arranged_presentation(label: ClassLabel, fmt: Format, arrangement: str) -> T
     than :data:`MAX_DOCUMENT_CELLS` raises :class:`DocumentError` before any
     is built.
     """
+    _require_types(fmt, label)
     entry = _ARRANGEMENTS.get(arrangement)
     if entry is None:
         raise UnknownArrangement(

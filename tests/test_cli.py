@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import os
@@ -18,12 +17,11 @@ from grade3 import (
     CLASS_B,
     CLASS_T,
     canonical_presentation,
-    class_H,
     make_format,
     presentation_to_document,
 )
 from grade3.cli import main
-from grade3.linkrules import RULES
+from grade3.linkrules import _STEPS
 from grade3.permissible import MAX_ATLAS_CELLS
 from grade3.presentation import MAX_DOCUMENT_CELLS
 
@@ -343,9 +341,9 @@ def test_verify_theorems_small_sweep(capsys):
 
 
 def test_verify_theorems_reports_a_failing_rule(monkeypatch, capsys):
-    monkeypatch.setitem(
-        RULES, "linkH-iii", dataclasses.replace(RULES["linkH-iii"], out_class=lambda c: class_H(1, 2))
-    )
+    # linkH-iii's step in the table the planner searches with gets the constant output slots of H(1,2).
+    wrong = tuple(step[:6] + (2, 1, 2, 2) if step[0] == "linkH-iii" else step for step in _STEPS["H"])
+    monkeypatch.setitem(_STEPS, "H", wrong)
     assert main(["verify-theorems", "--m-max", "6", "--n-max", "4"]) == 1
     lines = capsys.readouterr().out.splitlines()
     fail = next(i for i, line in enumerate(lines) if line.startswith("linkH-iii: FAIL (checked="))

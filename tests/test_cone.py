@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -37,7 +36,7 @@ from grade3 import (
 )
 from grade3 import cone
 from grade3.cone import _canonical_labels, _sweep, _sweep_label_count
-from grade3.linkrules import RULES
+from grade3.linkrules import _STEPS
 
 
 def _unit(length, index, sign=1):
@@ -329,17 +328,15 @@ def test_theorem_sweep_label_count_matches_the_label_lists():
 
 
 def test_theorem_replay_checks_the_planner_rules(monkeypatch):
-    # verify-theorems replays the RULES entries, so a wrong class or format
-    # claim there fails exactly its own scenario.  The planner searches with
-    # linkrules._STEPS, compiled from RULES at import: a replaced entry changes
-    # apply_rule and this sweep, not the search.
-    monkeypatch.setitem(
-        RULES, "linkH-iii", dataclasses.replace(RULES["linkH-iii"], out_class=lambda c: class_H(1, 2))
-    )
-    wrong_row = dataclasses.replace(
-        RULES["linkT-i"], out_format=lambda f: link_option_format(f, RankProfile(2, 0, 0))
-    )
-    monkeypatch.setitem(RULES, "linkT-i", wrong_row)
+    # verify-theorems replays the steps of linkrules._STEPS, the table the
+    # planner searches with, so a wrong class or format there fails exactly
+    # its own scenario.  A step is (rule id, cite, t1, t2, guards, out tag,
+    # then the two output slots as index and offset into (a, b, 0)).
+    def plant(tag, rule_id, wrong):
+        monkeypatch.setitem(_STEPS, tag, tuple(wrong(s) if s[0] == rule_id else s for s in _STEPS[tag]))
+
+    plant("H", "linkH-iii", lambda step: step[:6] + (2, 1, 2, 2))  # the constant slots of H(1,2)
+    plant("T", "linkT-i", lambda step: step[:2] + (2,) + step[3:])  # t1 = 2, the format of row (2,0,0)
     report = verify_linkage_theorems(6, 4)
     failed = {res.scenario for res in report.results if not res.passed}
     assert failed == {"linkH-iii", "linkT-i"}
@@ -413,7 +410,7 @@ def test_theorem_sweep_tables_and_links_are_pinned():
     digest = hashlib.sha256()
     count = 0
     for rule, tables in _sweep(10, 8):
-        for label, fmt, table in tables:
+        for label, fmt, table, _ in tables:
             lp = mapping_cone_presentation(table, rule.profile)
             row = [rule.rule_id, str(label), str(fmt), presentation_to_document(table), linked_to_document(lp)]
             digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))

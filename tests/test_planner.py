@@ -38,7 +38,7 @@ from grade3 import (
 )
 from grade3 import planner
 from grade3.errors import DocumentError, PreconditionViolated
-from grade3.linkrules import RULE_ORDER, RULES, _STEPS, _outputs, _rule_between, apply_rule
+from grade3.linkrules import RULE_ORDER, RULES, _STEPS, _outputs, _transition, apply_rule
 
 
 @pytest.fixture(autouse=True)
@@ -340,9 +340,9 @@ def test_certificates_chain_states_consecutively():
 def test_compiled_steps_equal_apply_rule(monkeypatch):
     # Every state up to slots 12 and format (16,16), opaque ones too: the
     # graph's outputs are apply_rule's, rule by rule, in RULE_ORDER, and the
-    # rule linkrules._rule_between gives for each edge is the first one
-    # reaching its output.  No state is excluded here, so every accepted step
-    # shows as an edge.
+    # transition linkrules._transition builds for each edge is apply_rule's,
+    # by the first rule reaching its output.  No state is excluded here, so
+    # every accepted step shows as an edge.
     monkeypatch.setattr(planner, "_excluded", lambda *key: False)
     labels = (
         [OPAQUE, CLASS_T, CLASS_B, CLASS_C3]
@@ -371,11 +371,10 @@ def test_compiled_steps_equal_apply_rule(monkeypatch):
                 assert {step[0]: out for step in steps if (out := _outputs((step,), label.a, label.b, m, n))} == alone
                 sid = graph.intern(planner._state_key(label, fmt))
                 outputs = graph.expand(sid)
-                got = [
-                    (RULE_ORDER.index(_rule_between(graph.keys[sid], graph.keys[out_id])), graph.keys[out_id])
-                    for out_id in outputs
-                ]
+                transitions = [_transition(graph.keys[sid], graph.keys[out_id]) for out_id in outputs]
+                got = [(RULE_ORDER.index(t.rule), planner._state_key(*t.output_state)) for t in transitions]
                 assert got == expected, (str(label), str(fmt))
+                assert transitions == [apply_rule(t.rule, label, fmt) for t in transitions]
                 accepted += len(got)
                 shared += len(got) - len(first)
     assert accepted > 0
@@ -414,6 +413,23 @@ def test_rules_rebuilt_with_wrapped_callables_keep_certificates(monkeypatch):
         monkeypatch.setitem(RULES, rule_id, wrapped)
     assert documents() == before
     assert calls["check"] == calls["out_format"] == calls["out_class"] > len(before)
+
+
+def test_a_rule_replaced_after_import_changes_the_replay_not_the_certificate(monkeypatch):
+    # Certificates are built from the step table compiled at import, which the
+    # search reads; verify_certificate replays them with apply_rule, which reads
+    # RULES.  A wrong out_class planted on linkT-i leaves the certificate of
+    # H(2,0) at (6,3), which takes linkT-i, as it was, and fails its replay.
+    label, fmt = class_H(2, 0), make_format(6, 3)
+    before = certificate_to_document(realize(label, fmt).certificate)
+    assert "linkT-i" in [step["rule"] for step in before["steps"]]
+    planner._SEARCHES.clear()
+    planner._GRAPH = planner._Graph()
+    wrong = dataclasses.replace(RULES["linkT-i"], out_class=lambda c: class_H(2, 1))
+    monkeypatch.setitem(RULES, "linkT-i", wrong)
+    cert = realize(label, fmt).certificate
+    assert certificate_to_document(cert) == before
+    assert not verify_certificate(cert)
 
 
 def test_no_rule_output_of_the_sweep_is_not_permissible():

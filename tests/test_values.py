@@ -12,16 +12,22 @@ from grade3 import (
     CLASS_B,
     CLASS_T,
     OPAQUE,
+    InvalidFormat,
+    InvalidLabel,
     LinkSpec,
     OpaqueLabel,
     apply_rule,
+    arranged_presentation,
     atlas_grid,
+    boundary_classes,
     canonical_presentation,
     class_G,
     class_H,
     class_invariants,
     classify,
+    family_assignment,
     is_permissible,
+    link_option_format,
     make_format,
     mapping_cone_presentation,
     realize,
@@ -119,3 +125,30 @@ def test_only_the_listed_dataclasses_remain():
                 found[name] = value
     assert set(found) == set(DATACLASSES)
     assert all(found[name].__dataclass_params__.frozen for name in found)
+
+
+@pytest.mark.parametrize(
+    "function, args, error, shown",
+    [
+        (realize, (CLASS_T, (8, 6)), InvalidFormat, "(8, 6)"),
+        (realize, ("T", make_format(8, 6)), InvalidLabel, "'T'"),
+        (is_permissible, (CLASS_T, (5, 2)), InvalidFormat, "(5, 2)"),
+        (is_permissible, (("T", 0, 0), make_format(5, 2)), InvalidLabel, "('T', 0, 0)"),
+        (atlas_grid, ((5, 2),), InvalidFormat, "(5, 2)"),
+        (boundary_classes, ((8, 6),), InvalidFormat, "(8, 6)"),
+        (family_assignment, ((8, 6),), InvalidFormat, "(8, 6)"),
+        (link_option_format, ((4, 3), LinkSpec(1)), InvalidFormat, "(4, 3)"),
+        (canonical_presentation, (CLASS_T, (4, 3)), InvalidFormat, "(4, 3)"),
+        (canonical_presentation, (None, make_format(4, 3)), InvalidLabel, "None"),
+        (arranged_presentation, (CLASS_T, (4, 3), "T-A"), InvalidFormat, "(4, 3)"),
+        (apply_rule, ("linkT-i", "T", make_format(4, 3)), InvalidLabel, "'T'"),
+        (apply_rule, ("linktoT", OPAQUE, "(4,3)"), InvalidFormat, "'(4,3)'"),
+    ],
+    ids=lambda value: getattr(value, "__name__", ""),
+)
+def test_public_functions_refuse_a_wrong_argument_type(function, args, error, shown):
+    # A plain tuple equals a Format, and a tag string names a label, but
+    # neither is one: each is refused with a Grade3Error that shows it.
+    with pytest.raises(error) as exc:
+        function(*args)
+    assert str(exc.value).endswith(f", got {shown}")
