@@ -97,6 +97,11 @@ class LinkedPresentation(NamedTuple):
 def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPresentation:
     """Simulate one link of a (valid) multiplication table along a profile row.
 
+    Like :func:`~grade3.presentation.classify`, it needs a table that
+    :func:`~grade3.presentation.validate_presentation` accepts, and does not
+    check: ``TorPresentation(4, 3, {}, {(1, 99): {1: 1}})`` (f index 99 with
+    m+n-1 = 6) ends in a bare ``KeyError`` instead of a refusal.
+
     Raises :class:`UnsupportedSpec` for rows outside
     :data:`~grade3.linkrules.SUPPORTED_PROFILES`, worded by
     :mod:`grade3.linkrules`, when the input has fewer than ``t1`` degree-1
@@ -108,9 +113,9 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
     plus the symbolic slots would exceed
     :data:`grade3.presentation.MAX_DOCUMENT_CELLS`.
     """
-    t1, phi2 = row.t1, row.t2 == 1
     if row not in SUPPORTED_PROFILES:
         raise UnsupportedSpec(_unsupported_row(row))
+    t1, phi2 = row.t1, row.t2 == 1
     m, n = a.m, a.n
     # Bound the work that grows with m+n whatever the products: the raw bases
     # and, for t1 = 3, the symbolic slots.

@@ -110,9 +110,12 @@ class RankProfile:
 SUPPORTED_PROFILES = tuple(RankProfile(*row) for row in ((0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (3, 0, 0)))
 
 
-def _unsupported_row(row: RankProfile) -> str:
+def _unsupported_row(row: object) -> str:
     """Why a row outside :data:`SUPPORTED_PROFILES` is refused: worded as the
-    :func:`grade3.cone.LinkSpec` arguments when that builds the row, else naming it."""
+    :func:`grade3.cone.LinkSpec` arguments when that builds the row, else naming
+    it; anything not a :class:`RankProfile`, a plain tuple included, is shown."""
+    if not isinstance(row, RankProfile):
+        return f"expected a rank profile (see LinkSpec), got {_shown(row)}"
     if row.t2 <= 1 and not row.t3:
         return f"link spec (t1={_decimal(row.t1)}, phi2_unit={row.t2 == 1}) is not supported"
     return f"rank profile ({', '.join(map(_decimal, row.as_tuple()))}) is outside the supported table"
@@ -141,7 +144,13 @@ def link_option_format(fmt: Format, profile: RankProfile) -> Format:
 
 
 def betti_after_link(b: int, profile: RankProfile) -> int:
-    """Total Betti number after linking: ``b + 6 - 2*t1 - 2*t2 - t3``."""
+    """Total Betti number after linking: ``b + 6 - 2*t1 - 2*t2 - t3``.
+
+    Raises :class:`UnsupportedProfile` when ``profile`` is not a
+    :class:`RankProfile`.
+    """
+    if not isinstance(profile, RankProfile):
+        raise UnsupportedProfile(_unsupported_row(profile))
     if not isinstance(b, int) or isinstance(b, bool) or b < 0:
         raise InvalidFormat(f"betti number must be a non-negative integer, got {_shown(b)}")
     return b + 6 - 2 * profile.t1 - 2 * profile.t2 - profile.t3

@@ -9,14 +9,15 @@ one of three verdicts:
 * ``UNKNOWN_NECESSARY_ONLY`` — all known necessary conditions hold but no
   construction is known.
 
-Every verdict comes from one table of obstructions keyed by class tag and
-one predicate per class that says whether a cell breaking no rule is
-realized.  Classes B, C(3), T, and G-in-Gorenstein-formats are fully
-decided.  For class H the obstructions combine format bounds, corner
-identities, and parity windows; the cells that remain clean are provably
-realizable exactly on the two boundary strips ``p = n - 1`` and
-``q = m - 4`` (plus corners and the ``m = 4`` / ``n = 2`` families), which is
-what :func:`boundary_classes` enumerates and the atlas renders.
+Every verdict comes from one function of obstructions per class tag, which
+states each rule once as an ``if`` yielding its violation, and one predicate
+per class that says whether a cell breaking no rule is realized.  Classes B,
+C(3), T, and G-in-Gorenstein-formats are fully decided.  For class H the
+obstructions combine format bounds, corner identities, and parity windows;
+the cells that remain clean are provably realizable exactly on the two
+boundary strips ``p = n - 1`` and ``q = m - 4`` (plus corners and the
+``m = 4`` / ``n = 2`` families), which is what :func:`boundary_classes`
+enumerates and the atlas renders.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import io
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple, NoReturn
+from typing import Callable, Iterator, Mapping, NamedTuple, NoReturn
 
 from .errors import InvalidLabel, OutOfDomain, _decimal
 from .labels import ClassLabel, Format, _require_types, class_H
@@ -74,186 +75,105 @@ _PERMISSIBLE = PermissibilityVerdict(Status.PERMISSIBLE)
 _UNKNOWN = PermissibilityVerdict(Status.UNKNOWN_NECESSARY_ONLY)
 
 
-# --- the obstruction table ---------------------------------------------------
+# --- the obstruction rules ---------------------------------------------------
 
-# Every check reads the label's two parameter slots and the format,
-# ``(a, b, m, n)`` with ``a = r`` for G, ``(a, b) = (p, q)`` for H and both zero
-# otherwise, and returns the detail of a violation, or None when the rule holds.
-_Check = Callable[[int, int, int, int], str | None]
-
-
-def _obstructions() -> dict[str, tuple[tuple[str, _Check, str], ...]]:
-    """Per class tag: (rule id, check, citation) in fixed order."""
-
-    def b_m_min(a: int, b: int, m: int, n: int) -> str | None:
-        return f"class B needs m >= 5; m = {m}" if m < 5 else None
-
-    def b_gorenstein(a: int, b: int, m: int, n: int) -> str | None:
-        return "Gorenstein formats (n = 1) carry only classes C(3) and G(r)" if n < 2 else None
-
-    def b_type_two_parity(a: int, b: int, m: int, n: int) -> str | None:
-        return f"formats (m,2) carry class B only for odd m; m = {m}" if n == 2 and m % 2 == 0 else None
-
-    def b_m5(a: int, b: int, m: int, n: int) -> str | None:
-        return f"class B at m = 5 occurs only for n = 2; n = {n}" if m == 5 and n >= 3 else None
-
-    def c3_format(a: int, b: int, m: int, n: int) -> str | None:
-        if (m, n) != (3, 1):
-            return f"class C(3) is the complete intersection and occurs only in format (3,1); format is ({m},{n})"
-        return None
-
-    def t_m_min(a: int, b: int, m: int, n: int) -> str | None:
-        return f"class T needs m >= 4; m = {m}" if m < 4 else None
-
-    def t_n_min(a: int, b: int, m: int, n: int) -> str | None:
-        return f"class T needs n >= 3; n = {n}" if n < 3 else None
-
-    def t_aci_parity(a: int, b: int, m: int, n: int) -> str | None:
-        if m == 4 and n >= 3 and n % 2 == 0:
-            return f"formats (4,n) carry class T only for odd n; n = {n}"
-        return None
-
-    def t_n3(a: int, b: int, m: int, n: int) -> str | None:
-        return f"class T at n = 3 occurs only for m = 4; m = {m}" if m >= 5 and n == 3 else None
-
-    # Outside Gorenstein formats (n = 1) no obstruction to G(r) is known.
-    def g_duality(r: int, b: int, m: int, n: int) -> str | None:
-        if n == 1 and m != r:
-            return f"Gorenstein formats force r = m by Poincare duality; r = {r}, m = {m}"
-        return None
-
-    def g_parity(r: int, b: int, m: int, n: int) -> str | None:
-        if n == 1 and r % 2 == 0:
-            return f"Gorenstein ideals of grade 3 have odd minimal generation; r = {r}"
-        return None
-
-    def g_min(r: int, b: int, m: int, n: int) -> str | None:
-        return f"format ({m},1) with m < 5 carries only class C(3); r = {r}" if n == 1 and r < 5 else None
-
-    # Class H: format bounds, corner identities, parity windows, families.
-    def format_min(p: int, q: int, m: int, n: int) -> str | None:
-        if m < 4 or n < 2:
-            return f"class H needs m >= 4 and n >= 2; format is ({m},{n})"
-        return None
-
-    def n_equals_p(p: int, q: int, m: int, n: int) -> str | None:
-        return f"n = p = {p} is excluded" if n == p else None
-
-    def m_equals_q3(p: int, q: int, m: int, n: int) -> str | None:
-        return f"m = q + 3 = {m} is excluded" if m == q + 3 else None
-
-    def p_bound(p: int, q: int, m: int, n: int) -> str | None:
-        bound = max(m - 1, n + 1)
-        return f"p = {p} exceeds max(m-1, n+1) = {bound}" if p > bound else None
-
-    def q_bound(p: int, q: int, m: int, n: int) -> str | None:
-        bound = max(m - 2, n)
-        return f"q = {q} exceeds max(m-2, n) = {bound}" if q > bound else None
-
-    def m_lower(p: int, q: int, m: int, n: int) -> str | None:
-        if m < p + 1 or m < q + 2:
-            return f"m = {m} is below max(p+1, q+2) = {_decimal(max(p + 1, q + 2))}"
-        return None
-
-    def n_lower(p: int, q: int, m: int, n: int) -> str | None:
-        if n < p - 1 or n < q:
-            return f"n = {n} is below max(p-1, q) = {max(p - 1, q)}"
-        return None
-
-    def row_p_minus_1(p: int, q: int, m: int, n: int) -> str | None:
-        if n == p - 1 and not (m == p + 1 and m == q + 2):
-            return f"n = p - 1 requires the corner m = p + 1 = q + 2; format is ({m},{n})"
-        return None
-
-    def col_q_plus_2(p: int, q: int, m: int, n: int) -> str | None:
-        if m == q + 2 and not (n == q and p == n + 1):
-            return f"m = q + 2 requires the corner n = q, p = n + 1; label is H({p},{q})"
-        return None
-
-    def q_m_minus_2(p: int, q: int, m: int, n: int) -> str | None:
-        if q == m - 2 and p != n + 1:
-            return f"q = m - 2 requires p = n + 1 = {_decimal(n + 1)}; p = {p}"
-        return None
-
-    def row_p_plus_1_parity(p: int, q: int, m: int, n: int) -> str | None:
-        if n == p + 1 and (q - (m - 4)) % 2 != 0:
-            return f"n = p + 1 requires q == m - 4 (mod 2); q = {q}, m - 4 = {m - 4}"
-        return None
-
-    def col_q_plus_4_parity(p: int, q: int, m: int, n: int) -> str | None:
-        if m == q + 4 and (p - (n - 1)) % 2 != 0:
-            return f"m = q + 4 requires p == n - 1 (mod 2); p = {p}, n - 1 = {n - 1}"
-        return None
-
-    def boundary_p_window(p: int, q: int, m: int, n: int) -> str | None:
-        if p == n - 1 and (q > m - 4 or (q - (m - 4)) % 2 != 0):
-            return f"p = n - 1 requires q <= m - 4 with q == m - 4 (mod 2); q = {q}"
-        return None
-
-    def boundary_q_window(p: int, q: int, m: int, n: int) -> str | None:
-        if q == m - 4 and (p > n - 1 or (p - (n - 1)) % 2 != 0):
-            return f"q = m - 4 requires p <= n - 1 with p == n - 1 (mod 2); p = {p}"
-        return None
-
-    def aci_formats(p: int, q: int, m: int, n: int) -> str | None:
-        if m != 4:
-            return None
-        if (p, q) == (3, 2) and n == 2:
-            return None
-        if (p, q) == (3, 0) and n >= 4 and n % 2 == 0:
-            return None
-        return f"formats (4,n) only carry H(3,2) at (4,2) and H(3,0) at even n >= 4; label is H({p},{q})"
-
-    def type_two_formats(p: int, q: int, m: int, n: int) -> str | None:
-        if n != 2:
-            return None
-        if (p, q) == (3, 2) and m == 4:
-            return None
-        if (p, q) == (1, 2) and m >= 6 and m % 2 == 0:
-            return None
-        return f"formats (m,2) only carry H(3,2) at (4,2) and H(1,2) at even m >= 6; label is H({p},{q})"
-
-    return {
-        "B": (
-            ("B-m-min", b_m_min, f"{CITE_AV12}; {CITE_B84}"),
-            ("B-gorenstein-excluded", b_gorenstein, f"{CITE_BE77}; {CITE_AV12}"),
-            ("B-type-two-parity", b_type_two_parity, CITE_B84),
-            ("B-m5-needs-n2", b_m5, CITE_CVW20),
-        ),
-        "C3": (("C3-format", c3_format, CITE_W89),),
-        "T": (
-            ("T-m-min", t_m_min, CITE_AV12),
-            ("T-n-min", t_n_min, CITE_B84),
-            ("T-aci-parity", t_aci_parity, CITE_AV12),
-            ("T-n3-needs-m4", t_n3, CITE_CVW20),
-        ),
-        "G": (
-            ("G-gorenstein-duality", g_duality, f"{CITE_BE77}; {CITE_AV12}"),
-            ("G-gorenstein-parity", g_parity, CITE_BE77),
-            ("G-gorenstein-min", g_min, CITE_AV12),
-        ),
-        "H": (
-            ("H-format-min", format_min, f"{CITE_AV12}; {CITE_CVW17}"),
-            ("H-n-equals-p", n_equals_p, f"{CITE_AV12}; {CITE_CVW20}"),
-            ("H-m-equals-q-plus-3", m_equals_q3, f"{CITE_AV12}; {CITE_CVW20}"),
-            ("H-p-exceeds-bound", p_bound, CITE_AV12),
-            ("H-q-exceeds-bound", q_bound, CITE_AV12),
-            ("H-m-below-p-or-q", m_lower, CITE_AV12),
-            ("H-n-below-p-or-q", n_lower, CITE_AV12),
-            ("H-row-p-minus-1-corner", row_p_minus_1, CITE_AV12),
-            ("H-col-q-plus-2-corner", col_q_plus_2, CITE_AV12),
-            ("H-q-equals-m-minus-2", q_m_minus_2, CITE_AV12),
-            ("H-row-p-plus-1-parity", row_p_plus_1_parity, CITE_CVW20),
-            ("H-col-q-plus-4-parity", col_q_plus_4_parity, CITE_CVW20),
-            ("H-boundary-p-window", boundary_p_window, f"{CITE_CVW20}; {CITE_AV12}"),
-            ("H-boundary-q-window", boundary_q_window, f"{CITE_CVW20}; {CITE_AV12}"),
-            ("H-aci-format-classes", aci_formats, CITE_AV12),
-            ("H-type-two-format-classes", type_two_formats, CITE_B84),
-        ),
-    }
+# One generator per class tag.  Each reads the label's two parameter slots and
+# the format, ``(a, b, m, n)`` with ``a = r`` for G, ``(a, b) = (p, q)`` for H
+# and both zero otherwise, and yields every rule the label breaks, in a fixed
+# order: one ``if`` per rule, stating its id, condition, detail and citation.
+_Rules = Callable[[int, int, int, int], Iterator[RuleViolation]]
 
 
-_OBSTRUCTIONS = _obstructions()
+def _b_rules(a: int, b: int, m: int, n: int) -> Iterator[RuleViolation]:
+    if m < 5:
+        yield RuleViolation("B-m-min", f"class B needs m >= 5; m = {m}", f"{CITE_AV12}; {CITE_B84}")
+    if n < 2:
+        detail = "Gorenstein formats (n = 1) carry only classes C(3) and G(r)"
+        yield RuleViolation("B-gorenstein-excluded", detail, f"{CITE_BE77}; {CITE_AV12}")
+    if n == 2 and m % 2 == 0:
+        yield RuleViolation("B-type-two-parity", f"formats (m,2) carry class B only for odd m; m = {m}", CITE_B84)
+    if m == 5 and n >= 3:
+        yield RuleViolation("B-m5-needs-n2", f"class B at m = 5 occurs only for n = 2; n = {n}", CITE_CVW20)
+
+
+def _c3_rules(a: int, b: int, m: int, n: int) -> Iterator[RuleViolation]:
+    if (m, n) != (3, 1):
+        detail = f"class C(3) is the complete intersection and occurs only in format (3,1); format is ({m},{n})"
+        yield RuleViolation("C3-format", detail, CITE_W89)
+
+
+def _t_rules(a: int, b: int, m: int, n: int) -> Iterator[RuleViolation]:
+    if m < 4:
+        yield RuleViolation("T-m-min", f"class T needs m >= 4; m = {m}", CITE_AV12)
+    if n < 3:
+        yield RuleViolation("T-n-min", f"class T needs n >= 3; n = {n}", CITE_B84)
+    if m == 4 and n >= 3 and n % 2 == 0:
+        yield RuleViolation("T-aci-parity", f"formats (4,n) carry class T only for odd n; n = {n}", CITE_AV12)
+    if m >= 5 and n == 3:
+        yield RuleViolation("T-n3-needs-m4", f"class T at n = 3 occurs only for m = 4; m = {m}", CITE_CVW20)
+
+
+# Outside Gorenstein formats (n = 1) no obstruction to G(r) is known.
+def _g_rules(r: int, b: int, m: int, n: int) -> Iterator[RuleViolation]:
+    if n == 1 and m != r:
+        detail = f"Gorenstein formats force r = m by Poincare duality; r = {r}, m = {m}"
+        yield RuleViolation("G-gorenstein-duality", detail, f"{CITE_BE77}; {CITE_AV12}")
+    if n == 1 and r % 2 == 0:
+        detail = f"Gorenstein ideals of grade 3 have odd minimal generation; r = {r}"
+        yield RuleViolation("G-gorenstein-parity", detail, CITE_BE77)
+    if n == 1 and r < 5:
+        detail = f"format ({m},1) with m < 5 carries only class C(3); r = {r}"
+        yield RuleViolation("G-gorenstein-min", detail, CITE_AV12)
+
+
+# Class H: format bounds, corner identities, parity windows, families.
+def _h_rules(p: int, q: int, m: int, n: int) -> Iterator[RuleViolation]:
+    if m < 4 or n < 2:
+        detail = f"class H needs m >= 4 and n >= 2; format is ({m},{n})"
+        yield RuleViolation("H-format-min", detail, f"{CITE_AV12}; {CITE_CVW17}")
+    if n == p:
+        yield RuleViolation("H-n-equals-p", f"n = p = {p} is excluded", f"{CITE_AV12}; {CITE_CVW20}")
+    if m == q + 3:
+        yield RuleViolation("H-m-equals-q-plus-3", f"m = q + 3 = {m} is excluded", f"{CITE_AV12}; {CITE_CVW20}")
+    if p > max(m - 1, n + 1):
+        yield RuleViolation("H-p-exceeds-bound", f"p = {p} exceeds max(m-1, n+1) = {max(m - 1, n + 1)}", CITE_AV12)
+    if q > max(m - 2, n):
+        yield RuleViolation("H-q-exceeds-bound", f"q = {q} exceeds max(m-2, n) = {max(m - 2, n)}", CITE_AV12)
+    if m < p + 1 or m < q + 2:
+        detail = f"m = {m} is below max(p+1, q+2) = {_decimal(max(p + 1, q + 2))}"
+        yield RuleViolation("H-m-below-p-or-q", detail, CITE_AV12)
+    if n < p - 1 or n < q:
+        yield RuleViolation("H-n-below-p-or-q", f"n = {n} is below max(p-1, q) = {max(p - 1, q)}", CITE_AV12)
+    if n == p - 1 and not (m == p + 1 and m == q + 2):
+        detail = f"n = p - 1 requires the corner m = p + 1 = q + 2; format is ({m},{n})"
+        yield RuleViolation("H-row-p-minus-1-corner", detail, CITE_AV12)
+    if m == q + 2 and not (n == q and p == n + 1):
+        detail = f"m = q + 2 requires the corner n = q, p = n + 1; label is H({p},{q})"
+        yield RuleViolation("H-col-q-plus-2-corner", detail, CITE_AV12)
+    if q == m - 2 and p != n + 1:
+        detail = f"q = m - 2 requires p = n + 1 = {_decimal(n + 1)}; p = {p}"
+        yield RuleViolation("H-q-equals-m-minus-2", detail, CITE_AV12)
+    if n == p + 1 and (q - (m - 4)) % 2 != 0:
+        detail = f"n = p + 1 requires q == m - 4 (mod 2); q = {q}, m - 4 = {m - 4}"
+        yield RuleViolation("H-row-p-plus-1-parity", detail, CITE_CVW20)
+    if m == q + 4 and (p - (n - 1)) % 2 != 0:
+        detail = f"m = q + 4 requires p == n - 1 (mod 2); p = {p}, n - 1 = {n - 1}"
+        yield RuleViolation("H-col-q-plus-4-parity", detail, CITE_CVW20)
+    if p == n - 1 and (q > m - 4 or (q - (m - 4)) % 2 != 0):
+        detail = f"p = n - 1 requires q <= m - 4 with q == m - 4 (mod 2); q = {q}"
+        yield RuleViolation("H-boundary-p-window", detail, f"{CITE_CVW20}; {CITE_AV12}")
+    if q == m - 4 and (p > n - 1 or (p - (n - 1)) % 2 != 0):
+        detail = f"q = m - 4 requires p <= n - 1 with p == n - 1 (mod 2); p = {p}"
+        yield RuleViolation("H-boundary-q-window", detail, f"{CITE_CVW20}; {CITE_AV12}")
+    if m == 4 and not (((p, q) == (3, 2) and n == 2) or ((p, q) == (3, 0) and n >= 4 and n % 2 == 0)):
+        detail = f"formats (4,n) only carry H(3,2) at (4,2) and H(3,0) at even n >= 4; label is H({p},{q})"
+        yield RuleViolation("H-aci-format-classes", detail, CITE_AV12)
+    if n == 2 and not (((p, q) == (3, 2) and m == 4) or ((p, q) == (1, 2) and m >= 6 and m % 2 == 0)):
+        detail = f"formats (m,2) only carry H(3,2) at (4,2) and H(1,2) at even m >= 6; label is H({p},{q})"
+        yield RuleViolation("H-type-two-format-classes", detail, CITE_B84)
+
+
+_OBSTRUCTIONS: dict[str, _Rules] = {"B": _b_rules, "C3": _c3_rules, "T": _t_rules, "G": _g_rules, "H": _h_rules}
 
 # Whether a cell that breaks no rule is realized (PERMISSIBLE) rather than only
 # consistent with the known necessary conditions (UNKNOWN_NECESSARY_ONLY).
@@ -276,28 +196,24 @@ def _unknown_tag(tag: str) -> NoReturn:
 def _excluded(tag: str, a: int, b: int, m: int, n: int) -> bool:
     """Whether :func:`_verdict` is NOT_PERMISSIBLE, without building a verdict.
 
-    Reads the same obstruction table and stops at the first broken rule.  The
+    Runs the same rules of the tag and stops at the first one broken.  The
     planner asks it about each new rule output, without building the label
     and format, and leaves a refused one out of its graph.
     """
-    for _, check, _ in _OBSTRUCTIONS.get(tag) or _unknown_tag(tag):
-        if check(a, b, m, n) is not None:
-            return True
+    for _ in (_OBSTRUCTIONS.get(tag) or _unknown_tag(tag))(a, b, m, n):
+        return True
     return False
 
 
 def _verdict(tag: str, a: int, b: int, m: int, n: int) -> PermissibilityVerdict:
     """The verdict of the label with this tag and slots in format ``(m, n)``.
 
-    Reads integers, like :func:`_excluded`, the yes/no form the planner asks.
+    Collects every rule the tag's function yields; reads integers, like
+    :func:`_excluded`, the yes/no form the planner asks.
     """
-    violations = []
-    for rule_id, check, cite in _OBSTRUCTIONS.get(tag) or _unknown_tag(tag):
-        detail = check(a, b, m, n)
-        if detail is not None:
-            violations.append(RuleViolation(rule_id, detail, cite))
+    violations = tuple((_OBSTRUCTIONS.get(tag) or _unknown_tag(tag))(a, b, m, n))
     if violations:
-        return PermissibilityVerdict(Status.NOT_PERMISSIBLE, tuple(violations))
+        return PermissibilityVerdict(Status.NOT_PERMISSIBLE, violations)
     return _PERMISSIBLE if _REALIZED_WHEN_CLEAN[tag](a, b, m, n) else _UNKNOWN
 
 

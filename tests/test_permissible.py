@@ -136,9 +136,9 @@ def test_opaque_label_is_refused_as_an_invalid_label():
 
 
 def test_exclusion_test_agrees_with_the_verdict():
-    # The planner's yes/no test reads the same table as the verdict: on every
+    # The planner's yes/no test runs the same rules as the verdict: on every
     # tag, on slots 0..17 and on every format up to (16,16), it holds exactly
-    # when the verdict is NOT_PERMISSIBLE.  Every rule of the table is broken
+    # when the verdict is NOT_PERMISSIBLE.  Each of the 28 rules is broken
     # somewhere on this grid.  The opaque tag is refused by both.
     slots = {
         "B": [(0, 0)],
@@ -157,7 +157,36 @@ def test_exclusion_test_agrees_with_the_verdict():
                     want = verdict.status is Status.NOT_PERMISSIBLE
                     assert permissible._excluded(tag, a, b, m, n) is want, (tag, a, b, m, n)
                     broken.update(v.rule for v in verdict.violations)
-    assert broken == {rule for rules in permissible._OBSTRUCTIONS.values() for rule, _, _ in rules}
+    assert broken == {
+        "B-m-min",
+        "B-gorenstein-excluded",
+        "B-type-two-parity",
+        "B-m5-needs-n2",
+        "C3-format",
+        "T-m-min",
+        "T-n-min",
+        "T-aci-parity",
+        "T-n3-needs-m4",
+        "G-gorenstein-duality",
+        "G-gorenstein-parity",
+        "G-gorenstein-min",
+        "H-format-min",
+        "H-n-equals-p",
+        "H-m-equals-q-plus-3",
+        "H-p-exceeds-bound",
+        "H-q-exceeds-bound",
+        "H-m-below-p-or-q",
+        "H-n-below-p-or-q",
+        "H-row-p-minus-1-corner",
+        "H-col-q-plus-2-corner",
+        "H-q-equals-m-minus-2",
+        "H-row-p-plus-1-parity",
+        "H-col-q-plus-4-parity",
+        "H-boundary-p-window",
+        "H-boundary-q-window",
+        "H-aci-format-classes",
+        "H-type-two-format-classes",
+    }
     for ask in (permissible._verdict, permissible._excluded):
         with pytest.raises(InvalidLabel, match=r"^unknown class tag '\*'$"):
             ask(OPAQUE.tag, 0, 0, 6, 3)

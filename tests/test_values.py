@@ -16,9 +16,12 @@ from grade3 import (
     InvalidLabel,
     LinkSpec,
     OpaqueLabel,
+    UnsupportedProfile,
+    UnsupportedSpec,
     apply_rule,
     arranged_presentation,
     atlas_grid,
+    betti_after_link,
     boundary_classes,
     canonical_presentation,
     class_G,
@@ -143,12 +146,21 @@ def test_only_the_listed_dataclasses_remain():
         (arranged_presentation, (CLASS_T, (4, 3), "T-A"), InvalidFormat, "(4, 3)"),
         (apply_rule, ("linkT-i", "T", make_format(4, 3)), InvalidLabel, "'T'"),
         (apply_rule, ("linktoT", OPAQUE, "(4,3)"), InvalidFormat, "'(4,3)'"),
+        (link_option_format, (make_format(4, 3), (1, 0, 0)), UnsupportedProfile, "(1, 0, 0)"),
+        (
+            mapping_cone_presentation,
+            (canonical_presentation(CLASS_T, make_format(4, 3)), (1, 0, 0)),
+            UnsupportedSpec,
+            "(1, 0, 0)",
+        ),
+        (betti_after_link, (10, (1, 0, 0)), UnsupportedProfile, "(1, 0, 0)"),
     ],
     ids=lambda value: getattr(value, "__name__", ""),
 )
 def test_public_functions_refuse_a_wrong_argument_type(function, args, error, shown):
     # A plain tuple equals a Format, and a tag string names a label, but
-    # neither is one: each is refused with a Grade3Error that shows it.
+    # neither is one, nor is a tuple a rank profile: each is refused with a
+    # Grade3Error that shows it.
     with pytest.raises(error) as exc:
         function(*args)
     assert str(exc.value).endswith(f", got {shown}")
