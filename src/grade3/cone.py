@@ -43,9 +43,10 @@ the step table the planner searches with.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Mapping, NamedTuple
 
-from .errors import OutOfDomain, Phi2Mismatch, UnsupportedSpec, _decimal, _require_ints
+from .errors import DimensionMismatch, OutOfDomain, Phi2Mismatch, UnsupportedSpec, _decimal, _require_ints, _shown
 from .exact import sparse_rank
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
 from .linkrules import RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile, State, _rule_outputs, _unsupported_row
@@ -97,10 +98,19 @@ class LinkedPresentation(NamedTuple):
 def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPresentation:
     """Simulate one link of a (valid) multiplication table along a profile row.
 
+    The split vectors, the index maps, the surviving Koszul products and the
+    symbolic slots depend on the format and the row alone.  They are worked
+    out before any product, once per (format, row) while consecutive links
+    share it, and the maps are copied into each result, which owns every
+    dict it holds; then each product term of the input is written once,
+    straight to its output index.
+
     Like :func:`~grade3.presentation.classify`, it needs a table that
-    :func:`~grade3.presentation.validate_presentation` accepts, and does not
-    check: ``TorPresentation(4, 3, {}, {(1, 99): {1: 1}})`` (f index 99 with
-    m+n-1 = 6) ends in a bare ``KeyError`` instead of a refusal.
+    :func:`~grade3.presentation.validate_presentation` accepts, and checks
+    only that every index a product term is read through lies in a kept
+    basis: ``TorPresentation(4, 3, {}, {(1, 99): {1: 1}})`` (f index 99 with
+    m+n-1 = 6) raises :class:`DimensionMismatch`, naming the index and the
+    format.  Other invalid tables are not checked, and what they give is unspecified.
 
     Raises :class:`UnsupportedSpec` for rows outside
     :data:`~grade3.linkrules.SUPPORTED_PROFILES`, worded by
@@ -138,6 +148,75 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
     if t2:
         raise UnsupportedSpec(f"the products among e_1..e_{t1} have rank {t2}: the table needs row ({t1},{t2},0)")
 
+    e_map, f_map, g_map, koszul, splits, symbolic = _frame(m, n, t1, phi2)
+
+    # Every term is written once, straight to its output index.  No two terms
+    # land on the same coefficient, so nothing accumulates or cancels: an E.E
+    # key (g_i, n+a) has g_i <= n while both Koszul indices exceed n, an E.F
+    # key (n+x, l) starts above n while a unit-case key (g_i, m+n+2) does not,
+    # and within each family every (key, coordinate) comes from a distinct
+    # input coefficient.  A term landing on a split vector, or on an index
+    # outside the format, has no entry in the maps: its lookup raises
+    # KeyError, refused below as DimensionMismatch.  Zero coefficients (a
+    # hand-built table may hold them) are skipped, so none is stored.
+    out_ee: dict[tuple[int, int], dict[int, int]] = {pair: {target: 1} for pair, target in koszul}
+    out_ef: dict[tuple[int, int], dict[int, int]] = {}
+    lo = 2 if phi2 else 1
+    try:
+        # Products of a designated generator with a degree-1 vector:
+        # E_{n+a} E_i = sum_k <e_a f_k, g_i*> F_k, stored at (i, n+a) with the
+        # graded-commutativity sign.
+        for (ei, fl), vec in a.ef.items():
+            if ei <= t1 and fl >= lo:
+                for gi, coeff in vec.items():
+                    if coeff:
+                        out_ee.setdefault((e_map[gi], e_map[n + ei]), {})[f_map[fl]] = -coeff
+
+        # Products of a designated generator with a degree-2 vector:
+        # E_{n+a} F_l = sum_{k > t1} <e_a e_k, f_l*> G_k.
+        for (x, y), vec in a.ee.items():
+            if x <= t1 < y:
+                for fl, coeff in vec.items():
+                    if coeff and fl >= lo:
+                        out_ef.setdefault((e_map[n + x], f_map[fl]), {})[g_map[y]] = coeff
+
+        # Unit-product case only: E_i F_{m+n+2} = sum_{k > 2} <f_1 e_k, g_i*> G_k.
+        if phi2:
+            for (ek, fl), vec in a.ef.items():
+                if fl == 1 and ek >= 3:
+                    for gi, coeff in vec.items():
+                        if coeff:
+                            out_ef.setdefault((e_map[gi], f_map[m + n + 2]), {})[g_map[ek]] = coeff
+    except KeyError as missing:
+        raise DimensionMismatch(
+            f"a product names index {_shown(missing.args[0])}, which is outside the bases "
+            f"of a table in format ({_decimal(m)},{_decimal(n)})"
+        ) from None
+
+    return LinkedPresentation(
+        presentation=TorPresentation(len(e_map), len(g_map), out_ee, out_ef),
+        splits=splits,
+        index_map={"E": dict(e_map), "F": dict(f_map), "G": dict(g_map)},
+        symbolic_products=symbolic,
+    )
+
+
+# One frame is kept.  The replay links one (rule, format) at a time, so it
+# serves every later table of that format and row.  A larger memo would only
+# keep more frames alive after their results are dropped, each up to the
+# cone's MAX_DOCUMENT_CELLS size check, and so add to peak memory.
+@lru_cache(maxsize=1)
+def _frame(m: int, n: int, t1: int, phi2: bool) -> tuple:
+    """What a link of a table in format ``(m, n)`` along the row
+    ``(t1, 1 if phi2 else 0, 0)`` builds from the row and format alone.
+
+    Returns ``(e_map, f_map, g_map, koszul, splits, symbolic)``: the maps from
+    kept raw indices to consecutive ones per degree, the surviving Koszul
+    products among ``u_1 .. u_3`` as ``((i, j), target)`` in output indices,
+    the split basis vectors and the symbolic slots.  The result is memoized
+    and shared, so :func:`mapping_cone_presentation` copies the maps into
+    each result and never writes to them.
+    """
     # The split vectors are runs at known ends: G_1..G_t1, F_{m+n}..F_{m+n+t1-1}
     # and, in the unit case, F_1 and E_{n+3}.  So each kept basis is a range,
     # or the concatenation of two.
@@ -147,64 +226,26 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
     e_map = dict(zip(e_keep, range(1, len(e_keep) + 1)))
     f_map = dict(zip(f_keep, range(1, len(f_keep) + 1)))
     g_map = dict(zip(g_keep, range(1, len(g_keep) + 1)))
-    m_out, n_out = len(e_keep), len(g_keep)
-    if len(f_keep) != m_out + n_out - 1:
+    if len(f_keep) != len(e_keep) + len(g_keep) - 1:
         raise AssertionError("split bookkeeping lost the middle-rank identity")
 
-    # Every term is written once, straight to its output index.  No two terms
-    # land on the same coefficient, so nothing accumulates or cancels: an E.E
-    # key (g_i, n+a) has g_i <= n while both Koszul indices exceed n, an E.F
-    # key (n+x, l) starts above n while a unit-case key (g_i, m+n+2) does not,
-    # and within each family every (key, coordinate) comes from a distinct
-    # input coefficient.  A term landing on a split vector has no entry in
-    # the maps, so its lookup raises KeyError.  Zero coefficients (a
-    # hand-built table may hold them) are skipped, so none is stored.
-    out_ee: dict[tuple[int, int], dict[int, int]] = {}
-    out_ef: dict[tuple[int, int], dict[int, int]] = {}
-
     # Koszul products among the designated generators, minus split targets.
-    for (x, y), target in (
-        ((n + 1, n + 2), m + n + 2),
-        ((n + 1, n + 3), m + n + 1),
-        ((n + 2, n + 3), m + n),
-    ):
-        if x in e_map and y in e_map and target in f_map:
-            out_ee[(e_map[x], e_map[y])] = {f_map[target]: 1}
+    koszul = tuple(
+        ((e_map[x], e_map[y]), f_map[target])
+        for (x, y), target in (
+            ((n + 1, n + 2), m + n + 2),
+            ((n + 1, n + 3), m + n + 1),
+            ((n + 2, n + 3), m + n),
+        )
+        if x in e_map and y in e_map and target in f_map
+    )
 
-    # Products of a designated generator with a degree-1 vector:
-    # E_{n+a} E_i = sum_k <e_a f_k, g_i*> F_k, stored at (i, n+a) with the
-    # graded-commutativity sign.
-    lo = 2 if phi2 else 1
-    for (ei, fl), vec in a.ef.items():
-        if ei <= t1 and fl >= lo:
-            for gi, coeff in vec.items():
-                if coeff:
-                    out_ee.setdefault((e_map[gi], e_map[n + ei]), {})[f_map[fl]] = -coeff
-
-    # Products of a designated generator with a degree-2 vector:
-    # E_{n+a} F_l = sum_{k > t1} <e_a e_k, f_l*> G_k.
-    for (x, y), vec in a.ee.items():
-        if x <= t1 < y:
-            for fl, coeff in vec.items():
-                if coeff and fl >= lo:
-                    out_ef.setdefault((e_map[n + x], f_map[fl]), {})[g_map[y]] = coeff
-
-    # Unit-product case only: E_i F_{m+n+2} = sum_{k > 2} <f_1 e_k, g_i*> G_k.
-    if phi2:
-        for (ek, fl), vec in a.ef.items():
-            if fl == 1 and ek >= 3:
-                for gi, coeff in vec.items():
-                    if coeff:
-                        out_ef.setdefault((e_map[gi], f_map[m + n + 2]), {})[g_map[ek]] = coeff
-
-    symbolic: list[tuple[str, int, int]] = []
+    symbolic: tuple[tuple[str, int, int], ...] = ()
     if t1 == 3:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                symbolic.append(("EE", i, j))
-        for i in range(1, n + 1):
-            for l in range(1, m + n):
-                symbolic.append(("EF", i, l))
+        symbolic = (
+            *(("EE", i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
+            *(("EF", i, l) for i in range(1, n + 1) for l in range(1, m + n)),
+        )
 
     splits = (
         *[f"G{i}" for i in range(1, t1 + 1)],
@@ -212,12 +253,7 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
         *[f"F{m + n + k}" for k in range(t1)],
         *([f"E{n + 3}"] if phi2 else []),
     )
-    return LinkedPresentation(
-        presentation=TorPresentation(m_out, n_out, out_ee, out_ef),
-        splits=splits,
-        index_map={"E": e_map, "F": f_map, "G": g_map},
-        symbolic_products=tuple(symbolic),
-    )
+    return e_map, f_map, g_map, koszul, splits, symbolic
 
 
 def linked_to_document(lp: LinkedPresentation) -> dict:

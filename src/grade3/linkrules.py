@@ -146,10 +146,10 @@ def link_option_format(fmt: Format, profile: RankProfile) -> Format:
 def betti_after_link(b: int, profile: RankProfile) -> int:
     """Total Betti number after linking: ``b + 6 - 2*t1 - 2*t2 - t3``.
 
-    Raises :class:`UnsupportedProfile` when ``profile`` is not a
-    :class:`RankProfile`.
+    Raises :class:`UnsupportedProfile` outside the supported rows, as
+    :func:`link_option_format` does.
     """
-    if not isinstance(profile, RankProfile):
+    if profile not in SUPPORTED_PROFILES:
         raise UnsupportedProfile(_unsupported_row(profile))
     if not isinstance(b, int) or isinstance(b, bool) or b < 0:
         raise InvalidFormat(f"betti number must be a non-negative integer, got {_shown(b)}")

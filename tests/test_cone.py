@@ -12,6 +12,7 @@ import pytest
 from grade3 import (
     CLASS_B,
     CLASS_T,
+    DimensionMismatch,
     LinkSpec,
     OutOfDomain,
     Phi2Mismatch,
@@ -216,6 +217,20 @@ def test_refused_rows_say_what_was_refused():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "ee, ef, index",
+    [
+        ({}, {(1, 99): {1: 1}}, 99),  # an f index above m+n-1 = 6
+        ({(1, 9): {1: 1}}, {}, 9),  # an e index above m = 4, read as a g index
+        ({}, {(1, 2): {50: 1}}, 50),  # a g coordinate above n = 3, read as an e index
+    ],
+)
+def test_an_index_outside_the_format_is_refused(ee, ef, index):
+    with pytest.raises(DimensionMismatch) as exc:
+        mapping_cone_presentation(TorPresentation(4, 3, ee, ef), LinkSpec(1))
+    assert str(exc.value) == f"a product names index {index}, which is outside the bases of a table in format (4,3)"
+
+
 def test_phi2_needs_unit_product():
     # Canonical T has e_1 e_2 = f_3, not f_1.
     table = canonical_presentation(CLASS_T, make_format(4, 3))
@@ -417,6 +432,44 @@ def test_theorem_sweep_tables_and_links_are_pinned():
             count += 1
     assert count == 11060
     assert digest.hexdigest() == "e91a37abf21c6bfb691bf63f4be0e43909bf9bd5c267413a769f3a14c6c609fe"
+
+
+def test_theorem_sweep_links_in_a_shuffled_order_match_the_pin():
+    # The cone keeps the frame of the last (format, row) it linked: index
+    # maps, splits, Koszul products and symbolic slots.  Linked in a seeded
+    # shuffled order, nearly every call changes format or row and evicts the
+    # frame; the outputs must still hash to the sweep's pin, in sweep order.
+    links = [(rule, label, fmt, table) for rule, tables in _sweep(10, 8) for label, fmt, table, _ in tables]
+    order = list(range(len(links)))
+    random.Random(20261019).shuffle(order)
+    docs = [None] * len(links)
+    cone._frame.cache_clear()
+    for i in order:
+        rule, _, _, table = links[i]
+        docs[i] = linked_to_document(mapping_cone_presentation(table, rule.profile))
+    assert cone._frame.cache_info().misses > 10000
+    digest = hashlib.sha256()
+    for (rule, label, fmt, table), doc in zip(links, docs):
+        row = [rule.rule_id, str(label), str(fmt), presentation_to_document(table), doc]
+        digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
+    assert len(links) == 11060
+    assert digest.hexdigest() == "e91a37abf21c6bfb691bf63f4be0e43909bf9bd5c267413a769f3a14c6c609fe"
+
+
+def test_linked_results_own_their_maps_and_products():
+    # A caller may edit what it is handed; the next link of the same table
+    # along the same row, which reuses the memoized frame, must not see it.
+    table = canonical_presentation(CLASS_B, make_format(5, 2))
+    first = mapping_cone_presentation(table, LinkSpec(1))
+    pristine = linked_to_document(first)
+    first.index_map["F"][1] = 99
+    del first.index_map["F"][2]
+    koszul = first.presentation.ee[(3, 4)]  # E_{n+1} E_{n+2} = F_{m+n+2}, F_8 after the split
+    koszul[8] = 7
+    koszul[1] = 1
+    again = mapping_cone_presentation(table, LinkSpec(1))
+    assert linked_to_document(again) == pristine
+    assert again.presentation.ee[(3, 4)] == {8: 1}
 
 
 _COEFFS = (-3, -1, 1, 2, 5)

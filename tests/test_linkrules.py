@@ -71,6 +71,14 @@ def test_betti_after_link():
         betti_after_link(-1, RankProfile(0, 0, 0))
     with pytest.raises(InvalidFormat):
         betti_after_link(True, RankProfile(0, 0, 0))
+    # Rows outside the supported table are refused, worded as link_option_format words them.
+    for b, row, message in (
+        (0, RankProfile(9, 0, 0), "link spec (t1=9, phi2_unit=False) is not supported"),
+        (4, RankProfile(3, 3, 3), "rank profile (3, 3, 3) is outside the supported table"),
+    ):
+        with pytest.raises(UnsupportedProfile) as exc:
+            betti_after_link(b, row)
+        assert str(exc.value) == message
 
 
 @given(
@@ -207,7 +215,9 @@ def test_apply_rule_degenerate_output():
 def test_rulebook_consistency_against_profile_table():
     # Every rule moves formats by its row's formula (m, n) -> (n+3-t2, m-t1),
     # which is link_option_format's on the supported rows, on every state it
-    # accepts, and the total Betti number follows the row.
+    # accepts, and the total Betti number follows the row: by the formula on
+    # every row, and through betti_after_link on the supported ones (it
+    # refuses ext-CVW33's row (3,1,0), as link_option_format does).
     for rule_id in RULE_ORDER:
         rule = RULES[rule_id]
         t1, t2, t3 = rule.profile.as_tuple()
@@ -221,9 +231,10 @@ def test_rulebook_consistency_against_profile_table():
                         continue
                     out_fmt = apply_rule(rule_id, label, fmt).output_state[1]
                     assert out_fmt == make_format(n + 3 - t2, m - t1), (rule_id, str(label), str(fmt))
+                    assert betti_total(out_fmt) == betti_total(fmt) + 6 - 2 * t1 - 2 * t2 - t3
                     if rule.profile in SUPPORTED_PROFILES:
                         assert out_fmt == link_option_format(fmt, rule.profile), (rule_id, str(label), str(fmt))
-                    assert betti_total(out_fmt) == betti_after_link(betti_total(fmt), rule.profile)
+                        assert betti_total(out_fmt) == betti_after_link(betti_total(fmt), rule.profile)
                     accepted += 1
         assert accepted > 0, rule_id
 
