@@ -16,10 +16,12 @@ import grade3
 from grade3 import (
     CLASS_B,
     CLASS_T,
+    DimensionMismatch,
     canonical_presentation,
     make_format,
     presentation_to_document,
 )
+from grade3 import cone
 from grade3.cli import main
 from grade3.linkrules import _STEPS
 from grade3.permissible import MAX_ATLAS_CELLS
@@ -350,6 +352,30 @@ def test_verify_theorems_reports_a_failing_rule(monkeypatch, capsys):
     assert lines[fail + 1].startswith("  ") and "expected H(1,2)" in lines[fail + 1]
     assert any(line.startswith("linkT-i: ok (checked=") for line in lines)
     assert lines[-1] == "FAILED"
+
+
+def test_verify_theorems_reports_a_refused_link_and_goes_on(monkeypatch, capsys):
+    # The cone refuses the sweep's fifth link: that row fails, worded with the
+    # refusal, and every rule is still replayed and printed as before.
+    assert main(["verify-theorems", "--m-max", "6", "--n-max", "4"]) == 0
+    clean = capsys.readouterr().out.splitlines()
+    assert (len(clean), clean[0]) == (13, "linktoT: ok (checked=282)")
+    link, calls = cone.mapping_cone_presentation, [0]
+
+    def refuse_fifth(table, row):
+        calls[0] += 1
+        if calls[0] == 5:
+            raise DimensionMismatch("planted refusal")
+        return link(table, row)
+
+    monkeypatch.setattr(cone, "mapping_cone_presentation", refuse_fifth)
+    assert main(["verify-theorems", "--m-max", "6", "--n-max", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "linktoT: FAIL (checked=282)",
+        "  G(4) at (4,1): link refused: planted refusal",
+        *clean[1:-1],
+        "FAILED",
+    ]
 
 
 def test_verify_theorems_domain_guard(capsys):

@@ -417,6 +417,73 @@ def test_theorem_replay_words_h_v_and_validation_failures(monkeypatch):
         assert all(re.fullmatch(invalid, line) for line in res.failures), res.scenario
 
 
+def _counted_classify(monkeypatch):
+    """Count the replay's calls to ``classify``, H-v checks included."""
+    calls = [0]
+
+    def counted(table):
+        calls[0] += 1
+        return classify(table)
+
+    monkeypatch.setattr(cone, "classify", counted)
+    return calls
+
+
+def test_theorem_replay_classifies_each_run_of_equal_outputs_once(monkeypatch):
+    # The replay classifies a valid output only when it differs from the
+    # rule's previous classified one; the H-v rows are all classified.
+    # Counted here from the sweep and the cone alone.
+    expected = rows = 0
+    for rule, tables in _sweep(6, 4):
+        previous = None
+        for _, _, table, _ in tables:
+            out = mapping_cone_presentation(table, rule.profile).presentation
+            assert validate_presentation(out) == ()
+            expected += rule.witness == "H-v" or out != previous
+            previous = out
+            rows += 1
+    assert (expected, rows) == (498, 1110)
+    calls = _counted_classify(monkeypatch)
+    report = verify_linkage_theorems(6, 4)
+    assert report.all_passed
+    assert sum(res.checked for res in report.results) == rows
+    assert calls[0] == expected
+
+
+def test_theorem_replay_reclassifies_a_different_output_in_a_run(monkeypatch):
+    # linkH-i links every input at a format to one table.  At (6,4) the
+    # output of H(3,2), in the middle of that run, loses its ef product: a
+    # valid table of the same format and another class.  It must fail alone;
+    # H(3,3) after it must be classified again, and H(3,4), a fresh table
+    # equal to H(3,3)'s, passes on H(3,3)'s class.
+    sweep, link = cone._sweep, cone.mapping_cone_presentation
+    planted = []
+
+    def marked(rule, tables):
+        for label, fmt, table, expected in tables:
+            if rule.rule_id == "linkH-i" and (label, fmt) == (class_H(3, 2), make_format(6, 4)):
+                planted.append(table)
+            yield label, fmt, table, expected
+
+    def perturbed(table, row):
+        lp = link(table, row)
+        if planted and table is planted[0]:
+            return lp._replace(presentation=lp.presentation._replace(ef={}))
+        return lp
+
+    monkeypatch.setattr(cone, "_sweep", lambda m, n: ((rule, marked(rule, tables)) for rule, tables in sweep(m, n)))
+    calls = _counted_classify(monkeypatch)
+    monkeypatch.setattr(cone, "mapping_cone_presentation", perturbed)
+    report = verify_linkage_theorems(6, 4)
+    failures = {res.scenario: res.failures for res in report.results if res.failures}
+    (line,) = failures.pop("linkH-i")
+    assert line == "H(3,2) at (6,4): classified H(2,0), expected H(2,1)"
+    assert failures == {}
+    # Two calls more than the unperturbed replay's 498: the perturbed output
+    # and H(3,3)'s after it.
+    assert calls[0] == 498 + 2
+
+
 def test_theorem_sweep_tables_and_links_are_pinned():
     # Every input table of the verify_linkage_theorems(10, 8) sweep and its
     # mapping cone (products, splits, index maps, symbolic slots), recorded
