@@ -123,13 +123,14 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
 
     Raises :class:`UnsupportedSpec` for rows outside
     :data:`~grade3.linkrules.SUPPORTED_PROFILES`, worded by
-    :mod:`grade3.linkrules`, when the input has fewer than ``t1`` degree-1
-    generators, and, outside the unit-product case, when the products among
-    ``e_1 .. e_t1`` have a rank ``t2 > 0`` (the message names the row
-    ``(t1,t2,0)`` the table needs); :class:`Phi2Mismatch` when the
-    unit-product case is requested but ``e_1 e_2`` is not exactly ``f_1``;
-    and :class:`OutOfDomain`, before anything is built, when the raw bases
-    plus the symbolic slots would exceed
+    :mod:`grade3.linkrules`, when the input has at most ``t1`` degree-1
+    generators (the output would have ``m - t1 < 1`` of degree 3), and,
+    outside the unit-product case, when the products among ``e_1 .. e_t1``
+    have a rank ``t2 > 0`` (the message names the row ``(t1,t2,0)`` the
+    table needs); :class:`Phi2Mismatch` when the unit-product case is
+    requested but ``e_1 e_2`` is not exactly ``f_1``; and
+    :class:`OutOfDomain`, before anything is built, when the raw bases plus
+    the symbolic slots would exceed
     :data:`grade3.presentation.MAX_DOCUMENT_CELLS`.
     """
     if row not in SUPPORTED_PROFILES:
@@ -146,8 +147,8 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
             f"linking a table in format ({_decimal(m)},{_decimal(n)}) at t1 = {t1} would build "
             f"{_decimal(size)} basis vectors and symbolic slots; the limit is {MAX_DOCUMENT_CELLS}"
         )
-    if t1 > m:
-        raise UnsupportedSpec(f"spec designates {t1} generators but the table has only m = {_decimal(m)}")
+    if t1 >= m:
+        raise UnsupportedSpec(f"spec designates {t1} generators, so the link needs m > {t1}; got m = {_decimal(m)}")
     if phi2 and a.ee.get((1, 2)) != {1: 1}:
         raise Phi2Mismatch("unit-product case needs e_1 e_2 = f_1 exactly")
     # Outside the unit case t2 must be 0.  It is the rank of the products among

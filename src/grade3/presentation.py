@@ -441,83 +441,60 @@ def _pair(i: int, j: int) -> str:
     return f"({_decimal(i)},{_decimal(j)})"
 
 
-def _noted(found: list | None, field: str, pair: tuple, position: object, text: str) -> list:
-    """``found``, or a new list if it is None, with one more problem appended."""
-    if found is None:
-        found = []
-    found.append((field, pair, position, text))
-    return found
-
-
 def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
     """Every structural problem of a hand-built table, worded; empty means valid.
 
-    Checks that ``m`` and ``n`` are positive integers (if not, that alone is
-    reported), that every product key is a pair of integers in range, and the
-    range and integrality of every stored coordinate and coefficient, in one
-    unsorted pass that words each problem where it finds it; only a table with
-    problems is sorted.  Problems come ``ee`` before ``ef``: keys that are not
-    integer pairs first, in insertion order, then products in key order, each
-    with its key's range problems, then either its out-of-range coordinates by
-    coordinate or one line for non-integer entries.
+    Checks that ``m`` and ``n`` are positive and of type ``int`` exactly, so
+    not ``bool`` (if not, that alone is reported), that every product key is a
+    pair of integers in range, and the range and integrality of every stored
+    coordinate and coefficient, in one unsorted pass that words each problem
+    where it finds it; only a table with problems is sorted.  Problems come
+    ``ee`` before ``ef``: keys that are not integer pairs first, in insertion
+    order, then products in key order, each with its key's range problems,
+    then either its out-of-range coordinates by coordinate or one line for
+    non-integer entries.
     """
     m, n = a.m, a.n
-    m_bad, n_bad = not isinstance(m, int) or m < 1, not isinstance(n, int) or n < 1
-    if m_bad or n_bad:
-        named = (("m", m, m_bad), ("n", n, n_bad))
-        return tuple(f"{name} must be a positive integer, got {_shown(value)}" for name, value, bad in named if bad)
+    if type(m) is not int or type(n) is not int or m < 1 or n < 1:
+        bad = [(name, value) for name, value in (("m", m), ("n", n)) if type(value) is not int or value < 1]
+        return tuple(f"{name} must be a positive integer, got {_shown(value)}" for name, value in bad)
     d2 = m + n - 1
-    # Problems as (field, pair or (), position, text), made into a list at the first and
-    # sorted once at the end.  Keys that are not integer pairs share the pair () and are
-    # placed by the order found; within a pair, the key's range lines come at (0, 0) and
-    # (0, 1), then coordinate k's line at (1, k) or the one non-integer line at (1, 0).
-    found: list | None = None
-    for key, coords in a.ee.items():
-        try:
-            i, j = key
-        except (TypeError, ValueError):
-            i = j = None
-        if not (isinstance(i, int) and isinstance(j, int)):
-            found = _noted(found, "ee", (), len(found or ()), f"ee key {_shown(key)} is not a pair of integers")
-            continue
-        if not 1 <= i < j <= m:
-            text = f"ee key {_pair(i, j)} out of range: need 1 <= i < j <= m = {_decimal(m)}"
-            found = _noted(found, "ee", (i, j), (0, 0), text)
-        mark = len(found) if found else 0
-        for k, c in coords.items():
-            if not (isinstance(k, int) and isinstance(c, int)):
-                if found:
+    # Problems as (field, pair or (), position, text), sorted once at the end.  Keys that
+    # are not integer pairs share the pair () and are placed by the order found; within a
+    # pair, the key's range lines come at (0, 0) and (0, 1), then coordinate k's line at
+    # (1, k) or the one non-integer line at (1, 0).
+    found = []
+    for field, table, basis, size in (("ee", a.ee, "m+n-1", d2), ("ef", a.ef, "n", n)):
+        for key, coords in table.items():
+            try:
+                i, j = key
+            except (TypeError, ValueError):
+                i = j = None
+            if not (isinstance(i, int) and isinstance(j, int)):
+                found.append((field, (), len(found), f"{field} key {_shown(key)} is not a pair of integers"))
+                continue
+            if field == "ee":
+                if not 1 <= i < j <= m:
+                    text = f"ee key {_pair(i, j)} out of range: need 1 <= i < j <= m = {_decimal(m)}"
+                    found.append((field, (i, j), (0, 0), text))
+            else:  # an ef key (i, l)
+                if not 1 <= i <= m:
+                    text = f"ef key {_pair(i, j)} out of range: need 1 <= i <= m = {_decimal(m)}"
+                    found.append((field, (i, j), (0, 0), text))
+                if not 1 <= j <= d2:
+                    text = f"ef key {_pair(i, j)} out of range: need 1 <= l <= m+n-1 = {_decimal(d2)}"
+                    found.append((field, (i, j), (0, 1), text))
+            mark = len(found)
+            for k, c in coords.items():
+                if not (isinstance(k, int) and isinstance(c, int)):
                     del found[mark:]  # the coordinates already worded out of range
-                found = _noted(found, "ee", (i, j), (1, 0), f"ee[{_pair(i, j)}] has non-integer entries")
-                break
-            if not 1 <= k <= d2:
-                text = f"ee[{_pair(i, j)}] coordinate {_decimal(k)} out of range: need 1 <= k <= m+n-1 = {_decimal(d2)}"
-                found = _noted(found, "ee", (i, j), (1, k), text)
-    for key, coords in a.ef.items():
-        try:
-            i, l = key
-        except (TypeError, ValueError):
-            i = l = None
-        if not (isinstance(i, int) and isinstance(l, int)):
-            found = _noted(found, "ef", (), len(found or ()), f"ef key {_shown(key)} is not a pair of integers")
-            continue
-        if not 1 <= i <= m:
-            text = f"ef key {_pair(i, l)} out of range: need 1 <= i <= m = {_decimal(m)}"
-            found = _noted(found, "ef", (i, l), (0, 0), text)
-        if not 1 <= l <= d2:
-            text = f"ef key {_pair(i, l)} out of range: need 1 <= l <= m+n-1 = {_decimal(d2)}"
-            found = _noted(found, "ef", (i, l), (0, 1), text)
-        mark = len(found) if found else 0
-        for k, c in coords.items():
-            if not (isinstance(k, int) and isinstance(c, int)):
-                if found:
-                    del found[mark:]  # the coordinates already worded out of range
-                found = _noted(found, "ef", (i, l), (1, 0), f"ef[{_pair(i, l)}] has non-integer entries")
-                break
-            if not 1 <= k <= n:
-                text = f"ef[{_pair(i, l)}] coordinate {_decimal(k)} out of range: need 1 <= k <= n = {_decimal(n)}"
-                found = _noted(found, "ef", (i, l), (1, k), text)
-    if found is None:
+                    found.append((field, (i, j), (1, 0), f"{field}[{_pair(i, j)}] has non-integer entries"))
+                    break
+                if not 1 <= k <= size:
+                    need = f"need 1 <= k <= {basis} = {_decimal(size)}"
+                    text = f"{field}[{_pair(i, j)}] coordinate {_decimal(k)} out of range: {need}"
+                    found.append((field, (i, j), (1, k), text))
+    if not found:
         return ()
     found.sort()
     return tuple(text for *_, text in found)

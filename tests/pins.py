@@ -1,0 +1,134 @@
+"""Digests that pin whole sweeps of the toolkit's output, each with its expected value.
+
+Each pin is computed here once and stated once.  Tier-1 tests assert on it,
+and this module needs nothing but the package, so it also runs without
+pytest or site-packages, on any supported Python::
+
+    PYTHONPATH=src:tests python -S -m pins coverage-sweep
+
+prints the pin's counts and digest, and exits 0 when they are the expected
+ones and 1 when they are not.  The names are those of :data:`PINS`.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+
+from grade3 import (
+    CLASS_B,
+    CLASS_C3,
+    CLASS_T,
+    atlas_grid,
+    boundary_classes,
+    certificate_to_document,
+    class_G,
+    class_H,
+    is_permissible,
+    linked_to_document,
+    make_format,
+    mapping_cone_presentation,
+    presentation_to_document,
+    realize,
+    realize_all,
+    render_atlas_csv,
+)
+from grade3.cone import _sweep
+
+
+def coverage_sweep() -> tuple[int, int, str]:
+    """Targets, gaps and the digest of every certificate of the (20,20) sweep.
+
+    Recorded before the searches shared one successor graph.
+    """
+    report = realize_all(20, 20)
+    digest = hashlib.sha256()
+    for entry in report.entries:
+        doc = certificate_to_document(realize(entry.label, entry.fmt).certificate)
+        digest.update((json.dumps(doc, sort_keys=True) + "\n").encode("utf-8"))
+    return len(report.entries), len(report.gaps), digest.hexdigest()
+
+
+COVERAGE_SWEEP = (2272, 0, "9679392c9a99759d4fc0958acf449637b3dda4c8fef57e2b4ff26dfbfaf53974")
+
+
+def verdict_grid() -> tuple[int, str]:
+    """Verdicts and the digest of the grid up to (16,16).
+
+    Status, rule ids, details and citations of every label below at every
+    format up to (16,16), with each format's boundary labels and atlas CSV;
+    recorded while each class still had its own verdict function.
+    """
+    digest = hashlib.sha256()
+    count = 0
+    for m in range(1, 17):
+        for n in range(1, 17):
+            fmt = make_format(m, n)
+            labels = [CLASS_B, CLASS_C3, CLASS_T] + [class_G(r) for r in range(2, m + 3)]
+            labels += [class_H(p, q) for p in range(n + 3) for q in range(m + 1)]
+            for label in labels:
+                verdict = is_permissible(label, fmt)
+                rules = ";".join(f"{v.rule}:{v.detail}:{v.cite}" for v in verdict.violations)
+                digest.update(f"{label}|{fmt}|{verdict.status.value}|{rules}\n".encode("utf-8"))
+                count += 1
+            boundary = ",".join(sorted(map(str, boundary_classes(fmt))))
+            digest.update(f"B|{boundary}\n".encode("utf-8"))
+            if m >= 2:
+                digest.update(render_atlas_csv(atlas_grid(fmt)).encode("utf-8"))
+    return count, digest.hexdigest()
+
+
+VERDICT_GRID = (31168, "eb8a043b5043cffbe2d536cd4d195610b45bd6171c466b7d7d63d9bb0cecfa05")
+
+
+def cone_sweep_digest(links) -> tuple[int, str]:
+    """Count and digest of ``(rule, label, fmt, table, linked document)`` rows, in the order given."""
+    digest = hashlib.sha256()
+    count = 0
+    for rule, label, fmt, table, linked in links:
+        row = [rule.rule_id, str(label), str(fmt), presentation_to_document(table), linked]
+        digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
+        count += 1
+    return count, digest.hexdigest()
+
+
+def cone_sweep() -> tuple[int, str]:
+    """Links and the digest of the (10,8) replay's mapping cones.
+
+    Every input table of the verify_linkage_theorems(10, 8) sweep, from the
+    sweep's own generator, and its mapping cone (products, splits, index
+    maps, symbolic slots); recorded while products were still stored as
+    dense vectors.
+    """
+    return cone_sweep_digest(
+        (rule, label, fmt, table, linked_to_document(mapping_cone_presentation(table, rule.profile)))
+        for rule, tables in _sweep(10, 8)
+        for label, fmt, table, _ in tables
+    )
+
+
+CONE_SWEEP = (11060, "e91a37abf21c6bfb691bf63f4be0e43909bf9bd5c267413a769f3a14c6c609fe")
+
+PINS = {
+    "coverage-sweep": (coverage_sweep, COVERAGE_SWEEP),
+    "verdict-grid": (verdict_grid, VERDICT_GRID),
+    "cone-sweep": (cone_sweep, CONE_SWEEP),
+}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or argv[0] not in PINS:
+        print(f"usage: python -m pins {{{','.join(PINS)}}}", file=sys.stderr)
+        return 2
+    compute, expected = PINS[argv[0]]
+    got = compute()
+    print(f"{argv[0]}: {', '.join(map(str, got))}")
+    if got != expected:
+        print(f"expected: {', '.join(map(str, expected))}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -247,6 +247,16 @@ def test_link_refuses_a_table_outside_the_spec_row(t1, row, monkeypatch, capsys)
     assert f"needs row {row}" in captured.err
 
 
+def test_link_refuses_designating_every_generator(monkeypatch, capsys):
+    # G(3) at (3,2) linked at t1 = 3 would leave m - t1 = 0 generators of degree 3.
+    assert main(["canonical", "G(3)", "(3,2)"]) == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["link", "-", "--t1", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: spec designates 3 generators, so the link needs m > 3; got m = 3\n"
+
+
 def test_link_on_huge_formats_exits_three_in_bounded_memory(tmp_path, capsys):
     # Ingress counts stored products only, but the cone's bases (and, for
     # t1 = 3, its symbolic slots) grow with m+n, so the cone refuses such a

@@ -39,6 +39,8 @@ from grade3 import cone
 from grade3.cone import _canonical_labels, _sweep, _sweep_label_count
 from grade3.linkrules import _STEPS
 
+import pins
+
 
 def _unit(length, index, sign=1):
     vec = [0] * length
@@ -193,6 +195,10 @@ def test_unsupported_specs_rejected():
     small = canonical_presentation(class_H(0, 1), make_format(2, 2))
     with pytest.raises(UnsupportedSpec):
         mapping_cone_presentation(small, LinkSpec(3))
+    # At m = t1 the output would have m - t1 = 0 generators of degree 3.
+    for spec in (LinkSpec(1), LinkSpec(2), LinkSpec(2, phi2_unit=True), LinkSpec(3)):
+        with pytest.raises(UnsupportedSpec, match=re.escape(f"the link needs m > {spec.t1}; got m = {spec.t1}")):
+            mapping_cone_presentation(make_presentation(spec.t1, 2), spec)
 
 
 def test_refused_rows_say_what_was_refused():
@@ -485,20 +491,8 @@ def test_theorem_replay_reclassifies_a_different_output_in_a_run(monkeypatch):
 
 
 def test_theorem_sweep_tables_and_links_are_pinned():
-    # Every input table of the verify_linkage_theorems(10, 8) sweep and its
-    # mapping cone (products, splits, index maps, symbolic slots), recorded
-    # while products were still stored as dense vectors; it must not move.
-    # The tables come from the sweep's own generator.
-    digest = hashlib.sha256()
-    count = 0
-    for rule, tables in _sweep(10, 8):
-        for label, fmt, table, _ in tables:
-            lp = mapping_cone_presentation(table, rule.profile)
-            row = [rule.rule_id, str(label), str(fmt), presentation_to_document(table), linked_to_document(lp)]
-            digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
-            count += 1
-    assert count == 11060
-    assert digest.hexdigest() == "e91a37abf21c6bfb691bf63f4be0e43909bf9bd5c267413a769f3a14c6c609fe"
+    # Every input table of the (10,8) replay and its mapping cone; it must not move.
+    assert pins.cone_sweep() == pins.CONE_SWEEP
 
 
 def test_theorem_sweep_links_in_a_shuffled_order_match_the_pin():
@@ -515,12 +509,7 @@ def test_theorem_sweep_links_in_a_shuffled_order_match_the_pin():
         rule, _, _, table = links[i]
         docs[i] = linked_to_document(mapping_cone_presentation(table, rule.profile))
     assert cone._frame.cache_info().misses > 10000
-    digest = hashlib.sha256()
-    for (rule, label, fmt, table), doc in zip(links, docs):
-        row = [rule.rule_id, str(label), str(fmt), presentation_to_document(table), doc]
-        digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
-    assert len(links) == 11060
-    assert digest.hexdigest() == "e91a37abf21c6bfb691bf63f4be0e43909bf9bd5c267413a769f3a14c6c609fe"
+    assert pins.cone_sweep_digest((*link, doc) for link, doc in zip(links, docs)) == pins.CONE_SWEEP
 
 
 def test_linked_results_own_their_maps_and_products():
@@ -591,7 +580,9 @@ def test_random_tables_and_links_are_pinned():
     # table is also linked as a directly built copy holding explicit zero
     # coefficients; no output may store a zero or an empty product.  The
     # pairs whose designated products have nonzero rank are refused with the
-    # row they need (2 552 of the 11 000; each was linked wrongly before).
+    # row they need (2 164 of the 11 000; each was linked wrongly before).
+    # Every link made is a valid table in the format its row maps to; the
+    # cone once linked 546 pairs with t1 = m into tables with n = 0.
     rng = random.Random(20240611)
     digest = hashlib.sha256()
     zero_copies = refused = 0
@@ -611,11 +602,13 @@ def test_random_tables_and_links_are_pinned():
                     refused += "needs row" in str(exc)
                 else:
                     out = lp.presentation
+                    assert validate_presentation(out) == ()
+                    assert out.fmt == link_option_format(variant.fmt, spec)
                     for coords in (*out.ee.values(), *out.ef.values()):
                         assert coords and all(coords.values())
                     outcome = linked_to_document(lp)
                 row = [index, presentation_to_document(variant), spec.t1, spec.t2 == 1, outcome]
                 digest.update((json.dumps(row, sort_keys=True) + "\n").encode("utf-8"))
     assert zero_copies == 200
-    assert refused == 2552
-    assert digest.hexdigest() == "bf0cca9d5b8ef68730c8fe2884fec0d165544461cd20997d6bc40d097257dcf6"
+    assert refused == 2164
+    assert digest.hexdigest() == "aa35e143e7c6cbc82a621f86cc6e1bdc19d546d25a13b55cd0be656c66b09bea"

@@ -537,6 +537,15 @@ def test_validate_reports_range_and_length_problems():
         "ee[(1,2)] has non-integer entries",
         "ef[(1,1)] coordinate 3 out of range: need 1 <= k <= n = 2",
     )
+    # make_format refuses a bool m or n, and the document reader the "m": true
+    # that presentation_to_document would write for one.
+    assert validate_presentation(TorPresentation(True, 1, {}, {(1, 1): {1: 1}})) == (
+        "m must be a positive integer, got True",
+    )
+    assert validate_presentation(TorPresentation(False, True, {}, {})) == (
+        "m must be a positive integer, got False",
+        "n must be a positive integer, got True",
+    )
 
 
 def test_validate_reports_keys_that_are_not_integer_pairs():
