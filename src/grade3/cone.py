@@ -62,9 +62,9 @@ from .linkrules import RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile, Stat
 from .presentation import (
     MAX_DOCUMENT_CELLS,
     TorPresentation,
+    _class_label,
     arranged_presentation,
     canonical_presentation,
-    classify,
     presentation_to_document,
     validate_presentation,
 )
@@ -81,6 +81,9 @@ __all__ = [
 
 LINKED_VERSION = 1
 _DEFAULT_SWEEP = (10, 8)  # (m_max, n_max) of verify_linkage_theorems and of verify-theorems, by default
+# The fields of the supported rows, looked up by value: a RankProfile's own
+# __eq__, scanned over SUPPORTED_PROFILES, costs a Python call per row.
+_SUPPORTED_ROWS = frozenset(row.as_tuple() for row in SUPPORTED_PROFILES)
 
 
 def LinkSpec(t1: int, phi2_unit: bool = False) -> RankProfile:
@@ -133,7 +136,7 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
     the symbolic slots would exceed
     :data:`grade3.presentation.MAX_DOCUMENT_CELLS`.
     """
-    if row not in SUPPORTED_PROFILES:
+    if type(row) is not RankProfile or (row.t1, row.t2, row.t3) not in _SUPPORTED_ROWS:
         raise UnsupportedSpec(_unsupported_row(row))
     t1, phi2 = row.t1, row.t2 == 1
     m, n = a.m, a.n
@@ -366,9 +369,9 @@ def _check_linkH_v(lp: LinkedPresentation, label: ClassLabel, fmt: Format, expec
     want_symbolic |= {("EF", i, l) for i in range(1, n + 1) for l in range(1, m + n)}
     if set(lp.symbolic_products) != want_symbolic:
         problems.append("symbolic product slots differ from the expected X/Y families")
-    rep = classify(out)
-    if rep.label != expected:
-        problems.append(f"determinate part classifies as {rep.label}, expected {expected}")
+    decided = _class_label(out)
+    if decided != expected:
+        problems.append(f"determinate part classifies as {decided}, expected {expected}")
     return problems
 
 
@@ -382,9 +385,12 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
     compared with the output state of the rule's step in the table the
     planner searches with; the three-generator row on its H-v witness
     additionally checks its determinate products and symbolic slots.  A
-    valid output equal to the rule's previous classified one takes that
-    one's label, so each run of equal consecutive valid outputs is
-    classified once; every row still gets its own checks and failure line.
+    label is decided as :func:`~grade3.presentation.classify` decides it, but
+    from the ranks it reads: those of p, q and r, and of s1 only when
+    (p,q,r) = (3,0,0), where s1 tells T from H(3,0).  A valid output equal
+    to the rule's previous classified one takes that one's label, so each
+    run of equal consecutive valid outputs is classified once; every row
+    still gets its own checks and failure line.
     A link the cone refuses (any :class:`~grade3.errors.Grade3Error`) is
     that row's failure line, ``{label} at {fmt}: link refused: {message}``,
     and the sweep goes on.  A bound that is not an integer, or a sweep of
@@ -419,19 +425,20 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
             except Grade3Error as exc:
                 failures.append(f"{label} at {fmt}: link refused: {exc}")
                 continue
-            diags = validate_presentation(lp.presentation)
+            out = lp.presentation
+            diags = validate_presentation(out)
             if diags:
                 failures.append(f"{label} at {fmt}: invalid output table: {diags[0]}")
                 continue
-            if lp.presentation.fmt != expected_fmt:
-                failures.append(f"{label} at {fmt}: output format {lp.presentation.fmt} != {expected_fmt}")
+            if (out.m, out.n) != expected_fmt:
+                failures.append(f"{label} at {fmt}: output format {out.fmt} != {expected_fmt}")
                 continue
             if rule.witness == "H-v":
                 failures.extend(f"{label} at {fmt}: {p}" for p in _check_linkH_v(lp, label, fmt, expected))
                 note = "determinate products, X/Y slots, and H(0,p) class checked"
                 continue
-            if lp.presentation != last_out:
-                last_out, last_label = lp.presentation, classify(lp.presentation).label
+            if out != last_out:
+                last_out, last_label = out, _class_label(out)
             if last_label != expected:
                 failures.append(f"{label} at {fmt}: classified {last_label}, expected {expected}")
         results.append(

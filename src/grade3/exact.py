@@ -24,7 +24,9 @@ before the first division: what it leaves is a plain integer submatrix,
 whose rank is the rest of the answer, and Bareiss elimination on it starts
 afresh from ``prev = 1``.  Peeling a singleton later, between divisions,
 would have to rescale the rows it leaves to keep them minors of the same
-order, which is exactly the work the peel saves.
+order, which is exactly the work the peel saves.  When the peel leaves at
+most one row, the answer is known without elimination: that row keeps at
+least two nonzero entries, so it adds exactly 1 to the rank.
 
 Exact division under any pivot order.  On the rows the peel leaves, each
 step takes a pivot from the shortest remaining row and replaces every other
@@ -113,6 +115,8 @@ def sparse_rank(rows: Iterable[Mapping[object, int]]) -> int:
             survivors.append(row)
         remaining = survivors
         rank += len(fresh)
+    if len(remaining) < 2:  # a lone row keeps at least two nonzero entries: rank 1
+        return rank + len(remaining)
 
     # Bareiss on what is left, every row a copy with at least two entries.
     prev = 1

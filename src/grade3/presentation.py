@@ -357,17 +357,15 @@ class ClassifierReport(NamedTuple):
     unclassifiable: bool = False
 
 
-def _pqrs(a: TorPresentation) -> tuple[int, int, int, int]:
-    """The exact invariants ``(p, q, r, s1)`` of a valid presentation.
+def _pqr(a: TorPresentation) -> tuple[int, int, int]:
+    """The exact invariants ``(p, q, r)`` of a valid presentation.
 
     The stored coordinate maps are the rows of p and q as they are, and the
-    rows of r and s1 are built from the same nonzeros, so the size of all
-    four matrices follows the number of products, not the format.  Column
-    ``(e_i, g_t)`` of r is numbered ``i*(n+1)+t`` and column ``(e_j, f_c)``
-    of s1 ``j*(m+n)+c``: one-to-one on a valid presentation (one that
-    :func:`validate_presentation` accepts), whose keys and coordinates are
-    ints with ``1 <= t <= n`` and ``1 <= c <= m+n-1``, and whose distinct
-    ``ee`` keys ``i < j`` give each coefficient its own row and column.
+    rows of r are built from the same nonzeros, so the size of all three
+    matrices follows the number of products, not the format.  Column
+    ``(e_i, g_t)`` of r is numbered ``i*(n+1)+t``: one-to-one on a valid
+    presentation (one that :func:`validate_presentation` accepts), whose keys
+    and coordinates are ints with ``1 <= t <= n``.
     """
     p = sparse_rank(a.ee.values())
     q = sparse_rank(a.ef.values())
@@ -379,9 +377,18 @@ def _pqrs(a: TorPresentation) -> tuple[int, int, int, int]:
         row = delta_rows.setdefault(l, {})
         for t, coeff in coeffs.items():
             row[i * width + t] = coeff
-    r = sparse_rank(delta_rows.values())
+    return p, q, sparse_rank(delta_rows.values())
 
-    # s1: one sparse row per e-basis vector, over Hom(A1, A2).
+
+def _s1(a: TorPresentation) -> int:
+    """The exact invariant ``s1`` of a valid presentation.
+
+    One sparse row per e-basis vector, over Hom(A1, A2), built from the
+    stored nonzeros.  Column ``(e_j, f_c)`` is numbered ``j*(m+n)+c``:
+    one-to-one on a valid presentation, whose coordinates satisfy
+    ``1 <= c <= m+n-1`` and whose distinct ``ee`` keys ``i < j`` give each
+    coefficient its own row and column.
+    """
     width = a.m + a.n
     mult_rows: dict[int, dict[int, int]] = {}
     for (i, j), coeffs in a.ee.items():
@@ -390,49 +397,61 @@ def _pqrs(a: TorPresentation) -> tuple[int, int, int, int]:
         for c, coeff in coeffs.items():
             row_i[j * width + c] = coeff
             row_j[i * width + c] = -coeff
-    s1 = sparse_rank(mult_rows.values())
+    return sparse_rank(mult_rows.values())
 
-    return p, q, r, s1
+
+def _decide(a: TorPresentation, p: int, q: int, r: int, s1: int | None = None) -> ClassLabel | None:
+    """The decision chain of :func:`classify` on a table ``a`` with invariants ``p``, ``q``, ``r``.
+
+    Returns the label, or ``None`` when no class fits.  ``s1`` is read only
+    at (p,q,r) = (3,0,0), and ranked there when it is not given.
+    """
+    if (p, q, r) == (3, 1, 3) and (a.m, a.n) == (3, 1):
+        return CLASS_C3
+    if (p, q, r) == (3, 0, 0):
+        # H(3,0) has s1 = 4; any s1 but 3 would reach H(3,0) by r = q below as well.
+        return CLASS_T if (_s1(a) if s1 is None else s1) == 3 else class_H(3, 0)
+    if (p, q, r) == (1, 1, 2):
+        return CLASS_B
+    if p == 0 and q == 1 and r >= 2:
+        return class_G(r)
+    if r == q:
+        return class_H(p, q)
+    return None
+
+
+def _class_label(a: TorPresentation) -> ClassLabel | None:
+    """``classify(a).label``, from the ranks of p, q and r, plus s1's only at (3,0,0)."""
+    return _decide(a, *_pqr(a))
 
 
 def compute_pqrs(a: TorPresentation) -> ClassifierReport:
     """Exact invariants (p, q, r, s1) of a valid presentation, without a label.
 
-    The four ranks are those :func:`classify` decides from; the report has
+    The four ranks are those :func:`classify` reports; the report has
     ``label=None`` and ``unclassifiable=False``.
     """
-    p, q, r, s1 = _pqrs(a)
-    return ClassifierReport(p=p, q=q, r=r, s1=s1)
+    return ClassifierReport(*_pqr(a), s1=_s1(a))
 
 
 def classify(a: TorPresentation) -> ClassifierReport:
     """Decide the class label of a presentation from its exact invariants.
 
-    The decision chain tries the rigid classes first — C(3) (which only
-    exists in format (3,1)), then T versus H(3,0), which share (p,q,r) =
-    (3,0,0) and are separated by ``s1`` (3 versus 4), then B and G — and
-    falls back to H(p,q) whenever ``r = q``.  Anything else is flagged
-    unclassifiable.
+    All four ranks, p, q, r and s1, are computed and reported, though the
+    decision reads s1 only at (p,q,r) = (3,0,0).  The decision chain tries
+    the rigid classes first — C(3) (which only exists in format (3,1)), then
+    T versus H(3,0), which share (p,q,r) = (3,0,0) and are separated by
+    ``s1`` (3 versus 4), then B and G — and falls back to H(p,q) whenever
+    ``r = q``.  Anything else is flagged unclassifiable.
 
     Like :func:`compute_pqrs`, it needs a table that :func:`validate_presentation`
     accepts, and does not check: an invalid table can get a wrong label or none.
     ``TorPresentation(2, 1, {}, {(1, 1): {3: 1}, (2, 2): {1: 1}})`` (coordinate
     3 with n = 1) is called unclassifiable with r = 1 instead of refused.
     """
-    p, q, r, s1 = _pqrs(a)
-    label: ClassLabel | None = None
-    if (p, q, r) == (3, 1, 3) and (a.m, a.n) == (3, 1):
-        label = CLASS_C3
-    elif (p, q, r) == (3, 0, 0) and s1 == 3:
-        label = CLASS_T
-    elif (p, q, r) == (3, 0, 0) and s1 == 4:
-        label = class_H(3, 0)
-    elif (p, q, r) == (1, 1, 2):
-        label = CLASS_B
-    elif p == 0 and q == 1 and r >= 2:
-        label = class_G(r)
-    elif r == q:
-        label = class_H(p, q)
+    p, q, r = _pqr(a)
+    s1 = _s1(a)
+    label = _decide(a, p, q, r, s1)
     return ClassifierReport(p=p, q=q, r=r, s1=s1, label=label, unclassifiable=label is None)
 
 
@@ -448,7 +467,10 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
     not ``bool`` (if not, that alone is reported), that every product key is a
     pair of integers in range, and the range and integrality of every stored
     coordinate and coefficient, in one unsorted pass that words each problem
-    where it finds it; only a table with problems is sorted.  Problems come
+    where it finds it; only a table with problems is sorted.  Key indices,
+    coordinates and coefficients count as integers only if of type ``int``
+    exactly, the rule :func:`presentation_from_document` reads by, so the
+    document of a table this accepts is one that reader accepts.  Problems come
     ``ee`` before ``ef``: keys that are not integer pairs first, in insertion
     order, then products in key order, each with its key's range problems,
     then either its out-of-range coordinates by coordinate or one line for
@@ -470,7 +492,7 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
                 i, j = key
             except (TypeError, ValueError):
                 i = j = None
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not type(i) is type(j) is int:
                 found.append((field, (), len(found), f"{field} key {_shown(key)} is not a pair of integers"))
                 continue
             if field == "ee":
@@ -486,7 +508,7 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
                     found.append((field, (i, j), (0, 1), text))
             mark = len(found)
             for k, c in coords.items():
-                if not (isinstance(k, int) and isinstance(c, int)):
+                if not type(k) is type(c) is int:
                     del found[mark:]  # the coordinates already worded out of range
                     found.append((field, (i, j), (1, 0), f"{field}[{_pair(i, j)}] has non-integer entries"))
                     break

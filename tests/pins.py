@@ -24,6 +24,7 @@ from grade3 import (
     boundary_classes,
     certificate_to_document,
     class_G,
+    classify,
     class_H,
     is_permissible,
     linked_to_document,
@@ -110,10 +111,44 @@ def cone_sweep() -> tuple[int, str]:
 
 CONE_SWEEP = (11060, "e91a37abf21c6bfb691bf63f4be0e43909bf9bd5c267413a769f3a14c6c609fe")
 
+
+def replay_outputs():
+    """Every distinct output table of the (10,8) replay, H-v determinate parts
+    included, once each in the order first linked, with its document's JSON text."""
+    seen = set()
+    for rule, tables in _sweep(10, 8):
+        for _, _, table, _ in tables:
+            out = mapping_cone_presentation(table, rule.profile).presentation
+            text = json.dumps(presentation_to_document(out), sort_keys=True)
+            if text not in seen:
+                seen.add(text)
+                yield text, out
+
+
+def classify_sweep() -> tuple[int, str]:
+    """Distinct outputs and the digest of their classifier reports, (10,8) replay.
+
+    Each distinct output table of the replay with its full report (p, q, r,
+    s1, label, unclassifiable); recorded while the replay still classified
+    every output with all four ranks.
+    """
+    digest = hashlib.sha256()
+    count = 0
+    for text, out in replay_outputs():
+        p, q, r, s1, label, unclassifiable = classify(out)
+        row = [text, p, q, r, s1, None if label is None else str(label), unclassifiable]
+        digest.update((json.dumps(row) + "\n").encode("utf-8"))
+        count += 1
+    return count, digest.hexdigest()
+
+
+CLASSIFY_SWEEP = (4564, "98964a8cb4de2869c777e8e55356b18a03079db6716eabd513f0aacf6ebedea0")
+
 PINS = {
     "coverage-sweep": (coverage_sweep, COVERAGE_SWEEP),
     "verdict-grid": (verdict_grid, VERDICT_GRID),
     "cone-sweep": (cone_sweep, CONE_SWEEP),
+    "classify-sweep": (classify_sweep, CLASSIFY_SWEEP),
 }
 
 

@@ -424,14 +424,15 @@ def test_theorem_replay_words_h_v_and_validation_failures(monkeypatch):
 
 
 def _counted_classify(monkeypatch):
-    """Count the replay's calls to ``classify``, H-v checks included."""
+    """Count the replay's label decisions, H-v checks included."""
     calls = [0]
+    decide = cone._class_label
 
     def counted(table):
         calls[0] += 1
-        return classify(table)
+        return decide(table)
 
-    monkeypatch.setattr(cone, "classify", counted)
+    monkeypatch.setattr(cone, "_class_label", counted)
     return calls
 
 
@@ -493,6 +494,22 @@ def test_theorem_replay_reclassifies_a_different_output_in_a_run(monkeypatch):
 def test_theorem_sweep_tables_and_links_are_pinned():
     # Every input table of the (10,8) replay and its mapping cone; it must not move.
     assert pins.cone_sweep() == pins.CONE_SWEEP
+
+
+def test_classifier_reports_of_the_replay_outputs_are_pinned():
+    # The full report of every distinct output of the (10,8) replay; it must not move.
+    assert pins.classify_sweep() == pins.CLASSIFY_SWEEP
+
+
+def test_replay_label_path_agrees_with_classify_on_every_output():
+    # The replay decides labels without ranking s1 outside (p,q,r) = (3,0,0).
+    seen = set()
+    for _, out in pins.replay_outputs():
+        report = classify(out)
+        assert cone._class_label(out) == report.label, out
+        seen.add(report.label)
+    # T is among them, so the (3,0,0) branch is taken.
+    assert CLASS_T in seen and class_H(3, 0) in seen
 
 
 def test_theorem_sweep_links_in_a_shuffled_order_match_the_pin():

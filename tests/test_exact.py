@@ -261,3 +261,45 @@ def test_singleton_peel_leaves_its_input_alone():
     copies = [dict(row) for row in rows]
     assert sparse_rank(rows) == _reference_rank(_dense(rows)) == 3
     assert rows == copies
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        # The peel leaves no row: stripping column 0 makes the other a singleton.
+        ([{0: 1}, {0: 2, 1: 1}], 2),
+        # It leaves one row, which adds 1 whatever its entries.
+        ([{0: 2, 1: 3}], 1),
+        ([{0: 0, 1: 2, 2: 0, 3: -4}], 1),
+        ([{0: 1}, {0: 1, 1: 2, 2: 10**40}], 2),
+        # It leaves two rows, dependent or not, or three.
+        ([{0: 1, 1: 1}, {0: 2, 1: 2}], 1),
+        ([{0: 1, 1: 1}, {0: 1, 1: 2}], 2),
+        ([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}], 3),
+    ],
+)
+def test_rank_after_the_peel_matches_both_oracles(rows, rank):
+    copies = [dict(row) for row in rows]
+    dense = _dense(rows)
+    assert _reference_rank(dense) == rank
+    assert _dense_bareiss_rank(dense) == rank
+    assert sparse_rank(rows) == rank
+    assert rows == copies
+
+
+def test_peel_leaving_zero_one_or_more_rows_matches_the_oracle():
+    # Singleton rows on columns 10..13 never touch the k rows of two or more
+    # nonzero entries on columns 0..5, so the peel leaves exactly those k.
+    rng = random.Random(31)
+    for k in (0, 1, 1, 2, 3) * 40:
+        rows = []
+        for _ in range(k):
+            cols = rng.sample(range(6), rng.randint(2, 6))
+            rows.append({c: rng.choice([-3, -1, 1, 2, 5, 10**20]) for c in cols})
+            if rng.random() < 0.3:
+                rows[-1][rng.randrange(6, 9)] = 0
+        rows += [{rng.randrange(10, 14): rng.choice([1, -2])} for _ in range(rng.randint(0, 4))]
+        rng.shuffle(rows)
+        copies = [dict(row) for row in rows]
+        assert sparse_rank(rows) == _reference_rank(_dense(rows)), rows
+        assert rows == copies

@@ -32,7 +32,7 @@ from grade3 import (
     presentation_to_document,
     validate_presentation,
 )
-from grade3.presentation import MAX_DOCUMENT_CELLS, TorPresentation
+from grade3.presentation import MAX_DOCUMENT_CELLS, TorPresentation, _class_label
 
 
 def _unit(length, index, sign=1):
@@ -438,6 +438,98 @@ def test_classify_needs_c3_format():
     del fmt
 
 
+# --------------------------------------------------------- label-only path
+
+
+def test_label_path_agrees_with_classify_on_witness_tables():
+    # Every canonical and arranged table that fits a format up to (8,8).
+    seen = set()
+    for m in range(1, 9):
+        for n in range(1, 9):
+            fmt = make_format(m, n)
+            labels = [CLASS_C3, CLASS_T, CLASS_B, *map(class_G, range(2, m + 2))]
+            labels += [class_H(p, q) for p in range(m + 1) for q in range(n + 1)]
+            for label in labels:
+                tables = []
+                for arrangement in (None, *arrangement_ids()):
+                    try:
+                        if arrangement is None:
+                            tables.append(canonical_presentation(label, fmt))
+                        else:
+                            tables.append(arranged_presentation(label, fmt, arrangement))
+                    except (DimensionMismatch, UnknownArrangement):
+                        pass
+                for table in tables:
+                    assert _class_label(table) == classify(table).label == label, (label, fmt)
+                    seen.add(label)
+    assert {CLASS_C3, CLASS_T, CLASS_B, class_G(8), class_H(3, 0), class_H(7, 8)} <= seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(_valid_tables())
+def test_label_path_agrees_with_classify(table):
+    assert _class_label(table) == classify(table).label
+
+
+# Three ee products e_x e_y = c f_k on distinct f's, keyed by the shape of
+# their pairs, and s1 for each: a triangle on three e's, a star or a path on
+# four, a path and a disjoint pair on five, a matching on six.
+_SHAPES = {
+    "triangle": (((0, 1), (0, 2), (1, 2)), 3),
+    "star": (((0, 1), (0, 2), (0, 3)), 4),
+    "path": (((0, 1), (1, 2), (2, 3)), 4),
+    "fork": (((0, 1), (2, 3), (3, 4)), 5),
+    "matching": (((0, 1), (2, 3), (4, 5)), 6),
+}
+
+
+@st.composite
+def _pqr_300_tables(draw):
+    """A table with (p,q,r) = (3,0,0) under a seeded change of basis, and its s1."""
+    pairs, s1 = _SHAPES[draw(st.sampled_from(sorted(_SHAPES)))]
+    m, n = draw(st.integers(6, 9)), draw(st.integers(1, 4))
+    e = draw(st.permutations(range(1, m + 1)))
+    f = draw(st.permutations(range(1, m + n)))
+    coeff = st.sampled_from([1, -1, 2, -3, 7])
+    ee = {tuple(sorted((e[x], e[y]))): {f[k]: draw(coeff)} for k, (x, y) in enumerate(pairs)}
+    table = _signed_relabel(make_presentation(m, n, ee), random.Random(draw(st.integers(0, 2**32 - 1))))
+    return table, s1
+
+
+@st.composite
+def _unclassifiable_tables(draw):
+    """(p,q,r) = (p,1,2) with p = 2 or 3: two ef products on distinct e's and
+    distinct f's reach one g, which no class allows beside ee products."""
+    m, n = draw(st.integers(6, 9)), draw(st.integers(1, 4))
+    e = draw(st.permutations(range(1, m + 1)))
+    f = draw(st.permutations(range(1, m + n)))
+    coeff = st.sampled_from([1, -1, 2, -3, 7])
+    p = draw(st.sampled_from([2, 3]))
+    ee = {tuple(sorted((e[2 * k], e[2 * k + 1]))): {f[k]: draw(coeff)} for k in range(p)}
+    t = draw(st.integers(1, n))
+    ef = {(e[k], f[3 + k]): {t: draw(coeff)} for k in range(2)}
+    return _signed_relabel(make_presentation(m, n, ee, ef), random.Random(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pqr_300_tables())
+def test_label_path_reads_s1_at_300(case):
+    table, s1 = case
+    report = classify(table)
+    assert (report.p, report.q, report.r, report.s1) == (3, 0, 0, s1)
+    assert _class_label(table) == report.label
+    if s1 in (3, 4):
+        assert report.label == (CLASS_T if s1 == 3 else class_H(3, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unclassifiable_tables())
+def test_label_path_leaves_unclassifiable_tables_without_a_label(table):
+    report = classify(table)
+    assert (report.q, report.r, report.unclassifiable) == (1, 2, True)
+    assert _class_label(table) is None
+
+
 # ------------------------------------------------- basis-invariance property
 
 
@@ -609,11 +701,11 @@ def _index_pair(key):
         i, j = key
     except (TypeError, ValueError):
         return None
-    return (i, j) if isinstance(i, int) and isinstance(j, int) else None
+    return (i, j) if type(i) is type(j) is int else None
 
 
 def _coordinate_problems(where, coords, bound, size):
-    if not all(isinstance(k, int) and isinstance(c, int) for k, c in coords.items()):
+    if not all(type(k) is type(c) is int for k, c in coords.items()):
         return [f"{where} has non-integer entries"]
     return [
         f"{where} coordinate {k} out of range: need 1 <= k <= {bound} = {size}"
@@ -661,8 +753,9 @@ def test_fast_pass_agrees_with_diagnostic_scan(seed):
 
 
 def test_validation_of_seeded_tables_is_pinned():
-    # 8 000 seeded tables, 7 601 of them with problems: the digest pins the wording and
-    # the order of every line validate_presentation gives for them.
+    # 8 000 seeded tables, 7 641 of them with problems: the digest pins the wording and
+    # the order of every line validate_presentation gives for them.  A key index,
+    # coordinate or coefficient that is True counts as a problem, as in a document.
     lines, flagged = [], 0
     for seed in range(4):
         rng = random.Random(seed)
@@ -670,10 +763,45 @@ def test_validation_of_seeded_tables_is_pinned():
             diags = validate_presentation(_seeded_table(rng))
             flagged += bool(diags)
             lines.append("|".join(diags))
-    assert flagged == 7601
+    assert flagged == 7641
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "dc3d5c20c42d1594e7f94f85a79873b637f61ecb7f8b0ed83638e180cd7445a3"
+        "f96051a96e6e83fc0cb37729c9e601a45ac7edb96a90f937d14d138aef792594"
     )
+
+
+def test_validate_refuses_bool_entries_as_the_document_reader_does():
+    # True equals 1, but the document reader takes exact ints only, so the
+    # document of this table would be refused.
+    table = TorPresentation(3, 1, {(1, 2): {True: 1}}, {(True, 1): {1: True}})
+    assert validate_presentation(table) == (
+        "ee[(1,2)] has non-integer entries",
+        "ef key (True, 1) is not a pair of integers",
+    )
+    with pytest.raises(DocumentError):
+        presentation_from_document(presentation_to_document(table))
+    assert validate_presentation(TorPresentation(3, 1, {(1, 2): {1: False}}, {})) == (
+        "ee[(1,2)] has non-integer entries",
+    )
+
+
+def test_every_table_validate_accepts_round_trips_through_its_document():
+    # The seeded tables of the pin above: each one that validates has a
+    # document the reader takes back, as the table less its zero coefficients.
+    accepted = 0
+    for seed in range(4):
+        rng = random.Random(seed)
+        for _ in range(2000):
+            table = _seeded_table(rng)
+            if validate_presentation(table):
+                continue
+            accepted += 1
+            kept = [
+                {key: nonzero for key, coords in products.items() if (nonzero := {k: c for k, c in coords.items() if c})}
+                for products in (table.ee, table.ef)
+            ]
+            back = presentation_from_document(presentation_to_document(table))
+            assert back == TorPresentation(table.m, table.n, *kept)
+    assert accepted == 8000 - 7641
 
 
 # ------------------------------------------------------------- serialization
