@@ -44,7 +44,7 @@ the step table the planner searches with.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -58,7 +58,16 @@ from .errors import (
 )
 from .exact import sparse_rank
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
-from .linkrules import RULES, SUPPORTED_PROFILES, LinkageRule, RankProfile, State, _rule_outputs, _unsupported_row
+from .linkrules import (
+    RULES,
+    SUPPORTED_PROFILES,
+    LinkageRule,
+    RankProfile,
+    _rule_outputs,
+    _state_of,
+    _StateKey,
+    _unsupported_row,
+)
 from .presentation import (
     MAX_DOCUMENT_CELLS,
     TorPresentation,
@@ -325,27 +334,80 @@ def _sweep_label_count(m_max: int, n_max: int) -> int:
     return m_sum * n_sum + (m_max - 3) * n_max
 
 
-def _sweep(
-    m_max: int, n_max: int
-) -> Iterator[tuple[LinkageRule, Iterator[tuple[ClassLabel, Format, TorPresentation, State]]]]:
+def _index_bounds(table: TorPresentation) -> tuple[int, int, int]:
+    """The largest e index, f coordinate and g coordinate that the products of
+    ``table`` name (0 where they name none): a format ``(m, n)`` holds them when
+    ``m``, ``m+n-1`` and ``n`` are at least these."""
+    ee, ef = table.ee, table.ef
+    e_max = max((*(max(pair) for pair in ee), *(e for e, _ in ef)), default=0)
+    f_max = max((*(f for coords in ee.values() for f in coords), *(f for _, f in ef)), default=0)
+    g_max = max((g for coords in ef.values() for g in coords), default=0)
+    return e_max, f_max, g_max
+
+
+def _witnesses(rule: LinkageRule) -> Callable[[ClassLabel, Format], TorPresentation]:
+    """The witness tables of ``rule`` by label and format, each label's built once.
+
+    The builders (:func:`~grade3.presentation.canonical_presentation` and
+    the arrangements) place a label's products without reading the format;
+    they read it only to refuse a format too small for them, and for every
+    label but C(3), which no rule's sweep lists, too small means exactly
+    that the format does not hold the products' indices.  So a label's table
+    is kept with those indices, and a later format that holds them gets a
+    table of that format sharing its products.  Any other call goes to the
+    builder, which refuses a misfit as it would without the memo.  The memo
+    holds one table per label the rule has met: at most one per label of the
+    sweep's largest format, ``m_max(n_max+2) + 1`` tables (see
+    :func:`_canonical_labels`), since every label of a smaller format is one
+    of those; it goes with the returned function, when the rule's replay ends.
+    """
+    memo: dict[ClassLabel, tuple[TorPresentation, int, int, int]] = {}
+
+    def witness(label: ClassLabel, fmt: Format) -> TorPresentation:
+        m, n = fmt
+        kept = memo.get(label)
+        if kept is not None:
+            table, e_max, f_max, g_max = kept
+            if e_max <= m and f_max <= m + n - 1 and g_max <= n:
+                return TorPresentation(m, n, table.ee, table.ef)
+        if rule.witness == "canonical":
+            table = canonical_presentation(label, fmt)
+        else:
+            table = arranged_presentation(label, fmt, rule.witness)
+        memo[label] = (table, *_index_bounds(table))
+        return table
+
+    return witness
+
+
+# One row of the replay plan: a label, a format, the witness table or its
+# builder's refusal, and the key of the step's output state.
+_SweepRow = tuple[ClassLabel, Format, TorPresentation | Grade3Error, _StateKey]
+
+
+def _sweep(m_max: int, n_max: int) -> Iterator[tuple[LinkageRule, Iterator[_SweepRow]]]:
     """The replay plan of :func:`verify_linkage_theorems`, one entry per rule.
 
     Yields every rule that declares a witness, in ``RULE_ORDER``, with a lazy
-    stream of ``(label, fmt, table, expected)``: for each format with
+    stream of ``(label, fmt, table, key)``: for each format with
     ``4 <= m <= m_max`` and ``1 <= n <= n_max``, every canonical label the
-    rule's step accepts there, its witness table, and the step's output state.
+    rule's step accepts there, its witness table (from :func:`_witnesses`, or
+    the :class:`~grade3.errors.Grade3Error` the builder refused it with), and
+    the key ``(tag, a, b, m, n)`` of the step's output state.
     """
     formats = [
         (fmt, _canonical_labels(fmt))
         for fmt in (make_format(m, n) for m in range(4, m_max + 1) for n in range(1, n_max + 1))
     ]
 
-    def tables(rule: LinkageRule) -> Iterator[tuple[ClassLabel, Format, TorPresentation, State]]:
-        for (label, fmt), expected in _rule_outputs(rule.rule_id, formats):
-            if rule.witness == "canonical":
-                yield label, fmt, canonical_presentation(label, fmt), expected
-            else:
-                yield label, fmt, arranged_presentation(label, fmt, rule.witness), expected
+    def tables(rule: LinkageRule) -> Iterator[_SweepRow]:
+        witness = _witnesses(rule)
+        for (label, fmt), key in _rule_outputs(rule.rule_id, formats):
+            try:
+                table = witness(label, fmt)
+            except Grade3Error as exc:
+                table = exc
+            yield label, fmt, table, key
 
     for rule in RULES.values():
         if rule.witness is not None:
@@ -380,10 +442,14 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
 
     For each such rule, in ``RULE_ORDER``, the witness tables of every input
     its step accepts with ``4 <= m <= m_max`` and ``1 <= n <= n_max`` are
-    linked along the rule's profile row.  Every simulated output is
-    structurally validated, and its format and classified label are
-    compared with the output state of the rule's step in the table the
-    planner searches with; the three-generator row on its H-v witness
+    linked along the rule's profile row.  A rule's witness of a label is
+    built once, at the first format that lists it, and later rows of that
+    label share its products (see :func:`_witnesses`).  Every simulated
+    output is structurally validated, and its format and classified label
+    are compared, as integers, with the output key ``(tag, a, b, m, n)`` of
+    the rule's step in the table the planner searches with; the expected
+    label and format are built only to word a failure line and for the H-v
+    check.  The three-generator row on its H-v witness
     additionally checks its determinate products and symbolic slots.  A
     label is decided as :func:`~grade3.presentation.classify` decides it, but
     from the ranks it reads: those of p, q and r, and of s1 only when
@@ -391,11 +457,13 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
     to the rule's previous classified one takes that one's label, so each
     run of equal consecutive valid outputs is classified once; every row
     still gets its own checks and failure line.
-    A link the cone refuses (any :class:`~grade3.errors.Grade3Error`) is
-    that row's failure line, ``{label} at {fmt}: link refused: {message}``,
-    and the sweep goes on.  A bound that is not an integer, or a sweep of
-    more than :data:`~grade3.presentation.MAX_DOCUMENT_CELLS` canonical
-    labels, raises :class:`OutOfDomain` before any is listed.
+    A witness its builder refuses, or a link the cone refuses (any
+    :class:`~grade3.errors.Grade3Error`), is that row's failure line,
+    ``{label} at {fmt}: witness refused: {message}`` or
+    ``{label} at {fmt}: link refused: {message}``, and the sweep goes on.
+    A bound that is not an integer, or a sweep of more than
+    :data:`~grade3.presentation.MAX_DOCUMENT_CELLS` canonical labels,
+    raises :class:`OutOfDomain` before any is listed.
     """
     _require_ints(m_max=m_max, n_max=n_max)
     if m_max < 5 or n_max < 1:
@@ -417,9 +485,13 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
         # validation: a valid table holds exact ints, so equal tables have
         # identical entries and one class.
         last_out, last_label = None, None
-        for label, fmt, table, (expected, expected_fmt) in tables:
+        for label, fmt, table, key in tables:
             checked += 1
-            # Failure lines open with "{label} at {fmt}: ", worded only when a check fails.
+            # Failure lines open with "{label} at {fmt}: ", worded only when a
+            # check fails; so is the expected state, read from its key.
+            if isinstance(table, Grade3Error):
+                failures.append(f"{label} at {fmt}: witness refused: {table}")
+                continue
             try:
                 lp = mapping_cone_presentation(table, rule.profile)
             except Grade3Error as exc:
@@ -430,17 +502,20 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
             if diags:
                 failures.append(f"{label} at {fmt}: invalid output table: {diags[0]}")
                 continue
-            if (out.m, out.n) != expected_fmt:
-                failures.append(f"{label} at {fmt}: output format {out.fmt} != {expected_fmt}")
+            if (out.m, out.n) != key[3:]:
+                failures.append(f"{label} at {fmt}: output format {out.fmt} != {_state_of(key)[1]}")
                 continue
             if rule.witness == "H-v":
+                expected = _state_of(key)[0]
                 failures.extend(f"{label} at {fmt}: {p}" for p in _check_linkH_v(lp, label, fmt, expected))
                 note = "determinate products, X/Y slots, and H(0,p) class checked"
                 continue
             if out != last_out:
                 last_out, last_label = out, _class_label(out)
-            if last_label != expected:
-                failures.append(f"{label} at {fmt}: classified {last_label}, expected {expected}")
+            # A ClassLabel is the named tuple (tag, a, b), so it equals the
+            # key's first three slots exactly when it is the expected label.
+            if last_label != key[:3]:
+                failures.append(f"{label} at {fmt}: classified {last_label}, expected {_state_of(key)[0]}")
         results.append(
             ScenarioResult(scenario=rule.rule_id, checked=checked, failures=tuple(failures), note=note)
         )

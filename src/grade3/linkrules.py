@@ -19,9 +19,10 @@ and at import one integer step table.  :func:`_outputs` evaluates any run of
 that table on a state without building labels: the planner passes a tag's
 run to expand a state, :func:`_transition` one step at a time to build a
 certificate step, and ``verify-theorems`` one rule's step through
-:func:`_rule_outputs`.  The table reads :data:`RULES` once: an entry replaced
-later (as ``perfbench/tracer.py`` does to wrap each rule's callables, or a
-test to plant a wrong rule) changes certificate replay and
+:func:`_rule_outputs`, whose output keys it compares as integers.  The
+table reads :data:`RULES` once: an entry replaced later (as
+``perfbench/tracer.py`` does to wrap each rule's callables, or a test to
+plant a wrong rule) changes certificate replay and
 :func:`apply_rule` only, the one reader of the closures and so an
 independent reading of each rule.  ``ext-CVW33``'s row (3,1,0) is outside
 the supported rows: the mapping cone does not model it.  The rule ids are
@@ -390,14 +391,18 @@ def _transition(key: _StateKey, out_key: _StateKey) -> Transition:
     return Transition(step[0], _state_of(key), _state_of(out_key), step[1])
 
 
-def _rule_outputs(rule_id: str, formats: Iterable[tuple[Format, list[StateLabel]]]) -> Iterator[tuple[State, State]]:
-    """Each state ``(label, fmt)`` of ``formats``, in order, that the rule's step accepts, with its output state."""
+def _rule_outputs(
+    rule_id: str, formats: Iterable[tuple[Format, list[StateLabel]]]
+) -> Iterator[tuple[State, _StateKey]]:
+    """Each state ``(label, fmt)`` of ``formats``, in order, that the rule's
+    step accepts, with the step's output key ``(tag, a, b, m, n)``;
+    :func:`_state_of` reads it as a state."""
     runs = {tag: tuple(step for step in steps if step[0] == rule_id) for tag, steps in _STEPS.items()}
     for fmt, labels in formats:
         for label in labels:
             if run := runs[label.tag]:  # most labels have a tag the rule does not accept
                 for key in _outputs(run, label.a, label.b, fmt.m, fmt.n):
-                    yield (label, fmt), _state_of(key)
+                    yield (label, fmt), key
 
 
 def apply_rule(rule_id: str, label: StateLabel, fmt: Format) -> Transition:

@@ -388,6 +388,40 @@ def test_verify_theorems_reports_a_refused_link_and_goes_on(monkeypatch, capsys)
     ]
 
 
+def test_verify_theorems_reports_a_refused_witness_and_goes_on(monkeypatch, capsys):
+    # The fifth arrangement built is linkG-i's witness of G(2) at (4,1), the
+    # first four being the T tables of linkT-i..iv, each built once.  Refused,
+    # it fails that row alone: G(2) at (4,2) is built again, and the sweep goes on.
+    build, calls = cone.arranged_presentation, [0]
+
+    def refuse_fifth(label, fmt, arrangement):
+        calls[0] += 1
+        if calls[0] == 5:
+            raise DimensionMismatch("planted refusal")
+        return build(label, fmt, arrangement)
+
+    monkeypatch.setattr(cone, "arranged_presentation", refuse_fifth)
+    assert main(["verify-theorems", "--m-max", "6", "--n-max", "4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "linktoT: ok (checked=282)",
+        "linkT-i: ok (checked=12)",
+        "linkT-ii: ok (checked=12)",
+        "linkT-iii: ok (checked=12)",
+        "linkT-iv: ok (checked=12)",
+        "linkG-i: FAIL (checked=48)",
+        "  G(2) at (4,1): witness refused: planted refusal",
+        "linkG-ii: ok (checked=48)",
+        "linkH-i: ok (checked=168)",
+        "linkH-ii: ok (checked=210)",
+        "linkH-iii: ok (checked=126)",
+        "linkH-iv: ok (checked=168)",
+        "linkH-v: ok (checked=12)",
+        "FAILED",
+    ]
+
+
 def test_verify_theorems_domain_guard(capsys):
     assert main(["verify-theorems", "--m-max", "4", "--n-max", "8"]) == 3
     assert capsys.readouterr().err.startswith("error:")

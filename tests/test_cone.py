@@ -22,6 +22,7 @@ from grade3 import (
     UnsupportedProfile,
     UnsupportedSpec,
     arranged_presentation,
+    arrangement_ids,
     canonical_presentation,
     class_G,
     class_H,
@@ -37,7 +38,7 @@ from grade3 import (
 )
 from grade3 import cone
 from grade3.cone import _canonical_labels, _sweep, _sweep_label_count
-from grade3.linkrules import _STEPS
+from grade3.linkrules import RULES, _STEPS, _rule_outputs
 
 import pins
 
@@ -489,6 +490,118 @@ def test_theorem_replay_reclassifies_a_different_output_in_a_run(monkeypatch):
     # Two calls more than the unperturbed replay's 498: the perturbed output
     # and H(3,3)'s after it.
     assert calls[0] == 498 + 2
+
+
+def _witness_builders():
+    """Every witness builder the replay can name, as (name, class tag or None
+    for any, function of label and format)."""
+    yield "canonical", None, canonical_presentation
+    for arrangement in arrangement_ids():  # each id opens with its class tag: T-A, G-std, H-i, ...
+        yield arrangement, arrangement[0], lambda label, fmt, arrangement=arrangement: arranged_presentation(
+            label, fmt, arrangement
+        )
+
+
+def test_witness_builders_place_products_without_reading_the_format():
+    # The replay's witness memo rests on this: for a label of the sweep (C(3)
+    # is in none), every builder gives the same products at every format it
+    # accepts, and accepts exactly the formats that hold those products' indices.
+    labels = _canonical_labels(make_format(10, 8))
+    formats = [make_format(m, n) for m in range(1, 14) for n in range(1, 9)]  # H-v holds H(9,q) from m = 12
+    pairs = 0
+    for name, tag, build in _witness_builders():
+        for label in labels:
+            if tag is not None and label.tag != tag:
+                continue
+            built = {}
+            for fmt in formats:
+                try:
+                    built[fmt] = build(label, fmt)
+                except DimensionMismatch:
+                    pass
+            if not built:  # H-i and H-iii take no H(0,q)
+                assert name in ("H-i", "H-iii") and label.a == 0, (name, label)
+                continue
+            first = next(iter(built.values()))
+            e_max, f_max, g_max = cone._index_bounds(first)
+            for fmt in formats:
+                holds = e_max <= fmt.m and f_max <= fmt.dim2 and g_max <= fmt.n
+                assert (fmt in built) == holds, (name, label, fmt)
+                if fmt in built:
+                    table = built[fmt]
+                    assert (table.m, table.n, table.ee, table.ef) == (fmt.m, fmt.n, first.ee, first.ef)
+                    pairs += 1
+    assert pairs > 10000
+
+
+def test_theorem_replay_builds_each_witness_once_per_rule_and_label(monkeypatch):
+    # At (6,4) each rule's witness of a label is built once, at the first
+    # format that lists it, and shared by its later rows; every row is still
+    # linked and validated.
+    formats = [(make_format(m, n), _canonical_labels(make_format(m, n))) for m in range(4, 7) for n in range(1, 5)]
+    distinct = sum(
+        len({label for (label, _), _ in _rule_outputs(rule.rule_id, formats)})
+        for rule in RULES.values()
+        if rule.witness is not None
+    )
+    counts = {"build": 0, "link": 0, "validate": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(cone, "canonical_presentation", counted("build", cone.canonical_presentation))
+    monkeypatch.setattr(cone, "arranged_presentation", counted("build", cone.arranged_presentation))
+    monkeypatch.setattr(cone, "mapping_cone_presentation", counted("link", cone.mapping_cone_presentation))
+    monkeypatch.setattr(cone, "validate_presentation", counted("validate", cone.validate_presentation))
+    report = verify_linkage_theorems(6, 4)
+    assert report.all_passed
+    assert sum(res.checked for res in report.results) == 1110
+    assert counts == {"build": distinct, "link": 1110, "validate": 1110}
+    assert distinct == 116 + 37  # arrangements, then linktoT's canonical tables: all 37 labels of (6,4)
+
+
+@pytest.mark.parametrize(
+    "rule_id, label, kept_at, too_small, holds, need",
+    [
+        # Each too-small format breaks one bound: e index, f coordinate, g coordinate.
+        ("linkT-i", CLASS_T, (4, 1), (3, 2), (5, 1), "m >= 4 and m+n-1 >= 3"),
+        ("linktoT", CLASS_B, (4, 1), (2, 1), (2, 2), "m >= 2 and m+n-1 >= 3"),
+        ("linkH-i", class_H(3, 2), (6, 4), (5, 1), (4, 2), "n >= 2"),
+    ],
+)
+def test_a_kept_witness_too_large_for_the_format_goes_to_the_builder(
+    monkeypatch, rule_id, label, kept_at, too_small, holds, need
+):
+    # The table kept from one format is not handed to a format that cannot
+    # hold its products: the builder is asked again and refuses it as it
+    # would unkept.  A format that holds them gets a table of its own format
+    # sharing them, without a build.
+    rule = RULES[rule_id]
+    if rule.witness == "canonical":
+        name, arrangement = "canonical_presentation", ()
+    else:
+        name, arrangement = "arranged_presentation", (rule.witness,)
+    build, builds = getattr(cone, name), []
+
+    def counted(label, fmt, *args):
+        builds.append(fmt)
+        return build(label, fmt, *args)
+
+    monkeypatch.setattr(cone, name, counted)
+    witness = cone._witnesses(rule)
+    kept_at, too_small, holds = (make_format(*fmt) for fmt in (kept_at, too_small, holds))
+    kept = witness(label, kept_at)
+    with pytest.raises(DimensionMismatch) as refused:
+        witness(label, too_small)
+    assert str(refused.value) == f"class {label} does not fit format {too_small}: needs {need}"
+    shared = witness(label, holds)
+    assert builds == [kept_at, too_small]
+    assert shared == build(label, holds, *arrangement)
+    assert shared.ee is kept.ee and shared.ef is kept.ef
 
 
 def test_theorem_sweep_tables_and_links_are_pinned():
