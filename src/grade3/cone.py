@@ -63,6 +63,7 @@ from .linkrules import (
     SUPPORTED_PROFILES,
     LinkageRule,
     RankProfile,
+    State,
     _rule_outputs,
     _state_of,
     _StateKey,
@@ -345,7 +346,10 @@ def _index_bounds(table: TorPresentation) -> tuple[int, int, int]:
     return e_max, f_max, g_max
 
 
-def _witnesses(rule: LinkageRule) -> Callable[[ClassLabel, Format], TorPresentation]:
+_Witness = Callable[[ClassLabel, Format], TorPresentation]
+
+
+def _witnesses(rule: LinkageRule) -> _Witness:
     """The witness tables of ``rule`` by label and format, each label's built once.
 
     The builders (:func:`~grade3.presentation.canonical_presentation` and
@@ -380,38 +384,22 @@ def _witnesses(rule: LinkageRule) -> Callable[[ClassLabel, Format], TorPresentat
     return witness
 
 
-# One row of the replay plan: a label, a format, the witness table or its
-# builder's refusal, and the key of the step's output state.
-_SweepRow = tuple[ClassLabel, Format, TorPresentation | Grade3Error, _StateKey]
+def _sweep(m_max: int, n_max: int) -> Iterator[tuple[LinkageRule, _Witness, Iterator[tuple[State, _StateKey]]]]:
+    """The replay plan of :func:`verify_linkage_theorems`: ``(rule, witness, rows)``
+    for every rule that declares a witness, in ``RULE_ORDER``.
 
-
-def _sweep(m_max: int, n_max: int) -> Iterator[tuple[LinkageRule, Iterator[_SweepRow]]]:
-    """The replay plan of :func:`verify_linkage_theorems`, one entry per rule.
-
-    Yields every rule that declares a witness, in ``RULE_ORDER``, with a lazy
-    stream of ``(label, fmt, table, key)``: for each format with
-    ``4 <= m <= m_max`` and ``1 <= n <= n_max``, every canonical label the
-    rule's step accepts there, its witness table (from :func:`_witnesses`, or
-    the :class:`~grade3.errors.Grade3Error` the builder refused it with), and
-    the key ``(tag, a, b, m, n)`` of the step's output state.
+    ``witness`` is the rule's :func:`_witnesses`, and ``rows`` lazily lists
+    ``((label, fmt), key)``: for each format with ``4 <= m <= m_max`` and
+    ``1 <= n <= n_max``, every canonical label the rule's step accepts there,
+    with the key ``(tag, a, b, m, n)`` of the step's output state.
     """
     formats = [
         (fmt, _canonical_labels(fmt))
         for fmt in (make_format(m, n) for m in range(4, m_max + 1) for n in range(1, n_max + 1))
     ]
-
-    def tables(rule: LinkageRule) -> Iterator[_SweepRow]:
-        witness = _witnesses(rule)
-        for (label, fmt), key in _rule_outputs(rule.rule_id, formats):
-            try:
-                table = witness(label, fmt)
-            except Grade3Error as exc:
-                table = exc
-            yield label, fmt, table, key
-
     for rule in RULES.values():
         if rule.witness is not None:
-            yield rule, tables(rule)
+            yield rule, _witnesses(rule), _rule_outputs(rule.rule_id, formats)
 
 
 def _check_linkH_v(lp: LinkedPresentation, label: ClassLabel, fmt: Format, expected: ClassLabel) -> list[str]:
@@ -442,9 +430,9 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
 
     For each such rule, in ``RULE_ORDER``, the witness tables of every input
     its step accepts with ``4 <= m <= m_max`` and ``1 <= n <= n_max`` are
-    linked along the rule's profile row.  A rule's witness of a label is
-    built once, at the first format that lists it, and later rows of that
-    label share its products (see :func:`_witnesses`).  Every simulated
+    linked along the rule's profile row, each built as its row comes up by
+    the witness :func:`_sweep` yields: once per label, at the first format
+    listing it, later rows sharing its products.  Every simulated
     output is structurally validated, and its format and classified label
     are compared, as integers, with the output key ``(tag, a, b, m, n)`` of
     the rule's step in the table the planner searches with; the expected
@@ -474,7 +462,7 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
             f"than the limit, {MAX_DOCUMENT_CELLS}"
         )
     results: list[ScenarioResult] = []
-    for rule, tables in _sweep(m_max, n_max):
+    for rule, witness, rows in _sweep(m_max, n_max):
         checked = 0
         failures: list[str] = []
         note = ""
@@ -485,12 +473,14 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
         # validation: a valid table holds exact ints, so equal tables have
         # identical entries and one class.
         last_out, last_label = None, None
-        for label, fmt, table, key in tables:
+        for (label, fmt), key in rows:
             checked += 1
             # Failure lines open with "{label} at {fmt}: ", worded only when a
             # check fails; so is the expected state, read from its key.
-            if isinstance(table, Grade3Error):
-                failures.append(f"{label} at {fmt}: witness refused: {table}")
+            try:
+                table = witness(label, fmt)
+            except Grade3Error as exc:
+                failures.append(f"{label} at {fmt}: witness refused: {exc}")
                 continue
             try:
                 lp = mapping_cone_presentation(table, rule.profile)

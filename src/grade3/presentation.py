@@ -97,6 +97,11 @@ def _dense(coords: Mapping[int, int] | None, length: int, sign: int = 1) -> tupl
     return tuple(vec)
 
 
+def _basis_index(kind: str, index: int, size: int) -> None:
+    if type(index) is not int or not 1 <= index <= size:
+        raise DimensionMismatch(f"{kind} index {_shown(index)} is outside a basis of {size} vectors")
+
+
 class TorPresentation(NamedTuple):
     """Integer multiplication table of a graded algebra in format (m, n).
 
@@ -120,7 +125,13 @@ class TorPresentation(NamedTuple):
         return make_format(self.m, self.n)
 
     def ee_product(self, i: int, j: int) -> tuple[int, ...]:
-        """Dense coefficients of ``e_i e_j`` over the f basis, any order of i, j."""
+        """Dense coefficients of ``e_i e_j`` over the f basis, any order of i, j.
+
+        Raises :class:`DimensionMismatch` for an index that is not an ``int``
+        in ``1..m``.
+        """
+        _basis_index("e", i, self.m)
+        _basis_index("e", j, self.m)
         if i == j:
             return (0,) * self.dim2
         if i < j:
@@ -128,7 +139,13 @@ class TorPresentation(NamedTuple):
         return _dense(self.ee.get((j, i)), self.dim2, -1)
 
     def ef_product(self, i: int, l: int) -> tuple[int, ...]:
-        """Dense coefficients of ``e_i f_l`` over the g basis."""
+        """Dense coefficients of ``e_i f_l`` over the g basis.
+
+        Raises :class:`DimensionMismatch` unless ``i`` is an ``int`` in
+        ``1..m`` and ``l`` one in ``1..m+n-1``.
+        """
+        _basis_index("e", i, self.m)
+        _basis_index("f", l, self.dim2)
         return _dense(self.ef.get((i, l)), self.n)
 
 

@@ -12,7 +12,9 @@ ones and 1 when they are not.  The names are those of :data:`PINS`.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 
@@ -35,6 +37,7 @@ from grade3 import (
     realize_all,
     render_atlas_csv,
 )
+from grade3 import cli
 from grade3.cone import _sweep
 
 
@@ -102,11 +105,14 @@ def cone_sweep() -> tuple[int, str]:
     maps, symbolic slots); recorded while products were still stored as
     dense vectors.
     """
-    return cone_sweep_digest(
-        (rule, label, fmt, table, linked_to_document(mapping_cone_presentation(table, rule.profile)))
-        for rule, tables in _sweep(10, 8)
-        for label, fmt, table, _ in tables
-    )
+
+    def links():
+        for rule, witness, rows in _sweep(10, 8):
+            for (label, fmt), _ in rows:
+                table = witness(label, fmt)
+                yield rule, label, fmt, table, linked_to_document(mapping_cone_presentation(table, rule.profile))
+
+    return cone_sweep_digest(links())
 
 
 CONE_SWEEP = (11060, "e91a37abf21c6bfb691bf63f4be0e43909bf9bd5c267413a769f3a14c6c609fe")
@@ -116,9 +122,9 @@ def replay_outputs():
     """Every distinct output table of the (10,8) replay, H-v determinate parts
     included, once each in the order first linked, with its document's JSON text."""
     seen = set()
-    for rule, tables in _sweep(10, 8):
-        for _, _, table, _ in tables:
-            out = mapping_cone_presentation(table, rule.profile).presentation
+    for rule, witness, rows in _sweep(10, 8):
+        for (label, fmt), _ in rows:
+            out = mapping_cone_presentation(witness(label, fmt), rule.profile).presentation
             text = json.dumps(presentation_to_document(out), sort_keys=True)
             if text not in seen:
                 seen.add(text)
@@ -144,11 +150,34 @@ def classify_sweep() -> tuple[int, str]:
 
 CLASSIFY_SWEEP = (4564, "98964a8cb4de2869c777e8e55356b18a03079db6716eabd513f0aacf6ebedea0")
 
+
+def replay_stdout(*bounds: str) -> tuple[int, int, str]:
+    """Exit code, lines and the digest of the stdout of ``grade3 verify-theorems``.
+
+    The command runs in this process with ``bounds`` as its options.  A
+    passing replay prints 12 lines ``{rule}: ok (checked={rows})`` and last
+    ``all scenarios passed``.
+    """
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.main(["verify-theorems", *bounds])
+    text = out.getvalue()
+    return status, text.count("\n"), hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# The replay at its default bound, (10,8), as the benchmark's theorem_replay workload runs it.
+REPLAY_STDOUT = (0, 13, "8b2bc0870a0424b4bcd33c6b8e5aedf7b2d25152ebf1b4fea9559b5ebcd8ae9f")
+# At (14,12), a size users run: rows 10230 for linktoT, 132 for each of linkT-i..iv,
+# 1056 for linkG-i and linkG-ii, then 7920, 8910, 6930, 7920 for linkH-i..iv and 660 for linkH-v.
+REPLAY_STDOUT_14_12 = (0, 13, "b4f7e3ea44f9832c0bc92c465bf146a241f98756df50b75604bc9200aa518e15")
+
 PINS = {
     "coverage-sweep": (coverage_sweep, COVERAGE_SWEEP),
     "verdict-grid": (verdict_grid, VERDICT_GRID),
     "cone-sweep": (cone_sweep, CONE_SWEEP),
     "classify-sweep": (classify_sweep, CLASSIFY_SWEEP),
+    "replay-stdout": (replay_stdout, REPLAY_STDOUT),
+    "replay-stdout-14-12": (lambda: replay_stdout("--m-max", "14", "--n-max", "12"), REPLAY_STDOUT_14_12),
 }
 
 

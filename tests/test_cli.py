@@ -27,6 +27,8 @@ from grade3.linkrules import _STEPS
 from grade3.permissible import MAX_ATLAS_CELLS
 from grade3.presentation import MAX_DOCUMENT_CELLS
 
+import pins
+
 
 def _write_doc(tmp_path, name, doc):
     path = tmp_path / name
@@ -420,6 +422,13 @@ def test_verify_theorems_reports_a_refused_witness_and_goes_on(monkeypatch, caps
         "linkH-v: ok (checked=12)",
         "FAILED",
     ]
+
+
+@pytest.mark.parametrize("name", ["replay-stdout", "replay-stdout-14-12"])
+def test_verify_theorems_stdout_is_pinned(name):
+    # The whole stdout of the replay at (10,8) and at (14,12); it must not move.
+    compute, expected = pins.PINS[name]
+    assert compute() == expected
 
 
 def test_verify_theorems_domain_guard(capsys):

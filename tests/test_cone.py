@@ -442,10 +442,10 @@ def test_theorem_replay_classifies_each_run_of_equal_outputs_once(monkeypatch):
     # rule's previous classified one; the H-v rows are all classified.
     # Counted here from the sweep and the cone alone.
     expected = rows = 0
-    for rule, tables in _sweep(6, 4):
+    for rule, witness, plan in _sweep(6, 4):
         previous = None
-        for _, _, table, _ in tables:
-            out = mapping_cone_presentation(table, rule.profile).presentation
+        for (label, fmt), _ in plan:
+            out = mapping_cone_presentation(witness(label, fmt), rule.profile).presentation
             assert validate_presentation(out) == ()
             expected += rule.witness == "H-v" or out != previous
             previous = out
@@ -467,11 +467,14 @@ def test_theorem_replay_reclassifies_a_different_output_in_a_run(monkeypatch):
     sweep, link = cone._sweep, cone.mapping_cone_presentation
     planted = []
 
-    def marked(rule, tables):
-        for label, fmt, table, expected in tables:
+    def marked(rule, witness):
+        def build(label, fmt):
+            table = witness(label, fmt)
             if rule.rule_id == "linkH-i" and (label, fmt) == (class_H(3, 2), make_format(6, 4)):
                 planted.append(table)
-            yield label, fmt, table, expected
+            return table
+
+        return build
 
     def perturbed(table, row):
         lp = link(table, row)
@@ -479,7 +482,9 @@ def test_theorem_replay_reclassifies_a_different_output_in_a_run(monkeypatch):
             return lp._replace(presentation=lp.presentation._replace(ef={}))
         return lp
 
-    monkeypatch.setattr(cone, "_sweep", lambda m, n: ((rule, marked(rule, tables)) for rule, tables in sweep(m, n)))
+    monkeypatch.setattr(
+        cone, "_sweep", lambda m, n: ((rule, marked(rule, witness), rows) for rule, witness, rows in sweep(m, n))
+    )
     calls = _counted_classify(monkeypatch)
     monkeypatch.setattr(cone, "mapping_cone_presentation", perturbed)
     report = verify_linkage_theorems(6, 4)
@@ -490,6 +495,26 @@ def test_theorem_replay_reclassifies_a_different_output_in_a_run(monkeypatch):
     # Two calls more than the unperturbed replay's 498: the perturbed output
     # and H(3,3)'s after it.
     assert calls[0] == 498 + 2
+
+
+def test_a_refused_witness_reaches_a_sweep_consumer_as_the_builders_error(monkeypatch):
+    # The sweep yields each rule's witness builder, not its tables: a consumer
+    # that links every row, as pins.cone_sweep does, gets the builder's own
+    # refusal, here on linkG-i's witness of G(2) at (4,1), the fifth arrangement built.
+    build, calls = cone.arranged_presentation, [0]
+
+    def refuse_fifth(label, fmt, arrangement):
+        calls[0] += 1
+        if calls[0] == 5:
+            raise DimensionMismatch("planted refusal")
+        return build(label, fmt, arrangement)
+
+    monkeypatch.setattr(cone, "arranged_presentation", refuse_fifth)
+    with pytest.raises(DimensionMismatch, match="^planted refusal$"):
+        for rule, witness, rows in _sweep(6, 4):
+            for (label, fmt), _ in rows:
+                linked_to_document(mapping_cone_presentation(witness(label, fmt), rule.profile))
+    assert calls[0] == 5
 
 
 def _witness_builders():
@@ -630,7 +655,9 @@ def test_theorem_sweep_links_in_a_shuffled_order_match_the_pin():
     # maps, splits, Koszul products and symbolic slots.  Linked in a seeded
     # shuffled order, nearly every call changes format or row and evicts the
     # frame; the outputs must still hash to the sweep's pin, in sweep order.
-    links = [(rule, label, fmt, table) for rule, tables in _sweep(10, 8) for label, fmt, table, _ in tables]
+    links = [
+        (rule, label, fmt, witness(label, fmt)) for rule, witness, rows in _sweep(10, 8) for (label, fmt), _ in rows
+    ]
     order = list(range(len(links)))
     random.Random(20261019).shuffle(order)
     docs = [None] * len(links)

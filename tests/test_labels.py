@@ -10,6 +10,7 @@ from grade3 import (
     CLASS_B,
     CLASS_C3,
     CLASS_T,
+    ClassLabel,
     DimensionMismatch,
     InvalidFormat,
     InvalidLabel,
@@ -175,6 +176,12 @@ def test_label_accessor_guards():
 def _pqr(label):
     inv = class_invariants(label)
     return (inv.p, inv.q, inv.r)
+
+
+def test_invariants_of_an_unknown_tag_are_refused():
+    with pytest.raises(InvalidLabel) as refused:
+        class_invariants(ClassLabel("X"))
+    assert str(refused.value) == "unknown class tag 'X'"
 
 
 def test_invariant_table_fixed_rows():

@@ -17,6 +17,7 @@ from grade3 import (
     CLASS_T,
     DimensionMismatch,
     DocumentError,
+    OPAQUE,
     UnknownArrangement,
     arranged_presentation,
     arrangement_ids,
@@ -50,6 +51,30 @@ def test_graded_commutativity_of_accessors():
     assert pres.ee_product(2, 1) == _unit(6, 3, -1)
     assert pres.ee_product(2, 2) == (0,) * 6
     assert pres.ee_product(3, 4) == (0,) * 6
+
+
+def test_accessors_refuse_basis_vectors_that_do_not_exist():
+    # Products of e_1..e_m and f_1..f_{m+n-1} only, as _dense refuses a coordinate outside its basis.
+    pres = canonical_presentation(CLASS_T, make_format(4, 3))
+    refusals = [
+        (pres.ee_product, (0, 99), "e index 0 is outside a basis of 4 vectors"),
+        (pres.ee_product, (1, 5), "e index 5 is outside a basis of 4 vectors"),
+        (pres.ee_product, (99, 99), "e index 99 is outside a basis of 4 vectors"),
+        (pres.ef_product, (99, 99), "e index 99 is outside a basis of 4 vectors"),
+        (pres.ef_product, (0, 1), "e index 0 is outside a basis of 4 vectors"),
+        (pres.ef_product, (1, 0), "f index 0 is outside a basis of 6 vectors"),
+        (pres.ef_product, (4, 7), "f index 7 is outside a basis of 6 vectors"),
+        # Not a basis index at all: a float, a bool, a string.
+        (pres.ee_product, (1.5, 2), "e index 1.5 is outside a basis of 4 vectors"),
+        (pres.ee_product, (True, 2), "e index True is outside a basis of 4 vectors"),
+        (pres.ef_product, (1, "1"), "f index '1' is outside a basis of 6 vectors"),
+    ]
+    for accessor, args, message in refusals:
+        with pytest.raises(DimensionMismatch) as refused:
+            accessor(*args)
+        assert str(refused.value) == message, args
+    assert [pres.ee_product(i, i) for i in (1, 4)] == [(0,) * 6] * 2
+    assert pres.ef_product(4, 6) == (0,) * 3
 
 
 def test_make_presentation_drops_zero_vectors():
@@ -244,6 +269,13 @@ def test_arrangement_rejects_wrong_class_or_unknown_id():
         arranged_presentation(CLASS_T, make_format(4, 3), "G-std")
     with pytest.raises(UnknownArrangement):
         arranged_presentation(CLASS_T, make_format(4, 3), "T-C")
+
+
+def test_canonical_presentation_refuses_the_opaque_label():
+    # The argument check accepts the opaque label; no canonical table does.
+    with pytest.raises(UnknownArrangement) as refused:
+        canonical_presentation(OPAQUE, make_format(4, 3))
+    assert str(refused.value) == "no canonical table for label *"
 
 
 def test_arrangement_dimension_guards():
