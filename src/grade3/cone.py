@@ -60,14 +60,13 @@ from .exact import sparse_rank
 from .labels import CLASS_B, CLASS_T, ClassLabel, Format, class_G, class_H, make_format
 from .linkrules import (
     RULES,
-    SUPPORTED_PROFILES,
     LinkageRule,
     RankProfile,
     State,
     _rule_outputs,
     _state_of,
     _StateKey,
-    _unsupported_row,
+    _require_supported,
 )
 from .presentation import (
     MAX_DOCUMENT_CELLS,
@@ -91,9 +90,6 @@ __all__ = [
 
 LINKED_VERSION = 1
 _DEFAULT_SWEEP = (10, 8)  # (m_max, n_max) of verify_linkage_theorems and of verify-theorems, by default
-# The fields of the supported rows, looked up by value: a RankProfile's own
-# __eq__, scanned over SUPPORTED_PROFILES, costs a Python call per row.
-_SUPPORTED_ROWS = frozenset(row.as_tuple() for row in SUPPORTED_PROFILES)
 
 
 def LinkSpec(t1: int, phi2_unit: bool = False) -> RankProfile:
@@ -146,8 +142,7 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
     the symbolic slots would exceed
     :data:`grade3.presentation.MAX_DOCUMENT_CELLS`.
     """
-    if type(row) is not RankProfile or (row.t1, row.t2, row.t3) not in _SUPPORTED_ROWS:
-        raise UnsupportedSpec(_unsupported_row(row))
+    _require_supported(row, UnsupportedSpec)
     t1, phi2 = row.t1, row.t2 == 1
     m, n = a.m, a.n
     # Bound the work that grows with m+n whatever the products: the raw bases

@@ -37,7 +37,6 @@ __all__ = [
     "parse_label",
     "ClassInvariants",
     "class_invariants",
-    "OpaqueLabel",
     "OPAQUE",
 ]
 
@@ -95,6 +94,8 @@ _FORMAT_RE = re.compile(r"^\((\d+),(\d+)\)$")
 
 def parse_format(text: str) -> Format:
     """Parse the text form ``"(m,n)"`` produced by ``str(Format)``."""
+    if not isinstance(text, str):
+        raise InvalidFormat(f"expected the text of a format, \"(m,n)\", got {_shown(text)}")
     match = _FORMAT_RE.match(text.strip())
     if match is None:
         raise InvalidFormat(f"cannot parse format from {text!r}; expected \"(m,n)\"")
@@ -111,12 +112,13 @@ def betti_total(fmt: Format) -> int:
 
 
 class ClassLabel(NamedTuple):
-    """One of the labels B, C(3), T, G(r), H(p,q).
+    """One of the labels B, C(3), T, G(r), H(p,q), or the opaque label ``*``.
 
-    ``tag`` is one of ``"B"``, ``"C3"``, ``"G"``, ``"H"``, ``"T"``; the two
-    integer slots hold ``r`` for G and ``(p, q)`` for H and are zero
-    otherwise.  Use the module-level constructors rather than instantiating
-    directly: ``class_G`` and ``class_H`` validate and normalize parameters.
+    ``tag`` is one of ``"B"``, ``"C3"``, ``"G"``, ``"H"``, ``"T"``, or ``"*"``
+    for :data:`OPAQUE`; the two integer slots hold ``r`` for G and ``(p, q)``
+    for H and are zero otherwise.  Use the module-level constructors rather
+    than instantiating directly: ``class_G`` and ``class_H`` validate and
+    normalize parameters.
     """
 
     tag: str
@@ -154,6 +156,9 @@ class ClassLabel(NamedTuple):
 CLASS_B = ClassLabel("B")
 CLASS_C3 = ClassLabel("C3")
 CLASS_T = ClassLabel("T")
+# The label of an axiom whose class its source does not pin: tag ``*``, which
+# certificate documents print; only the rule ``linktoT`` accepts it.
+OPAQUE = ClassLabel("*")
 # Like _shared_format: one object per G or H label, built from validated ints.
 _shared_label = lru_cache(maxsize=None)(ClassLabel)
 
@@ -204,6 +209,8 @@ def parse_label(text: str) -> ClassLabel:
     the same normalization as the constructors (so ``"G(1)"`` parses to
     ``H(0,1)``).
     """
+    if not isinstance(text, str):
+        raise InvalidLabel(f"expected the text of a class label, such as \"H(p,q)\", got {_shown(text)}")
     match = _LABEL_RE.match(text.strip())
     if match is None:
         raise InvalidLabel(
@@ -249,39 +256,16 @@ def class_invariants(label: ClassLabel) -> ClassInvariants:
     raise InvalidLabel(f"unknown class tag {label.tag!r}")
 
 
-class OpaqueLabel(NamedTuple):
-    """Placeholder for an axiom whose class is not pinned by its source.
-
-    Renders as ``"*"`` in certificate documents, which is also its ``tag``;
-    like a class label's, its slots ``a`` and ``b`` are integers, both zero.
-    Only the rule that works for every class (``linktoT``) accepts it.
-    """
-
-    tag: str = "*"
-    a: int = 0
-    b: int = 0
-
-    def __repr__(self) -> str:
-        return "OpaqueLabel()"
-
-    def __str__(self) -> str:
-        return "*"
-
-
-OPAQUE = OpaqueLabel()
-_LABEL_TYPES = (ClassLabel, OpaqueLabel)
-
-
 def _require_types(fmt: object, label: object = OPAQUE) -> None:
     """The argument check of the public functions that take a label or a format.
 
-    Refuses a ``label`` that is neither a :class:`ClassLabel` nor an
-    :class:`OpaqueLabel` with :class:`InvalidLabel` (a function that takes no
-    opaque label refuses it itself, and the default checks only ``fmt``),
-    then a ``fmt`` that is not a :class:`Format`, a plain tuple included,
-    with :class:`InvalidFormat`.
+    Refuses a ``label`` that is not a :class:`ClassLabel` with
+    :class:`InvalidLabel` (a function that takes no opaque label refuses
+    :data:`OPAQUE` itself, and the default checks only ``fmt``), then a
+    ``fmt`` that is not a :class:`Format`, a plain tuple included, with
+    :class:`InvalidFormat`.
     """
-    if not isinstance(label, _LABEL_TYPES):
+    if not isinstance(label, ClassLabel):
         raise InvalidLabel(f"expected a class label (see parse_label), got {_shown(label)}")
     if not isinstance(fmt, Format):
         raise InvalidFormat(f"expected a format (see make_format), got {_shown(fmt)}")

@@ -40,6 +40,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     DocumentError,
+    Grade3Error,
     InvalidFormat,
     PreconditionViolated,
     UnsupportedProfile,
@@ -53,7 +54,6 @@ from .labels import (
     CLASS_T,
     ClassLabel,
     Format,
-    OpaqueLabel,
     OPAQUE,
     _require_types,
     class_G,
@@ -80,46 +80,50 @@ __all__ = [
     "transition_from_document",
 ]
 
-StateLabel = ClassLabel | OpaqueLabel
-State = tuple[StateLabel, Format]
+State = tuple[ClassLabel, Format]
 
 _VERIFIED = "verified from structure constants (grade3 verify-theorems)"
 
 
-@dataclass(frozen=True)
-class RankProfile:
-    """Rank contributions (t1, t2, t3) of the three designated generators.
-
-    A dataclass, not a ``NamedTuple``, so that construction can refuse a
-    negative or non-integer component.
-    """
-
+class _Row(NamedTuple):
     t1: int
     t2: int
     t3: int
 
-    def __post_init__(self) -> None:
-        for name, value in (("t1", self.t1), ("t2", self.t2), ("t3", self.t3)):
+
+class RankProfile(_Row):
+    """Rank contributions (t1, t2, t3) of the three designated generators.
+
+    Construction refuses a negative or non-integer component; ``_replace`` and
+    ``_make`` do not, and the functions that link along a row refuse any row
+    outside :data:`SUPPORTED_PROFILES` whatever built it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t1: int, t2: int, t3: int) -> RankProfile:
+        for name, value in (("t1", t1), ("t2", t2), ("t3", t3)):
             if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                 raise UnsupportedProfile(f"profile component {name} must be a non-negative integer")
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.t1, self.t2, self.t3)
+        return super().__new__(cls, t1, t2, t3)
 
 
 # The supported rows; the cone links along exactly these.
 SUPPORTED_PROFILES = tuple(RankProfile(*row) for row in ((0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (3, 0, 0)))
 
 
-def _unsupported_row(row: object) -> str:
-    """Why a row outside :data:`SUPPORTED_PROFILES` is refused: worded as the
-    :func:`grade3.cone.LinkSpec` arguments when that builds the row, else naming
-    it; anything not a :class:`RankProfile`, a plain tuple included, is shown."""
-    if not isinstance(row, RankProfile):
-        return f"expected a rank profile (see LinkSpec), got {_shown(row)}"
-    if row.t2 <= 1 and not row.t3:
-        return f"link spec (t1={_decimal(row.t1)}, phi2_unit={row.t2 == 1}) is not supported"
-    return f"rank profile ({', '.join(map(_decimal, row.as_tuple()))}) is outside the supported table"
+def _require_supported(row: object, error: type[Grade3Error]) -> None:
+    """Return for a :class:`RankProfile` in :data:`SUPPORTED_PROFILES`, else raise
+    ``error`` saying why: worded as the :func:`grade3.cone.LinkSpec` arguments
+    when that builds the row, else naming it; anything not a
+    :class:`RankProfile`, a plain tuple included, is shown."""
+    if isinstance(row, RankProfile):
+        if row in SUPPORTED_PROFILES:
+            return
+        if row.t2 in (0, 1) and row.t3 == 0:
+            raise error(f"link spec (t1={_decimal(row.t1)}, phi2_unit={row.t2 == 1}) is not supported")
+        raise error(f"rank profile ({', '.join(map(_decimal, row))}) is outside the supported table")
+    raise error(f"expected a rank profile (see LinkSpec), got {_shown(row)}")
 
 
 # The format map of every row (t1, t2, 0).  Evidence, not a theorem: on 11 936
@@ -139,8 +143,7 @@ def link_option_format(fmt: Format, profile: RankProfile) -> Format:
     (for example (3,0,0) needs ``m >= 4``).
     """
     _require_types(fmt)
-    if profile not in SUPPORTED_PROFILES:
-        raise UnsupportedProfile(_unsupported_row(profile))
+    _require_supported(profile, UnsupportedProfile)
     return _format_map(profile.t1, profile.t2)(fmt)
 
 
@@ -150,8 +153,7 @@ def betti_after_link(b: int, profile: RankProfile) -> int:
     Raises :class:`UnsupportedProfile` outside the supported rows, as
     :func:`link_option_format` does.
     """
-    if profile not in SUPPORTED_PROFILES:
-        raise UnsupportedProfile(_unsupported_row(profile))
+    _require_supported(profile, UnsupportedProfile)
     if not isinstance(b, int) or isinstance(b, bool) or b < 0:
         raise InvalidFormat(f"betti number must be a non-negative integer, got {_shown(b)}")
     return b + 6 - 2 * profile.t1 - 2 * profile.t2 - profile.t3
@@ -209,17 +211,17 @@ class LinkageRule:
     out_tag: str
     guards: tuple[_Guard, ...]
     out_slots: tuple[_Term, _Term]
-    check: Callable[[StateLabel, Format], str | None]
-    out_class: Callable[[StateLabel], ClassLabel]
+    check: Callable[[ClassLabel, Format], str | None]
+    out_class: Callable[[ClassLabel], ClassLabel]
     out_format: Callable[[Format], Format]
     witness: str | None = None
 
 
 # The state labels without parameters, by tag.
-_FIXED_LABELS: dict[str, StateLabel] = {label.tag: label for label in (CLASS_B, CLASS_C3, CLASS_T, OPAQUE)}
+_FIXED_LABELS: dict[str, ClassLabel] = {label.tag: label for label in (CLASS_B, CLASS_C3, CLASS_T, OPAQUE)}
 
 
-def _label_of(tag: str, a: int, b: int) -> StateLabel:
+def _label_of(tag: str, a: int, b: int) -> ClassLabel:
     """The state label with this tag and these slots."""
     if tag == "H":
         return class_H(a, b)
@@ -228,8 +230,8 @@ def _label_of(tag: str, a: int, b: int) -> StateLabel:
     return _FIXED_LABELS[tag]
 
 
-def _state_key(label: StateLabel, fmt: Format) -> _StateKey:
-    """A state as integers: ``(tag, a, b, m, n)``; an opaque label is ``("*", 0, 0)``."""
+def _state_key(label: ClassLabel, fmt: Format) -> _StateKey:
+    """A state as integers: ``(tag, a, b, m, n)``."""
     return (label.tag, label.a, label.b, fmt.m, fmt.n)
 
 
@@ -239,7 +241,7 @@ def _state_of(key: _StateKey) -> State:
     return (_label_of(tag, a, b), make_format(m, n))
 
 
-def _check(in_tags: frozenset[str], guards: tuple[_Guard, ...]) -> Callable[[StateLabel, Format], str | None]:
+def _check(in_tags: frozenset[str], guards: tuple[_Guard, ...]) -> Callable[[ClassLabel, Format], str | None]:
     if len(in_tags) == 1:
         (tag,) = in_tags
         accepted = f"class {tag} inputs"
@@ -247,7 +249,7 @@ def _check(in_tags: frozenset[str], guards: tuple[_Guard, ...]) -> Callable[[Sta
         excluded = ", ".join(str(_FIXED_LABELS.get(tag, tag)) for tag in sorted(STATE_TAGS - in_tags))
         accepted = f"inputs of any class except {excluded}"
 
-    def check(label: StateLabel, fmt: Format) -> str | None:
+    def check(label: ClassLabel, fmt: Format) -> str | None:
         if label.tag not in in_tags:
             return f"rule applies to {accepted}, not {label}"
         for holds, reason in guards:
@@ -279,7 +281,7 @@ def _rule(
     tags = frozenset({in_tags}) if isinstance(in_tags, str) else in_tags
     (ia, ka), (ib, kb) = map(_compiled, out_slots)
 
-    def out_class(label: StateLabel) -> ClassLabel:
+    def out_class(label: ClassLabel) -> ClassLabel:
         slots = (label.a, label.b, 0)
         return _label_of(out_tag, slots[ia] + ka, slots[ib] + kb)
 
@@ -392,7 +394,7 @@ def _transition(key: _StateKey, out_key: _StateKey) -> Transition:
 
 
 def _rule_outputs(
-    rule_id: str, formats: Iterable[tuple[Format, list[StateLabel]]]
+    rule_id: str, formats: Iterable[tuple[Format, list[ClassLabel]]]
 ) -> Iterator[tuple[State, _StateKey]]:
     """Each state ``(label, fmt)`` of ``formats``, in order, that the rule's
     step accepts, with the step's output key ``(tag, a, b, m, n)``;
@@ -405,14 +407,14 @@ def _rule_outputs(
                     yield (label, fmt), key
 
 
-def apply_rule(rule_id: str, label: StateLabel, fmt: Format) -> Transition:
+def apply_rule(rule_id: str, label: ClassLabel, fmt: Format) -> Transition:
     """Apply a named rule to a state, or raise :class:`PreconditionViolated`.
 
     The output records the rule id and its citation, ready for inclusion in
     a derivation certificate.
     """
     _require_types(fmt, label)
-    rule = RULES.get(rule_id)
+    rule = RULES.get(rule_id) if isinstance(rule_id, str) else None
     if rule is None:
         raise PreconditionViolated(f"unknown linkage rule {rule_id!r}")
     reason = rule.check(label, fmt)
@@ -430,7 +432,7 @@ def _render_state(state: State) -> list[str]:
     return [str(label), str(fmt)]
 
 
-def parse_state_label(text: str) -> StateLabel:
+def parse_state_label(text: str) -> ClassLabel:
     """Parse a state label's text form: a class label, or ``*`` for opaque."""
     if text == "*":
         return OPAQUE

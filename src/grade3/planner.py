@@ -45,7 +45,6 @@ from .labels import (
 from .linkrules import (
     RULES,
     State,
-    StateLabel,
     Transition,
     _STEPS,
     _StateKey,
@@ -127,7 +126,7 @@ class BaseFamily(NamedTuple):
             if max(state[1].m, state[1].n) <= bound:
                 yield state
 
-    def contains(self, label: StateLabel, fmt: Format) -> bool:
+    def contains(self, label: ClassLabel, fmt: Format) -> bool:
         """Whether ``(label, fmt)`` is a member; constant time in the format."""
         k = fmt.m if self.axis == "m" else fmt.n
         return k in self._parameters(k) and self.member(k) == (label, fmt)
@@ -322,7 +321,7 @@ class Axiom(NamedTuple):
     """The starting instance of a certificate."""
 
     family: str
-    label: StateLabel
+    label: ClassLabel
     fmt: Format
     cite: str
 
@@ -438,7 +437,7 @@ def verify_certificate(cert: DerivationCertificate) -> bool:
     state: State = (cert.axiom.label, cert.axiom.fmt)
     # Each state, the axiom's first, is checked once; None ends the walk.
     for step in (*cert.steps, None):
-        if isinstance(state[0], ClassLabel) and is_permissible(*state).status is Status.NOT_PERMISSIBLE:
+        if state[0] != OPAQUE and is_permissible(*state).status is Status.NOT_PERMISSIBLE:
             return False
         if step is None:
             return state == cert.target

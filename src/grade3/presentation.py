@@ -347,7 +347,7 @@ def arranged_presentation(label: ClassLabel, fmt: Format, arrangement: str) -> T
     is built.
     """
     _require_types(fmt, label)
-    entry = _ARRANGEMENTS.get(arrangement)
+    entry = _ARRANGEMENTS.get(arrangement) if isinstance(arrangement, str) else None
     if entry is None:
         raise UnknownArrangement(
             f"unknown arrangement {arrangement!r}; known: {', '.join(_ARRANGEMENTS)}"

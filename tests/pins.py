@@ -7,7 +7,8 @@ pytest or site-packages, on any supported Python::
     PYTHONPATH=src:tests python -S -m pins coverage-sweep
 
 prints the pin's counts and digest, and exits 0 when they are the expected
-ones and 1 when they are not.  The names are those of :data:`PINS`.
+ones and 1 when they are not; a replay pin that fails also writes the
+replay's whole stdout to stderr.  The names are those of :data:`PINS`.
 """
 
 from __future__ import annotations
@@ -151,6 +152,10 @@ def classify_sweep() -> tuple[int, str]:
 CLASSIFY_SWEEP = (4564, "98964a8cb4de2869c777e8e55356b18a03079db6716eabd513f0aacf6ebedea0")
 
 
+# The stdout of the latest replay_stdout call, which main shows when its pin fails.
+_replayed = ""
+
+
 def replay_stdout(*bounds: str) -> tuple[int, int, str]:
     """Exit code, lines and the digest of the stdout of ``grade3 verify-theorems``.
 
@@ -161,7 +166,8 @@ def replay_stdout(*bounds: str) -> tuple[int, int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = cli.main(["verify-theorems", *bounds])
-    text = out.getvalue()
+    global _replayed
+    _replayed = text = out.getvalue()
     return status, text.count("\n"), hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -190,6 +196,7 @@ def main(argv: list[str]) -> int:
     print(f"{argv[0]}: {', '.join(map(str, got))}")
     if got != expected:
         print(f"expected: {', '.join(map(str, expected))}")
+        sys.stderr.write(_replayed)
         return 1
     return 0
 

@@ -218,7 +218,7 @@ def test_c06_betti_coherence():
                     continue
                 checked += 1
                 if betti_total(out) != betti_after_link(betti_total(fmt), profile):
-                    mismatches.append((str(fmt), profile.as_tuple()))
+                    mismatches.append((str(fmt), *profile))
     ok = not mismatches and checked > 4000
     _verdict(6, ok, f"betti identity exact on {checked} (format, profile) pairs")
     assert checked > 4000

@@ -431,6 +431,16 @@ def test_verify_theorems_stdout_is_pinned(name):
     assert compute() == expected
 
 
+def test_a_failing_replay_pin_shows_the_replay(monkeypatch, capsys):
+    # A moved digest shows which rule's line changed without a rerun.
+    assert pins.main(["replay-stdout"]) == 0
+    assert capsys.readouterr().err == ""
+    compute, (status, lines, _) = pins.PINS["replay-stdout"]
+    monkeypatch.setitem(pins.PINS, "replay-stdout", (compute, (status, lines, "0" * 64)))
+    assert pins.main(["replay-stdout"]) == 1
+    assert "linktoT: ok (checked=" in capsys.readouterr().err
+
+
 def test_verify_theorems_domain_guard(capsys):
     assert main(["verify-theorems", "--m-max", "4", "--n-max", "8"]) == 3
     assert capsys.readouterr().err.startswith("error:")

@@ -23,6 +23,7 @@ from grade3 import (
     UnsupportedSpec,
     arranged_presentation,
     arrangement_ids,
+    betti_after_link,
     canonical_presentation,
     class_G,
     class_H,
@@ -221,6 +222,22 @@ def test_refused_rows_say_what_was_refused():
         assert str(exc.value) == message
         with pytest.raises(UnsupportedProfile) as exc:
             link_option_format(make_format(6, 3), row)
+        assert str(exc.value) == message
+
+
+def test_a_row_built_around_the_constructor_is_refused_everywhere():
+    # _replace skips the constructor's check, as Format(...) skips
+    # make_format's; a row with a negative t2 is named, not worded by LinkSpec.
+    row = RankProfile(1, 0, 0)._replace(t2=-1)
+    message = "rank profile (1, -1, 0) is outside the supported table"
+    table = canonical_presentation(CLASS_T, make_format(4, 3))
+    for error, refuse in (
+        (UnsupportedProfile, lambda: link_option_format(make_format(6, 3), row)),
+        (UnsupportedProfile, lambda: betti_after_link(14, row)),
+        (UnsupportedSpec, lambda: mapping_cone_presentation(table, row)),
+    ):
+        with pytest.raises(error) as exc:
+            refuse()
         assert str(exc.value) == message
 
 

@@ -220,7 +220,7 @@ def test_rulebook_consistency_against_profile_table():
     # refuses ext-CVW33's row (3,1,0), as link_option_format does).
     for rule_id in RULE_ORDER:
         rule = RULES[rule_id]
-        t1, t2, t3 = rule.profile.as_tuple()
+        t1, t2, t3 = rule.profile
         assert t3 == 0, rule_id
         accepted = 0
         for m in range(4, 15):

@@ -1,4 +1,4 @@
-"""The record types: ``NamedTuple`` values, and the two dataclasses that stay."""
+"""The record types: ``NamedTuple`` values, and the one dataclass that stays."""
 
 from __future__ import annotations
 
@@ -12,10 +12,13 @@ from grade3 import (
     CLASS_B,
     CLASS_T,
     OPAQUE,
+    ClassLabel,
     InvalidFormat,
     InvalidLabel,
     LinkSpec,
-    OpaqueLabel,
+    PreconditionViolated,
+    RankProfile,
+    UnknownArrangement,
     UnsupportedProfile,
     UnsupportedSpec,
     apply_rule,
@@ -33,6 +36,9 @@ from grade3 import (
     link_option_format,
     make_format,
     mapping_cone_presentation,
+    parse_format,
+    parse_label,
+    parse_state_label,
     realize,
     realize_all,
     verify_linkage_theorems,
@@ -45,7 +51,6 @@ MODULES = ("errors", "exact", "labels", "presentation", "permissible", "linkrule
 # at import, which a command-line process pays on every start.
 DATACLASSES = {
     "LinkageRule": "perfbench/tracer.py rebuilds each rule with dataclasses.replace",
-    "RankProfile": "its construction refuses a negative or non-integer component",
 }
 
 
@@ -60,7 +65,7 @@ def _samples() -> list[object]:
         make_format(4, 3),
         class_H(2, 1),
         class_invariants(class_G(5)),
-        OPAQUE,
+        LinkSpec(1),
         apply_rule("linkT-i", CLASS_T, make_format(4, 3)),
         verdict.violations[0],
         verdict,
@@ -114,9 +119,19 @@ def test_formats_and_labels_sort_field_wise():
 
 
 def test_the_opaque_label_is_a_truthy_star():
-    assert bool(OPAQUE)
-    assert str(OPAQUE) == "*" and repr(OPAQUE) == "OpaqueLabel()"
-    assert OPAQUE == OpaqueLabel() and (OPAQUE.tag, OPAQUE.a, OPAQUE.b) == ("*", 0, 0)
+    assert bool(OPAQUE) and type(OPAQUE) is ClassLabel
+    assert str(OPAQUE) == "*" and (OPAQUE.tag, OPAQUE.a, OPAQUE.b) == ("*", 0, 0)
+    assert parse_state_label("*") is OPAQUE
+
+
+def test_a_rank_profile_is_its_tuple_and_refuses_a_bad_component():
+    row = RankProfile(2, 1, 0)
+    assert row == (2, 1, 0) and RankProfile(t1=2, t2=1, t3=0) == row
+    assert repr(row) == "RankProfile(t1=2, t2=1, t3=0)"
+    assert row._replace(t2=0) == LinkSpec(2) and type(row._replace(t2=0)) is RankProfile
+    for args, name in (((1, -1, 0), "t2"), ((True, 0, 0), "t1"), ((0, 0, 1.0), "t3")):
+        with pytest.raises(UnsupportedProfile, match=f"^profile component {name} must be a non-negative integer$"):
+            RankProfile(*args)
 
 
 def test_only_the_listed_dataclasses_remain():
@@ -154,13 +169,25 @@ def test_only_the_listed_dataclasses_remain():
             "(1, 0, 0)",
         ),
         (betti_after_link, (10, (1, 0, 0)), UnsupportedProfile, "(1, 0, 0)"),
+        (parse_label, (None,), InvalidLabel, "None"),
+        (parse_state_label, (None,), InvalidLabel, "None"),
+        (parse_format, (5,), InvalidFormat, "5"),
     ],
     ids=lambda value: getattr(value, "__name__", ""),
 )
 def test_public_functions_refuse_a_wrong_argument_type(function, args, error, shown):
     # A plain tuple equals a Format, and a tag string names a label, but
-    # neither is one, nor is a tuple a rank profile: each is refused with a
-    # Grade3Error that shows it.
+    # neither is one, nor is a tuple a rank profile, and a parser reads only
+    # text: each is refused with a Grade3Error that shows it.
     with pytest.raises(error) as exc:
         function(*args)
     assert str(exc.value).endswith(f", got {shown}")
+
+
+def test_an_id_that_is_not_a_string_is_unknown():
+    # A rule id or an arrangement id of another type names nothing, as a
+    # misspelled one does, instead of failing on the dict lookup.
+    with pytest.raises(PreconditionViolated, match=r"^unknown linkage rule \['x'\]$"):
+        apply_rule(["x"], CLASS_T, make_format(4, 3))
+    with pytest.raises(UnknownArrangement, match=r"^unknown arrangement \['T-A'\]; known: T-A, "):
+        arranged_presentation(CLASS_T, make_format(4, 3), ["T-A"])
