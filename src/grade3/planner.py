@@ -7,21 +7,28 @@ format)`` state; because every rule's class claim is verifiable from
 structure constants, a certificate is a complete, replayable existence proof
 for the target.
 
-:func:`realize` searches for a shortest certificate breadth-first inside a
-bounded state space: formats are capped at ``max(target) + 6`` (further
-capped by its ``max_coordinate`` argument, default 64), every
-intermediate state must not be NOT_PERMISSIBLE, and both the axiom seeding
-order and the rule expansion order are fixed, so the certificate returned
-for a target is identical across runs and call orders.
+:func:`realize` finds a shortest certificate inside a bounded state space:
+formats are capped at ``max(target) + 6`` (further capped by its
+``max_coordinate`` argument, default 64), every intermediate state must not
+be NOT_PERMISSIBLE, and both the axiom seeding order and the rule expansion
+order are fixed.  The certificate is the shortest one that comes first in
+that order, so it is identical across runs and call orders, whichever of
+the two searches below found it.
 
-Every bound's search walks one successor graph shared by the whole process,
-:class:`_Graph`, into which no NOT_PERMISSIBLE rule output enters.  Sharing
-does not change certificates: a state's outputs and exclusion do not depend
-on the bound, and each bound expands its states, and each state's outputs,
-in one fixed order.  Each bound's search builds its certificates' steps
-from the same step table and keeps them, so a shared prefix is built once.
-A target whose class no rule outputs (C(3), G(r)) can only be an axiom, so
-unless it is an axiom instance of its bound it is NOT_FOUND without a search.
+A sweep (:func:`realize_all`) builds one forward breadth-first search from
+the axioms per bound, :class:`_Search`, and answers each of its targets from
+it; every bound's search walks one successor graph shared by the whole
+process, :class:`_Graph`, into which no NOT_PERMISSIBLE rule output enters.
+Sharing does not change certificates: a state's outputs and exclusion do
+not depend on the bound, and each bound expands its states, and each
+state's outputs, in one fixed order.  Each bound's search builds its
+certificates' steps from the same step table and keeps them, so a shared
+prefix is built once.  A lone target, whose bound no search of the process
+covers, is searched from both ends instead (:func:`_meet_in_the_middle`):
+backward from the target by the step table read in reverse, forward from
+the axioms over the shared graph, a level at a time.  A target whose class
+no rule outputs (C(3), G(r)) can only be an axiom, so unless it is an axiom
+instance of its bound it is NOT_FOUND without a search.
 """
 
 from __future__ import annotations
@@ -285,10 +292,13 @@ class _Search:
                     self.parent[sid] = family.family_id
                     self.queue.append(sid)
 
-    def find(self, target: int) -> bool:
+    def find(self, target: int, states: int = -1) -> bool:
+        """Expand queued states, in order, until ``target`` is discovered, the
+        queue is empty, or ``states`` states are expanded (any number when negative)."""
         parent, queue, bound, graph = self.parent, self.queue, self.bound, _GRAPH
         reach, edges = graph.reach, graph.edges
-        while target not in parent and queue:
+        while states and target not in parent and queue:
+            states -= 1
             sid = queue.popleft()
             out_ids = edges[sid]
             if out_ids is None:
@@ -300,13 +310,126 @@ class _Search:
         return target in parent
 
 
+# The step table read backwards: per output tag, each (input tag, step) whose step outputs it.
+_STEPS_INTO: dict[str, tuple[tuple[str, tuple], ...]] = {
+    tag: tuple((in_tag, step) for in_tag, steps in sorted(_STEPS.items()) for step in steps if step[5] == tag)
+    for tag in _OUTPUT_TAGS
+}
+
+
+def _inputs(key: _StateKey, bound: int, axioms: dict[tuple[str, int, int], list[_StateKey]]) -> Iterator[_StateKey]:
+    """The states within ``bound`` that have an edge of the graph into ``key``.
+
+    A step sends ``(a, b)`` at ``(m, n)`` to ``(n+3-t2, m-t1)``, so its input
+    format is ``(n'+t1, m'-3+t2)``; an output slot copied from an input slot
+    gives that slot back, and a constant one must equal the output's and
+    leaves the input slot free.  A free slot of T or B is 0, and of H ranges
+    over ``p <= m-1`` and ``q <= m-2``: every other H(p,q) at ``(m, n)``
+    breaks ``H-m-below-p-or-q`` and is no state of the graph.  A state of a
+    tag no rule outputs is in the graph only as an axiom, so such inputs are
+    the bound's axiom instances, ``axioms`` by ``(tag, m, n)``.  Every other
+    candidate must not be :func:`_excluded` (no axiom is, so testing one,
+    which the forward search never does, changes nothing), and its step's
+    forward evaluation must give ``key``.
+    """
+    tag, a, b, m, n = key
+    for in_tag, step in _STEPS_INTO.get(tag, ()):
+        _, _, t1, t2, _, _, ia, ka, ib, kb = step
+        in_m, in_n = n + t1, m - 3 + t2
+        if not (1 <= in_m <= bound and 1 <= in_n <= bound):
+            continue
+        run = (step,)
+        if in_tag not in _OUTPUT_TAGS:
+            for cand in axioms.get((in_tag, in_m, in_n), ()):
+                if _outputs(run, *cand[1:]) == [key]:
+                    yield cand
+            continue
+        slots = [range(in_m), range(in_m - 1)] if in_tag == "H" else [range(1), range(1)]
+        for index, offset, value in ((ia, ka, a), (ib, kb, b)):
+            if index < 2:
+                slots[index] = [value - offset] if value - offset in slots[index] else []
+            elif offset != value:
+                slots = [(), ()]
+        for p in slots[0]:
+            for q in slots[1]:
+                if _outputs(run, p, q, in_m, in_n) == [key] and not _excluded(in_tag, p, q, in_m, in_n):
+                    yield (in_tag, p, q, in_m, in_n)
+
+
+def _meet_in_the_middle(bound: int, target: int) -> DerivationCertificate | None:
+    """The certificate :class:`_Search` ``(bound)`` finds for ``target``, or None, searched from both ends.
+
+    The forward side is a :class:`_Search` not kept in ``_SEARCHES`` that
+    expands its whole queue at a time, so that the queue is one level.  The
+    backward side maps each state known to reach ``target`` to its distance
+    from it, found by :func:`_inputs`.  Each round expands the side whose
+    frontier is smaller.
+
+    Why this is the forward search's certificate.  ``_Search`` orders level 0
+    by seeding and each later level by parent, then by output position in
+    RULE_ORDER; so by induction a state's parent chain is its
+    lexicographically least shortest path, read as (seed position, output
+    position, ...), and a level is in the order of those paths.  While the
+    two sides are disjoint at forward depth k and backward depth j, every
+    path to the target is longer than k + j.  So when a new level of one
+    side first meets the other side, the shortest length is D = k + j + 1,
+    and with i the depth of the forward level F_i that meets (k + 1 or k),
+    the states of F_i known to the backward side are exactly the states at
+    position i of the shortest paths.  The least shortest path begins with
+    the parent chain of its state at position i, since any other prefix can
+    be swapped for that chain to give a lesser path, and so it passes
+    through the met state of F_i that comes first.  From there it is least
+    when each step takes the first output whose distance is one less, which
+    always exists and still completes a shortest path.
+    """
+    search = _Search(bound)
+    keys, edges = _GRAPH.keys, _GRAPH.edges
+    axioms: dict[tuple[str, int, int], list[_StateKey]] = {}
+    for sid in search.queue:
+        key = keys[sid]
+        if key[0] not in _OUTPUT_TAGS:
+            axioms.setdefault((key[0], key[3], key[4]), []).append(key)
+    back = {keys[target]: 0}
+    frontier = [keys[target]]
+    depth = 0
+    # A new level of either side can only meet the forward side's last level, its queue.
+    while not any(keys[sid] in back for sid in search.queue):
+        if not search.queue or not frontier:
+            return None
+        if len(search.queue) <= len(frontier):
+            search.find(-1, len(search.queue))  # the next level; no state is -1
+        else:
+            depth += 1
+            reached, frontier = frontier, []
+            for key in reached:
+                for in_key in _inputs(key, bound, axioms):
+                    if in_key not in back:
+                        back[in_key] = depth
+                        frontier.append(in_key)
+    sid = next(sid for sid in search.queue if keys[sid] in back)
+    cert = _certificate_from(search, sid)
+    steps = list(cert.steps)
+    for distance in range(back[keys[sid]] - 1, -1, -1):
+        out_ids = edges[sid] if edges[sid] is not None else _GRAPH.expand(sid)
+        out_id = next(out_id for out_id in out_ids if back.get(keys[out_id]) == distance)
+        steps.append(_transition(keys[sid], keys[out_id]))
+        sid = out_id
+    return cert._replace(steps=tuple(steps), target=_state_of(keys[target]))
+
+
 def _is_axiom(state: State, bound: int) -> bool:
     label, fmt = state
     return max(fmt.m, fmt.n) <= bound and any(family.contains(label, fmt) for family in _SEED_ORDER)
 
 
-# perfbench/tracer.py counts these searches and the states in each one's ``parent``.
+# The forward searches of the sweeps, by bound, which realize answers from;
+# perfbench/tracer.py counts them and the states in each one's ``parent``.
 _SEARCHES: dict[int, _Search] = {}
+
+
+def _search_bound(fmt: Format, max_coordinate: int = DEFAULT_MAX_SEARCH) -> int:
+    """The largest format coordinate that a search for a target in ``fmt`` enters."""
+    return min(max(fmt.m, fmt.n) + 6, max_coordinate)
 
 
 def _search_for(bound: int) -> _Search:
@@ -389,6 +512,10 @@ def realize(
     UNKNOWN_NECESSARY_ONLY, and NOT_FOUND says only that this search found
     none.  No searched format has a coordinate above ``max_coordinate``,
     which must be an integer of at least 1 (:class:`OutOfDomain` otherwise).
+    A target whose bound a sweep of this process has searched forward is
+    answered from that search; any other target is searched from both ends,
+    backward from it and forward from the axioms.  The certificate does not
+    depend on which search ran.
     """
     _require_ints(max_coordinate=max_coordinate)
     if max_coordinate < 1:
@@ -400,7 +527,7 @@ def realize(
             verdict=verdict,
             detail="; ".join(v.detail for v in verdict.violations),
         )
-    bound = min(max(fmt.m, fmt.n) + 6, max_coordinate)
+    bound = _search_bound(fmt, max_coordinate)
     if fmt.m > bound or fmt.n > bound:
         return RealizationResult(
             RealizeStatus.NOT_FOUND,
@@ -410,11 +537,15 @@ def realize(
     if label.tag not in _OUTPUT_TAGS and not _is_axiom(state, bound):
         # Only an axiom can be a state of a class that no rule outputs.
         return RealizationResult(RealizeStatus.NOT_FOUND, detail=_not_found_detail(label))
-    search = _search_for(bound)
     target = _GRAPH.intern(_state_key(label, fmt))
-    if not search.find(target):
+    search = _SEARCHES.get(bound)
+    if search is None:
+        cert = _meet_in_the_middle(bound, target)
+    else:
+        cert = _certificate_from(search, target) if search.find(target) else None
+    if cert is None:
         return RealizationResult(RealizeStatus.NOT_FOUND, detail=_not_found_detail(label))
-    return RealizationResult(RealizeStatus.REALIZED, certificate=_certificate_from(search, target))
+    return RealizationResult(RealizeStatus.REALIZED, certificate=cert)
 
 
 def verify_certificate(cert: DerivationCertificate) -> bool:
@@ -427,7 +558,7 @@ def verify_certificate(cert: DerivationCertificate) -> bool:
     that no intermediate state is NOT_PERMISSIBLE, and that the final state
     equals the target.
     """
-    family = _FAMILY_BY_ID.get(cert.axiom.family)
+    family = _FAMILY_BY_ID.get(cert.axiom.family) if isinstance(cert.axiom.family, str) else None
     if (
         family is None
         or cert.axiom.cite != family.cite
@@ -516,10 +647,11 @@ class CoverageReport(NamedTuple):
 def realize_all(m_max: int, n_max: int) -> CoverageReport:
     """Realize every permissible T and B format and every boundary H label.
 
-    Sweeps ``m <= m_max``, ``n <= n_max``, calls :func:`realize` on each
-    target, replays each certificate with :func:`verify_certificate`, and
-    reports per-target outcomes; ``gaps`` lists targets without a verified
-    certificate.  A bound past :data:`DEFAULT_MAX_SEARCH`, where
+    Sweeps ``m <= m_max``, ``n <= n_max``, builds the forward search of
+    each target's bound, calls :func:`realize` on each target, replays each
+    certificate with :func:`verify_certificate`, and reports per-target
+    outcomes; ``gaps`` lists targets without a verified certificate.  A
+    bound past :data:`DEFAULT_MAX_SEARCH`, where
     :func:`realize` searches nothing, or one that is not an integer, raises
     :class:`OutOfDomain`.
     """
@@ -532,6 +664,7 @@ def realize_all(m_max: int, n_max: int) -> CoverageReport:
     entries: list[CoverageEntry] = []
 
     def attempt(kind: str, label: ClassLabel, fmt: Format) -> None:
+        _search_for(_search_bound(fmt))
         result = realize(label, fmt)
         verified = result.status is RealizeStatus.REALIZED and verify_certificate(
             result.certificate

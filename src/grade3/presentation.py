@@ -149,6 +149,15 @@ class TorPresentation(NamedTuple):
         return _dense(self.ef.get((i, l)), self.n)
 
 
+def _require_table(a: object) -> None:
+    """The argument check of the public functions that take a table, as
+    :func:`grade3.labels._require_types` is of those that take a label or a
+    format: anything but a :class:`TorPresentation` is refused with
+    :class:`DimensionMismatch`."""
+    if not isinstance(a, TorPresentation):
+        raise DimensionMismatch(f"expected a multiplication table (see make_presentation), got {_shown(a)}")
+
+
 def _exact_int(value: object, field: str, key: PairKey, what: str) -> int:
     """``int(value)``, refused with :class:`DimensionMismatch` unless it equals ``value``."""
     if type(value) is int:
@@ -448,6 +457,7 @@ def compute_pqrs(a: TorPresentation) -> ClassifierReport:
     The four ranks are those :func:`classify` reports; the report has
     ``label=None`` and ``unclassifiable=False``.
     """
+    _require_table(a)
     return ClassifierReport(*_pqr(a), s1=_s1(a))
 
 
@@ -466,6 +476,7 @@ def classify(a: TorPresentation) -> ClassifierReport:
     ``TorPresentation(2, 1, {}, {(1, 1): {3: 1}, (2, 2): {1: 1}})`` (coordinate
     3 with n = 1) is called unclassifiable with r = 1 instead of refused.
     """
+    _require_table(a)
     p, q, r = _pqr(a)
     s1 = _s1(a)
     label = _decide(a, p, q, r, s1)
@@ -493,6 +504,7 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
     then either its out-of-range coordinates by coordinate or one line for
     non-integer entries.
     """
+    _require_table(a)
     m, n = a.m, a.n
     if type(m) is not int or type(n) is not int or m < 1 or n < 1:
         bad = [(name, value) for name, value in (("m", m), ("n", n)) if type(value) is not int or value < 1]
@@ -559,6 +571,7 @@ def presentation_to_document(a: TorPresentation) -> dict:
     table that :func:`presentation_from_document` would refuse for its size
     raises :class:`DocumentError` instead.
     """
+    _require_table(a)
     _require_document_size(a.m, a.n, len(a.ee), len(a.ef))
     return {
         "version": PRESENTATION_VERSION,

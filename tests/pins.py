@@ -58,6 +58,35 @@ def coverage_sweep() -> tuple[int, int, str]:
 COVERAGE_SWEEP = (2272, 0, "9679392c9a99759d4fc0958acf449637b3dda4c8fef57e2b4ff26dfbfaf53974")
 
 
+def realize_grid() -> tuple[int, str]:
+    """Targets and the digest of every realize result up to (12,12).
+
+    Status, detail and certificate of every label below at every format up
+    to (12,12), at the default cap; recorded before the searches shared one
+    successor graph, when every target was searched forward from the axioms.
+    """
+    labels = (
+        [CLASS_T, CLASS_B, CLASS_C3]
+        + [class_G(r) for r in range(2, 10)]
+        + [class_H(p, q) for p in range(9) for q in range(9)]
+    )
+    digest = hashlib.sha256()
+    count = 0
+    for m in range(1, 13):
+        for k in range(1, 13):
+            fmt = make_format(m, k)
+            for label in labels:
+                result = realize(label, fmt)
+                doc = None if result.certificate is None else certificate_to_document(result.certificate)
+                row = [str(label), str(fmt), result.status.value, result.detail, doc]
+                digest.update(json.dumps(row, sort_keys=True).encode("utf-8"))
+                count += 1
+    return count, digest.hexdigest()
+
+
+REALIZE_GRID = (13248, "c7006a3a23c68919c01372bb13eb36640a8cd3dcd19eab2e5e17052940876439")
+
+
 def verdict_grid() -> tuple[int, str]:
     """Verdicts and the digest of the grid up to (16,16).
 
@@ -179,6 +208,7 @@ REPLAY_STDOUT_14_12 = (0, 13, "b4f7e3ea44f9832c0bc92c465bf146a241f98756df50b7560
 
 PINS = {
     "coverage-sweep": (coverage_sweep, COVERAGE_SWEEP),
+    "realize-grid": (realize_grid, REALIZE_GRID),
     "verdict-grid": (verdict_grid, VERDICT_GRID),
     "cone-sweep": (cone_sweep, CONE_SWEEP),
     "classify-sweep": (classify_sweep, CLASSIFY_SWEEP),

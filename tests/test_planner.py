@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -273,26 +271,55 @@ def test_coverage_sweep_certificates_are_pinned():
 
 
 def test_realize_grid_is_pinned():
-    # Status, detail and certificate of every label below at every format up
-    # to (12,12), recorded before the searches shared one successor graph.
-    labels = (
-        [CLASS_T, CLASS_B, CLASS_C3]
-        + [class_G(r) for r in range(2, 10)]
-        + [class_H(p, q) for p in range(9) for q in range(9)]
-    )
-    digest = hashlib.sha256()
-    count = 0
+    # Every realize result up to (12,12): first as lone targets, searched from
+    # both ends, then answered from the forward searches a sweep builds.
+    assert pins.realize_grid() == pins.REALIZE_GRID
+    assert planner._SEARCHES == {}
+    bounds = range(7, 19)  # max(m, n) + 6 for formats up to (12,12)
+    for bound in bounds:
+        planner._search_for(bound)
+    assert pins.realize_grid() == pins.REALIZE_GRID
+    assert list(planner._SEARCHES) == list(bounds)
+
+
+def _realize_from_sweep_search(label, fmt, cap=planner.DEFAULT_MAX_SEARCH):
+    """realize, answered from the forward search a sweep builds for the target's bound."""
+    planner._search_for(planner._search_bound(fmt, cap))
+    return realize(label, fmt, max_coordinate=cap)
+
+
+def test_lone_and_sweep_searches_give_equal_results():
+    # Every label that is not NOT_PERMISSIBLE, at every format up to (12,12),
+    # under the default cap and the two smallest caps that admit the target,
+    # then three targets under a cap above the default.
+    queries = []
     for m in range(1, 13):
-        for k in range(1, 13):
-            fmt = make_format(m, k)
+        for n in range(1, 13):
+            fmt = make_format(m, n)
+            labels = [CLASS_T, CLASS_B, CLASS_C3] + [class_G(r) for r in range(2, m + 2)]
+            labels += [class_H(p, q) for p in range(n + 2) for q in range(m - 1)]
             for label in labels:
-                result = realize(label, fmt)
-                doc = None if result.certificate is None else certificate_to_document(result.certificate)
-                row = [str(label), str(fmt), result.status.value, result.detail, doc]
-                digest.update(json.dumps(row, sort_keys=True).encode("utf-8"))
-                count += 1
-    assert count == 13248
-    assert digest.hexdigest() == "c7006a3a23c68919c01372bb13eb36640a8cd3dcd19eab2e5e17052940876439"
+                if not planner._excluded(label.tag, label.a, label.b, m, n):
+                    queries += [(label, fmt, cap) for cap in (64, max(m, n) + 1, max(m, n))]
+    queries += [(CLASS_T, make_format(40, 40), 100), (CLASS_B, make_format(41, 40), 100), (CLASS_T, make_format(60, 60), 100)]
+    lone = [realize(label, fmt, max_coordinate=cap) for label, fmt, cap in queries]
+    assert planner._SEARCHES == {}
+    swept = [_realize_from_sweep_search(label, fmt, cap) for label, fmt, cap in queries]
+    assert lone == swept
+    statuses = collections.Counter(result.status for result in lone)
+    assert statuses[RealizeStatus.REALIZED] and statuses[RealizeStatus.NOT_FOUND]
+    assert all(result.status is RealizeStatus.REALIZED for result in lone[-3:])
+
+
+def test_h_labels_past_the_inverse_slot_range_are_excluded():
+    # The backward search gives a free slot of an H input the range p <= m-1,
+    # q <= m-2, because H-m-below-p-or-q excludes every H(p,q) past it.
+    for m in range(1, 31):
+        for n in range(1, 31):
+            for p in range(m + 3):
+                for q in range(m + 3):
+                    if p >= m or q >= m - 1:
+                        assert planner._excluded("H", p, q, m, n), (p, q, m, n)
 
 
 def test_certificates_sharing_a_prefix_build_it_once_in_either_order():
@@ -308,6 +335,7 @@ def test_certificates_sharing_a_prefix_build_it_once_in_either_order():
     runs = []
     for order in (targets, targets[::-1]):
         planner._SEARCHES.clear()
+        planner._search_for(13)  # a sweep's search; a lone target builds no steps to keep
         certs = {target: realize(*target).certificate for target in order}
         assert list(planner._SEARCHES) == [13]
         for cert in certs.values():
@@ -446,23 +474,26 @@ def test_search_routes_around_a_not_permissible_state(monkeypatch, index, rerout
     # No real rule output is NOT_PERMISSIBLE, so one state of a known
     # certificate is made so where the search tests its states.  The search
     # then finds another route of the same length, or none when every route
-    # runs through H(2,0) at (8,3).
+    # runs through H(2,0) at (8,3); from both ends, and from a sweep's
+    # search, each on a fresh graph, since the graph keeps the outputs it tested.
     label, fmt = class_H(5, 0), make_format(8, 6)
     cert = realize(label, fmt).certificate
     blocked = cert.steps[index].output_state
     blocked_key = planner._state_key(*blocked)
     excluded = planner._excluded
     monkeypatch.setattr(planner, "_excluded", lambda *key: key == blocked_key or excluded(*key))
-    planner._SEARCHES.clear()
-    planner._GRAPH = planner._Graph()
-    result = realize(label, fmt)
-    if rerouted:
-        assert result.status is RealizeStatus.REALIZED
-        assert verify_certificate(result.certificate)
-        assert len(result.certificate.steps) == len(cert.steps)
-        assert blocked not in [step.output_state for step in result.certificate.steps]
-    else:
-        assert result.status is RealizeStatus.NOT_FOUND
+    for search in (realize, _realize_from_sweep_search):
+        planner._SEARCHES.clear()
+        planner._GRAPH = planner._Graph()
+        result = search(label, fmt)
+        if rerouted:
+            assert result.status is RealizeStatus.REALIZED
+            assert verify_certificate(result.certificate)
+            assert len(result.certificate.steps) == len(cert.steps)
+            assert blocked not in [step.output_state for step in result.certificate.steps]
+        else:
+            assert result.status is RealizeStatus.NOT_FOUND
+    assert list(planner._SEARCHES) == [14]
 
 
 # -------------------------------------------------------------- verification
@@ -490,6 +521,11 @@ def test_verify_rejects_tampered_certificates():
 
     wrong_axiom_fmt = cert._replace(axiom=cert.axiom._replace(fmt=make_format(4, 5)))
     assert not verify_certificate(wrong_axiom_fmt)
+
+    # A family id that is not a string, which no document can carry, is unknown too.
+    cert_t = realize(CLASS_T, make_format(8, 6)).certificate
+    assert verify_certificate(cert_t)
+    assert not verify_certificate(cert_t._replace(axiom=cert_t.axiom._replace(family=["HS"])))
 
     # Citations are replayed too, on the axiom and on every step.
     cert = realize(class_H(5, 0), make_format(8, 6)).certificate

@@ -460,6 +460,14 @@ def test_classify_flags_unclassifiable_tables():
     assert report.label is None
 
 
+@pytest.mark.parametrize("function", [classify, compute_pqrs, validate_presentation, presentation_to_document])
+@pytest.mark.parametrize("value, shown", [("x", "'x'"), (None, "None")])
+def test_table_functions_refuse_a_non_table(function, value, shown):
+    with pytest.raises(DimensionMismatch) as info:
+        function(value)
+    assert str(info.value) == f"expected a multiplication table (see make_presentation), got {shown}"
+
+
 def test_classify_needs_c3_format():
     # The C(3) multiplication pattern in a larger format is not C(3).
     fmt = make_format(4, 2)
