@@ -330,51 +330,33 @@ def _sweep_label_count(m_max: int, n_max: int) -> int:
     return m_sum * n_sum + (m_max - 3) * n_max
 
 
-def _index_bounds(table: TorPresentation) -> tuple[int, int, int]:
-    """The largest e index, f coordinate and g coordinate that the products of
-    ``table`` name (0 where they name none): a format ``(m, n)`` holds them when
-    ``m``, ``m+n-1`` and ``n`` are at least these."""
-    ee, ef = table.ee, table.ef
-    e_max = max((*(max(pair) for pair in ee), *(e for e, _ in ef)), default=0)
-    f_max = max((*(f for coords in ee.values() for f in coords), *(f for _, f in ef)), default=0)
-    g_max = max((g for coords in ef.values() for g in coords), default=0)
-    return e_max, f_max, g_max
-
-
 _Witness = Callable[[ClassLabel, Format], TorPresentation]
 
 
 def _witnesses(rule: LinkageRule) -> _Witness:
     """The witness tables of ``rule`` by label and format, each label's built once.
 
-    The builders (:func:`~grade3.presentation.canonical_presentation` and
-    the arrangements) place a label's products without reading the format;
-    they read it only to refuse a format too small for them, and for every
-    label but C(3), which no rule's sweep lists, too small means exactly
-    that the format does not hold the products' indices.  So a label's table
-    is kept with those indices, and a later format that holds them gets a
-    table of that format sharing its products.  Any other call goes to the
-    builder, which refuses a misfit as it would without the memo.  The memo
-    holds one table per label the rule has met: at most one per label of the
-    sweep's largest format, ``m_max(n_max+2) + 1`` tables (see
-    :func:`_canonical_labels`), since every label of a smaller format is one
-    of those; it goes with the returned function, when the rule's replay ends.
+    A label's last built table is kept and handed, with its products, to a
+    later format at least as large in both m and n, which its builder would
+    accept with the same products (see :mod:`grade3.presentation`); any other
+    format goes to the builder, whose table is then the kept one.  The sweep
+    lists formats m-major, n ascending, and a label at every m from the same
+    least n, so no later format of a label lies below its first and each
+    label is built once per rule.
     """
-    memo: dict[ClassLabel, tuple[TorPresentation, int, int, int]] = {}
+    memo: dict[ClassLabel, TorPresentation] = {}
 
     def witness(label: ClassLabel, fmt: Format) -> TorPresentation:
         m, n = fmt
         kept = memo.get(label)
-        if kept is not None:
-            table, e_max, f_max, g_max = kept
-            if e_max <= m and f_max <= m + n - 1 and g_max <= n:
-                return TorPresentation(m, n, table.ee, table.ef)
+        if kept is not None and kept.m <= m and kept.n <= n:
+            return TorPresentation(m, n, kept.ee, kept.ef)
         if rule.witness == "canonical":
-            table = canonical_presentation(label, fmt)
+            kept = canonical_presentation(label, fmt)
         else:
-            table = arranged_presentation(label, fmt, rule.witness)
-        memo[label] = (table, *_index_bounds(table))
-        return table
+            kept = arranged_presentation(label, fmt, rule.witness)
+        memo[label] = kept
+        return kept
 
     return witness
 

@@ -324,13 +324,14 @@ def _inputs(key: _StateKey, bound: int, axioms: dict[tuple[str, int, int], list[
     format is ``(n'+t1, m'-3+t2)``; an output slot copied from an input slot
     gives that slot back, and a constant one must equal the output's and
     leaves the input slot free.  A free slot of T or B is 0, and of H ranges
-    over ``p <= m-1`` and ``q <= m-2``: every other H(p,q) at ``(m, n)``
-    breaks ``H-m-below-p-or-q`` and is no state of the graph.  A state of a
-    tag no rule outputs is in the graph only as an axiom, so such inputs are
-    the bound's axiom instances, ``axioms`` by ``(tag, m, n)``.  Every other
-    candidate must not be :func:`_excluded` (no axiom is, so testing one,
-    which the forward search never does, changes nothing), and its step's
-    forward evaluation must give ``key``.
+    over ``p <= min(m-1, n+1)`` and ``q <= min(m-2, n)``: every other H(p,q)
+    at ``(m, n)`` breaks ``H-m-below-p-or-q`` or ``H-n-below-p-or-q`` and is
+    no state of the graph.  A state of a tag no rule outputs is in the graph
+    only as an axiom, so such inputs are the bound's axiom instances,
+    ``axioms`` by ``(tag, m, n)``.  Every other candidate must not be
+    :func:`_excluded` (no axiom is, so testing one, which the forward search
+    never does, changes nothing), and its step's forward evaluation must give
+    ``key``.
     """
     tag, a, b, m, n = key
     for in_tag, step in _STEPS_INTO.get(tag, ()):
@@ -344,7 +345,10 @@ def _inputs(key: _StateKey, bound: int, axioms: dict[tuple[str, int, int], list[
                 if _outputs(run, *cand[1:]) == [key]:
                     yield cand
             continue
-        slots = [range(in_m), range(in_m - 1)] if in_tag == "H" else [range(1), range(1)]
+        if in_tag == "H":
+            slots = [range(min(in_m, in_n + 2)), range(min(in_m - 1, in_n + 1))]
+        else:
+            slots = [range(1), range(1)]
         for index, offset, value in ((ia, ka, a), (ib, kb, b)):
             if index < 2:
                 slots[index] = [value - offset] if value - offset in slots[index] else []
@@ -556,12 +560,15 @@ def verify_certificate(cert: DerivationCertificate) -> bool:
     previous state (input, output and citation) by :func:`apply_rule`, which
     reads the rule's own callables, not the step table the search used,
     that no intermediate state is NOT_PERMISSIBLE, and that the final state
-    equals the target.
+    equals the target.  A certificate whose axiom format is not a
+    :class:`Format`, or one of whose steps is not a :class:`Transition`, is
+    False as well.
     """
     family = _FAMILY_BY_ID.get(cert.axiom.family) if isinstance(cert.axiom.family, str) else None
     if (
         family is None
         or cert.axiom.cite != family.cite
+        or not isinstance(cert.axiom.fmt, Format)
         or not family.contains(cert.axiom.label, cert.axiom.fmt)
     ):
         return False
@@ -572,6 +579,8 @@ def verify_certificate(cert: DerivationCertificate) -> bool:
             return False
         if step is None:
             return state == cert.target
+        if not isinstance(step, Transition):
+            return False
         try:
             replay = apply_rule(step.rule, *state)
         except Grade3Error:

@@ -36,6 +36,14 @@ each stated once: the *T pattern* places three products ``e_i e_j = c f_k``,
 ``k = 1, 2, 3``, and the *H pattern* places every product on one pivot
 ``e_u``.  Canonical C(3), T and H(p,q) and all seven T and H arrangements are
 instances of them, and each reads the format it needs off its pattern.
+
+Every builder reads the format only through lower bounds on ``m``, ``n`` and
+``m+n-1``, and places its products without it.  (Its size refusal counts at
+least one cell per product, so it refuses a label at every format.)  So a
+builder that accepts a format accepts every format at least as large in both
+``m`` and ``n``, with the same products; the one exception is C(3), which
+must be exactly (3,1).  The theorem replay of :mod:`grade3.cone` shares a
+witness table's products across formats on this.
 """
 
 from __future__ import annotations

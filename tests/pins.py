@@ -205,6 +205,10 @@ REPLAY_STDOUT = (0, 13, "8b2bc0870a0424b4bcd33c6b8e5aedf7b2d25152ebf1b4fea9559b5
 # At (14,12), a size users run: rows 10230 for linktoT, 132 for each of linkT-i..iv,
 # 1056 for linkG-i and linkG-ii, then 7920, 8910, 6930, 7920 for linkH-i..iv and 660 for linkH-v.
 REPLAY_STDOUT_14_12 = (0, 13, "b4f7e3ea44f9832c0bc92c465bf146a241f98756df50b75604bc9200aa518e15")
+# At (20,16), the widest sweep run in CI: rows 34544 for linktoT, 272 for each of linkT-i..iv,
+# 2992 for linkG-i and linkG-ii, then 28424, 31008, 25840, 28424 for linkH-i..iv and 2176 for
+# linkH-v; recorded while the witness memo still worked out each table's largest indices.
+REPLAY_STDOUT_20_16 = (0, 13, "06f97ca504bac086488b978e18cc7b33785285f8be3f0f64ba71444111ffe1e7")
 
 PINS = {
     "coverage-sweep": (coverage_sweep, COVERAGE_SWEEP),
@@ -214,6 +218,7 @@ PINS = {
     "classify-sweep": (classify_sweep, CLASSIFY_SWEEP),
     "replay-stdout": (replay_stdout, REPLAY_STDOUT),
     "replay-stdout-14-12": (lambda: replay_stdout("--m-max", "14", "--n-max", "12"), REPLAY_STDOUT_14_12),
+    "replay-stdout-20-16": (lambda: replay_stdout("--m-max", "20", "--n-max", "16"), REPLAY_STDOUT_20_16),
 }
 
 

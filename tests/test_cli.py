@@ -424,9 +424,9 @@ def test_verify_theorems_reports_a_refused_witness_and_goes_on(monkeypatch, caps
     ]
 
 
-@pytest.mark.parametrize("name", ["replay-stdout", "replay-stdout-14-12"])
+@pytest.mark.parametrize("name", ["replay-stdout", "replay-stdout-14-12", "replay-stdout-20-16"])
 def test_verify_theorems_stdout_is_pinned(name):
-    # The whole stdout of the replay at (10,8) and at (14,12); it must not move.
+    # The whole stdout of the replay at (10,8), (14,12) and (20,16); it must not move.
     compute, expected = pins.PINS[name]
     assert compute() == expected
 

@@ -546,8 +546,8 @@ def _witness_builders():
 
 def test_witness_builders_place_products_without_reading_the_format():
     # The replay's witness memo rests on this: for a label of the sweep (C(3)
-    # is in none), every builder gives the same products at every format it
-    # accepts, and accepts exactly the formats that hold those products' indices.
+    # is in none), a builder that accepts a format accepts every format at
+    # least as large in both m and n, with the same products.
     labels = _canonical_labels(make_format(10, 8))
     formats = [make_format(m, n) for m in range(1, 14) for n in range(1, 9)]  # H-v holds H(9,q) from m = 12
     pairs = 0
@@ -564,29 +564,22 @@ def test_witness_builders_place_products_without_reading_the_format():
             if not built:  # H-i and H-iii take no H(0,q)
                 assert name in ("H-i", "H-iii") and label.a == 0, (name, label)
                 continue
-            first = next(iter(built.values()))
-            e_max, f_max, g_max = cone._index_bounds(first)
-            for fmt in formats:
-                holds = e_max <= fmt.m and f_max <= fmt.dim2 and g_max <= fmt.n
-                assert (fmt in built) == holds, (name, label, fmt)
-                if fmt in built:
-                    table = built[fmt]
-                    assert (table.m, table.n, table.ee, table.ef) == (fmt.m, fmt.n, first.ee, first.ef)
-                    pairs += 1
-    assert pairs > 10000
+            for low, table in built.items():
+                for fmt in formats:
+                    if fmt.m >= low.m and fmt.n >= low.n:
+                        assert fmt in built, (name, label, low, fmt)
+                        larger = built[fmt]
+                        assert (larger.m, larger.n, larger.ee, larger.ef) == (fmt.m, fmt.n, table.ee, table.ef)
+                        pairs += 1
+    assert pairs > 100000
 
 
 def test_theorem_replay_builds_each_witness_once_per_rule_and_label(monkeypatch):
-    # At (6,4) each rule's witness of a label is built once, at the first
-    # format that lists it, and shared by its later rows; every row is still
-    # linked and validated.
-    formats = [(make_format(m, n), _canonical_labels(make_format(m, n))) for m in range(4, 7) for n in range(1, 5)]
-    distinct = sum(
-        len({label for (label, _), _ in _rule_outputs(rule.rule_id, formats)})
-        for rule in RULES.values()
-        if rule.witness is not None
-    )
-    counts = {"build": 0, "link": 0, "validate": 0}
+    # Each rule's witness of a label is built once, at the first format that
+    # lists it, and shared by its later rows; every row is still linked and
+    # validated.  At (6,4): 116 arrangements, then all 37 labels for linktoT;
+    # (10,8) is the benchmark's bound.
+    counts = {}
 
     def counted(name, fn):
         def call(*args):
@@ -599,30 +592,28 @@ def test_theorem_replay_builds_each_witness_once_per_rule_and_label(monkeypatch)
     monkeypatch.setattr(cone, "arranged_presentation", counted("build", cone.arranged_presentation))
     monkeypatch.setattr(cone, "mapping_cone_presentation", counted("link", cone.mapping_cone_presentation))
     monkeypatch.setattr(cone, "validate_presentation", counted("validate", cone.validate_presentation))
-    report = verify_linkage_theorems(6, 4)
-    assert report.all_passed
-    assert sum(res.checked for res in report.results) == 1110
-    assert counts == {"build": distinct, "link": 1110, "validate": 1110}
-    assert distinct == 116 + 37  # arrangements, then linktoT's canonical tables: all 37 labels of (6,4)
+    for (m_max, n_max), builds, rows in [((6, 4), 116 + 37, 1110), ((10, 8), 453, 11060)]:
+        formats = [
+            (make_format(m, n), _canonical_labels(make_format(m, n)))
+            for m in range(4, m_max + 1)
+            for n in range(1, n_max + 1)
+        ]
+        distinct = sum(
+            len({label for (label, _), _ in _rule_outputs(rule.rule_id, formats)})
+            for rule in RULES.values()
+            if rule.witness is not None
+        )
+        counts.update(build=0, link=0, validate=0)
+        report = verify_linkage_theorems(m_max, n_max)
+        assert report.all_passed
+        assert sum(res.checked for res in report.results) == rows
+        assert counts == {"build": builds, "link": rows, "validate": rows}
+        assert distinct == builds
 
 
-@pytest.mark.parametrize(
-    "rule_id, label, kept_at, too_small, holds, need",
-    [
-        # Each too-small format breaks one bound: e index, f coordinate, g coordinate.
-        ("linkT-i", CLASS_T, (4, 1), (3, 2), (5, 1), "m >= 4 and m+n-1 >= 3"),
-        ("linktoT", CLASS_B, (4, 1), (2, 1), (2, 2), "m >= 2 and m+n-1 >= 3"),
-        ("linkH-i", class_H(3, 2), (6, 4), (5, 1), (4, 2), "n >= 2"),
-    ],
-)
-def test_a_kept_witness_too_large_for_the_format_goes_to_the_builder(
-    monkeypatch, rule_id, label, kept_at, too_small, holds, need
-):
-    # The table kept from one format is not handed to a format that cannot
-    # hold its products: the builder is asked again and refuses it as it
-    # would unkept.  A format that holds them gets a table of its own format
-    # sharing them, without a build.
-    rule = RULES[rule_id]
+def _counted_builder(monkeypatch, rule):
+    """Count the formats the rule's witness builder is called with, in the
+    list returned after an uncounted builder of label and format."""
     if rule.witness == "canonical":
         name, arrangement = "canonical_presentation", ()
     else:
@@ -634,6 +625,27 @@ def test_a_kept_witness_too_large_for_the_format_goes_to_the_builder(
         return build(label, fmt, *args)
 
     monkeypatch.setattr(cone, name, counted)
+    return lambda label, fmt: build(label, fmt, *arrangement), builds
+
+
+@pytest.mark.parametrize(
+    "rule_id, label, kept_at, too_small, holds, need",
+    [
+        # Each too-small format breaks one of the builder's bounds: m, m+n-1, n.
+        ("linkT-i", CLASS_T, (4, 1), (3, 2), (5, 1), "m >= 4 and m+n-1 >= 3"),
+        ("linktoT", CLASS_B, (4, 1), (2, 1), (4, 2), "m >= 2 and m+n-1 >= 3"),
+        ("linkH-i", class_H(3, 2), (6, 4), (5, 1), (7, 4), "n >= 2"),
+    ],
+)
+def test_a_kept_witness_too_large_for_the_format_goes_to_the_builder(
+    monkeypatch, rule_id, label, kept_at, too_small, holds, need
+):
+    # The table kept from one format is handed only to a format at least as
+    # large in both m and n, as a table of that format sharing its products,
+    # without a build.  A smaller format goes to the builder, which refuses a
+    # misfit with its own text, as it would unkept.
+    rule = RULES[rule_id]
+    build, builds = _counted_builder(monkeypatch, rule)
     witness = cone._witnesses(rule)
     kept_at, too_small, holds = (make_format(*fmt) for fmt in (kept_at, too_small, holds))
     kept = witness(label, kept_at)
@@ -642,8 +654,20 @@ def test_a_kept_witness_too_large_for_the_format_goes_to_the_builder(
     assert str(refused.value) == f"class {label} does not fit format {too_small}: needs {need}"
     shared = witness(label, holds)
     assert builds == [kept_at, too_small]
-    assert shared == build(label, holds, *arrangement)
+    assert shared == build(label, holds)
     assert shared.ee is kept.ee and shared.ef is kept.ef
+
+
+def test_a_witness_built_below_the_kept_one_becomes_the_kept_one(monkeypatch):
+    # (2,2) is below the kept (4,1) in m, so it is built, though it fits, and
+    # kept: (3,2) then shares its products, and (4,1), below it in n, is built.
+    build, builds = _counted_builder(monkeypatch, RULES["linktoT"])
+    witness = cone._witnesses(RULES["linktoT"])
+    formats = [make_format(*fmt) for fmt in ((4, 1), (2, 2), (3, 2), (4, 1))]
+    tables = [witness(CLASS_B, fmt) for fmt in formats]
+    assert builds == [formats[0], formats[1], formats[3]]
+    assert tables == [build(CLASS_B, fmt) for fmt in formats]
+    assert tables[2].ee is tables[1].ee and tables[2].ef is tables[1].ef
 
 
 def test_theorem_sweep_tables_and_links_are_pinned():

@@ -312,13 +312,14 @@ def test_lone_and_sweep_searches_give_equal_results():
 
 
 def test_h_labels_past_the_inverse_slot_range_are_excluded():
-    # The backward search gives a free slot of an H input the range p <= m-1,
-    # q <= m-2, because H-m-below-p-or-q excludes every H(p,q) past it.
+    # The backward search gives a free slot of an H input the range
+    # p <= min(m-1, n+1), q <= min(m-2, n), because H-m-below-p-or-q and
+    # H-n-below-p-or-q exclude every H(p,q) past it.
     for m in range(1, 31):
         for n in range(1, 31):
-            for p in range(m + 3):
-                for q in range(m + 3):
-                    if p >= m or q >= m - 1:
+            for p in range(max(m, n) + 3):
+                for q in range(max(m, n) + 3):
+                    if p >= min(m, n + 2) or q >= min(m - 1, n + 1):
                         assert planner._excluded("H", p, q, m, n), (p, q, m, n)
 
 
@@ -526,6 +527,9 @@ def test_verify_rejects_tampered_certificates():
     cert_t = realize(CLASS_T, make_format(8, 6)).certificate
     assert verify_certificate(cert_t)
     assert not verify_certificate(cert_t._replace(axiom=cert_t.axiom._replace(family=["HS"])))
+    # So is an axiom format that is not a Format, or a step that is not a Transition.
+    assert not verify_certificate(cert_t._replace(axiom=cert_t.axiom._replace(fmt=[4, 3])))
+    assert not verify_certificate(cert_t._replace(steps=[1]))
 
     # Citations are replayed too, on the axiom and on every step.
     cert = realize(class_H(5, 0), make_format(8, 6)).certificate
