@@ -3,7 +3,11 @@
 Every error raised by the public API derives from :class:`Grade3Error`, so
 callers can catch one base class.  All of them also derive from
 :class:`ValueError`: they signal bad arguments or bad input documents, never
-internal failures.
+internal failures.  A predicate, such as
+:func:`grade3.planner.verify_certificate`, raises none: it returns False on
+anything it cannot replay.  Every other public function refuses a bad
+argument with a :class:`Grade3Error`; ROADMAP.md lists the few that do not
+yet.
 """
 
 from __future__ import annotations

@@ -56,6 +56,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+from .errors import DimensionMismatch
+
 __all__ = ["rational_rank", "sparse_rank"]
 
 
@@ -64,7 +66,8 @@ def rational_rank(rows: Iterable[Sequence[int]]) -> int:
 
     Accepts any iterable of equal-length integer rows; zero rows (of any
     length) and an empty matrix are fine, and nonzero rows of different
-    lengths raise :class:`ValueError`.  Exact for arbitrarily large entries.
+    lengths raise :class:`DimensionMismatch`.  Exact for arbitrarily large
+    entries.
     """
     sparse = []
     ncols = None
@@ -75,7 +78,7 @@ def rational_rank(rows: Iterable[Sequence[int]]) -> int:
         if ncols is None:
             ncols = len(row)
         elif len(row) != ncols:
-            raise ValueError("rows must all have the same length")
+            raise DimensionMismatch("rows must all have the same length")
         sparse.append(entries)
     return sparse_rank(sparse)
 

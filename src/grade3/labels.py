@@ -108,6 +108,7 @@ def parse_format(text: str) -> Format:
 
 def betti_total(fmt: Format) -> int:
     """Total Betti number of a resolution with the given format."""
+    _require_types(fmt)
     return 2 * (fmt.m + fmt.n)
 
 
@@ -243,6 +244,7 @@ class ClassInvariants(NamedTuple):
 
 def class_invariants(label: ClassLabel) -> ClassInvariants:
     """The fixed (p, q, r) triple each class realizes."""
+    _require_types(label=label)
     if label.tag == "B":
         return ClassInvariants(1, 1, 2)
     if label.tag == "C3":
@@ -256,14 +258,14 @@ def class_invariants(label: ClassLabel) -> ClassInvariants:
     raise InvalidLabel(f"unknown class tag {label.tag!r}")
 
 
-def _require_types(fmt: object, label: object = OPAQUE) -> None:
+def _require_types(fmt: object = Format(1, 1), label: object = OPAQUE) -> None:
     """The argument check of the public functions that take a label or a format.
 
     Refuses a ``label`` that is not a :class:`ClassLabel` with
     :class:`InvalidLabel` (a function that takes no opaque label refuses
-    :data:`OPAQUE` itself, and the default checks only ``fmt``), then a
-    ``fmt`` that is not a :class:`Format`, a plain tuple included, with
-    :class:`InvalidFormat`.
+    :data:`OPAQUE` itself), then a ``fmt`` that is not a :class:`Format`, a
+    plain tuple included, with :class:`InvalidFormat`.  Each default passes,
+    so a call that names one argument checks only that one.
     """
     if not isinstance(label, ClassLabel):
         raise InvalidLabel(f"expected a class label (see parse_label), got {_shown(label)}")

@@ -20,6 +20,10 @@ that table on a state without building labels: the planner passes a tag's
 run to expand a state, :func:`_transition` one step at a time to build a
 certificate step, and ``verify-theorems`` one rule's step through
 :func:`_rule_outputs`, whose output keys it compares as integers.  The
+planner's search from both ends also reads the table backwards:
+``planner._STEPS_INTO`` lists, per output tag, the steps into it, and
+``planner._inputs`` passes one of them at a time with a candidate input
+state to find the states with an edge into a given one.  The
 table reads :data:`RULES` once: an entry replaced later (as
 ``perfbench/tracer.py`` does to wrap each rule's callables, or a test to
 plant a wrong rule) changes certificate replay and

@@ -24,11 +24,13 @@ not depend on the bound, and each bound expands its states, and each
 state's outputs, in one fixed order.  Each bound's search builds its
 certificates' steps from the same step table and keeps them, so a shared
 prefix is built once.  A lone target, whose bound no search of the process
-covers, is searched from both ends instead (:func:`_meet_in_the_middle`):
-backward from the target by the step table read in reverse, forward from
-the axioms over the shared graph, a level at a time.  A target whose class
-no rule outputs (C(3), G(r)) can only be an axiom, so unless it is an axiom
-instance of its bound it is NOT_FOUND without a search.
+covers or whose class no rule outputs (C(3), G(r)), is searched from both
+ends instead (:func:`_meet_in_the_middle`): backward from the target by the
+step table read in reverse, forward from the axioms over the shared graph,
+a level at a time.  No step reads backwards into C(3) or G(r), so their
+search ends after one backward step unless the target is an axiom, where a
+held search would run to exhaustion.  Both searches end in a forward search
+whose parent map reaches the target, and every certificate is read off it.
 """
 
 from __future__ import annotations
@@ -360,16 +362,16 @@ def _inputs(key: _StateKey, bound: int, axioms: dict[tuple[str, int, int], list[
                     yield (in_tag, p, q, in_m, in_n)
 
 
-def _meet_in_the_middle(bound: int, target: int) -> DerivationCertificate | None:
-    """The certificate :class:`_Search` ``(bound)`` finds for ``target``, or None, searched from both ends.
+def _meet_in_the_middle(bound: int, target: int) -> _Search | None:
+    """A :class:`_Search` ``(bound)`` whose ``parent`` reaches ``target`` as a full run's would, or None.
 
-    The forward side is a :class:`_Search` not kept in ``_SEARCHES`` that
-    expands its whole queue at a time, so that the queue is one level.  The
-    backward side maps each state known to reach ``target`` to its distance
-    from it, found by :func:`_inputs`.  Each round expands the side whose
-    frontier is smaller.
+    The search runs from both ends.  The forward side is a :class:`_Search`
+    not kept in ``_SEARCHES`` that expands its whole queue at a time, so that
+    the queue is one level.  The backward side maps each state known to reach
+    ``target`` to its distance from it, found by :func:`_inputs`.  Each round
+    expands the side whose frontier is smaller.
 
-    Why this is the forward search's certificate.  ``_Search`` orders level 0
+    Why this is the forward search's parent chain.  ``_Search`` orders level 0
     by seeding and each later level by parent, then by output position in
     RULE_ORDER; so by induction a state's parent chain is its
     lexicographically least shortest path, read as (seed position, output
@@ -384,7 +386,9 @@ def _meet_in_the_middle(bound: int, target: int) -> DerivationCertificate | None
     be swapped for that chain to give a lesser path, and so it passes
     through the met state of F_i that comes first.  From there it is least
     when each step takes the first output whose distance is one less, which
-    always exists and still completes a shortest path.
+    always exists and still completes a shortest path.  Each state of that
+    tail lies deeper than F_i, the forward side's last level, so none is in
+    ``parent`` yet, and each is recorded there with its predecessor.
     """
     search = _Search(bound)
     keys, edges = _GRAPH.keys, _GRAPH.edges
@@ -411,19 +415,12 @@ def _meet_in_the_middle(bound: int, target: int) -> DerivationCertificate | None
                         back[in_key] = depth
                         frontier.append(in_key)
     sid = next(sid for sid in search.queue if keys[sid] in back)
-    cert = _certificate_from(search, sid)
-    steps = list(cert.steps)
     for distance in range(back[keys[sid]] - 1, -1, -1):
         out_ids = edges[sid] if edges[sid] is not None else _GRAPH.expand(sid)
         out_id = next(out_id for out_id in out_ids if back.get(keys[out_id]) == distance)
-        steps.append(_transition(keys[sid], keys[out_id]))
+        search.parent.setdefault(out_id, sid)
         sid = out_id
-    return cert._replace(steps=tuple(steps), target=_state_of(keys[target]))
-
-
-def _is_axiom(state: State, bound: int) -> bool:
-    label, fmt = state
-    return max(fmt.m, fmt.n) <= bound and any(family.contains(label, fmt) for family in _SEED_ORDER)
+    return search
 
 
 # The forward searches of the sweeps, by bound, which realize answers from;
@@ -517,9 +514,10 @@ def realize(
     none.  No searched format has a coordinate above ``max_coordinate``,
     which must be an integer of at least 1 (:class:`OutOfDomain` otherwise).
     A target whose bound a sweep of this process has searched forward is
-    answered from that search; any other target is searched from both ends,
-    backward from it and forward from the axioms.  The certificate does not
-    depend on which search ran.
+    answered from that search, unless no rule outputs its class (C(3),
+    G(r)); any other target is searched from both ends, backward from it and
+    forward from the axioms, which for C(3) and G(r) finds only an axiom.
+    The certificate does not depend on which search ran.
     """
     _require_ints(max_coordinate=max_coordinate)
     if max_coordinate < 1:
@@ -537,19 +535,15 @@ def realize(
             RealizeStatus.NOT_FOUND,
             detail=f"target format {fmt} exceeds the search cap {max_coordinate}",
         )
-    state: State = (label, fmt)
-    if label.tag not in _OUTPUT_TAGS and not _is_axiom(state, bound):
-        # Only an axiom can be a state of a class that no rule outputs.
-        return RealizationResult(RealizeStatus.NOT_FOUND, detail=_not_found_detail(label))
     target = _GRAPH.intern(_state_key(label, fmt))
     search = _SEARCHES.get(bound)
+    if search is None or label.tag not in _OUTPUT_TAGS:
+        search = _meet_in_the_middle(bound, target)
+    elif not search.find(target):
+        search = None
     if search is None:
-        cert = _meet_in_the_middle(bound, target)
-    else:
-        cert = _certificate_from(search, target) if search.find(target) else None
-    if cert is None:
         return RealizationResult(RealizeStatus.NOT_FOUND, detail=_not_found_detail(label))
-    return RealizationResult(RealizeStatus.REALIZED, certificate=cert)
+    return RealizationResult(RealizeStatus.REALIZED, certificate=_certificate_from(search, target))
 
 
 def verify_certificate(cert: DerivationCertificate) -> bool:
@@ -559,35 +553,26 @@ def verify_certificate(cert: DerivationCertificate) -> bool:
     it, that each recorded step equals the replay of its rule on the
     previous state (input, output and citation) by :func:`apply_rule`, which
     reads the rule's own callables, not the step table the search used,
-    that no intermediate state is NOT_PERMISSIBLE, and that the final state
-    equals the target.  A certificate whose axiom format is not a
-    :class:`Format`, or one of whose steps is not a :class:`Transition`, is
-    False as well.
+    that no state is NOT_PERMISSIBLE, and that the final state equals the
+    target.  Anything the replay cannot read, such as a value that is not a
+    certificate, a step that is not a :class:`Transition` or an axiom format
+    that is not a :class:`Format`, is False as well, not an error.
     """
-    family = _FAMILY_BY_ID.get(cert.axiom.family) if isinstance(cert.axiom.family, str) else None
-    if (
-        family is None
-        or cert.axiom.cite != family.cite
-        or not isinstance(cert.axiom.fmt, Format)
-        or not family.contains(cert.axiom.label, cert.axiom.fmt)
-    ):
+    try:
+        family = _FAMILY_BY_ID.get(cert.axiom.family)
+        states: list[State] = [(cert.axiom.label, cert.axiom.fmt)]
+        if family is None or cert.axiom.cite != family.cite or not family.contains(*states[0]):
+            return False
+        for step in cert.steps:
+            replay = apply_rule(step.rule, *states[-1])
+            if replay != step:
+                return False
+            states.append(replay.output_state)
+        return states[-1] == cert.target and all(
+            label == OPAQUE or is_permissible(label, fmt).status is not Status.NOT_PERMISSIBLE for label, fmt in states
+        )
+    except (Grade3Error, AttributeError, TypeError):
         return False
-    state: State = (cert.axiom.label, cert.axiom.fmt)
-    # Each state, the axiom's first, is checked once; None ends the walk.
-    for step in (*cert.steps, None):
-        if state[0] != OPAQUE and is_permissible(*state).status is Status.NOT_PERMISSIBLE:
-            return False
-        if step is None:
-            return state == cert.target
-        if not isinstance(step, Transition):
-            return False
-        try:
-            replay = apply_rule(step.rule, *state)
-        except Grade3Error:
-            return False
-        if replay != step:
-            return False
-        state = replay.output_state
 
 
 def certificate_to_document(cert: DerivationCertificate) -> dict:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grade3 import rational_rank, sparse_rank
+from grade3 import DimensionMismatch, rational_rank, sparse_rank
 
 
 def _reference_rank(rows: list[list[int]]) -> int:
@@ -98,7 +98,7 @@ def test_rank_needs_exact_arithmetic():
 
 
 def test_rejects_ragged_rows():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match=r"^rows must all have the same length$"):
         rational_rank([[1, 2], [1, 2, 3]])
     # Zero rows take no part in the length check.
     assert rational_rank([[1, 2], [0, 0, 0], []]) == 1

@@ -257,6 +257,20 @@ def test_rigid_targets_are_not_found_without_a_search():
     assert planner._SEARCHES == {}
 
 
+def test_rigid_targets_leave_the_held_searches_alone():
+    # C(3) and G(r) are searched from both ends even where a sweep holds
+    # their bound: no step reads backwards into them, so that search ends at
+    # once, while the held forward search would run to exhaustion.
+    targets = [(CLASS_C3, make_format(3, 1)), (class_G(4), make_format(12, 12)), (class_G(7), make_format(7, 1))]
+    lone = [realize(*target) for target in targets]
+    assert [result.status for result in lone] == [RealizeStatus.NOT_FOUND] * 2 + [RealizeStatus.REALIZED]
+    held = [planner._search_for(bound) for bound in (9, 18)]
+    discovered = [len(search.parent) for search in held]
+    assert [realize(*target) for target in targets] == lone
+    assert [len(search.parent) for search in held] == discovered
+    assert list(planner._SEARCHES) == [9, 18]
+
+
 def test_rigid_axiom_targets_are_still_searched():
     result = realize(class_G(5), make_format(5, 1))
     assert result.status is RealizeStatus.REALIZED
@@ -530,6 +544,15 @@ def test_verify_rejects_tampered_certificates():
     # So is an axiom format that is not a Format, or a step that is not a Transition.
     assert not verify_certificate(cert_t._replace(axiom=cert_t.axiom._replace(fmt=[4, 3])))
     assert not verify_certificate(cert_t._replace(steps=[1]))
+
+    # Anything else the replay cannot read is False, not an error: a value
+    # that is not a certificate, an axiom or steps of the wrong kind, and a
+    # step that is None, also in a certificate of no steps.
+    cert_g = realize(class_G(7), make_format(7, 1)).certificate
+    assert cert_g.steps == () and verify_certificate(cert_g)
+    for value in (None, "x", cert_t._replace(axiom=None), cert_t._replace(steps=5), cert_g._replace(steps=(None,))):
+        assert verify_certificate(value) is False
+    assert verify_certificate(realize(CLASS_T, make_format(6, 6)).certificate)
 
     # Citations are replayed too, on the axiom and on every step.
     cert = realize(class_H(5, 0), make_format(8, 6)).certificate

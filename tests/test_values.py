@@ -25,6 +25,7 @@ from grade3 import (
     arranged_presentation,
     atlas_grid,
     betti_after_link,
+    betti_total,
     boundary_classes,
     canonical_presentation,
     class_G,
@@ -172,6 +173,8 @@ def test_only_the_listed_dataclasses_remain():
         (parse_label, (None,), InvalidLabel, "None"),
         (parse_state_label, (None,), InvalidLabel, "None"),
         (parse_format, (5,), InvalidFormat, "5"),
+        (betti_total, ((4, 3),), InvalidFormat, "(4, 3)"),
+        (class_invariants, ("T",), InvalidLabel, "'T'"),
     ],
     ids=lambda value: getattr(value, "__name__", ""),
 )
