@@ -48,11 +48,13 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     DimensionMismatch,
+    DocumentError,
     Grade3Error,
     OutOfDomain,
     Phi2Mismatch,
     UnsupportedSpec,
     _decimal,
+    _require,
     _require_ints,
     _shown,
 )
@@ -123,7 +125,7 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
     dict it holds; then each product term of the input is written once,
     straight to its output index.
 
-    Like :func:`~grade3.presentation.classify`, it needs a table that
+    Like :func:`~grade3.presentation.classify`, it refuses a non-table, needs a table that
     :func:`~grade3.presentation.validate_presentation` accepts, and checks
     only that every index a product term is read through lies in a kept
     basis: ``TorPresentation(4, 3, {}, {(1, 99): {1: 1}})`` (f index 99 with
@@ -142,6 +144,7 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
     the symbolic slots would exceed
     :data:`grade3.presentation.MAX_DOCUMENT_CELLS`.
     """
+    _require(a, TorPresentation, DimensionMismatch)
     _require_supported(row, UnsupportedSpec)
     t1, phi2 = row.t1, row.t2 == 1
     m, n = a.m, a.n
@@ -275,7 +278,8 @@ def _frame(m: int, n: int, t1: int, phi2: bool) -> tuple:
 
 
 def linked_to_document(lp: LinkedPresentation) -> dict:
-    """Serialize as a presentation document plus split/index/symbolic data."""
+    """Serialize as a presentation document plus split/index/symbolic data; refuses a non-link."""
+    _require(lp, LinkedPresentation, DocumentError)
     return {
         "version": LINKED_VERSION,
         "presentation": presentation_to_document(lp.presentation),

@@ -6,8 +6,8 @@ callers can catch one base class.  All of them also derive from
 internal failures.  A predicate, such as
 :func:`grade3.planner.verify_certificate`, raises none: it returns False on
 anything it cannot replay.  Every other public function refuses a bad
-argument with a :class:`Grade3Error`; ROADMAP.md lists the few that do not
-yet.
+argument with a :class:`Grade3Error`, and an argument of the wrong type is
+refused by :func:`_require`, the one place that words such a refusal.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "Phi2Mismatch",
     "OutOfDomain",
     "DocumentError",
-    "document_fields",
 ]
 
 
@@ -92,6 +91,12 @@ def _shown(value: object) -> str:
     return repr(value)
 
 
+def _require(value: object, kind: type, error: type[Grade3Error]) -> None:
+    """Refuse with ``error`` a ``value`` that is not a ``kind``, showing it by :func:`_shown`."""
+    if not isinstance(value, kind):
+        raise error(f"expected {kind.__name__}, got {_shown(value)}")
+
+
 def _require_ints(**bounds: object) -> None:
     """Refuse with :class:`OutOfDomain` a bound that is not exactly an ``int`` (a ``bool`` is not)."""
     for name, value in bounds.items():
@@ -99,7 +104,7 @@ def _require_ints(**bounds: object) -> None:
             raise OutOfDomain(f"{name} must be an integer, got {_shown(value)}")
 
 
-def document_fields(doc: object, what: str, fields: tuple[tuple[str, type], ...]) -> tuple[Any, ...]:
+def _document_fields(doc: object, what: str, fields: tuple[tuple[str, type], ...]) -> tuple[Any, ...]:
     """The values of a JSON object with exactly the named fields, in order.
 
     ``fields`` pairs each field name with the type its value must have.

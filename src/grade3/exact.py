@@ -66,20 +66,23 @@ def rational_rank(rows: Iterable[Sequence[int]]) -> int:
 
     Accepts any iterable of equal-length integer rows; zero rows (of any
     length) and an empty matrix are fine, and nonzero rows of different
-    lengths raise :class:`DimensionMismatch`.  Exact for arbitrarily large
-    entries.
+    lengths, like anything that is not an iterable of sized rows, raise
+    :class:`DimensionMismatch`.  Exact for arbitrarily large entries.
     """
     sparse = []
     ncols = None
-    for row in rows:
-        entries = {col: value for col, value in enumerate(row) if value}
-        if not entries:
-            continue
-        if ncols is None:
-            ncols = len(row)
-        elif len(row) != ncols:
-            raise DimensionMismatch("rows must all have the same length")
-        sparse.append(entries)
+    try:
+        for row in rows:
+            entries = {col: value for col, value in enumerate(row) if value}
+            if not entries:
+                continue
+            if ncols is None:
+                ncols = len(row)
+            elif len(row) != ncols:
+                raise DimensionMismatch("rows must all have the same length")
+            sparse.append(entries)
+    except TypeError as exc:
+        raise DimensionMismatch(f"rows must be an iterable of rows: {exc}") from None
     return sparse_rank(sparse)
 
 
@@ -88,23 +91,27 @@ def sparse_rank(rows: Iterable[Mapping[object, int]]) -> int:
 
     Columns may be arbitrary hashable objects, of mixed types; a column that
     occurs in no row is a zero column.  Explicit zero entries are ignored.
-    The rows passed in are not modified.
+    The rows passed in are not modified.  Anything that is not an iterable
+    of maps raises :class:`DimensionMismatch`.
     """
     # Peel: the columns of single-entry rows, then of the rows that stripping
     # those columns leaves with a single entry, and so on.
     fresh: set = set()
     remaining = []
-    for row in rows:
-        if len(row) == 1:
-            for col, value in row.items():
-                if value:
-                    fresh.add(col)
-            continue
-        entries = {c: v for c, v in row.items() if v}
-        if len(entries) > 1:
-            remaining.append(entries)
-        else:
-            fresh.update(entries)
+    try:
+        for row in rows:
+            if len(row) == 1:
+                for col, value in row.items():
+                    if value:
+                        fresh.add(col)
+                continue
+            entries = {c: v for c, v in row.items() if v}
+            if len(entries) > 1:
+                remaining.append(entries)
+            else:
+                fresh.update(entries)
+    except (AttributeError, TypeError) as exc:
+        raise DimensionMismatch(f"rows must be an iterable of column -> entry maps: {exc}") from None
     rank = len(fresh)
     while fresh and remaining:
         peeled, fresh, survivors = fresh, set(), []

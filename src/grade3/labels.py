@@ -21,7 +21,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InvalidFormat, InvalidLabel, _decimal, _shown
+from .errors import InvalidFormat, InvalidLabel, _decimal, _require
 
 __all__ = [
     "Format",
@@ -94,8 +94,7 @@ _FORMAT_RE = re.compile(r"^\((\d+),(\d+)\)$")
 
 def parse_format(text: str) -> Format:
     """Parse the text form ``"(m,n)"`` produced by ``str(Format)``."""
-    if not isinstance(text, str):
-        raise InvalidFormat(f"expected the text of a format, \"(m,n)\", got {_shown(text)}")
+    _require(text, str, InvalidFormat)
     match = _FORMAT_RE.match(text.strip())
     if match is None:
         raise InvalidFormat(f"cannot parse format from {text!r}; expected \"(m,n)\"")
@@ -210,8 +209,7 @@ def parse_label(text: str) -> ClassLabel:
     the same normalization as the constructors (so ``"G(1)"`` parses to
     ``H(0,1)``).
     """
-    if not isinstance(text, str):
-        raise InvalidLabel(f"expected the text of a class label, such as \"H(p,q)\", got {_shown(text)}")
+    _require(text, str, InvalidLabel)
     match = _LABEL_RE.match(text.strip())
     if match is None:
         raise InvalidLabel(
@@ -261,13 +259,11 @@ def class_invariants(label: ClassLabel) -> ClassInvariants:
 def _require_types(fmt: object = Format(1, 1), label: object = OPAQUE) -> None:
     """The argument check of the public functions that take a label or a format.
 
-    Refuses a ``label`` that is not a :class:`ClassLabel` with
-    :class:`InvalidLabel` (a function that takes no opaque label refuses
-    :data:`OPAQUE` itself), then a ``fmt`` that is not a :class:`Format`, a
-    plain tuple included, with :class:`InvalidFormat`.  Each default passes,
-    so a call that names one argument checks only that one.
+    Refuses, by :func:`grade3.errors._require`, a ``label`` that is not a
+    :class:`ClassLabel` with :class:`InvalidLabel` (a function that takes no
+    opaque label refuses :data:`OPAQUE` itself), then a ``fmt`` that is not a
+    :class:`Format`, a plain tuple included, with :class:`InvalidFormat`.
+    Each default passes, so a call that names one argument checks only that one.
     """
-    if not isinstance(label, ClassLabel):
-        raise InvalidLabel(f"expected a class label (see parse_label), got {_shown(label)}")
-    if not isinstance(fmt, Format):
-        raise InvalidFormat(f"expected a format (see make_format), got {_shown(fmt)}")
+    _require(label, ClassLabel, InvalidLabel)
+    _require(fmt, Format, InvalidFormat)

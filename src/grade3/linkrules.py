@@ -49,8 +49,9 @@ from .errors import (
     PreconditionViolated,
     UnsupportedProfile,
     _decimal,
+    _document_fields,
+    _require,
     _shown,
-    document_fields,
 )
 from .labels import (
     CLASS_B,
@@ -118,16 +119,15 @@ SUPPORTED_PROFILES = tuple(RankProfile(*row) for row in ((0, 0, 0), (1, 0, 0), (
 
 def _require_supported(row: object, error: type[Grade3Error]) -> None:
     """Return for a :class:`RankProfile` in :data:`SUPPORTED_PROFILES`, else raise
-    ``error`` saying why: worded as the :func:`grade3.cone.LinkSpec` arguments
-    when that builds the row, else naming it; anything not a
-    :class:`RankProfile`, a plain tuple included, is shown."""
-    if isinstance(row, RankProfile):
-        if row in SUPPORTED_PROFILES:
-            return
-        if row.t2 in (0, 1) and row.t3 == 0:
-            raise error(f"link spec (t1={_decimal(row.t1)}, phi2_unit={row.t2 == 1}) is not supported")
-        raise error(f"rank profile ({', '.join(map(_decimal, row))}) is outside the supported table")
-    raise error(f"expected a rank profile (see LinkSpec), got {_shown(row)}")
+    ``error`` saying why: anything not a :class:`RankProfile`, a plain tuple
+    included, as :func:`grade3.errors._require` words it; then worded as the
+    :func:`grade3.cone.LinkSpec` arguments when that builds the row, else naming it."""
+    _require(row, RankProfile, error)
+    if row in SUPPORTED_PROFILES:
+        return
+    if row.t2 in (0, 1) and row.t3 == 0:
+        raise error(f"link spec (t1={_decimal(row.t1)}, phi2_unit={row.t2 == 1}) is not supported")
+    raise error(f"rank profile ({', '.join(map(_decimal, row))}) is outside the supported table")
 
 
 # The format map of every row (t1, t2, 0).  Evidence, not a theorem: on 11 936
@@ -453,7 +453,8 @@ def _parse_state(value: object, what: str) -> State:
 
 
 def transition_to_document(t: Transition) -> dict:
-    """Wire form: ``{"rule": ..., "in": [...], "out": [...], "cite": ...}``."""
+    """Wire form: ``{"rule": ..., "in": [...], "out": [...], "cite": ...}``; refuses a non-transition."""
+    _require(t, Transition, DocumentError)
     return {
         "rule": t.rule,
         "in": _render_state(t.input_state),
@@ -464,7 +465,7 @@ def transition_to_document(t: Transition) -> dict:
 
 def transition_from_document(doc: object) -> Transition:
     """Parse the wire form; rejects unknown or missing fields."""
-    rule, state_in, state_out, cite = document_fields(
+    rule, state_in, state_out, cite = _document_fields(
         doc, "transition", (("rule", str), ("in", list), ("out", list), ("cite", str))
     )
     return Transition(

@@ -27,7 +27,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Callable, Iterator, Mapping, NamedTuple, NoReturn
 
-from .errors import InvalidLabel, OutOfDomain, _decimal
+from .errors import InvalidLabel, OutOfDomain, _decimal, _require
 from .labels import ClassLabel, Format, _require_types, class_H
 
 __all__ = [
@@ -296,7 +296,8 @@ def atlas_grid(fmt: Format) -> AtlasGrid:
 
 
 def render_atlas_text(grid: AtlasGrid) -> str:
-    """Plain-text chart: rows are q from high to low, columns are p ascending."""
+    """Plain-text chart: rows are q from high to low, columns are p ascending; refuses a non-grid."""
+    _require(grid, AtlasGrid, OutOfDomain)
     m, n = grid.fmt.m, grid.fmt.n
     width = max(len(str(n + 1)), 1)
     out = io.StringIO()
@@ -312,7 +313,8 @@ def render_atlas_text(grid: AtlasGrid) -> str:
 
 
 def render_atlas_csv(grid: AtlasGrid) -> str:
-    """CSV form: one row per cell with columns p, q, status, rules."""
+    """CSV form: one row per cell with columns p, q, status, rules; refuses a non-grid."""
+    _require(grid, AtlasGrid, OutOfDomain)
     lines = ["p,q,status,rules"]
     for p in range(0, grid.fmt.n + 2):
         for q in range(0, grid.fmt.m - 1):

@@ -39,7 +39,7 @@ from collections import deque
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DocumentError, Grade3Error, OutOfDomain, _decimal, _require_ints, document_fields
+from .errors import DocumentError, Grade3Error, OutOfDomain, _decimal, _document_fields, _require, _require_ints
 from .labels import (
     CLASS_B,
     CLASS_T,
@@ -576,7 +576,8 @@ def verify_certificate(cert: DerivationCertificate) -> bool:
 
 
 def certificate_to_document(cert: DerivationCertificate) -> dict:
-    """Versioned JSON document form of a certificate."""
+    """Versioned JSON document form of a certificate; refuses a non-certificate."""
+    _require(cert, DerivationCertificate, DocumentError)
     return {
         "version": CERTIFICATE_VERSION,
         "axiom": {
@@ -592,16 +593,16 @@ def certificate_to_document(cert: DerivationCertificate) -> dict:
 
 def certificate_from_document(doc: object) -> DerivationCertificate:
     """Parse the document form; rejects anything outside the schema."""
-    version, axiom_doc, steps, target_doc = document_fields(
+    version, axiom_doc, steps, target_doc = _document_fields(
         doc, "certificate", (("version", int), ("axiom", dict), ("steps", list), ("target", dict))
     )
     if version != CERTIFICATE_VERSION:
         raise DocumentError(f"unsupported certificate version {version!r}")
-    family, label, fmt, cite = document_fields(
+    family, label, fmt, cite = _document_fields(
         axiom_doc, "certificate axiom", (("family", str), ("class", str), ("format", str), ("cite", str))
     )
     axiom = Axiom(family, parse_state_label(label), parse_format(fmt), cite)
-    label, fmt = document_fields(target_doc, "certificate target", (("class", str), ("format", str)))
+    label, fmt = _document_fields(target_doc, "certificate target", (("class", str), ("format", str)))
     return DerivationCertificate(
         axiom=axiom,
         steps=tuple(transition_from_document(step) for step in steps),

@@ -52,7 +52,7 @@ from collections.abc import Iterable, Mapping
 from functools import partial
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, DocumentError, UnknownArrangement, _decimal, _shown, document_fields
+from .errors import DimensionMismatch, DocumentError, UnknownArrangement, _decimal, _document_fields, _require, _shown
 from .exact import sparse_rank
 from .labels import (
     CLASS_B,
@@ -157,15 +157,6 @@ class TorPresentation(NamedTuple):
         return _dense(self.ef.get((i, l)), self.n)
 
 
-def _require_table(a: object) -> None:
-    """The argument check of the public functions that take a table, as
-    :func:`grade3.labels._require_types` is of those that take a label or a
-    format: anything but a :class:`TorPresentation` is refused with
-    :class:`DimensionMismatch`."""
-    if not isinstance(a, TorPresentation):
-        raise DimensionMismatch(f"expected a multiplication table (see make_presentation), got {_shown(a)}")
-
-
 def _exact_int(value: object, field: str, key: PairKey, what: str) -> int:
     """``int(value)``, refused with :class:`DimensionMismatch` unless it equals ``value``."""
     if type(value) is int:
@@ -182,6 +173,7 @@ def _exact_int(value: object, field: str, key: PairKey, what: str) -> int:
 def _clean_table(
     table: Mapping[PairKey, Mapping[int, int] | Iterable[int]] | None, field: str, m: int, n: int
 ) -> dict[PairKey, Coords]:
+    _require(table or {}, Mapping, DimensionMismatch)
     out: dict[PairKey, Coords] = {}
     for key, vec in (table or {}).items():
         try:
@@ -225,8 +217,9 @@ def make_presentation(
     coefficients and zero products are dropped.  A dense sequence of the
     wrong length, or a key, coordinate or coefficient ``x`` with
     ``int(x) != x`` (such as 2.5), raises :class:`DimensionMismatch`, as
-    do a key that is not a pair and a product that is neither a map nor a
-    sequence; an integral float such as 2.0 is stored as 2.  No other
+    do a key that is not a pair, a product that is neither a map nor a
+    sequence, and an ``ee`` or ``ef`` that is neither a mapping nor empty;
+    an integral float such as 2.0 is stored as 2.  No other
     structural validation happens here (use :func:`validate_presentation`
     to collect diagnostics for hand-built tables).
     """
@@ -465,7 +458,7 @@ def compute_pqrs(a: TorPresentation) -> ClassifierReport:
     The four ranks are those :func:`classify` reports; the report has
     ``label=None`` and ``unclassifiable=False``.
     """
-    _require_table(a)
+    _require(a, TorPresentation, DimensionMismatch)
     return ClassifierReport(*_pqr(a), s1=_s1(a))
 
 
@@ -484,7 +477,7 @@ def classify(a: TorPresentation) -> ClassifierReport:
     ``TorPresentation(2, 1, {}, {(1, 1): {3: 1}, (2, 2): {1: 1}})`` (coordinate
     3 with n = 1) is called unclassifiable with r = 1 instead of refused.
     """
-    _require_table(a)
+    _require(a, TorPresentation, DimensionMismatch)
     p, q, r = _pqr(a)
     s1 = _s1(a)
     label = _decide(a, p, q, r, s1)
@@ -512,7 +505,7 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
     then either its out-of-range coordinates by coordinate or one line for
     non-integer entries.
     """
-    _require_table(a)
+    _require(a, TorPresentation, DimensionMismatch)
     m, n = a.m, a.n
     if type(m) is not int or type(n) is not int or m < 1 or n < 1:
         bad = [(name, value) for name, value in (("m", m), ("n", n)) if type(value) is not int or value < 1]
@@ -579,7 +572,7 @@ def presentation_to_document(a: TorPresentation) -> dict:
     table that :func:`presentation_from_document` would refuse for its size
     raises :class:`DocumentError` instead.
     """
-    _require_table(a)
+    _require(a, TorPresentation, DimensionMismatch)
     _require_document_size(a.m, a.n, len(a.ee), len(a.ef))
     return {
         "version": PRESENTATION_VERSION,
@@ -601,7 +594,7 @@ def presentation_from_document(doc: object) -> TorPresentation:
     table of more than :data:`MAX_DOCUMENT_CELLS` cells (distinct products
     times basis length) raise :class:`DocumentError` before anything is built.
     """
-    version, m, n, ee, ef = document_fields(
+    version, m, n, ee, ef = _document_fields(
         doc, "presentation document", (("version", int), ("m", int), ("n", int), ("ee", list), ("ef", list))
     )
     if version != PRESENTATION_VERSION:

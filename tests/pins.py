@@ -15,16 +15,23 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import sys
+import time
 
+import grade3
 from grade3 import (
     CLASS_B,
     CLASS_C3,
     CLASS_T,
+    Grade3Error,
+    LinkSpec,
+    apply_rule,
     atlas_grid,
     boundary_classes,
+    canonical_presentation,
     certificate_to_document,
     class_G,
     classify,
@@ -210,6 +217,52 @@ REPLAY_STDOUT_14_12 = (0, 13, "b4f7e3ea44f9832c0bc92c465bf146a241f98756df50b7560
 # linkH-v; recorded while the witness memo still worked out each table's largest indices.
 REPLAY_STDOUT_20_16 = (0, 13, "06f97ca504bac086488b978e18cc7b33785285f8be3f0f64ba71444111ffe1e7")
 
+
+def refusals() -> tuple[str, ...]:
+    """Every call of a public function, with one wrong argument, that neither
+    returns nor raises a :class:`Grade3Error` within 1 s.
+
+    Each parameter of each function in ``grade3.__all__`` takes in turn each
+    of ten values below; the other arguments are the samples, one per
+    parameter name.  A parameter with no sample is listed, as
+    ``function(name): no sample``, and its function is not called.
+    """
+    fmt, label, row = make_format(5, 4), CLASS_T, LinkSpec(1)
+    table = canonical_presentation(label, fmt)
+    samples = {
+        "rows": [[1, 2]], "m": 5, "n": 4, "text": "T", "fmt": fmt, "r": 3, "p": 1, "q": 1, "label": label,
+        "ee": None, "ef": None, "arrangement": "T-A", "a": table, "doc": {}, "grid": atlas_grid(fmt),
+        "profile": row, "b": 18, "rule_id": "linkT-i", "t": apply_rule("linkT-i", label, fmt), "t1": 1,
+        "phi2_unit": False, "row": row, "lp": mapping_cone_presentation(table, row), "m_max": 6, "n_max": 6,
+        "max_coordinate": 64, "cert": realize(label, fmt).certificate,
+    }
+    failures = []
+    for name in grade3.__all__:
+        function = getattr(grade3, name)
+        if not inspect.isfunction(function):
+            continue
+        params = list(inspect.signature(function).parameters)
+        missing = [param for param in params if param not in samples]
+        failures += [f"{name}({param}): no sample" for param in missing]
+        for param in [] if missing else params:
+            args = {other: samples[other] for other in params}
+            for value in ("x", None, 1.5, True, -1, 10**30, [1], (4, 3), {}, object()):
+                call = f"{name}({param}={'object()' if type(value) is object else repr(value)})"
+                start = time.perf_counter()
+                try:
+                    function(**{**args, param: value})
+                except Grade3Error:
+                    pass
+                except Exception as exc:
+                    failures.append(f"{call}: {type(exc).__name__}")
+                    continue
+                if time.perf_counter() - start > 1:
+                    failures.append(f"{call}: over 1 s")
+    return tuple(failures)
+
+
+REFUSALS = ()
+
 PINS = {
     "coverage-sweep": (coverage_sweep, COVERAGE_SWEEP),
     "realize-grid": (realize_grid, REALIZE_GRID),
@@ -219,6 +272,7 @@ PINS = {
     "replay-stdout": (replay_stdout, REPLAY_STDOUT),
     "replay-stdout-14-12": (lambda: replay_stdout("--m-max", "14", "--n-max", "12"), REPLAY_STDOUT_14_12),
     "replay-stdout-20-16": (lambda: replay_stdout("--m-max", "20", "--n-max", "16"), REPLAY_STDOUT_20_16),
+    "refusals": (refusals, REFUSALS),
 }
 
 

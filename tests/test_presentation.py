@@ -465,7 +465,7 @@ def test_classify_flags_unclassifiable_tables():
 def test_table_functions_refuse_a_non_table(function, value, shown):
     with pytest.raises(DimensionMismatch) as info:
         function(value)
-    assert str(info.value) == f"expected a multiplication table (see make_presentation), got {shown}"
+    assert str(info.value) == f"expected TorPresentation, got {shown}"
 
 
 def test_classify_needs_c3_format():

@@ -45,6 +45,8 @@ from grade3 import (
     verify_linkage_theorems,
 )
 
+import pins
+
 MODULES = ("errors", "exact", "labels", "presentation", "permissible", "linkrules", "cone", "planner", "cli")
 
 # Each dataclass left in grade3, and why it is not a NamedTuple.  Every other
@@ -185,6 +187,12 @@ def test_public_functions_refuse_a_wrong_argument_type(function, args, error, sh
     with pytest.raises(error) as exc:
         function(*args)
     assert str(exc.value).endswith(f", got {shown}")
+
+
+def test_every_public_function_refuses_every_wrong_argument_in_time():
+    # Each parameter of each public function, given each of ten values of the
+    # wrong type or range: every call returns or raises a Grade3Error within 1 s.
+    assert pins.refusals() == pins.REFUSALS
 
 
 def test_an_id_that_is_not_a_string_is_unknown():
