@@ -17,7 +17,6 @@ from grade3 import (
     CLASS_T,
     class_H,
     classify,
-    compute_pqrs,
     canonical_presentation,
     arranged_presentation,
     make_format,
@@ -61,7 +60,7 @@ def main():
         ef={(1, 3): unit(3, 1), (2, 4): unit(3, 1)},
     )
     show("ee spans 2, ef spans 1, pairing rank 2", odd)
-    inv = compute_pqrs(odd)
+    inv = classify(odd)
     print(f"  no class has (p,q,r) = ({inv.p},{inv.q},{inv.r}), so the")
     print("  classifier reports it rather than guessing.")
 

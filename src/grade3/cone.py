@@ -146,44 +146,44 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
     """
     _require(a, TorPresentation, DimensionMismatch)
     _require_supported(row, UnsupportedSpec)
-    t1, phi2 = row.t1, row.t2 == 1
-    m, n = a.m, a.n
-    # Bound the work that grows with m+n whatever the products: the raw bases
-    # and, for t1 = 3, the symbolic slots.
-    size = (n + 3) + (m + n + 2) + m
-    if t1 == 3:
-        size += n * (n - 1) // 2 + n * (m + n - 1)
-    if size > MAX_DOCUMENT_CELLS:
-        raise OutOfDomain(
-            f"linking a table in format ({_decimal(m)},{_decimal(n)}) at t1 = {t1} would build "
-            f"{_decimal(size)} basis vectors and symbolic slots; the limit is {MAX_DOCUMENT_CELLS}"
-        )
-    if t1 >= m:
-        raise UnsupportedSpec(f"spec designates {t1} generators, so the link needs m > {t1}; got m = {_decimal(m)}")
-    if phi2 and a.ee.get((1, 2)) != {1: 1}:
-        raise Phi2Mismatch("unit-product case needs e_1 e_2 = f_1 exactly")
-    # Outside the unit case t2 must be 0.  It is the rank of the products among
-    # e_1..e_t1, not their count: a hand-built table may store e_1 e_2 = {1: 0}.
-    designated = [a.ee[k] for k in ((1, 2), (1, 3), (2, 3)) if not phi2 and k[1] <= t1 and k in a.ee]
-    t2 = sparse_rank(designated) if designated else 0
-    if t2:
-        raise UnsupportedSpec(f"the products among e_1..e_{t1} have rank {t2}: the table needs row ({t1},{t2},0)")
-
-    e_map, f_map, g_map, koszul, splits, symbolic = _frame(m, n, t1, phi2)
-
-    # Every term is written once, straight to its output index.  No two terms
-    # land on the same coefficient, so nothing accumulates or cancels: an E.E
-    # key (g_i, n+a) has g_i <= n while both Koszul indices exceed n, an E.F
-    # key (n+x, l) starts above n while a unit-case key (g_i, m+n+2) does not,
-    # and within each family every (key, coordinate) comes from a distinct
-    # input coefficient.  A term landing on a split vector, or on an index
-    # outside the format, has no entry in the maps: its lookup raises
-    # KeyError, refused below as DimensionMismatch.  Zero coefficients (a
-    # hand-built table may hold them) are skipped, so none is stored.
-    out_ee: dict[tuple[int, int], dict[int, int]] = {pair: {target: 1} for pair, target in koszul}
-    out_ef: dict[tuple[int, int], dict[int, int]] = {}
-    lo = 2 if phi2 else 1
     try:
+        t1, phi2 = row.t1, row.t2 == 1
+        m, n = a.m, a.n
+        # Bound the work that grows with m+n whatever the products: the raw bases
+        # and, for t1 = 3, the symbolic slots.
+        size = (n + 3) + (m + n + 2) + m
+        if t1 == 3:
+            size += n * (n - 1) // 2 + n * (m + n - 1)
+        if size > MAX_DOCUMENT_CELLS:
+            raise OutOfDomain(
+                f"linking a table in format ({_decimal(m)},{_decimal(n)}) at t1 = {t1} would build "
+                f"{_decimal(size)} basis vectors and symbolic slots; the limit is {MAX_DOCUMENT_CELLS}"
+            )
+        if t1 >= m:
+            raise UnsupportedSpec(f"spec designates {t1} generators, so the link needs m > {t1}; got m = {_decimal(m)}")
+        if phi2 and a.ee.get((1, 2)) != {1: 1}:
+            raise Phi2Mismatch("unit-product case needs e_1 e_2 = f_1 exactly")
+        # Outside the unit case t2 must be 0.  It is the rank of the products among
+        # e_1..e_t1, not their count: a hand-built table may store e_1 e_2 = {1: 0}.
+        designated = [a.ee[k] for k in ((1, 2), (1, 3), (2, 3)) if not phi2 and k[1] <= t1 and k in a.ee]
+        t2 = sparse_rank(designated) if designated else 0
+        if t2:
+            raise UnsupportedSpec(f"the products among e_1..e_{t1} have rank {t2}: the table needs row ({t1},{t2},0)")
+
+        e_map, f_map, g_map, koszul, splits, symbolic = _frame(m, n, t1, phi2)
+
+        # Every term is written once, straight to its output index.  No two terms
+        # land on the same coefficient, so nothing accumulates or cancels: an E.E
+        # key (g_i, n+a) has g_i <= n while both Koszul indices exceed n, an E.F
+        # key (n+x, l) starts above n while a unit-case key (g_i, m+n+2) does not,
+        # and within each family every (key, coordinate) comes from a distinct
+        # input coefficient.  A term landing on a split vector, or on an index
+        # outside the format, has no entry in the maps: its lookup raises
+        # KeyError, refused below as DimensionMismatch.  Zero coefficients (a
+        # hand-built table may hold them) are skipped, so none is stored.
+        out_ee: dict[tuple[int, int], dict[int, int]] = {pair: {target: 1} for pair, target in koszul}
+        out_ef: dict[tuple[int, int], dict[int, int]] = {}
+        lo = 2 if phi2 else 1
         # Products of a designated generator with a degree-1 vector:
         # E_{n+a} E_i = sum_k <e_a f_k, g_i*> F_k, stored at (i, n+a) with the
         # graded-commutativity sign.
@@ -208,6 +208,8 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
                     for gi, coeff in vec.items():
                         if coeff:
                             out_ef.setdefault((e_map[gi], f_map[m + n + 2]), {})[g_map[ek]] = coeff
+    except (AttributeError, TypeError) as exc:
+        raise DimensionMismatch._malformed(a, exc) from None
     except KeyError as missing:
         raise DimensionMismatch(
             f"a product names index {_shown(missing.args[0])}, which is outside the bases "

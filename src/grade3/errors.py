@@ -6,8 +6,8 @@ callers can catch one base class.  All of them also derive from
 internal failures.  A predicate, such as
 :func:`grade3.planner.verify_certificate`, raises none: it returns False on
 anything it cannot replay.  Every other public function refuses a bad
-argument with a :class:`Grade3Error`, and an argument of the wrong type is
-refused by :func:`_require`, the one place that words such a refusal.
+argument with a :class:`Grade3Error`, worded by :func:`_require` for one of the
+wrong type and by :meth:`Grade3Error._malformed` for a record whose fields are.
 """
 
 from __future__ import annotations
@@ -31,6 +31,11 @@ __all__ = [
 
 class Grade3Error(ValueError):
     """Base class for all errors raised by this package."""
+
+    @classmethod
+    def _malformed(cls, record: tuple, exc: Exception) -> Grade3Error:
+        """This error, refusing ``record``, whose fields raised ``exc`` when read as their types."""
+        return cls(f"{type(record).__name__} has a field of the wrong type ({exc})")
 
 
 class InvalidFormat(Grade3Error):

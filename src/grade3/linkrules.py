@@ -51,7 +51,6 @@ from .errors import (
     _decimal,
     _document_fields,
     _require,
-    _shown,
 )
 from .labels import (
     CLASS_B,
@@ -73,7 +72,6 @@ __all__ = [
     "RankProfile",
     "SUPPORTED_PROFILES",
     "link_option_format",
-    "betti_after_link",
     "LinkageRule",
     "STATE_TAGS",
     "parse_state_label",
@@ -149,18 +147,6 @@ def link_option_format(fmt: Format, profile: RankProfile) -> Format:
     _require_types(fmt)
     _require_supported(profile, UnsupportedProfile)
     return _format_map(profile.t1, profile.t2)(fmt)
-
-
-def betti_after_link(b: int, profile: RankProfile) -> int:
-    """Total Betti number after linking: ``b + 6 - 2*t1 - 2*t2 - t3``.
-
-    Raises :class:`UnsupportedProfile` outside the supported rows, as
-    :func:`link_option_format` does.
-    """
-    _require_supported(profile, UnsupportedProfile)
-    if not isinstance(b, int) or isinstance(b, bool) or b < 0:
-        raise InvalidFormat(f"betti number must be a non-negative integer, got {_shown(b)}")
-    return b + 6 - 2 * profile.t1 - 2 * profile.t2 - profile.t3
 
 
 class Transition(NamedTuple):
@@ -431,11 +417,6 @@ def apply_rule(rule_id: str, label: ClassLabel, fmt: Format) -> Transition:
     return Transition(rule_id, (label, fmt), (rule.out_class(label), out_fmt), rule.cite)
 
 
-def _render_state(state: State) -> list[str]:
-    label, fmt = state
-    return [str(label), str(fmt)]
-
-
 def parse_state_label(text: str) -> ClassLabel:
     """Parse a state label's text form: a class label, or ``*`` for opaque."""
     if text == "*":
@@ -455,10 +436,14 @@ def _parse_state(value: object, what: str) -> State:
 def transition_to_document(t: Transition) -> dict:
     """Wire form: ``{"rule": ..., "in": [...], "out": [...], "cite": ...}``; refuses a non-transition."""
     _require(t, Transition, DocumentError)
+    try:
+        (label, fmt), (out_label, out_fmt) = t.input_state, t.output_state
+    except (TypeError, ValueError) as exc:
+        raise DocumentError._malformed(t, exc) from None
     return {
         "rule": t.rule,
-        "in": _render_state(t.input_state),
-        "out": _render_state(t.output_state),
+        "in": [str(label), str(fmt)],
+        "out": [str(out_label), str(out_fmt)],
         "cite": t.cite,
     }
 

@@ -298,26 +298,32 @@ def atlas_grid(fmt: Format) -> AtlasGrid:
 def render_atlas_text(grid: AtlasGrid) -> str:
     """Plain-text chart: rows are q from high to low, columns are p ascending; refuses a non-grid."""
     _require(grid, AtlasGrid, OutOfDomain)
-    m, n = grid.fmt.m, grid.fmt.n
-    width = max(len(str(n + 1)), 1)
-    out = io.StringIO()
-    out.write(f"H(p,q) atlas for format {grid.fmt}\n")
-    qw = max(len(str(m - 2)), 1)
-    for q in range(m - 2, -1, -1):
-        row = " ".join(f"{_GLYPHS[grid.cells[(p, q)]]:>{width}}" for p in range(0, n + 2))
-        out.write(f"q={q:<{qw}} | {row}\n")
-    out.write(f"{' ' * (qw + 2)} +-{'-' * ((width + 1) * (n + 2) - 1)}\n")
-    labels = " ".join(f"{p:>{width}}" for p in range(0, n + 2))
-    out.write(f"{' ' * (qw + 2)}  p={labels}\n")
-    return out.getvalue()
+    try:
+        m, n = grid.fmt.m, grid.fmt.n
+        width = max(len(str(n + 1)), 1)
+        out = io.StringIO()
+        out.write(f"H(p,q) atlas for format {grid.fmt}\n")
+        qw = max(len(str(m - 2)), 1)
+        for q in range(m - 2, -1, -1):
+            row = " ".join(f"{_GLYPHS[grid.cells[(p, q)]]:>{width}}" for p in range(0, n + 2))
+            out.write(f"q={q:<{qw}} | {row}\n")
+        out.write(f"{' ' * (qw + 2)} +-{'-' * ((width + 1) * (n + 2) - 1)}\n")
+        labels = " ".join(f"{p:>{width}}" for p in range(0, n + 2))
+        out.write(f"{' ' * (qw + 2)}  p={labels}\n")
+        return out.getvalue()
+    except (AttributeError, TypeError) as exc:
+        raise OutOfDomain._malformed(grid, exc) from None
 
 
 def render_atlas_csv(grid: AtlasGrid) -> str:
     """CSV form: one row per cell with columns p, q, status, rules; refuses a non-grid."""
     _require(grid, AtlasGrid, OutOfDomain)
     lines = ["p,q,status,rules"]
-    for p in range(0, grid.fmt.n + 2):
-        for q in range(0, grid.fmt.m - 1):
-            rules = ";".join(grid.violations[(p, q)])
-            lines.append(f"{p},{q},{grid.cells[(p, q)].value},{rules}")
+    try:
+        for p in range(0, grid.fmt.n + 2):
+            for q in range(0, grid.fmt.m - 1):
+                rules = ";".join(grid.violations[(p, q)])
+                lines.append(f"{p},{q},{grid.cells[(p, q)].value},{rules}")
+    except (AttributeError, TypeError) as exc:
+        raise OutOfDomain._malformed(grid, exc) from None
     return "\n".join(lines) + "\n"

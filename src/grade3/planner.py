@@ -578,17 +578,20 @@ def verify_certificate(cert: DerivationCertificate) -> bool:
 def certificate_to_document(cert: DerivationCertificate) -> dict:
     """Versioned JSON document form of a certificate; refuses a non-certificate."""
     _require(cert, DerivationCertificate, DocumentError)
-    return {
-        "version": CERTIFICATE_VERSION,
-        "axiom": {
-            "family": cert.axiom.family,
-            "class": str(cert.axiom.label),
-            "format": str(cert.axiom.fmt),
-            "cite": cert.axiom.cite,
-        },
-        "steps": [transition_to_document(step) for step in cert.steps],
-        "target": {"class": str(cert.target[0]), "format": str(cert.target[1])},
-    }
+    try:
+        return {
+            "version": CERTIFICATE_VERSION,
+            "axiom": {
+                "family": cert.axiom.family,
+                "class": str(cert.axiom.label),
+                "format": str(cert.axiom.fmt),
+                "cite": cert.axiom.cite,
+            },
+            "steps": [transition_to_document(step) for step in cert.steps],
+            "target": {"class": str(cert.target[0]), "format": str(cert.target[1])},
+        }
+    except (AttributeError, TypeError, LookupError) as exc:
+        raise DocumentError._malformed(cert, exc) from None
 
 
 def certificate_from_document(doc: object) -> DerivationCertificate:

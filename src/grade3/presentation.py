@@ -73,7 +73,6 @@ __all__ = [
     "arranged_presentation",
     "arrangement_ids",
     "ClassifierReport",
-    "compute_pqrs",
     "classify",
     "validate_presentation",
     "presentation_to_document",
@@ -369,19 +368,18 @@ def arranged_presentation(label: ClassLabel, fmt: Format, arrangement: str) -> T
 
 
 class ClassifierReport(NamedTuple):
-    """Invariants of a multiplication table, plus the decided label.
-
-    ``label`` is ``None`` either when only the invariants were requested
-    (:func:`compute_pqrs`) or when no class matches (:func:`classify` on an
-    unclassifiable table — the ``unclassifiable`` flag tells those apart).
-    """
+    """Invariants of a multiplication table, plus the decided label, ``None`` when no class matches."""
 
     p: int
     q: int
     r: int
     s1: int
-    label: ClassLabel | None = None
-    unclassifiable: bool = False
+    label: ClassLabel | None
+
+    @property
+    def unclassifiable(self) -> bool:
+        """Whether no class matches, read off :attr:`label`."""
+        return self.label is None
 
 
 def _pqr(a: TorPresentation) -> tuple[int, int, int]:
@@ -452,16 +450,6 @@ def _class_label(a: TorPresentation) -> ClassLabel | None:
     return _decide(a, *_pqr(a))
 
 
-def compute_pqrs(a: TorPresentation) -> ClassifierReport:
-    """Exact invariants (p, q, r, s1) of a valid presentation, without a label.
-
-    The four ranks are those :func:`classify` reports; the report has
-    ``label=None`` and ``unclassifiable=False``.
-    """
-    _require(a, TorPresentation, DimensionMismatch)
-    return ClassifierReport(*_pqr(a), s1=_s1(a))
-
-
 def classify(a: TorPresentation) -> ClassifierReport:
     """Decide the class label of a presentation from its exact invariants.
 
@@ -470,18 +458,20 @@ def classify(a: TorPresentation) -> ClassifierReport:
     the rigid classes first — C(3) (which only exists in format (3,1)), then
     T versus H(3,0), which share (p,q,r) = (3,0,0) and are separated by
     ``s1`` (3 versus 4), then B and G — and falls back to H(p,q) whenever
-    ``r = q``.  Anything else is flagged unclassifiable.
+    ``r = q``.  Anything else gets the label ``None``.
 
-    Like :func:`compute_pqrs`, it needs a table that :func:`validate_presentation`
-    accepts, and does not check: an invalid table can get a wrong label or none.
+    It needs a table that :func:`validate_presentation` accepts, and checks
+    only its fields' types: an invalid table can get a wrong label or none.
     ``TorPresentation(2, 1, {}, {(1, 1): {3: 1}, (2, 2): {1: 1}})`` (coordinate
     3 with n = 1) is called unclassifiable with r = 1 instead of refused.
     """
     _require(a, TorPresentation, DimensionMismatch)
-    p, q, r = _pqr(a)
-    s1 = _s1(a)
-    label = _decide(a, p, q, r, s1)
-    return ClassifierReport(p=p, q=q, r=r, s1=s1, label=label, unclassifiable=label is None)
+    try:
+        p, q, r = _pqr(a)
+        s1 = _s1(a)
+    except (AttributeError, TypeError) as exc:
+        raise DimensionMismatch._malformed(a, exc) from None
+    return ClassifierReport(p, q, r, s1, _decide(a, p, q, r, s1))
 
 
 def _pair(i: int, j: int) -> str:
@@ -493,17 +483,17 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
     """Every structural problem of a hand-built table, worded; empty means valid.
 
     Checks that ``m`` and ``n`` are positive and of type ``int`` exactly, so
-    not ``bool`` (if not, that alone is reported), that every product key is a
-    pair of integers in range, and the range and integrality of every stored
-    coordinate and coefficient, in one unsorted pass that words each problem
-    where it finds it; only a table with problems is sorted.  Key indices,
-    coordinates and coefficients count as integers only if of type ``int``
-    exactly, the rule :func:`presentation_from_document` reads by, so the
-    document of a table this accepts is one that reader accepts.  Problems come
-    ``ee`` before ``ef``: keys that are not integer pairs first, in insertion
-    order, then products in key order, each with its key's range problems,
-    then either its out-of-range coordinates by coordinate or one line for
-    non-integer entries.
+    not ``bool`` (if not, that alone is reported), that ``ee`` and ``ef`` are
+    mappings with integer-pair keys in range, and the range and integrality of
+    every stored coordinate and coefficient, in one unsorted pass that words
+    each problem where it finds it; only a table with problems is sorted.  Key
+    indices, coordinates and coefficients count as integers only if of type
+    ``int`` exactly, the rule :func:`presentation_from_document` reads by, so
+    the document of a table this accepts is one that reader accepts.  Problems
+    come ``ee`` before ``ef``: a field that is not a mapping, then keys that
+    are not integer pairs, in insertion order, then products in key order,
+    each with its key's range problems, then either its out-of-range
+    coordinates by coordinate or one line for non-integer entries.
     """
     _require(a, TorPresentation, DimensionMismatch)
     m, n = a.m, a.n
@@ -517,7 +507,12 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
     # (1, k) or the one non-integer line at (1, 0).
     found = []
     for field, table, basis, size in (("ee", a.ee, "m+n-1", d2), ("ef", a.ef, "n", n)):
-        for key, coords in table.items():
+        try:
+            products = table.items()
+        except AttributeError:
+            found.append((field, (), -1, f"{field} must be a mapping, got {_shown(table)}"))
+            continue
+        for key, coords in products:
             try:
                 i, j = key
             except (TypeError, ValueError):
@@ -573,14 +568,17 @@ def presentation_to_document(a: TorPresentation) -> dict:
     raises :class:`DocumentError` instead.
     """
     _require(a, TorPresentation, DimensionMismatch)
-    _require_document_size(a.m, a.n, len(a.ee), len(a.ef))
-    return {
-        "version": PRESENTATION_VERSION,
-        "m": a.m,
-        "n": a.n,
-        "ee": sorted([i, j, l, c] for (i, j), coords in a.ee.items() for l, c in coords.items()),
-        "ef": sorted([i, l, t, c] for (i, l), coords in a.ef.items() for t, c in coords.items()),
-    }
+    try:
+        _require_document_size(a.m, a.n, len(a.ee), len(a.ef))
+        return {
+            "version": PRESENTATION_VERSION,
+            "m": a.m,
+            "n": a.n,
+            "ee": sorted([i, j, l, c] for (i, j), coords in a.ee.items() for l, c in coords.items()),
+            "ef": sorted([i, l, t, c] for (i, l), coords in a.ef.items() for t, c in coords.items()),
+        }
+    except (AttributeError, TypeError) as exc:
+        raise DimensionMismatch._malformed(a, exc) from None
 
 
 def presentation_from_document(doc: object) -> TorPresentation:

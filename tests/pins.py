@@ -18,16 +18,23 @@ import hashlib
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import grade3
 from grade3 import (
     CLASS_B,
     CLASS_C3,
     CLASS_T,
+    AtlasGrid,
+    DerivationCertificate,
     Grade3Error,
     LinkSpec,
+    TorPresentation,
+    Transition,
     apply_rule,
     atlas_grid,
     boundary_classes,
@@ -178,8 +185,9 @@ def classify_sweep() -> tuple[int, str]:
     digest = hashlib.sha256()
     count = 0
     for text, out in replay_outputs():
-        p, q, r, s1, label, unclassifiable = classify(out)
-        row = [text, p, q, r, s1, None if label is None else str(label), unclassifiable]
+        report = classify(out)
+        label = None if report.label is None else str(report.label)
+        row = [text, report.p, report.q, report.r, report.s1, label, report.unclassifiable]
         digest.update((json.dumps(row) + "\n").encode("utf-8"))
         count += 1
     return count, digest.hexdigest()
@@ -223,9 +231,10 @@ def refusals() -> tuple[str, ...]:
     returns nor raises a :class:`Grade3Error` within 1 s.
 
     Each parameter of each function in ``grade3.__all__`` takes in turn each
-    of ten values below; the other arguments are the samples, one per
-    parameter name.  A parameter with no sample is listed, as
-    ``function(name): no sample``, and its function is not called.
+    of ten values below, then each of four records whose fields have the
+    wrong type; the other arguments are the samples, one per parameter name.
+    A parameter with no sample is listed, as ``function(name): no sample``,
+    and its function is not called.
     """
     fmt, label, row = make_format(5, 4), CLASS_T, LinkSpec(1)
     table = canonical_presentation(label, fmt)
@@ -236,6 +245,12 @@ def refusals() -> tuple[str, ...]:
         "phi2_unit": False, "row": row, "lp": mapping_cone_presentation(table, row), "m_max": 6, "n_max": 6,
         "max_coordinate": 64, "cert": realize(label, fmt).certificate,
     }
+    malformed = (
+        TorPresentation(4, 3, None, None),
+        Transition(None, None, None, None),
+        DerivationCertificate(None, (), None),
+        AtlasGrid(None, {}, {}),
+    )
     failures = []
     for name in grade3.__all__:
         function = getattr(grade3, name)
@@ -246,7 +261,7 @@ def refusals() -> tuple[str, ...]:
         failures += [f"{name}({param}): no sample" for param in missing]
         for param in [] if missing else params:
             args = {other: samples[other] for other in params}
-            for value in ("x", None, 1.5, True, -1, 10**30, [1], (4, 3), {}, object()):
+            for value in ("x", None, 1.5, True, -1, 10**30, [1], (4, 3), {}, object(), *malformed):
                 call = f"{name}({param}={'object()' if type(value) is object else repr(value)})"
                 start = time.perf_counter()
                 try:
@@ -263,6 +278,31 @@ def refusals() -> tuple[str, ...]:
 
 REFUSALS = ()
 
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def demos() -> tuple[tuple[str, int, str], ...]:
+    """Name, exit code and the digest of the stdout of each ``demos/*.py``, by name.
+
+    Each demo runs in its own ``python -S`` process with only ``src`` on the
+    path, as a user without site-packages runs it.
+    """
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    rows = []
+    for demo in sorted((_ROOT / "demos").glob("*.py")):
+        run = subprocess.run([sys.executable, "-S", str(demo)], capture_output=True, env=env, timeout=60)
+        rows.append((demo.name, run.returncode, hashlib.sha256(run.stdout).hexdigest()))
+    return tuple(rows)
+
+
+# Recorded before the classifier's reports stopped storing the unclassifiable flag.
+DEMOS = (
+    ("atlas_tour.py", 0, "f131dbe721c3f07a2fde157576eab501a69138b841f8ef02d6ecda628944fcb0"),
+    ("certificate_workflow.py", 0, "9b0f9372b4fd91d5662baf394cb202fd26c02c1df6d2b73d546c99667503b5e6"),
+    ("classify_tables.py", 0, "bca36eed4d1ce42f3881f87408ccfb0790377f678556c26095282c5f699d8788"),
+    ("linkage_walkthrough.py", 0, "b04072cf18e3994583f963c698282df31076e28b2452583d5e320d458559b993"),
+)
+
 PINS = {
     "coverage-sweep": (coverage_sweep, COVERAGE_SWEEP),
     "realize-grid": (realize_grid, REALIZE_GRID),
@@ -273,6 +313,7 @@ PINS = {
     "replay-stdout-14-12": (lambda: replay_stdout("--m-max", "14", "--n-max", "12"), REPLAY_STDOUT_14_12),
     "replay-stdout-20-16": (lambda: replay_stdout("--m-max", "20", "--n-max", "16"), REPLAY_STDOUT_20_16),
     "refusals": (refusals, REFUSALS),
+    "demos": (demos, DEMOS),
 }
 
 

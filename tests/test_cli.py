@@ -431,6 +431,24 @@ def test_verify_theorems_stdout_is_pinned(name):
     assert compute() == expected
 
 
+def test_demos_are_pinned():
+    # Each demo's exit code and the digest of its stdout under python -S; they must not move.
+    assert pins.demos() == pins.DEMOS
+
+
+def test_traced_command_runs(tmp_path):
+    # The benchmark's tracer runs a command with every traced function wrapped.  A change that
+    # breaks it, such as a package that imports its modules lazily or a rule type that
+    # dataclasses.replace cannot copy, fails here and not only in the benchmark's smoke runs.
+    src = os.path.dirname(os.path.dirname(grade3.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.join(os.path.dirname(src), "perfbench")]))
+    stats = tmp_path / "stats.json"
+    argv = [sys.executable, "-S", "-c", "import tracer; tracer.cli_main()", str(stats), "permissible", "T", "(8,6)"]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(stats.read_text(encoding="utf-8"))["calls"]["cli.main"] == 1
+
+
 def test_a_failing_replay_pin_shows_the_replay(monkeypatch, capsys):
     # A moved digest shows which rule's line changed without a rerun.
     assert pins.main(["replay-stdout"]) == 0

@@ -23,7 +23,6 @@ from grade3 import (
     UnsupportedSpec,
     arranged_presentation,
     arrangement_ids,
-    betti_after_link,
     canonical_presentation,
     class_G,
     class_H,
@@ -233,7 +232,6 @@ def test_a_row_built_around_the_constructor_is_refused_everywhere():
     table = canonical_presentation(CLASS_T, make_format(4, 3))
     for error, refuse in (
         (UnsupportedProfile, lambda: link_option_format(make_format(6, 3), row)),
-        (UnsupportedProfile, lambda: betti_after_link(14, row)),
         (UnsupportedSpec, lambda: mapping_cone_presentation(table, row)),
     ):
         with pytest.raises(error) as exc:

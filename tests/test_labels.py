@@ -17,10 +17,8 @@ from grade3 import (
     LinkSpec,
     OPAQUE,
     OutOfDomain,
-    RankProfile,
     TorPresentation,
     UnsupportedSpec,
-    betti_after_link,
     betti_total,
     canonical_presentation,
     class_G,
@@ -245,7 +243,6 @@ _NINES = int("9" * 4300)  # prints, but one more is too many digits
             DimensionMismatch,
             id="canonical-bound",
         ),
-        pytest.param(lambda: betti_after_link(-_HUGE, RankProfile(0, 0, 0)), InvalidFormat, id="betti_after_link"),
         pytest.param(
             lambda: realize(CLASS_T, make_format(5, 4), max_coordinate=-_HUGE), OutOfDomain, id="realize"
         ),

@@ -23,7 +23,6 @@ from grade3 import (
     UnsupportedProfile,
     apply_rule,
     arrangement_ids,
-    betti_after_link,
     betti_total,
     class_G,
     class_H,
@@ -61,35 +60,16 @@ def test_degenerate_output_format_rejected():
         link_option_format(make_format(3, 2), RankProfile(3, 0, 0))
 
 
-def test_betti_after_link():
-    # betti changes by 6 - 2*t1 - 2*t2 - t3
-    assert betti_after_link(18, RankProfile(0, 0, 0)) == 24
-    assert betti_after_link(18, RankProfile(1, 0, 0)) == 22
-    assert betti_after_link(18, RankProfile(2, 1, 0)) == 18
-    assert betti_after_link(18, RankProfile(3, 0, 0)) == 18
-    with pytest.raises(InvalidFormat):
-        betti_after_link(-1, RankProfile(0, 0, 0))
-    with pytest.raises(InvalidFormat):
-        betti_after_link(True, RankProfile(0, 0, 0))
-    # Rows outside the supported table are refused, worded as link_option_format words them.
-    for b, row, message in (
-        (0, RankProfile(9, 0, 0), "link spec (t1=9, phi2_unit=False) is not supported"),
-        (4, RankProfile(3, 3, 3), "rank profile (3, 3, 3) is outside the supported table"),
-    ):
-        with pytest.raises(UnsupportedProfile) as exc:
-            betti_after_link(b, row)
-        assert str(exc.value) == message
-
-
 @given(
     st.integers(min_value=4, max_value=40),
     st.integers(min_value=1, max_value=40),
     st.sampled_from(SUPPORTED_PROFILES),
 )
 def test_betti_coherence_property(m, n, profile):
+    # Linking changes the total Betti number b by 6 - 2*t1 - 2*t2 - t3.
     fmt = make_format(m, n)
-    out = link_option_format(fmt, profile)
-    assert betti_total(out) == betti_after_link(betti_total(fmt), profile)
+    t1, t2, t3 = profile
+    assert betti_total(link_option_format(fmt, profile)) == betti_total(fmt) + 6 - 2 * t1 - 2 * t2 - t3
 
 
 # ----------------------------------------------------------------- rulebook
@@ -215,9 +195,8 @@ def test_apply_rule_degenerate_output():
 def test_rulebook_consistency_against_profile_table():
     # Every rule moves formats by its row's formula (m, n) -> (n+3-t2, m-t1),
     # which is link_option_format's on the supported rows, on every state it
-    # accepts, and the total Betti number follows the row: by the formula on
-    # every row, and through betti_after_link on the supported ones (it
-    # refuses ext-CVW33's row (3,1,0), as link_option_format does).
+    # accepts, and the total Betti number follows the row by the formula
+    # (link_option_format refuses ext-CVW33's row (3,1,0)).
     for rule_id in RULE_ORDER:
         rule = RULES[rule_id]
         t1, t2, t3 = rule.profile
@@ -234,7 +213,6 @@ def test_rulebook_consistency_against_profile_table():
                     assert betti_total(out_fmt) == betti_total(fmt) + 6 - 2 * t1 - 2 * t2 - t3
                     if rule.profile in SUPPORTED_PROFILES:
                         assert out_fmt == link_option_format(fmt, rule.profile), (rule_id, str(label), str(fmt))
-                        assert betti_total(out_fmt) == betti_after_link(betti_total(fmt), rule.profile)
                     accepted += 1
         assert accepted > 0, rule_id
 

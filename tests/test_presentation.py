@@ -15,6 +15,7 @@ from grade3 import (
     CLASS_B,
     CLASS_C3,
     CLASS_T,
+    ClassifierReport,
     DimensionMismatch,
     DocumentError,
     OPAQUE,
@@ -26,7 +27,6 @@ from grade3 import (
     class_H,
     class_invariants,
     classify,
-    compute_pqrs,
     make_format,
     make_presentation,
     presentation_from_document,
@@ -349,17 +349,17 @@ def test_witness_builders_return_fresh_tables():
 
 
 def test_invariant_examples():
-    rep = compute_pqrs(canonical_presentation(CLASS_T, make_format(4, 3)))
+    rep = classify(canonical_presentation(CLASS_T, make_format(4, 3)))
     assert (rep.p, rep.q, rep.r, rep.s1) == (3, 0, 0, 3)
-    rep = compute_pqrs(canonical_presentation(CLASS_B, make_format(5, 2)))
+    rep = classify(canonical_presentation(CLASS_B, make_format(5, 2)))
     assert (rep.p, rep.q, rep.r, rep.s1) == (1, 1, 2, 2)
-    rep = compute_pqrs(make_presentation(4, 2))
+    rep = classify(make_presentation(4, 2))
     assert (rep.p, rep.q, rep.r, rep.s1) == (0, 0, 0, 0)
 
 
 def test_s1_separates_t_from_h30():
-    t = compute_pqrs(canonical_presentation(CLASS_T, make_format(5, 3)))
-    h30 = compute_pqrs(canonical_presentation(class_H(3, 0), make_format(5, 3)))
+    t = classify(canonical_presentation(CLASS_T, make_format(5, 3)))
+    h30 = classify(canonical_presentation(class_H(3, 0), make_format(5, 3)))
     assert (t.p, t.q, t.r) == (h30.p, h30.q, h30.r) == (3, 0, 0)
     assert t.s1 == 3
     assert h30.s1 == 4
@@ -423,7 +423,7 @@ def _valid_tables(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_valid_tables())
-def test_compute_pqrs_matches_dense_fraction_ranks(table):
+def test_classify_matches_dense_fraction_ranks(table):
     m, d2 = table.m, table.dim2
     assert validate_presentation(table) == ()
     e, f = range(1, m + 1), range(1, d2 + 1)
@@ -432,18 +432,16 @@ def test_compute_pqrs_matches_dense_fraction_ranks(table):
     # r: f_l -> (e_i -> e_i f_l) in Hom(A1, A3); s1: e_i -> (e_j -> e_i e_j) in Hom(A1, A2).
     r = _fraction_rank([[c for i in e for c in table.ef_product(i, l)] for l in f])
     s1 = _fraction_rank([[c for j in e for c in table.ee_product(i, j)] for i in e])
-    rep = compute_pqrs(table)
+    rep = classify(table)
     assert (rep.p, rep.q, rep.r, rep.s1) == (p, q, r, s1)
+    assert rep.unclassifiable == (rep.label is None)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_valid_tables())
-def test_compute_pqrs_agrees_with_classify(table):
-    # Both read the same four ranks; only classify decides a label.
-    invariants, decided = compute_pqrs(table), classify(table)
-    assert (invariants.p, invariants.q, invariants.r, invariants.s1) == (decided.p, decided.q, decided.r, decided.s1)
-    assert invariants.label is None
-    assert invariants.unclassifiable is False
+def test_report_stores_the_ranks_and_the_label_only():
+    # Whether a table is unclassifiable is read off its label, not stored beside it.
+    assert ClassifierReport._fields == ("p", "q", "r", "s1", "label")
+    assert not classify(canonical_presentation(CLASS_T, make_format(4, 3))).unclassifiable
+    assert ClassifierReport(0, 1, 2, 0, None).unclassifiable
 
 
 def test_classify_flags_unclassifiable_tables():
@@ -460,12 +458,29 @@ def test_classify_flags_unclassifiable_tables():
     assert report.label is None
 
 
-@pytest.mark.parametrize("function", [classify, compute_pqrs, validate_presentation, presentation_to_document])
+@pytest.mark.parametrize("function", [classify, validate_presentation, presentation_to_document])
 @pytest.mark.parametrize("value, shown", [("x", "'x'"), (None, "None")])
 def test_table_functions_refuse_a_non_table(function, value, shown):
     with pytest.raises(DimensionMismatch) as info:
         function(value)
     assert str(info.value) == f"expected TorPresentation, got {shown}"
+
+
+@pytest.mark.parametrize("function", [classify, presentation_to_document])
+def test_table_functions_refuse_a_table_whose_products_are_not_maps(function):
+    with pytest.raises(DimensionMismatch) as info:
+        function(TorPresentation(4, 3, None, None))
+    assert str(info.value).startswith("TorPresentation has a field of the wrong type (")
+
+
+def test_validation_words_a_product_field_that_is_not_a_mapping():
+    # Beside the problems of the other field, as for any other problem.
+    ef = {(1, 1): {1: 2}, (9, 1): {1: 1}}
+    assert validate_presentation(TorPresentation(4, 3, None, ef)) == (
+        "ee must be a mapping, got None",
+        "ef key (9,1) out of range: need 1 <= i <= m = 4",
+    )
+    assert validate_presentation(TorPresentation(4, 3, {}, [1])) == ("ef must be a mapping, got [1]",)
 
 
 def test_classify_needs_c3_format():

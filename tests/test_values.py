@@ -24,7 +24,6 @@ from grade3 import (
     apply_rule,
     arranged_presentation,
     atlas_grid,
-    betti_after_link,
     betti_total,
     boundary_classes,
     canonical_presentation,
@@ -171,7 +170,6 @@ def test_only_the_listed_dataclasses_remain():
             UnsupportedSpec,
             "(1, 0, 0)",
         ),
-        (betti_after_link, (10, (1, 0, 0)), UnsupportedProfile, "(1, 0, 0)"),
         (parse_label, (None,), InvalidLabel, "None"),
         (parse_state_label, (None,), InvalidLabel, "None"),
         (parse_format, (5,), InvalidFormat, "5"),
