@@ -282,19 +282,22 @@ def _frame(m: int, n: int, t1: int, phi2: bool) -> tuple:
 def linked_to_document(lp: LinkedPresentation) -> dict:
     """Serialize as a presentation document plus split/index/symbolic data; refuses a non-link."""
     _require(lp, LinkedPresentation, DocumentError)
-    return {
-        "version": LINKED_VERSION,
-        "presentation": presentation_to_document(lp.presentation),
-        "splits": list(lp.splits),
-        "index_map": {
-            kind: {str(raw): new for raw, new in sorted(mapping.items())}
-            for kind, mapping in lp.index_map.items()
-        },
-        "symbolic": [
-            [f"E{i}", ("E" if kind == "EE" else "F") + str(j)]
-            for kind, i, j in lp.symbolic_products
-        ],
-    }
+    try:
+        return {
+            "version": LINKED_VERSION,
+            "presentation": presentation_to_document(lp.presentation),
+            "splits": list(lp.splits),
+            "index_map": {
+                kind: {str(raw): new for raw, new in sorted(mapping.items())}
+                for kind, mapping in lp.index_map.items()
+            },
+            "symbolic": [
+                [f"E{i}", ("E" if kind == "EE" else "F") + str(j)]
+                for kind, i, j in lp.symbolic_products
+            ],
+        }
+    except (AttributeError, TypeError) as exc:
+        raise DocumentError._malformed(lp, exc) from None
 
 
 class ScenarioResult(NamedTuple):

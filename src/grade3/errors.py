@@ -34,8 +34,13 @@ class Grade3Error(ValueError):
 
     @classmethod
     def _malformed(cls, record: tuple, exc: Exception) -> Grade3Error:
-        """This error, refusing ``record``, whose fields raised ``exc`` when read as their types."""
-        return cls(f"{type(record).__name__} has a field of the wrong type ({exc})")
+        """This error, refusing ``record``, whose fields raised ``exc`` when read as their types.
+
+        A :class:`KeyError`, from a mapping that lacks an entry the record's
+        other fields call for, is worded by the key it names.
+        """
+        detail = f"no entry {_shown(exc.args[0])}" if isinstance(exc, KeyError) else exc
+        return cls(f"{type(record).__name__} has a field of the wrong type ({detail})")
 
 
 class InvalidFormat(Grade3Error):

@@ -108,7 +108,10 @@ def parse_format(text: str) -> Format:
 def betti_total(fmt: Format) -> int:
     """Total Betti number of a resolution with the given format."""
     _require_types(fmt)
-    return 2 * (fmt.m + fmt.n)
+    try:
+        return 2 * (fmt.m + fmt.n)
+    except (AttributeError, TypeError) as exc:
+        raise _malformed_argument(exc, fmt) from None
 
 
 class ClassLabel(NamedTuple):
@@ -267,3 +270,19 @@ def _require_types(fmt: object = Format(1, 1), label: object = OPAQUE) -> None:
     """
     _require(label, ClassLabel, InvalidLabel)
     _require(fmt, Format, InvalidFormat)
+
+
+def _malformed_argument(exc: Exception, fmt: Format = Format(1, 1), label: ClassLabel = OPAQUE) -> Exception:
+    """The refusal of a call, past :func:`_require_types`, that raised ``exc`` reading its arguments.
+
+    Worded by :meth:`grade3.errors.Grade3Error._malformed`: an :class:`InvalidLabel`
+    when a field of ``label`` is not of its type, else an :class:`InvalidFormat`
+    when one of ``fmt`` is not, else ``exc`` itself.  Each public function
+    catches the error instead of testing the fields, so only a call that fails
+    pays for the test.
+    """
+    if type(label.tag) is not str or type(label.a) is not int or type(label.b) is not int:
+        return InvalidLabel._malformed(label, exc)
+    if type(fmt.m) is not int or type(fmt.n) is not int:
+        return InvalidFormat._malformed(fmt, exc)
+    return exc

@@ -59,6 +59,7 @@ from .labels import (
     ClassLabel,
     Format,
     OPAQUE,
+    _malformed_argument,
     _require_types,
     class_G,
     class_H,
@@ -146,7 +147,10 @@ def link_option_format(fmt: Format, profile: RankProfile) -> Format:
     """
     _require_types(fmt)
     _require_supported(profile, UnsupportedProfile)
-    return _format_map(profile.t1, profile.t2)(fmt)
+    try:
+        return _format_map(profile.t1, profile.t2)(fmt)
+    except (AttributeError, TypeError) as exc:
+        raise _malformed_argument(exc, fmt) from None
 
 
 class Transition(NamedTuple):
@@ -407,14 +411,17 @@ def apply_rule(rule_id: str, label: ClassLabel, fmt: Format) -> Transition:
     rule = RULES.get(rule_id) if isinstance(rule_id, str) else None
     if rule is None:
         raise PreconditionViolated(f"unknown linkage rule {rule_id!r}")
-    reason = rule.check(label, fmt)
-    if reason is not None:
-        raise PreconditionViolated(f"{rule_id}: {reason}")
     try:
-        out_fmt = rule.out_format(fmt)
-    except InvalidFormat as exc:
-        raise PreconditionViolated(f"{rule_id}: output format degenerate for input {fmt}: {exc}") from exc
-    return Transition(rule_id, (label, fmt), (rule.out_class(label), out_fmt), rule.cite)
+        reason = rule.check(label, fmt)
+        if reason is not None:
+            raise PreconditionViolated(f"{rule_id}: {reason}")
+        try:
+            out_fmt = rule.out_format(fmt)
+        except InvalidFormat as exc:
+            raise PreconditionViolated(f"{rule_id}: output format degenerate for input {fmt}: {exc}") from exc
+        return Transition(rule_id, (label, fmt), (rule.out_class(label), out_fmt), rule.cite)
+    except (AttributeError, TypeError) as exc:
+        raise _malformed_argument(exc, fmt, label) from None
 
 
 def parse_state_label(text: str) -> ClassLabel:

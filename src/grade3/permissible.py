@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, Mapping, NamedTuple, NoReturn
 
 from .errors import InvalidLabel, OutOfDomain, _decimal, _require
-from .labels import ClassLabel, Format, _require_types, class_H
+from .labels import ClassLabel, Format, _malformed_argument, _require_types, class_H
 
 __all__ = [
     "Status",
@@ -224,7 +224,10 @@ _verdict_cached = lru_cache(maxsize=None)(_verdict)
 def is_permissible(label: ClassLabel, fmt: Format) -> PermissibilityVerdict:
     """Verdict for ``label`` in ``fmt`` with all violated rules cited."""
     _require_types(fmt, label)
-    return _verdict_cached(label.tag, label.a, label.b, fmt.m, fmt.n)
+    try:
+        return _verdict_cached(label.tag, label.a, label.b, fmt.m, fmt.n)
+    except (AttributeError, TypeError) as exc:
+        raise _malformed_argument(exc, fmt, label) from None
 
 
 def boundary_classes(fmt: Format) -> frozenset[ClassLabel]:
@@ -236,9 +239,12 @@ def boundary_classes(fmt: Format) -> frozenset[ClassLabel]:
     """
     _require_types(fmt)
     m, n = fmt.m, fmt.n
-    if m < 4:
-        return frozenset()
-    candidates = {class_H(n - 1, q) for q in range(m - 3)} | {class_H(p, m - 4) for p in range(n)}
+    try:
+        if m < 4:
+            return frozenset()
+        candidates = {class_H(n - 1, q) for q in range(m - 3)} | {class_H(p, m - 4) for p in range(n)}
+    except (AttributeError, TypeError) as exc:
+        raise _malformed_argument(exc, fmt) from None
     return frozenset(c for c in candidates if is_permissible(c, fmt).status is Status.PERMISSIBLE)
 
 
@@ -277,7 +283,11 @@ def atlas_grid(fmt: Format) -> AtlasGrid:
     before any cell is built.
     """
     _require_types(fmt)
-    if (fmt.n + 2) * (fmt.m - 1) > MAX_ATLAS_CELLS:
+    try:
+        cell_count = (fmt.n + 2) * (fmt.m - 1)
+    except (AttributeError, TypeError) as exc:
+        raise _malformed_argument(exc, fmt) from None
+    if cell_count > MAX_ATLAS_CELLS:
         raise OutOfDomain(f"the atlas of this format has (n+2)(m-1) cells, more than the limit of {MAX_ATLAS_CELLS}")
     boundary = boundary_classes(fmt)
     cells: dict[tuple[int, int], CellStatus] = {}
@@ -311,7 +321,7 @@ def render_atlas_text(grid: AtlasGrid) -> str:
         labels = " ".join(f"{p:>{width}}" for p in range(0, n + 2))
         out.write(f"{' ' * (qw + 2)}  p={labels}\n")
         return out.getvalue()
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, LookupError) as exc:
         raise OutOfDomain._malformed(grid, exc) from None
 
 
@@ -324,6 +334,6 @@ def render_atlas_csv(grid: AtlasGrid) -> str:
             for q in range(0, grid.fmt.m - 1):
                 rules = ";".join(grid.violations[(p, q)])
                 lines.append(f"{p},{q},{grid.cells[(p, q)].value},{rules}")
-    except (AttributeError, TypeError) as exc:
+    except (AttributeError, TypeError, LookupError) as exc:
         raise OutOfDomain._malformed(grid, exc) from None
     return "\n".join(lines) + "\n"

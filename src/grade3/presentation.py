@@ -60,6 +60,7 @@ from .labels import (
     CLASS_T,
     ClassLabel,
     Format,
+    _malformed_argument,
     _require_types,
     class_G,
     class_H,
@@ -301,27 +302,30 @@ def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
     :data:`MAX_DOCUMENT_CELLS`, before any is built.
     """
     _require_types(fmt, label)
-    tag, a, _ = label
-    if tag == "H":
-        return _h_pattern(a + 1, a, a + 2, -1, label, fmt)
-    m, n, d2 = fmt.m, fmt.n, fmt.dim2
-    if tag == "C3":
-        if (m, n) != (3, 1):
-            raise _misfit(label, fmt, "format exactly (3,1)")
-        return _koszul(label, fmt)._replace(ef={(i, i): {1: 1} for i in (1, 2, 3)})
-    if tag == "T":
-        return _koszul(label, fmt)
-    if tag == "B":
-        if m < 2 or d2 < 3:
-            raise _misfit(label, fmt, "m >= 2 and m+n-1 >= 3")
-        return TorPresentation(m, n, {(1, 2): {3: 1}}, {(1, 1): {1: 1}, (2, 2): {1: 1}})
-    if tag == "G":
-        if m < a or d2 < a:
-            raise _misfit(label, fmt, f"m >= {a} and m+n-1 >= {a}")
-        if a > MAX_DOCUMENT_CELLS:
-            _require_document_size(m, n, 0, a)
-        return TorPresentation(m, n, {}, {(i, i): {1: 1} for i in range(1, a + 1)})
-    raise UnknownArrangement(f"no canonical table for label {label}")
+    try:
+        tag, a, _ = label
+        if tag == "H":
+            return _h_pattern(a + 1, a, a + 2, -1, label, fmt)
+        m, n, d2 = fmt.m, fmt.n, fmt.dim2
+        if tag == "C3":
+            if (m, n) != (3, 1):
+                raise _misfit(label, fmt, "format exactly (3,1)")
+            return _koszul(label, fmt)._replace(ef={(i, i): {1: 1} for i in (1, 2, 3)})
+        if tag == "T":
+            return _koszul(label, fmt)
+        if tag == "B":
+            if m < 2 or d2 < 3:
+                raise _misfit(label, fmt, "m >= 2 and m+n-1 >= 3")
+            return TorPresentation(m, n, {(1, 2): {3: 1}}, {(1, 1): {1: 1}, (2, 2): {1: 1}})
+        if tag == "G":
+            if m < a or d2 < a:
+                raise _misfit(label, fmt, f"m >= {a} and m+n-1 >= {a}")
+            if a > MAX_DOCUMENT_CELLS:
+                _require_document_size(m, n, 0, a)
+            return TorPresentation(m, n, {}, {(i, i): {1: 1} for i in range(1, a + 1)})
+        raise UnknownArrangement(f"no canonical table for label {label}")
+    except (AttributeError, TypeError) as exc:
+        raise _malformed_argument(exc, fmt, label) from None
 
 
 _ARRANGEMENTS = {
@@ -364,7 +368,10 @@ def arranged_presentation(label: ClassLabel, fmt: Format, arrangement: str) -> T
     tag, builder = entry
     if label.tag != tag:
         raise UnknownArrangement(f"arrangement {arrangement!r} applies to class {tag}, not {label}")
-    return builder(label, fmt)
+    try:
+        return builder(label, fmt)
+    except (AttributeError, TypeError) as exc:
+        raise _malformed_argument(exc, fmt, label) from None
 
 
 class ClassifierReport(NamedTuple):
@@ -531,8 +538,13 @@ def validate_presentation(a: TorPresentation) -> tuple[str, ...]:
                 if not 1 <= j <= d2:
                     text = f"ef key {_pair(i, j)} out of range: need 1 <= l <= m+n-1 = {_decimal(d2)}"
                     found.append((field, (i, j), (0, 1), text))
+            try:
+                entries = coords.items()
+            except AttributeError:
+                found.append((field, (i, j), (1, 0), f"{field}[{_pair(i, j)}] must be a mapping, got {_shown(coords)}"))
+                continue
             mark = len(found)
-            for k, c in coords.items():
+            for k, c in entries:
                 if not type(k) is type(c) is int:
                     del found[mark:]  # the coordinates already worded out of range
                     found.append((field, (i, j), (1, 0), f"{field}[{_pair(i, j)}] has non-integer entries"))

@@ -30,8 +30,11 @@ from grade3 import (
     CLASS_C3,
     CLASS_T,
     AtlasGrid,
+    ClassLabel,
     DerivationCertificate,
+    Format,
     Grade3Error,
+    LinkedPresentation,
     LinkSpec,
     TorPresentation,
     Transition,
@@ -231,10 +234,10 @@ def refusals() -> tuple[str, ...]:
     returns nor raises a :class:`Grade3Error` within 1 s.
 
     Each parameter of each function in ``grade3.__all__`` takes in turn each
-    of ten values below, then each of four records whose fields have the
-    wrong type; the other arguments are the samples, one per parameter name.
-    A parameter with no sample is listed, as ``function(name): no sample``,
-    and its function is not called.
+    of ten values below, then each of nine records whose fields have the
+    wrong type or lack an entry; the other arguments are the samples, one
+    per parameter name.  A parameter with no sample is listed, as
+    ``function(name): no sample``, and its function is not called.
     """
     fmt, label, row = make_format(5, 4), CLASS_T, LinkSpec(1)
     table = canonical_presentation(label, fmt)
@@ -250,6 +253,11 @@ def refusals() -> tuple[str, ...]:
         Transition(None, None, None, None),
         DerivationCertificate(None, (), None),
         AtlasGrid(None, {}, {}),
+        Format(None, None),
+        ClassLabel("H", None, 1),
+        LinkedPresentation(table, None, None, None),
+        AtlasGrid(fmt, {}, {}),
+        TorPresentation(4, 3, {(1, 2): [1]}, {}),
     )
     failures = []
     for name in grade3.__all__:
@@ -303,6 +311,33 @@ DEMOS = (
     ("linkage_walkthrough.py", 0, "b04072cf18e3994583f963c698282df31076e28b2452583d5e320d458559b993"),
 )
 
+# A child that reports, from an atexit hook, how many objects the collector has frozen.
+_FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: sys.stderr.write(f"{gc.get_freeze_count()}\\n"))
+from grade3.cli import run
+sys.argv[1:] = ["permissible", "T", "(8,6)"]
+run()
+"""
+
+
+def frozen_exit() -> tuple[int, str, bool]:
+    """Exit code, stdout, and whether anything was frozen at exit, of ``grade3 permissible T '(8,6)'``.
+
+    The command runs by :func:`grade3.cli.run`, the console script's entry, in
+    a ``python -S`` child with only ``src`` on the path.  An atexit hook
+    registered before it writes ``gc.get_freeze_count()`` to stderr, so the
+    hook shows both that atexit still runs and that ``run()`` froze the heap
+    before exiting (about 12 000 objects on CPython 3.11).
+    """
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    run = subprocess.run([sys.executable, "-S", "-c", _FREEZE_PROBE], capture_output=True, env=env, timeout=60)
+    frozen = run.stderr.decode("utf-8").strip()
+    return run.returncode, run.stdout.decode("utf-8"), frozen.isdigit() and int(frozen) > 0
+
+
+FROZEN_EXIT = (0, "status: permissible\n", True)
+
 PINS = {
     "coverage-sweep": (coverage_sweep, COVERAGE_SWEEP),
     "realize-grid": (realize_grid, REALIZE_GRID),
@@ -314,6 +349,7 @@ PINS = {
     "replay-stdout-20-16": (lambda: replay_stdout("--m-max", "20", "--n-max", "16"), REPLAY_STDOUT_20_16),
     "refusals": (refusals, REFUSALS),
     "demos": (demos, DEMOS),
+    "frozen-exit": (frozen_exit, FROZEN_EXIT),
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -447,6 +448,18 @@ def test_traced_command_runs(tmp_path):
     proc = subprocess.run(argv, capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(stats.read_text(encoding="utf-8"))["calls"]["cli.main"] == 1
+
+
+def test_a_command_freezes_its_heap_on_exit_and_main_does_not(capsys):
+    # run(), the process entry, freezes what is alive just before it exits, so the
+    # interpreter's exit-time collections skip it; atexit still runs and the output
+    # is unchanged.  main(), which tests and the benchmark's tracer call in process,
+    # leaves the collector alone.
+    assert pins.frozen_exit() == pins.FROZEN_EXIT
+    before = gc.get_freeze_count()
+    assert main(["permissible", "T", "(8,6)"]) == 0
+    assert gc.get_freeze_count() == before
+    assert capsys.readouterr().out == pins.FROZEN_EXIT[1]
 
 
 def test_a_failing_replay_pin_shows_the_replay(monkeypatch, capsys):

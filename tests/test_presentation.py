@@ -483,6 +483,16 @@ def test_validation_words_a_product_field_that_is_not_a_mapping():
     assert validate_presentation(TorPresentation(4, 3, {}, [1])) == ("ef must be a mapping, got [1]",)
 
 
+def test_validation_words_a_product_that_is_not_a_mapping():
+    # classify refuses the same table; validation words it after the key's range problems.
+    ee = {(1, 2): [1], (3, 9): None}
+    assert validate_presentation(TorPresentation(4, 3, ee, {})) == (
+        "ee[(1,2)] must be a mapping, got [1]",
+        "ee key (3,9) out of range: need 1 <= i < j <= m = 4",
+        "ee[(3,9)] must be a mapping, got None",
+    )
+
+
 def test_classify_needs_c3_format():
     # The C(3) multiplication pattern in a larger format is not C(3).
     fmt = make_format(4, 2)

@@ -13,6 +13,7 @@ from grade3 import (
     CLASS_T,
     OPAQUE,
     ClassLabel,
+    Format,
     InvalidFormat,
     InvalidLabel,
     LinkSpec,
@@ -185,6 +186,26 @@ def test_public_functions_refuse_a_wrong_argument_type(function, args, error, sh
     with pytest.raises(error) as exc:
         function(*args)
     assert str(exc.value).endswith(f", got {shown}")
+
+
+@pytest.mark.parametrize(
+    "function, args, error",
+    [
+        (is_permissible, (ClassLabel("H", None, 1), make_format(5, 4)), InvalidLabel),
+        (is_permissible, (CLASS_T, Format(None, None)), InvalidFormat),
+        (canonical_presentation, (ClassLabel("H", None, 1), make_format(5, 4)), InvalidLabel),
+        (canonical_presentation, (CLASS_T, Format(None, None)), InvalidFormat),
+        (apply_rule, ("linkT-i", CLASS_T, Format(None, None)), InvalidFormat),
+        (betti_total, (Format(None, 1),), InvalidFormat),
+    ],
+    ids=lambda value: getattr(value, "__name__", ""),
+)
+def test_a_record_built_with_fields_of_the_wrong_type_is_refused_by_name(function, args, error):
+    # A Format or ClassLabel built directly, skipping the validating constructors:
+    # the refusal names the record whose field could not be read.
+    record = "ClassLabel" if error is InvalidLabel else "Format"
+    with pytest.raises(error, match=rf"^{record} has a field of the wrong type \("):
+        function(*args)
 
 
 def test_every_public_function_refuses_every_wrong_argument_in_time():
