@@ -21,7 +21,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InvalidFormat, InvalidLabel, _decimal, _require
+from .errors import InvalidFormat, InvalidLabel, _decimal, _require, _shown
 
 __all__ = [
     "Format",
@@ -108,10 +108,7 @@ def parse_format(text: str) -> Format:
 def betti_total(fmt: Format) -> int:
     """Total Betti number of a resolution with the given format."""
     _require_types(fmt)
-    try:
-        return 2 * (fmt.m + fmt.n)
-    except (AttributeError, TypeError) as exc:
-        raise _malformed_argument(exc, fmt) from None
+    return 2 * (fmt.m + fmt.n)
 
 
 class ClassLabel(NamedTuple):
@@ -259,6 +256,10 @@ def class_invariants(label: ClassLabel) -> ClassInvariants:
     raise InvalidLabel(f"unknown class tag {label.tag!r}")
 
 
+# The tags of the labels without parameters, whose two slots are 0.
+_NO_PARAMETERS = frozenset({"B", "C3", "T", "*"})
+
+
 def _require_types(fmt: object = Format(1, 1), label: object = OPAQUE) -> None:
     """The argument check of the public functions that take a label or a format.
 
@@ -266,23 +267,22 @@ def _require_types(fmt: object = Format(1, 1), label: object = OPAQUE) -> None:
     :class:`ClassLabel` with :class:`InvalidLabel` (a function that takes no
     opaque label refuses :data:`OPAQUE` itself), then a ``fmt`` that is not a
     :class:`Format`, a plain tuple included, with :class:`InvalidFormat`.
-    Each default passes, so a call that names one argument checks only that one.
+    Then, worded by :meth:`grade3.errors.Grade3Error._malformed`, a label whose
+    tag is not exactly a ``str`` or whose slots are not exactly ``int`` (or,
+    for B, C(3), T and ``*``, not both 0), and a format whose fields are not
+    exactly ``int``: each would equal, and hash like, a valid one in the
+    process-wide caches.  Each default passes, so a call that names one
+    argument checks only that one.
     """
     _require(label, ClassLabel, InvalidLabel)
     _require(fmt, Format, InvalidFormat)
-
-
-def _malformed_argument(exc: Exception, fmt: Format = Format(1, 1), label: ClassLabel = OPAQUE) -> Exception:
-    """The refusal of a call, past :func:`_require_types`, that raised ``exc`` reading its arguments.
-
-    Worded by :meth:`grade3.errors.Grade3Error._malformed`: an :class:`InvalidLabel`
-    when a field of ``label`` is not of its type, else an :class:`InvalidFormat`
-    when one of ``fmt`` is not, else ``exc`` itself.  Each public function
-    catches the error instead of testing the fields, so only a call that fails
-    pays for the test.
-    """
-    if type(label.tag) is not str or type(label.a) is not int or type(label.b) is not int:
-        return InvalidLabel._malformed(label, exc)
+    tag, a, b = label.tag, label.a, label.b
+    if type(tag) is not str or type(a) is not int or type(b) is not int or (tag in _NO_PARAMETERS and a | b):
+        raise InvalidLabel._malformed(label, TypeError(_fields(label)))
     if type(fmt.m) is not int or type(fmt.n) is not int:
-        return InvalidFormat._malformed(fmt, exc)
-    return exc
+        raise InvalidFormat._malformed(fmt, TypeError(_fields(fmt)))
+
+
+def _fields(record: tuple) -> str:
+    """``name=value, ...`` of a record's fields, each value shown by :func:`grade3.errors._shown`."""
+    return ", ".join(f"{name}={_shown(value)}" for name, value in zip(record._fields, record))

@@ -59,7 +59,6 @@ from .labels import (
     ClassLabel,
     Format,
     OPAQUE,
-    _malformed_argument,
     _require_types,
     class_G,
     class_H,
@@ -147,10 +146,7 @@ def link_option_format(fmt: Format, profile: RankProfile) -> Format:
     """
     _require_types(fmt)
     _require_supported(profile, UnsupportedProfile)
-    try:
-        return _format_map(profile.t1, profile.t2)(fmt)
-    except (AttributeError, TypeError) as exc:
-        raise _malformed_argument(exc, fmt) from None
+    return _format_map(profile.t1, profile.t2)(fmt)
 
 
 class Transition(NamedTuple):
@@ -411,17 +407,14 @@ def apply_rule(rule_id: str, label: ClassLabel, fmt: Format) -> Transition:
     rule = RULES.get(rule_id) if isinstance(rule_id, str) else None
     if rule is None:
         raise PreconditionViolated(f"unknown linkage rule {rule_id!r}")
+    reason = rule.check(label, fmt)
+    if reason is not None:
+        raise PreconditionViolated(f"{rule_id}: {reason}")
     try:
-        reason = rule.check(label, fmt)
-        if reason is not None:
-            raise PreconditionViolated(f"{rule_id}: {reason}")
-        try:
-            out_fmt = rule.out_format(fmt)
-        except InvalidFormat as exc:
-            raise PreconditionViolated(f"{rule_id}: output format degenerate for input {fmt}: {exc}") from exc
-        return Transition(rule_id, (label, fmt), (rule.out_class(label), out_fmt), rule.cite)
-    except (AttributeError, TypeError) as exc:
-        raise _malformed_argument(exc, fmt, label) from None
+        out_fmt = rule.out_format(fmt)
+    except InvalidFormat as exc:
+        raise PreconditionViolated(f"{rule_id}: output format degenerate for input {fmt}: {exc}") from exc
+    return Transition(rule_id, (label, fmt), (rule.out_class(label), out_fmt), rule.cite)
 
 
 def parse_state_label(text: str) -> ClassLabel:

@@ -15,13 +15,16 @@ order are fixed.  The certificate is the shortest one that comes first in
 that order, so it is identical across runs and call orders, whichever of
 the two searches below found it.
 
-A sweep (:func:`realize_all`) builds one forward breadth-first search from
-the axioms per bound, :class:`_Search`, and answers each of its targets from
-it; every bound's search walks one successor graph shared by the whole
-process, :class:`_Graph`, into which no NOT_PERMISSIBLE rule output enters.
-Sharing does not change certificates: a state's outputs and exclusion do
-not depend on the bound, and each bound expands its states, and each
-state's outputs, in one fixed order.  Each bound's search builds its
+A sweep (:func:`realize_all`) holds one forward breadth-first search from
+the axioms per bound, :class:`_Search`, and answers its targets widest bound
+first.  The widest search answers every target it has discovered along a
+parent chain within the target's bound, and a target it cannot reach at all;
+a narrower search leaves its seeds only for the other targets
+(:func:`_held_search`).  Every search walks one successor graph shared by
+the whole process, :class:`_Graph`, into which no NOT_PERMISSIBLE rule
+output enters.  Sharing does not change certificates: a state's outputs and
+exclusion do not depend on the bound, and each bound expands its states,
+and each state's outputs, in one fixed order.  Each search builds its
 certificates' steps from the same step table and keeps them, so a shared
 prefix is built once.  A lone target, whose bound no search of the process
 covers or whose class no rule outputs (C(3), G(r)), is searched from both
@@ -423,9 +426,43 @@ def _meet_in_the_middle(bound: int, target: int) -> _Search | None:
     return search
 
 
-# The forward searches of the sweeps, by bound, which realize answers from;
+# The forward searches of the sweeps, by bound; realize answers from the
+# widest one, else from the target's own (see _held_search).
 # perfbench/tracer.py counts them and the states in each one's ``parent``.
 _SEARCHES: dict[int, _Search] = {}
+
+
+def _held_search(bound: int, target: int) -> _Search | None:
+    """A search whose ``parent`` reaches ``target`` as a full run of ``_Search(bound)``'s would, or None.
+
+    The widest held search, of bound B >= ``bound``, answers when it has
+    discovered ``target`` along a parent chain within ``bound``, and gives
+    None when it has not and its queue is empty; else the bound's own held
+    search is resumed, or the search runs from both ends.
+
+    Why the widest search's chain is the bound's.  The graph G_b a search of
+    bound b walks is the part of G_B with reach <= b, and its edges keep their
+    order; the bound-b seeds are the bound-B seeds of reach <= b, in the same
+    order and with the same family.  A parent chain is the least shortest
+    path (see :func:`_meet_in_the_middle`), so a least shortest path of G_B
+    that lies inside G_b is also G_b's, and so is each of its prefixes: the
+    certificate is byte-identical.  A target that G_B does not reach, G_b
+    does not reach either.  For B < b the inclusion runs the other way.
+    """
+    widest = _SEARCHES[max(_SEARCHES)] if _SEARCHES else None
+    if widest is not None and widest.bound >= bound:
+        parent, reach, sid = widest.parent, _GRAPH.reach, target
+        if sid in parent:
+            while isinstance(sid, int) and reach[sid] <= bound:
+                sid = parent[sid]
+            if not isinstance(sid, int):
+                return widest
+        elif not widest.queue:
+            return None
+    search = _SEARCHES.get(bound)
+    if search is None:
+        return _meet_in_the_middle(bound, target)
+    return search if search.find(target) else None
 
 
 def _search_bound(fmt: Format, max_coordinate: int = DEFAULT_MAX_SEARCH) -> int:
@@ -513,11 +550,14 @@ def realize(
     UNKNOWN_NECESSARY_ONLY, and NOT_FOUND says only that this search found
     none.  No searched format has a coordinate above ``max_coordinate``,
     which must be an integer of at least 1 (:class:`OutOfDomain` otherwise).
-    A target whose bound a sweep of this process has searched forward is
-    answered from that search, unless no rule outputs its class (C(3),
-    G(r)); any other target is searched from both ends, backward from it and
-    forward from the axioms, which for C(3) and G(r) finds only an axiom.
-    The certificate does not depend on which search ran.
+    Once a sweep of this process holds forward searches, a target of bound
+    at most the widest one's is answered from the widest search when that
+    search has discovered it within the target's bound, or has run out
+    without discovering it (NOT_FOUND); otherwise from the search a sweep
+    holds for the target's bound, if any.  Any other target, and C(3) and
+    G(r), which no rule outputs, are searched from both ends, backward from
+    the target and forward from the axioms, which for C(3) and G(r) finds
+    only an axiom.  The certificate does not depend on which search ran.
     """
     _require_ints(max_coordinate=max_coordinate)
     if max_coordinate < 1:
@@ -536,11 +576,7 @@ def realize(
             detail=f"target format {fmt} exceeds the search cap {max_coordinate}",
         )
     target = _GRAPH.intern(_state_key(label, fmt))
-    search = _SEARCHES.get(bound)
-    if search is None or label.tag not in _OUTPUT_TAGS:
-        search = _meet_in_the_middle(bound, target)
-    elif not search.find(target):
-        search = None
+    search = _held_search(bound, target) if label.tag in _OUTPUT_TAGS else _meet_in_the_middle(bound, target)
     if search is None:
         return RealizationResult(RealizeStatus.NOT_FOUND, detail=_not_found_detail(label))
     return RealizationResult(RealizeStatus.REALIZED, certificate=_certificate_from(search, target))
@@ -645,11 +681,13 @@ class CoverageReport(NamedTuple):
 def realize_all(m_max: int, n_max: int) -> CoverageReport:
     """Realize every permissible T and B format and every boundary H label.
 
-    Sweeps ``m <= m_max``, ``n <= n_max``, builds the forward search of
-    each target's bound, calls :func:`realize` on each target, replays each
-    certificate with :func:`verify_certificate`, and reports per-target
-    outcomes; ``gaps`` lists targets without a verified certificate.  A
-    bound past :data:`DEFAULT_MAX_SEARCH`, where
+    Sweeps ``m <= m_max``, ``n <= n_max``: lists the targets and holds a
+    forward search for each target's bound, then calls :func:`realize` on
+    the targets widest bound first, so that the widest search, expanded
+    inside ``realize``, answers the narrower bounds, and replays each
+    certificate with :func:`verify_certificate`.  Reports per-target
+    outcomes in sweep order; ``gaps`` lists targets without a verified
+    certificate.  A bound past :data:`DEFAULT_MAX_SEARCH`, where
     :func:`realize` searches nothing, or one that is not an integer, raises
     :class:`OutOfDomain`.
     """
@@ -659,26 +697,25 @@ def realize_all(m_max: int, n_max: int) -> CoverageReport:
             f"coverage sweep needs 4 <= m_max <= {DEFAULT_MAX_SEARCH} and 2 <= n_max <= {DEFAULT_MAX_SEARCH}, "
             f"got ({_decimal(m_max)}, {_decimal(n_max)})"
         )
-    entries: list[CoverageEntry] = []
-
-    def attempt(kind: str, label: ClassLabel, fmt: Format) -> None:
-        _search_for(_search_bound(fmt))
-        result = realize(label, fmt)
-        verified = result.status is RealizeStatus.REALIZED and verify_certificate(
-            result.certificate
-        )
-        entries.append(CoverageEntry(kind, label, fmt, result.status, verified))
-
     # The verdicts, not the loop ranges, say where T and B start.
     formats = [make_format(m, n) for m in range(4, m_max + 1) for n in range(2, n_max + 1)]
-    for kind, label in (("T", CLASS_T), ("B", CLASS_B)):
-        for fmt in formats:
-            if is_permissible(label, fmt).status is Status.PERMISSIBLE:
-                attempt(kind, label, fmt)
-    for fmt in formats:
-        for label in sorted(boundary_classes(fmt)):
-            attempt("H-boundary", label, fmt)
-    return CoverageReport(m_max=m_max, n_max=n_max, entries=tuple(entries))
+    targets = [
+        (kind, label, fmt)
+        for kind, label in (("T", CLASS_T), ("B", CLASS_B))
+        for fmt in formats
+        if is_permissible(label, fmt).status is Status.PERMISSIBLE
+    ]
+    targets += [("H-boundary", label, fmt) for fmt in formats for label in sorted(boundary_classes(fmt))]
+    bounds = [_search_bound(fmt) for _, _, fmt in targets]
+    for bound in bounds:
+        _search_for(bound)
+    entries: dict[int, CoverageEntry] = {}
+    for index in sorted(range(len(targets)), key=bounds.__getitem__, reverse=True):
+        kind, label, fmt = targets[index]
+        result = realize(label, fmt)
+        verified = result.status is RealizeStatus.REALIZED and verify_certificate(result.certificate)
+        entries[index] = CoverageEntry(kind, label, fmt, result.status, verified)
+    return CoverageReport(m_max=m_max, n_max=n_max, entries=tuple(entries[index] for index in range(len(targets))))
 
 
 # The strips of the family chart, as (id, predicate on (m, n)), in precedence order.

@@ -60,7 +60,6 @@ from .labels import (
     CLASS_T,
     ClassLabel,
     Format,
-    _malformed_argument,
     _require_types,
     class_G,
     class_H,
@@ -302,30 +301,27 @@ def canonical_presentation(label: ClassLabel, fmt: Format) -> TorPresentation:
     :data:`MAX_DOCUMENT_CELLS`, before any is built.
     """
     _require_types(fmt, label)
-    try:
-        tag, a, _ = label
-        if tag == "H":
-            return _h_pattern(a + 1, a, a + 2, -1, label, fmt)
-        m, n, d2 = fmt.m, fmt.n, fmt.dim2
-        if tag == "C3":
-            if (m, n) != (3, 1):
-                raise _misfit(label, fmt, "format exactly (3,1)")
-            return _koszul(label, fmt)._replace(ef={(i, i): {1: 1} for i in (1, 2, 3)})
-        if tag == "T":
-            return _koszul(label, fmt)
-        if tag == "B":
-            if m < 2 or d2 < 3:
-                raise _misfit(label, fmt, "m >= 2 and m+n-1 >= 3")
-            return TorPresentation(m, n, {(1, 2): {3: 1}}, {(1, 1): {1: 1}, (2, 2): {1: 1}})
-        if tag == "G":
-            if m < a or d2 < a:
-                raise _misfit(label, fmt, f"m >= {a} and m+n-1 >= {a}")
-            if a > MAX_DOCUMENT_CELLS:
-                _require_document_size(m, n, 0, a)
-            return TorPresentation(m, n, {}, {(i, i): {1: 1} for i in range(1, a + 1)})
-        raise UnknownArrangement(f"no canonical table for label {label}")
-    except (AttributeError, TypeError) as exc:
-        raise _malformed_argument(exc, fmt, label) from None
+    tag, a, _ = label
+    if tag == "H":
+        return _h_pattern(a + 1, a, a + 2, -1, label, fmt)
+    m, n, d2 = fmt.m, fmt.n, fmt.dim2
+    if tag == "C3":
+        if (m, n) != (3, 1):
+            raise _misfit(label, fmt, "format exactly (3,1)")
+        return _koszul(label, fmt)._replace(ef={(i, i): {1: 1} for i in (1, 2, 3)})
+    if tag == "T":
+        return _koszul(label, fmt)
+    if tag == "B":
+        if m < 2 or d2 < 3:
+            raise _misfit(label, fmt, "m >= 2 and m+n-1 >= 3")
+        return TorPresentation(m, n, {(1, 2): {3: 1}}, {(1, 1): {1: 1}, (2, 2): {1: 1}})
+    if tag == "G":
+        if m < a or d2 < a:
+            raise _misfit(label, fmt, f"m >= {a} and m+n-1 >= {a}")
+        if a > MAX_DOCUMENT_CELLS:
+            _require_document_size(m, n, 0, a)
+        return TorPresentation(m, n, {}, {(i, i): {1: 1} for i in range(1, a + 1)})
+    raise UnknownArrangement(f"no canonical table for label {label}")
 
 
 _ARRANGEMENTS = {
@@ -368,10 +364,7 @@ def arranged_presentation(label: ClassLabel, fmt: Format, arrangement: str) -> T
     tag, builder = entry
     if label.tag != tag:
         raise UnknownArrangement(f"arrangement {arrangement!r} applies to class {tag}, not {label}")
-    try:
-        return builder(label, fmt)
-    except (AttributeError, TypeError) as exc:
-        raise _malformed_argument(exc, fmt, label) from None
+    return builder(label, fmt)
 
 
 class ClassifierReport(NamedTuple):

@@ -104,6 +104,16 @@ def realize_grid() -> tuple[int, str]:
 REALIZE_GRID = (13248, "c7006a3a23c68919c01372bb13eb36640a8cd3dcd19eab2e5e17052940876439")
 
 
+def realize_grid_after_sweep() -> tuple[int, str]:
+    """:func:`realize_grid` once ``realize_all(12, 12)`` holds its forward searches.
+
+    Its expected value is :data:`REALIZE_GRID`: a sweep's searches, the widest
+    answering for the narrower bounds, change no result.
+    """
+    realize_all(12, 12)
+    return realize_grid()
+
+
 def verdict_grid() -> tuple[int, str]:
     """Verdicts and the digest of the grid up to (16,16).
 
@@ -234,7 +244,7 @@ def refusals() -> tuple[str, ...]:
     returns nor raises a :class:`Grade3Error` within 1 s.
 
     Each parameter of each function in ``grade3.__all__`` takes in turn each
-    of ten values below, then each of nine records whose fields have the
+    of ten values below, then each of twelve records whose fields have the
     wrong type or lack an entry; the other arguments are the samples, one
     per parameter name.  A parameter with no sample is listed, as
     ``function(name): no sample``, and its function is not called.
@@ -255,6 +265,9 @@ def refusals() -> tuple[str, ...]:
         AtlasGrid(None, {}, {}),
         Format(None, None),
         ClassLabel("H", None, 1),
+        Format(8.0, 6),
+        ClassLabel("H", 2.0, 1),
+        ClassLabel("T", None, None),
         LinkedPresentation(table, None, None, None),
         AtlasGrid(fmt, {}, {}),
         TorPresentation(4, 3, {(1, 2): [1]}, {}),
@@ -341,6 +354,7 @@ FROZEN_EXIT = (0, "status: permissible\n", True)
 PINS = {
     "coverage-sweep": (coverage_sweep, COVERAGE_SWEEP),
     "realize-grid": (realize_grid, REALIZE_GRID),
+    "realize-grid-after-sweep": (realize_grid_after_sweep, REALIZE_GRID),
     "verdict-grid": (verdict_grid, VERDICT_GRID),
     "cone-sweep": (cone_sweep, CONE_SWEEP),
     "classify-sweep": (classify_sweep, CLASSIFY_SWEEP),

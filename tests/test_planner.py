@@ -296,6 +296,68 @@ def test_realize_grid_is_pinned():
     assert list(planner._SEARCHES) == list(bounds)
 
 
+def test_realize_grid_after_a_sweep_is_pinned():
+    # The same results once realize_all(12, 12) holds its searches, as CI checks on every Python.
+    assert pins.realize_grid_after_sweep() == pins.REALIZE_GRID
+    assert list(planner._SEARCHES) == [10, 11, 13, 15, 17, 12, 14, 16, 18]
+
+
+def _holds_only_seeds(search):
+    return all(isinstance(parent, str) for parent in search.parent.values())
+
+
+def test_a_sweep_reads_its_certificates_off_its_widest_search():
+    # Every certificate of the (14,14) sweep is a parent chain of the bound-20
+    # search, so no narrower search leaves its seeds.
+    assert realize_all(14, 14).gaps == ()
+    assert sorted(planner._SEARCHES) == list(range(10, 21))
+    assert sum(len(search.parent) for search in planner._SEARCHES.values()) == 17425
+    assert all(_holds_only_seeds(search) for bound, search in planner._SEARCHES.items() if bound < 20)
+
+
+def test_a_narrower_search_does_not_answer_a_wider_bound():
+    # The bound-8 search, run to exhaustion, reaches H(2,2) at (6,7) by a
+    # 2-step chain, but not by the least shortest path of bound 13.
+    label, fmt = class_H(2, 2), make_format(6, 7)
+    lone = realize(label, fmt)
+    narrow = planner._search_for(8)
+    narrow.find(-1)
+    target = planner._GRAPH.ids[planner._state_key(label, fmt)]
+    chain = planner._certificate_from(narrow, target)
+    assert len(chain.steps) == 2 and chain != lone.certificate
+    assert realize(label, fmt) == lone
+    assert list(planner._SEARCHES) == [8]
+
+
+def test_a_chain_that_leaves_the_bound_falls_back():
+    # The bound-20 search reaches H(2,3) at (8,7) by 4 steps through a state of
+    # reach 9, so under a cap of 8 the target is searched from both ends: 5 steps.
+    label, fmt = class_H(2, 3), make_format(8, 7)
+    lone = realize(label, fmt, max_coordinate=8)
+    assert len(lone.certificate.steps) == 5
+    realize_all(14, 14)
+    widest = planner._SEARCHES[20]
+    target = planner._GRAPH.ids[planner._state_key(label, fmt)]
+    chain, sid = [], target
+    while isinstance(sid, int):
+        chain.append(planner._GRAPH.reach[sid])
+        sid = widest.parent[sid]
+    assert len(chain) == 5 and max(chain) == 9
+    assert realize(label, fmt, max_coordinate=8) == lone
+    assert 8 not in planner._SEARCHES
+
+
+def test_an_exhausted_wider_search_answers_not_found_without_expanding():
+    # No state the bound-20 search cannot reach is reachable within bound 16.
+    label, fmt = class_H(0, 0), make_format(10, 10)
+    lone = realize(label, fmt)
+    assert lone.status is RealizeStatus.NOT_FOUND
+    realize_all(14, 14)
+    planner._SEARCHES[20].find(-1)
+    assert realize(label, fmt) == lone
+    assert _holds_only_seeds(planner._SEARCHES[16])
+
+
 def _realize_from_sweep_search(label, fmt, cap=planner.DEFAULT_MAX_SEARCH):
     """realize, answered from the forward search a sweep builds for the target's bound."""
     planner._search_for(planner._search_bound(fmt, cap))

@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import grade3
 
 from grade3 import (
     BASE_FAMILIES,
@@ -206,6 +211,65 @@ def test_a_record_built_with_fields_of_the_wrong_type_is_refused_by_name(functio
     record = "ClassLabel" if error is InvalidLabel else "Format"
     with pytest.raises(error, match=rf"^{record} has a field of the wrong type \("):
         function(*args)
+
+
+# Run in a fresh child: refuse the malformed call, then print the valid call's result.
+_THEN_VALID = """
+import sys, grade3
+try:
+    eval(sys.argv[1], vars(grade3))
+except grade3.Grade3Error as exc:
+    print(type(exc).__name__)
+print(repr(eval(sys.argv[2], vars(grade3))))
+"""
+
+
+@pytest.mark.parametrize(
+    "malformed, valid, error",
+    [
+        (
+            'is_permissible(ClassLabel("H", 1.0, 0), make_format(6, 2))',
+            "is_permissible(class_H(1, 0), make_format(6, 2))",
+            "InvalidLabel",
+        ),
+        ("is_permissible(CLASS_T, Format(3.0, 4))", "is_permissible(CLASS_T, make_format(3, 4))", "InvalidFormat"),
+        ('realize(ClassLabel("H", 2.0, 1), make_format(8, 6))', "realize(class_H(2, 1), make_format(8, 6))", "InvalidLabel"),
+        ("realize(class_H(2, 1), Format(8.0, 6))", "realize(class_H(2, 1), make_format(8, 6))", "InvalidFormat"),
+        ('realize(ClassLabel("T", 1, 2), make_format(8, 6))', "realize(CLASS_T, make_format(8, 6))", "InvalidLabel"),
+        (
+            'is_permissible(ClassLabel("T", None, None), make_format(8, 6))',
+            "is_permissible(CLASS_T, make_format(8, 6))",
+            "InvalidLabel",
+        ),
+        (
+            'canonical_presentation(ClassLabel("T", 1, 2), make_format(5, 4))',
+            "canonical_presentation(CLASS_T, make_format(5, 4))",
+            "InvalidLabel",
+        ),
+        (
+            'arranged_presentation(ClassLabel("T", None, None), make_format(5, 4), "T-A")',
+            'arranged_presentation(CLASS_T, make_format(5, 4), "T-A")',
+            "InvalidLabel",
+        ),
+        ('class_invariants(ClassLabel("T", 1, 2))', "class_invariants(CLASS_T)", "InvalidLabel"),
+        (
+            'apply_rule("linkT-i", ClassLabel("T", None, None), make_format(5, 4))',
+            'apply_rule("linkT-i", CLASS_T, make_format(5, 4))',
+            "InvalidLabel",
+        ),
+    ],
+)
+def test_a_record_that_equals_a_valid_one_is_refused_before_any_cache(malformed, valid, error):
+    # ClassLabel("H", 1.0, 0) equals H(1,0), and hashes like it, in the verdict
+    # cache and the planner's graph; ClassLabel("T", 1, 2) is no label at all.
+    # Each is refused, and the valid call after it, in a fresh process that
+    # no earlier call has filled a cache in, gives the valid answer.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(grade3.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _THEN_VALID, malformed, valid], capture_output=True, env=env, timeout=60, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"{error}\n{eval(valid, vars(grade3))!r}\n"
 
 
 def test_every_public_function_refuses_every_wrong_argument_in_time():
