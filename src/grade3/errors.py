@@ -33,14 +33,15 @@ class Grade3Error(ValueError):
     """Base class for all errors raised by this package."""
 
     @classmethod
-    def _malformed(cls, record: tuple, exc: Exception) -> Grade3Error:
+    def _malformed(cls, record: tuple, exc: Exception, fault: str = "a field of the wrong type") -> Grade3Error:
         """This error, refusing ``record``, whose fields raised ``exc`` when read as their types.
 
         A :class:`KeyError`, from a mapping that lacks an entry the record's
-        other fields call for, is worded by the key it names.
+        other fields call for, is worded by the key it names.  ``fault``
+        says what is wrong with the record, such as ``"a field out of range"``.
         """
         detail = f"no entry {_shown(exc.args[0])}" if isinstance(exc, KeyError) else exc
-        return cls(f"{type(record).__name__} has a field of the wrong type ({detail})")
+        return cls(f"{type(record).__name__} has {fault} ({detail})")
 
 
 class InvalidFormat(Grade3Error):
@@ -92,13 +93,27 @@ def _decimal(value: int) -> str:
 
 
 def _shown(value: object) -> str:
-    """``repr(value)``, with an int, also one inside a tuple, worded by :func:`_decimal`."""
+    """``repr(value)``, with an int, also one inside a tuple, worded by :func:`_decimal`.
+
+    A value whose repr fails on an int with too many digits to print is
+    named by its type; a record, by its fields, as :func:`_fields` shows them.
+    """
     if type(value) is int:
         return _decimal(value)
     if type(value) is tuple:
         items = [_shown(item) for item in value]
         return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
-    return repr(value)
+    try:
+        return repr(value)
+    except ValueError:  # beyond the interpreter's limit on printed digits
+        if isinstance(value, tuple) and hasattr(value, "_fields"):
+            return f"{type(value).__name__}({_fields(value)})"
+        return f"a {type(value).__name__} holding an integer with too many digits to print"
+
+
+def _fields(record: tuple) -> str:
+    """``name=value, ...`` of a record's fields, each value shown by :func:`_shown`."""
+    return ", ".join(f"{name}={_shown(value)}" for name, value in zip(record._fields, record))
 
 
 def _require(value: object, kind: type, error: type[Grade3Error]) -> None:

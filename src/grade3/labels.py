@@ -21,7 +21,7 @@ import re
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import InvalidFormat, InvalidLabel, _decimal, _require, _shown
+from .errors import InvalidFormat, InvalidLabel, _decimal, _fields, _require, _shown
 
 __all__ = [
     "Format",
@@ -81,7 +81,7 @@ def make_format(m: int, n: int) -> Format:
         return _shared_format(m, n)
     for name, value in (("m", m), ("n", n)):
         if not isinstance(value, int) or isinstance(value, bool):
-            raise InvalidFormat(f"format coordinate {name} must be an integer, got {value!r}")
+            raise InvalidFormat(f"format coordinate {name} must be an integer, got {_shown(value)}")
         if value < 1:
             raise InvalidFormat(f"format coordinate {name} must be >= 1, got {_decimal(value)}")
         if not _prints(value):
@@ -167,7 +167,7 @@ def _parameter(tag: str, name: str, value: object) -> int:
     """A label parameter as a plain int: a non-negative integer that the
     interpreter can print, or :class:`InvalidLabel`."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InvalidLabel(f"{tag} parameter {name} must be a non-negative integer, got {value!r}")
+        raise InvalidLabel(f"{tag} parameter {name} must be a non-negative integer, got {_shown(value)}")
     value = int(value)
     if value < 0:
         raise InvalidLabel(f"{tag} parameter {name} must be a non-negative integer, got {_decimal(value)}")
@@ -271,18 +271,34 @@ def _require_types(fmt: object = Format(1, 1), label: object = OPAQUE) -> None:
     tag is not exactly a ``str`` or whose slots are not exactly ``int`` (or,
     for B, C(3), T and ``*``, not both 0), and a format whose fields are not
     exactly ``int``: each would equal, and hash like, a valid one in the
-    process-wide caches.  Each default passes, so a call that names one
-    argument checks only that one.
+    process-wide caches.  Last, a record that no constructor makes: an H label
+    with a slot that is negative or does not print, a G label with ``r < 2``,
+    an ``r`` that does not print or a nonzero second slot, and a format with a
+    field below 1 or one that does not print; :func:`class_H`,
+    :func:`class_G` and :func:`make_format` refuse exactly these.  Each
+    default passes, so a call that names one argument checks only that one.
     """
     _require(label, ClassLabel, InvalidLabel)
     _require(fmt, Format, InvalidFormat)
     tag, a, b = label.tag, label.a, label.b
     if type(tag) is not str or type(a) is not int or type(b) is not int or (tag in _NO_PARAMETERS and a | b):
         raise InvalidLabel._malformed(label, TypeError(_fields(label)))
-    if type(fmt.m) is not int or type(fmt.n) is not int:
+    m, n = fmt.m, fmt.n
+    if type(m) is not int or type(n) is not int:
         raise InvalidFormat._malformed(fmt, TypeError(_fields(fmt)))
+    # The usual values pass at once: x | y is negative when either is, and at least as large as both.
+    if not (m >= 1 and n >= 1 and m | n < _ALWAYS_PRINTED and 0 <= a | b < _ALWAYS_PRINTED) or (
+        tag == "G" and (a < 2 or b)
+    ):
+        _require_range(label, fmt)
 
 
-def _fields(record: tuple) -> str:
-    """``name=value, ...`` of a record's fields, each value shown by :func:`grade3.errors._shown`."""
-    return ", ".join(f"{name}={_shown(value)}" for name, value in zip(record._fields, record))
+def _require_range(label: ClassLabel, fmt: Format) -> None:
+    """The last check of :func:`_require_types`, on a label and a format whose fields are plain ints."""
+    tag, a, b = label.tag, label.a, label.b
+    if (tag == "H" and not (a >= 0 and b >= 0 and _prints(a) and _prints(b))) or (
+        tag == "G" and not (a >= 2 and b == 0 and _prints(a))
+    ):
+        raise InvalidLabel._malformed(label, ValueError(_fields(label)), "a field out of range")
+    if not (fmt.m >= 1 and fmt.n >= 1 and _prints(fmt.m) and _prints(fmt.n)):
+        raise InvalidFormat._malformed(fmt, ValueError(_fields(fmt)), "a field out of range")

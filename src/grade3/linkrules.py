@@ -51,6 +51,7 @@ from .errors import (
     _decimal,
     _document_fields,
     _require,
+    _shown,
 )
 from .labels import (
     CLASS_B,
@@ -406,7 +407,7 @@ def apply_rule(rule_id: str, label: ClassLabel, fmt: Format) -> Transition:
     _require_types(fmt, label)
     rule = RULES.get(rule_id) if isinstance(rule_id, str) else None
     if rule is None:
-        raise PreconditionViolated(f"unknown linkage rule {rule_id!r}")
+        raise PreconditionViolated(f"unknown linkage rule {_shown(rule_id)}")
     reason = rule.check(label, fmt)
     if reason is not None:
         raise PreconditionViolated(f"{rule_id}: {reason}")
@@ -426,10 +427,10 @@ def parse_state_label(text: str) -> ClassLabel:
 
 def _parse_state(value: object, what: str) -> State:
     if not isinstance(value, list) or len(value) != 2:
-        raise DocumentError(f"{what} must be a [class, format] pair, got {value!r}")
+        raise DocumentError(f"{what} must be a [class, format] pair, got {_shown(value)}")
     text_label, text_fmt = value
     if not isinstance(text_label, str) or not isinstance(text_fmt, str):
-        raise DocumentError(f"{what} entries must be strings, got {value!r}")
+        raise DocumentError(f"{what} entries must be strings, got {_shown(value)}")
     return (parse_state_label(text_label), parse_format(text_fmt))
 
 

@@ -34,6 +34,9 @@ a level at a time.  No step reads backwards into C(3) or G(r), so their
 search ends after one backward step unless the target is an axiom, where a
 held search would run to exhaustion.  Both searches end in a forward search
 whose parent map reaches the target, and every certificate is read off it.
+While a sweep runs, :func:`verify_certificate` keeps the replay of each step
+it has checked, so a prefix that the sweep's certificates share is replayed
+once.
 """
 
 from __future__ import annotations
@@ -42,13 +45,23 @@ from collections import deque
 from enum import Enum
 from typing import Callable, Iterator, NamedTuple
 
-from .errors import DocumentError, Grade3Error, OutOfDomain, _decimal, _document_fields, _require, _require_ints
+from .errors import (
+    DocumentError,
+    Grade3Error,
+    OutOfDomain,
+    _decimal,
+    _document_fields,
+    _require,
+    _require_ints,
+    _shown,
+)
 from .labels import (
     CLASS_B,
     CLASS_T,
     ClassLabel,
     Format,
     OPAQUE,
+    _require_types,
     class_G,
     class_H,
     make_format,
@@ -254,19 +267,26 @@ class _Graph:
         return sid
 
     def expand(self, sid: int) -> tuple[int, ...]:
-        """The ids of the state's outputs that are not NOT_PERMISSIBLE, in RULE_ORDER."""
-        ids, intern = self.ids, self.intern
-        tag, a, b, m, n = self.keys[sid]
+        """The ids of the state's outputs that are not NOT_PERMISSIBLE, in RULE_ORDER.
+
+        A new output is added as :meth:`intern` adds it, but by a store after
+        the one probe of ``ids`` that found it missing.
+        """
+        ids, keys, reach, edges = self.ids, self.keys, self.reach, self.edges
+        tag, a, b, m, n = keys[sid]
         out_ids: list[int] = []
         for key in _outputs(_STEPS[tag], a, b, m, n):
             out_id = ids.get(key)
             if out_id is None:
                 if _excluded(*key):
                     continue
-                out_id = intern(key)
+                out_id = ids[key] = len(keys)
+                keys.append(key)
+                reach.append(max(key[3], key[4]))
+                edges.append(None)
             out_ids.append(out_id)
-        edges = self.edges[sid] = tuple(out_ids)
-        return edges
+        out = edges[sid] = tuple(out_ids)
+        return out
 
 
 _GRAPH = _Graph()
@@ -582,6 +602,19 @@ def realize(
     return RealizationResult(RealizeStatus.REALIZED, certificate=_certificate_from(search, target))
 
 
+# The replays of the certificate steps of the sweep that is running, by the
+# exact key of the step's input: None outside a sweep (see verify_certificate).
+_REPLAYS: dict[tuple[str, str, int, int, int, int], Transition] | None = None
+
+
+def _admissible(label: ClassLabel, fmt: Format) -> bool:
+    """Whether a certificate's state is opaque or not NOT_PERMISSIBLE; refuses one with malformed fields."""
+    if label == OPAQUE:
+        _require_types(fmt, label)
+        return True
+    return is_permissible(label, fmt).status is not Status.NOT_PERMISSIBLE
+
+
 def verify_certificate(cert: DerivationCertificate) -> bool:
     """Strictly replay a certificate; True only if every step checks out.
 
@@ -593,20 +626,45 @@ def verify_certificate(cert: DerivationCertificate) -> bool:
     target.  Anything the replay cannot read, such as a value that is not a
     certificate, a step that is not a :class:`Transition` or an axiom format
     that is not a :class:`Format`, is False as well, not an error.
+
+    For the length of one :func:`realize_all` call, a replay whose output
+    state is not NOT_PERMISSIBLE is kept, by its exact key ``(rule, tag, a,
+    b, m, n)``: a ``str`` rule id and the fields of a :class:`ClassLabel`
+    and a :class:`Format`, each of exactly that type, in the sweep's
+    ``_REPLAYS``.  A step whose rule and previous state have a kept key is
+    not replayed again.  Why the answer is a fresh call's: two equal exact
+    keys are equal values; :func:`apply_rule` and :func:`is_permissible`
+    read nothing but the rule's entry in ``RULES`` and those values, and a
+    sweep changes no entry, so the kept replay equals the one a fresh call
+    makes, and no exception is lost, since a replay that raises or whose
+    output is NOT_PERMISSIBLE is not kept.  Each call still compares every
+    step with its replay, so the step's input state with the previous
+    state, and still checks the axiom and the target.
     """
     try:
         family = _FAMILY_BY_ID.get(cert.axiom.family)
-        states: list[State] = [(cert.axiom.label, cert.axiom.fmt)]
-        if family is None or cert.axiom.cite != family.cite or not family.contains(*states[0]):
+        label, fmt = cert.axiom.label, cert.axiom.fmt
+        if family is None or cert.axiom.cite != family.cite or not family.contains(label, fmt):
             return False
+        if not _admissible(label, fmt):
+            return False
+        replays = _REPLAYS
         for step in cert.steps:
-            replay = apply_rule(step.rule, *states[-1])
+            rule = step.rule
+            key = None
+            if replays is not None and type(rule) is str and type(label) is ClassLabel and type(fmt) is Format:
+                key = (rule, *label, *fmt)
+                replay = replays.get(key)
+            if key is None or replay is None:
+                replay = apply_rule(rule, label, fmt)
+                if not _admissible(*replay.output_state):
+                    return False
+                if key is not None:
+                    replays[key] = replay
             if replay != step:
                 return False
-            states.append(replay.output_state)
-        return states[-1] == cert.target and all(
-            label == OPAQUE or is_permissible(label, fmt).status is not Status.NOT_PERMISSIBLE for label, fmt in states
-        )
+            label, fmt = replay.output_state
+        return (label, fmt) == cert.target
     except (Grade3Error, AttributeError, TypeError):
         return False
 
@@ -636,7 +694,7 @@ def certificate_from_document(doc: object) -> DerivationCertificate:
         doc, "certificate", (("version", int), ("axiom", dict), ("steps", list), ("target", dict))
     )
     if version != CERTIFICATE_VERSION:
-        raise DocumentError(f"unsupported certificate version {version!r}")
+        raise DocumentError(f"unsupported certificate version {_shown(version)}")
     family, label, fmt, cite = _document_fields(
         axiom_doc, "certificate axiom", (("family", str), ("class", str), ("format", str), ("cite", str))
     )
@@ -685,12 +743,17 @@ def realize_all(m_max: int, n_max: int) -> CoverageReport:
     forward search for each target's bound, then calls :func:`realize` on
     the targets widest bound first, so that the widest search, expanded
     inside ``realize``, answers the narrower bounds, and replays each
-    certificate with :func:`verify_certificate`.  Reports per-target
+    certificate with :func:`verify_certificate`, which replays each distinct
+    step of the sweep's certificates once: it keeps its replays for the
+    length of this call, and drops them when the call ends, also by an
+    exception.  ``verified`` is what a fresh call gives (see
+    :func:`verify_certificate`).  Reports per-target
     outcomes in sweep order; ``gaps`` lists targets without a verified
     certificate.  A bound past :data:`DEFAULT_MAX_SEARCH`, where
     :func:`realize` searches nothing, or one that is not an integer, raises
     :class:`OutOfDomain`.
     """
+    global _REPLAYS
     _require_ints(m_max=m_max, n_max=n_max)
     if not (4 <= m_max <= DEFAULT_MAX_SEARCH and 2 <= n_max <= DEFAULT_MAX_SEARCH):
         raise OutOfDomain(
@@ -709,12 +772,16 @@ def realize_all(m_max: int, n_max: int) -> CoverageReport:
     bounds = [_search_bound(fmt) for _, _, fmt in targets]
     for bound in bounds:
         _search_for(bound)
-    entries: dict[int, CoverageEntry] = {}
-    for index in sorted(range(len(targets)), key=bounds.__getitem__, reverse=True):
-        kind, label, fmt = targets[index]
-        result = realize(label, fmt)
-        verified = result.status is RealizeStatus.REALIZED and verify_certificate(result.certificate)
-        entries[index] = CoverageEntry(kind, label, fmt, result.status, verified)
+    outer, _REPLAYS = _REPLAYS, {}
+    try:
+        entries: dict[int, CoverageEntry] = {}
+        for index in sorted(range(len(targets)), key=bounds.__getitem__, reverse=True):
+            kind, label, fmt = targets[index]
+            result = realize(label, fmt)
+            verified = result.status is RealizeStatus.REALIZED and verify_certificate(result.certificate)
+            entries[index] = CoverageEntry(kind, label, fmt, result.status, verified)
+    finally:
+        _REPLAYS = outer
     return CoverageReport(m_max=m_max, n_max=n_max, entries=tuple(entries[index] for index in range(len(targets))))
 
 

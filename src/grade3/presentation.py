@@ -165,7 +165,7 @@ def _exact_int(value: object, field: str, key: PairKey, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or number != value:
-        raise DimensionMismatch(f"{field}[({key[0]},{key[1]})] {what} {value!r} is not an integer")
+        raise DimensionMismatch(f"{field}[({key[0]},{key[1]})] {what} {_shown(value)} is not an integer")
     return number
 
 
@@ -178,11 +178,11 @@ def _clean_table(
         try:
             i, j = key
         except (TypeError, ValueError):
-            raise DimensionMismatch(f"{field} key {key!r} is not a pair of indices") from None
+            raise DimensionMismatch(f"{field} key {_shown(key)} is not a pair of indices") from None
         if isinstance(vec, Mapping):
             items = vec.items()
         elif not isinstance(vec, Iterable):
-            raise DimensionMismatch(f"{field}[({i},{j})] product {vec!r} is neither a coordinate map nor a sequence")
+            raise DimensionMismatch(f"{field}[({i},{j})] product {_shown(vec)} is neither a coordinate map nor a sequence")
         else:
             vec = tuple(vec)
             basis, length = ("f", m + n - 1) if field == "ee" else ("g", n)
@@ -359,11 +359,11 @@ def arranged_presentation(label: ClassLabel, fmt: Format, arrangement: str) -> T
     entry = _ARRANGEMENTS.get(arrangement) if isinstance(arrangement, str) else None
     if entry is None:
         raise UnknownArrangement(
-            f"unknown arrangement {arrangement!r}; known: {', '.join(_ARRANGEMENTS)}"
+            f"unknown arrangement {_shown(arrangement)}; known: {', '.join(_ARRANGEMENTS)}"
         )
     tag, builder = entry
     if label.tag != tag:
-        raise UnknownArrangement(f"arrangement {arrangement!r} applies to class {tag}, not {label}")
+        raise UnknownArrangement(f"arrangement {_shown(arrangement)} applies to class {tag}, not {label}")
     return builder(label, fmt)
 
 
@@ -601,7 +601,7 @@ def presentation_from_document(doc: object) -> TorPresentation:
         doc, "presentation document", (("version", int), ("m", int), ("n", int), ("ee", list), ("ef", list))
     )
     if version != PRESENTATION_VERSION:
-        raise DocumentError(f"unsupported presentation version {version!r}")
+        raise DocumentError(f"unsupported presentation version {_shown(version)}")
     ee_maps, ef_maps = _coordinate_maps(ee, "ee"), _coordinate_maps(ef, "ef")
     diags = validate_presentation(TorPresentation(m, n, ee_maps, ef_maps))
     if diags:
@@ -623,7 +623,7 @@ def _coordinate_maps(rows: list, field: str) -> dict[PairKey, Coords]:
     for row in rows:
         a, b, k, c = row if isinstance(row, list) and len(row) == 4 else (None,) * 4
         if not type(a) is type(b) is type(k) is type(c) is int:  # exactly int, so no bool
-            raise DocumentError(f"{field} entry {row!r} is not a quadruple of integers")
+            raise DocumentError(f"{field} entry {_shown(row)} is not a quadruple of integers")
         coords = maps.setdefault((a, b), {})
         coords[k] = coords.get(k, 0) + c
     return maps

@@ -54,9 +54,11 @@ from grade3 import (
     realize,
     realize_all,
     render_atlas_csv,
+    verify_certificate,
 )
-from grade3 import cli
+from grade3 import cli, planner
 from grade3.cone import _sweep
+from grade3.errors import _shown
 
 
 def coverage_sweep() -> tuple[int, int, str]:
@@ -112,6 +114,37 @@ def realize_grid_after_sweep() -> tuple[int, str]:
     """
     realize_all(12, 12)
     return realize_grid()
+
+
+def sweep_replays() -> tuple[int, bool]:
+    """The ``apply_rule`` calls of ``realize_all(12, 12)``, and whether every entry's ``verified`` is a fresh replay's.
+
+    The sweep replays each distinct step of its certificates once.  A fresh
+    :func:`verify_certificate` call, after the sweep, replays the
+    certificate :func:`realize` gives for the entry's target again, step by
+    step; an entry without a certificate must be unverified.
+    """
+    calls, replay = 0, planner.apply_rule
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return replay(*args)
+
+    planner.apply_rule = counting
+    try:
+        report = realize_all(12, 12)
+    finally:
+        planner.apply_rule = replay
+    agree = True
+    for entry in report.entries:
+        cert = realize(entry.label, entry.fmt).certificate
+        agree &= entry.verified == (cert is not None and verify_certificate(cert))
+    return calls, agree
+
+
+# The 565 distinct steps among the 2 032 steps of the sweep's 512 certificates.
+SWEEP_REPLAYS = (565, True)
 
 
 def verdict_grid() -> tuple[int, str]:
@@ -244,8 +277,8 @@ def refusals() -> tuple[str, ...]:
     returns nor raises a :class:`Grade3Error` within 1 s.
 
     Each parameter of each function in ``grade3.__all__`` takes in turn each
-    of ten values below, then each of twelve records whose fields have the
-    wrong type or lack an entry; the other arguments are the samples, one
+    of ten values below, then each of nineteen records whose fields have the
+    wrong type, lack an entry or are out of range; the other arguments are the samples, one
     per parameter name.  A parameter with no sample is listed, as
     ``function(name): no sample``, and its function is not called.
     """
@@ -271,6 +304,13 @@ def refusals() -> tuple[str, ...]:
         LinkedPresentation(table, None, None, None),
         AtlasGrid(fmt, {}, {}),
         TorPresentation(4, 3, {(1, 2): [1]}, {}),
+        ClassLabel("H", -1, 0),
+        ClassLabel("H", 10**5000, 0),
+        ClassLabel("G", 1, 0),
+        ClassLabel("G", 5, 3),
+        Format(-4, 3),
+        Format(0, 0),
+        Format(10**5000, 4),
     )
     failures = []
     for name in grade3.__all__:
@@ -283,7 +323,7 @@ def refusals() -> tuple[str, ...]:
         for param in [] if missing else params:
             args = {other: samples[other] for other in params}
             for value in ("x", None, 1.5, True, -1, 10**30, [1], (4, 3), {}, object(), *malformed):
-                call = f"{name}({param}={'object()' if type(value) is object else repr(value)})"
+                call = f"{name}({param}={'object()' if type(value) is object else _shown(value)})"
                 start = time.perf_counter()
                 try:
                     function(**{**args, param: value})
@@ -355,6 +395,7 @@ PINS = {
     "coverage-sweep": (coverage_sweep, COVERAGE_SWEEP),
     "realize-grid": (realize_grid, REALIZE_GRID),
     "realize-grid-after-sweep": (realize_grid_after_sweep, REALIZE_GRID),
+    "sweep-replays": (sweep_replays, SWEEP_REPLAYS),
     "verdict-grid": (verdict_grid, VERDICT_GRID),
     "cone-sweep": (cone_sweep, CONE_SWEEP),
     "classify-sweep": (classify_sweep, CLASSIFY_SWEEP),

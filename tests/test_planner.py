@@ -531,6 +531,105 @@ def test_a_rule_replaced_after_import_changes_the_replay_not_the_certificate(mon
     assert not verify_certificate(cert)
 
 
+def _certificates_of(report):
+    """The certificate of each entry of a sweep, as realize gives it after the sweep."""
+    return [realize(e.label, e.fmt).certificate for e in report.entries]
+
+
+def test_a_sweep_replays_each_distinct_step_once_as_a_fresh_replay_would():
+    # The (12,12) sweep's certificates share prefixes: 2 032 steps, 565 distinct.
+    # The sweep replays each distinct step once, and each entry's verified
+    # flag is what a fresh verify_certificate call gives (the sweep-replays pin).
+    calls, agree = pins.sweep_replays()
+    certs = _certificates_of(realize_all(12, 12))
+    assert all(cert is not None for cert in certs)
+    distinct = {step for cert in certs for step in cert.steps}
+    assert calls == len(distinct) < sum(len(cert.steps) for cert in certs)
+    assert (calls, agree) == pins.SWEEP_REPLAYS
+
+
+def test_a_rule_replaced_between_sweeps_is_replayed_by_the_next_sweep(monkeypatch):
+    # The replays a sweep keeps end with it: after a wrong out_class is planted
+    # on linkT-i, a second sweep replays every step again and marks unverified
+    # exactly the entries whose certificates take linkT-i.
+    first = realize_all(12, 12)
+    assert first.gaps == ()
+    takes = [
+        (e.label, e.fmt)
+        for e, cert in zip(first.entries, _certificates_of(first))
+        if "linkT-i" in [step.rule for step in cert.steps]
+    ]
+    assert 0 < len(takes) < len(first.entries)
+    wrong = dataclasses.replace(RULES["linkT-i"], out_class=lambda c: class_H(2, 1))
+    monkeypatch.setitem(RULES, "linkT-i", wrong)
+    second = realize_all(12, 12)
+    assert [e.status for e in second.entries] == [e.status for e in first.entries]
+    assert [(e.label, e.fmt) for e in second.entries if not e.verified] == takes
+
+
+def test_a_replay_outside_a_sweep_keeps_nothing(monkeypatch):
+    # Outside a sweep every call replays every step; a sweep that raises drops
+    # its replays as one that returns does.
+    cert = realize(class_H(5, 0), make_format(8, 6)).certificate
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return apply_rule(*args)
+
+    monkeypatch.setattr(planner, "apply_rule", counting)
+    assert verify_certificate(cert) and verify_certificate(cert)
+    assert calls == [step.rule for step in cert.steps] * 2
+    answered = []
+
+    def failing(label, fmt):
+        if len(answered) == 20:
+            raise RuntimeError("planted")
+        answered.append(label)
+        return realize(label, fmt)
+
+    monkeypatch.setattr(planner, "realize", failing)
+    calls.clear()
+    with pytest.raises(RuntimeError, match="planted"):
+        realize_all(8, 8)
+    assert calls and planner._REPLAYS is None
+    calls.clear()
+    assert verify_certificate(cert)
+    assert calls == [step.rule for step in cert.steps]
+
+
+def test_a_sweep_compares_each_step_with_its_replay(monkeypatch):
+    # Certificates handed to the sweep's replay with a step forged: the first
+    # step dropped, so that the next one starts from the wrong state, or the
+    # last step's input state rewritten while its rule and the state before
+    # it, and so its kept replay, stay.  Every entry's verified flag is still
+    # a fresh call's, and exactly the forged ones are unverified.
+    handed = []
+
+    def forging(label, fmt):
+        result = realize(label, fmt)
+        cert = result.certificate
+        if len(handed) % 3 == 1 and len(cert.steps) >= 2:
+            cert = cert._replace(steps=cert.steps[1:])
+        elif len(handed) % 3 == 2 and cert.steps:
+            last = cert.steps[-1]
+            forged = (class_H(0, 0) if last.input_state[0] != class_H(0, 0) else CLASS_T, last.input_state[1])
+            cert = cert._replace(steps=(*cert.steps[:-1], last._replace(input_state=forged)))
+        handed.append((label, fmt, cert, cert is not result.certificate))
+        return result._replace(certificate=cert)
+
+    monkeypatch.setattr(planner, "realize", forging)
+    report = realize_all(12, 12)
+    monkeypatch.undo()
+    by_target = {(label, fmt): (cert, forged) for label, fmt, cert, forged in handed}
+    forged_count = 0
+    for entry in report.entries:
+        cert, forged = by_target[(entry.label, entry.fmt)]
+        assert entry.verified == verify_certificate(cert) == (not forged), (entry, cert)
+        forged_count += forged
+    assert forged_count > 250  # 306 of the 512
+
+
 def test_no_rule_output_of_the_sweep_is_not_permissible():
     # The graph interns only outputs that are not NOT_PERMISSIBLE.  On the
     # (20,20) sweep none is, so every rule output of every expanded state is

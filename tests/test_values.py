@@ -19,10 +19,12 @@ from grade3 import (
     OPAQUE,
     ClassLabel,
     Format,
+    DocumentError,
     InvalidFormat,
     InvalidLabel,
     LinkSpec,
     PreconditionViolated,
+    Status,
     RankProfile,
     UnknownArrangement,
     UnsupportedProfile,
@@ -45,8 +47,10 @@ from grade3 import (
     parse_format,
     parse_label,
     parse_state_label,
+    presentation_from_document,
     realize,
     realize_all,
+    transition_from_document,
     verify_linkage_theorems,
 )
 
@@ -213,6 +217,96 @@ def test_a_record_built_with_fields_of_the_wrong_type_is_refused_by_name(functio
         function(*args)
 
 
+@pytest.mark.parametrize(
+    "function, args, error",
+    [
+        (is_permissible, (ClassLabel("H", -1, 0), make_format(6, 2)), InvalidLabel),
+        (is_permissible, (ClassLabel("H", 10**5000, 0), make_format(5, 2)), InvalidLabel),
+        (is_permissible, (ClassLabel("G", 1, 0), make_format(8, 6)), InvalidLabel),
+        (canonical_presentation, (ClassLabel("G", 5, 3), make_format(5, 1)), InvalidLabel),
+        (betti_total, (Format(-4, 3),), InvalidFormat),
+        (atlas_grid, (Format(0, 0),), InvalidFormat),
+        (is_permissible, (class_H(1, 0), Format(10**5000, 4)), InvalidFormat),
+        (apply_rule, ("linkT-i", CLASS_T, Format(5, 0)), InvalidFormat),
+    ],
+    ids=lambda value: getattr(value, "__name__", ""),
+)
+def test_a_record_no_constructor_makes_is_refused_by_name(function, args, error):
+    # A label or format built directly with a slot or field out of range:
+    # betti_total(Format(-4, 3)) was -2, atlas_grid(Format(0, 0)) an empty
+    # grid, and a slot too long to print reached the rulebook.
+    record = "ClassLabel" if error is InvalidLabel else "Format"
+    with pytest.raises(error, match=rf"^{record} has a field out of range \("):
+        function(*args)
+
+
+def test_the_argument_check_refuses_exactly_what_the_constructors_refuse():
+    # A 4300-digit int prints at the interpreter's default limit, and one more digit does not.
+    values = (-(10**5000), -2, -1, 0, 1, 2, 3, 10**640, 10**4299, 10**4300, 10**5000)
+
+    def accepted(fmt=None, label=None):
+        try:
+            betti_total(fmt) if label is None else class_invariants(label)
+        except (InvalidFormat, InvalidLabel):
+            return False
+        return True
+
+    def made(constructor, *args):
+        try:
+            return constructor(*args)
+        except (InvalidFormat, InvalidLabel):
+            return None
+
+    for v in values:
+        for w in (0, 3, v):
+            assert accepted(label=ClassLabel("H", v, w)) == (made(class_H, v, w) is not None), (v, w)
+            assert accepted(fmt=Format(v, w)) == (made(make_format, v, w) is not None), (v, w)
+        # class_G gives H(0,0) and H(0,1) for r = 0 and 1: a G label always has r >= 2.
+        assert accepted(label=ClassLabel("G", v, 0)) == (getattr(made(class_G, v), "tag", None) == "G"), v
+        assert not accepted(label=ClassLabel("G", 5, v)) or v == 0
+
+
+def test_a_label_with_a_4300_digit_slot_is_still_answered():
+    # As the command line answers it: its bound max(p+1, q+2) has too many digits to print.
+    p = int("9" * 4300)
+    verdict = is_permissible(ClassLabel("H", p, 0), make_format(5, 2))
+    assert verdict == is_permissible(class_H(p, 0), make_format(5, 2))
+    assert verdict.status is Status.NOT_PERMISSIBLE
+
+
+_HUGE = 10**5000
+
+
+@pytest.mark.parametrize(
+    "call, error, shown",
+    [
+        (lambda: betti_total(ClassLabel("H", _HUGE, 0)), InvalidFormat, "ClassLabel(tag='H', a=2**16609 or more, b=0)"),
+        (lambda: apply_rule([_HUGE], CLASS_T, make_format(4, 3)), PreconditionViolated, "a list holding an integer"),
+        (lambda: arranged_presentation(CLASS_T, make_format(4, 3), (_HUGE,)), UnknownArrangement, "(2**16609 or more,)"),
+        (
+            lambda: transition_from_document({"rule": "x", "in": [_HUGE], "out": [], "cite": ""}),
+            DocumentError,
+            "a list holding an integer",
+        ),
+        (
+            lambda: presentation_from_document({"version": _HUGE, "m": 1, "n": 1, "ee": [], "ef": []}),
+            DocumentError,
+            "version 2**16609 or more",
+        ),
+        (
+            lambda: presentation_from_document({"version": 1, "m": 4, "n": 3, "ee": [[1, 2, 1, _HUGE, 3]], "ef": []}),
+            DocumentError,
+            "entry a list holding an integer",
+        ),
+    ],
+)
+def test_a_refusal_shows_a_value_whose_ints_do_not_print(call, error, shown):
+    # Its repr would raise ValueError; the refusal names a record by its fields, and anything else by its type.
+    with pytest.raises(error) as exc:
+        call()
+    assert shown in str(exc.value)
+
+
 # Run in a fresh child: refuse the malformed call, then print the valid call's result.
 _THEN_VALID = """
 import sys, grade3
@@ -264,6 +358,44 @@ def test_a_record_that_equals_a_valid_one_is_refused_before_any_cache(malformed,
     # cache and the planner's graph; ClassLabel("T", 1, 2) is no label at all.
     # Each is refused, and the valid call after it, in a fresh process that
     # no earlier call has filled a cache in, gives the valid answer.
+    _refused_then_valid(malformed, valid, error)
+
+
+@pytest.mark.parametrize(
+    "malformed, valid, error",
+    [
+        (
+            'is_permissible(ClassLabel("H", -1, 0), make_format(6, 2))',
+            "is_permissible(class_H(1, 0), make_format(6, 2))",
+            "InvalidLabel",
+        ),
+        (
+            'is_permissible(ClassLabel("H", 10**5000, 0), make_format(6, 2))',
+            "is_permissible(class_H(1, 2), make_format(6, 2))",
+            "InvalidLabel",
+        ),
+        ('realize(ClassLabel("G", 1, 0), make_format(8, 6))', "realize(class_G(1), make_format(8, 6))", "InvalidLabel"),
+        (
+            'canonical_presentation(ClassLabel("G", 5, 3), make_format(5, 1))',
+            "canonical_presentation(class_G(5), make_format(5, 1))",
+            "InvalidLabel",
+        ),
+        ("betti_total(Format(-4, 3))", "betti_total(make_format(4, 3))", "InvalidFormat"),
+        ("atlas_grid(Format(0, 0))", "atlas_grid(make_format(4, 2))", "InvalidFormat"),
+        (
+            "is_permissible(class_H(1, 0), Format(10**5000, 4))",
+            "is_permissible(class_H(1, 0), make_format(6, 4))",
+            "InvalidFormat",
+        ),
+    ],
+)
+def test_a_record_no_constructor_makes_is_refused_before_any_cache(malformed, valid, error):
+    # A slot or field out of range, which no constructor makes, is refused
+    # before the verdict cache or the planner's graph sees it, in a fresh process.
+    _refused_then_valid(malformed, valid, error)
+
+
+def _refused_then_valid(malformed: str, valid: str, error: str) -> None:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(grade3.__file__)))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _THEN_VALID, malformed, valid], capture_output=True, env=env, timeout=60, text=True
