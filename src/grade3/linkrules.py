@@ -133,9 +133,14 @@ def _require_supported(row: object, error: type[Grade3Error]) -> None:
 # explicit links of artinian monomial ideals by pure-power regular sequences,
 # every table computed from Koszul homology, the linked format was this one on
 # each of the rows (0,0,0), (1,0,0), (2,0,0), (2,1,0), (3,0,0), (3,1,0),
-# (3,2,0) and (3,3,0).  Those links did not measure t3.
+# (3,2,0) and (3,3,0).  Those links did not measure t3.  ``_outputs`` inlines
+# it on its hot path; the compiled steps are checked against ``apply_rule``.
+def _row_format(t1: int, t2: int, m: int, n: int) -> tuple[int, int]:
+    return n + 3 - t2, m - t1
+
+
 def _format_map(t1: int, t2: int) -> Callable[[Format], Format]:
-    return lambda f: make_format(f.n + 3 - t2, f.m - t1)
+    return lambda f: make_format(*_row_format(t1, t2, f.m, f.n))
 
 
 def link_option_format(fmt: Format, profile: RankProfile) -> Format:
@@ -379,8 +384,19 @@ def _outputs(steps: tuple[tuple, ...], a: int, b: int, m: int, n: int) -> list[_
 
 
 def _transition(key: _StateKey, out_key: _StateKey) -> Transition:
-    """The step from the state ``key`` to ``out_key`` by the first rule, in RULE_ORDER, that takes it there."""
-    step = next(step for step in _STEPS[key[0]] if _outputs((step,), *key[1:]) == [out_key])
+    """The step from the state ``key`` to ``out_key`` by the first rule, in RULE_ORDER, that takes it there.
+
+    Only the steps whose row sends the format of ``key`` to that of
+    ``out_key`` are evaluated, by :func:`_outputs`; any other step's output
+    has another format.
+    """
+    tag, a, b, m, n = key
+    out_format = out_key[3:]
+    step = next(
+        step
+        for step in _STEPS[tag]
+        if _row_format(step[2], step[3], m, n) == out_format and _outputs((step,), a, b, m, n) == [out_key]
+    )
     return Transition(step[0], _state_of(key), _state_of(out_key), step[1])
 
 

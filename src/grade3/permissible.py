@@ -197,12 +197,22 @@ def _excluded(tag: str, a: int, b: int, m: int, n: int) -> bool:
     """Whether :func:`_verdict` is NOT_PERMISSIBLE, without building a verdict.
 
     Runs the same rules of the tag and stops at the first one broken.  The
-    planner asks it about each new rule output, without building the label
-    and format, and leaves a refused one out of its graph.
+    planner asks it about each new rule output within the bound it expands
+    for, without building the label and format, and leaves a refused one out
+    of its graph.
     """
     for _ in (_OBSTRUCTIONS.get(tag) or _unknown_tag(tag))(a, b, m, n):
         return True
     return False
+
+
+def _permissible(tag: str, a: int, b: int, m: int, n: int) -> bool:
+    """Whether :func:`_verdict` is PERMISSIBLE, without building a verdict.
+
+    The target listings, :func:`boundary_classes` and the planner's sweep,
+    ask it of every candidate cell, so a cell they drop builds no violation.
+    """
+    return not _excluded(tag, a, b, m, n) and _REALIZED_WHEN_CLEAN[tag](a, b, m, n)
 
 
 def _verdict(tag: str, a: int, b: int, m: int, n: int) -> PermissibilityVerdict:
@@ -232,14 +242,16 @@ def boundary_classes(fmt: Format) -> frozenset[ClassLabel]:
 
     These are the labels with ``p = n - 1`` and ``q <= m - 4``, or with
     ``q = m - 4`` and ``p <= n - 1``, whose verdict is PERMISSIBLE; the
-    boundary window rules keep only the cells of matching parity.
+    boundary window rules keep only the cells of matching parity.  Each
+    candidate cell is decided by the yes/no form of the verdict, so the
+    dropped cells build no verdict and no label.
     """
     _require_types(fmt)
     m, n = fmt.m, fmt.n
     if m < 4:
         return frozenset()
-    candidates = {class_H(n - 1, q) for q in range(m - 3)} | {class_H(p, m - 4) for p in range(n)}
-    return frozenset(c for c in candidates if is_permissible(c, fmt).status is Status.PERMISSIBLE)
+    cells = {(n - 1, q) for q in range(m - 3)} | {(p, m - 4) for p in range(n)}
+    return frozenset(class_H(p, q) for p, q in cells if _permissible("H", p, q, m, n))
 
 
 class CellStatus(str, Enum):

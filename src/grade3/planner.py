@@ -22,21 +22,23 @@ parent chain within the target's bound, and a target it cannot reach at all;
 a narrower search leaves its seeds only for the other targets
 (:func:`_held_search`).  Every search walks one successor graph shared by
 the whole process, :class:`_Graph`, into which no NOT_PERMISSIBLE rule
-output enters.  Sharing does not change certificates: a state's outputs and
-exclusion do not depend on the bound, and each bound expands its states,
-and each state's outputs, in one fixed order.  Each search builds its
-certificates' steps from the same step table and keeps them, so a shared
-prefix is built once.  A lone target, whose bound no search of the process
-covers or whose class no rule outputs (C(3), G(r)), is searched from both
-ends instead (:func:`_meet_in_the_middle`): backward from the target by the
-step table read in reverse, forward from the axioms over the shared graph,
-a level at a time.  No step reads backwards into C(3) or G(r), so their
-search ends after one backward step unless the target is an axiom, where a
-held search would run to exhaustion.  Both searches end in a forward search
-whose parent map reaches the target, and every certificate is read off it.
-While a sweep runs, :func:`verify_certificate` keeps the replay of each step
-it has checked, so a prefix that the sweep's certificates share is replayed
-once.
+output enters, and each state's outputs only as far as the widest bound
+that expanded it.  Sharing does not change certificates: a state's outputs
+and exclusion do not depend on the bound, an edge list kept for a wider
+bound, read within a narrower one, is that bound's own, and each bound
+expands its states, and each state's outputs, in one fixed order.  Each
+search builds its certificates' steps from the same step table and keeps
+them, so a shared prefix is built once.  A lone target, whose bound no
+search of the process covers or whose class no rule outputs (C(3), G(r)),
+is searched from both ends instead (:func:`_meet_in_the_middle`): backward
+from the target by the step table read in reverse, forward from the axioms
+over the shared graph, a level at a time.  No step reads backwards into
+C(3) or G(r), so their search ends after one backward step unless the
+target is an axiom, where a held search would run to exhaustion.  Both
+searches end in a forward search whose parent map reaches the target, and
+every certificate is read off it.  While a sweep runs,
+:func:`verify_certificate` keeps the replay of each step it has checked, so
+a prefix that the sweep's certificates share is replayed once.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from .linkrules import (
     _STEPS,
     _StateKey,
     _outputs,
+    _row_format,
     _state_key,
     _state_of,
     _transition,
@@ -91,6 +94,7 @@ from .permissible import (
     PermissibilityVerdict,
     Status,
     _excluded,
+    _permissible,
     boundary_classes,
     is_permissible,
 )
@@ -230,62 +234,87 @@ _SEED_ORDER = tuple(
 # Tags of the classes some rule outputs; other classes occur only as axioms.
 _OUTPUT_TAGS = frozenset(rule.out_tag for rule in RULES.values())
 
+# Per tag, the least rise of a step's row: a step sends (m, n) to a format
+# whose first coordinate is n plus the row's rise (the first coordinate it
+# gives (0, 0)), so no output of a state with n + rise past a bound lies
+# within it.  A tag with no step has rise 0.
+_RISE: dict[str, int] = {
+    tag: min((_row_format(step[2], step[3], 0, 0)[0] for step in steps), default=0)
+    for tag, steps in _STEPS.items()
+}
+
 
 class _Graph:
     """Interned states and their rule outputs, shared by every search bound.
 
     A state is its integer key ``(tag, a, b, m, n)`` (see
     :func:`grade3.linkrules._state_key`), numbered in order of first sight;
-    labels and formats are built only for the states of a certificate.  A
-    state's outputs do not depend on the bound, so they are computed once
-    per process, in ``RULE_ORDER``, by ``linkrules._outputs`` on the run of
-    ``linkrules._STEPS`` for the state's tag: ``edges[sid]`` holds their ids,
-    and is None until some search expands the state.  ``expand`` tests an
-    output with the yes/no :func:`grade3.permissible._excluded`, which builds
-    no verdict, when it first meets it, and never interns a refused one (it
-    asks again if it meets one again; the (20,20) sweep meets none).  Axioms
-    and targets are interned untested: no axiom within the default cap is
-    NOT_PERMISSIBLE, and :func:`realize` refuses such a target first.  The
-    rule of an edge is not kept; ``linkrules._transition`` finds it again,
-    from the same steps, for the few edges a certificate takes.
+    labels and formats are built only for the states of a certificate.
     ``reach[sid]`` is the larger coordinate of the state's format, which
-    each bound's search compares with its own bound.
+    each bound's search compares with its own bound.  A state's outputs are
+    computed, in ``RULE_ORDER``, by ``linkrules._outputs`` on the run of
+    ``linkrules._STEPS`` for the state's tag, and kept only as far as the
+    bound that asked for them: ``edges[sid]`` holds the ids of the outputs
+    of reach at most ``expanded_at[sid]``, the widest bound the state was
+    expanded at (0, and no edges, until some search expands it).  A search
+    of a bound no wider reads that list and skips the outputs past its own
+    bound; a wider one expands the state again.  Within one sweep, which
+    asks its widest bound first, each state is expanded once.  ``expand``
+    tests an output with the yes/no :func:`grade3.permissible._excluded`,
+    which builds no verdict, when it first meets it within the bound, and
+    never interns a refused one (it asks again if it meets one again; the
+    (20,20) sweep meets none).  An output past the bound is neither tested
+    nor interned.  Axioms and targets are interned untested: no axiom within
+    the default cap is NOT_PERMISSIBLE, and :func:`realize` refuses such a
+    target first.  The rule of an edge is not kept;
+    ``linkrules._transition`` finds it again, from the same steps, for the
+    few edges a certificate takes.
     """
 
     def __init__(self) -> None:
         self.keys: list[_StateKey] = []
         self.ids: dict[_StateKey, int] = {}
         self.reach: list[int] = []
-        self.edges: list[tuple[int, ...] | None] = []
+        self.edges: list[tuple[int, ...]] = []
+        self.expanded_at: list[int] = []
 
     def intern(self, key: _StateKey) -> int:
         sid = self.ids.setdefault(key, len(self.keys))
         if sid == len(self.keys):
             self.keys.append(key)
             self.reach.append(max(key[3], key[4]))
-            self.edges.append(None)
+            self.edges.append(())
+            self.expanded_at.append(0)
         return sid
 
-    def expand(self, sid: int) -> tuple[int, ...]:
-        """The ids of the state's outputs that are not NOT_PERMISSIBLE, in RULE_ORDER.
+    def expand(self, sid: int, bound: int) -> tuple[int, ...]:
+        """The ids of the state's outputs of reach at most ``bound`` that are not NOT_PERMISSIBLE, in RULE_ORDER.
 
-        A new output is added as :meth:`intern` adds it, but by a store after
-        the one probe of ``ids`` that found it missing.
+        Records ``bound`` as the state's ``expanded_at``.  A state whose
+        ``n`` plus its tag's least rise (``_RISE``) is past ``bound`` has
+        none, and the step table is not run.  A new output is added as
+        :meth:`intern` adds it, but by a store after the one probe of
+        ``ids`` that found it missing.
         """
-        ids, keys, reach, edges = self.ids, self.keys, self.reach, self.edges
+        ids, keys, reach, edges, expanded_at = self.ids, self.keys, self.reach, self.edges, self.expanded_at
         tag, a, b, m, n = keys[sid]
         out_ids: list[int] = []
-        for key in _outputs(_STEPS[tag], a, b, m, n):
-            out_id = ids.get(key)
-            if out_id is None:
-                if _excluded(*key):
+        if n + _RISE[tag] <= bound:
+            for key in _outputs(_STEPS[tag], a, b, m, n):
+                if key[3] > bound or key[4] > bound:
                     continue
-                out_id = ids[key] = len(keys)
-                keys.append(key)
-                reach.append(max(key[3], key[4]))
-                edges.append(None)
-            out_ids.append(out_id)
+                out_id = ids.get(key)
+                if out_id is None:
+                    if _excluded(*key):
+                        continue
+                    out_id = ids[key] = len(keys)
+                    keys.append(key)
+                    reach.append(max(key[3], key[4]))
+                    edges.append(())
+                    expanded_at.append(0)
+                out_ids.append(out_id)
         out = edges[sid] = tuple(out_ids)
+        expanded_at[sid] = bound
         return out
 
 
@@ -319,15 +348,18 @@ class _Search:
 
     def find(self, target: int, states: int = -1) -> bool:
         """Expand queued states, in order, until ``target`` is discovered, the
-        queue is empty, or ``states`` states are expanded (any number when negative)."""
+        queue is empty, or ``states`` states are expanded (any number when negative).
+
+        A state's kept edges are read when it was expanded at this bound or
+        a wider one, skipping the outputs past this bound; otherwise
+        :meth:`_Graph.expand` expands it again, for this bound.
+        """
         parent, queue, bound, graph = self.parent, self.queue, self.bound, _GRAPH
-        reach, edges = graph.reach, graph.edges
+        reach, edges, expanded_at = graph.reach, graph.edges, graph.expanded_at
         while states and target not in parent and queue:
             states -= 1
             sid = queue.popleft()
-            out_ids = edges[sid]
-            if out_ids is None:
-                out_ids = graph.expand(sid)
+            out_ids = edges[sid] if expanded_at[sid] >= bound else graph.expand(sid, bound)
             for out_id in out_ids:
                 if reach[out_id] <= bound and out_id not in parent:
                     parent[out_id] = sid
@@ -414,7 +446,7 @@ def _meet_in_the_middle(bound: int, target: int) -> _Search | None:
     ``parent`` yet, and each is recorded there with its predecessor.
     """
     search = _Search(bound)
-    keys, edges = _GRAPH.keys, _GRAPH.edges
+    keys, edges, expanded_at = _GRAPH.keys, _GRAPH.edges, _GRAPH.expanded_at
     axioms: dict[tuple[str, int, int], list[_StateKey]] = {}
     for sid in search.queue:
         key = keys[sid]
@@ -439,7 +471,7 @@ def _meet_in_the_middle(bound: int, target: int) -> _Search | None:
                         frontier.append(in_key)
     sid = next(sid for sid in search.queue if keys[sid] in back)
     for distance in range(back[keys[sid]] - 1, -1, -1):
-        out_ids = edges[sid] if edges[sid] is not None else _GRAPH.expand(sid)
+        out_ids = edges[sid] if expanded_at[sid] >= bound else _GRAPH.expand(sid, bound)
         out_id = next(out_id for out_id in out_ids if back.get(keys[out_id]) == distance)
         search.parent.setdefault(out_id, sid)
         sid = out_id
@@ -462,10 +494,14 @@ def _held_search(bound: int, target: int) -> _Search | None:
 
     Why the widest search's chain is the bound's.  The graph G_b a search of
     bound b walks is the part of G_B with reach <= b, and its edges keep their
-    order; the bound-b seeds are the bound-B seeds of reach <= b, in the same
-    order and with the same family.  A parent chain is the least shortest
-    path (see :func:`_meet_in_the_middle`), so a least shortest path of G_B
-    that lies inside G_b is also G_b's, and so is each of its prefixes: the
+    order: a state's edge list made at bound B is its outputs of reach <= B
+    that are not NOT_PERMISSIBLE, in RULE_ORDER, so that list filtered by
+    reach <= b is the list made at b, in the same order, and a search reading
+    a list kept for a wider bound walks G_b too.  The bound-b seeds are the
+    bound-B seeds of reach <= b, in the same order and with the same family.
+    A parent chain is the least shortest path (see
+    :func:`_meet_in_the_middle`), so a least shortest path of G_B that lies
+    inside G_b is also G_b's, and so is each of its prefixes: the
     certificate is byte-identical.  A target that G_B does not reach, G_b
     does not reach either.  For B < b the inclusion runs the other way.
     """
@@ -736,6 +772,25 @@ class CoverageReport(NamedTuple):
         return tuple(e for e in self.entries if e.kind == kind)
 
 
+def _sweep_targets(m_max: int, n_max: int) -> list[tuple[str, ClassLabel, Format]]:
+    """The targets of a sweep, in sweep order: each PERMISSIBLE T and B format,
+    then each format's boundary H labels (:func:`boundary_classes`), sorted.
+
+    A cell is decided by the yes/no form of its verdict, so a dropped one
+    builds no verdict.
+    """
+    # The verdicts, not the loop ranges, say where T and B start.
+    formats = [make_format(m, n) for m in range(4, m_max + 1) for n in range(2, n_max + 1)]
+    targets = [
+        (kind, label, fmt)
+        for kind, label in (("T", CLASS_T), ("B", CLASS_B))
+        for fmt in formats
+        if _permissible(*_state_key(label, fmt))
+    ]
+    targets += [("H-boundary", label, fmt) for fmt in formats for label in sorted(boundary_classes(fmt))]
+    return targets
+
+
 def realize_all(m_max: int, n_max: int) -> CoverageReport:
     """Realize every permissible T and B format and every boundary H label.
 
@@ -760,15 +815,7 @@ def realize_all(m_max: int, n_max: int) -> CoverageReport:
             f"coverage sweep needs 4 <= m_max <= {DEFAULT_MAX_SEARCH} and 2 <= n_max <= {DEFAULT_MAX_SEARCH}, "
             f"got ({_decimal(m_max)}, {_decimal(n_max)})"
         )
-    # The verdicts, not the loop ranges, say where T and B start.
-    formats = [make_format(m, n) for m in range(4, m_max + 1) for n in range(2, n_max + 1)]
-    targets = [
-        (kind, label, fmt)
-        for kind, label in (("T", CLASS_T), ("B", CLASS_B))
-        for fmt in formats
-        if is_permissible(label, fmt).status is Status.PERMISSIBLE
-    ]
-    targets += [("H-boundary", label, fmt) for fmt in formats for label in sorted(boundary_classes(fmt))]
+    targets = _sweep_targets(m_max, n_max)
     bounds = [_search_bound(fmt) for _, _, fmt in targets]
     for bound in bounds:
         _search_for(bound)

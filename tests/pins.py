@@ -147,6 +147,24 @@ def sweep_replays() -> tuple[int, bool]:
 SWEEP_REPLAYS = (565, True)
 
 
+def sweep_graph() -> tuple[int, int]:
+    """The states of the shared graph, and the states discovered, after ``realize_all(14, 14)``.
+
+    Run in a process that has searched nothing before.  A state's outputs
+    enter the graph only within the bound it was expanded at, so the graph
+    holds exactly the widest (bound-20) search's discovered states; the
+    discovered count sums every held search, as the benchmark's
+    ``planner.states_discovered`` does.
+    """
+    realize_all(14, 14)
+    discovered = sum(len(search.parent) for search in planner._SEARCHES.values())
+    return len(planner._GRAPH.keys), discovered
+
+
+# Recorded when the graph still held every output of an expanded state: (19 621, 17 425).
+SWEEP_GRAPH = (16930, 17425)
+
+
 def verdict_grid() -> tuple[int, str]:
     """Verdicts and the digest of the grid up to (16,16).
 
@@ -396,6 +414,7 @@ PINS = {
     "realize-grid": (realize_grid, REALIZE_GRID),
     "realize-grid-after-sweep": (realize_grid_after_sweep, REALIZE_GRID),
     "sweep-replays": (sweep_replays, SWEEP_REPLAYS),
+    "sweep-graph": (sweep_graph, SWEEP_GRAPH),
     "verdict-grid": (verdict_grid, VERDICT_GRID),
     "cone-sweep": (cone_sweep, CONE_SWEEP),
     "classify-sweep": (classify_sweep, CLASSIFY_SWEEP),

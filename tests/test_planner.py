@@ -315,6 +315,57 @@ def test_a_sweep_reads_its_certificates_off_its_widest_search():
     assert all(_holds_only_seeds(search) for bound, search in planner._SEARCHES.items() if bound < 20)
 
 
+def test_a_sweep_graph_holds_only_what_its_widest_search_discovered():
+    # Each state is expanded at the bound that asks for it, 20 here, and its
+    # outputs past that bound enter the graph neither tested nor interned
+    # (the sweep-graph pin); at 19 621 states the graph held every output.
+    assert pins.sweep_graph() == pins.SWEEP_GRAPH
+    graph, widest = planner._GRAPH, planner._SEARCHES[20]
+    assert sorted(widest.parent) == list(range(len(graph.keys)))
+    assert set(graph.expanded_at) == {0, 20}
+
+
+def test_a_state_expanded_for_a_narrow_bound_is_expanded_again_by_a_wider_search():
+    # A lone target searched from both ends at bound 12 expands states for
+    # that bound only; the later sweep's bound-20 search expands them again,
+    # and its certificates are those of a sweep on a fresh graph.
+    def documents(report):
+        assert report.gaps == ()
+        return [certificate_to_document(cert) for cert in _certificates_of(report)]
+
+    fresh = documents(realize_all(14, 14))
+    planner._SEARCHES.clear()
+    planner._GRAPH = planner._Graph()
+    assert realize(CLASS_T, make_format(6, 6)).status is RealizeStatus.REALIZED
+    narrow = [sid for sid, bound in enumerate(planner._GRAPH.expanded_at) if bound]
+    assert narrow and {planner._GRAPH.expanded_at[sid] for sid in narrow} == {12}
+    assert documents(realize_all(14, 14)) == fresh
+    widest = planner._SEARCHES[20]
+    queued = set(widest.queue)
+    dequeued = [sid for sid in narrow if sid in widest.parent and sid not in queued]
+    assert dequeued and all(planner._GRAPH.expanded_at[sid] == 20 for sid in dequeued)
+
+
+def test_target_listings_equal_the_verdicts():
+    # boundary_classes and a sweep's T and B listing decide each cell by the
+    # yes/no form of its verdict; they list what the full verdicts list.
+    for m in range(1, 41):
+        for n in range(1, 41):
+            fmt = make_format(m, n)
+            cells = {(n - 1, q) for q in range(m - 3)} | {(p, m - 4) for p in range(n)} if m >= 4 else set()
+            labels = (class_H(p, q) for p, q in cells)
+            assert boundary_classes(fmt) == {c for c in labels if is_permissible(c, fmt).status is Status.PERMISSIBLE}
+    formats = [make_format(m, n) for m in range(4, 41) for n in range(2, 41)]
+    listed = [
+        (kind, label, fmt)
+        for kind, label in (("T", CLASS_T), ("B", CLASS_B))
+        for fmt in formats
+        if is_permissible(label, fmt).status is Status.PERMISSIBLE
+    ]
+    listed += [("H-boundary", label, fmt) for fmt in formats for label in sorted(boundary_classes(fmt))]
+    assert planner._sweep_targets(40, 40) == listed
+
+
 def test_a_narrower_search_does_not_answer_a_wider_bound():
     # The bound-8 search, run to exhaustion, reaches H(2,2) at (6,7) by a
     # 2-step chain, but not by the least shortest path of bound 13.
@@ -440,8 +491,9 @@ def test_compiled_steps_equal_apply_rule(monkeypatch):
     # Every state up to slots 12 and format (16,16), opaque ones too: the
     # graph's outputs are apply_rule's, rule by rule, in RULE_ORDER, and the
     # transition linkrules._transition builds for each edge is apply_rule's,
-    # by the first rule reaching its output.  No state is excluded here, so
-    # every accepted step shows as an edge.
+    # by the first rule reaching its output.  No state is excluded here, and
+    # bound 19 admits every output of a format up to (16,16), so every
+    # accepted step shows as an edge.
     monkeypatch.setattr(planner, "_excluded", lambda *key: False)
     labels = (
         [OPAQUE, CLASS_T, CLASS_B, CLASS_C3]
@@ -469,7 +521,7 @@ def test_compiled_steps_equal_apply_rule(monkeypatch):
                 steps = _STEPS[label.tag]
                 assert {step[0]: out for step in steps if (out := _outputs((step,), label.a, label.b, m, n))} == alone
                 sid = graph.intern(planner._state_key(label, fmt))
-                outputs = graph.expand(sid)
+                outputs = graph.expand(sid, 19)
                 transitions = [_transition(graph.keys[sid], graph.keys[out_id]) for out_id in outputs]
                 got = [(RULE_ORDER.index(t.rule), planner._state_key(*t.output_state)) for t in transitions]
                 assert got == expected, (str(label), str(fmt))
@@ -631,17 +683,26 @@ def test_a_sweep_compares_each_step_with_its_replay(monkeypatch):
 
 
 def test_no_rule_output_of_the_sweep_is_not_permissible():
-    # The graph interns only outputs that are not NOT_PERMISSIBLE.  On the
-    # (20,20) sweep none is, so every rule output of every expanded state is
-    # an edge.  An output that is NOT_PERMISSIBLE would be a rule contradicting
-    # an obstruction, which the search would otherwise route around silently.
+    # The graph interns only outputs that are not NOT_PERMISSIBLE, and only
+    # those within the bound a state was expanded at.  Here every rule output
+    # of every expanded state, within its bound or past it, is computed anew:
+    # on the (20,20) sweep none is NOT_PERMISSIBLE, and the edges are exactly
+    # the outputs within the bound.  An output that is NOT_PERMISSIBLE would
+    # be a rule contradicting an obstruction, which the search would
+    # otherwise route around silently.
     realize_all(20, 20)
     graph = planner._GRAPH
-    assert len(graph.keys) == 64523
-    for sid, edges in enumerate(graph.edges):
-        if edges is not None:
+    assert len(graph.keys) == 57321
+    expanded = 0
+    for sid, bound in enumerate(graph.expanded_at):
+        if bound:
+            expanded += 1
             tag, a, b, m, n = graph.keys[sid]
-            assert [graph.ids.get(key) for key in _outputs(_STEPS[tag], a, b, m, n)] == list(edges), graph.keys[sid]
+            outputs = _outputs(_STEPS[tag], a, b, m, n)
+            assert not any(planner._excluded(*key) for key in outputs), graph.keys[sid]
+            within = [graph.ids[key] for key in outputs if max(key[3], key[4]) <= bound]
+            assert within == list(graph.edges[sid]), graph.keys[sid]
+    assert expanded > 0
     assert not any(planner._excluded(*key) for key in graph.keys if key[0] != OPAQUE.tag)
 
 
