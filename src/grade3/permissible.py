@@ -198,8 +198,8 @@ def _excluded(tag: str, a: int, b: int, m: int, n: int) -> bool:
 
     Runs the same rules of the tag and stops at the first one broken.  The
     planner asks it about each new rule output within the bound it expands
-    for, without building the label and format, and leaves a refused one out
-    of its graph.
+    for, without building the label and format, and does not record a
+    refused one.
     """
     for _ in (_OBSTRUCTIONS.get(tag) or _unknown_tag(tag))(a, b, m, n):
         return True

@@ -20,23 +20,21 @@ the axioms per bound, :class:`_Search`, and answers its targets widest bound
 first.  The widest search answers every target it has discovered along a
 parent chain within the target's bound, and a target it cannot reach at all;
 a narrower search leaves its seeds only for the other targets
-(:func:`_held_search`).  Every search walks one successor graph shared by
-the whole process, :class:`_Graph`, into which no NOT_PERMISSIBLE rule
-output enters, and each state's outputs only as far as the widest bound
-that expanded it.  Sharing does not change certificates: a state's outputs
-and exclusion do not depend on the bound, an edge list kept for a wider
-bound, read within a narrower one, is that bound's own, and each bound
+(:func:`_held_search`).  A search walks state keys: it runs the step table
+on a state when it expands it, and records the outputs within its own bound
+that it has not discovered and that are not NOT_PERMISSIBLE.  A state's
+outputs and their exclusion do not depend on the bound, and each bound
 expands its states, and each state's outputs, in one fixed order.  Each
 search builds its certificates' steps from the same step table and keeps
 them, so a shared prefix is built once.  A lone target, whose bound no
 search of the process covers or whose class no rule outputs (C(3), G(r)),
 is searched from both ends instead (:func:`_meet_in_the_middle`): backward
 from the target by the step table read in reverse, forward from the axioms
-over the shared graph, a level at a time.  No step reads backwards into
-C(3) or G(r), so their search ends after one backward step unless the
-target is an axiom, where a held search would run to exhaustion.  Both
-searches end in a forward search whose parent map reaches the target, and
-every certificate is read off it.  While a sweep runs,
+a level at a time, in a search the process does not keep.  No step reads
+backwards into C(3) or G(r), so their search ends after one backward step
+unless the target is an axiom, where a held search would run to
+exhaustion.  Both searches end in a forward search whose parent map reaches
+the target, and every certificate is read off it.  While a sweep runs,
 :func:`verify_certificate` keeps the replay of each step it has checked, so
 a prefix that the sweep's certificates share is replayed once.
 """
@@ -244,126 +242,58 @@ _RISE: dict[str, int] = {
 }
 
 
-class _Graph:
-    """Interned states and their rule outputs, shared by every search bound.
+class _Search:
+    """Resumable breadth-first search over state keys, within one bound.
 
     A state is its integer key ``(tag, a, b, m, n)`` (see
-    :func:`grade3.linkrules._state_key`), numbered in order of first sight;
-    labels and formats are built only for the states of a certificate.
-    ``reach[sid]`` is the larger coordinate of the state's format, which
-    each bound's search compares with its own bound.  A state's outputs are
-    computed, in ``RULE_ORDER``, by ``linkrules._outputs`` on the run of
-    ``linkrules._STEPS`` for the state's tag, and kept only as far as the
-    bound that asked for them: ``edges[sid]`` holds the ids of the outputs
-    of reach at most ``expanded_at[sid]``, the widest bound the state was
-    expanded at (0, and no edges, until some search expands it).  A search
-    of a bound no wider reads that list and skips the outputs past its own
-    bound; a wider one expands the state again.  Within one sweep, which
-    asks its widest bound first, each state is expanded once.  ``expand``
-    tests an output with the yes/no :func:`grade3.permissible._excluded`,
-    which builds no verdict, when it first meets it within the bound, and
-    never interns a refused one (it asks again if it meets one again; the
-    (20,20) sweep meets none).  An output past the bound is neither tested
-    nor interned.  Axioms and targets are interned untested: no axiom within
-    the default cap is NOT_PERMISSIBLE, and :func:`realize` refuses such a
-    target first.  The rule of an edge is not kept;
-    ``linkrules._transition`` finds it again, from the same steps, for the
-    few edges a certificate takes.
-    """
-
-    def __init__(self) -> None:
-        self.keys: list[_StateKey] = []
-        self.ids: dict[_StateKey, int] = {}
-        self.reach: list[int] = []
-        self.edges: list[tuple[int, ...]] = []
-        self.expanded_at: list[int] = []
-
-    def intern(self, key: _StateKey) -> int:
-        sid = self.ids.setdefault(key, len(self.keys))
-        if sid == len(self.keys):
-            self.keys.append(key)
-            self.reach.append(max(key[3], key[4]))
-            self.edges.append(())
-            self.expanded_at.append(0)
-        return sid
-
-    def expand(self, sid: int, bound: int) -> tuple[int, ...]:
-        """The ids of the state's outputs of reach at most ``bound`` that are not NOT_PERMISSIBLE, in RULE_ORDER.
-
-        Records ``bound`` as the state's ``expanded_at``.  A state whose
-        ``n`` plus its tag's least rise (``_RISE``) is past ``bound`` has
-        none, and the step table is not run.  A new output is added as
-        :meth:`intern` adds it, but by a store after the one probe of
-        ``ids`` that found it missing.
-        """
-        ids, keys, reach, edges, expanded_at = self.ids, self.keys, self.reach, self.edges, self.expanded_at
-        tag, a, b, m, n = keys[sid]
-        out_ids: list[int] = []
-        if n + _RISE[tag] <= bound:
-            for key in _outputs(_STEPS[tag], a, b, m, n):
-                if key[3] > bound or key[4] > bound:
-                    continue
-                out_id = ids.get(key)
-                if out_id is None:
-                    if _excluded(*key):
-                        continue
-                    out_id = ids[key] = len(keys)
-                    keys.append(key)
-                    reach.append(max(key[3], key[4]))
-                    edges.append(())
-                    expanded_at.append(0)
-                out_ids.append(out_id)
-        out = edges[sid] = tuple(out_ids)
-        expanded_at[sid] = bound
-        return out
-
-
-_GRAPH = _Graph()
-
-
-class _Search:
-    """Resumable breadth-first search over the shared graph, within one bound.
-
-    ``parent`` maps each discovered state id to the id of the state it was
-    first reached from, by the first rule in RULE_ORDER that reaches it, and
-    each axiom to the id of the family that seeded it.  The expansion
-    sequence for a given bound is a pure function of the bound, so resuming
-    a search later (for a different target) assigns the same parents as a
-    fresh exhaustive run would.  ``steps`` maps each state a certificate
-    has passed through to the transition into it from its parent, so the
-    certificates of one bound build each shared prefix once.
+    :func:`grade3.linkrules._state_key`); labels and formats are built only
+    for the states of a certificate.  ``parent`` maps each discovered state
+    to the state it was first reached from, by the first rule in RULE_ORDER
+    that reaches it, and each axiom to the id of the family that seeded it.
+    Expanding a state computes its outputs, in RULE_ORDER, by
+    ``linkrules._outputs`` on the run of ``linkrules._STEPS`` for its tag,
+    and records each one that lies within the bound, is not yet discovered
+    and is not :func:`grade3.permissible._excluded`, the yes/no test, which
+    builds no verdict; an output past the bound is not tested.  Axioms are
+    not tested: no axiom within the default cap is NOT_PERMISSIBLE.  The
+    rule of an edge is not kept; ``linkrules._transition`` finds it again,
+    from the same steps, for the few edges a certificate takes.  The
+    expansion sequence for a given bound is a pure function of the bound, so
+    resuming a search later (for a different target) assigns the same
+    parents as a fresh exhaustive run would.  ``steps`` maps each state a
+    certificate has passed through to the transition into it from its
+    parent, so the certificates of one bound build each shared prefix once.
     """
 
     def __init__(self, bound: int) -> None:
         self.bound = bound
-        self.parent: dict[int, int | str] = {}
-        self.steps: dict[int, Transition] = {}
-        self.queue: deque[int] = deque()
+        self.parent: dict[_StateKey, _StateKey | str] = {}
+        self.steps: dict[_StateKey, Transition] = {}
+        self.queue: deque[_StateKey] = deque()
         for family in _SEED_ORDER:
             for state in family.instances(bound):
-                sid = _GRAPH.intern(_state_key(*state))
-                if sid not in self.parent:
-                    self.parent[sid] = family.family_id
-                    self.queue.append(sid)
+                key = _state_key(*state)
+                if key not in self.parent:
+                    self.parent[key] = family.family_id
+                    self.queue.append(key)
 
-    def find(self, target: int, states: int = -1) -> bool:
+    def find(self, target: _StateKey | None, states: int = -1) -> bool:
         """Expand queued states, in order, until ``target`` is discovered, the
         queue is empty, or ``states`` states are expanded (any number when negative).
 
-        A state's kept edges are read when it was expanded at this bound or
-        a wider one, skipping the outputs past this bound; otherwise
-        :meth:`_Graph.expand` expands it again, for this bound.
+        A state whose ``n`` plus its tag's least rise (``_RISE``) is past the
+        bound has no output within it, and the step table is not run.
         """
-        parent, queue, bound, graph = self.parent, self.queue, self.bound, _GRAPH
-        reach, edges, expanded_at = graph.reach, graph.edges, graph.expanded_at
+        parent, queue, bound = self.parent, self.queue, self.bound
         while states and target not in parent and queue:
             states -= 1
-            sid = queue.popleft()
-            out_ids = edges[sid] if expanded_at[sid] >= bound else graph.expand(sid, bound)
-            for out_id in out_ids:
-                if reach[out_id] <= bound and out_id not in parent:
-                    parent[out_id] = sid
-                    queue.append(out_id)
+            tag, a, b, m, n = key = queue.popleft()
+            if n + _RISE[tag] > bound:
+                continue
+            for out in _outputs(_STEPS[tag], a, b, m, n):
+                if out[3] <= bound and out[4] <= bound and out not in parent and not _excluded(*out):
+                    parent[out] = key
+                    queue.append(out)
         return target in parent
 
 
@@ -375,7 +305,7 @@ _STEPS_INTO: dict[str, tuple[tuple[str, tuple], ...]] = {
 
 
 def _inputs(key: _StateKey, bound: int, axioms: dict[tuple[str, int, int], list[_StateKey]]) -> Iterator[_StateKey]:
-    """The states within ``bound`` that have an edge of the graph into ``key``.
+    """The states within ``bound`` that a search of that bound takes to ``key`` in one step.
 
     A step sends ``(a, b)`` at ``(m, n)`` to ``(n+3-t2, m-t1)``, so its input
     format is ``(n'+t1, m'-3+t2)``; an output slot copied from an input slot
@@ -383,8 +313,8 @@ def _inputs(key: _StateKey, bound: int, axioms: dict[tuple[str, int, int], list[
     leaves the input slot free.  A free slot of T or B is 0, and of H ranges
     over ``p <= min(m-1, n+1)`` and ``q <= min(m-2, n)``: every other H(p,q)
     at ``(m, n)`` breaks ``H-m-below-p-or-q`` or ``H-n-below-p-or-q`` and is
-    no state of the graph.  A state of a tag no rule outputs is in the graph
-    only as an axiom, so such inputs are the bound's axiom instances,
+    no state a search records.  A search meets a state of a tag no rule
+    outputs only as an axiom, so such inputs are the bound's axiom instances,
     ``axioms`` by ``(tag, m, n)``.  Every other candidate must not be
     :func:`_excluded` (no axiom is, so testing one, which the forward search
     never does, changes nothing), and its step's forward evaluation must give
@@ -417,7 +347,7 @@ def _inputs(key: _StateKey, bound: int, axioms: dict[tuple[str, int, int], list[
                     yield (in_tag, p, q, in_m, in_n)
 
 
-def _meet_in_the_middle(bound: int, target: int) -> _Search | None:
+def _meet_in_the_middle(bound: int, target: _StateKey) -> _Search | None:
     """A :class:`_Search` ``(bound)`` whose ``parent`` reaches ``target`` as a full run's would, or None.
 
     The search runs from both ends.  The forward side is a :class:`_Search`
@@ -443,24 +373,25 @@ def _meet_in_the_middle(bound: int, target: int) -> _Search | None:
     when each step takes the first output whose distance is one less, which
     always exists and still completes a shortest path.  Each state of that
     tail lies deeper than F_i, the forward side's last level, so none is in
-    ``parent`` yet, and each is recorded there with its predecessor.
+    ``parent`` yet, and each is recorded there with its predecessor.  A state
+    the backward side knows lies within the bound and is not
+    NOT_PERMISSIBLE, so the tail reads the met state's outputs off the step
+    table whole: the first at the right distance is one the search records.
     """
     search = _Search(bound)
-    keys, edges, expanded_at = _GRAPH.keys, _GRAPH.edges, _GRAPH.expanded_at
     axioms: dict[tuple[str, int, int], list[_StateKey]] = {}
-    for sid in search.queue:
-        key = keys[sid]
+    for key in search.queue:
         if key[0] not in _OUTPUT_TAGS:
             axioms.setdefault((key[0], key[3], key[4]), []).append(key)
-    back = {keys[target]: 0}
-    frontier = [keys[target]]
+    back = {target: 0}
+    frontier = [target]
     depth = 0
     # A new level of either side can only meet the forward side's last level, its queue.
-    while not any(keys[sid] in back for sid in search.queue):
+    while not any(key in back for key in search.queue):
         if not search.queue or not frontier:
             return None
         if len(search.queue) <= len(frontier):
-            search.find(-1, len(search.queue))  # the next level; no state is -1
+            search.find(None, len(search.queue))  # the next level; no state is None
         else:
             depth += 1
             reached, frontier = frontier, []
@@ -469,12 +400,11 @@ def _meet_in_the_middle(bound: int, target: int) -> _Search | None:
                     if in_key not in back:
                         back[in_key] = depth
                         frontier.append(in_key)
-    sid = next(sid for sid in search.queue if keys[sid] in back)
-    for distance in range(back[keys[sid]] - 1, -1, -1):
-        out_ids = edges[sid] if expanded_at[sid] >= bound else _GRAPH.expand(sid, bound)
-        out_id = next(out_id for out_id in out_ids if back.get(keys[out_id]) == distance)
-        search.parent.setdefault(out_id, sid)
-        sid = out_id
+    key = next(key for key in search.queue if key in back)
+    for distance in range(back[key] - 1, -1, -1):
+        out = next(out for out in _outputs(_STEPS[key[0]], *key[1:]) if back.get(out) == distance)
+        search.parent.setdefault(out, key)
+        key = out
     return search
 
 
@@ -484,7 +414,7 @@ def _meet_in_the_middle(bound: int, target: int) -> _Search | None:
 _SEARCHES: dict[int, _Search] = {}
 
 
-def _held_search(bound: int, target: int) -> _Search | None:
+def _held_search(bound: int, target: _StateKey) -> _Search | None:
     """A search whose ``parent`` reaches ``target`` as a full run of ``_Search(bound)``'s would, or None.
 
     The widest held search, of bound B >= ``bound``, answers when it has
@@ -493,12 +423,12 @@ def _held_search(bound: int, target: int) -> _Search | None:
     search is resumed, or the search runs from both ends.
 
     Why the widest search's chain is the bound's.  The graph G_b a search of
-    bound b walks is the part of G_B with reach <= b, and its edges keep their
-    order: a state's edge list made at bound B is its outputs of reach <= B
-    that are not NOT_PERMISSIBLE, in RULE_ORDER, so that list filtered by
-    reach <= b is the list made at b, in the same order, and a search reading
-    a list kept for a wider bound walks G_b too.  The bound-b seeds are the
-    bound-B seeds of reach <= b, in the same order and with the same family.
+    bound b walks has the states of reach <= b that are not NOT_PERMISSIBLE,
+    and an edge from each to each of its outputs among them, in RULE_ORDER.
+    A state's outputs and their exclusion do not depend on the bound, so G_b
+    is the part of G_B with reach <= b, and its edges keep their order.  The
+    bound-b seeds are the bound-B seeds of reach <= b, in the same order and
+    with the same family.
     A parent chain is the least shortest path (see
     :func:`_meet_in_the_middle`), so a least shortest path of G_B that lies
     inside G_b is also G_b's, and so is each of its prefixes: the
@@ -507,11 +437,11 @@ def _held_search(bound: int, target: int) -> _Search | None:
     """
     widest = _SEARCHES[max(_SEARCHES)] if _SEARCHES else None
     if widest is not None and widest.bound >= bound:
-        parent, reach, sid = widest.parent, _GRAPH.reach, target
-        if sid in parent:
-            while isinstance(sid, int) and reach[sid] <= bound:
-                sid = parent[sid]
-            if not isinstance(sid, int):
+        parent, key = widest.parent, target
+        if key in parent:
+            while isinstance(key, tuple) and max(key[3], key[4]) <= bound:
+                key = parent[key]
+            if isinstance(key, str):
                 return widest
         elif not widest.queue:
             return None
@@ -580,17 +510,17 @@ def _not_found_detail(label: ClassLabel) -> str:
     return "no derivation reaches this target from the axiom registry within the search bound"
 
 
-def _certificate_from(search: _Search, target: int) -> DerivationCertificate:
-    parent, memo, keys = search.parent, search.steps, _GRAPH.keys
+def _certificate_from(search: _Search, target: _StateKey) -> DerivationCertificate:
+    parent, memo = search.parent, search.steps
     steps_reversed: list[Transition] = []
     cursor = target
-    while isinstance(prev := parent[cursor], int):
+    while isinstance(prev := parent[cursor], tuple):
         if cursor not in memo:
-            memo[cursor] = _transition(keys[prev], keys[cursor])
+            memo[cursor] = _transition(prev, cursor)
         steps_reversed.append(memo[cursor])
         cursor = prev
-    axiom = Axiom(prev, *_state_of(keys[cursor]), _FAMILY_BY_ID[prev].cite)
-    return DerivationCertificate(axiom, tuple(reversed(steps_reversed)), _state_of(keys[target]))
+    axiom = Axiom(prev, *_state_of(cursor), _FAMILY_BY_ID[prev].cite)
+    return DerivationCertificate(axiom, tuple(reversed(steps_reversed)), _state_of(target))
 
 
 def realize(
@@ -631,7 +561,7 @@ def realize(
             RealizeStatus.NOT_FOUND,
             detail=f"target format {fmt} exceeds the search cap {max_coordinate}",
         )
-    target = _GRAPH.intern(_state_key(label, fmt))
+    target = _state_key(label, fmt)
     search = _held_search(bound, target) if label.tag in _OUTPUT_TAGS else _meet_in_the_middle(bound, target)
     if search is None:
         return RealizationResult(RealizeStatus.NOT_FOUND, detail=_not_found_detail(label))

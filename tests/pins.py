@@ -148,20 +148,20 @@ SWEEP_REPLAYS = (565, True)
 
 
 def sweep_graph() -> tuple[int, int]:
-    """The states of the shared graph, and the states discovered, after ``realize_all(14, 14)``.
+    """The states the widest search discovered, and the states every held search discovered, after ``realize_all(14, 14)``.
 
-    Run in a process that has searched nothing before.  A state's outputs
-    enter the graph only within the bound it was expanded at, so the graph
-    holds exactly the widest (bound-20) search's discovered states; the
-    discovered count sums every held search, as the benchmark's
+    Run in a process that has searched nothing before.  The widest search is
+    the bound-20 one, which answers every target of the sweep; the second
+    count sums every held search, as the benchmark's
     ``planner.states_discovered`` does.
     """
     realize_all(14, 14)
-    discovered = sum(len(search.parent) for search in planner._SEARCHES.values())
-    return len(planner._GRAPH.keys), discovered
+    searches = planner._SEARCHES
+    return len(searches[max(searches)].parent), sum(len(search.parent) for search in searches.values())
 
 
-# Recorded when the graph still held every output of an expanded state: (19 621, 17 425).
+# Recorded as (states of a successor graph all searches shared, discovered)
+# when that graph held exactly the widest search's states.
 SWEEP_GRAPH = (16930, 17425)
 
 

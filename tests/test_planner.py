@@ -43,12 +43,10 @@ import pins
 
 @pytest.fixture(autouse=True)
 def _fresh_search_cache():
-    # The shared graph leaves out NOT_PERMISSIBLE outputs, which a test may have forced.
+    # A held search leaves out NOT_PERMISSIBLE outputs, which a test may have forced.
     planner._SEARCHES.clear()
-    planner._GRAPH = planner._Graph()
     yield
     planner._SEARCHES.clear()
-    planner._GRAPH = planner._Graph()
 
 
 # ------------------------------------------------------------- base families
@@ -89,7 +87,7 @@ def test_family_instances_satisfy_contains():
 
 
 def test_family_instances_are_permissible_or_opaque():
-    # The search graph tests only rule outputs, never an axiom, so no axiom
+    # The search tests only rule outputs, never an axiom, so no axiom
     # within the default search cap may be NOT_PERMISSIBLE.
     for family in BASE_FAMILIES:
         for label, fmt in family.instances(planner.DEFAULT_MAX_SEARCH):
@@ -308,42 +306,25 @@ def _holds_only_seeds(search):
 
 def test_a_sweep_reads_its_certificates_off_its_widest_search():
     # Every certificate of the (14,14) sweep is a parent chain of the bound-20
-    # search, so no narrower search leaves its seeds.
+    # search, so no narrower search leaves its seeds (the sweep-graph pin).
     assert realize_all(14, 14).gaps == ()
     assert sorted(planner._SEARCHES) == list(range(10, 21))
-    assert sum(len(search.parent) for search in planner._SEARCHES.values()) == 17425
+    discovered = sum(len(search.parent) for search in planner._SEARCHES.values())
+    assert (len(planner._SEARCHES[20].parent), discovered) == pins.SWEEP_GRAPH
     assert all(_holds_only_seeds(search) for bound, search in planner._SEARCHES.items() if bound < 20)
 
 
-def test_a_sweep_graph_holds_only_what_its_widest_search_discovered():
-    # Each state is expanded at the bound that asks for it, 20 here, and its
-    # outputs past that bound enter the graph neither tested nor interned
-    # (the sweep-graph pin); at 19 621 states the graph held every output.
-    assert pins.sweep_graph() == pins.SWEEP_GRAPH
-    graph, widest = planner._GRAPH, planner._SEARCHES[20]
-    assert sorted(widest.parent) == list(range(len(graph.keys)))
-    assert set(graph.expanded_at) == {0, 20}
-
-
-def test_a_state_expanded_for_a_narrow_bound_is_expanded_again_by_a_wider_search():
-    # A lone target searched from both ends at bound 12 expands states for
-    # that bound only; the later sweep's bound-20 search expands them again,
-    # and its certificates are those of a sweep on a fresh graph.
+def test_a_lone_search_before_a_sweep_leaves_its_certificates_unchanged():
+    # A lone target searched from both ends at bound 12 before a sweep leaves
+    # the sweep's certificates as they are in a process that searched nothing.
     def documents(report):
         assert report.gaps == ()
         return [certificate_to_document(cert) for cert in _certificates_of(report)]
 
     fresh = documents(realize_all(14, 14))
     planner._SEARCHES.clear()
-    planner._GRAPH = planner._Graph()
     assert realize(CLASS_T, make_format(6, 6)).status is RealizeStatus.REALIZED
-    narrow = [sid for sid, bound in enumerate(planner._GRAPH.expanded_at) if bound]
-    assert narrow and {planner._GRAPH.expanded_at[sid] for sid in narrow} == {12}
     assert documents(realize_all(14, 14)) == fresh
-    widest = planner._SEARCHES[20]
-    queued = set(widest.queue)
-    dequeued = [sid for sid in narrow if sid in widest.parent and sid not in queued]
-    assert dequeued and all(planner._GRAPH.expanded_at[sid] == 20 for sid in dequeued)
 
 
 def test_target_listings_equal_the_verdicts():
@@ -373,8 +354,7 @@ def test_a_narrower_search_does_not_answer_a_wider_bound():
     lone = realize(label, fmt)
     narrow = planner._search_for(8)
     narrow.find(-1)
-    target = planner._GRAPH.ids[planner._state_key(label, fmt)]
-    chain = planner._certificate_from(narrow, target)
+    chain = planner._certificate_from(narrow, planner._state_key(label, fmt))
     assert len(chain.steps) == 2 and chain != lone.certificate
     assert realize(label, fmt) == lone
     assert list(planner._SEARCHES) == [8]
@@ -388,11 +368,10 @@ def test_a_chain_that_leaves_the_bound_falls_back():
     assert len(lone.certificate.steps) == 5
     realize_all(14, 14)
     widest = planner._SEARCHES[20]
-    target = planner._GRAPH.ids[planner._state_key(label, fmt)]
-    chain, sid = [], target
-    while isinstance(sid, int):
-        chain.append(planner._GRAPH.reach[sid])
-        sid = widest.parent[sid]
+    chain, key = [], planner._state_key(label, fmt)
+    while isinstance(key, tuple):
+        chain.append(max(key[3], key[4]))
+        key = widest.parent[key]
     assert len(chain) == 5 and max(chain) == 9
     assert realize(label, fmt, max_coordinate=8) == lone
     assert 8 not in planner._SEARCHES
@@ -407,6 +386,39 @@ def test_an_exhausted_wider_search_answers_not_found_without_expanding():
     planner._SEARCHES[20].find(-1)
     assert realize(label, fmt) == lone
     assert _holds_only_seeds(planner._SEARCHES[16])
+
+
+def _holds_search_state(value, depth=4):
+    """Whether ``value`` is a search or a state key, or holds one within ``depth`` levels."""
+    if isinstance(value, planner._Search):
+        return True
+    if type(value) is tuple and len(value) == 5 and type(value[0]) is str:
+        return all(type(field) is int for field in value[1:])
+    if not depth:
+        return False
+    if isinstance(value, dict):
+        return any(_holds_search_state(item, depth - 1) for pair in value.items() for item in pair)
+    if isinstance(value, (list, tuple, set, frozenset, collections.deque)):
+        return any(_holds_search_state(item, depth - 1) for item in value)
+    if type(value).__module__ == planner.__name__ and hasattr(value, "__dict__"):
+        return _holds_search_state(vars(value), depth - 1)
+    return False
+
+
+def test_a_lone_realize_keeps_no_search_state():
+    # Outside a sweep the planner keeps nothing of a search (ROADMAP item 6):
+    # a realized lone target, a NOT_FOUND H target and a G(r) target each
+    # search from both ends, and no module-level value keeps that search.
+    names = set(vars(planner))
+    assert realize(class_H(5, 0), make_format(8, 6)).status is RealizeStatus.REALIZED
+    assert realize(class_H(0, 0), make_format(10, 10)).status is RealizeStatus.NOT_FOUND
+    assert realize(class_G(5), make_format(8, 6)).status is RealizeStatus.NOT_FOUND
+    assert planner._SEARCHES == {}
+    assert set(vars(planner)) == names
+    assert [name for name, value in vars(planner).items() if _holds_search_state(value)] == []
+    # The walk sees a held search.
+    planner._search_for(10)
+    assert [name for name, value in vars(planner).items() if _holds_search_state(value)] == ["_SEARCHES"]
 
 
 def _realize_from_sweep_search(label, fmt, cap=planner.DEFAULT_MAX_SEARCH):
@@ -487,20 +499,18 @@ def test_certificates_chain_states_consecutively():
     assert state == cert.target
 
 
-def test_compiled_steps_equal_apply_rule(monkeypatch):
+def test_compiled_steps_equal_apply_rule():
     # Every state up to slots 12 and format (16,16), opaque ones too: the
-    # graph's outputs are apply_rule's, rule by rule, in RULE_ORDER, and the
-    # transition linkrules._transition builds for each edge is apply_rule's,
-    # by the first rule reaching its output.  No state is excluded here, and
-    # bound 19 admits every output of a format up to (16,16), so every
-    # accepted step shows as an edge.
-    monkeypatch.setattr(planner, "_excluded", lambda *key: False)
+    # step table's outputs within bound 19 are apply_rule's, rule by rule, in
+    # RULE_ORDER, and the transition linkrules._transition builds for each
+    # edge is apply_rule's, by the first rule reaching its output.  Bound 19
+    # admits every output of a format up to (16,16), so every accepted step
+    # shows as an edge.
     labels = (
         [OPAQUE, CLASS_T, CLASS_B, CLASS_C3]
         + [class_G(r) for r in range(2, 13)]
         + [class_H(p, q) for p in range(13) for q in range(13)]
     )
-    graph = planner._Graph()
     accepted = shared = 0
     for m in range(1, 17):
         for n in range(1, 17):
@@ -520,9 +530,9 @@ def test_compiled_steps_equal_apply_rule(monkeypatch):
                 # Each step evaluated alone gives apply_rule's output, or nothing where it refuses.
                 steps = _STEPS[label.tag]
                 assert {step[0]: out for step in steps if (out := _outputs((step,), label.a, label.b, m, n))} == alone
-                sid = graph.intern(planner._state_key(label, fmt))
-                outputs = graph.expand(sid, 19)
-                transitions = [_transition(graph.keys[sid], graph.keys[out_id]) for out_id in outputs]
+                key = planner._state_key(label, fmt)
+                outputs = [out for out in _outputs(steps, label.a, label.b, m, n) if max(out[3], out[4]) <= 19]
+                transitions = [_transition(key, out) for out in outputs]
                 got = [(RULE_ORDER.index(t.rule), planner._state_key(*t.output_state)) for t in transitions]
                 assert got == expected, (str(label), str(fmt))
                 assert transitions == [apply_rule(t.rule, label, fmt) for t in transitions]
@@ -544,7 +554,6 @@ def test_rules_rebuilt_with_wrapped_callables_keep_certificates(monkeypatch):
 
     before = documents()
     planner._SEARCHES.clear()
-    planner._GRAPH = planner._Graph()
     calls = collections.Counter()
 
     def counting(name, fn):
@@ -575,7 +584,6 @@ def test_a_rule_replaced_after_import_changes_the_replay_not_the_certificate(mon
     before = certificate_to_document(realize(label, fmt).certificate)
     assert "linkT-i" in [step["rule"] for step in before["steps"]]
     planner._SEARCHES.clear()
-    planner._GRAPH = planner._Graph()
     wrong = dataclasses.replace(RULES["linkT-i"], out_class=lambda c: class_H(2, 1))
     monkeypatch.setitem(RULES, "linkT-i", wrong)
     cert = realize(label, fmt).certificate
@@ -683,27 +691,26 @@ def test_a_sweep_compares_each_step_with_its_replay(monkeypatch):
 
 
 def test_no_rule_output_of_the_sweep_is_not_permissible():
-    # The graph interns only outputs that are not NOT_PERMISSIBLE, and only
-    # those within the bound a state was expanded at.  Here every rule output
-    # of every expanded state, within its bound or past it, is computed anew:
-    # on the (20,20) sweep none is NOT_PERMISSIBLE, and the edges are exactly
-    # the outputs within the bound.  An output that is NOT_PERMISSIBLE would
-    # be a rule contradicting an obstruction, which the search would
-    # otherwise route around silently.
+    # A search records only outputs that are not NOT_PERMISSIBLE, and only
+    # those within its bound.  Here every rule output of every state the
+    # (20,20) sweep's bound-26 search discovered, within the bound or past
+    # it, is computed anew: none is NOT_PERMISSIBLE, and each state the
+    # search expanded has every output within the bound discovered.  An
+    # output that is NOT_PERMISSIBLE would be a rule contradicting an
+    # obstruction, which the search would otherwise route around silently.
     realize_all(20, 20)
-    graph = planner._GRAPH
-    assert len(graph.keys) == 57321
+    widest = planner._SEARCHES[26]
+    assert len(widest.parent) == 57321
+    queued = set(widest.queue)
     expanded = 0
-    for sid, bound in enumerate(graph.expanded_at):
-        if bound:
+    for key in widest.parent:
+        outputs = _outputs(_STEPS[key[0]], *key[1:])
+        assert not any(planner._excluded(*out) for out in outputs), key
+        if key not in queued:
             expanded += 1
-            tag, a, b, m, n = graph.keys[sid]
-            outputs = _outputs(_STEPS[tag], a, b, m, n)
-            assert not any(planner._excluded(*key) for key in outputs), graph.keys[sid]
-            within = [graph.ids[key] for key in outputs if max(key[3], key[4]) <= bound]
-            assert within == list(graph.edges[sid]), graph.keys[sid]
+            assert all(out in widest.parent for out in outputs if max(out[3], out[4]) <= 26), key
     assert expanded > 0
-    assert not any(planner._excluded(*key) for key in graph.keys if key[0] != OPAQUE.tag)
+    assert not any(planner._excluded(*key) for key in widest.parent if key[0] != OPAQUE.tag)
 
 
 @pytest.mark.parametrize("index, rerouted", [(1, True), (0, False)])
@@ -712,7 +719,7 @@ def test_search_routes_around_a_not_permissible_state(monkeypatch, index, rerout
     # certificate is made so where the search tests its states.  The search
     # then finds another route of the same length, or none when every route
     # runs through H(2,0) at (8,3); from both ends, and from a sweep's
-    # search, each on a fresh graph, since the graph keeps the outputs it tested.
+    # search, each in a process that holds no search.
     label, fmt = class_H(5, 0), make_format(8, 6)
     cert = realize(label, fmt).certificate
     blocked = cert.steps[index].output_state
@@ -721,7 +728,6 @@ def test_search_routes_around_a_not_permissible_state(monkeypatch, index, rerout
     monkeypatch.setattr(planner, "_excluded", lambda *key: key == blocked_key or excluded(*key))
     for search in (realize, _realize_from_sweep_search):
         planner._SEARCHES.clear()
-        planner._GRAPH = planner._Graph()
         result = search(label, fmt)
         if rerouted:
             assert result.status is RealizeStatus.REALIZED

@@ -355,7 +355,7 @@ print(repr(eval(sys.argv[2], vars(grade3))))
 )
 def test_a_record_that_equals_a_valid_one_is_refused_before_any_cache(malformed, valid, error):
     # ClassLabel("H", 1.0, 0) equals H(1,0), and hashes like it, in the verdict
-    # cache and the planner's graph; ClassLabel("T", 1, 2) is no label at all.
+    # cache and the planner's searches; ClassLabel("T", 1, 2) is no label at all.
     # Each is refused, and the valid call after it, in a fresh process that
     # no earlier call has filled a cache in, gives the valid answer.
     _refused_then_valid(malformed, valid, error)
@@ -391,7 +391,7 @@ def test_a_record_that_equals_a_valid_one_is_refused_before_any_cache(malformed,
 )
 def test_a_record_no_constructor_makes_is_refused_before_any_cache(malformed, valid, error):
     # A slot or field out of range, which no constructor makes, is refused
-    # before the verdict cache or the planner's graph sees it, in a fresh process.
+    # before the verdict cache or the planner's searches see it, in a fresh process.
     _refused_then_valid(malformed, valid, error)
 
 
