@@ -99,6 +99,11 @@ def LinkSpec(t1: int, phi2_unit: bool = False) -> RankProfile:
     return RankProfile(t1, 1 if phi2_unit else 0, 0)
 
 
+# Outside the unit case the products among e_1..e_t1 must have rank 0; the
+# pairs to rank, by row (none for t1 <= 1, and the unit case reads e_1 e_2 alone).
+_DESIGNATED = {LinkSpec(2): ((1, 2),), LinkSpec(3): ((1, 2), (1, 3), (2, 3))}
+
+
 class LinkedPresentation(NamedTuple):
     """Result of one mapping-cone simulation.
 
@@ -118,12 +123,16 @@ class LinkedPresentation(NamedTuple):
 def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPresentation:
     """Simulate one link of a (valid) multiplication table along a profile row.
 
-    The split vectors, the index maps, the surviving Koszul products and the
-    symbolic slots depend on the format and the row alone.  They are worked
-    out before any product, once per (format, row) while consecutive links
-    share it, and the maps are copied into each result, which owns every
-    dict it holds; then each product term of the input is written once,
-    straight to its output index.
+    What depends on the row alone is looked up, not worked out: whether the
+    row is supported (a hash test) and which products among the designated
+    generators are ranked.  What depends on the format and the row alone,
+    the split vectors, the index maps, the surviving Koszul products and the
+    symbolic slots, is worked out by :func:`_frame` before any product, once
+    per (format, row) while consecutive links share it.  Once per call: the
+    checks on the table, a copy of each index map, so that each result owns
+    every dict it holds, and each product term of the input, written once,
+    straight to its output index.  At ``t1 = 0`` no product has a designated
+    factor, so none is read, but both fields must still be mappings.
 
     Like :func:`~grade3.presentation.classify`, it refuses a non-table, needs a table that
     :func:`~grade3.presentation.validate_presentation` accepts, and checks
@@ -165,7 +174,8 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
             raise Phi2Mismatch("unit-product case needs e_1 e_2 = f_1 exactly")
         # Outside the unit case t2 must be 0.  It is the rank of the products among
         # e_1..e_t1, not their count: a hand-built table may store e_1 e_2 = {1: 0}.
-        designated = [a.ee[k] for k in ((1, 2), (1, 3), (2, 3)) if not phi2 and k[1] <= t1 and k in a.ee]
+        pairs = _DESIGNATED.get(row)
+        designated = pairs and [a.ee[k] for k in pairs if k in a.ee]
         t2 = sparse_rank(designated) if designated else 0
         if t2:
             raise UnsupportedSpec(f"the products among e_1..e_{t1} have rank {t2}: the table needs row ({t1},{t2},0)")
@@ -183,23 +193,29 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
         # hand-built table may hold them) are skipped, so none is stored.
         out_ee: dict[tuple[int, int], dict[int, int]] = {pair: {target: 1} for pair, target in koszul}
         out_ef: dict[tuple[int, int], dict[int, int]] = {}
-        lo = 2 if phi2 else 1
-        # Products of a designated generator with a degree-1 vector:
-        # E_{n+a} E_i = sum_k <e_a f_k, g_i*> F_k, stored at (i, n+a) with the
-        # graded-commutativity sign.
-        for (ei, fl), vec in a.ef.items():
-            if ei <= t1 and fl >= lo:
-                for gi, coeff in vec.items():
-                    if coeff:
-                        out_ee.setdefault((e_map[gi], e_map[n + ei]), {})[f_map[fl]] = -coeff
+        if not t1:
+            # No generator is designated, so neither loop below would keep a
+            # term and only the Koszul products are left; but a field that is
+            # not a mapping is refused on this row too.
+            a.ef.items(), a.ee.items()
+        else:
+            lo = 2 if phi2 else 1
+            # Products of a designated generator with a degree-1 vector:
+            # E_{n+a} E_i = sum_k <e_a f_k, g_i*> F_k, stored at (i, n+a) with the
+            # graded-commutativity sign.
+            for (ei, fl), vec in a.ef.items():
+                if ei <= t1 and fl >= lo:
+                    for gi, coeff in vec.items():
+                        if coeff:
+                            out_ee.setdefault((e_map[gi], e_map[n + ei]), {})[f_map[fl]] = -coeff
 
-        # Products of a designated generator with a degree-2 vector:
-        # E_{n+a} F_l = sum_{k > t1} <e_a e_k, f_l*> G_k.
-        for (x, y), vec in a.ee.items():
-            if x <= t1 < y:
-                for fl, coeff in vec.items():
-                    if coeff and fl >= lo:
-                        out_ef.setdefault((e_map[n + x], f_map[fl]), {})[g_map[y]] = coeff
+            # Products of a designated generator with a degree-2 vector:
+            # E_{n+a} F_l = sum_{k > t1} <e_a e_k, f_l*> G_k.
+            for (x, y), vec in a.ee.items():
+                if x <= t1 < y:
+                    for fl, coeff in vec.items():
+                        if coeff and fl >= lo:
+                            out_ef.setdefault((e_map[n + x], f_map[fl]), {})[g_map[y]] = coeff
 
         # Unit-product case only: E_i F_{m+n+2} = sum_{k > 2} <f_1 e_k, g_i*> G_k.
         if phi2:
@@ -217,10 +233,10 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
         ) from None
 
     return LinkedPresentation(
-        presentation=TorPresentation(len(e_map), len(g_map), out_ee, out_ef),
-        splits=splits,
-        index_map={"E": dict(e_map), "F": dict(f_map), "G": dict(g_map)},
-        symbolic_products=symbolic,
+        TorPresentation(len(e_map), len(g_map), out_ee, out_ef),
+        splits,
+        {"E": e_map.copy(), "F": f_map.copy(), "G": g_map.copy()},
+        symbolic,
     )
 
 
@@ -236,9 +252,10 @@ def _frame(m: int, n: int, t1: int, phi2: bool) -> tuple:
     Returns ``(e_map, f_map, g_map, koszul, splits, symbolic)``: the maps from
     kept raw indices to consecutive ones per degree, the surviving Koszul
     products among ``u_1 .. u_3`` as ``((i, j), target)`` in output indices,
-    the split basis vectors and the symbolic slots.  The result is memoized
-    and shared, so :func:`mapping_cone_presentation` copies the maps into
-    each result and never writes to them.
+    the split basis vectors and the symbolic slots.  It is computed once per
+    (format, row) while consecutive links share them, not once per link: the
+    result is memoized and shared, so :func:`mapping_cone_presentation`
+    copies the maps into each result and never writes to them.
     """
     # The split vectors are runs at known ends: G_1..G_t1, F_{m+n}..F_{m+n+t1-1}
     # and, in the unit case, F_1 and E_{n+3}.  So each kept basis is a range,
@@ -321,12 +338,17 @@ class TheoremReport(NamedTuple):
         return all(res.passed for res in self.results)
 
 
-def _canonical_labels(fmt: Format) -> list[ClassLabel]:
+def _canonical_labels(fmt: Format) -> dict[str, list[ClassLabel]]:
     """Every class label except C(3) whose canonical table fits a format with
-    ``m >= 4``: T, B, G(2..m) and H(p,q) for ``p < m``, ``q <= n``."""
+    ``m >= 4``, by tag in listing order: T, B, G(2..m) and H(p,q) for
+    ``p < m``, ``q <= n``."""
     m, n = fmt.m, fmt.n
-    h_labels = [class_H(p, q) for p in range(m) for q in range(n + 1)]
-    return [CLASS_T, CLASS_B, *map(class_G, range(2, m + 1)), *h_labels]
+    return {
+        "T": [CLASS_T],
+        "B": [CLASS_B],
+        "G": [*map(class_G, range(2, m + 1))],
+        "H": [class_H(p, q) for p in range(m) for q in range(n + 1)],
+    }
 
 
 def _sweep_label_count(m_max: int, n_max: int) -> int:
@@ -378,6 +400,10 @@ def _sweep(m_max: int, n_max: int) -> Iterator[tuple[LinkageRule, _Witness, Iter
     ``((label, fmt), key)``: for each format with ``4 <= m <= m_max`` and
     ``1 <= n <= n_max``, every canonical label the rule's step accepts there,
     with the key ``(tag, a, b, m, n)`` of the step's output state.
+
+    Once per sweep, each format's canonical labels are listed, grouped by
+    tag; once per rule, :func:`~grade3.linkrules._rule_outputs` picks the
+    tags its step accepts, so a row is listed only for a label of such a tag.
     """
     formats = [
         (fmt, _canonical_labels(fmt))
@@ -388,10 +414,26 @@ def _sweep(m_max: int, n_max: int) -> Iterator[tuple[LinkageRule, _Witness, Iter
             yield rule, _witnesses(rule), _rule_outputs(rule.rule_id, formats)
 
 
+# One format's slots are kept: the replay lists a rule's rows format by format.
+@lru_cache(maxsize=1)
+def _x_y_slots(m: int, n: int) -> frozenset[tuple[str, int, int]]:
+    """The X and Y families of symbolic slots of a three-generator link in format ``(m, n)``."""
+    return frozenset(
+        (
+            *(("EE", i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)),
+            *(("EF", i, l) for i in range(1, n + 1) for l in range(1, m + n)),
+        )
+    )
+
+
 def _check_linkH_v(lp: LinkedPresentation, label: ClassLabel, fmt: Format, expected: ClassLabel) -> list[str]:
     """Special checks for the three-generator row on its H-v witness:
     determinate products are exactly E_{n+1} F_i = G_{i+3} for i <= p,
-    everything else is symbolic, and the determinate part is ``expected``."""
+    everything else is symbolic, and the determinate part is ``expected``.
+
+    The expected slots depend on the format alone and are listed once per
+    format by :func:`_x_y_slots`; the products are checked once per row.
+    """
     problems: list[str] = []
     m, n, p = fmt.m, fmt.n, label.p
     out = lp.presentation
@@ -401,9 +443,7 @@ def _check_linkH_v(lp: LinkedPresentation, label: ClassLabel, fmt: Format, expec
     expected_ef = {(n + 1, i): {i: 1} for i in range(1, p + 1)}
     if dict(out.ef) != expected_ef:
         problems.append(f"determinate ef products differ: {dict(out.ef)} != {expected_ef}")
-    want_symbolic = {("EE", i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-    want_symbolic |= {("EF", i, l) for i in range(1, n + 1) for l in range(1, m + n)}
-    if set(lp.symbolic_products) != want_symbolic:
+    if set(lp.symbolic_products) != _x_y_slots(m, n):
         problems.append("symbolic product slots differ from the expected X/Y families")
     decided = _class_label(out)
     if decided != expected:
@@ -431,6 +471,17 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
     to the rule's previous classified one takes that one's label, so each
     run of equal consecutive valid outputs is classified once; every row
     still gets its own checks and failure line.
+
+    Work is done once for what it depends on.  Once per sweep, each format's
+    labels are listed by tag; once per rule, its row and whether it is the
+    H-v row are read, and :func:`_sweep` visits only the tags its step
+    accepts; once per (rule, label), the witness is built; once per (format,
+    row), the cone's :func:`_frame`; once per format, the H-v check's
+    expected slots.  Once per row: one :func:`mapping_cone_presentation`
+    call and one :func:`~grade3.presentation.validate_presentation` call,
+    each looked up in this module, so that a wrapper or a patch of either
+    sees every row, and the compares of the output with the key's integers.
+
     A witness its builder refuses, or a link the cone refuses (any
     :class:`~grade3.errors.Grade3Error`), is that row's failure line,
     ``{label} at {fmt}: witness refused: {message}`` or
@@ -452,6 +503,7 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
         checked = 0
         failures: list[str] = []
         note = ""
+        row, h_v = rule.profile, rule.witness == "H-v"
         # The rule's last classified output and its label.  Consecutive inputs
         # often link to the same table (linktoT, linkG-i, linkG-ii, linkH-i and
         # linkH-iii read only the designated generators' products), so an
@@ -461,6 +513,7 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
         last_out, last_label = None, None
         for (label, fmt), key in rows:
             checked += 1
+            tag, a, b, out_m, out_n = key
             # Failure lines open with "{label} at {fmt}: ", worded only when a
             # check fails; so is the expected state, read from its key.
             try:
@@ -469,7 +522,7 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
                 failures.append(f"{label} at {fmt}: witness refused: {exc}")
                 continue
             try:
-                lp = mapping_cone_presentation(table, rule.profile)
+                lp = mapping_cone_presentation(table, row)
             except Grade3Error as exc:
                 failures.append(f"{label} at {fmt}: link refused: {exc}")
                 continue
@@ -478,10 +531,10 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
             if diags:
                 failures.append(f"{label} at {fmt}: invalid output table: {diags[0]}")
                 continue
-            if (out.m, out.n) != key[3:]:
+            if out.m != out_m or out.n != out_n:
                 failures.append(f"{label} at {fmt}: output format {out.fmt} != {_state_of(key)[1]}")
                 continue
-            if rule.witness == "H-v":
+            if h_v:
                 expected = _state_of(key)[0]
                 failures.extend(f"{label} at {fmt}: {p}" for p in _check_linkH_v(lp, label, fmt, expected))
                 note = "determinate products, X/Y slots, and H(0,p) class checked"
@@ -490,7 +543,7 @@ def verify_linkage_theorems(m_max: int = _DEFAULT_SWEEP[0], n_max: int = _DEFAUL
                 last_out, last_label = out, _class_label(out)
             # A ClassLabel is the named tuple (tag, a, b), so it equals the
             # key's first three slots exactly when it is the expected label.
-            if last_label != key[:3]:
+            if last_label != (tag, a, b):
                 failures.append(f"{label} at {fmt}: classified {last_label}, expected {_state_of(key)[0]}")
         results.append(
             ScenarioResult(scenario=rule.rule_id, checked=checked, failures=tuple(failures), note=note)

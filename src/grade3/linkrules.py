@@ -40,7 +40,7 @@ rule's step; the two ``ext-`` rules import published constructions instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DocumentError,
@@ -114,6 +114,7 @@ class RankProfile(_Row):
 
 # The supported rows; the cone links along exactly these.
 SUPPORTED_PROFILES = tuple(RankProfile(*row) for row in ((0, 0, 0), (1, 0, 0), (2, 0, 0), (2, 1, 0), (3, 0, 0)))
+_SUPPORTED = frozenset(SUPPORTED_PROFILES)  # the same rows, tested by hash once per link
 
 
 def _require_supported(row: object, error: type[Grade3Error]) -> None:
@@ -122,8 +123,11 @@ def _require_supported(row: object, error: type[Grade3Error]) -> None:
     included, as :func:`grade3.errors._require` words it; then worded as the
     :func:`grade3.cone.LinkSpec` arguments when that builds the row, else naming it."""
     _require(row, RankProfile, error)
-    if row in SUPPORTED_PROFILES:
-        return
+    try:
+        if row in _SUPPORTED:
+            return
+    except TypeError:  # an unhashable field, which only _make or _replace can put there
+        pass
     if row.t2 in (0, 1) and row.t3 == 0:
         raise error(f"link spec (t1={_decimal(row.t1)}, phi2_unit={row.t2 == 1}) is not supported")
     raise error(f"rank profile ({', '.join(map(_decimal, row))}) is outside the supported table")
@@ -401,17 +405,23 @@ def _transition(key: _StateKey, out_key: _StateKey) -> Transition:
 
 
 def _rule_outputs(
-    rule_id: str, formats: Iterable[tuple[Format, list[ClassLabel]]]
+    rule_id: str, formats: Iterable[tuple[Format, Mapping[str, Sequence[ClassLabel]]]]
 ) -> Iterator[tuple[State, _StateKey]]:
     """Each state ``(label, fmt)`` of ``formats``, in order, that the rule's
     step accepts, with the step's output key ``(tag, a, b, m, n)``;
-    :func:`_state_of` reads it as a state."""
+    :func:`_state_of` reads it as a state.
+
+    ``formats`` lists each format with its labels grouped by tag, so that
+    the labels of a tag the rule does not accept are never visited.
+    """
     runs = {tag: tuple(step for step in steps if step[0] == rule_id) for tag, steps in _STEPS.items()}
-    for fmt, labels in formats:
-        for label in labels:
-            if run := runs[label.tag]:  # most labels have a tag the rule does not accept
-                for key in _outputs(run, label.a, label.b, fmt.m, fmt.n):
-                    yield (label, fmt), key
+    for fmt, by_tag in formats:
+        m, n = fmt
+        for tag, labels in by_tag.items():
+            if run := runs[tag]:
+                for label in labels:
+                    for key in _outputs(run, label.a, label.b, m, n):
+                        yield (label, fmt), key
 
 
 def apply_rule(rule_id: str, label: ClassLabel, fmt: Format) -> Transition:

@@ -17,9 +17,10 @@ the two searches below found it.
 
 A sweep (:func:`realize_all`) holds one forward breadth-first search from
 the axioms per bound, :class:`_Search`, and answers its targets widest bound
-first.  The widest search answers every target it has discovered along a
-parent chain within the target's bound, and a target it cannot reach at all;
-a narrower search leaves its seeds only for the other targets
+first.  The widest search, resumed until it discovers the target or runs
+out, answers every target it reaches along a parent chain within the
+target's bound, and a target it cannot reach at all; a narrower search
+leaves its seeds only for a target whose chain there leaves its bound
 (:func:`_held_search`).  A search walks state keys: it runs the step table
 on a state when it expands it, and records the outputs within its own bound
 that it has not discovered and that are not NOT_PERMISSIBLE.  A state's
@@ -417,10 +418,11 @@ _SEARCHES: dict[int, _Search] = {}
 def _held_search(bound: int, target: _StateKey) -> _Search | None:
     """A search whose ``parent`` reaches ``target`` as a full run of ``_Search(bound)``'s would, or None.
 
-    The widest held search, of bound B >= ``bound``, answers when it has
-    discovered ``target`` along a parent chain within ``bound``, and gives
-    None when it has not and its queue is empty; else the bound's own held
-    search is resumed, or the search runs from both ends.
+    The widest held search, of bound B >= ``bound``, is resumed until it
+    has discovered ``target`` or its queue is empty.  It gives None when it
+    has not discovered it, and answers when its parent chain to ``target``
+    lies within ``bound``; else the bound's own held search is resumed, or
+    the search runs from both ends.
 
     Why the widest search's chain is the bound's.  The graph G_b a search of
     bound b walks has the states of reach <= b that are not NOT_PERMISSIBLE,
@@ -437,14 +439,13 @@ def _held_search(bound: int, target: _StateKey) -> _Search | None:
     """
     widest = _SEARCHES[max(_SEARCHES)] if _SEARCHES else None
     if widest is not None and widest.bound >= bound:
-        parent, key = widest.parent, target
-        if key in parent:
-            while isinstance(key, tuple) and max(key[3], key[4]) <= bound:
-                key = parent[key]
-            if isinstance(key, str):
-                return widest
-        elif not widest.queue:
+        if not widest.find(target):
             return None
+        parent, key = widest.parent, target
+        while isinstance(key, tuple) and max(key[3], key[4]) <= bound:
+            key = parent[key]
+        if isinstance(key, str):
+            return widest
     search = _SEARCHES.get(bound)
     if search is None:
         return _meet_in_the_middle(bound, target)

@@ -165,6 +165,29 @@ def sweep_graph() -> tuple[int, int]:
 SWEEP_GRAPH = (16930, 17425)
 
 
+def sweep_graph_odd() -> tuple[int, int, int]:
+    """The widest bound, the states its search discovered, and the narrower held searches that discovered more than their seeds, after ``realize_all(13, 13)``.
+
+    Run in a process that has searched nothing before.  An odd sweep asks
+    for targets of the second-widest bound before the widest search has
+    discovered them; that search is resumed for them, so no narrower one
+    grows past its seeds.
+    """
+    realize_all(13, 13)
+    searches = planner._SEARCHES
+    widest = max(searches)
+    grown = sum(
+        not all(isinstance(parent, str) for parent in search.parent.values())
+        for bound, search in searches.items()
+        if bound < widest
+    )
+    return widest, len(searches[widest].parent), grown
+
+
+# Before the widest search was resumed for them, the bound-18 search grew to 10 047 states.
+SWEEP_GRAPH_ODD = (19, 11835, 0)
+
+
 def verdict_grid() -> tuple[int, str]:
     """Verdicts and the digest of the grid up to (16,16).
 
@@ -415,6 +438,7 @@ PINS = {
     "realize-grid-after-sweep": (realize_grid_after_sweep, REALIZE_GRID),
     "sweep-replays": (sweep_replays, SWEEP_REPLAYS),
     "sweep-graph": (sweep_graph, SWEEP_GRAPH),
+    "sweep-graph-odd": (sweep_graph_odd, SWEEP_GRAPH_ODD),
     "verdict-grid": (verdict_grid, VERDICT_GRID),
     "cone-sweep": (cone_sweep, CONE_SWEEP),
     "classify-sweep": (classify_sweep, CLASSIFY_SWEEP),

@@ -226,17 +226,20 @@ def test_refused_rows_say_what_was_refused():
 
 def test_a_row_built_around_the_constructor_is_refused_everywhere():
     # _replace skips the constructor's check, as Format(...) skips
-    # make_format's; a row with a negative t2 is named, not worded by LinkSpec.
-    row = RankProfile(1, 0, 0)._replace(t2=-1)
-    message = "rank profile (1, -1, 0) is outside the supported table"
+    # make_format's; a row with a negative t2 is named, not worded by LinkSpec,
+    # and a row with a field that cannot be hashed is refused too.
     table = canonical_presentation(CLASS_T, make_format(4, 3))
-    for error, refuse in (
-        (UnsupportedProfile, lambda: link_option_format(make_format(6, 3), row)),
-        (UnsupportedSpec, lambda: mapping_cone_presentation(table, row)),
+    for row, message in (
+        (RankProfile(1, 0, 0)._replace(t2=-1), "rank profile (1, -1, 0) is outside the supported table"),
+        (RankProfile(1, 0, 0)._replace(t1=[1]), "link spec (t1=[1], phi2_unit=False) is not supported"),
     ):
-        with pytest.raises(error) as exc:
-            refuse()
-        assert str(exc.value) == message
+        for error, refuse in (
+            (UnsupportedProfile, lambda: link_option_format(make_format(6, 3), row)),
+            (UnsupportedSpec, lambda: mapping_cone_presentation(table, row)),
+        ):
+            with pytest.raises(error) as exc:
+                refuse()
+            assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(
@@ -251,6 +254,16 @@ def test_an_index_outside_the_format_is_refused(ee, ef, index):
     with pytest.raises(DimensionMismatch) as exc:
         mapping_cone_presentation(TorPresentation(4, 3, ee, ef), LinkSpec(1))
     assert str(exc.value) == f"a product names index {index}, which is outside the bases of a table in format (4,3)"
+
+
+@pytest.mark.parametrize("row", SUPPORTED_PROFILES)
+def test_a_field_that_is_not_a_mapping_is_refused_on_every_row(row):
+    # At t1 = 0 no product has a designated factor, so none is read; a field
+    # that is not a mapping is still refused there, as on every other row.
+    unit = {(1, 2): {1: 1}} if row.t2 else {}  # the unit row checks e_1 e_2 = f_1 first
+    for ee, ef in ((unit, None), (None, {}), (unit, [1]), ("x", {})):
+        with pytest.raises(DimensionMismatch, match="^TorPresentation has a field of the wrong type"):
+            mapping_cone_presentation(TorPresentation(4, 3, ee, ef), row)
 
 
 def test_phi2_needs_unit_product():
@@ -357,9 +370,10 @@ def test_theorem_sweep_label_count_matches_the_label_lists():
     for m_max in range(5, 13):
         for n_max in range(1, 11):
             listed = sum(
-                len(_canonical_labels(make_format(m, n)))
+                len(labels)
                 for m in range(4, m_max + 1)
                 for n in range(1, n_max + 1)
+                for labels in _canonical_labels(make_format(m, n)).values()
             )
             assert _sweep_label_count(m_max, n_max) == listed, (m_max, n_max)
 
@@ -546,7 +560,7 @@ def test_witness_builders_place_products_without_reading_the_format():
     # The replay's witness memo rests on this: for a label of the sweep (C(3)
     # is in none), a builder that accepts a format accepts every format at
     # least as large in both m and n, with the same products.
-    labels = _canonical_labels(make_format(10, 8))
+    labels = [label for labels in _canonical_labels(make_format(10, 8)).values() for label in labels]
     formats = [make_format(m, n) for m in range(1, 14) for n in range(1, 9)]  # H-v holds H(9,q) from m = 12
     pairs = 0
     for name, tag, build in _witness_builders():

@@ -314,6 +314,26 @@ def test_a_sweep_reads_its_certificates_off_its_widest_search():
     assert all(_holds_only_seeds(search) for bound, search in planner._SEARCHES.items() if bound < 20)
 
 
+def test_an_odd_sweep_resumes_its_widest_search_for_the_targets_it_has_not_discovered():
+    # At (7,7) the targets of bound 12 are asked before the bound-13 search has
+    # discovered them.  It is resumed for them, so the bound-12 search keeps
+    # its seeds (it grew to 962 states when it answered them instead), and
+    # every answer is the one a lone realize, searched from both ends, gives.
+    report = realize_all(7, 7)
+    assert sorted(planner._SEARCHES) == [10, 11, 12, 13]
+    assert all(_holds_only_seeds(search) for bound, search in planner._SEARCHES.items() if bound < 13)
+    swept = [realize(entry.label, entry.fmt) for entry in report.entries]
+    planner._SEARCHES.clear()
+    lone = [realize(entry.label, entry.fmt) for entry in report.entries]
+    assert swept == lone
+    assert [entry.status for entry in report.entries] == [result.status for result in lone]
+
+
+def test_an_odd_sweep_holds_only_its_widest_search_past_its_seeds():
+    # The sweep-graph-odd pin, as CI checks it on every Python.
+    assert pins.sweep_graph_odd() == pins.SWEEP_GRAPH_ODD
+
+
 def test_a_lone_search_before_a_sweep_leaves_its_certificates_unchanged():
     # A lone target searched from both ends at bound 12 before a sweep leaves
     # the sweep's certificates as they are in a process that searched nothing.
