@@ -224,7 +224,9 @@ def mapping_cone_presentation(a: TorPresentation, row: RankProfile) -> LinkedPre
                     for gi, coeff in vec.items():
                         if coeff:
                             out_ef.setdefault((e_map[gi], f_map[m + n + 2]), {})[g_map[ek]] = coeff
-    except (AttributeError, TypeError) as exc:
+    except Grade3Error:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:  # ValueError: a product key that is not a pair
         raise DimensionMismatch._malformed(a, exc) from None
     except KeyError as missing:
         raise DimensionMismatch(

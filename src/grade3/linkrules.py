@@ -16,10 +16,11 @@ the text of its rejection), its output tag and two output slots as data,
 and its profile row, whose formula is its output format.  The rule's
 ``check``, ``out_class`` and ``out_format`` are built from that statement,
 and at import one integer step table.  :func:`_outputs` evaluates any run of
-that table on a state without building labels: the planner passes a tag's
-run to expand a state, :func:`_transition` one step at a time to build a
-certificate step, and ``verify-theorems`` one rule's step through
-:func:`_rule_outputs`, whose output keys it compares as integers.  The
+that table on a state without building labels: :func:`_transition` passes
+one step at a time to build a certificate step, and ``verify-theorems`` one
+rule's step through :func:`_rule_outputs`, whose output keys it compares as
+integers.  The planner's forward search expands a state by evaluating its
+tag's run in its own loop, with :func:`_outputs` as the reference.  The
 planner's search from both ends also reads the table backwards:
 ``planner._STEPS_INTO`` lists, per output tag, the steps into it, and
 ``planner._inputs`` passes one of them at a time with a candidate input
@@ -137,8 +138,9 @@ def _require_supported(row: object, error: type[Grade3Error]) -> None:
 # explicit links of artinian monomial ideals by pure-power regular sequences,
 # every table computed from Koszul homology, the linked format was this one on
 # each of the rows (0,0,0), (1,0,0), (2,0,0), (2,1,0), (3,0,0), (3,1,0),
-# (3,2,0) and (3,3,0).  Those links did not measure t3.  ``_outputs`` inlines
-# it on its hot path; the compiled steps are checked against ``apply_rule``.
+# (3,2,0) and (3,3,0).  Those links did not measure t3.  ``_outputs`` and the
+# planner's forward search inline it on their hot paths; the compiled steps
+# are checked against ``apply_rule``.
 def _row_format(t1: int, t2: int, m: int, n: int) -> tuple[int, int]:
     return n + 3 - t2, m - t1
 
@@ -387,19 +389,27 @@ def _outputs(steps: tuple[tuple, ...], a: int, b: int, m: int, n: int) -> list[_
     return outputs
 
 
+# The step table by row: per state tag, per row ``(t1, t2)``, the steps of that
+# row, in RULE_ORDER.
+_STEPS_BY_ROW: dict[str, dict[tuple[int, int], tuple[tuple, ...]]] = {
+    tag: {row: tuple(step for step in steps if step[2:4] == row) for row in {step[2:4] for step in steps}}
+    for tag, steps in _STEPS.items()
+}
+
+
 def _transition(key: _StateKey, out_key: _StateKey) -> Transition:
     """The step from the state ``key`` to ``out_key`` by the first rule, in RULE_ORDER, that takes it there.
 
-    Only the steps whose row sends the format of ``key`` to that of
-    ``out_key`` are evaluated, by :func:`_outputs`; any other step's output
-    has another format.
+    An edge's two formats fix its row: a row sends ``(m, n)`` to ``(n + 3 -
+    t2, m - t1)``, so ``(t1, t2) = (m - n', n + 3 - m')``.  Only the steps of
+    that row, read from ``_STEPS_BY_ROW``, are evaluated, by
+    :func:`_outputs`, and the first whose output is ``out_key`` is kept; any
+    other step's output has another format.
     """
     tag, a, b, m, n = key
-    out_format = out_key[3:]
+    _, _, _, out_m, out_n = out_key
     step = next(
-        step
-        for step in _STEPS[tag]
-        if _row_format(step[2], step[3], m, n) == out_format and _outputs((step,), a, b, m, n) == [out_key]
+        step for step in _STEPS_BY_ROW[tag][m - out_n, n + 3 - out_m] if _outputs((step,), a, b, m, n) == [out_key]
     )
     return Transition(step[0], _state_of(key), _state_of(out_key), step[1])
 

@@ -251,19 +251,22 @@ class _Search:
     for the states of a certificate.  ``parent`` maps each discovered state
     to the state it was first reached from, by the first rule in RULE_ORDER
     that reaches it, and each axiom to the id of the family that seeded it.
-    Expanding a state computes its outputs, in RULE_ORDER, by
-    ``linkrules._outputs`` on the run of ``linkrules._STEPS`` for its tag,
-    and records each one that lies within the bound, is not yet discovered
-    and is not :func:`grade3.permissible._excluded`, the yes/no test, which
-    builds no verdict; an output past the bound is not tested.  Axioms are
-    not tested: no axiom within the default cap is NOT_PERMISSIBLE.  The
-    rule of an edge is not kept; ``linkrules._transition`` finds it again,
-    from the same steps, for the few edges a certificate takes.  The
-    expansion sequence for a given bound is a pure function of the bound, so
-    resuming a search later (for a different target) assigns the same
-    parents as a fresh exhaustive run would.  ``steps`` maps each state a
-    certificate has passed through to the transition into it from its
-    parent, so the certificates of one bound build each shared prefix once.
+    Expanding a state runs the steps of ``linkrules._STEPS`` for its tag, in
+    RULE_ORDER, in one pass (see :meth:`find`), and records each output that
+    lies within the bound, is not yet discovered and is not
+    :func:`grade3.permissible._excluded`, the yes/no test, which builds no
+    verdict; an output past the bound is not tested.  The outputs it records
+    are those of ``linkrules._outputs`` on the same run, in the same order,
+    kept within the bound: that function stays the reference evaluator of
+    the step table.  Axioms are not tested: no axiom within the default cap
+    is NOT_PERMISSIBLE.  The rule of an edge is not kept;
+    ``linkrules._transition`` finds it again, from the same steps, for the
+    few edges a certificate takes.  The expansion sequence for a given bound
+    is a pure function of the bound, so resuming a search later (for a
+    different target) assigns the same parents as a fresh exhaustive run
+    would.  ``steps`` maps each state a certificate has passed through to
+    the transition into it from its parent, so the certificates of one bound
+    build each shared prefix once.
     """
 
     def __init__(self, bound: int) -> None:
@@ -283,7 +286,14 @@ class _Search:
         queue is empty, or ``states`` states are expanded (any number when negative).
 
         A state whose ``n`` plus its tag's least rise (``_RISE``) is past the
-        bound has no output within it, and the step table is not run.
+        bound has no output within it, and the step table is not run.  Else
+        each step of its tag is evaluated here, as ``linkrules._outputs``
+        evaluates it, and builds no list: the output format comes first, from
+        the step's row, and a step whose output format is past the bound, or
+        has ``n' < 1``, is dropped before its guards are called; ``m' = n +
+        3 - t2`` is at least 3, since every row has ``t2 <= 1``.
+        ``_excluded`` is looked up in this module's namespace on each call,
+        where a test replaces it.
         """
         parent, queue, bound = self.parent, self.queue, self.bound
         while states and target not in parent and queue:
@@ -291,10 +301,19 @@ class _Search:
             tag, a, b, m, n = key = queue.popleft()
             if n + _RISE[tag] > bound:
                 continue
-            for out in _outputs(_STEPS[tag], a, b, m, n):
-                if out[3] <= bound and out[4] <= bound and out not in parent and not _excluded(*out):
-                    parent[out] = key
-                    queue.append(out)
+            slots = (a, b, 0)
+            for _, _, t1, t2, guards, out_tag, ia, ka, ib, kb in _STEPS[tag]:
+                out_m, out_n = n + 3 - t2, m - t1
+                if out_m > bound or out_n > bound or out_n < 1:
+                    continue
+                for holds in guards:
+                    if not holds(a, b, m, n):
+                        break
+                else:
+                    out = (out_tag, slots[ia] + ka, slots[ib] + kb, out_m, out_n)
+                    if out not in parent and not _excluded(*out):
+                        parent[out] = key
+                        queue.append(out)
         return target in parent
 
 
@@ -442,7 +461,7 @@ def _held_search(bound: int, target: _StateKey) -> _Search | None:
         if not widest.find(target):
             return None
         parent, key = widest.parent, target
-        while isinstance(key, tuple) and max(key[3], key[4]) <= bound:
+        while isinstance(key, tuple) and key[3] <= bound and key[4] <= bound:
             key = parent[key]
         if isinstance(key, str):
             return widest

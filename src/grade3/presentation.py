@@ -52,7 +52,16 @@ from collections.abc import Iterable, Mapping
 from functools import partial
 from typing import NamedTuple
 
-from .errors import DimensionMismatch, DocumentError, UnknownArrangement, _decimal, _document_fields, _require, _shown
+from .errors import (
+    DimensionMismatch,
+    DocumentError,
+    Grade3Error,
+    UnknownArrangement,
+    _decimal,
+    _document_fields,
+    _require,
+    _shown,
+)
 from .exact import sparse_rank
 from .labels import (
     CLASS_B,
@@ -461,7 +470,8 @@ def classify(a: TorPresentation) -> ClassifierReport:
     ``r = q``.  Anything else gets the label ``None``.
 
     It needs a table that :func:`validate_presentation` accepts, and checks
-    only its fields' types: an invalid table can get a wrong label or none.
+    only its fields' types and that its product keys are pairs: an invalid
+    table can get a wrong label or none.
     ``TorPresentation(2, 1, {}, {(1, 1): {3: 1}, (2, 2): {1: 1}})`` (coordinate
     3 with n = 1) is called unclassifiable with r = 1 instead of refused.
     """
@@ -469,7 +479,9 @@ def classify(a: TorPresentation) -> ClassifierReport:
     try:
         p, q, r = _pqr(a)
         s1 = _s1(a)
-    except (AttributeError, TypeError) as exc:
+    except Grade3Error:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:  # ValueError: a product key that is not a pair
         raise DimensionMismatch._malformed(a, exc) from None
     return ClassifierReport(p, q, r, s1, _decide(a, p, q, r, s1))
 
@@ -582,7 +594,9 @@ def presentation_to_document(a: TorPresentation) -> dict:
             "ee": sorted([i, j, l, c] for (i, j), coords in a.ee.items() for l, c in coords.items()),
             "ef": sorted([i, l, t, c] for (i, l), coords in a.ef.items() for t, c in coords.items()),
         }
-    except (AttributeError, TypeError) as exc:
+    except Grade3Error:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:  # ValueError: a product key that is not a pair
         raise DimensionMismatch._malformed(a, exc) from None
 
 

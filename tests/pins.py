@@ -59,6 +59,7 @@ from grade3 import (
 from grade3 import cli, planner
 from grade3.cone import _sweep
 from grade3.errors import _shown
+from grade3.linkrules import _STEPS, _outputs
 
 
 def coverage_sweep() -> tuple[int, int, str]:
@@ -186,6 +187,28 @@ def sweep_graph_odd() -> tuple[int, int, int]:
 
 # Before the widest search was resumed for them, the bound-18 search grew to 10 047 states.
 SWEEP_GRAPH_ODD = (19, 11835, 0)
+
+
+def excluded_outputs() -> tuple[int, int, int]:
+    """States, rule outputs and NOT_PERMISSIBLE outputs of an exhaustive bound-34 search.
+
+    Every rule output of every state the search discovered, within the bound
+    or past it, is computed anew and tested.  A search records only outputs
+    that are not NOT_PERMISSIBLE, so one that is would be a rule
+    contradicting an obstruction, routed around silently.  Tier-1 checks the
+    same property on the bound-26 search of the (20,20) sweep.
+    """
+    search = planner._Search(34)
+    search.find(None)
+    outputs = excluded = 0
+    for key in search.parent:
+        for out in _outputs(_STEPS[key[0]], *key[1:]):
+            outputs += 1
+            excluded += planner._excluded(*out)
+    return len(search.parent), outputs, excluded
+
+
+EXCLUDED_OUTPUTS = (195705, 958221, 0)
 
 
 def verdict_grid() -> tuple[int, str]:
@@ -439,6 +462,7 @@ PINS = {
     "sweep-replays": (sweep_replays, SWEEP_REPLAYS),
     "sweep-graph": (sweep_graph, SWEEP_GRAPH),
     "sweep-graph-odd": (sweep_graph_odd, SWEEP_GRAPH_ODD),
+    "excluded-outputs": (excluded_outputs, EXCLUDED_OUTPUTS),
     "verdict-grid": (verdict_grid, VERDICT_GRID),
     "cone-sweep": (cone_sweep, CONE_SWEEP),
     "classify-sweep": (classify_sweep, CLASSIFY_SWEEP),

@@ -39,6 +39,7 @@ from grade3 import (
 from grade3 import cone
 from grade3.cone import _canonical_labels, _sweep, _sweep_label_count
 from grade3.linkrules import RULES, _STEPS, _rule_outputs
+from grade3.presentation import MAX_DOCUMENT_CELLS
 
 import pins
 
@@ -264,6 +265,33 @@ def test_a_field_that_is_not_a_mapping_is_refused_on_every_row(row):
     for ee, ef in ((unit, None), (None, {}), (unit, [1]), ("x", {})):
         with pytest.raises(DimensionMismatch, match="^TorPresentation has a field of the wrong type"):
             mapping_cone_presentation(TorPresentation(4, 3, ee, ef), row)
+
+
+@pytest.mark.parametrize("row", [row for row in SUPPORTED_PROFILES if row.t1])
+@pytest.mark.parametrize("field", ["ee", "ef"])
+@pytest.mark.parametrize("key", [(1, 2, 3), (1,)])
+def test_a_product_key_that_is_not_a_pair_is_refused_on_every_row_that_reads_products(row, field, key):
+    # Unpacking such a key raises ValueError, which is worded as a malformed table.
+    fields = {"ee": {(1, 2): {1: 1}} if row.t2 else {}, "ef": {}}  # the unit row checks e_1 e_2 = f_1 first
+    fields[field] = {**fields[field], key: {1: 1}}
+    with pytest.raises(DimensionMismatch) as exc:
+        mapping_cone_presentation(TorPresentation(4, 3, fields["ee"], fields["ef"]), row)
+    assert str(exc.value).startswith("TorPresentation has a field of the wrong type (")
+    assert "values to unpack" in str(exc.value)
+
+
+def test_the_cone_passes_the_errors_it_raises_through_unchanged():
+    # Every Grade3Error is a ValueError, which the cone catches to word a
+    # product key that is not a pair; its own refusals keep type and text.
+    for error, table, row, text in (
+        (OutOfDomain, TorPresentation(MAX_DOCUMENT_CELLS, 1, {}, {}), LinkSpec(1), "the limit is"),
+        (UnsupportedSpec, TorPresentation(1, 1, {}, {}), LinkSpec(1), "the link needs m > 1; got m = 1"),
+        (Phi2Mismatch, TorPresentation(4, 3, {}, {}), LinkSpec(2, phi2_unit=True), "needs e_1 e_2 = f_1"),
+        (DimensionMismatch, TorPresentation(4, 3, {(1, 2): [1]}, {}), LinkSpec(2), "rows must be an iterable"),
+    ):
+        with pytest.raises(error) as exc:
+            mapping_cone_presentation(table, row)
+        assert type(exc.value) is error and text in str(exc.value)
 
 
 def test_phi2_needs_unit_product():

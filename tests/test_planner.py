@@ -36,7 +36,7 @@ from grade3 import (
 )
 from grade3 import planner
 from grade3.errors import DocumentError, PreconditionViolated
-from grade3.linkrules import RULE_ORDER, RULES, _STEPS, _outputs, _transition, apply_rule
+from grade3.linkrules import RULE_ORDER, RULES, _STEPS, Transition, _outputs, _state_of, _transition, apply_rule
 
 import pins
 
@@ -560,6 +560,34 @@ def test_compiled_steps_equal_apply_rule():
                 shared += len(got) - len(first)
     assert accepted > 0
     assert shared > 0  # some outputs are reached by two rules: linkH-i and linkH-ii on H(1,0)
+
+
+def test_forward_search_and_transitions_equal_their_reference_loops():
+    # _Search.find evaluates each tag's steps in its own loop, and _transition
+    # only the steps of an edge's row.  The loops they replaced stay here as
+    # the reference: a breadth-first search on _outputs, kept within the bound
+    # and tested by planner._excluded, and a scan of all the tag's steps.
+    for bound in range(10, 21):
+        search = planner._Search(bound)
+        parent = dict(search.parent)
+        queue = collections.deque(parent)
+        while queue:
+            key = queue.popleft()
+            for out in _outputs(_STEPS[key[0]], *key[1:]):
+                if out[3] <= bound and out[4] <= bound and out not in parent and not planner._excluded(*out):
+                    parent[out] = key
+                    queue.append(out)
+        assert not search.find(None)
+        assert list(search.parent.items()) == list(parent.items()), bound
+    edges = 0
+    for key in parent:
+        for out in _outputs(_STEPS[key[0]], *key[1:]):
+            if out in parent:
+                step = next(step for step in _STEPS[key[0]] if _outputs((step,), *key[1:]) == [out])
+                expected = Transition(step[0], _state_of(key), _state_of(out), step[1])
+                assert _transition(key, out) == expected, (key, out)
+                edges += 1
+    assert (len(parent), edges) == (20362, 79866)
 
 
 def test_rules_rebuilt_with_wrapped_callables_keep_certificates(monkeypatch):

@@ -473,6 +473,31 @@ def test_table_functions_refuse_a_table_whose_products_are_not_maps(function):
     assert str(info.value).startswith("TorPresentation has a field of the wrong type (")
 
 
+@pytest.mark.parametrize("function", [classify, presentation_to_document])
+@pytest.mark.parametrize("field", ["ee", "ef"])
+@pytest.mark.parametrize("key", [(1, 2, 3), (1,)])
+def test_table_functions_refuse_a_product_key_that_is_not_a_pair(function, field, key):
+    # Unpacking such a key raises ValueError, which is worded as a malformed table.
+    fields = {"ee": {}, "ef": {}, field: {key: {1: 1}}}
+    with pytest.raises(DimensionMismatch) as info:
+        function(TorPresentation(4, 3, fields["ee"], fields["ef"]))
+    assert str(info.value).startswith("TorPresentation has a field of the wrong type (")
+    assert "values to unpack" in str(info.value)
+
+
+def test_table_functions_pass_the_errors_they_raise_through_unchanged():
+    # Every Grade3Error is a ValueError, which these functions catch to word a
+    # product key that is not a pair; their own refusals keep type and text.
+    with pytest.raises(DimensionMismatch) as info:
+        classify(TorPresentation(4, 3, {(1, 2): [1]}, {}))  # sparse_rank's refusal
+    assert str(info.value).startswith("rows must be an iterable of column -> entry maps: ")
+    with pytest.raises(DocumentError) as info:
+        presentation_to_document(TorPresentation(MAX_DOCUMENT_CELLS + 1, 1, {(1, 2): {1: 1}}, {}))
+    assert str(info.value) == (
+        f"table would hold {MAX_DOCUMENT_CELLS + 1} coefficients as dense vectors; the limit is {MAX_DOCUMENT_CELLS}"
+    )
+
+
 def test_validation_words_a_product_field_that_is_not_a_mapping():
     # Beside the problems of the other field, as for any other problem.
     ef = {(1, 1): {1: 2}, (9, 1): {1: 1}}
