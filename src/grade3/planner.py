@@ -18,20 +18,23 @@ the two searches below found it.
 A sweep (:func:`realize_all`) holds one forward breadth-first search from
 the axioms per bound, :class:`_Search`, and answers its targets widest bound
 first.  The widest search, resumed until it discovers the target or runs
-out, answers every target it reaches along a parent chain within the
-target's bound, and a target it cannot reach at all; a narrower search
-leaves its seeds only for a target whose chain there leaves its bound
-(:func:`_held_search`).  A search walks state keys: it runs the step table
-on a state when it expands it, and records the outputs within its own bound
-that it has not discovered and that are not NOT_PERMISSIBLE.  A state's
-outputs and their exclusion do not depend on the bound, and each bound
-expands its states, and each state's outputs, in one fixed order.  Each
-search builds its certificates' steps from the same step table and keeps
-them, so a shared prefix is built once.  A lone target, whose bound no
-search of the process covers or whose class no rule outputs (C(3), G(r)),
-is searched from both ends instead (:func:`_meet_in_the_middle`): backward
-from the target by the step table read in reverse, forward from the axioms
-a level at a time, in a search the process does not keep.  No step reads
+out, answers every target within its corner that it reaches along a parent
+chain within the target's bound, and such a target it cannot reach at all
+(:func:`_held_search`); the narrower searches keep their seeds.  A search
+walks state keys: it runs the step table on a state when it expands it, and
+records the outputs within its own bound that it has not discovered and
+that are not NOT_PERMISSIBLE.  It answers only targets up to a corner
+format, and records only the outputs in the region that, by a two-step
+lemma on the rulebook (see ``_MAX_T1``), holds every path to such a target.
+A state's outputs and their exclusion do not depend on the bound, and each
+bound expands its states, and each state's outputs, in one fixed order.
+Each search builds its certificates' steps from the same step table and
+keeps them, so a shared prefix is built once.  Every other target (a lone
+one, one the widest search does not answer, one whose class no rule
+outputs: C(3), G(r)) is searched from both ends instead
+(:func:`_meet_in_the_middle`): backward from the target by the step table
+read in reverse, forward from the axioms a level at a time, in a search the
+process does not keep.  No step reads
 backwards into C(3) or G(r), so their search ends after one backward step
 unless the target is an axiom, where a held search would run to
 exhaustion.  Both searches end in a forward search whose parent map reaches
@@ -242,69 +245,125 @@ _RISE: dict[str, int] = {
     for tag, steps in _STEPS.items()
 }
 
+# The region of a target's chains.  Over all steps, the largest t1 and the
+# least rise 3 - t2: a state one step before a state at (m', n') lies at
+# (n' + t1, m' - 3 + t2), so at most (n' + _MAX_T1, m' - _LEAST_RISE).
+#
+# Lemma: every state on a path, within any bound, to a target at (mx, nx)
+# lies in R(mx, nx) = {m <= mx, n <= nx} | {m <= nx + _MAX_T1, n <= mx - _LEAST_RISE}.
+# Premises, read off the rulebook and asserted by test_planner's
+# two-step and premise tests (the latter from the step table, at every
+# format up to the default cap) and the `two-step` pin:
+#   (a) every step has t1 <= 3 and t2 <= 1 (so _MAX_T1 = 3, _LEAST_RISE = 2);
+#   (b) the t1 = 3 steps are linkH-v, ext-CVW31 and ext-CVW33, whose
+#       outputs are H(0,p), H(3,2) and H(0,1); the t2 = 1 steps are
+#       linkT-iv and ext-CVW33, whose inputs are T and H(2,0);
+#   (c) the t2 = 1 steps output B and H(0,1); the t1 = 3 steps take
+#       H(p,0) with p >= 2, G(5) and H(2,0).
+# Proof.  Two steps send (m, n) to (m + 3 - t1 - t2', n + 3 - t2 - t1'),
+# so by (a) a coordinate falls only when a t1 = 3 step and a t2 = 1 step
+# follow one another, in either order.  By (b) no output of a t1 = 3 step
+# is the input of a t2 = 1 step, and by (c) no output of a t2 = 1 step is
+# the input of a t1 = 3 step.  So two steps lower neither coordinate, and
+# on a path to the target every state an even number of steps before it
+# lies at or below (mx, nx); every other state is one step before such a
+# state, so in the second set.  Hence a search that answers only targets
+# within a corner (mx, nx) loses none of their paths when it records only
+# the states of R(mx, nx) (see _Search).
+_MAX_T1 = max(step[2] for steps in _STEPS.values() for step in steps)
+_LEAST_RISE = min(_row_format(0, step[3], 0, 0)[0] for steps in _STEPS.values() for step in steps)
+
 
 class _Search:
-    """Resumable breadth-first search over state keys, within one bound.
+    """Resumable breadth-first search over state keys, within one bound and one region.
 
     A state is its integer key ``(tag, a, b, m, n)`` (see
     :func:`grade3.linkrules._state_key`); labels and formats are built only
     for the states of a certificate.  ``parent`` maps each discovered state
     to the state it was first reached from, by the first rule in RULE_ORDER
     that reaches it, and each axiom to the id of the family that seeded it.
-    Expanding a state runs the steps of ``linkrules._STEPS`` for its tag, in
-    RULE_ORDER, in one pass (see :meth:`find`), and records each output that
-    lies within the bound, is not yet discovered and is not
-    :func:`grade3.permissible._excluded`, the yes/no test, which builds no
-    verdict; an output past the bound is not tested.  The outputs it records
-    are those of ``linkrules._outputs`` on the same run, in the same order,
-    kept within the bound: that function stays the reference evaluator of
-    the step table.  Axioms are not tested: no axiom within the default cap
-    is NOT_PERMISSIBLE.  The rule of an edge is not kept;
-    ``linkrules._transition`` finds it again, from the same steps, for the
-    few edges a certificate takes.  The expansion sequence for a given bound
-    is a pure function of the bound, so resuming a search later (for a
-    different target) assigns the same parents as a fresh exhaustive run
-    would.  ``steps`` maps each state a certificate has passed through to
-    the transition into it from its parent, so the certificates of one bound
-    build each shared prefix once.
+    The search answers only targets within its ``corner`` (:meth:`answers`),
+    ``(bound, bound)`` by default, and keeps to ``region``, the part of
+    R(corner) within the bound (see ``_MAX_T1``): it seeds the axioms there
+    and discovers no state outside it.  With the default corner the region
+    is the whole square of the bound.  Expanding a state runs the steps of
+    ``linkrules._STEPS`` for its tag, in RULE_ORDER, in one pass (see
+    :meth:`find`), and records each output that lies in the region, is not
+    yet discovered and is not :func:`grade3.permissible._excluded`, the
+    yes/no test, which builds no verdict; an output outside the region is
+    not tested.  The outputs it records are those of ``linkrules._outputs``
+    on the same run, in the same order, kept within the region: that
+    function stays the reference evaluator of the step table.  Axioms are
+    not tested: no axiom within the default cap is NOT_PERMISSIBLE.  The
+    rule of an edge is not kept; ``linkrules._transition`` finds it again,
+    from the same steps, for the few edges a certificate takes.  The
+    expansion sequence for a given bound and corner is a pure function of
+    them, so resuming a search later (for a different target) assigns the
+    same parents as a fresh exhaustive run would.  ``steps`` maps each state
+    a certificate has passed through to the transition into it from its
+    parent, so the certificates of one bound build each shared prefix once.
+
+    Why a target within the corner gets the square search's answer.  By the
+    lemma every path to it lies in R(corner), so every state that reaches
+    it is in the region, and so is every predecessor of such a state, since
+    that predecessor reaches it too.  The square search's parent chain to
+    the target is its least shortest path (see :func:`_meet_in_the_middle`):
+    it lies in the region, and the region's graph keeps the order of the
+    seeds and of each state's outputs, so it is the region's least shortest
+    path as well, and so is each of its prefixes: the certificate is
+    byte-identical.  A target the square search does not reach, this one
+    does not reach either.
     """
 
-    def __init__(self, bound: int) -> None:
+    def __init__(self, bound: int, corner: tuple[int, int] | None = None) -> None:
         self.bound = bound
+        self.corner = (bound, bound) if corner is None else corner
+        mx, nx = self.corner
+        # R(corner) within the bound: {m <= m1, n <= n1} | {m <= m2, n <= n2}.
+        self.region = (min(mx, bound), min(nx, bound), min(nx + _MAX_T1, bound), min(mx - _LEAST_RISE, bound))
         self.parent: dict[_StateKey, _StateKey | str] = {}
         self.steps: dict[_StateKey, Transition] = {}
         self.queue: deque[_StateKey] = deque()
+        m1, n1, m2, n2 = self.region
         for family in _SEED_ORDER:
             for state in family.instances(bound):
                 key = _state_key(*state)
-                if key not in self.parent:
+                _, _, _, m, n = key
+                if key not in self.parent and (m <= m1 and n <= n1 or m <= m2 and n <= n2):
                     self.parent[key] = family.family_id
                     self.queue.append(key)
+
+    def answers(self, target: _StateKey) -> bool:
+        """Whether ``target`` lies within the corner, where this search's answer is the square search's."""
+        return target[3] <= self.corner[0] and target[4] <= self.corner[1]
 
     def find(self, target: _StateKey | None, states: int = -1) -> bool:
         """Expand queued states, in order, until ``target`` is discovered, the
         queue is empty, or ``states`` states are expanded (any number when negative).
 
         A state whose ``n`` plus its tag's least rise (``_RISE``) is past the
-        bound has no output within it, and the step table is not run.  Else
-        each step of its tag is evaluated here, as ``linkrules._outputs``
-        evaluates it, and builds no list: the output format comes first, from
-        the step's row, and a step whose output format is past the bound, or
-        has ``n' < 1``, is dropped before its guards are called; ``m' = n +
-        3 - t2`` is at least 3, since every row has ``t2 <= 1``.
+        region's largest ``m`` has no output in the region, and the step
+        table is not run.  Else each step of its tag is evaluated here, as
+        ``linkrules._outputs`` evaluates it, and builds no list: the output
+        format comes first, from the step's row, and a step whose output
+        format is outside the region, or has ``n' < 1``, is dropped before
+        its guards are called; ``m' = n + 3 - t2`` is at least 3, since every
+        row has ``t2 <= 1``.
         ``_excluded`` is looked up in this module's namespace on each call,
         where a test replaces it.
         """
-        parent, queue, bound = self.parent, self.queue, self.bound
+        parent, queue = self.parent, self.queue
+        m1, n1, m2, n2 = self.region
+        top = max(m1, m2)
         while states and target not in parent and queue:
             states -= 1
             tag, a, b, m, n = key = queue.popleft()
-            if n + _RISE[tag] > bound:
+            if n + _RISE[tag] > top:
                 continue
             slots = (a, b, 0)
             for _, _, t1, t2, guards, out_tag, ia, ka, ib, kb in _STEPS[tag]:
                 out_m, out_n = n + 3 - t2, m - t1
-                if out_m > bound or out_n > bound or out_n < 1:
+                if out_n < 1 or (out_m > m1 or out_n > n1) and (out_m > m2 or out_n > n2):
                     continue
                 for holds in guards:
                     if not holds(a, b, m, n):
@@ -371,12 +430,17 @@ def _meet_in_the_middle(bound: int, target: _StateKey) -> _Search | None:
     """A :class:`_Search` ``(bound)`` whose ``parent`` reaches ``target`` as a full run's would, or None.
 
     The search runs from both ends.  The forward side is a :class:`_Search`
-    not kept in ``_SEARCHES`` that expands its whole queue at a time, so that
-    the queue is one level.  The backward side maps each state known to reach
-    ``target`` to its distance from it, found by :func:`_inputs`.  Each round
-    expands the side whose frontier is smaller.
+    whose corner is the target's own format, not kept in ``_SEARCHES``, that
+    expands its whole queue at a time, so that the queue is one level.  The
+    backward side maps each state known to reach ``target`` to its distance
+    from it, found by :func:`_inputs`.  Each round expands the side whose
+    frontier is smaller.
 
-    Why this is the forward search's parent chain.  ``_Search`` orders level 0
+    Why this is the forward search's parent chain.  Every path to the target
+    lies in R(target) (see ``_MAX_T1``), so the forward side, which keeps to
+    that region, has every state of every such path, with the square
+    search's parent chain (see :class:`_Search`), and so does the backward
+    side, whose states all reach the target.  ``_Search`` orders level 0
     by seeding and each later level by parent, then by output position in
     RULE_ORDER; so by induction a state's parent chain is its
     lexicographically least shortest path, read as (seed position, output
@@ -394,11 +458,11 @@ def _meet_in_the_middle(bound: int, target: _StateKey) -> _Search | None:
     always exists and still completes a shortest path.  Each state of that
     tail lies deeper than F_i, the forward side's last level, so none is in
     ``parent`` yet, and each is recorded there with its predecessor.  A state
-    the backward side knows lies within the bound and is not
+    the backward side knows lies in the forward side's region and is not
     NOT_PERMISSIBLE, so the tail reads the met state's outputs off the step
     table whole: the first at the right distance is one the search records.
     """
-    search = _Search(bound)
+    search = _Search(bound, target[3:])
     axioms: dict[tuple[str, int, int], list[_StateKey]] = {}
     for key in search.queue:
         if key[0] not in _OUTPUT_TAGS:
@@ -429,7 +493,7 @@ def _meet_in_the_middle(bound: int, target: _StateKey) -> _Search | None:
 
 
 # The forward searches of the sweeps, by bound; realize answers from the
-# widest one, else from the target's own (see _held_search).
+# widest one, else searches from both ends (see _held_search).
 # perfbench/tracer.py counts them and the states in each one's ``parent``.
 _SEARCHES: dict[int, _Search] = {}
 
@@ -437,11 +501,20 @@ _SEARCHES: dict[int, _Search] = {}
 def _held_search(bound: int, target: _StateKey) -> _Search | None:
     """A search whose ``parent`` reaches ``target`` as a full run of ``_Search(bound)``'s would, or None.
 
-    The widest held search, of bound B >= ``bound``, is resumed until it
-    has discovered ``target`` or its queue is empty.  It gives None when it
+    A held search is handed only a target within its corner
+    (:meth:`_Search.answers`), where its answer is the square search's.  The
+    widest held search, of bound B >= ``bound``, is resumed until it has
+    discovered such a target or its queue is empty.  It gives None when it
     has not discovered it, and answers when its parent chain to ``target``
-    lies within ``bound``; else the bound's own held search is resumed, or
-    the search runs from both ends.
+    lies within ``bound``; else the search runs from both ends.  A sweep's
+    search of bound b below the cap has the corner (b - 6, b - 6), which
+    holds every target whose bound is not lowered by its ``max_coordinate``;
+    at the cap the corner is (b, b).  So only a target whose cap lowers its
+    bound below max(m, n) + 6 can miss the widest corner.  The bound's own
+    held search is not tried: below the cap its corner lies within the
+    widest one's, and a target there, with max(m, n) <= ``bound`` - 6, has
+    its chain in R(target) (see ``_MAX_T1``), so within max(m, n) + 3 <
+    ``bound``; at the cap the bound's own search is the widest.
 
     Why the widest search's chain is the bound's.  The graph G_b a search of
     bound b walks has the states of reach <= b that are not NOT_PERMISSIBLE,
@@ -457,7 +530,7 @@ def _held_search(bound: int, target: _StateKey) -> _Search | None:
     does not reach either.  For B < b the inclusion runs the other way.
     """
     widest = _SEARCHES[max(_SEARCHES)] if _SEARCHES else None
-    if widest is not None and widest.bound >= bound:
+    if widest is not None and widest.bound >= bound and widest.answers(target):
         if not widest.find(target):
             return None
         parent, key = widest.parent, target
@@ -465,10 +538,7 @@ def _held_search(bound: int, target: _StateKey) -> _Search | None:
             key = parent[key]
         if isinstance(key, str):
             return widest
-    search = _SEARCHES.get(bound)
-    if search is None:
-        return _meet_in_the_middle(bound, target)
-    return search if search.find(target) else None
+    return _meet_in_the_middle(bound, target)
 
 
 def _search_bound(fmt: Format, max_coordinate: int = DEFAULT_MAX_SEARCH) -> int:
@@ -479,7 +549,12 @@ def _search_bound(fmt: Format, max_coordinate: int = DEFAULT_MAX_SEARCH) -> int:
 def _search_for(bound: int) -> _Search:
     search = _SEARCHES.get(bound)
     if search is None:
-        search = _Search(bound)
+        # The corner holding every target whose bound is max(m, n) + 6, or at
+        # the cap every target.  Only the widest search answers (see
+        # _held_search); the narrower ones hold their seeds, so that
+        # perfbench/tracer.py counts one search per bound (ROADMAP item 24(b)).
+        corner = bound - 6 if bound < DEFAULT_MAX_SEARCH else bound
+        search = _Search(bound, (corner, corner))
         _SEARCHES[bound] = search
     return search
 
@@ -557,13 +632,13 @@ def realize(
     none.  No searched format has a coordinate above ``max_coordinate``,
     which must be an integer of at least 1 (:class:`OutOfDomain` otherwise).
     Once a sweep of this process holds forward searches, a target of bound
-    at most the widest one's is answered from the widest search when that
-    search has discovered it within the target's bound, or has run out
-    without discovering it (NOT_FOUND); otherwise from the search a sweep
-    holds for the target's bound, if any.  Any other target, and C(3) and
-    G(r), which no rule outputs, are searched from both ends, backward from
-    the target and forward from the axioms, which for C(3) and G(r) finds
-    only an axiom.  The certificate does not depend on which search ran.
+    at most the widest one's, within that search's corner, is answered from
+    the widest search when that search has discovered it within the
+    target's bound, or has run out without discovering it (NOT_FOUND).
+    Any other target, and C(3) and G(r), which no rule outputs, are
+    searched from both ends, backward from the target and forward from the
+    axioms, which for C(3) and G(r) finds only an axiom.  The certificate
+    does not depend on which search ran.
     """
     _require_ints(max_coordinate=max_coordinate)
     if max_coordinate < 1:
@@ -745,18 +820,19 @@ def realize_all(m_max: int, n_max: int) -> CoverageReport:
     """Realize every permissible T and B format and every boundary H label.
 
     Sweeps ``m <= m_max``, ``n <= n_max``: lists the targets and holds a
-    forward search for each target's bound, then calls :func:`realize` on
-    the targets widest bound first, so that the widest search, expanded
-    inside ``realize``, answers the narrower bounds, and replays each
-    certificate with :func:`verify_certificate`, which replays each distinct
-    step of the sweep's certificates once: it keeps its replays for the
-    length of this call, and drops them when the call ends, also by an
-    exception.  ``verified`` is what a fresh call gives (see
-    :func:`verify_certificate`).  Reports per-target
-    outcomes in sweep order; ``gaps`` lists targets without a verified
-    certificate.  A bound past :data:`DEFAULT_MAX_SEARCH`, where
-    :func:`realize` searches nothing, or one that is not an integer, raises
-    :class:`OutOfDomain`.
+    forward search for each target's bound b, kept to the region of the
+    corner (b - 6, b - 6) (or (b, b) at :data:`DEFAULT_MAX_SEARCH`), which
+    holds every target of that bound and the paths to them, then calls
+    :func:`realize` on the targets widest bound first, so that the widest
+    search, expanded inside ``realize``, answers the narrower bounds, and
+    replays each certificate with :func:`verify_certificate`, which replays
+    each distinct step of the sweep's certificates once: it keeps its
+    replays for the length of this call, and drops them when the call ends,
+    also by an exception.  ``verified`` is what a fresh call gives (see
+    :func:`verify_certificate`).  Reports per-target outcomes in sweep
+    order; ``gaps`` lists targets without a verified certificate.  A bound
+    past :data:`DEFAULT_MAX_SEARCH`, where :func:`realize` searches nothing,
+    or one that is not an integer, raises :class:`OutOfDomain`.
     """
     global _REPLAYS
     _require_ints(m_max=m_max, n_max=n_max)

@@ -161,9 +161,9 @@ def sweep_graph() -> tuple[int, int]:
     return len(searches[max(searches)].parent), sum(len(search.parent) for search in searches.values())
 
 
-# Recorded as (states of a successor graph all searches shared, discovered)
-# when that graph held exactly the widest search's states.
-SWEEP_GRAPH = (16930, 17425)
+# Each held search records only the states of the region R of its corner
+# (see planner._MAX_T1): before, the square searches held (16 930, 17 425).
+SWEEP_GRAPH = (6678, 6976)
 
 
 def sweep_graph_odd() -> tuple[int, int, int]:
@@ -185,8 +185,10 @@ def sweep_graph_odd() -> tuple[int, int, int]:
     return widest, len(searches[widest].parent), grown
 
 
-# Before the widest search was resumed for them, the bound-18 search grew to 10 047 states.
-SWEEP_GRAPH_ODD = (19, 11835, 0)
+# Before the widest search was resumed for them, the bound-18 search grew to
+# 10 047 states; before each search kept to its corner's region, the
+# bound-19 search held 11 835.
+SWEEP_GRAPH_ODD = (19, 4795, 0)
 
 
 def excluded_outputs() -> tuple[int, int, int]:
@@ -209,6 +211,30 @@ def excluded_outputs() -> tuple[int, int, int]:
 
 
 EXCLUDED_OUTPUTS = (195705, 958221, 0)
+
+
+def two_step(bound: int = 34) -> tuple[int, int, int]:
+    """States, two-step pairs and pairs that lower a coordinate, over an exhaustive square search.
+
+    For every state the search discovered, every output of every output
+    (:func:`grade3.linkrules._outputs`, bound and exclusion ignored) is
+    compared with the state: the lemma by ``planner._MAX_T1`` says no
+    coordinate falls over two steps, so every chain to a target stays in
+    the region a held search keeps to.
+    """
+    search = planner._Search(bound)
+    search.find(None)
+    pairs = violations = 0
+    for key in search.parent:
+        _, _, _, m, n = key
+        for out in _outputs(_STEPS[key[0]], *key[1:]):
+            for second in _outputs(_STEPS[out[0]], *out[1:]):
+                pairs += 1
+                violations += second[3] < m or second[4] < n
+    return len(search.parent), pairs, violations
+
+
+TWO_STEP = (195705, 4776565, 0)
 
 
 def verdict_grid() -> tuple[int, str]:
@@ -463,6 +489,7 @@ PINS = {
     "sweep-graph": (sweep_graph, SWEEP_GRAPH),
     "sweep-graph-odd": (sweep_graph_odd, SWEEP_GRAPH_ODD),
     "excluded-outputs": (excluded_outputs, EXCLUDED_OUTPUTS),
+    "two-step": (two_step, TWO_STEP),
     "verdict-grid": (verdict_grid, VERDICT_GRID),
     "cone-sweep": (cone_sweep, CONE_SWEEP),
     "classify-sweep": (classify_sweep, CLASSIFY_SWEEP),

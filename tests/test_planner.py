@@ -368,14 +368,17 @@ def test_target_listings_equal_the_verdicts():
 
 
 def test_a_narrower_search_does_not_answer_a_wider_bound():
-    # The bound-8 search, run to exhaustion, reaches H(2,2) at (6,7) by a
-    # 2-step chain, but not by the least shortest path of bound 13.
+    # The square bound-8 search, run to exhaustion, reaches H(2,2) at (6,7) by
+    # a 2-step chain, but not by the least shortest path of bound 13.  A
+    # sweep's bound-8 search keeps to the region of its corner (2,2), which
+    # leaves (6,7) out, so the square one is held in its place.
     label, fmt = class_H(2, 2), make_format(6, 7)
     lone = realize(label, fmt)
-    narrow = planner._search_for(8)
+    narrow = planner._Search(8)
     narrow.find(-1)
     chain = planner._certificate_from(narrow, planner._state_key(label, fmt))
     assert len(chain.steps) == 2 and chain != lone.certificate
+    planner._SEARCHES[8] = narrow
     assert realize(label, fmt) == lone
     assert list(planner._SEARCHES) == [8]
 
@@ -590,6 +593,89 @@ def test_forward_search_and_transitions_equal_their_reference_loops():
     assert (len(parent), edges) == (20362, 79866)
 
 
+def test_two_steps_lower_no_coordinate():
+    # The premises of the region lemma by planner._MAX_T1: every step has
+    # t1 <= 3 and t2 <= 1, and over every state of an exhaustive square
+    # bound-20 search, no output of an output (bound and exclusion ignored)
+    # lies below the state in either coordinate.  The two-step pin checks
+    # the same at bound 34.
+    assert all(step[2] <= 3 and step[3] <= 1 for steps in _STEPS.values() for step in steps)
+    assert (planner._MAX_T1, planner._LEAST_RISE) == (3, 2)
+    assert pins.two_step(20) == (20362, 489345, 0)
+
+
+def test_the_region_lemma_premises_are_those_of_the_step_table():
+    # Premises (b) and (c) of the region lemma, read off the step table rather
+    # than off a search of some bound, so that a step of t1 = 3 or t2 = 1
+    # added or changed fails here whatever formats it fires at.
+    deep = {(tag, step[0]): step for tag, steps in _STEPS.items() for step in steps if step[2] == planner._MAX_T1}
+    rising = {(tag, step[0]): step for tag, steps in _STEPS.items() for step in steps if step[3] == 1}
+    assert set(deep) == {("H", "linkH-v"), ("G", "ext-CVW31"), ("H", "ext-CVW33")}
+    assert set(rising) == {("T", "linkT-iv"), ("H", "ext-CVW33")}
+    # Output tag and slots, each as (index, offset) into the input's (a, b, 0):
+    # H(0,p) from H(p,0), H(3,2), H(0,1) and B.
+    assert {key: step[5:] for key, step in {**deep, **rising}.items()} == {
+        ("H", "linkH-v"): ("H", 2, 0, 0, 0),
+        ("G", "ext-CVW31"): ("H", 2, 3, 2, 2),
+        ("H", "ext-CVW33"): ("H", 2, 0, 2, 1),
+        ("T", "linkT-iv"): ("B", 2, 0, 2, 0),
+    }
+    # So only H outputs meet H inputs.  At every format a search under the
+    # default cap enters, ext-CVW33 refuses every H(0,p) and H(3,2), and
+    # neither t1 = 3 step on H accepts H(0,1).
+    formats = [(m, n) for m in range(1, planner.DEFAULT_MAX_SEARCH + 1) for n in range(1, planner.DEFAULT_MAX_SEARCH + 1)]
+    cvw33 = deep["H", "ext-CVW33"]
+    for a, b in [(0, p) for p in range(planner.DEFAULT_MAX_SEARCH)] + [(3, 2)]:
+        assert not any(_outputs((cvw33,), a, b, m, n) for m, n in formats), (a, b)
+    for step in (deep["H", "linkH-v"], cvw33):
+        assert not any(_outputs((step,), 0, 1, m, n) for m, n in formats), step[0]
+
+
+def _chain(search, key):
+    chain = [key]
+    while isinstance(key, tuple):
+        key = search.parent[key]
+        chain.append(key)
+    return chain
+
+
+def test_a_search_kept_to_its_corner_discovers_the_square_search_inside_it():
+    # A sweep's search of bound b < 64 keeps to the region of the corner
+    # (b - 6, b - 6).  Run to exhaustion, it discovers the states inside that
+    # box that the square search discovers, in the same order, with the same
+    # parent chains, so it answers each target there as the square one does.
+    for bound in range(10, 21):
+        square, kept = planner._Search(bound), planner._Search(bound, (bound - 6, bound - 6))
+        square.find(None)
+        kept.find(None)
+        assert len(kept.parent) < len(square.parent)
+        inside = [key for key in square.parent if key[3] <= bound - 6 and key[4] <= bound - 6]
+        assert [key for key in kept.parent if key[3] <= bound - 6 and key[4] <= bound - 6] == inside, bound
+        assert all(_chain(kept, key) == _chain(square, key) for key in inside), bound
+
+
+def test_a_capped_target_outside_the_held_corners_is_searched_from_both_ends(monkeypatch):
+    # After realize_all(14, 14), T at (9,15) under cap 18 has bound 18: the
+    # widest search's corner (14,14) and the bound-18 search's corner (12,12)
+    # both leave it out, so it is searched from both ends, and the held
+    # searches do not grow.  Each answer is the lone one.
+    queries = [
+        (CLASS_T, make_format(9, 15), 18),
+        (CLASS_T, make_format(13, 16), 20),
+        (CLASS_B, make_format(15, 12), 20),
+    ]
+    lone = [realize(label, fmt, max_coordinate=cap) for label, fmt, cap in queries]
+    assert all(result.status is RealizeStatus.REALIZED for result in lone)
+    realize_all(14, 14)
+    held = {bound: len(search.parent) for bound, search in planner._SEARCHES.items()}
+    met = []
+    meet = planner._meet_in_the_middle
+    monkeypatch.setattr(planner, "_meet_in_the_middle", lambda bound, target: met.append(target) or meet(bound, target))
+    assert [realize(label, fmt, max_coordinate=cap) for label, fmt, cap in queries] == lone
+    assert met == [planner._state_key(label, fmt) for label, fmt, _ in queries]
+    assert {bound: len(search.parent) for bound, search in planner._SEARCHES.items()} == held
+
+
 def test_rules_rebuilt_with_wrapped_callables_keep_certificates(monkeypatch):
     # perfbench/tracer.py rebuilds every RULES entry with dataclasses.replace,
     # wrapping its check, out_format and out_class.  apply_rule, which builds
@@ -739,26 +825,35 @@ def test_a_sweep_compares_each_step_with_its_replay(monkeypatch):
 
 
 def test_no_rule_output_of_the_sweep_is_not_permissible():
-    # A search records only outputs that are not NOT_PERMISSIBLE, and only
-    # those within its bound.  Here every rule output of every state the
-    # (20,20) sweep's bound-26 search discovered, within the bound or past
-    # it, is computed anew: none is NOT_PERMISSIBLE, and each state the
-    # search expanded has every output within the bound discovered.  An
-    # output that is NOT_PERMISSIBLE would be a rule contradicting an
-    # obstruction, which the search would otherwise route around silently.
+    # A search records only outputs that are not NOT_PERMISSIBLE.  Here every
+    # rule output of every state an exhaustive square bound-26 search
+    # discovered, within the bound or past it, is computed anew: none is
+    # NOT_PERMISSIBLE.  The square search holds every state the (20,20)
+    # sweep's bound-26 search discovered when it searched the whole square
+    # (57 321), and more.  An output that is NOT_PERMISSIBLE would be a rule
+    # contradicting an obstruction, which the search would otherwise route
+    # around silently.
+    square = planner._Search(26)
+    square.find(None)
+    assert len(square.parent) == 63245
+    for key in square.parent:
+        assert not any(planner._excluded(*out) for out in _outputs(_STEPS[key[0]], *key[1:])), key
+    assert not any(planner._excluded(*key) for key in square.parent if key[0] != OPAQUE.tag)
+    # The sweep's bound-26 search keeps to the region of its corner (20,20):
+    # each state it expanded has every output in that region discovered.
     realize_all(20, 20)
     widest = planner._SEARCHES[26]
-    assert len(widest.parent) == 57321
+    assert widest.corner == (20, 20) and set(widest.parent) <= set(square.parent)
+    m1, n1, m2, n2 = widest.region
     queued = set(widest.queue)
     expanded = 0
     for key in widest.parent:
-        outputs = _outputs(_STEPS[key[0]], *key[1:])
-        assert not any(planner._excluded(*out) for out in outputs), key
         if key not in queued:
             expanded += 1
-            assert all(out in widest.parent for out in outputs if max(out[3], out[4]) <= 26), key
+            for out in _outputs(_STEPS[key[0]], *key[1:]):
+                if out[3] <= m1 and out[4] <= n1 or out[3] <= m2 and out[4] <= n2:
+                    assert out in widest.parent, (key, out)
     assert expanded > 0
-    assert not any(planner._excluded(*key) for key in widest.parent if key[0] != OPAQUE.tag)
 
 
 @pytest.mark.parametrize("index, rerouted", [(1, True), (0, False)])
